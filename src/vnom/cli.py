@@ -12,7 +12,6 @@ import argparse
 import json
 import secrets
 import sys
-from math import comb
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .kidney_egg import (KidneyEggParams, Simplex3, content_pmf_from_conditional
                          sample_kidney_egg, tv_distance)
 from .metrics import chance_baseline, evaluate_ranking
 from .nomination import GAMMA_GRID_DEFAULT, rank_candidates
+from .seeding import child_seed
 from . import io as vio
 
 
@@ -48,6 +48,13 @@ def _resolve_seed(args) -> int:
         args.seed = secrets.randbits(48)
         print(f"seed: {args.seed}")
     return args.seed
+
+
+def _workers(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def _parse_gammas(text: str):
@@ -99,7 +106,7 @@ def build_parser() -> _Parser:
                     help="explicit m' per m, overrides --m-prime-ratio")
     sw.add_argument("--gammas", default="0,0.5,1")
     sw.add_argument("--replicates", type=int, default=1000)
-    sw.add_argument("--workers", type=int, default=1)
+    sw.add_argument("--workers", type=_workers, default=1)
     sw.add_argument("--out", default=None)
     sw.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_seed(sw)
@@ -129,7 +136,7 @@ def build_parser() -> _Parser:
                      help="run trials on at most this many accepted partitions")
     imp.add_argument("--unweighted-profiles", action="store_true",
                      help="weight every edge equally in topic profiles")
-    imp.add_argument("--workers", type=int, default=1)
+    imp.add_argument("--workers", type=_workers, default=1)
     imp.add_argument("--out", default=None)
     imp.add_argument("--partitions-out", default=None,
                      help="also write the raw per-partition table here (csv)")
@@ -169,8 +176,6 @@ def build_parser() -> _Parser:
     base.add_argument("--criterion", choices=("s_at_1", "mrr", "map", "ap_y"),
                       required=True)
     base.add_argument("--y", type=int, default=None)
-    base.add_argument("--mc-samples", type=int, default=100_000)
-    _add_seed(base)
 
     return parser
 
@@ -197,7 +202,7 @@ def _params_from(args) -> KidneyEggParams:
 def _cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     params = _params_from(args)
-    sample_seed, tie_seed = np.random.SeedSequence(seed).spawn(2)
+    sample_seed, tie_seed = child_seed(seed, 0), child_seed(seed, 1)
     g = sample_kidney_egg(params, sample_seed)
     ranking = rank_candidates(g, args.gamma, tie_seed)
     report = evaluate_ranking(ranking, g.red_candidates())
@@ -362,18 +367,10 @@ def _cmd_surrogate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    # the Monte Carlo fallback is the only randomized path
-    needs_mc = (args.candidates >= 1 and 1 <= args.reds <= args.candidates
-                and comb(args.candidates, args.reds) > 10 ** 6)
-    if needs_mc and args.seed is None:
-        _resolve_seed(args)
-    seed = args.seed if args.seed is not None else 0
-    value = chance_baseline(args.candidates, args.reds, args.criterion, args.y,
-                            mc_samples=args.mc_samples, seed=seed)
+    value = chance_baseline(args.candidates, args.reds, args.criterion, args.y)
     print(json.dumps({"criterion": args.criterion, "candidates": args.candidates,
-                      "reds": args.reds, "y": args.y,
-                      "value": value.value, "exact": value.exact}, indent=2,
-                     sort_keys=True))
+                      "reds": args.reds, "y": args.y, "value": value},
+                     indent=2, sort_keys=True))
     return 0
 
 

@@ -1,4 +1,9 @@
-"""Monte Carlo harness: replicate evaluation, parameter sweeps, gamma surfaces.
+"""Monte Carlo harness: replicate evaluation, parameter sweeps, gamma surfaces,
+and the MAP-maximizing gamma.
+
+Every loop ranks each sampled (or instantiated) graph at every gamma through
+one evaluator, :func:`evaluate_grid`, which returns a (gammas x metrics)
+array; replicates stack on a last axis that :func:`vnom.metrics.mean_se` folds.
 
 Determinism contract: every replicate's seed is derived from the master seed
 and the replicate's coordinates (cell m, m_prime, replicate index), never from
@@ -9,6 +14,7 @@ across every gamma (paired comparison).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,9 +23,9 @@ import numpy as np
 from .errors import InputError
 from .graph import RED
 from .kidney_egg import KidneyEggParams, Simplex3, sample_kidney_egg
-from .metrics import aggregate_reports, report_from_mask
-from .nomination import CRITERIA, candidate_statistics, fused_order
-from .seeding import as_seed_sequence, child_seed, generator
+from .metrics import CRITERIA, EvalReport, aggregate_values, mask_metrics, mean_se
+from .nomination import GAMMA_GRID_DEFAULT, candidate_statistics, fused_order
+from .seeding import child_seed, generator
 
 
 @dataclass(frozen=True)
@@ -127,18 +133,39 @@ class SurfaceResult:
     replicates: int = 0
 
 
-def _replicate_reports(params: KidneyEggParams, gamma_grid, rep_seed, y_values):
+def pool_size(n_workers: int, n_tasks: int) -> int:
+    """Processes to start: n_workers (>= 1) capped at the tasks and the CPUs,
+    since a process pool starts every worker at its first submit."""
+    if n_workers < 1:
+        raise InputError(f"n_workers must be >= 1, got {n_workers}")
+    return max(1, min(n_workers, n_tasks, os.cpu_count() or 1))
+
+
+def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
+    """Rank one candidate set at every gamma and score each ranking.
+
+    ``t0``/``t1`` are the candidates' context and content scores, ``red``
+    their truth mask and ``tiebreak`` the keys ordering tied candidates.
+    Returns a (gammas x metrics) array with the columns of
+    :func:`vnom.metrics.mask_metrics`.
+    """
+    orders = np.stack([fused_order(t0, t1, gamma, tiebreak)[0] for gamma in gamma_grid])
+    return mask_metrics(red[orders], y_values)
+
+
+def _sampled_metrics(params: KidneyEggParams, gamma_grid, rep_seed, y_values):
     """One sampled graph evaluated at every gamma with a shared tie stream."""
-    sample_seed, tie_seed = as_seed_sequence(rep_seed).spawn(2)
-    g = sample_kidney_egg(params, sample_seed)
+    g = sample_kidney_egg(params, child_seed(rep_seed, 0))
     cand, t0, t1 = candidate_statistics(g)
-    tiebreak = generator(tie_seed).permutation(cand.size)
-    cand_red = g.truth[cand] == RED  # every candidate is occluded, so red <=> red candidate
-    reports = {}
-    for gamma in gamma_grid:
-        order, _, _ = fused_order(t0, t1, gamma, tiebreak)
-        reports[float(gamma)] = report_from_mask(cand_red[order], y_values)
-    return reports, g.edge_checksum()
+    tiebreak = generator(child_seed(rep_seed, 1)).permutation(cand.size)
+    # every candidate is occluded, so red <=> red candidate
+    return evaluate_grid(t0, t1, g.truth[cand] == RED, tiebreak, gamma_grid, y_values), g
+
+
+def _replicate_values(params: KidneyEggParams, gamma_grid, rep_seeds, y_values=()):
+    """(gammas x metrics x replicates) array, one replicate per seed."""
+    return np.stack([_sampled_metrics(params, gamma_grid, rep_seed, y_values)[0]
+                     for rep_seed in rep_seeds], axis=-1)
 
 
 def run_replicate(params: KidneyEggParams, gamma_grid, seed, y_values=()) -> ReplicateResult:
@@ -146,40 +173,37 @@ def run_replicate(params: KidneyEggParams, gamma_grid, seed, y_values=()) -> Rep
     grid = tuple(float(g) for g in gamma_grid)
     if not grid:
         raise InputError("gamma_grid must be non-empty")
-    reports, checksum = _replicate_reports(params, grid, child_seed(seed), y_values)
-    return ReplicateResult(reports, checksum)
+    values, g = _sampled_metrics(params, grid, child_seed(seed), y_values)
+    n_candidates, n_red = params.n - params.m_prime, params.m - params.m_prime
+    reports = {gamma: EvalReport.from_row(row, y_values, n_candidates, n_red)
+               for gamma, row in zip(grid, values)}
+    return ReplicateResult(reports, g.edge_checksum())
 
 
-def _gamma_star_from_aggregates(gamma_grid, aggregates) -> dict:
-    """Per-criterion argmax over the grid, ties toward the smallest gamma."""
-    out = {}
-    for criterion in CRITERIA:
-        means = [aggregates[g].mean(criterion) for g in gamma_grid]
-        best = max(means)
-        out[criterion] = min(g for g, v in zip(gamma_grid, means) if v == best)
-    return out
+def _best_gamma(gamma_grid, scores) -> float:
+    """Grid point with the largest score, ties toward the smallest gamma."""
+    best = max(scores)
+    return min(gamma for gamma, v in zip(gamma_grid, scores) if v == best)
 
 
 def _run_cell(spec: SweepSpec, m: int, m_prime: int) -> CellResult:
     params = KidneyEggParams(spec.n, m, m_prime, spec.p, spec.s)
-    per_gamma = {g: [] for g in spec.gamma_grid}
-    for rep in range(spec.replicates):
-        rep_seed = np.random.SeedSequence(entropy=spec.master_seed,
-                                          spawn_key=(m, m_prime, rep))
-        reports, _ = _replicate_reports(params, spec.gamma_grid, rep_seed, spec.y_values)
-        for g in spec.gamma_grid:
-            per_gamma[g].append(reports[g])
-    aggregates = {g: aggregate_reports(reps) for g, reps in per_gamma.items()}
-    return CellResult(m, m_prime, aggregates,
-                      _gamma_star_from_aggregates(spec.gamma_grid, aggregates),
-                      spec.replicates)
+    rep_seeds = (np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(m, m_prime, rep))
+                 for rep in range(spec.replicates))
+    values = _replicate_values(params, spec.gamma_grid, rep_seeds, spec.y_values)
+    aggregates = dict(zip(spec.gamma_grid, aggregate_values(values, spec.y_values)))
+    best = {criterion: _best_gamma(spec.gamma_grid,
+                                   [aggregates[g].mean(criterion) for g in spec.gamma_grid])
+            for criterion in CRITERIA}
+    return CellResult(m, m_prime, aggregates, best, spec.replicates)
 
 
 def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
     """Evaluate every feasible cell of the sweep.
 
-    Cells run in parallel when ``n_workers > 1``; output is keyed by cell and
-    independent of scheduling.
+    Cells run in parallel on up to ``n_workers`` processes (capped by
+    :func:`pool_size`); output is keyed by cell and independent of
+    scheduling.
     """
     feasible = []
     skipped = []
@@ -188,8 +212,9 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
             feasible.append((m, mp))
         else:
             skipped.append((m, mp, reason))
-    if n_workers > 1 and len(feasible) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    workers = pool_size(n_workers, len(feasible))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_run_cell, [spec] * len(feasible),
                                   [m for m, _ in feasible], [mp for _, mp in feasible]))
     else:
@@ -215,22 +240,40 @@ def gamma_surface(params: KidneyEggParams, gamma_grid, y_max: int,
             f"y_max must lie in 1..{n_red_candidates} (red candidates), got {y_max}")
     y_values = tuple(range(1, y_max + 1))
     base = child_seed(seed)
-    per_gamma = {g: [] for g in grid}
-    for rep in range(replicates):
-        reports, _ = _replicate_reports(params, grid, child_seed(base, rep), y_values)
-        for g in grid:
-            per_gamma[g].append(reports[g])
-    aggregates = {g: aggregate_reports(reps) for g, reps in per_gamma.items()}
-    ap_y_mean = np.array([[aggregates[g].mean_ap_y[y] for g in grid] for y in y_values])
-    ap_y_se = np.array([[aggregates[g].se_ap_y[y] for g in grid] for y in y_values])
+    values = _replicate_values(params, grid, (child_seed(base, rep) for rep in range(replicates)),
+                               y_values)
+    mean, se = mean_se(values)
     return SurfaceResult(
         gamma_grid=grid,
         y_values=y_values,
-        ap_y_mean=ap_y_mean,
-        ap_y_se=ap_y_se,
-        mrr_mean=np.array([aggregates[g].mrr for g in grid]),
-        mrr_se=np.array([aggregates[g].se_rr for g in grid]),
-        map_mean=np.array([aggregates[g].map for g in grid]),
-        map_se=np.array([aggregates[g].se_ap for g in grid]),
+        ap_y_mean=mean[:, 3:].T,
+        ap_y_se=se[:, 3:].T,
+        mrr_mean=mean[:, 1],
+        mrr_se=se[:, 1],
+        map_mean=mean[:, 2],
+        map_se=se[:, 2],
         replicates=replicates,
     )
+
+
+def gamma_star(params: KidneyEggParams, gamma_grid=GAMMA_GRID_DEFAULT,
+               criterion: str = "map", *, replicates: int, seed) -> float:
+    """Grid point maximizing the Monte Carlo mean of the criterion.
+
+    Each replicate samples one graph and evaluates every grid point on it
+    (shared tie-break stream), so the comparison across gamma is paired.
+    Ties in the estimate go to the smallest gamma.
+    """
+    grid = tuple(float(x) for x in gamma_grid)
+    if not grid:
+        raise InputError("gamma grid must be non-empty")
+    if criterion not in CRITERIA:
+        raise InputError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
+    if replicates < 1:
+        raise InputError("replicates must be >= 1")
+    base = child_seed(seed)
+    values = _replicate_values(params, grid, (child_seed(base, rep) for rep in range(replicates)))
+    # a sequential sum over replicates, so totals and their ties never depend on
+    # how numpy orders a reduction
+    totals = sum(values[:, CRITERIA.index(criterion)].T)
+    return _best_gamma(grid, totals)

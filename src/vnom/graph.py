@@ -227,6 +227,8 @@ class TopicGraph:
         if k < 2:
             raise InputError("at least two topics are required")
         if probs.size:
+            if not np.isfinite(probs).all():
+                raise InputError("topic probabilities must be finite")
             if probs.min() < 0:
                 raise InputError("topic probabilities must be non-negative")
             dev = np.abs(probs.sum(axis=1) - 1.0)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import EmptyProfileError, InputError, UndefinedDensityError
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph)
-from .metrics import AggregateReport, _mean_se, report_from_mask
-from .nomination import fused_order
+from .experiments import evaluate_grid, pool_size
+from .metrics import aggregate_values, mean_se
 from .seeding import child_seed, generator
 
 _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on scheduling
@@ -314,7 +314,7 @@ def bin_index(value: float, width: float) -> int:
 def _trial_partition(g: TopicGraph, sp: ScreenedPartition, ordinal: int, m_prime: int,
                      gamma_grid, replicates: int, base_seed, collect_rates: bool,
                      cum_topics: np.ndarray):
-    """Raw metric values (reps x gammas x 3) and mean rates for one partition.
+    """Raw metric values (gammas x 3 x reps) and mean rates for one partition.
 
     Equivalent to instantiate_edges -> identify -> rank -> evaluate on an
     AttributedGraph, unrolled onto the shared edge arrays for speed.
@@ -329,10 +329,11 @@ def _trial_partition(g: TopicGraph, sp: ScreenedPartition, ordinal: int, m_prime
     denom_red = comb(part.num_red, 2)
     denom_green = comb(n - part.num_red, 2)
     labels = sp.topic_map.labels
-    values = np.empty((replicates, len(gamma_grid), 3))
+    values = []
     rate_sum = np.zeros(4)
     for rep in range(replicates):
-        edge_seed, ident_seed, tie_seed = child_seed(base_seed, ordinal, rep).spawn(3)
+        edge_seed, ident_seed, tie_seed = (child_seed(base_seed, ordinal, rep, i)
+                                           for i in range(3))
         u = generator(edge_seed).random(eu.size)
         topics = np.minimum((u[:, None] >= cum_topics).sum(axis=1), g.k_topics - 1)
         attr = labels[topics]
@@ -347,12 +348,8 @@ def _trial_partition(g: TopicGraph, sp: ScreenedPartition, ordinal: int, m_prime
                   + np.bincount(ev[ident_mask[eu]], minlength=n))
         cand = np.flatnonzero(~ident_mask)
         t0, t1 = t0_all[cand], t1_all[cand]
-        cand_red = red_mask[cand]
         tiebreak = generator(tie_seed).permutation(cand.size)
-        for j, gamma in enumerate(gamma_grid):
-            order, _, _ = fused_order(t0, t1, gamma, tiebreak)
-            report = report_from_mask(cand_red[order])
-            values[rep, j] = (report.s_at_1, report.rr, report.ap)
+        values.append(evaluate_grid(t0, t1, red_mask[cand], tiebreak, gamma_grid))
         if collect_rates:
             green_edge = attr == GREEN
             rate_sum += (np.count_nonzero(green_in & red_edge) / denom_green,
@@ -363,7 +360,7 @@ def _trial_partition(g: TopicGraph, sp: ScreenedPartition, ordinal: int, m_prime
     if collect_rates:
         mean = rate_sum / replicates
         rates = EstimatedRates(*map(float, mean))
-    return values, rates
+    return np.stack(values, axis=-1), rates
 
 
 def _trial_block(args):
@@ -374,14 +371,6 @@ def _trial_block(args):
                          collect_rates, cum_topics)
         for ordinal, sp in block
     ]
-
-
-def _aggregate_from_values(values: np.ndarray) -> AggregateReport:
-    """AggregateReport from raw (reports x 3) metric values."""
-    mean_s, se_s = _mean_se(values[:, 0])
-    mean_rr, se_rr = _mean_se(values[:, 1])
-    mean_ap, se_ap = _mean_se(values[:, 2])
-    return AggregateReport(mean_s, mean_rr, mean_ap, se_s, se_rr, se_ap, values.shape[0])
 
 
 def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
@@ -416,14 +405,15 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
     base = child_seed(seed)
 
     work = list(enumerate(accepted))
-    if n_workers > 1 and len(work) > 1:
-        blocks = [work[i::n_workers] for i in range(n_workers)]
+    workers = pool_size(n_workers, len(work))
+    if workers > 1:
+        blocks = [work[i::workers] for i in range(workers)]
         args = [(g, block, m_prime, grid, replicates_per_partition, base, collect_rates)
-                for block in blocks if block]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+                for block in blocks]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             block_results = list(pool.map(_trial_block, args))
         by_ordinal = {}
-        for block, results in zip([b for b in blocks if b], block_results):
+        for block, results in zip(blocks, block_results):
             for (ordinal, _), res in zip(block, results):
                 by_ordinal[ordinal] = res
         raw = [by_ordinal[i] for i in range(len(work))]
@@ -436,14 +426,15 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
     partitions = []
     bin_values: dict = {}
     bin_partitions: dict = {}
-    for ordinal, (sp, (values, rates)) in enumerate(zip(accepted, raw)):
+    for sp, (values, rates) in zip(accepted, raw):
+        means, _ = mean_se(values)
         partitions.append(PartitionTrial(
             index=sp.draw_index,
             delta_rho=sp.delta_rho,
             delta_p=sp.delta_p,
-            mean_s_at_1={gm: float(values[:, j, 0].mean()) for j, gm in enumerate(grid)},
-            mean_rr={gm: float(values[:, j, 1].mean()) for j, gm in enumerate(grid)},
-            mean_ap={gm: float(values[:, j, 2].mean()) for j, gm in enumerate(grid)},
+            mean_s_at_1={gm: float(mean[0]) for gm, mean in zip(grid, means)},
+            mean_rr={gm: float(mean[1]) for gm, mean in zip(grid, means)},
+            mean_ap={gm: float(mean[2]) for gm, mean in zip(grid, means)},
             rates=rates,
         ))
         key = (bin_index(sp.delta_rho, bin_width), bin_index(sp.delta_p, bin_width))
@@ -453,9 +444,8 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
     has_triple = all(any(x == want for x in grid) for want in (0.0, 0.5, 1.0))
     bins = {}
     for key in sorted(bin_values):
-        stacked = np.concatenate(bin_values[key], axis=0)  # (reports, gammas, 3)
-        per_gamma = {gm: _aggregate_from_values(stacked[:, j, :])
-                     for j, gm in enumerate(grid)}
+        stacked = np.concatenate(bin_values[key], axis=-1)  # (gammas, 3, reports)
+        per_gamma = dict(zip(grid, aggregate_values(stacked)))
         advantage = None
         if has_triple:
             advantage = (min(per_gamma[0.0].mrr, per_gamma[1.0].mrr)
@@ -465,7 +455,7 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
             rho_lo=key[0] * bin_width, rho_hi=(key[0] + 1) * bin_width,
             p_lo=key[1] * bin_width, p_hi=(key[1] + 1) * bin_width,
             n_partitions=n_parts,
-            n_reports=stacked.shape[0],
+            n_reports=stacked.shape[-1],
             insufficient=n_parts < min_partitions,
             per_gamma=per_gamma,
             fusion_advantage_mrr=advantage,

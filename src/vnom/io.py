@@ -106,6 +106,8 @@ def read_topic_graph(path) -> TopicGraph:
                     probs = np.array([float(x) for x in fields[4:]])
                 except ValueError:
                     raise GraphFormatError("malformed topic probability", lineno) from None
+                if not np.isfinite(probs).all():
+                    raise GraphFormatError("non-finite topic probability", lineno)
                 if probs.min() < 0:
                     raise GraphFormatError("negative topic probability", lineno)
                 total = probs.sum()

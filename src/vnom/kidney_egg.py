@@ -37,6 +37,8 @@ class Simplex3:
 
     def __post_init__(self):
         q = (float(self.q0), float(self.q1), float(self.q2))
+        if not np.isfinite(q).all():
+            raise InputError(f"simplex coordinates must be finite, got {q}")
         if any(x < 0 for x in q):
             raise InputError(f"simplex coordinates must be non-negative, got {q}")
         total = sum(q)

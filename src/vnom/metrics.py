@@ -1,27 +1,28 @@
 """Ranking evaluation: S@1, reciprocal rank, precision, average precision,
 truncated average precision, aggregation over replicates, and chance baselines.
 
-Metrics consume (Ranking, truth) pairs only — they never look at graphs — so
-they can be tested against brute-force oracles on synthetic rankings.
+Metrics consume rank-ordered red/green masks (or (Ranking, truth) pairs) only
+— they never look at graphs — so they can be tested against brute-force
+oracles on synthetic rankings.  :func:`mask_metrics` scores a stack of
+orderings at once, one row per ordering, with the columns S@1, RR, AP and
+then AP^y for each requested y; :func:`mean_se` folds such arrays over their
+last (replicate) axis.  Chance baselines are exact: under a uniformly random
+ranking the rank of the j-th red candidate is negative-hypergeometric, and
+MAP has Bestgen's (2015) closed form.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from math import comb
-from typing import NamedTuple
+from math import comb, fsum
 
 import numpy as np
 
 from .errors import InputError, NoRedCandidatesError
 from .nomination import Ranking
-from .seeding import generator
 
-_ENUMERATION_LIMIT = 10 ** 6
-_MC_SAMPLES = 10 ** 5
-
-BASELINE_CRITERIA = ("s_at_1", "mrr", "map", "ap_y")
+CRITERIA = ("s_at_1", "mrr", "map")  # the first three columns of mask_metrics
+BASELINE_CRITERIA = CRITERIA + ("ap_y",)
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,13 @@ class EvalReport:
     ap_y: dict = field(default_factory=dict)
     n_candidates: int = 0
     n_red_candidates: int = 0
+
+    @classmethod
+    def from_row(cls, row, y_values, n_candidates: int, n_red: int) -> "EvalReport":
+        """Report from one row of :func:`mask_metrics`."""
+        return cls(s_at_1=int(row[0]), rr=float(row[1]), ap=float(row[2]),
+                   ap_y={int(y): float(v) for y, v in zip(y_values, row[3:])},
+                   n_candidates=n_candidates, n_red_candidates=n_red)
 
 
 @dataclass(frozen=True)
@@ -60,13 +68,6 @@ class AggregateReport:
 
     def se(self, criterion: str) -> float:
         return {"s_at_1": self.se_s_at_1, "mrr": self.se_rr, "map": self.se_ap}[criterion]
-
-
-class ChanceValue(NamedTuple):
-    """A chance-baseline value plus whether it is exact or MC-estimated."""
-
-    value: float
-    exact: bool
 
 
 def _truth_mask(r: Ranking, truth) -> np.ndarray:
@@ -97,46 +98,45 @@ def precision_at(r: Ranking, truth, rank: int) -> float:
     return float(np.count_nonzero(mask[:rank])) / rank
 
 
-def _hit_precisions(mask: np.ndarray) -> np.ndarray:
-    """Precision at the rank of each red candidate, in rank order."""
-    ranks = np.arange(1, mask.size + 1)
-    return (np.cumsum(mask) / ranks)[mask]
-
-
 def average_precision(r: Ranking, truth) -> float:
     """Mean precision at the rank of every truly red candidate."""
-    mask = _truth_mask(r, truth)
-    return float(_hit_precisions(mask).mean())
+    return float(mask_metrics(_truth_mask(r, truth))[0, 2])
 
 
 def average_precision_at_y(r: Ranking, truth, y: int) -> float:
     """Average precision truncated at the y-th red candidate's rank."""
-    mask = _truth_mask(r, truth)
-    n_red = int(np.count_nonzero(mask))
-    if not 1 <= y <= n_red:
-        raise InputError(f"y must lie in 1..{n_red}, got {y}")
-    return float(_hit_precisions(mask)[:y].mean())
+    return float(mask_metrics(_truth_mask(r, truth), (y,))[0, 3])
+
+
+def mask_metrics(masks, y_values=()) -> np.ndarray:
+    """Metrics of rank-ordered red/green membership masks, one row per mask.
+
+    ``masks`` is one mask or a stack of orderings of the same candidates.
+    Columns: S@1, RR, AP, then AP^y for each y in ``y_values``.
+    """
+    masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+    n_red = int(np.count_nonzero(masks[0]))
+    if n_red == 0:
+        raise NoRedCandidatesError("truth set is empty")
+    for y in y_values:
+        if not 1 <= y <= n_red:
+            raise InputError(f"y must lie in 1..{n_red}, got {y}")
+    ranks = np.arange(1, masks.shape[1] + 1)
+    hits = (np.cumsum(masks, axis=1) / ranks)[masks].reshape(len(masks), n_red)
+    out = np.empty((len(masks), 3 + len(y_values)))
+    out[:, 0] = masks[:, 0]
+    out[:, 1] = hits[:, 0]
+    out[:, 2] = hits.mean(axis=1)
+    for col, y in enumerate(y_values, start=3):
+        out[:, col] = hits[:, :y].mean(axis=1)
+    return out
 
 
 def report_from_mask(mask: np.ndarray, y_values=()) -> EvalReport:
     """All metrics from a rank-ordered red/green membership mask."""
-    n_red = int(np.count_nonzero(mask))
-    if n_red == 0:
-        raise NoRedCandidatesError("truth set is empty")
-    hits = _hit_precisions(mask)
-    ap_y = {}
-    for y in y_values:
-        if not 1 <= y <= n_red:
-            raise InputError(f"y must lie in 1..{n_red}, got {y}")
-        ap_y[int(y)] = float(hits[:y].mean())
-    return EvalReport(
-        s_at_1=int(mask[0]),
-        rr=float(hits[0]),
-        ap=float(hits.mean()),
-        ap_y=ap_y,
-        n_candidates=int(mask.size),
-        n_red_candidates=n_red,
-    )
+    mask = np.asarray(mask, dtype=bool)
+    return EvalReport.from_row(mask_metrics(mask, y_values)[0], y_values,
+                               int(mask.size), int(np.count_nonzero(mask)))
 
 
 def evaluate_ranking(r: Ranking, truth, y_values=()) -> EvalReport:
@@ -144,11 +144,31 @@ def evaluate_ranking(r: Ranking, truth, y_values=()) -> EvalReport:
     return report_from_mask(_truth_mask(r, truth), y_values)
 
 
-def _mean_se(values: np.ndarray):
-    mean = float(values.mean())
-    if values.size < 2:
-        return mean, float("nan")
-    return mean, float(values.std(ddof=1) / np.sqrt(values.size))
+def mean_se(values):
+    """Means and standard errors over the last axis of ``values``.
+
+    Standard errors are sample SD / sqrt(n), NaN with a single value.  The
+    last axis is made contiguous, so each row reduces exactly like a 1-d
+    array of its values, whatever the stacking.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n = values.shape[-1]
+    mean = values.mean(axis=-1)
+    if n < 2:
+        return mean, np.full_like(mean, np.nan)
+    return mean, values.std(axis=-1, ddof=1) / np.sqrt(n)
+
+
+def aggregate_values(values, y_values=()) -> list:
+    """One AggregateReport per row of a (rows x metrics x replicates) array
+    whose metric axis is laid out as the columns of :func:`mask_metrics`."""
+    values = np.asarray(values, dtype=np.float64)
+    means, ses = mean_se(values)
+    return [AggregateReport(float(mean[0]), float(mean[1]), float(mean[2]),
+                            float(se[0]), float(se[1]), float(se[2]), values.shape[-1],
+                            {int(y): float(v) for y, v in zip(y_values, mean[3:])},
+                            {int(y): float(v) for y, v in zip(y_values, se[3:])})
+            for mean, se in zip(means, ses)]
 
 
 def aggregate_reports(reports) -> AggregateReport:
@@ -156,40 +176,39 @@ def aggregate_reports(reports) -> AggregateReport:
     reports = list(reports)
     if not reports:
         raise InputError("cannot aggregate zero reports")
-    s = np.array([r.s_at_1 for r in reports], dtype=np.float64)
-    rr = np.array([r.rr for r in reports])
-    ap = np.array([r.ap for r in reports])
-    mean_s, se_s = _mean_se(s)
-    mean_rr, se_rr = _mean_se(rr)
-    mean_ap, se_ap = _mean_se(ap)
-    mean_ap_y, se_ap_y = {}, {}
-    for y in reports[0].ap_y:
-        vals = np.array([r.ap_y[y] for r in reports])
-        mean_ap_y[y], se_ap_y[y] = _mean_se(vals)
-    return AggregateReport(mean_s, mean_rr, mean_ap, se_s, se_rr, se_ap,
-                           len(reports), mean_ap_y, se_ap_y)
+    y_values = tuple(reports[0].ap_y)
+    rows = ([[r.s_at_1 for r in reports], [r.rr for r in reports], [r.ap for r in reports]]
+            + [[r.ap_y[y] for r in reports] for y in y_values])
+    return aggregate_values([rows], y_values)[0]
 
 
-def _positions_metric(positions, criterion: str, y: int | None) -> float:
-    """Metric value of a ranking described by the sorted red positions (0-based)."""
-    if criterion == "s_at_1":
-        return 1.0 if positions[0] == 0 else 0.0
-    if criterion == "mrr":
-        return 1.0 / (positions[0] + 1)
-    hits = [(j + 1) / (pos + 1) for j, pos in enumerate(positions)]
-    if criterion == "map":
-        return sum(hits) / len(hits)
-    return sum(hits[:y]) / y
+def _expected_hit_precision(n: int, r: int, j: int) -> float:
+    """E[j / X_j], X_j the rank of the j-th of r reds among n shuffled candidates.
+
+    X_j is negative-hypergeometric: P(X_j = k) = C(k-1, j-1) C(n-k, r-j) /
+    C(n, r) for k in j..n-r+j.  Each term is one correctly rounded ratio of
+    integers, each numerator follows from the previous one, and fsum adds
+    the terms with a single final rounding.
+    """
+    total = comb(n, r)
+    last = n - r + j
+    ways = comb(n - j, r - j)  # C(k-1, j-1) C(n-k, r-j) at k = j
+    terms = []
+    for k in range(j, last + 1):
+        terms.append(j * ways / (k * total))
+        if k < last:
+            ways = ways * k * (n - k - r + j) // ((k - j + 1) * (n - k))
+    return fsum(terms)
 
 
 def chance_baseline(n_candidates: int, n_red: int, criterion: str,
-                    y: int | None = None, *, mc_samples: int = _MC_SAMPLES,
-                    seed=0) -> ChanceValue:
-    """Expected metric value under a uniformly random ranking.
+                    y: int | None = None) -> float:
+    """Expected metric value under a uniformly random ranking, exactly.
 
-    Exact (full enumeration over red-position sets) when C(n_candidates,
-    n_red) <= 1e6; otherwise a Monte Carlo estimate over ``mc_samples``
-    random rankings.  The flag in the result records which path ran.
+    E[S@1] = R/N; MRR is E[1/X_1] and AP^y the mean of E[j/X_j] over j <= y,
+    with X_j the negative-hypergeometric rank of the j-th red; MAP is
+    Bestgen's O(N) closed form ((R-1)/(N-1) (N - H_N) + H_N) / N, H_N the
+    N-th harmonic number.
     """
     if not 1 <= n_red <= n_candidates:
         raise InputError("need 1 <= n_red <= n_candidates")
@@ -203,31 +222,12 @@ def chance_baseline(n_candidates: int, n_red: int, criterion: str,
     elif y is not None:
         raise InputError("y is only meaningful for criterion 'ap_y'")
 
-    if comb(n_candidates, n_red) <= _ENUMERATION_LIMIT:
-        total = 0.0
-        count = 0
-        for positions in itertools.combinations(range(n_candidates), n_red):
-            total += _positions_metric(positions, criterion, y)
-            count += 1
-        return ChanceValue(total / count, exact=True)
-
-    rng = generator(seed)
-    total = 0.0
-    done = 0
-    block = 4096
-    while done < mc_samples:
-        b = min(block, mc_samples - done)
-        keys = rng.random((b, n_candidates))
-        positions = np.sort(np.argpartition(keys, n_red - 1, axis=1)[:, :n_red], axis=1)
-        if criterion == "s_at_1":
-            total += float((positions[:, 0] == 0).sum())
-        elif criterion == "mrr":
-            total += float((1.0 / (positions[:, 0] + 1)).sum())
-        else:
-            hits = np.arange(1, n_red + 1) / (positions + 1)
-            if criterion == "map":
-                total += float(hits.mean(axis=1).sum())
-            else:
-                total += float(hits[:, :y].mean(axis=1).sum())
-        done += b
-    return ChanceValue(total / mc_samples, exact=False)
+    n, r = n_candidates, n_red
+    if criterion == "s_at_1":
+        return r / n
+    if criterion == "map":
+        harmonic = fsum(1.0 / k for k in range(1, n + 1))
+        slope = (r - 1) / (n - 1) if n > 1 else 0.0
+        return (slope * (n - harmonic) + harmonic) / n
+    depth = 1 if criterion == "mrr" else y
+    return fsum(_expected_hit_precision(n, r, j) for j in range(1, depth + 1)) / depth

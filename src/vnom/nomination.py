@@ -17,12 +17,10 @@ import numpy as np
 
 from .errors import InputError
 from .graph import OCCLUDED, RED, AttributedGraph, candidate_set
-from .kidney_egg import KidneyEggParams, sample_kidney_egg, _content_scores, _context_scores
-from .seeding import child_seed, generator
+from .kidney_egg import _content_scores, _context_scores
+from .seeding import generator
 
 GAMMA_GRID_DEFAULT = tuple(k / 100 for k in range(101))
-
-CRITERIA = ("s_at_1", "mrr", "map")
 
 
 @dataclass(frozen=True)
@@ -156,38 +154,3 @@ def rank_candidates(g: AttributedGraph, gamma: float, seed) -> Ranking:
     tiebreak = generator(seed).permutation(cand.size)
     ordered, scores, ties = order_by_fused_scores(cand, t0, t1, gamma, tiebreak)
     return Ranking(ordered, scores, ties, gamma=float(gamma), seed_used=seed)
-
-
-def gamma_star(params: KidneyEggParams, gamma_grid=GAMMA_GRID_DEFAULT,
-               criterion: str = "map", *, replicates: int, seed) -> float:
-    """Grid point maximizing the Monte Carlo mean of the criterion.
-
-    Each replicate samples one graph and evaluates every grid point on it
-    (shared tie-break stream), so the comparison across gamma is paired.
-    Ties in the estimate go to the smallest gamma.
-    """
-    from .metrics import evaluate_ranking  # local import: metrics is score-agnostic
-
-    grid = [float(x) for x in gamma_grid]
-    if not grid:
-        raise InputError("gamma grid must be non-empty")
-    if criterion not in CRITERIA:
-        raise InputError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    if replicates < 1:
-        raise InputError("replicates must be >= 1")
-    base = child_seed(seed)
-    totals = np.zeros(len(grid))
-    for rep in range(replicates):
-        rep_seed = child_seed(base, rep)
-        sample_seed, tie_seed = rep_seed.spawn(2)
-        g = sample_kidney_egg(params, sample_seed)
-        cand, t0, t1 = candidate_statistics(g)
-        tiebreak = generator(tie_seed).permutation(cand.size)
-        truth = g.red_candidates()
-        for j, gamma in enumerate(grid):
-            ordered, scores, ties = order_by_fused_scores(cand, t0, t1, gamma, tiebreak)
-            ranking = Ranking(ordered, scores, ties, gamma=gamma)
-            report = evaluate_ranking(ranking, truth)
-            totals[j] += {"s_at_1": report.s_at_1, "mrr": report.rr, "map": report.ap}[criterion]
-    best = totals.max()
-    return min(gamma for gamma, tot in zip(grid, totals) if tot == best)

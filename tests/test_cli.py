@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, exit codes, output schemas."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +33,22 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("flag,value", [("--p0", "nan"), ("--s1", "inf")])
+    def test_non_finite_model_rate_exits_1(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "surface", "--n", "20", "--m", "8",
+                                 "--m-prime", "2", "--replicates", "2", "--seed", "1",
+                                 flag, value)
+        assert code == 1
+        assert "finite" in err and out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "importance"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_exits_1(self, capsys, tmp_path, command, workers):
+        extra = ["--graph", str(tmp_path / "unread.topics")] if command == "importance" else []
+        code, _, err = run_cli(capsys, command, *extra, "--workers", workers, "--seed", "1")
+        assert code == 1
+        assert "--workers" in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "importance", "--graph",
                                str(tmp_path / "nope.topics"), "--seed", "1")
@@ -43,15 +61,28 @@ class TestBaseline:
                                "--reds", "1", "--criterion", "mrr")
         assert code == 0
         doc = json.loads(out)
-        assert doc["exact"] is True
         assert doc["value"] == pytest.approx(0.5208333333333333)
 
-    def test_mc_path_prints_seed(self, capsys):
+    def test_large_case_is_exact_and_seedless(self, capsys):
         code, out, _ = run_cli(capsys, "baseline", "--candidates", "400",
-                               "--reds", "5", "--criterion", "map",
-                               "--mc-samples", "2000")
+                               "--reds", "5", "--criterion", "map")
         assert code == 0
-        assert out.startswith("seed:")
+        doc = json.loads(out)  # no "seed:" line ahead of the document
+        harmonic = sum(Fraction(1, k) for k in range(1, 401))
+        exact = (Fraction(4, 399) * (400 - harmonic) + harmonic) / 400
+        assert doc["value"] == pytest.approx(float(exact), abs=1e-15)
+        for flag in ("--seed", "--mc-samples"):
+            code, _, err = run_cli(capsys, "baseline", "--candidates", "400", "--reds", "5",
+                                   "--criterion", "map", flag, "1")
+            assert code == 1 and "unrecognized arguments" in err
+
+    def test_half_red_map_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "baseline", "--candidates", "10000",
+                               "--reds", "5000", "--criterion", "map")
+        assert code == 0
+        assert time.perf_counter() - start < 1.0
+        assert 0.5 < json.loads(out)["value"] < 0.51
 
 
 class TestAnalytic:

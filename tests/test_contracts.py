@@ -1,0 +1,52 @@
+"""Repository contracts: pure seed derivation and the benchmark's trace hooks."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import vnom
+from vnom import KidneyEggParams, gamma_surface
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_bench_worker():
+    """bench/worker.py as a module; it imports only the standard library."""
+    spec = importlib.util.spec_from_file_location("bench_worker", ROOT / "bench" / "worker.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_seed_sequence_spawn_in_sources():
+    # SeedSequence.spawn mutates its parent; child_seed derives children purely
+    offenders = [f"{path.name}:{lineno}"
+                 for path in sorted((ROOT / "src" / "vnom").glob("*.py"))
+                 for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+                 if ".spawn(" in line]
+    assert offenders == []
+
+
+def test_every_traced_span_resolves():
+    worker = load_bench_worker()
+    for _, module, functions in worker.SPANS:
+        for name in functions:
+            assert callable(getattr(importlib.import_module(f"vnom.{module}"), name)), \
+                f"{module}.{name}"
+
+
+def test_fused_order_runs_once_per_graph_and_gamma(monkeypatch):
+    # wrap fused_order wherever a vnom module looks it up, as the tracer does
+    worker = load_bench_worker()
+    tracer = worker.Tracer()
+    original = vnom.nomination.fused_order
+    wrapped = tracer.wrap("nomination.fused_order", original)
+    for name, module in list(sys.modules.items()):
+        if name == "vnom" or name.startswith("vnom."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapped)
+    params = KidneyEggParams(30, 10, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
+    gamma_surface(params, (0.0, 0.1 + 0.2, 0.5, 1.0), y_max=2, replicates=3, seed=4)
+    assert tracer.take()["nomination.fused_order"]["calls"] == 3 * 4

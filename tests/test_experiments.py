@@ -1,11 +1,15 @@
 """Monte Carlo harness: replicates, sweeps, surfaces, determinism."""
 
+import os
+
 import numpy as np
 import pytest
 
-from vnom import (InputError, KidneyEggParams, Simplex3, SweepSpec, evaluate_ranking,
-                  gamma_surface, rank_candidates, run_replicate, run_sweep,
-                  sample_kidney_egg)
+from vnom import (InputError, KidneyEggParams, Simplex3, SweepSpec, candidate_statistics,
+                  evaluate_ranking, gamma_star, gamma_surface, rank_candidates,
+                  run_replicate, run_sweep, sample_kidney_egg)
+from vnom.experiments import evaluate_grid, pool_size
+from vnom.graph import RED
 from vnom.seeding import as_seed_sequence, child_seed
 
 PAPER_P = Simplex3(0.6, 0.2, 0.2)
@@ -54,6 +58,50 @@ class TestRunReplicate:
         rep = result.reports[0.5]
         assert set(rep.ap_y) == {1, 2}
         assert rep.ap_y[1] == rep.rr
+
+
+class TestEvaluateGrid:
+    @pytest.mark.parametrize("p,s", [
+        ((0.6, 0.2, 0.2), (0.4, 0.4, 0.2)),
+        ((0.6, 0.0, 0.4), (0.4, 0.0, 0.6)),  # p1 = s1 = 0: content is one full tie
+    ])
+    def test_rows_equal_single_rankings(self, p, s):
+        # 0.1 + 0.2 is not a small rational, so fused_order takes its Fraction path
+        grid = (0.0, 0.25, 0.1 + 0.2, 0.5, 1 / 3, 1.0)
+        y_values = (1, 2, 3)
+        params = KidneyEggParams(24, 8, 3, p, s)
+        for seed in range(4):
+            g = sample_kidney_egg(params, child_seed(seed, 0))
+            cand, t0, t1 = candidate_statistics(g)
+            tie_seed = child_seed(seed, 1)
+            tiebreak = np.random.default_rng(tie_seed).permutation(cand.size)
+            values = evaluate_grid(t0, t1, g.truth[cand] == RED, tiebreak, grid, y_values)
+            assert values.shape == (len(grid), 3 + len(y_values))
+            for gamma, row in zip(grid, values):
+                report = evaluate_ranking(rank_candidates(g, gamma, tie_seed),
+                                          g.red_candidates(), y_values)
+                assert (row[0], row[1], row[2]) == (report.s_at_1, report.rr, report.ap)
+                assert list(row[3:]) == [report.ap_y[y] for y in y_values]
+
+
+class TestPoolSize:
+    def test_rejects_fewer_than_one_worker(self):
+        for n_workers in (0, -1, -100_000):
+            with pytest.raises(InputError):
+                pool_size(n_workers, 5)
+
+    def test_capped_by_tasks_and_cpus(self):
+        cpus = os.cpu_count() or 1
+        assert pool_size(1, 10) == 1
+        assert pool_size(100_000, 3) == min(3, cpus)
+        assert pool_size(100_000, 10 ** 9) == cpus
+        assert pool_size(4, 0) == 1
+
+    def test_library_entry_points_reject_zero_workers(self):
+        spec = SweepSpec(n=20, p=PAPER_P, s=PAPER_S, m_values=(8,), gamma_grid=(0.5,),
+                         replicates=1, master_seed=0, m_prime_ratio=0.25)
+        with pytest.raises(InputError):
+            run_sweep(spec, n_workers=0)
 
 
 class TestSweepSpec:
@@ -150,3 +198,17 @@ class TestGammaSurface:
         with pytest.raises(InputError):
             gamma_surface(small_params(m=10, mp=4), (0.5,), y_max=7,
                           replicates=1, seed=0)
+
+
+class TestGammaStar:
+    def test_lives_beside_the_other_loops(self):
+        import vnom.experiments
+        assert gamma_star is vnom.experiments.gamma_star
+
+    def test_matches_surface_argmax(self):
+        # gamma_star and gamma_surface draw the same graphs and tie streams
+        params = small_params()
+        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+        surf = gamma_surface(params, grid, y_max=1, replicates=20, seed=6)
+        best = grid[int(np.argmax(surf.map_mean))]
+        assert gamma_star(params, grid, "map", replicates=20, seed=6) == best

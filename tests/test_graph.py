@@ -42,6 +42,17 @@ class TestAttributedGraph:
         assert g.degree(2) == 0
 
 
+class TestTopicGraph:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.data())
+    def test_rejects_non_finite_probability(self, k, data):
+        probs = np.full(k, 1.0 / k)
+        probs[data.draw(st.integers(0, k - 1))] = data.draw(
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        with pytest.raises(InputError, match="finite"):
+            build_topic(3, [(0, 1, 1, point_mass(0, k)), (1, 2, 2, probs)], k)
+
+
 class TestInducedSubgraph:
     def test_full_vertex_set_is_identity(self):
         g = build_attributed(5, [(0, 1, 1), (1, 2, 2), (3, 4, 1)], red={0}, identified={0})

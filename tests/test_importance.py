@@ -288,6 +288,12 @@ class TestRunImportanceTrials:
         b = run_importance_trials(g, res.accepted, 2, [0.0, 0.5, 1.0], 3, 9, n_workers=4)
         assert a == b
 
+    def test_zero_workers_rejected(self):
+        g = two_block_topic_graph()
+        res = self.trivial_screen(g, 4, attempts=3)
+        with pytest.raises(InputError):
+            run_importance_trials(g, res.accepted, 2, [0.5], 1, 0, n_workers=0)
+
     def test_m_prime_validation(self):
         g = two_block_topic_graph()
         res = self.trivial_screen(g, 4, attempts=3)

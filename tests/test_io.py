@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnom import (GraphFormatError, ScreeningThresholds, generate_surrogate,
                   read_attributed_graph, read_topic_graph, relative_density,
@@ -79,6 +81,17 @@ class TestTopicGraphFile:
         path.write_text("#n=3\n#k=2\ne 0 1 1 0.5\n")
         with pytest.raises(GraphFormatError):
             read_topic_graph(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"]), st.integers(0, 1))
+    def test_non_finite_probability_rejected(self, tmp_path_factory, token, slot):
+        probs = ["1", "0"]
+        probs[slot] = token
+        path = tmp_path_factory.mktemp("nonfinite") / "g.topics"
+        path.write_text(f"#n=3\n#k=2\ne 0 1 1 0.5 0.5\ne 1 2 1 {' '.join(probs)}\n")
+        with pytest.raises(GraphFormatError, match="non-finite") as err:
+            read_topic_graph(path)
+        assert err.value.line == 4
 
     def test_metadata_lines_ignored(self, tmp_path):
         path = tmp_path / "meta.topics"

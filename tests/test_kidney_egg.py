@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vnom import (GREEN, RED, DegenerateConditioningError, InputError, KidneyEggParams,
                   PMF, Simplex3, binomial_pmf, content_given_context_pmf,
@@ -32,6 +34,14 @@ class TestSimplex3:
     def test_rejects_negative(self):
         with pytest.raises(InputError):
             Simplex3(1.2, -0.1, -0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), st.integers(0, 2),
+           st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    def test_rejects_non_finite(self, coords, slot, bad):
+        coords[slot] = bad
+        with pytest.raises(InputError, match="finite"):
+            Simplex3(*coords)
 
 
 class TestKidneyEggParams:

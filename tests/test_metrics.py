@@ -1,6 +1,8 @@
 """Evaluation metrics against brute-force oracles."""
 
 import itertools
+from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -196,20 +198,41 @@ class TestAggregateReports:
         assert np.isnan(agg.se_ap)
 
 
+def bestgen_map(n, r):
+    """Bestgen's closed form of the chance MAP, in exact arithmetic."""
+    harmonic = sum(Fraction(1, k) for k in range(1, n + 1))
+    return (Fraction(r - 1, n - 1) * (n - harmonic) + harmonic) / n
+
+
+def enumerated_baselines(n, r):
+    """Every chance metric by enumerating the red-position sets, exactly."""
+    totals = {"s_at_1": Fraction(0), "mrr": Fraction(0), "map": Fraction(0)}
+    ap_y = {y: Fraction(0) for y in range(1, r + 1)}
+    count = 0
+    for positions in itertools.combinations(range(n), r):
+        count += 1
+        hits = [Fraction(j + 1, p + 1) for j, p in enumerate(positions)]
+        totals["s_at_1"] += int(positions[0] == 0)
+        totals["mrr"] += hits[0]
+        totals["map"] += sum(hits) / r
+        for y in ap_y:
+            ap_y[y] += sum(hits[:y]) / y
+    return ({c: v / count for c, v in totals.items()},
+            {y: v / count for y, v in ap_y.items()})
+
+
 class TestChanceBaseline:
     def test_s_at_1_exact(self):
-        assert chance_baseline(10, 3, "s_at_1") == (pytest.approx(0.3), True)
+        assert chance_baseline(10, 3, "s_at_1") == pytest.approx(0.3)
 
     def test_mrr_enumeration(self):
         value = chance_baseline(4, 1, "mrr")
-        assert value.exact
-        assert value.value == pytest.approx((1 + 1 / 2 + 1 / 3 + 1 / 4) / 4)
-        assert value.value == pytest.approx(0.5208333333, abs=1e-9)
+        assert value == pytest.approx((1 + 1 / 2 + 1 / 3 + 1 / 4) / 4)
+        assert value == pytest.approx(0.5208333333, abs=1e-9)
 
     def test_map_enumeration(self):
         value = chance_baseline(3, 1, "map")
-        assert value.exact
-        assert value.value == pytest.approx((1 + 1 / 2 + 1 / 3) / 3)
+        assert value == pytest.approx((1 + 1 / 2 + 1 / 3) / 3)
 
     def test_matches_permutation_brute_force(self):
         # oracle: average the metric over every permutation of the candidates
@@ -218,24 +241,40 @@ class TestChanceBaseline:
             truth = set(range(r))
             for criterion, fn in (("mrr", reciprocal_rank), ("map", average_precision)):
                 brute = np.mean([fn(ranking_of(p), truth) for p in perms])
-                assert chance_baseline(n, r, criterion).value == pytest.approx(brute)
+                assert chance_baseline(n, r, criterion) == pytest.approx(brute)
+
+    def test_matches_fraction_enumeration_up_to_12_candidates(self):
+        for n in range(1, 13):
+            for r in range(1, n + 1):
+                exact, ap_y = enumerated_baselines(n, r)
+                for criterion, value in exact.items():
+                    assert abs(chance_baseline(n, r, criterion) - float(value)) <= 1e-12
+                for y, value in ap_y.items():
+                    assert abs(chance_baseline(n, r, "ap_y", y=y) - float(value)) <= 1e-12
 
     def test_ap_y_requires_y(self):
         with pytest.raises(InputError):
             chance_baseline(5, 2, "ap_y")
         value = chance_baseline(5, 2, "ap_y", y=1)
-        assert value.value == pytest.approx(chance_baseline(5, 2, "mrr").value)
+        assert value == pytest.approx(chance_baseline(5, 2, "mrr"))
 
-    def test_mc_path_flags_estimate(self):
-        value = chance_baseline(300, 5, "map", mc_samples=20_000, seed=1)
-        assert not value.exact
-        assert 0.0 < value.value < 0.2
+    def test_large_case_map_is_bestgen_closed_form(self):
+        # C(300, 5) red-position sets: too many to enumerate, exact anyway
+        value = chance_baseline(300, 5, "map")
+        assert value == pytest.approx(float(bestgen_map(300, 5)), abs=1e-15)
+        # the mean over j of E[j / X_j], X_j negative-hypergeometric
+        n, r = 300, 5
+        by_rank = sum(Fraction(j * comb(k - 1, j - 1) * comb(n - k, r - j), k)
+                      for j in range(1, r + 1) for k in range(j, n - r + j + 1))
+        assert value == pytest.approx(float(by_rank / (r * comb(n, r))), abs=1e-15)
+        assert chance_baseline(183, 3, "map") == pytest.approx(0.0422776, abs=1e-7)
+        assert chance_baseline(183, 3, "map") == pytest.approx(float(bestgen_map(183, 3)),
+                                                               abs=1e-15)
 
-    def test_mc_close_to_exact_on_boundary_case(self):
-        exact = chance_baseline(30, 3, "map").value
-        mc = chance_baseline(300, 5, "s_at_1", mc_samples=50_000, seed=2)
-        assert mc.value == pytest.approx(5 / 300, abs=0.005)
-        assert exact > 0
+    def test_large_case_s_at_1_is_prevalence(self):
+        assert chance_baseline(300, 5, "s_at_1") == 5 / 300
+        assert chance_baseline(30, 3, "map") == pytest.approx(float(bestgen_map(30, 3)),
+                                                              abs=1e-15)
 
     def test_bounds_validation(self):
         with pytest.raises(InputError):
