@@ -200,6 +200,8 @@ def _params_from(args) -> KidneyEggParams:
 
 
 def _cmd_simulate(args) -> int:
+    if args.top < 0:
+        raise InputError(f"--top must be >= 0, got {args.top}")
     seed = _resolve_seed(args)
     params = _params_from(args)
     sample_seed, tie_seed = child_seed(seed, 0), child_seed(seed, 1)
@@ -260,9 +262,11 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_importance(args) -> int:
+    if args.max_partitions is not None and args.max_partitions < 1:
+        raise InputError(f"--max-partitions must be >= 1, got {args.max_partitions}")
+    thresholds = ScreeningThresholds(args.tau_rho, args.tau_p)
     seed = _resolve_seed(args)
     g = vio.read_topic_graph(args.graph)
-    thresholds = ScreeningThresholds(args.tau_rho, args.tau_p)
     weighted = not args.unweighted_profiles
     screening = screen_partitions(g, args.m, thresholds, args.attempts,
                                   np.random.SeedSequence(entropy=seed, spawn_key=(1,)),

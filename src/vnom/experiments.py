@@ -14,6 +14,7 @@ across every gamma (paired comparison).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -141,6 +142,23 @@ def pool_size(n_workers: int, n_tasks: int) -> int:
     return max(1, min(n_workers, n_tasks, os.cpu_count() or 1))
 
 
+def parallel_map(fn, tasks, n_workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, on :func:`pool_size` processes.
+
+    Tasks go to the workers in contiguous chunks, one per worker, and results
+    come back in task order, so the output never depends on scheduling.
+    Workers are spawned, not forked, so no lock held by another thread of
+    this process is copied into them.
+    """
+    tasks = list(tasks)
+    workers = pool_size(n_workers, len(tasks))
+    if workers == 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=-(-len(tasks) // workers)))
+
+
 def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
     """Rank one candidate set at every gamma and score each ranking.
 
@@ -149,7 +167,7 @@ def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
     Returns a (gammas x metrics) array with the columns of
     :func:`vnom.metrics.mask_metrics`.
     """
-    orders = np.stack([fused_order(t0, t1, gamma, tiebreak)[0] for gamma in gamma_grid])
+    orders = np.stack([fused_order(t0, t1, gamma, tiebreak) for gamma in gamma_grid])
     return mask_metrics(red[orders], y_values)
 
 
@@ -212,13 +230,7 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
             feasible.append((m, mp))
         else:
             skipped.append((m, mp, reason))
-    workers = pool_size(n_workers, len(feasible))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, [spec] * len(feasible),
-                                  [m for m, _ in feasible], [mp for _, mp in feasible]))
-    else:
-        cells = [_run_cell(spec, m, mp) for m, mp in feasible]
+    cells = parallel_map(_run_cell, [(spec, m, mp) for m, mp in feasible], n_workers)
     return SweepResult(spec, tuple(cells), tuple(skipped))
 
 

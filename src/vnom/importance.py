@@ -10,15 +10,14 @@ per-edge topic distributions and runs nomination.  Results aggregate into
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import comb, floor
+from math import comb, floor, isfinite, isnan
 
 import numpy as np
 
 from .errors import EmptyProfileError, InputError, UndefinedDensityError
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph)
-from .experiments import evaluate_grid, pool_size
+from .experiments import evaluate_grid, parallel_map
 from .metrics import aggregate_values, mean_se
 from .seeding import child_seed, generator
 
@@ -27,10 +26,18 @@ _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on
 
 @dataclass(frozen=True)
 class ScreeningThresholds:
-    """Acceptance bars for the density gap and the topic-profile gap."""
+    """Acceptance bars for the density gap and the topic-profile gap.
+
+    Either bar may be infinite; NaN is rejected, since no gap passes it.
+    """
 
     tau_rho: float = 0.1
     tau_p: float = 0.2
+
+    def __post_init__(self):
+        if isnan(self.tau_rho) or isnan(self.tau_p):
+            raise InputError(f"screening thresholds must not be NaN, got "
+                             f"tau_rho={self.tau_rho}, tau_p={self.tau_p}")
 
 
 @dataclass(frozen=True)
@@ -363,16 +370,6 @@ def _trial_partition(g: TopicGraph, sp: ScreenedPartition, ordinal: int, m_prime
     return np.stack(values, axis=-1), rates
 
 
-def _trial_block(args):
-    g, block, m_prime, gamma_grid, replicates, seed, collect_rates = args
-    cum_topics = np.cumsum(g.topic_probs, axis=1)
-    return [
-        _trial_partition(g, sp, ordinal, m_prime, gamma_grid, replicates, seed,
-                         collect_rates, cum_topics)
-        for ordinal, sp in block
-    ]
-
-
 def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
                           replicates_per_partition: int, seed, *,
                           bin_width: float = 0.1, min_partitions: int = 20,
@@ -402,26 +399,14 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
                 f"m_prime={m_prime} must be smaller than the red set ({sp.partition.num_red})")
     if m_prime < 1:
         raise InputError("m_prime must be >= 1")
+    if not (isfinite(bin_width) and bin_width > 0):
+        raise InputError(f"bin width must be finite and > 0, got {bin_width}")
     base = child_seed(seed)
-
-    work = list(enumerate(accepted))
-    workers = pool_size(n_workers, len(work))
-    if workers > 1:
-        blocks = [work[i::workers] for i in range(workers)]
-        args = [(g, block, m_prime, grid, replicates_per_partition, base, collect_rates)
-                for block in blocks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            block_results = list(pool.map(_trial_block, args))
-        by_ordinal = {}
-        for block, results in zip(blocks, block_results):
-            for (ordinal, _), res in zip(block, results):
-                by_ordinal[ordinal] = res
-        raw = [by_ordinal[i] for i in range(len(work))]
-    else:
-        cum_topics = np.cumsum(g.topic_probs, axis=1)
-        raw = [_trial_partition(g, sp, ordinal, m_prime, grid,
-                                replicates_per_partition, base, collect_rates, cum_topics)
-               for ordinal, sp in work]
+    cum_topics = np.cumsum(g.topic_probs, axis=1)
+    raw = parallel_map(_trial_partition,
+                       [(g, sp, ordinal, m_prime, grid, replicates_per_partition, base,
+                         collect_rates, cum_topics) for ordinal, sp in enumerate(accepted)],
+                       n_workers)
 
     partitions = []
     bin_values: dict = {}

@@ -233,8 +233,10 @@ def generate_surrogate(n: int = 184, k_topics: int = 32, density: float = 0.05, 
         raise InputError("group_size must lie in 2..n-1")
     if not 0.0 <= tilt < 1.0:
         raise InputError("tilt must lie in [0, 1)")
-    if concentration <= 0:
-        raise InputError("concentration must be positive")
+    if not 0.0 < concentration < math.inf:
+        raise InputError("concentration must be positive and finite")
+    if not 0.0 <= mean_extra_messages < math.inf:
+        raise InputError("mean_extra_messages must be finite and >= 0")
     total_pairs = math.comb(n, 2)
     block_pairs = math.comb(group_size, 2)
     background = (density * total_pairs - group_density * block_pairs) / (total_pairs - block_pairs)

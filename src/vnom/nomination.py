@@ -5,6 +5,11 @@ score counts its incident red-topic edges; the fused score is the convex
 combination ``(1-gamma)*context + gamma*content``.  Candidates are ranked by
 fused score descending, with ties broken by a seeded uniform random
 permutation within each tied group.
+
+Ranking compares one exact integer key per candidate, ``(den-num)*context +
+num*content`` with ``gamma = num/den``: the small rational a grid float stands
+for, or else the float's exact binary value.  Equal fused values therefore
+never split and unequal ones never merge through float rounding.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ class Ranking:
     scores: np.ndarray = field(repr=False)
     tie_groups: tuple
     gamma: float
-    seed_used: object = None
 
     def __post_init__(self):
         ordered = np.asarray(self.ordered, dtype=np.int64)
@@ -92,65 +96,55 @@ def candidate_statistics(g: AttributedGraph):
     return cand, t0, t1
 
 
+_INT64_DENOMINATOR = 1_000_000  # largest small-rational denominator; its keys fit int64
+
+
 @lru_cache(maxsize=256)
-def _gamma_as_fraction(gamma: float):
-    """Small exact rational equal to gamma, or None if there is none."""
-    frac = Fraction(gamma).limit_denominator(1_000_000)
-    return frac if float(frac) == gamma else None
+def _gamma_as_fraction(gamma: float) -> Fraction:
+    """The small rational gamma stands for, else its exact binary value."""
+    frac = Fraction(gamma).limit_denominator(_INT64_DENOMINATOR)
+    return frac if float(frac) == gamma else Fraction(gamma)
 
 
-def fused_order(t0, t1, gamma, tiebreak_keys):
-    """Permutation sorting candidates by fused score descending.
+def _fused_keys(t0, t1, gamma):
+    """(keys, den): fused scores times den as exact integers, gamma = num/den.
 
-    Returns (order, scores, tie_groups) where ``order`` indexes the input
-    arrays.  Tie detection compares exact rational scores — (den-num)*t0 +
-    num*t1 in integer arithmetic when gamma is a grid rational — so equal
-    fused values never split and unequal ones never merge through float
-    rounding.
+    Keys are int64 for small-rational gammas; otherwise den is a large power
+    of two and the keys are Python ints in an object array.
     """
     _check_gamma(gamma)
-    t0 = np.asarray(t0, dtype=np.int64)
-    t1 = np.asarray(t1, dtype=np.int64)
     frac = _gamma_as_fraction(float(gamma))
-    if frac is not None:
-        num, den = frac.numerator, frac.denominator
-        key = (den - num) * t0 + num * t1
-        order = np.lexsort((tiebreak_keys, -key))
-        sorted_key = key[order]
-        scores = sorted_key / den if den > 1 else sorted_key.astype(np.float64)
-        boundaries = np.flatnonzero(np.diff(sorted_key) != 0) + 1
-    else:
-        fg = Fraction(gamma)  # exact binary value of the float
-        keys = [(1 - fg) * int(a) + fg * int(b) for a, b in zip(t0, t1)]
-        order = np.asarray(sorted(range(len(keys)),
-                                  key=lambda i: (-keys[i], tiebreak_keys[i])),
-                           dtype=np.int64)
-        sorted_exact = [keys[i] for i in order]
-        scores = np.array([float(x) for x in sorted_exact])
-        boundaries = np.flatnonzero(
-            [sorted_exact[i] != sorted_exact[i + 1] for i in range(len(sorted_exact) - 1)]) + 1
-    starts = np.concatenate([[0], boundaries])
-    stops = np.concatenate([boundaries, [len(t0)]])
-    tie_groups = tuple((int(a), int(b)) for a, b in zip(starts, stops) if b - a >= 2)
-    return order, scores, tie_groups
+    num, den = frac.numerator, frac.denominator
+    dtype = np.int64 if den <= _INT64_DENOMINATOR else object
+    t0 = np.asarray(t0, dtype=np.int64).astype(dtype, copy=False)
+    t1 = np.asarray(t1, dtype=np.int64).astype(dtype, copy=False)
+    return (den - num) * t0 + num * t1, den
 
 
-def order_by_fused_scores(cand, t0, t1, gamma, tiebreak_keys):
-    """Like :func:`fused_order` but returns the reordered candidate ids."""
-    cand = np.asarray(cand, dtype=np.int64)
-    order, scores, tie_groups = fused_order(t0, t1, gamma, tiebreak_keys)
-    return cand[order], scores, tie_groups
+def fused_order(t0, t1, gamma, tiebreak_keys) -> np.ndarray:
+    """Permutation sorting candidates by fused score descending.
+
+    The permutation indexes the input arrays; candidates with exactly equal
+    fused scores are ordered by ascending ``tiebreak_keys``.
+    """
+    keys, _ = _fused_keys(t0, t1, gamma)
+    return np.lexsort((tiebreak_keys, -keys))
 
 
 def rank_candidates(g: AttributedGraph, gamma: float, seed) -> Ranking:
     """Rank every occluded vertex by fused score, descending.
 
     The seed drives only tie-breaking; rankings with all-distinct scores are
-    seed-independent.
+    seed-independent.  Scores are the exact fused scores correctly rounded to
+    float; tie groups are the runs of exactly equal scores.
     """
     cand, t0, t1 = candidate_statistics(g)
     if cand.size == 0:
         raise InputError("graph has no candidates to rank")
     tiebreak = generator(seed).permutation(cand.size)
-    ordered, scores, ties = order_by_fused_scores(cand, t0, t1, gamma, tiebreak)
-    return Ranking(ordered, scores, ties, gamma=float(gamma), seed_used=seed)
+    order = fused_order(t0, t1, gamma, tiebreak)
+    keys, den = _fused_keys(t0, t1, gamma)
+    sorted_keys = keys[order]
+    bounds = [0, *(np.flatnonzero(np.diff(sorted_keys) != 0) + 1).tolist(), cand.size]
+    tie_groups = tuple((a, b) for a, b in zip(bounds, bounds[1:]) if b - a >= 2)
+    return Ranking(cand[order], sorted_keys / den, tie_groups, gamma=float(gamma))

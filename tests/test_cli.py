@@ -7,7 +7,15 @@ from fractions import Fraction
 import pytest
 
 from vnom.cli import main
-from vnom.io import data_section
+from vnom.io import data_section, generate_surrogate, write_topic_graph
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A surrogate topic-graph corpus on which screening accepts partitions."""
+    path = tmp_path_factory.mktemp("corpus") / "corpus.topics"
+    write_topic_graph(generate_surrogate(seed=11), path, {})
+    return path
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +56,36 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, command, *extra, "--workers", workers, "--seed", "1")
         assert code == 1
         assert "--workers" in err
+
+    @pytest.mark.parametrize("flag,value", [("--bins", "nan"), ("--bins", "0"),
+                                            ("--bins", "-0.1"), ("--bins", "inf"),
+                                            ("--max-partitions", "-1"),
+                                            ("--max-partitions", "0"),
+                                            ("--tau-rho", "nan"), ("--tau-p", "nan")])
+    def test_bad_importance_input_exits_1(self, capsys, tmp_path, corpus, flag, value):
+        out = tmp_path / "trials.csv"
+        code, _, err = run_cli(capsys, "importance", "--graph", str(corpus), "--m", "10",
+                               "--m-prime", "5", "--attempts", "4096", "--replicates", "1",
+                               "--max-partitions", "5", flag, value, "--seed", "1",
+                               "--out", str(out))
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_surrogate_message_rate_exits_1(self, capsys, tmp_path, value):
+        out = tmp_path / "corpus.topics"
+        code, _, err = run_cli(capsys, "surrogate", "--mean-extra-messages", value,
+                               "--seed", "1", "--out", str(out))
+        assert code == 1
+        assert "error:" in err and "mean_extra_messages" in err
+        assert not out.exists()
+
+    def test_negative_top_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n", "20", "--m", "8",
+                                 "--m-prime", "2", "--top", "-3", "--seed", "1")
+        assert code == 1
+        assert "error:" in err and "--top" in err and out == ""
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "importance", "--graph",

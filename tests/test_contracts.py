@@ -1,12 +1,19 @@
-"""Repository contracts: pure seed derivation and the benchmark's trace hooks."""
+"""Repository contracts: pure seed derivation, the benchmark's trace hooks and
+its recorded output digests."""
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import vnom
+import vnom.cli
 from vnom import KidneyEggParams, gamma_surface
+from vnom.io import data_section
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,3 +57,23 @@ def test_fused_order_runs_once_per_graph_and_gamma(monkeypatch):
     params = KidneyEggParams(30, 10, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
     gamma_surface(params, (0.0, 0.1 + 0.2, 0.5, 1.0), y_max=2, replicates=3, seed=4)
     assert tracer.take()["nomination.fused_order"]["calls"] == 3 * 4
+
+
+@pytest.mark.parametrize("workload", ["surface", "sweep", "importance"])
+def test_cli_output_matches_recorded_benchmark_digest(monkeypatch, tmp_path, workload):
+    # bench/run.py's own argv and corpus preparation, run in this process
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+
+    def vnom_run(argv, out):
+        return None, [] if vnom.cli.main(argv) == 0 else [f"vnom {argv[0]} failed"]
+
+    monkeypatch.setattr(run, "vnom_run", vnom_run)
+    run.prepare(workload, 1, tmp_path)
+    out = tmp_path / f"{workload}.csv"
+    assert vnom.cli.main(run.WORKLOADS[workload]["argv"](1, str(out), tmp_path)) == 0
+    digest = hashlib.sha256(data_section(out.read_text()).encode("utf-8")).hexdigest()
+    recorded = json.loads((ROOT / "bench" / "digests.json").read_text())["sha256"]
+    assert digest == recorded[workload]["1"]

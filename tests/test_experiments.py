@@ -8,7 +8,7 @@ import pytest
 from vnom import (InputError, KidneyEggParams, Simplex3, SweepSpec, candidate_statistics,
                   evaluate_ranking, gamma_star, gamma_surface, rank_candidates,
                   run_replicate, run_sweep, sample_kidney_egg)
-from vnom.experiments import evaluate_grid, pool_size
+from vnom.experiments import evaluate_grid, parallel_map, pool_size
 from vnom.graph import RED
 from vnom.seeding import as_seed_sequence, child_seed
 
@@ -66,7 +66,7 @@ class TestEvaluateGrid:
         ((0.6, 0.0, 0.4), (0.4, 0.0, 0.6)),  # p1 = s1 = 0: content is one full tie
     ])
     def test_rows_equal_single_rankings(self, p, s):
-        # 0.1 + 0.2 is not a small rational, so fused_order takes its Fraction path
+        # 0.1 + 0.2 is no small rational, so it is keyed at its exact binary value
         grid = (0.0, 0.25, 0.1 + 0.2, 0.5, 1 / 3, 1.0)
         y_values = (1, 2, 3)
         params = KidneyEggParams(24, 8, 3, p, s)
@@ -96,6 +96,12 @@ class TestPoolSize:
         assert pool_size(100_000, 3) == min(3, cpus)
         assert pool_size(100_000, 10 ** 9) == cpus
         assert pool_size(4, 0) == 1
+
+    def test_parallel_map_keeps_task_order(self):
+        tasks = [(base, 3) for base in range(7)]
+        expected = [base ** 3 for base in range(7)]
+        assert parallel_map(pow, tasks, 1) == parallel_map(pow, tasks, 2) == expected
+        assert parallel_map(pow, [], 2) == []
 
     def test_library_entry_points_reject_zero_workers(self):
         spec = SweepSpec(n=20, p=PAPER_P, s=PAPER_S, m_values=(8,), gamma_grid=(0.5,),

@@ -133,6 +133,11 @@ class TestScreenPartitions:
         assert all(np.array_equal(x.partition.red_ids, y.partition.red_ids)
                    for x, y in zip(a.accepted, b.accepted))
 
+    @pytest.mark.parametrize("tau_rho,tau_p", [(np.nan, 0.2), (0.1, np.nan)])
+    def test_nan_threshold_rejected(self, tau_rho, tau_p):
+        with pytest.raises(InputError):
+            ScreeningThresholds(tau_rho, tau_p)
+
     def test_m_bounds(self):
         g = two_block_topic_graph()
         with pytest.raises(InputError):
@@ -293,6 +298,13 @@ class TestRunImportanceTrials:
         res = self.trivial_screen(g, 4, attempts=3)
         with pytest.raises(InputError):
             run_importance_trials(g, res.accepted, 2, [0.5], 1, 0, n_workers=0)
+
+    @pytest.mark.parametrize("width", [np.nan, np.inf, 0.0, -0.1])
+    def test_bad_bin_width_rejected(self, width):
+        g = two_block_topic_graph()
+        res = self.trivial_screen(g, 4, attempts=3)
+        with pytest.raises(InputError):
+            run_importance_trials(g, res.accepted, 2, [0.5], 1, 0, bin_width=width)
 
     def test_m_prime_validation(self):
         g = two_block_topic_graph()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnom import (GraphFormatError, ScreeningThresholds, generate_surrogate,
+from vnom import (GraphFormatError, InputError, ScreeningThresholds, generate_surrogate,
                   read_attributed_graph, read_topic_graph, relative_density,
                   screen_partitions, write_attributed_graph, write_topic_graph)
 
@@ -138,6 +138,12 @@ class TestGenerateSurrogate:
 
     def test_deterministic(self):
         assert generate_surrogate(seed=9) == generate_surrogate(seed=9)
+
+    @pytest.mark.parametrize("knob", ["mean_extra_messages", "concentration"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_rate_rejected(self, knob, value):
+        with pytest.raises(InputError):
+            generate_surrogate(seed=9, **{knob: value})
 
     def test_screening_finds_acceptable_partitions(self):
         # the latent block must make the default thresholds attainable

@@ -1,13 +1,44 @@
 """Fusion scores, ranking, tie-breaking, and the gamma search."""
 
+import random
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from vnom import (InputError, KidneyEggParams, content_score, context_score,
                   fused_score, gamma_star, rank_candidates, sample_kidney_egg)
-from vnom.nomination import order_by_fused_scores
+from vnom.nomination import fused_order
 
 from conftest import build_attributed
+
+
+def graph_with_statistics(pairs, n_identified, n_vertices):
+    """Candidates 0..k-1 with the given (context, content) scores.
+
+    Candidate i has green edges to the first pairs[i][0] identified vertices
+    (ids k..k+n_identified-1) and red edges to pairs[i][1] leaves of its own;
+    the remaining vertices are isolated.  Leaves score (0, 1), isolated
+    vertices (0, 0).
+    """
+    pairs = list(pairs)
+    ident = range(len(pairs), len(pairs) + n_identified)
+    edges, leaf = [], ident.stop
+    for i, (context, content) in enumerate(pairs):
+        edges += [(i, v, 2) for v in ident[:context]]
+        edges += [(i, leaf + j, 1) for j in range(content)]
+        leaf += content
+    assert leaf <= n_vertices
+    return build_attributed(n_vertices, edges, red=set(ident), identified=set(ident))
+
+
+def one_four_two_two_graph():
+    """Candidates 0, 1, 2 with (context, content) = (1, 4), (2, 2), (2, 2) and
+    candidate 3 with (0, 1); vertices 4 and 5 are identified."""
+    edges = [(0, 5, 1), (0, 1, 1), (0, 2, 1), (0, 3, 1),
+             (1, 4, 1), (1, 5, 2), (2, 4, 1), (2, 5, 2)]
+    return build_attributed(6, edges, red={4, 5}, identified={4, 5})
 
 
 class TestScores:
@@ -113,37 +144,85 @@ class TestRankCandidates:
         # positive constant changes nothing
         t0 = np.array([3, 1, 4, 1, 5])
         t1 = np.array([2, 7, 1, 8, 2])
-        cand = np.arange(5)
         tiebreak = np.array([4, 2, 0, 1, 3])
-        a = order_by_fused_scores(cand, t0, t1, 0.25, tiebreak)
-        b = order_by_fused_scores(cand, 3 * t0, 3 * t1, 0.25, tiebreak)
-        assert np.array_equal(a[0], b[0])
-        assert a[2] == b[2]
+        assert np.array_equal(fused_order(t0, t1, 0.25, tiebreak),
+                              fused_order(3 * t0, 3 * t1, 0.25, tiebreak))
+        # the same statistics on graphs: equal orders and tie groups among the
+        # five candidates, which outrank every leaf and isolated vertex
+        a, b = (rank_candidates(graph_with_statistics(zip(k * t0, k * t1), 15, 80), 0.25, 0)
+                for k in (1, 3))
+        assert np.array_equal(a.ordered[:5], b.ordered[:5])
+        head = [[grp for grp in r.tie_groups if grp[1] <= 5] for r in (a, b)]
+        assert head[0] == head[1] == [(2, 4)]
 
     def test_rational_gamma_ties_exactly(self):
         # the float 1/3 stands for the rational 1/3, under which
         # (t0, t1) = (1, 4) and (2, 2) have exactly equal fused scores
-        cand = np.arange(3)
         t0 = np.array([1, 2, 2])
         t1 = np.array([4, 2, 2])
-        _, scores, ties = order_by_fused_scores(cand, t0, t1, 1 / 3, np.arange(3))
-        assert ties == ((0, 3),)
-        assert scores[0] == scores[1] == scores[2] == pytest.approx(2.0)
+        assert list(fused_order(t0, t1, 1 / 3, np.arange(3))) == [0, 1, 2]
+        r = rank_candidates(one_four_two_two_graph(), 1 / 3, 0)
+        assert r.tie_groups == ((0, 3),)
+        assert r.scores[0] == r.scores[1] == r.scores[2] == pytest.approx(2.0)
+        assert r.ordered[3] == 3  # (0, 1) scores 1/3
 
     def test_non_grid_gamma_falls_back_to_exact_binary(self):
         # an arbitrary float is taken at its exact binary value: (1, 4) and
         # (2, 2) no longer tie, while equal pairs still do
         gamma = 0.3333333217048645  # deliberately near but not equal to 1/3
-        cand = np.arange(3)
         t0 = np.array([1, 2, 2])
         t1 = np.array([4, 2, 2])
-        ordered, _, ties = order_by_fused_scores(cand, t0, t1, gamma, np.arange(3))
-        assert ties == ((0, 2),)
-        assert ordered[-1] == 0  # 1 + 3*gamma < 2 at this gamma
+        assert fused_order(t0, t1, gamma, np.arange(3))[-1] == 0  # 1 + 3*gamma < 2
+        r = rank_candidates(one_four_two_two_graph(), gamma, 0)
+        assert r.tie_groups == ((0, 2),)
+        assert list(r.ordered[2:]) == [0, 3]
 
     def test_gamma_bounds(self, star_graph):
         with pytest.raises(InputError):
             rank_candidates(star_graph, 1.5, 0)
+
+
+def exact_fused_scores(g, gamma):
+    """Candidate -> exact fused score, from the edge list and Fractions only.
+
+    gamma stands for the smallest-denominator rational (denominator at most
+    10**6) that rounds to it, or else for its exact binary value.
+    """
+    frac = Fraction(gamma).limit_denominator(10 ** 6)
+    weight = frac if float(frac) == gamma else Fraction(gamma)
+    identified = {v for v in range(g.n) if g.observed[v] == 1}
+    context, content = Counter(), Counter()
+    for u, v, attr in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_attr.tolist()):
+        for a, b in ((u, v), (v, u)):
+            context[a] += b in identified
+            content[a] += attr == 1
+    return {v: (1 - weight) * context[v] + weight * content[v]
+            for v in range(g.n) if v not in identified}
+
+
+class TestExactOracle:
+    GAMMAS = (tuple(k / 100 for k in range(101))
+              + (1 / 3, 0.1 + 0.2, 0.3333333217048645, 5e-324, 1 - 2 ** -53)
+              + tuple(random.Random(17).random() for _ in range(40)))
+
+    @pytest.mark.parametrize("n,m,m_prime,seed", [(30, 10, 4, 3), (60, 16, 5, 8)])
+    def test_scores_and_tie_groups_are_exact(self, n, m, m_prime, seed):
+        g = sample_kidney_egg(KidneyEggParams(n, m, m_prime, (0.6, 0.2, 0.2),
+                                              (0.4, 0.4, 0.2)), seed)
+        for gamma in self.GAMMAS:
+            exact = exact_fused_scores(g, gamma)
+            r = rank_candidates(g, gamma, seed)
+            assert sorted(r.ordered.tolist()) == sorted(exact)
+            ranked = [exact[v] for v in r.ordered.tolist()]
+            assert all(x >= y for x, y in zip(ranked, ranked[1:])), gamma
+            assert r.scores.tolist() == [float(x) for x in ranked], gamma
+            runs, start = [], 0
+            for i in range(1, len(ranked) + 1):
+                if i == len(ranked) or ranked[i] != ranked[start]:
+                    if i - start >= 2:
+                        runs.append((start, i))
+                    start = i
+            assert r.tie_groups == tuple(runs), gamma
 
 
 class TestMonotoneSignal:
