@@ -18,8 +18,8 @@ import numpy as np
 from .errors import InputError, VnomError
 from .experiments import SweepSpec, gamma_surface, run_sweep
 from .graph import Partition
-from .importance import (ScreeningThresholds, estimate_rates, run_importance_trials,
-                         screen_partitions)
+from .importance import (ScreeningThresholds, check_trial_arguments, estimate_rates,
+                         run_importance_trials, screen_partitions)
 from .kidney_egg import (KidneyEggParams, Simplex3, content_pmf_from_conditionals,
                          content_score_pmf, context_score_pmf, empirical_score_pmfs,
                          sample_kidney_egg, tv_distance)
@@ -265,11 +265,14 @@ def _cmd_importance(args) -> int:
     if args.max_partitions is not None and args.max_partitions < 1:
         raise InputError(f"--max-partitions must be >= 1, got {args.max_partitions}")
     thresholds = ScreeningThresholds(args.tau_rho, args.tau_p)
+    # screened red sets have args.m vertices: check trial arguments before screening
+    gammas = check_trial_arguments(args.m, args.m_prime, _parse_gammas(args.gammas),
+                                   args.replicates, args.bins)
     seed = _resolve_seed(args)
+    screen_seed, trial_seed = child_seed(seed, 1), child_seed(seed, 2)
     g = vio.read_topic_graph(args.graph)
     weighted = not args.unweighted_profiles
-    screening = screen_partitions(g, args.m, thresholds, args.attempts,
-                                  np.random.SeedSequence(entropy=seed, spawn_key=(1,)),
+    screening = screen_partitions(g, args.m, thresholds, args.attempts, screen_seed,
                                   weighted=weighted)
     config = {"graph": args.graph, "m": args.m, "m_prime": args.m_prime,
               "tau_rho": args.tau_rho, "tau_p": args.tau_p,
@@ -285,10 +288,9 @@ def _cmd_importance(args) -> int:
     accepted = screening.accepted
     if args.max_partitions is not None:
         accepted = accepted[:args.max_partitions]
-    trials = run_importance_trials(
-        g, accepted, args.m_prime, _parse_gammas(args.gammas), args.replicates,
-        np.random.SeedSequence(entropy=seed, spawn_key=(2,)),
-        bin_width=args.bins, n_workers=args.workers)
+    trials = run_importance_trials(g, accepted, args.m_prime, gammas, args.replicates,
+                                   trial_seed, bin_width=args.bins,
+                                   n_workers=args.workers)
     text = (vio.trials_to_csv(screening, trials, config) if args.format == "csv"
             else vio.trials_to_json(screening, trials, config))
     _write_or_print(text, args.out)
@@ -316,6 +318,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
+    if args.samples < 0:
+        raise InputError(f"--samples must be >= 0, got {args.samples}")
     params = _params_from(args)
     tables = {
         ("context", "green"): context_score_pmf(params, 2),

@@ -25,7 +25,8 @@ from .errors import InputError
 from .graph import RED
 from .kidney_egg import KidneyEggParams, Simplex3, sample_kidney_egg
 from .metrics import CRITERIA, EvalReport, aggregate_values, mask_metrics, mean_se
-from .nomination import GAMMA_GRID_DEFAULT, candidate_statistics, fused_order
+from .nomination import (GAMMA_GRID_DEFAULT, candidate_statistics, fused_order,
+                         validate_gamma_grid)
 from .seeding import child_seed, generator
 
 
@@ -62,14 +63,12 @@ class SweepSpec:
         object.__setattr__(self, "p", Simplex3.of(self.p))
         object.__setattr__(self, "s", Simplex3.of(self.s))
         object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
-        object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
+        object.__setattr__(self, "gamma_grid", validate_gamma_grid(self.gamma_grid))
         if self.m_prime_values is not None:
             object.__setattr__(self, "m_prime_values",
                                tuple(int(v) for v in self.m_prime_values))
         if not self.m_values:
             raise InputError("m_values must be non-empty")
-        if not self.gamma_grid:
-            raise InputError("gamma_grid must be non-empty")
         if self.replicates < 1:
             raise InputError("replicates must be >= 1")
         has_ratio = self.m_prime_ratio is not None
@@ -188,9 +187,7 @@ def _replicate_values(params: KidneyEggParams, gamma_grid, rep_seeds, y_values=(
 
 def run_replicate(params: KidneyEggParams, gamma_grid, seed, y_values=()) -> ReplicateResult:
     """Sample one graph and evaluate the whole gamma grid on it."""
-    grid = tuple(float(g) for g in gamma_grid)
-    if not grid:
-        raise InputError("gamma_grid must be non-empty")
+    grid = validate_gamma_grid(gamma_grid)
     values, g = _sampled_metrics(params, grid, child_seed(seed), y_values)
     n_candidates, n_red = params.n - params.m_prime, params.m - params.m_prime
     reports = {gamma: EvalReport.from_row(row, y_values, n_candidates, n_red)
@@ -206,8 +203,7 @@ def _best_gamma(gamma_grid, scores) -> float:
 
 def _run_cell(spec: SweepSpec, m: int, m_prime: int) -> CellResult:
     params = KidneyEggParams(spec.n, m, m_prime, spec.p, spec.s)
-    rep_seeds = (np.random.SeedSequence(entropy=spec.master_seed, spawn_key=(m, m_prime, rep))
-                 for rep in range(spec.replicates))
+    rep_seeds = (child_seed(spec.master_seed, m, m_prime, rep) for rep in range(spec.replicates))
     values = _replicate_values(params, spec.gamma_grid, rep_seeds, spec.y_values)
     aggregates = dict(zip(spec.gamma_grid, aggregate_values(values, spec.y_values)))
     best = {criterion: _best_gamma(spec.gamma_grid,
@@ -241,9 +237,7 @@ def gamma_surface(params: KidneyEggParams, gamma_grid, y_max: int,
     The y=1 row equals the MRR row identically: the precision at the first
     red candidate's rank is its reciprocal rank.
     """
-    grid = tuple(float(g) for g in gamma_grid)
-    if not grid:
-        raise InputError("gamma_grid must be non-empty")
+    grid = validate_gamma_grid(gamma_grid)
     if replicates < 1:
         raise InputError("replicates must be >= 1")
     n_red_candidates = params.m - params.m_prime
@@ -276,9 +270,7 @@ def gamma_star(params: KidneyEggParams, gamma_grid=GAMMA_GRID_DEFAULT,
     (shared tie-break stream), so the comparison across gamma is paired.
     Ties in the estimate go to the smallest gamma.
     """
-    grid = tuple(float(x) for x in gamma_grid)
-    if not grid:
-        raise InputError("gamma grid must be non-empty")
+    grid = validate_gamma_grid(gamma_grid)
     if criterion not in CRITERIA:
         raise InputError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
     if replicates < 1:

@@ -6,6 +6,10 @@ between edge-topic profiles), maps each topic to red or green by the sign of
 its profile difference, then repeatedly instantiates edge attributes from the
 per-edge topic distributions and runs nomination.  Results aggregate into
 (delta_rho, delta_p) bins.
+
+Each step (side masks, density gap, topic profiles, topic draw, candidate
+scores, edge rates) has one kernel, shared by the public single-partition
+functions and the batched screening and trial loops.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .errors import EmptyProfileError, InputError, UndefinedDensityError
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph)
 from .experiments import evaluate_grid, parallel_map
 from .metrics import aggregate_values, mean_se
+from .nomination import score_counts, validate_gamma_grid
 from .seeding import child_seed, generator
 
 _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on scheduling
@@ -57,9 +62,6 @@ class TopicMap:
     @property
     def k_topics(self) -> int:
         return int(self.labels.size)
-
-    def red_topics(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == RED)
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,51 @@ def _edge_weights(g: TopicGraph, weighted: bool) -> np.ndarray:
     return g.topic_probs.copy()
 
 
+def _side_sizes(g, part: Partition) -> tuple:
+    """(m, n - m); a density needs two vertices on each side."""
+    _check_partition(g, part)
+    if not 2 <= part.num_red <= g.n - 2:
+        raise UndefinedDensityError("both partition sides need at least two vertices")
+    return part.num_red, g.n - part.num_red
+
+
+def _sides(g, red_mask: np.ndarray) -> tuple:
+    """(red_in, green_in) edge masks of one (n,) red mask or a (draws, n) stack."""
+    ru, rv = red_mask[..., g.edge_u], red_mask[..., g.edge_v]
+    return ru & rv, ~ru & ~rv
+
+
+def _density_gap(red_in, green_in, m: int, n_green: int):
+    return red_in.sum(axis=-1) / comb(m, 2) - green_in.sum(axis=-1) / comb(n_green, 2)
+
+
+def _profile(weights: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Normalized topic weight of the selected edges; zeros if they have none."""
+    total = weights[sel].sum(axis=0)
+    mass = total.sum()
+    return total / mass if mass > 0.0 else np.zeros_like(total)
+
+
+def _profile_gap(weights: np.ndarray, red_in, green_in) -> tuple:
+    """(delta_p, red profile, green profile); delta_p is 0 if a side has no weight."""
+    pr, pg = _profile(weights, red_in), _profile(weights, green_in)
+    return (float(np.abs(pr - pg).sum()) if pr.any() and pg.any() else 0.0), pr, pg
+
+
+def _draw_topics(cum_topics: np.ndarray, rng) -> np.ndarray:
+    """One topic per edge, in stored (sorted-pair) order, one uniform each."""
+    u = rng.random(cum_topics.shape[0])
+    return np.minimum((u[:, None] >= cum_topics).sum(axis=1), cum_topics.shape[1] - 1)
+
+
+def _rates(attr, red_in, green_in, m: int, n_green: int) -> tuple:
+    """(p1, p2, s1, s2): red and green edges per green-side, then red-side, pair."""
+    red_edge, green_edge = attr == RED, attr == GREEN
+    return tuple(np.count_nonzero(side & edge) / comb(size, 2)
+                 for side, size in ((green_in, n_green), (red_in, m))
+                 for edge in (red_edge, green_edge))
+
+
 def topic_profile(g: TopicGraph, vs, *, weighted: bool = True) -> np.ndarray:
     """Empirical topic distribution of the subgraph induced by ``vs``.
 
@@ -118,34 +165,26 @@ def topic_profile(g: TopicGraph, vs, *, weighted: bool = True) -> np.ndarray:
     if vs.size and (vs.min() < 0 or vs.max() >= g.n):
         raise InputError("unknown vertex id in subset")
     mask[vs] = True
-    sel = mask[g.edge_u] & mask[g.edge_v]
+    sel, _ = _sides(g, mask)
     if not sel.any():
         raise EmptyProfileError("induced subgraph has no edges to profile")
-    total = _edge_weights(g, weighted)[sel].sum(axis=0)
-    return total / total.sum()
+    return _profile(_edge_weights(g, weighted), sel)
 
 
 def delta_rho(g: TopicGraph, part: Partition) -> float:
     """Relative-density difference between the red-induced and green-induced
     subgraphs."""
-    _check_partition(g, part)
-    m = part.num_red
-    n_green = g.n - m
-    if m < 2 or n_green < 2:
-        raise UndefinedDensityError("both partition sides need at least two vertices")
-    red_mask = part.red_mask()
-    ru, rv = red_mask[g.edge_u], red_mask[g.edge_v]
-    red_edges = int(np.count_nonzero(ru & rv))
-    green_edges = int(np.count_nonzero(~ru & ~rv))
-    return red_edges / comb(m, 2) - green_edges / comb(n_green, 2)
+    m, n_green = _side_sizes(g, part)
+    return float(_density_gap(*_sides(g, part.red_mask()), m, n_green))
 
 
 def delta_p(g: TopicGraph, part: Partition, *, weighted: bool = True) -> float:
     """L1 distance between the red-side and green-side topic profiles."""
     _check_partition(g, part)
-    pr = topic_profile(g, part.red_ids, weighted=weighted)
-    pg = topic_profile(g, part.green_ids(), weighted=weighted)
-    return float(np.abs(pr - pg).sum())
+    red_in, green_in = _sides(g, part.red_mask())
+    if not (red_in.any() and green_in.any()):
+        raise EmptyProfileError("induced subgraph has no edges to profile")
+    return _profile_gap(_edge_weights(g, weighted), red_in, green_in)[0]
 
 
 def _check_partition(g, part: Partition):
@@ -177,59 +216,40 @@ def screen_partitions(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
         raise InputError(f"m must lie in 2..{g.n - 2}, got {m}")
     if max_attempts < 1:
         raise InputError("max_attempts must be >= 1")
-    tw = _edge_weights(g, weighted)
-    eu, ev = g.edge_u, g.edge_v
-    denom_red = comb(m, 2)
-    denom_green = comb(g.n - m, 2)
+    weights = _edge_weights(g, weighted)
     base = child_seed(seed)
     accepted = []
-    n_blocks = -(-max_attempts // _SCREEN_BLOCK)
-    for block in range(n_blocks):
-        start = block * _SCREEN_BLOCK
-        b = min(_SCREEN_BLOCK, max_attempts - start)
-        rng = generator(child_seed(base, block))
-        keys = rng.random((_SCREEN_BLOCK, g.n))[:b]
-        chosen = np.argpartition(keys, m - 1, axis=1)[:, :m]
-        red_mask = np.zeros((b, g.n), dtype=bool)
-        red_mask[np.arange(b)[:, None], chosen] = True
-        ru = red_mask[:, eu]
-        rv = red_mask[:, ev]
-        red_in = ru & rv
-        green_in = ~ru & ~rv
-        d_rho = red_in.sum(axis=1) / denom_red - green_in.sum(axis=1) / denom_green
-        for row in np.flatnonzero(d_rho > thresholds.tau_rho):
-            wr = tw[red_in[row]].sum(axis=0)
-            wg = tw[green_in[row]].sum(axis=0)
-            red_total, green_total = wr.sum(), wg.sum()
-            pr = wr / red_total if red_total > 0.0 else np.zeros_like(wr)
-            pg = wg / green_total if green_total > 0.0 else np.zeros_like(wg)
-            if red_total > 0.0 and green_total > 0.0:
-                d_p = float(np.abs(pr - pg).sum())
-            else:
-                d_p = 0.0
-            if d_p > thresholds.tau_p:
-                part = Partition(g.n, np.sort(chosen[row]))
-                accepted.append(ScreenedPartition(
-                    partition=part,
-                    topic_map=topic_map_from_profiles(pr, pg),
-                    delta_rho=float(d_rho[row]),
-                    delta_p=d_p,
-                    profile_red=pr,
-                    profile_green=pg,
-                    draw_index=start + int(row),
-                ))
+    for start in range(0, max_attempts, _SCREEN_BLOCK):
+        rng = generator(child_seed(base, start // _SCREEN_BLOCK))
+        accepted += _screen_block(g, m, thresholds, weights, rng, start,
+                                  min(_SCREEN_BLOCK, max_attempts - start))
     return ScreeningResult(tuple(accepted), max_attempts, thresholds)
 
 
-def _draw_edge_attrs(g: TopicGraph, topic_map: TopicMap, rng) -> np.ndarray:
-    """One topic per edge from its distribution, mapped to RED/GREEN.
-
-    Edges draw in stored (sorted-pair) order, one uniform each.
-    """
-    cum = np.cumsum(g.topic_probs, axis=1)
-    u = rng.random(g.num_edges)
-    topics = np.minimum((u[:, None] >= cum).sum(axis=1), g.k_topics - 1)
-    return topic_map.labels[topics].astype(np.int64)
+def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
+                  weights: np.ndarray, rng, start: int, draws: int) -> list:
+    """Accepted draws start..start+draws-1; the block's (draws x edges) masks
+    live only in this call, so screening never holds two blocks' at once."""
+    keys = rng.random((_SCREEN_BLOCK, g.n))[:draws]
+    chosen = np.argpartition(keys, m - 1, axis=1)[:, :m]
+    red_mask = np.zeros((draws, g.n), dtype=bool)
+    red_mask[np.arange(draws)[:, None], chosen] = True
+    red_in, green_in = _sides(g, red_mask)
+    d_rho = _density_gap(red_in, green_in, m, g.n - m)
+    accepted = []
+    for row in np.flatnonzero(d_rho > thresholds.tau_rho):
+        d_p, pr, pg = _profile_gap(weights, red_in[row], green_in[row])
+        if d_p > thresholds.tau_p:
+            accepted.append(ScreenedPartition(
+                partition=Partition(g.n, np.sort(chosen[row])),
+                topic_map=topic_map_from_profiles(pr, pg),
+                delta_rho=float(d_rho[row]),
+                delta_p=d_p,
+                profile_red=pr,
+                profile_green=pg,
+                draw_index=start + int(row),
+            ))
+    return accepted
 
 
 def instantiate_edges(g: TopicGraph, topic_map: TopicMap, part: Partition,
@@ -242,7 +262,8 @@ def instantiate_edges(g: TopicGraph, topic_map: TopicMap, part: Partition,
     if topic_map.k_topics != g.k_topics:
         raise InputError("topic map does not cover the graph's topics")
     _check_partition(g, part)
-    attrs = _draw_edge_attrs(g, topic_map, generator(seed))
+    topics = _draw_topics(np.cumsum(g.topic_probs, axis=1), generator(seed))
+    attrs = topic_map.labels[topics].astype(np.int64)
     observed = np.full(g.n, OCCLUDED, dtype=np.int8)
     # topic-graph edges are stored canonically already
     return AttributedGraph._from_canonical(g.n, g.edge_u, g.edge_v, attrs,
@@ -256,22 +277,9 @@ def estimate_rates(g: AttributedGraph, part: Partition) -> EstimatedRates:
     background estimates; the same counts over red-internal pairs give the
     block estimates.  Cross-side edges count toward neither.
     """
-    _check_partition(g, part)
-    m = part.num_red
-    n_green = g.n - m
-    if m < 2 or n_green < 2:
-        raise UndefinedDensityError("both partition sides need at least two vertices")
-    red_mask = part.red_mask()
-    ru, rv = red_mask[g.edge_u], red_mask[g.edge_v]
-    red_in = ru & rv
-    green_in = ~ru & ~rv
-    attr = g.edge_attr
-    return EstimatedRates(
-        p1=int(np.count_nonzero(green_in & (attr == RED))) / comb(n_green, 2),
-        p2=int(np.count_nonzero(green_in & (attr == GREEN))) / comb(n_green, 2),
-        s1=int(np.count_nonzero(red_in & (attr == RED))) / comb(m, 2),
-        s2=int(np.count_nonzero(red_in & (attr == GREEN))) / comb(m, 2),
-    )
+    m, n_green = _side_sizes(g, part)
+    red_in, green_in = _sides(g, part.red_mask())
+    return EstimatedRates(*_rates(g.edge_attr, red_in, green_in, m, n_green))
 
 
 @dataclass(frozen=True)
@@ -284,7 +292,7 @@ class PartitionTrial:
     mean_s_at_1: dict
     mean_rr: dict
     mean_ap: dict
-    rates: EstimatedRates | None
+    rates: EstimatedRates
 
 
 @dataclass(frozen=True)
@@ -319,61 +327,47 @@ def bin_index(value: float, width: float) -> int:
 
 
 def _trial_partition(g: TopicGraph, sp: ScreenedPartition, ordinal: int, m_prime: int,
-                     gamma_grid, replicates: int, base_seed, collect_rates: bool,
-                     cum_topics: np.ndarray):
-    """Raw metric values (gammas x 3 x reps) and mean rates for one partition.
-
-    Equivalent to instantiate_edges -> identify -> rank -> evaluate on an
-    AttributedGraph, unrolled onto the shared edge arrays for speed.
-    """
+                     gamma_grid, replicates: int, base_seed, cum_topics: np.ndarray):
+    """Raw metric values (gammas x 3 x reps) and mean rates for one partition;
+    each replicate instantiates, identifies, ranks, evaluates and estimates."""
     part = sp.partition
-    red_ids = part.red_ids
-    n, eu, ev = g.n, g.edge_u, g.edge_v
+    m, n_green = _side_sizes(g, part)
     red_mask = part.red_mask()
-    ru, rv = red_mask[eu], red_mask[ev]
-    red_in = ru & rv
-    green_in = ~ru & ~rv
-    denom_red = comb(part.num_red, 2)
-    denom_green = comb(n - part.num_red, 2)
-    labels = sp.topic_map.labels
+    red_in, green_in = _sides(g, red_mask)
     values = []
     rate_sum = np.zeros(4)
     for rep in range(replicates):
         edge_seed, ident_seed, tie_seed = (child_seed(base_seed, ordinal, rep, i)
                                            for i in range(3))
-        u = generator(edge_seed).random(eu.size)
-        topics = np.minimum((u[:, None] >= cum_topics).sum(axis=1), g.k_topics - 1)
-        attr = labels[topics]
-        identified = np.sort(generator(ident_seed).choice(red_ids, size=m_prime,
-                                                          replace=False))
-        ident_mask = np.zeros(n, dtype=bool)
-        ident_mask[identified] = True
-        red_edge = attr == RED
-        t1_all = (np.bincount(eu[red_edge], minlength=n)
-                  + np.bincount(ev[red_edge], minlength=n))
-        t0_all = (np.bincount(eu[ident_mask[ev]], minlength=n)
-                  + np.bincount(ev[ident_mask[eu]], minlength=n))
-        cand = np.flatnonzero(~ident_mask)
-        t0, t1 = t0_all[cand], t1_all[cand]
+        attr = sp.topic_map.labels[_draw_topics(cum_topics, generator(edge_seed))]
+        identified = np.zeros(g.n, dtype=bool)
+        identified[generator(ident_seed).choice(part.red_ids, size=m_prime,
+                                                replace=False)] = True
+        t0, t1 = score_counts(g.n, g.edge_u, g.edge_v, attr == RED, identified)
+        cand = np.flatnonzero(~identified)
         tiebreak = generator(tie_seed).permutation(cand.size)
-        values.append(evaluate_grid(t0, t1, red_mask[cand], tiebreak, gamma_grid))
-        if collect_rates:
-            green_edge = attr == GREEN
-            rate_sum += (np.count_nonzero(green_in & red_edge) / denom_green,
-                         np.count_nonzero(green_in & green_edge) / denom_green,
-                         np.count_nonzero(red_in & red_edge) / denom_red,
-                         np.count_nonzero(red_in & green_edge) / denom_red)
-    rates = None
-    if collect_rates:
-        mean = rate_sum / replicates
-        rates = EstimatedRates(*map(float, mean))
-    return np.stack(values, axis=-1), rates
+        values.append(evaluate_grid(t0[cand], t1[cand], red_mask[cand], tiebreak, gamma_grid))
+        rate_sum += _rates(attr, red_in, green_in, m, n_green)
+    return np.stack(values, axis=-1), EstimatedRates(*map(float, rate_sum / replicates))
+
+
+def check_trial_arguments(m: int, m_prime: int, gamma_grid, replicates: int,
+                          bin_width: float) -> tuple:
+    """The validated gamma grid, after checking the other trial arguments for
+    red sets of size m; cheap enough to run before screening."""
+    grid = validate_gamma_grid(gamma_grid)
+    if not 1 <= m_prime < m:
+        raise InputError(f"m_prime={m_prime} must lie in 1..{m - 1} (red set of {m})")
+    if replicates < 1:
+        raise InputError("replicates_per_partition must be >= 1")
+    if not (isfinite(bin_width) and bin_width > 0):
+        raise InputError(f"bin width must be finite and > 0, got {bin_width}")
+    return grid
 
 
 def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
                           replicates_per_partition: int, seed, *,
                           bin_width: float = 0.1, min_partitions: int = 20,
-                          collect_rates: bool = True,
                           n_workers: int = 1) -> TrialsResult:
     """Nomination trials over accepted partitions, aggregated into gap bins.
 
@@ -388,24 +382,13 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
     accepted = list(accepted)
     if not accepted:
         raise InputError("no accepted partitions to run trials on")
-    grid = tuple(float(x) for x in gamma_grid)
-    if not grid:
-        raise InputError("gamma_grid must be non-empty")
-    if replicates_per_partition < 1:
-        raise InputError("replicates_per_partition must be >= 1")
-    for sp in accepted:
-        if not m_prime < sp.partition.num_red:
-            raise InputError(
-                f"m_prime={m_prime} must be smaller than the red set ({sp.partition.num_red})")
-    if m_prime < 1:
-        raise InputError("m_prime must be >= 1")
-    if not (isfinite(bin_width) and bin_width > 0):
-        raise InputError(f"bin width must be finite and > 0, got {bin_width}")
+    grid = check_trial_arguments(min(sp.partition.num_red for sp in accepted), m_prime,
+                                 gamma_grid, replicates_per_partition, bin_width)
     base = child_seed(seed)
     cum_topics = np.cumsum(g.topic_probs, axis=1)
     raw = parallel_map(_trial_partition,
                        [(g, sp, ordinal, m_prime, grid, replicates_per_partition, base,
-                         collect_rates, cum_topics) for ordinal, sp in enumerate(accepted)],
+                         cum_topics) for ordinal, sp in enumerate(accepted)],
                        n_workers)
 
     partitions = []

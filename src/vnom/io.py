@@ -75,11 +75,13 @@ def read_topic_graph(path) -> TopicGraph:
                 n = _parse_int(line[3:], lineno, "vertex count")
             elif line.startswith("#k="):
                 k = _parse_int(line[3:], lineno, "topic count")
+                if k < 2:
+                    raise GraphFormatError(f"topic count must be >= 2, got {k}", lineno)
             elif line.startswith("#vertex "):
                 parts = line.split(maxsplit=2)
                 if len(parts) != 3:
                     raise GraphFormatError("malformed #vertex line", lineno)
-                names[_parse_int(parts[1], lineno, "vertex id")] = parts[2]
+                names[_vertex_id(parts[1], n, names, lineno)] = parts[2]
             elif line.startswith("#"):
                 continue  # metadata
             elif line.startswith("e "):
@@ -137,6 +139,18 @@ def _parse_int(text: str, lineno: int, what: str) -> int:
         raise GraphFormatError(f"malformed {what} {text!r}", lineno) from None
 
 
+def _vertex_id(text: str, n, seen, lineno: int) -> int:
+    """A vertex line's id: after the #n= header, in range, not seen before."""
+    if n is None:
+        raise GraphFormatError("vertex line before the #n= header", lineno)
+    vid = _parse_int(text, lineno, "vertex id")
+    if not 0 <= vid < n:
+        raise GraphFormatError(f"vertex id {vid} outside 0..{n - 1}", lineno)
+    if vid in seen:
+        raise GraphFormatError(f"repeated vertex id {vid}", lineno)
+    return vid
+
+
 # ---------------------------------------------------------------------------
 # attributed-graph files
 # ---------------------------------------------------------------------------
@@ -171,13 +185,15 @@ def read_attributed_graph(path) -> AttributedGraph:
                 n = _parse_int(line[3:], lineno, "vertex count")
             elif line.startswith("#ke="):
                 ke = _parse_int(line[4:], lineno, "attribute count")
+                if ke < 1:
+                    raise GraphFormatError(f"attribute count must be >= 1, got {ke}", lineno)
             elif line.startswith("#"):
                 continue
             elif line.startswith("v "):
                 fields = line.split()
                 if len(fields) != 4:
                     raise GraphFormatError("malformed vertex line", lineno)
-                vid = _parse_int(fields[1], lineno, "vertex id")
+                vid = _vertex_id(fields[1], n, truth, lineno)
                 truth[vid] = _parse_int(fields[2], lineno, "truth label")
                 observed[vid] = _parse_int(fields[3], lineno, "observed label")
             elif line.startswith("a "):
@@ -419,9 +435,8 @@ def partitions_to_csv(trials: TrialsResult, config: dict) -> str:
               "gamma,criterion,mean\n")
     for pt in trials.partitions:
         rates = pt.rates
-        rate_cols = (",,,," if rates is None else
-                     f"{_fnum(rates.p1)},{_fnum(rates.p2)},{_fnum(rates.s1)},{_fnum(rates.s2)},")
-        prefix = f"{pt.index},{_fnum(pt.delta_rho)},{_fnum(pt.delta_p)},{rate_cols}"
+        prefix = (f"{pt.index},{_fnum(pt.delta_rho)},{_fnum(pt.delta_p)},{_fnum(rates.p1)},"
+                  f"{_fnum(rates.p2)},{_fnum(rates.s1)},{_fnum(rates.s2)},")
         for gamma in trials.gamma_grid:
             out.write(f"{prefix}{_fnum(gamma)},s_at_1,{_fnum(pt.mean_s_at_1[gamma])}\n")
             out.write(f"{prefix}{_fnum(gamma)},mrr,{_fnum(pt.mean_rr[gamma])}\n")
@@ -432,8 +447,8 @@ def partitions_to_csv(trials: TrialsResult, config: dict) -> str:
 def rate_bins_csv(trials: TrialsResult, config: dict, width: float = 0.02) -> str:
     """Mean MRR per gamma, binned by each estimated edge-rate component.
 
-    Partitions with rate estimates pool into half-open bins of the given
-    width on each of p1/p2/s1/s2; one row per (component, bin, gamma).
+    Partitions pool into half-open bins of the given width on each of their
+    mean p1/p2/s1/s2 estimates; one row per (component, bin, gamma).
     """
     from .importance import bin_index
 
@@ -444,8 +459,6 @@ def rate_bins_csv(trials: TrialsResult, config: dict, width: float = 0.02) -> st
     components = ("p1", "p2", "s1", "s2")
     groups: dict = {}
     for pt in trials.partitions:
-        if pt.rates is None:
-            continue
         for comp in components:
             key = (comp, bin_index(getattr(pt.rates, comp), width))
             groups.setdefault(key, []).append(pt)
@@ -484,8 +497,7 @@ def trials_to_json(screening: ScreeningResult, trials: TrialsResult, config: dic
             "partition": pt.index,
             "delta_rho": pt.delta_rho,
             "delta_p": pt.delta_p,
-            "rates": None if pt.rates is None else
-                {"p1": pt.rates.p1, "p2": pt.rates.p2, "s1": pt.rates.s1, "s2": pt.rates.s2},
+            "rates": {"p1": pt.rates.p1, "p2": pt.rates.p2, "s1": pt.rates.s1, "s2": pt.rates.s2},
             "mean_s_at_1": {_fnum(g): v for g, v in pt.mean_s_at_1.items()},
             "mean_rr": {_fnum(g): v for g, v in pt.mean_rr.items()},
             "mean_ap": {_fnum(g): v for g, v in pt.mean_ap.items()},

@@ -20,6 +20,7 @@ from scipy import stats
 
 from .errors import DegenerateConditioningError, InputError
 from .graph import GREEN, OCCLUDED, RED, AttributedGraph, VertexLabel
+from .nomination import score_counts
 from .seeding import child_seed, generator
 
 
@@ -270,8 +271,8 @@ def empirical_score_pmfs(params: KidneyEggParams, n_samples: int, seed):
             ("red", "context"): [], ("red", "content"): []}
     for i in range(n_samples):
         g = sample_kidney_egg(params, child_seed(base, i))
-        t0_all = _context_scores(g)
-        t1_all = _content_scores(g)
+        t0_all, t1_all = score_counts(g.n, g.edge_u, g.edge_v, g.edge_attr == RED,
+                                      g.observed == RED)
         green_v = int(np.flatnonzero(g.truth == GREEN)[0])
         red_v = int(g.red_candidates()[0])
         vals[("green", "context")].append(t0_all[green_v])
@@ -283,16 +284,3 @@ def empirical_score_pmfs(params: KidneyEggParams, n_samples: int, seed):
         for cls in ("green", "red")
     }
 
-
-def _context_scores(g: AttributedGraph) -> np.ndarray:
-    """Identified-neighbor count for every vertex (single pass over edges)."""
-    ident = g.observed == RED
-    return (np.bincount(g.edge_u[ident[g.edge_v]], minlength=g.n)
-            + np.bincount(g.edge_v[ident[g.edge_u]], minlength=g.n))
-
-
-def _content_scores(g: AttributedGraph) -> np.ndarray:
-    """Incident red-edge count for every vertex (single pass over edges)."""
-    red_edge = g.edge_attr == RED
-    return (np.bincount(g.edge_u[red_edge], minlength=g.n)
-            + np.bincount(g.edge_v[red_edge], minlength=g.n))

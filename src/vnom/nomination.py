@@ -10,6 +10,9 @@ Ranking compares one exact integer key per candidate, ``(den-num)*context +
 num*content`` with ``gamma = num/den``: the small rational a grid float stands
 for, or else the float's exact binary value.  Equal fused values therefore
 never split and unequal ones never merge through float rounding.
+
+:func:`score_counts` counts both scores for every vertex from bare edge arrays;
+it serves attributed graphs, importance trials and sampled score PMFs alike.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 
 from .errors import InputError
 from .graph import OCCLUDED, RED, AttributedGraph, candidate_set
-from .kidney_egg import _content_scores, _context_scores
 from .seeding import generator
 
 GAMMA_GRID_DEFAULT = tuple(k / 100 for k in range(101))
@@ -88,12 +90,34 @@ def _check_gamma(gamma: float):
         raise InputError(f"gamma must lie in [0, 1], got {gamma}")
 
 
+def validate_gamma_grid(gamma_grid) -> tuple:
+    """The grid as a tuple of floats: non-empty, each in [0, 1], no repeats
+    (results are keyed by gamma, so a repeat would merge in some outputs)."""
+    grid = tuple(float(x) for x in gamma_grid)
+    if not grid:
+        raise InputError("gamma grid must be non-empty")
+    for gamma in grid:
+        _check_gamma(gamma)
+    if len(set(grid)) != len(grid):
+        raise InputError(f"gamma grid repeats a value: {grid}")
+    return grid
+
+
+def score_counts(n: int, edge_u, edge_v, red_edge, identified):
+    """(context, content) of all n vertices: neighbors in the ``identified``
+    vertex mask, and incident edges in the ``red_edge`` edge mask."""
+    context = (np.bincount(edge_u[identified[edge_v]], minlength=n)
+               + np.bincount(edge_v[identified[edge_u]], minlength=n))
+    content = (np.bincount(edge_u[red_edge], minlength=n)
+               + np.bincount(edge_v[red_edge], minlength=n))
+    return context, content
+
+
 def candidate_statistics(g: AttributedGraph):
     """(candidate ids, context scores, content scores) as aligned arrays."""
     cand = candidate_set(g)
-    t0 = _context_scores(g)[cand]
-    t1 = _content_scores(g)[cand]
-    return cand, t0, t1
+    t0, t1 = score_counts(g.n, g.edge_u, g.edge_v, g.edge_attr == RED, g.observed == RED)
+    return cand, t0[cand], t1[cand]
 
 
 _INT64_DENOMINATOR = 1_000_000  # largest small-rational denominator; its keys fit int64

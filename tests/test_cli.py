@@ -72,6 +72,67 @@ class TestExitCodes:
         assert "error:" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [("--bins", "0"), ("--bins", "nan"),
+                                            ("--gammas", "1.5"), ("--gammas", "nan"),
+                                            ("--gammas", "0,0.5,0.5"), ("--gammas", ""),
+                                            ("--m-prime", "99"), ("--m-prime", "10"),
+                                            ("--m-prime", "0"), ("--replicates", "0")])
+    @pytest.mark.parametrize("tau_p", ["0.2", "3"])  # some / no accepted partition
+    def test_bad_trial_arguments_fail_before_screening(self, capsys, monkeypatch, corpus,
+                                                       flag, value, tau_p):
+        def screen_partitions(*args, **kwargs):
+            raise AssertionError("screening ran")
+
+        monkeypatch.setattr("vnom.cli.screen_partitions", screen_partitions)
+        code, out, err = run_cli(capsys, "importance", "--graph", str(corpus), "--m", "10",
+                                 "--m-prime", "5", "--tau-p", tau_p, flag, value,
+                                 "--seed", "1")
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "importance", "surface"])
+    def test_negative_seed_exits_1(self, capsys, corpus, command):
+        extra = {"sweep": ["--m-list", "8", "--replicates", "2"],
+                 "importance": ["--graph", str(corpus), "--attempts", "10"],
+                 "surface": ["--n", "20", "--m", "8", "--m-prime", "2", "--replicates", "2"]}
+        code, out, err = run_cli(capsys, command, *extra[command], "--seed", "-5")
+        assert code == 1
+        assert "error:" in err and "seed" in err and out == ""
+
+    def test_negative_sample_count_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "analytic", "--n", "20", "--m", "8",
+                                 "--m-prime", "2", "--samples", "-3")
+        assert code == 1
+        assert "error:" in err and "--samples" in err and out == ""
+
+    @pytest.mark.parametrize("text,line", [
+        ("#n=3\n#k=0\ne 0 1 1\n", 2),
+        ("#n=3\n#k=1\ne 0 1 1 1.0\n", 2),
+        ("#n=3\n#k=2\n#vertex 0 a\n#vertex 9 z\n", 4),
+        ("#n=3\n#k=2\n#vertex -1 z\n", 3),
+        ("#n=3\n#k=2\n#vertex 0 a\n#vertex 1 b\n#vertex 1 c\n#vertex 2 d\n", 5),
+        ("#vertex 0 a\n#n=1\n#k=2\n", 1),
+    ])
+    def test_malformed_topic_file_exits_1(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.topics"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "importance", "--graph", str(path), "--seed", "1")
+        assert code == 1
+        assert f"error: line {line}:" in err and "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("text,line", [
+        ("#n=2\n#ke=0\nv 0 1 0\nv 1 2 0\n", 2),
+        ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\nv 5 2 0\n", 5),
+        ("#n=2\n#ke=2\nv 0 1 0\nv 0 2 0\nv 1 2 0\n", 4),
+        ("v 0 1 0\n#n=1\n#ke=2\n", 1),
+    ])
+    def test_malformed_attributed_file_exits_1(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.attr"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "estimate", "--graph", str(path))
+        assert code == 1
+        assert f"error: line {line}:" in err and "Traceback" not in err and out == ""
+
     @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
     def test_bad_surrogate_message_rate_exits_1(self, capsys, tmp_path, value):
         out = tmp_path / "corpus.topics"

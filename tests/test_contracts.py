@@ -35,6 +35,16 @@ def test_no_seed_sequence_spawn_in_sources():
     assert offenders == []
 
 
+def test_seed_sequences_built_only_in_seeding():
+    # every derived stream goes through seeding.child_seed, which also rejects bad seeds
+    offenders = [f"{path.name}:{lineno}"
+                 for path in sorted((ROOT / "src" / "vnom").glob("*.py"))
+                 if path.name != "seeding.py"
+                 for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+                 if "SeedSequence(" in line]
+    assert offenders == []
+
+
 def test_every_traced_span_resolves():
     worker = load_bench_worker()
     for _, module, functions in worker.SPANS:
@@ -59,9 +69,8 @@ def test_fused_order_runs_once_per_graph_and_gamma(monkeypatch):
     assert tracer.take()["nomination.fused_order"]["calls"] == 3 * 4
 
 
-@pytest.mark.parametrize("workload", ["surface", "sweep", "importance"])
-def test_cli_output_matches_recorded_benchmark_digest(monkeypatch, tmp_path, workload):
-    # bench/run.py's own argv and corpus preparation, run in this process
+def load_bench_run(monkeypatch):
+    """bench/run.py as a module whose vnom runs happen in this process."""
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
     run = importlib.util.module_from_spec(spec)
@@ -71,9 +80,39 @@ def test_cli_output_matches_recorded_benchmark_digest(monkeypatch, tmp_path, wor
         return None, [] if vnom.cli.main(argv) == 0 else [f"vnom {argv[0]} failed"]
 
     monkeypatch.setattr(run, "vnom_run", vnom_run)
+    return run
+
+
+def data_digest(path) -> str:
+    return hashlib.sha256(data_section(path.read_text()).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("workload", ["surface", "sweep", "importance"])
+def test_cli_output_matches_recorded_benchmark_digest(monkeypatch, tmp_path, workload):
+    # bench/run.py's own argv and corpus preparation, run in this process
+    run = load_bench_run(monkeypatch)
     run.prepare(workload, 1, tmp_path)
     out = tmp_path / f"{workload}.csv"
     assert vnom.cli.main(run.WORKLOADS[workload]["argv"](1, str(out), tmp_path)) == 0
-    digest = hashlib.sha256(data_section(out.read_text()).encode("utf-8")).hexdigest()
     recorded = json.loads((ROOT / "bench" / "digests.json").read_text())["sha256"]
-    assert digest == recorded[workload]["1"]
+    assert data_digest(out) == recorded[workload]["1"]
+
+
+# data-section sha256 of the importance workload's side outputs at seed 1, as
+# written before the partition kernels were shared between the public
+# functions and the screening and trial loops
+IMPORTANCE_SIDE_DIGESTS = {
+    "--partitions-out": "b42267e7712af4d397dbc4ffb3a8dcb3aa085b8ce83e53d6e225434ddeadc80f",
+    "--rates-out": "62b253a1f122f2dc9c76ddb989505f3815145f655505b4c63cbb89897711cd27",
+}
+
+
+def test_importance_side_outputs_match_recorded_digests(monkeypatch, tmp_path):
+    run = load_bench_run(monkeypatch)
+    run.prepare("importance", 1, tmp_path)
+    argv = run.WORKLOADS["importance"]["argv"](1, str(tmp_path / "importance.csv"), tmp_path)
+    outputs = {flag: tmp_path / f"{flag[2:]}.csv" for flag in IMPORTANCE_SIDE_DIGESTS}
+    for flag, path in outputs.items():
+        argv += [flag, str(path)]
+    assert vnom.cli.main(argv) == 0
+    assert {flag: data_digest(path) for flag, path in outputs.items()} == IMPORTANCE_SIDE_DIGESTS

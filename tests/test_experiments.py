@@ -5,11 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from vnom import (InputError, KidneyEggParams, Simplex3, SweepSpec, candidate_statistics,
-                  evaluate_ranking, gamma_star, gamma_surface, rank_candidates,
-                  run_replicate, run_sweep, sample_kidney_egg)
+from vnom import (GAMMA_GRID_DEFAULT, InputError, KidneyEggParams, Simplex3, SweepSpec,
+                  candidate_statistics, evaluate_ranking, gamma_star, gamma_surface,
+                  rank_candidates, run_replicate, run_sweep, sample_kidney_egg)
 from vnom.experiments import evaluate_grid, parallel_map, pool_size
 from vnom.graph import RED
+from vnom.nomination import validate_gamma_grid
 from vnom.seeding import as_seed_sequence, child_seed
 
 PAPER_P = Simplex3(0.6, 0.2, 0.2)
@@ -218,3 +219,32 @@ class TestGammaStar:
         surf = gamma_surface(params, grid, y_max=1, replicates=20, seed=6)
         best = grid[int(np.argmax(surf.map_mean))]
         assert gamma_star(params, grid, "map", replicates=20, seed=6) == best
+
+
+BAD_GRIDS = [(), (0.0, 1.5), (-0.1,), (float("nan"),), (float("inf"),), (0.0, 0.5, 0.5),
+             (0.0, -0.0)]
+
+
+class TestGammaGridValidation:
+    def test_valid_grid_becomes_float_tuple(self):
+        assert validate_gamma_grid([0, 0.5, 1]) == (0.0, 0.5, 1.0)
+        assert validate_gamma_grid(GAMMA_GRID_DEFAULT) == GAMMA_GRID_DEFAULT
+
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
+    def test_every_entry_point_rejects(self, grid):
+        params = small_params()
+        calls = [
+            lambda: validate_gamma_grid(grid),
+            lambda: SweepSpec(30, PAPER_P, PAPER_S, (10,), grid, 2, 1, m_prime_ratio=0.25),
+            lambda: run_replicate(params, grid, 1),
+            lambda: gamma_surface(params, grid, 1, 2, 1),
+            lambda: gamma_star(params, grid, replicates=2, seed=1),
+        ]
+        for call in calls:
+            with pytest.raises(InputError):
+                call()
+
+    def test_negative_master_seed_rejected(self):
+        spec = SweepSpec(30, PAPER_P, PAPER_S, (10,), (0.5,), 2, -5, m_prime_ratio=0.25)
+        with pytest.raises(InputError):
+            run_sweep(spec)

@@ -7,7 +7,7 @@ from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition,
                   ScreeningThresholds, TopicMap, UndefinedDensityError, delta_p,
                   delta_rho, estimate_rates, instantiate_edges, run_importance_trials,
                   sample_kidney_egg, screen_partitions, topic_profile)
-from vnom.importance import bin_index, topic_map_from_profiles
+from vnom.importance import bin_index, check_trial_arguments, topic_map_from_profiles
 
 from conftest import build_attributed, build_topic, point_mass
 
@@ -313,6 +313,26 @@ class TestRunImportanceTrials:
             run_importance_trials(g, res.accepted, 4, [0.5], 1, 0)
         with pytest.raises(InputError):
             run_importance_trials(g, [], 2, [0.5], 1, 0)
+
+
+class TestCheckTrialArguments:
+    def test_returns_float_grid(self):
+        assert check_trial_arguments(10, 5, [0, 1], 3, 0.1) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("m,m_prime,grid,replicates,width", [
+        (10, 10, (0.5,), 1, 0.1), (10, 0, (0.5,), 1, 0.1), (10, 5, (0.5,), 0, 0.1),
+        (10, 5, (0.5,), 1, 0.0), (10, 5, (0.5,), 1, np.nan), (10, 5, (1.5,), 1, 0.1),
+        (10, 5, (0.5, 0.5), 1, 0.1), (10, 5, (), 1, 0.1)])
+    def test_rejects(self, m, m_prime, grid, replicates, width):
+        with pytest.raises(InputError):
+            check_trial_arguments(m, m_prime, grid, replicates, width)
+
+    @pytest.mark.parametrize("grid", [(), (0.0, 1.5), (np.nan,), (0.5, 0.5)])
+    def test_trials_reject_bad_gamma_grid(self, grid):
+        g = two_block_topic_graph()
+        res = screen_partitions(g, 4, ScreeningThresholds(-np.inf, -np.inf), 3, 0)
+        with pytest.raises(InputError):
+            run_importance_trials(g, res.accepted, 2, grid, 1, 0)
 
 
 class TestKappaConsistency:
