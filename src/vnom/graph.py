@@ -102,9 +102,9 @@ class AttributedGraph:
         observed = np.asarray(observed, dtype=np.int8)
         if truth.shape != (n,) or observed.shape != (n,):
             raise InputError("truth and observed must have one entry per vertex")
-        if not np.isin(truth, (RED, GREEN)).all():
+        if not ((truth == RED) | (truth == GREEN)).all():
             raise InputError("truth labels must be RED or GREEN")
-        if not np.isin(observed, (RED, OCCLUDED)).all():
+        if not ((observed == RED) | (observed == OCCLUDED)).all():
             raise InputError("observed labels must be RED or OCCLUDED")
         if np.any((observed == RED) & (truth != RED)):
             raise InputError("an identified vertex must be truly red")

@@ -72,11 +72,9 @@ def read_topic_graph(path) -> TopicGraph:
             if not line:
                 continue
             if line.startswith("#n="):
-                n = _parse_int(line[3:], lineno, "vertex count")
+                n = _header_int(n, line[3:], lineno, "vertex count", 1)
             elif line.startswith("#k="):
-                k = _parse_int(line[3:], lineno, "topic count")
-                if k < 2:
-                    raise GraphFormatError(f"topic count must be >= 2, got {k}", lineno)
+                k = _header_int(k, line[3:], lineno, "topic count", 2)
             elif line.startswith("#vertex "):
                 parts = line.split(maxsplit=2)
                 if len(parts) != 3:
@@ -139,6 +137,16 @@ def _parse_int(text: str, lineno: int, what: str) -> int:
         raise GraphFormatError(f"malformed {what} {text!r}", lineno) from None
 
 
+def _header_int(current, text: str, lineno: int, what: str, minimum: int) -> int:
+    """A count header's value: given once, an integer, at least ``minimum``."""
+    if current is not None:
+        raise GraphFormatError(f"repeated {what} header", lineno)
+    value = _parse_int(text, lineno, what)
+    if value < minimum:
+        raise GraphFormatError(f"{what} must be >= {minimum}, got {value}", lineno)
+    return value
+
+
 def _vertex_id(text: str, n, seen, lineno: int) -> int:
     """A vertex line's id: after the #n= header, in range, not seen before."""
     if n is None:
@@ -182,11 +190,9 @@ def read_attributed_graph(path) -> AttributedGraph:
             if not line:
                 continue
             if line.startswith("#n="):
-                n = _parse_int(line[3:], lineno, "vertex count")
+                n = _header_int(n, line[3:], lineno, "vertex count", 1)
             elif line.startswith("#ke="):
-                ke = _parse_int(line[4:], lineno, "attribute count")
-                if ke < 1:
-                    raise GraphFormatError(f"attribute count must be >= 1, got {ke}", lineno)
+                ke = _header_int(ke, line[4:], lineno, "attribute count", 1)
             elif line.startswith("#"):
                 continue
             elif line.startswith("v "):

@@ -112,6 +112,10 @@ class TestExitCodes:
         ("#n=3\n#k=2\n#vertex -1 z\n", 3),
         ("#n=3\n#k=2\n#vertex 0 a\n#vertex 1 b\n#vertex 1 c\n#vertex 2 d\n", 5),
         ("#vertex 0 a\n#n=1\n#k=2\n", 1),
+        ("#n=0\n#k=2\n", 1),
+        ("#n=-1\n#k=2\n#vertex 0 a\n", 1),
+        ("#n=3\n#k=2\ne 0 1 1 0.5 0.5\n#n=10\n", 4),
+        ("#n=3\n#k=2\n#k=3\n", 3),
     ])
     def test_malformed_topic_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.topics"
@@ -125,6 +129,10 @@ class TestExitCodes:
         ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\nv 5 2 0\n", 5),
         ("#n=2\n#ke=2\nv 0 1 0\nv 0 2 0\nv 1 2 0\n", 4),
         ("v 0 1 0\n#n=1\n#ke=2\n", 1),
+        ("#n=0\n#ke=2\n", 1),
+        ("#n=-1\n#ke=2\nv 0 1 0\n", 1),
+        ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\n#n=10\n", 5),
+        ("#n=2\n#ke=2\n#ke=3\n", 3),
     ])
     def test_malformed_attributed_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.attr"

@@ -1,10 +1,12 @@
-"""Repository contracts: pure seed derivation, the benchmark's trace hooks and
-its recorded output digests."""
+"""Repository contracts: pure seed derivation, a numpy-only dependency set, the
+benchmark's trace hooks, call counts and recorded output digests."""
 
 import hashlib
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,6 +47,27 @@ def test_seed_sequences_built_only_in_seeding():
     assert offenders == []
 
 
+def test_no_scipy_in_sources_or_dependencies():
+    offenders = [f"{path.name}:{lineno}"
+                 for path in sorted((ROOT / "src" / "vnom").glob("*.py"))
+                 for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+                 if "scipy" in line]
+    assert offenders == []
+    assert "scipy" not in (ROOT / "pyproject.toml").read_text()
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so that no other test's imports are counted
+    src = str(Path(vnom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, vnom, vnom.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_every_traced_span_resolves():
     worker = load_bench_worker()
     for _, module, functions in worker.SPANS:
@@ -53,17 +76,30 @@ def test_every_traced_span_resolves():
                 f"{module}.{name}"
 
 
-def test_fused_order_runs_once_per_graph_and_gamma(monkeypatch):
-    # wrap fused_order wherever a vnom module looks it up, as the tracer does
+def trace_spans(monkeypatch, spans):
+    """A bench Tracer whose named spans wrap their functions wherever a vnom
+    module looks them up, as Tracer.install does, undone after the test."""
     worker = load_bench_worker()
     tracer = worker.Tracer()
-    original = vnom.nomination.fused_order
-    wrapped = tracer.wrap("nomination.fused_order", original)
-    for name, module in list(sys.modules.items()):
-        if name == "vnom" or name.startswith("vnom."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, wrapped)
+    found = set()
+    for span, module, functions in worker.SPANS:
+        if span not in spans:
+            continue
+        found.add(span)
+        for fn_name in functions:
+            original = getattr(importlib.import_module(f"vnom.{module}"), fn_name)
+            wrapped = tracer.wrap(span, original)
+            for name, mod in list(sys.modules.items()):
+                if name == "vnom" or name.startswith("vnom."):
+                    for attr, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, attr, wrapped)
+    assert found == set(spans)
+    return tracer
+
+
+def test_fused_order_runs_once_per_graph_and_gamma(monkeypatch):
+    tracer = trace_spans(monkeypatch, ["nomination.fused_order"])
     params = KidneyEggParams(30, 10, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
     gamma_surface(params, (0.0, 0.1 + 0.2, 0.5, 1.0), y_max=2, replicates=3, seed=4)
     assert tracer.take()["nomination.fused_order"]["calls"] == 3 * 4
@@ -89,13 +125,20 @@ def data_digest(path) -> str:
 
 @pytest.mark.parametrize("workload", ["surface", "sweep", "importance"])
 def test_cli_output_matches_recorded_benchmark_digest(monkeypatch, tmp_path, workload):
-    # bench/run.py's own argv and corpus preparation, run in this process
+    # bench/run.py's own argv, corpus preparation and call counts, run in this process
     run = load_bench_run(monkeypatch)
     run.prepare(workload, 1, tmp_path)
+    expected = run.WORKLOADS[workload]["calls"]
+    tracer = trace_spans(monkeypatch, expected)
     out = tmp_path / f"{workload}.csv"
     assert vnom.cli.main(run.WORKLOADS[workload]["argv"](1, str(out), tmp_path)) == 0
     recorded = json.loads((ROOT / "bench" / "digests.json").read_text())["sha256"]
     assert data_digest(out) == recorded[workload]["1"]
+    spans = tracer.take()
+    assert {span: spans.get(span, {}).get("calls", 0) for span in expected} == expected
+    assert expected == {"surface": {"nomination.fused_order": 5050},
+                        "sweep": {"kidney_egg.sample_kidney_egg": 400},
+                        "importance": {"kidney_egg.sample_kidney_egg": 0}}[workload]
 
 
 # data-section sha256 of the importance workload's side outputs at seed 1, as

@@ -1,16 +1,18 @@
 """Model sampling and exact score distributions."""
 
-from math import comb
+from fractions import Fraction
+from math import comb, fsum
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnom import (GREEN, RED, DegenerateConditioningError, InputError, KidneyEggParams,
-                  PMF, Simplex3, binomial_pmf, content_given_context_pmf,
-                  content_pmf_from_conditionals, content_score_pmf, context_score_pmf,
-                  empirical_score_pmfs, sample_kidney_egg, tv_distance)
+from vnom import (GREEN, OCCLUDED, RED, AttributedGraph, DegenerateConditioningError,
+                  InputError, KidneyEggParams, PMF, Simplex3, binomial_pmf,
+                  content_given_context_pmf, content_pmf_from_conditionals, content_score_pmf,
+                  context_score_pmf, empirical_score_pmfs, sample_kidney_egg, tv_distance)
+from vnom.seeding import generator
 
 PAPER_P = Simplex3(0.6, 0.2, 0.2)
 PAPER_S = Simplex3(0.4, 0.4, 0.2)
@@ -99,15 +101,80 @@ class TestSampleKidneyEgg:
         assert np.mean(counts) == pytest.approx(expected, rel=0.02)
 
 
+def reference_sample(params, seed):
+    """The sampler as first written: the same draws, with every pair's
+    thresholds built by np.where over np.triu_indices."""
+    rng = generator(seed)
+    n, m, mp = params.n, params.m, params.m_prime
+    red = np.sort(rng.choice(n, size=m, replace=False))
+    identified = np.sort(rng.choice(red, size=mp, replace=False))
+    truth = np.full(n, GREEN, dtype=np.int8)
+    truth[red] = RED
+    observed = np.full(n, OCCLUDED, dtype=np.int8)
+    observed[identified] = RED
+    iu, iv = np.triu_indices(n, k=1)
+    u = rng.random(iu.size)
+    is_red_pair = (truth[iu] == RED) & (truth[iv] == RED)
+    c0 = np.where(is_red_pair, params.s.q0, params.p.q0)
+    c1 = c0 + np.where(is_red_pair, params.s.q1, params.p.q1)
+    attr = (u >= c0).astype(np.int64) + (u >= c1)
+    present = attr > 0
+    return AttributedGraph(n, iu[present], iv[present], attr[present], truth, observed)
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("n,m,mp,p,s", [
+        (184, 40, 30, PAPER_P, PAPER_S),
+        (3, 2, 1, PAPER_P, PAPER_S),
+        (25, 2, 1, (0.5, 0.3, 0.2), (0.1, 0.5, 0.4)),
+        (30, 8, 3, PAPER_P, (1, 0, 0)),
+        (30, 8, 3, PAPER_P, (0, 1, 0)),
+        (30, 8, 3, (1, 0, 0), PAPER_S),
+        (40, 39, 7, (0.3, 0.3, 0.4), (0.2, 0.2, 0.6)),
+    ])
+    def test_matches_reference_sampler(self, n, m, mp, p, s):
+        params = KidneyEggParams(n, m, mp, p, s)
+        for seed in range(200):
+            got, want = sample_kidney_egg(params, seed), reference_sample(params, seed)
+            assert got == want and got.edge_attr.dtype == want.edge_attr.dtype
+            assert got.edge_checksum() == want.edge_checksum()
+
+
+def exact_binomial(n, p):
+    fp = Fraction(p)
+    return [comb(n, k) * fp ** k * (1 - fp) ** (n - k) for k in range(n + 1)]
+
+
+class TestBinomialPMF:
+    @pytest.mark.parametrize("p", [1 / 3, 0.1, 0.2 / 0.3, 1e-6, 0.999, 0.5])
+    def test_matches_exact_rationals(self, p):
+        for n in range(61):
+            got = binomial_pmf(n, p).probs
+            assert len(got) == n + 1
+            err = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact_binomial(n, p)))
+            assert err <= Fraction(1, 10 ** 15), (n, float(err))
+
+    @pytest.mark.parametrize("p", [0.2, 1 / 3, 1e-4, 0.9999])
+    def test_large_n_is_finite_and_normalized(self, p):
+        n = 100_000
+        probs = binomial_pmf(n, p).probs
+        assert np.isfinite(probs).all() and len(probs) == n + 1
+        assert abs(fsum(probs) - 1.0) < 1e-12
+        mean = fsum(np.arange(n + 1) * probs)
+        assert abs(mean - n * p) <= 1e-9 * n * p
+
+
 class TestPMF:
     def test_rejects_bad_sum(self):
         with pytest.raises(InputError):
             PMF(np.array([0.5, 0.4]))
 
     def test_binomial_edge_cases(self):
-        assert binomial_pmf(0, 0.3).probs.tolist() == [1.0]
-        assert binomial_pmf(4, 0.0).probs[0] == 1.0
-        assert binomial_pmf(4, 1.0).probs[-1] == 1.0
+        for p in (0.0, 0.3, 1.0):
+            assert binomial_pmf(0, p).probs.tolist() == [1.0]
+        for n in (1, 4, 60):
+            assert binomial_pmf(n, 0.0).probs.tolist() == [1.0] + [0.0] * n
+            assert binomial_pmf(n, 1.0).probs.tolist() == [0.0] * n + [1.0]
 
     def test_two_trial_binomial(self):
         pmf = binomial_pmf(2, 0.5)
