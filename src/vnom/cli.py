@@ -3,7 +3,7 @@
 Subcommands: simulate, sweep, surface, importance, estimate, analytic,
 surrogate, baseline.  Exit codes: 0 success, 1 validation error, 2 io error.
 Randomized subcommands take --seed; when omitted a seed is generated and
-printed so the run can be reproduced.
+printed to stderr so the run can be reproduced.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import numpy as np
 from .errors import InputError, VnomError
 from .experiments import SweepSpec, gamma_surface, run_sweep
 from .graph import Partition
-from .importance import (ScreeningThresholds, check_trial_arguments, estimate_rates,
-                         run_importance_trials, screen_partitions)
+from .importance import (ScreeningThresholds, TrialsResult, check_trial_arguments,
+                         estimate_rates, run_importance_trials, screen_partitions)
 from .kidney_egg import (KidneyEggParams, Simplex3, content_pmf_from_conditionals,
                          content_score_pmf, context_score_pmf, empirical_score_pmfs,
                          sample_kidney_egg, tv_distance)
@@ -40,13 +40,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_seed(parser):
     parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed; generated and printed when omitted")
+                        help="RNG seed; generated and printed to stderr when omitted")
 
 
 def _resolve_seed(args) -> int:
     if args.seed is None:
         args.seed = secrets.randbits(48)
-        print(f"seed: {args.seed}")
+        print(f"seed: {args.seed}", file=sys.stderr)
     return args.seed
 
 
@@ -74,6 +74,7 @@ def _parse_int_list(text: str):
 
 
 def _write_or_print(text: str, out):
+    """Write a result document to the file ``out``, or to stdout when None."""
     if out is None:
         sys.stdout.write(text)
     else:
@@ -199,6 +200,12 @@ def _params_from(args) -> KidneyEggParams:
                            Simplex3(args.s0, args.s1, args.s2))
 
 
+def _model_config(params: KidneyEggParams, **extra) -> dict:
+    """The model parameters as recorded in a result's config, plus ``extra``."""
+    return {"n": params.n, "m": params.m, "m_prime": params.m_prime,
+            "p": list(params.p.as_array()), "s": list(params.s.as_array()), **extra}
+
+
 def _cmd_simulate(args) -> int:
     if args.top < 0:
         raise InputError(f"--top must be >= 0, got {args.top}")
@@ -210,8 +217,7 @@ def _cmd_simulate(args) -> int:
     report = evaluate_ranking(ranking, g.red_candidates())
     doc = {
         "seed": seed,
-        "params": {"n": params.n, "m": params.m, "m_prime": params.m_prime,
-                   "p": list(params.p.as_array()), "s": list(params.s.as_array())},
+        "params": _model_config(params),
         "gamma": args.gamma,
         "edges": g.num_edges,
         "top": [{"vertex": int(v), "score": float(s), "truth_red": bool(g.truth[v] == 1)}
@@ -228,8 +234,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     p = Simplex3(args.p0, args.p1, args.p2)
-    s2 = args.p2  # the sweep design pins the green-content rate across the graph
-    s = Simplex3(1.0 - args.s1 - s2, args.s1, s2)
+    # the sweep design pins the green-content rate across the graph
+    s = Simplex3(1.0 - args.s1 - p.q2, args.s1, p.q2)
     spec = SweepSpec(
         n=args.n, p=p, s=s,
         m_values=_parse_int_list(args.m_list),
@@ -252,9 +258,7 @@ def _cmd_surface(args) -> int:
     params = _params_from(args)
     result = gamma_surface(params, _parse_gammas(args.gammas), args.y_max,
                            args.replicates, seed)
-    config = {"n": params.n, "m": params.m, "m_prime": params.m_prime,
-              "p": list(params.p.as_array()), "s": list(params.s.as_array()),
-              "y_max": args.y_max, "replicates": args.replicates, "seed": seed}
+    config = _model_config(params, y_max=args.y_max, replicates=args.replicates, seed=seed)
     text = (vio.surface_to_csv(result, config) if args.format == "csv"
             else vio.surface_to_json(result, config))
     _write_or_print(text, args.out)
@@ -280,26 +284,20 @@ def _cmd_importance(args) -> int:
               "gammas": args.gammas, "replicates": args.replicates,
               "weighted_profiles": weighted, "seed": seed,
               "max_partitions": args.max_partitions}
-    if screening.n_accepted == 0:
-        print(json.dumps({"accepted": 0, "attempts": screening.attempts,
-                          "acceptance_rate": 0.0,
-                          "note": "no partition passed both thresholds"}, indent=2))
-        return 0
-    accepted = screening.accepted
-    if args.max_partitions is not None:
-        accepted = accepted[:args.max_partitions]
-    trials = run_importance_trials(g, accepted, args.m_prime, gammas, args.replicates,
-                                   trial_seed, bin_width=args.bins,
-                                   n_workers=args.workers)
+    accepted = screening.accepted[:args.max_partitions]
+    if accepted:
+        trials = run_importance_trials(g, accepted, args.m_prime, gammas, args.replicates,
+                                       trial_seed, bin_width=args.bins,
+                                       n_workers=args.workers)
+    else:  # no partition passed both thresholds: documents without bins or partitions
+        trials = TrialsResult({}, (), gammas, args.m_prime, args.replicates, args.bins)
     text = (vio.trials_to_csv(screening, trials, config) if args.format == "csv"
             else vio.trials_to_json(screening, trials, config))
     _write_or_print(text, args.out)
     if args.partitions_out:
-        with open(args.partitions_out, "w", encoding="utf-8") as fh:
-            fh.write(vio.partitions_to_csv(trials, config))
+        _write_or_print(vio.partitions_to_csv(trials, config), args.partitions_out)
     if args.rates_out:
-        with open(args.rates_out, "w", encoding="utf-8") as fh:
-            fh.write(vio.rate_bins_csv(trials, config))
+        _write_or_print(vio.rate_bins_csv(trials, config), args.rates_out)
     return 0
 
 
@@ -329,9 +327,7 @@ def _cmd_analytic(args) -> int:
         ("content_mixture", "green"): content_pmf_from_conditionals(params, 2),
         ("content_mixture", "red"): content_pmf_from_conditionals(params, 1),
     }
-    config = {"n": params.n, "m": params.m, "m_prime": params.m_prime,
-              "p": list(params.p.as_array()), "s": list(params.s.as_array()),
-              "samples": args.samples}
+    config = _model_config(params, samples=args.samples)
     tv_rows = []
     if args.samples > 0:
         seed = _resolve_seed(args)
@@ -341,17 +337,8 @@ def _cmd_analytic(args) -> int:
             for kind in ("context", "content"):
                 tv = tv_distance(empirical[cls][kind], tables[(kind, cls)])
                 tv_rows.append((kind, cls, tv))
-    if args.format == "csv":
-        text = vio.pmf_table_csv(tables, tv_rows, config)
-    else:
-        doc = {"meta": {"kind": "analytic", "config": config},
-               "data": {
-                   "pmfs": {f"{stat}/{cls}": pmf.probs.tolist()
-                            for (stat, cls), pmf in tables.items()},
-                   "tv": [{"statistic": s, "vertex_class": c, "value": v}
-                          for s, c, v in tv_rows],
-               }}
-        text = json.dumps(doc, indent=2, sort_keys=True)
+    text = (vio.pmf_table_csv(tables, tv_rows, config) if args.format == "csv"
+            else vio.pmf_table_json(tables, tv_rows, config))
     _write_or_print(text, args.out)
     return 0
 

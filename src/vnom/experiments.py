@@ -57,7 +57,6 @@ class SweepSpec:
     m_prime_ratio: float | None = None
     m_prime_values: tuple | None = None
     enforce_s2_eq_p2: bool = False
-    y_values: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "p", Simplex3.of(self.p))
@@ -204,8 +203,8 @@ def _best_gamma(gamma_grid, scores) -> float:
 def _run_cell(spec: SweepSpec, m: int, m_prime: int) -> CellResult:
     params = KidneyEggParams(spec.n, m, m_prime, spec.p, spec.s)
     rep_seeds = (child_seed(spec.master_seed, m, m_prime, rep) for rep in range(spec.replicates))
-    values = _replicate_values(params, spec.gamma_grid, rep_seeds, spec.y_values)
-    aggregates = dict(zip(spec.gamma_grid, aggregate_values(values, spec.y_values)))
+    values = _replicate_values(params, spec.gamma_grid, rep_seeds)
+    aggregates = dict(zip(spec.gamma_grid, aggregate_values(values)))
     best = {criterion: _best_gamma(spec.gamma_grid,
                                    [aggregates[g].mean(criterion) for g in spec.gamma_grid])
             for criterion in CRITERIA}

@@ -27,6 +27,7 @@ from .nomination import score_counts, validate_gamma_grid
 from .seeding import child_seed, generator
 
 _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on scheduling
+MIN_PARTITIONS = 20  # a trial bin backed by fewer partitions is flagged insufficient
 
 
 @dataclass(frozen=True)
@@ -318,7 +319,6 @@ class TrialsResult:
     m_prime: int
     replicates_per_partition: int
     bin_width: float
-    min_partitions: int
 
 
 def bin_index(value: float, width: float) -> int:
@@ -367,7 +367,7 @@ def check_trial_arguments(m: int, m_prime: int, gamma_grid, replicates: int,
 
 def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
                           replicates_per_partition: int, seed, *,
-                          bin_width: float = 0.1, min_partitions: int = 20,
+                          bin_width: float = 0.1,
                           n_workers: int = 1) -> TrialsResult:
     """Nomination trials over accepted partitions, aggregated into gap bins.
 
@@ -375,7 +375,7 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
     identify a uniform m_prime-subset of the red set, occlude the rest, rank
     across the gamma grid, and evaluate.  Reports pool into half-open
     (delta_rho, delta_p) bins of the given width; bins backed by fewer than
-    ``min_partitions`` partitions are flagged insufficient.  When the grid
+    MIN_PARTITIONS partitions are flagged insufficient.  When the grid
     contains {0, 0.5, 1}, each bin also carries the fusion-advantage surface
     value min(MRR(0), MRR(1)) - MRR(0.5).
     """
@@ -424,9 +424,9 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
             p_lo=key[1] * bin_width, p_hi=(key[1] + 1) * bin_width,
             n_partitions=n_parts,
             n_reports=stacked.shape[-1],
-            insufficient=n_parts < min_partitions,
+            insufficient=n_parts < MIN_PARTITIONS,
             per_gamma=per_gamma,
             fusion_advantage_mrr=advantage,
         )
     return TrialsResult(bins, tuple(partitions), grid, m_prime,
-                        replicates_per_partition, bin_width, min_partitions)
+                        replicates_per_partition, bin_width)

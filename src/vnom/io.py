@@ -18,7 +18,6 @@ there, so the data sections are byte-stable for a fixed seed.
 
 from __future__ import annotations
 
-import io as _io
 import json
 import math
 from datetime import datetime, timezone
@@ -28,7 +27,8 @@ import numpy as np
 from .errors import GraphFormatError, InputError
 from .experiments import SurfaceResult, SweepResult
 from .graph import AttributedGraph, TopicGraph
-from .importance import ScreeningResult, TrialsResult
+from .importance import ScreeningResult, TrialsResult, bin_index
+from .metrics import CRITERIA
 from .seeding import generator
 
 _FORMAT_TAG_TOPIC = "# vnom topic-graph v1"
@@ -288,20 +288,56 @@ def generate_surrogate(n: int = 184, k_topics: int = 32, density: float = 0.05, 
 
 
 # ---------------------------------------------------------------------------
-# result serialization (CSV with metadata comments / JSON with a meta object)
+# result documents: one metadata envelope, rendered as '#' lines in CSV and as
+# the 'meta' object in JSON
 # ---------------------------------------------------------------------------
 
-def _meta_lines(kind: str, config: dict) -> list[str]:
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return [
-        f"# vnom {kind}",
-        f"# created: {stamp}",
-        f"# config: {json.dumps(config, sort_keys=True, default=str)}",
-    ]
+RATE_BIN_WIDTH = 0.02  # estimated-rate bin width of rate_bins_csv
+
+
+def _meta(kind: str, config: dict) -> dict:
+    """The metadata envelope of every result document, with its only timestamp."""
+    return {"kind": kind,
+            "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "config": config}
+
+
+def _csv(kind: str, config: dict, header: str, rows, notes=()) -> str:
+    """A CSV document: the envelope and the writer's notes as '#' lines, then
+    the header and one line per row."""
+    meta = _meta(kind, config)
+    lines = [f"# vnom {meta['kind']}",
+             f"# created: {meta['created']}",
+             f"# config: {json.dumps(meta['config'], sort_keys=True, default=str)}",
+             *(f"# {note}" for note in notes),
+             header, *rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(kind: str, config: dict, data: dict) -> str:
+    """A JSON document: the envelope under 'meta', the results under 'data'."""
+    return json.dumps({"meta": _meta(kind, config), "data": data},
+                      sort_keys=True, indent=2, allow_nan=True)
 
 
 def _fnum(x) -> str:
     return repr(float(x))
+
+
+def _aggregate_rows(prefix: str, reports: dict, gamma_grid, suffix: str = ""):
+    """CSV rows '<prefix>,gamma,criterion,mean,stderr<suffix>' of per-gamma
+    aggregates (gamma -> AggregateReport), in grid order."""
+    for gamma in gamma_grid:
+        agg = reports[gamma]
+        for criterion in CRITERIA:
+            yield (f"{prefix},{_fnum(gamma)},{criterion},{_fnum(agg.mean(criterion))},"
+                   f"{_fnum(agg.se(criterion))}{suffix}")
+
+
+def _aggregate_json(reports: dict) -> dict:
+    """Per-gamma aggregates as {gamma: {criterion: {"mean", "stderr"}}}."""
+    return {_fnum(gamma): {c: {"mean": agg.mean(c), "stderr": agg.se(c)} for c in CRITERIA}
+            for gamma, agg in reports.items()}
 
 
 def sweep_config(result: SweepResult) -> dict:
@@ -322,27 +358,19 @@ def sweep_config(result: SweepResult) -> dict:
 
 def sweep_to_csv(result: SweepResult) -> str:
     spec = result.spec
-    out = _io.StringIO()
-    for line in _meta_lines("sweep", sweep_config(result)):
-        out.write(line + "\n")
+    notes = [f"gamma_star: m={cell.m} m_prime={cell.m_prime} "
+             f"criterion={criterion} value={_fnum(gamma)}"
+             for cell in result.cells for criterion, gamma in sorted(cell.gamma_star.items())]
+    notes += [f"skipped: m={m} m_prime={mp} reason={reason}" for m, mp, reason in result.skipped]
+    rates = ",".join(_fnum(x) for x in (spec.p.q0, spec.p.q1, spec.p.q2,
+                                        spec.s.q0, spec.s.q1, spec.s.q2))
+    rows = []
     for cell in result.cells:
-        for criterion, gamma in sorted(cell.gamma_star.items()):
-            out.write(f"# gamma_star: m={cell.m} m_prime={cell.m_prime} "
-                      f"criterion={criterion} value={_fnum(gamma)}\n")
-    for m, mp, reason in result.skipped:
-        out.write(f"# skipped: m={m} m_prime={mp} reason={reason}\n")
-    out.write("n,m,m_prime,p0,p1,p2,s0,s1,s2,gamma,criterion,mean,stderr,replicates\n")
-    base = (f"{spec.n},{{m}},{{mp}},{_fnum(spec.p.q0)},{_fnum(spec.p.q1)},{_fnum(spec.p.q2)},"
-            f"{_fnum(spec.s.q0)},{_fnum(spec.s.q1)},{_fnum(spec.s.q2)}")
-    for cell in result.cells:
-        prefix = base.format(m=cell.m, mp=cell.m_prime)
-        for gamma in spec.gamma_grid:
-            agg = cell.reports[gamma]
-            for criterion in ("s_at_1", "mrr", "map"):
-                out.write(f"{prefix},{_fnum(gamma)},{criterion},"
-                          f"{_fnum(agg.mean(criterion))},{_fnum(agg.se(criterion))},"
-                          f"{agg.n_replicates}\n")
-    return out.getvalue()
+        rows += _aggregate_rows(f"{spec.n},{cell.m},{cell.m_prime},{rates}", cell.reports,
+                                spec.gamma_grid, f",{cell.replicates}")
+    return _csv("sweep", sweep_config(result),
+                "n,m,m_prime,p0,p1,p2,s0,s1,s2,gamma,criterion,mean,stderr,replicates",
+                rows, notes)
 
 
 def sweep_to_json(result: SweepResult) -> str:
@@ -353,40 +381,25 @@ def sweep_to_json(result: SweepResult) -> str:
             "m_prime": cell.m_prime,
             "replicates": cell.replicates,
             "gamma_star": {k: v for k, v in sorted(cell.gamma_star.items())},
-            "reports": {
-                _fnum(gamma): {
-                    "s_at_1": {"mean": agg.mean_s_at_1, "stderr": agg.se_s_at_1},
-                    "mrr": {"mean": agg.mrr, "stderr": agg.se_rr},
-                    "map": {"mean": agg.map, "stderr": agg.se_ap},
-                }
-                for gamma, agg in cell.reports.items()
-            },
+            "reports": _aggregate_json(cell.reports),
         })
     data = {"cells": cells,
             "skipped": [{"m": m, "m_prime": mp, "reason": r} for m, mp, r in result.skipped]}
-    doc = {"meta": {"kind": "sweep",
-                    "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                    "config": sweep_config(result)},
-           "data": data}
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=True)
+    return _json("sweep", sweep_config(result), data)
 
 
 def surface_to_csv(result: SurfaceResult, config: dict) -> str:
-    out = _io.StringIO()
-    for line in _meta_lines("surface", config):
-        out.write(line + "\n")
-    out.write("criterion,y,gamma,mean,stderr,replicates\n")
+    rows = []
     for yi, y in enumerate(result.y_values):
         for gi, gamma in enumerate(result.gamma_grid):
-            out.write(f"ap_y,{y},{_fnum(gamma)},{_fnum(result.ap_y_mean[yi, gi])},"
-                      f"{_fnum(result.ap_y_se[yi, gi])},{result.replicates}\n")
-    for gi, gamma in enumerate(result.gamma_grid):
-        out.write(f"mrr,,{_fnum(gamma)},{_fnum(result.mrr_mean[gi])},"
-                  f"{_fnum(result.mrr_se[gi])},{result.replicates}\n")
-    for gi, gamma in enumerate(result.gamma_grid):
-        out.write(f"map,,{_fnum(gamma)},{_fnum(result.map_mean[gi])},"
-                  f"{_fnum(result.map_se[gi])},{result.replicates}\n")
-    return out.getvalue()
+            rows.append(f"ap_y,{y},{_fnum(gamma)},{_fnum(result.ap_y_mean[yi, gi])},"
+                        f"{_fnum(result.ap_y_se[yi, gi])},{result.replicates}")
+    for criterion, mean, se in (("mrr", result.mrr_mean, result.mrr_se),
+                                ("map", result.map_mean, result.map_se)):
+        for gi, gamma in enumerate(result.gamma_grid):
+            rows.append(f"{criterion},,{_fnum(gamma)},{_fnum(mean[gi])},"
+                        f"{_fnum(se[gi])},{result.replicates}")
+    return _csv("surface", config, "criterion,y,gamma,mean,stderr,replicates", rows)
 
 
 def surface_to_json(result: SurfaceResult, config: dict) -> str:
@@ -401,80 +414,61 @@ def surface_to_json(result: SurfaceResult, config: dict) -> str:
         "map_stderr": result.map_se.tolist(),
         "replicates": result.replicates,
     }
-    doc = {"meta": {"kind": "surface",
-                    "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                    "config": config},
-           "data": data}
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=True)
+    return _json("surface", config, data)
 
 
 def trials_to_csv(screening: ScreeningResult, trials: TrialsResult, config: dict) -> str:
-    out = _io.StringIO()
-    for line in _meta_lines("importance", config):
-        out.write(line + "\n")
-    out.write(f"# screening: attempts={screening.attempts} "
-              f"accepted={screening.n_accepted} "
-              f"acceptance_rate={_fnum(screening.acceptance_rate)}\n")
-    out.write("bin_rho_lo,bin_rho_hi,bin_p_lo,bin_p_hi,n_partitions,n_reports,"
-              "insufficient,gamma,criterion,mean,stderr\n")
+    note = (f"screening: attempts={screening.attempts} accepted={screening.n_accepted} "
+            f"acceptance_rate={_fnum(screening.acceptance_rate)}")
+    rows = []
     for key in sorted(trials.bins):
         b = trials.bins[key]
         prefix = (f"{_fnum(b.rho_lo)},{_fnum(b.rho_hi)},{_fnum(b.p_lo)},{_fnum(b.p_hi)},"
                   f"{b.n_partitions},{b.n_reports},{int(b.insufficient)}")
-        for gamma in trials.gamma_grid:
-            agg = b.per_gamma[gamma]
-            for criterion in ("s_at_1", "mrr", "map"):
-                out.write(f"{prefix},{_fnum(gamma)},{criterion},"
-                          f"{_fnum(agg.mean(criterion))},{_fnum(agg.se(criterion))}\n")
+        rows += _aggregate_rows(prefix, b.per_gamma, trials.gamma_grid)
         if b.fusion_advantage_mrr is not None:
-            out.write(f"{prefix},,fusion_advantage_mrr,"
-                      f"{_fnum(b.fusion_advantage_mrr)},\n")
-    return out.getvalue()
+            rows.append(f"{prefix},,fusion_advantage_mrr,{_fnum(b.fusion_advantage_mrr)},")
+    return _csv("importance", config,
+                "bin_rho_lo,bin_rho_hi,bin_p_lo,bin_p_hi,n_partitions,n_reports,"
+                "insufficient,gamma,criterion,mean,stderr", rows, [note])
 
 
 def partitions_to_csv(trials: TrialsResult, config: dict) -> str:
     """Raw per-partition table (gap coordinates, rate estimates, metric means)."""
-    out = _io.StringIO()
-    for line in _meta_lines("importance-partitions", config):
-        out.write(line + "\n")
-    out.write("partition,delta_rho,delta_p,p1_hat,p2_hat,s1_hat,s2_hat,"
-              "gamma,criterion,mean\n")
+    rows = []
     for pt in trials.partitions:
         rates = pt.rates
         prefix = (f"{pt.index},{_fnum(pt.delta_rho)},{_fnum(pt.delta_p)},{_fnum(rates.p1)},"
-                  f"{_fnum(rates.p2)},{_fnum(rates.s1)},{_fnum(rates.s2)},")
+                  f"{_fnum(rates.p2)},{_fnum(rates.s1)},{_fnum(rates.s2)}")
         for gamma in trials.gamma_grid:
-            out.write(f"{prefix}{_fnum(gamma)},s_at_1,{_fnum(pt.mean_s_at_1[gamma])}\n")
-            out.write(f"{prefix}{_fnum(gamma)},mrr,{_fnum(pt.mean_rr[gamma])}\n")
-            out.write(f"{prefix}{_fnum(gamma)},map,{_fnum(pt.mean_ap[gamma])}\n")
-    return out.getvalue()
+            for criterion, means in zip(CRITERIA, (pt.mean_s_at_1, pt.mean_rr, pt.mean_ap)):
+                rows.append(f"{prefix},{_fnum(gamma)},{criterion},{_fnum(means[gamma])}")
+    return _csv("importance-partitions", config,
+                "partition,delta_rho,delta_p,p1_hat,p2_hat,s1_hat,s2_hat,gamma,criterion,mean",
+                rows)
 
 
-def rate_bins_csv(trials: TrialsResult, config: dict, width: float = 0.02) -> str:
+def rate_bins_csv(trials: TrialsResult, config: dict) -> str:
     """Mean MRR per gamma, binned by each estimated edge-rate component.
 
-    Partitions pool into half-open bins of the given width on each of their
-    mean p1/p2/s1/s2 estimates; one row per (component, bin, gamma).
+    Partitions pool into half-open bins of width RATE_BIN_WIDTH on each of
+    their mean p1/p2/s1/s2 estimates; one row per (component, bin, gamma).
     """
-    from .importance import bin_index
-
-    out = _io.StringIO()
-    for line in _meta_lines("importance-rate-bins", {**config, "rate_bin_width": width}):
-        out.write(line + "\n")
-    out.write("component,bin_lo,bin_hi,n_partitions,gamma,mean_mrr\n")
-    components = ("p1", "p2", "s1", "s2")
     groups: dict = {}
     for pt in trials.partitions:
-        for comp in components:
-            key = (comp, bin_index(getattr(pt.rates, comp), width))
+        for comp in ("p1", "p2", "s1", "s2"):
+            key = (comp, bin_index(getattr(pt.rates, comp), RATE_BIN_WIDTH))
             groups.setdefault(key, []).append(pt)
+    rows = []
     for comp, idx in sorted(groups):
         pts = groups[(comp, idx)]
         for gamma in trials.gamma_grid:
             mean = sum(pt.mean_rr[gamma] for pt in pts) / len(pts)
-            out.write(f"{comp},{_fnum(idx * width)},{_fnum((idx + 1) * width)},"
-                      f"{len(pts)},{_fnum(gamma)},{_fnum(mean)}\n")
-    return out.getvalue()
+            rows.append(f"{comp},{_fnum(idx * RATE_BIN_WIDTH)},"
+                        f"{_fnum((idx + 1) * RATE_BIN_WIDTH)},{len(pts)},{_fnum(gamma)},"
+                        f"{_fnum(mean)}")
+    return _csv("importance-rate-bins", {**config, "rate_bin_width": RATE_BIN_WIDTH},
+                "component,bin_lo,bin_hi,n_partitions,gamma,mean_mrr", rows)
 
 
 def trials_to_json(screening: ScreeningResult, trials: TrialsResult, config: dict) -> str:
@@ -488,14 +482,7 @@ def trials_to_json(screening: ScreeningResult, trials: TrialsResult, config: dic
             "n_reports": b.n_reports,
             "insufficient": b.insufficient,
             "fusion_advantage_mrr": b.fusion_advantage_mrr,
-            "reports": {
-                _fnum(gamma): {
-                    "s_at_1": {"mean": agg.mean_s_at_1, "stderr": agg.se_s_at_1},
-                    "mrr": {"mean": agg.mrr, "stderr": agg.se_rr},
-                    "map": {"mean": agg.map, "stderr": agg.se_ap},
-                }
-                for gamma, agg in b.per_gamma.items()
-            },
+            "reports": _aggregate_json(b.per_gamma),
         })
     partitions = []
     for pt in trials.partitions:
@@ -515,11 +502,7 @@ def trials_to_json(screening: ScreeningResult, trials: TrialsResult, config: dic
         "bins": bins,
         "partitions": partitions,
     }
-    doc = {"meta": {"kind": "importance",
-                    "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-                    "config": config},
-           "data": data}
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=True)
+    return _json("importance", config, data)
 
 
 def pmf_table_csv(tables: dict, tv_rows: list, config: dict) -> str:
@@ -528,16 +511,18 @@ def pmf_table_csv(tables: dict, tv_rows: list, config: dict) -> str:
     ``tables`` maps (statistic, vertex_class) -> PMF; ``tv_rows`` holds
     (statistic, vertex_class, tv_distance) triples.
     """
-    out = _io.StringIO()
-    for line in _meta_lines("analytic", config):
-        out.write(line + "\n")
-    out.write("record,statistic,vertex_class,k,value\n")
-    for (stat, cls), pmf in tables.items():
-        for k, prob in zip(pmf.support, pmf.probs):
-            out.write(f"pmf,{stat},{cls},{k},{_fnum(prob)}\n")
-    for stat, cls, tv in tv_rows:
-        out.write(f"tv,{stat},{cls},,{_fnum(tv)}\n")
-    return out.getvalue()
+    rows = [f"pmf,{stat},{cls},{k},{_fnum(prob)}"
+            for (stat, cls), pmf in tables.items()
+            for k, prob in zip(pmf.support, pmf.probs)]
+    rows += [f"tv,{stat},{cls},,{_fnum(tv)}" for stat, cls, tv in tv_rows]
+    return _csv("analytic", config, "record,statistic,vertex_class,k,value", rows)
+
+
+def pmf_table_json(tables: dict, tv_rows: list, config: dict) -> str:
+    """The JSON form of :func:`pmf_table_csv`: PMFs keyed 'statistic/class'."""
+    data = {"pmfs": {f"{stat}/{cls}": pmf.probs.tolist() for (stat, cls), pmf in tables.items()},
+            "tv": [{"statistic": s, "vertex_class": c, "value": v} for s, c, v in tv_rows]}
+    return _json("analytic", config, data)
 
 
 def data_section(text: str) -> str:

@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, exit codes, output schemas."""
 
+import hashlib
 import json
 import time
+from datetime import datetime
 from fractions import Fraction
 
 import pytest
@@ -266,6 +268,16 @@ class TestSweep:
         assert doc["meta"]["config"]["master_seed"] == 3
 
 
+    def test_p2_is_taken_normalized(self, capsys):
+        # s2 is pinned to the normalized p2, so a p that Simplex3 accepts runs
+        code, out, _ = run_cli(capsys, "sweep", "--n", "20", "--m-list", "6", "--gammas", "0,1",
+                               "--replicates", "2", "--p2", "0.2000001", "--seed", "3",
+                               "--format", "json")
+        assert code == 0
+        config = json.loads(out)["meta"]["config"]
+        assert config["s"][2] == config["p"][2] == pytest.approx(0.2000001 / 1.0000001)
+
+
 class TestSurface:
     def test_csv_rows(self, capsys, tmp_path):
         path = tmp_path / "surface.csv"
@@ -303,16 +315,29 @@ class TestSurrogateAndImportance:
         assert rows[0].startswith("bin_rho_lo,")
         assert len(rows) > 1
 
-    def test_importance_with_no_acceptances_reports_rate(self, capsys, tmp_path):
-        corpus = tmp_path / "corpus.topics"
-        assert run_cli(capsys, "surrogate", "--seed", "11", "--out", str(corpus))[0] == 0
-        code, out, _ = run_cli(capsys, "importance", "--graph", str(corpus),
-                               "--m", "10", "--m-prime", "5", "--tau-p", "3",
-                               "--attempts", "500", "--seed", "1")
+    def test_importance_with_no_acceptances_reports_rate(self, capsys, tmp_path, corpus):
+        # the normal documents, with the screening counts and no bin or partition rows
+        paths = {name: tmp_path / f"{name}.csv" for name in ("out", "partitions", "rates")}
+        for path in paths.values():
+            path.write_text("stale\n")
+        args = ["importance", "--graph", str(corpus), "--m", "10", "--m-prime", "5",
+                "--tau-p", "3", "--attempts", "500", "--seed", "1"]
+        code, out, _ = run_cli(capsys, *args, "--out", str(paths["out"]),
+                               "--partitions-out", str(paths["partitions"]),
+                               "--rates-out", str(paths["rates"]))
+        assert code == 0 and out == ""
+        text = paths["out"].read_text()
+        assert "# screening: attempts=500 accepted=0 acceptance_rate=0.0\n" in text
+        assert data_section(text).splitlines() == [
+            "bin_rho_lo,bin_rho_hi,bin_p_lo,bin_p_hi,n_partitions,n_reports,"
+            "insufficient,gamma,criterion,mean,stderr"]
+        for name in ("partitions", "rates"):
+            assert len(data_section(paths[name].read_text()).splitlines()) == 1
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
         assert code == 0
-        doc = json.loads(out)
-        assert doc["accepted"] == 0
-        assert doc["attempts"] == 500
+        data = json.loads(out)["data"]
+        assert data["screening"] == {"attempts": 500, "accepted": 0, "acceptance_rate": 0.0}
+        assert data["bins"] == [] and data["partitions"] == []
 
 
 class TestEstimate:
@@ -342,7 +367,93 @@ class TestEstimate:
 
 class TestSeedPrinting:
     def test_generated_seed_is_printed(self, capsys):
-        code, out, _ = run_cli(capsys, "simulate", "--n", "12", "--m", "4",
-                               "--m-prime", "1")
+        code, out, err = run_cli(capsys, "simulate", "--n", "12", "--m", "4",
+                                 "--m-prime", "1")
         assert code == 0
-        assert out.startswith("seed:")
+        assert err.startswith("seed:")
+        assert json.loads(out)["seed"] == int(err.split()[1])
+
+    def test_generated_seed_leaves_stdout_document_intact(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--n", "20", "--m-list", "6",
+                                 "--gammas", "0,1", "--replicates", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["meta"]["config"]["master_seed"] == int(err.split()[1])
+
+
+DOCUMENT_KINDS = {"sweep": "sweep", "surface": "surface", "importance": "importance",
+                  "analytic": "analytic", "partitions": "importance-partitions",
+                  "rates": "importance-rate-bins"}
+
+
+def write_documents(directory, corpus) -> dict:
+    """Every result document at small fixed seeds, keyed '<writer>.<format>'."""
+    argv = {
+        "sweep": ["sweep", "--n", "20", "--m-list", "4,8,30", "--gammas", "0,0.5,1",
+                  "--replicates", "4", "--seed", "13"],
+        "surface": ["surface", "--n", "20", "--m", "8", "--m-prime", "2", "--y-max", "2",
+                    "--gammas", "0,0.5,1", "--replicates", "3", "--seed", "2"],
+        "importance": ["importance", "--graph", str(corpus), "--m", "10", "--m-prime", "5",
+                       "--attempts", "4096", "--replicates", "2", "--max-partitions", "30",
+                       "--seed", "21"],
+        "analytic": ["analytic", "--n", "8", "--m", "3", "--m-prime", "1",
+                     "--samples", "400", "--seed", "3"],
+    }
+    paths = {}
+    for command, args in argv.items():
+        for fmt in ("csv", "json"):
+            paths[f"{command}.{fmt}"] = directory / f"{command}.{fmt}"
+            extra = []
+            if command == "importance" and fmt == "csv":
+                for side in ("partitions", "rates"):
+                    paths[f"{side}.csv"] = directory / f"{side}.csv"
+                    extra += [f"--{side}-out", str(paths[f"{side}.csv"])]
+            assert main([*args, "--format", fmt, "--out", str(paths[f"{command}.{fmt}"]),
+                         *extra]) == 0
+    return {name: path.read_text() for name, path in paths.items()}
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory, corpus):
+    return write_documents(tmp_path_factory.mktemp("documents"), corpus)
+
+
+# data-section sha256 of every writer x format above, as written before the
+# writers shared one metadata envelope
+DOCUMENT_DIGESTS = {
+    "sweep.csv": "39156dc31d13464a5895e1cecba6345067c5bff1992106100dd963918ce44d93",
+    "sweep.json": "9ec1a721cf1849db731d53a4cf1b0e2aff818baf6fa771855349d8d03c8c846d",
+    "surface.csv": "69c445ca6624d40120c487a348a6f7fb09f2157abb368ffe160c0097ea404b9e",
+    "surface.json": "071b5ced224d3f279dc23b05a979519967bddbdcacd9d2aa52cf067289ba5654",
+    "importance.csv": "c9fd67c8cf0634f2ddeeb057dd4b66ef704b5b16c74ed929f57902eb0841efa5",
+    "partitions.csv": "f685ec06fc1008c3aaa26d3b184af43460bd71717634ce365746bc19ffb935f1",
+    "rates.csv": "9f8fa555313c0fb516e37057d8f41e40e394c81c1f261ea32c175f66c2627301",
+    "importance.json": "4c1afbce815e969a73c78ad729fe8227ace6b5acf9eed148085ed3516d71027d",
+    "analytic.csv": "210964910f01cc39bfdf424c3075cd6f568b8ed4ebe29d22d202225125424bec",
+    "analytic.json": "c27e5c37ed40627ab74c78e59d2cad117b9f762483b668f42e8bdc4683af3ddf",
+}
+
+
+class TestResultDocuments:
+    def test_data_sections_match_recorded_digests(self, documents):
+        from vnom.io import json_data_section
+        digests = {}
+        for name, text in documents.items():
+            data = json_data_section(text) if name.endswith(".json") else data_section(text)
+            digests[name] = hashlib.sha256(data.encode("utf-8")).hexdigest()
+        assert digests == DOCUMENT_DIGESTS
+
+    def test_every_document_carries_the_envelope(self, documents):
+        for name, text in documents.items():
+            kind = DOCUMENT_KINDS[name.split(".")[0]]
+            if name.endswith(".json"):
+                meta = json.loads(text)["meta"]
+            else:
+                lines = text.splitlines()
+                assert lines[0] == f"# vnom {kind}"
+                assert lines[1].startswith("# created: ") and lines[2].startswith("# config: ")
+                meta = {"kind": kind, "created": lines[1][len("# created: "):],
+                        "config": json.loads(lines[2][len("# config: "):])}
+            assert set(meta) == {"kind", "created", "config"}, name
+            assert meta["kind"] == kind
+            assert datetime.fromisoformat(meta["created"]).tzinfo is not None
+            assert isinstance(meta["config"], dict) and meta["config"], name

@@ -56,6 +56,13 @@ def test_no_scipy_in_sources_or_dependencies():
     assert "scipy" not in (ROOT / "pyproject.toml").read_text()
 
 
+def test_one_timestamp_in_sources():
+    # every result document takes its 'created' stamp from io._meta
+    counts = {path.name: path.read_text().count("datetime.now(")
+              for path in sorted((ROOT / "src" / "vnom").glob("*.py"))}
+    assert {name: count for name, count in counts.items() if count} == {"io.py": 1}
+
+
 def test_import_loads_no_scipy():
     # a fresh interpreter, so that no other test's imports are counted
     src = str(Path(vnom.__file__).resolve().parent.parent)

@@ -270,8 +270,7 @@ class TestRunImportanceTrials:
     def test_bins_and_insufficient_flag(self):
         g = two_block_topic_graph()
         res = self.trivial_screen(g, 4, attempts=25)
-        trials = run_importance_trials(g, res.accepted, 1, [0.0, 0.5, 1.0], 2, 5,
-                                       min_partitions=20)
+        trials = run_importance_trials(g, res.accepted, 1, [0.0, 0.5, 1.0], 2, 5)
         assert sum(b.n_partitions for b in trials.bins.values()) == 25
         assert all(b.n_reports == 2 * b.n_partitions for b in trials.bins.values())
         assert any(b.insufficient for b in trials.bins.values()) or \
