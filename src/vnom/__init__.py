@@ -16,11 +16,11 @@ from .kidney_egg import (PMF, KidneyEggParams, Simplex3, binomial_pmf,
                          empirical_score_pmfs, sample_kidney_egg, tv_distance)
 from .nomination import (GAMMA_GRID_DEFAULT, Ranking, candidate_statistics,
                          content_score, context_score, fused_score, rank_candidates)
-from .metrics import (AggregateReport, EvalReport, aggregate_reports, average_precision,
+from .metrics import (EvalReport, MetricTable, aggregate_reports, average_precision,
                       average_precision_at_y, chance_baseline, evaluate_ranking,
                       precision_at, reciprocal_rank, success_at_1)
-from .experiments import (CellResult, ReplicateResult, SurfaceResult, SweepResult,
-                          SweepSpec, gamma_star, gamma_surface, run_replicate, run_sweep)
+from .experiments import (CellResult, ReplicateResult, SweepResult, SweepSpec, gamma_star,
+                          gamma_surface, run_replicate, run_sweep)
 from .importance import (BinReport, EstimatedRates, PartitionTrial, ScreenedPartition,
                          ScreeningResult, ScreeningThresholds, TopicMap, TrialsResult,
                          delta_p, delta_rho, estimate_rates, instantiate_edges,

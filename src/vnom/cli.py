@@ -244,7 +244,6 @@ def _cmd_sweep(args) -> int:
         master_seed=seed,
         m_prime_ratio=None if args.m_prime_list else args.m_prime_ratio,
         m_prime_values=_parse_int_list(args.m_prime_list) if args.m_prime_list else None,
-        enforce_s2_eq_p2=True,
     )
     result = run_sweep(spec, n_workers=args.workers)
     text = (vio.sweep_to_csv(result) if args.format == "csv"
@@ -256,11 +255,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_surface(args) -> int:
     seed = _resolve_seed(args)
     params = _params_from(args)
-    result = gamma_surface(params, _parse_gammas(args.gammas), args.y_max,
-                           args.replicates, seed)
+    table = gamma_surface(params, _parse_gammas(args.gammas), args.y_max,
+                          args.replicates, seed)
     config = _model_config(params, y_max=args.y_max, replicates=args.replicates, seed=seed)
-    text = (vio.surface_to_csv(result, config) if args.format == "csv"
-            else vio.surface_to_json(result, config))
+    text = (vio.surface_to_csv(table, config) if args.format == "csv"
+            else vio.surface_to_json(table, config))
     _write_or_print(text, args.out)
     return 0
 
@@ -290,7 +289,7 @@ def _cmd_importance(args) -> int:
                                        trial_seed, bin_width=args.bins,
                                        n_workers=args.workers)
     else:  # no partition passed both thresholds: documents without bins or partitions
-        trials = TrialsResult({}, (), gammas, args.m_prime, args.replicates, args.bins)
+        trials = TrialsResult({}, (), gammas)
     text = (vio.trials_to_csv(screening, trials, config) if args.format == "csv"
             else vio.trials_to_json(screening, trials, config))
     _write_or_print(text, args.out)

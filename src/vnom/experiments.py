@@ -3,7 +3,8 @@ and the MAP-maximizing gamma.
 
 Every loop ranks each sampled (or instantiated) graph at every gamma through
 one evaluator, :func:`evaluate_grid`, which returns a (gammas x metrics)
-array; replicates stack on a last axis that :func:`vnom.metrics.mean_se` folds.
+array; replicates stack on a last axis that :class:`vnom.metrics.MetricTable`
+folds into means and standard errors.
 
 Determinism contract: every replicate's seed is derived from the master seed
 and the replicate's coordinates (cell m, m_prime, replicate index), never from
@@ -17,14 +18,14 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .graph import RED
 from .kidney_egg import KidneyEggParams, Simplex3, sample_kidney_egg
-from .metrics import CRITERIA, EvalReport, aggregate_values, mask_metrics, mean_se
+from .metrics import CRITERIA, EvalReport, MetricTable, column_index, mask_metrics
 from .nomination import (GAMMA_GRID_DEFAULT, candidate_statistics, fused_order,
                          validate_gamma_grid)
 from .seeding import child_seed, generator
@@ -56,7 +57,6 @@ class SweepSpec:
     master_seed: int
     m_prime_ratio: float | None = None
     m_prime_values: tuple | None = None
-    enforce_s2_eq_p2: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "p", Simplex3.of(self.p))
@@ -78,8 +78,6 @@ class SweepSpec:
             raise InputError("m_prime_ratio must lie in (0, 1)")
         if has_list and len(self.m_prime_values) != len(self.m_values):
             raise InputError("m_prime_values must align with m_values")
-        if self.enforce_s2_eq_p2 and abs(self.s.q2 - self.p.q2) > 1e-12:
-            raise InputError("sweep requires s2 == p2 but the vectors differ")
 
     def cells(self):
         """(m, m_prime, skip_reason) for every requested cell."""
@@ -105,9 +103,8 @@ class CellResult:
 
     m: int
     m_prime: int
-    reports: dict  # gamma -> AggregateReport
+    table: MetricTable
     gamma_star: dict  # criterion -> gamma
-    replicates: int
 
 
 @dataclass(frozen=True)
@@ -115,21 +112,6 @@ class SweepResult:
     spec: SweepSpec
     cells: tuple
     skipped: tuple  # (m, m_prime, reason)
-
-
-@dataclass(frozen=True)
-class SurfaceResult:
-    """Mean truncated average precision per (y, gamma), plus MRR/MAP rows."""
-
-    gamma_grid: tuple
-    y_values: tuple
-    ap_y_mean: np.ndarray = field(repr=False)  # (len(y_values), len(gamma_grid))
-    ap_y_se: np.ndarray = field(repr=False)
-    mrr_mean: np.ndarray = field(repr=False)
-    mrr_se: np.ndarray = field(repr=False)
-    map_mean: np.ndarray = field(repr=False)
-    map_se: np.ndarray = field(repr=False)
-    replicates: int = 0
 
 
 def pool_size(n_workers: int, n_tasks: int) -> int:
@@ -203,12 +185,11 @@ def _best_gamma(gamma_grid, scores) -> float:
 def _run_cell(spec: SweepSpec, m: int, m_prime: int) -> CellResult:
     params = KidneyEggParams(spec.n, m, m_prime, spec.p, spec.s)
     rep_seeds = (child_seed(spec.master_seed, m, m_prime, rep) for rep in range(spec.replicates))
-    values = _replicate_values(params, spec.gamma_grid, rep_seeds)
-    aggregates = dict(zip(spec.gamma_grid, aggregate_values(values)))
-    best = {criterion: _best_gamma(spec.gamma_grid,
-                                   [aggregates[g].mean(criterion) for g in spec.gamma_grid])
+    table = MetricTable.fold(spec.gamma_grid,
+                             _replicate_values(params, spec.gamma_grid, rep_seeds))
+    best = {criterion: _best_gamma(spec.gamma_grid, table.column(criterion))
             for criterion in CRITERIA}
-    return CellResult(m, m_prime, aggregates, best, spec.replicates)
+    return CellResult(m, m_prime, table, best)
 
 
 def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
@@ -230,11 +211,11 @@ def run_sweep(spec: SweepSpec, n_workers: int = 1) -> SweepResult:
 
 
 def gamma_surface(params: KidneyEggParams, gamma_grid, y_max: int,
-                  replicates: int, seed) -> SurfaceResult:
-    """Mean truncated average precision for y in 1..y_max across the grid.
+                  replicates: int, seed) -> MetricTable:
+    """Metric table with truncated average precision for y in 1..y_max.
 
-    The y=1 row equals the MRR row identically: the precision at the first
-    red candidate's rank is its reciprocal rank.
+    The AP^1 column equals the MRR column identically: the precision at the
+    first red candidate's rank is its reciprocal rank.
     """
     grid = validate_gamma_grid(gamma_grid)
     if replicates < 1:
@@ -247,18 +228,7 @@ def gamma_surface(params: KidneyEggParams, gamma_grid, y_max: int,
     base = child_seed(seed)
     values = _replicate_values(params, grid, (child_seed(base, rep) for rep in range(replicates)),
                                y_values)
-    mean, se = mean_se(values)
-    return SurfaceResult(
-        gamma_grid=grid,
-        y_values=y_values,
-        ap_y_mean=mean[:, 3:].T,
-        ap_y_se=se[:, 3:].T,
-        mrr_mean=mean[:, 1],
-        mrr_se=se[:, 1],
-        map_mean=mean[:, 2],
-        map_se=se[:, 2],
-        replicates=replicates,
-    )
+    return MetricTable.fold(grid, values, y_values)
 
 
 def gamma_star(params: KidneyEggParams, gamma_grid=GAMMA_GRID_DEFAULT,
@@ -278,5 +248,5 @@ def gamma_star(params: KidneyEggParams, gamma_grid=GAMMA_GRID_DEFAULT,
     values = _replicate_values(params, grid, (child_seed(base, rep) for rep in range(replicates)))
     # a sequential sum over replicates, so totals and their ties never depend on
     # how numpy orders a reduction
-    totals = sum(values[:, CRITERIA.index(criterion)].T)
+    totals = sum(values[:, column_index(criterion)].T)
     return _best_gamma(grid, totals)

@@ -20,9 +20,10 @@ from math import comb, floor, isfinite, isnan
 import numpy as np
 
 from .errors import EmptyProfileError, InputError, UndefinedDensityError
-from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph)
+from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph,
+                    _subset_array)
 from .experiments import evaluate_grid, parallel_map
-from .metrics import aggregate_values, mean_se
+from .metrics import MetricTable
 from .nomination import score_counts, validate_gamma_grid
 from .seeding import child_seed, generator
 
@@ -161,11 +162,8 @@ def topic_profile(g: TopicGraph, vs, *, weighted: bool = True) -> np.ndarray:
     (so the profile is the empirical distribution over messages); pass
     ``weighted=False`` to weight every edge equally.
     """
-    vs = np.asarray(list(vs) if not isinstance(vs, np.ndarray) else vs, dtype=np.int64)
     mask = np.zeros(g.n, dtype=bool)
-    if vs.size and (vs.min() < 0 or vs.max() >= g.n):
-        raise InputError("unknown vertex id in subset")
-    mask[vs] = True
+    mask[_subset_array(g.n, vs)] = True
     sel, _ = _sides(g, mask)
     if not sel.any():
         raise EmptyProfileError("induced subgraph has no edges to profile")
@@ -285,14 +283,12 @@ def estimate_rates(g: AttributedGraph, part: Partition) -> EstimatedRates:
 
 @dataclass(frozen=True)
 class PartitionTrial:
-    """Per-partition trial summary: metric means over its replicates."""
+    """Per-partition trial summary: metrics over its replicates."""
 
     index: int
     delta_rho: float
     delta_p: float
-    mean_s_at_1: dict
-    mean_rr: dict
-    mean_ap: dict
+    table: MetricTable
     rates: EstimatedRates
 
 
@@ -305,9 +301,8 @@ class BinReport:
     p_lo: float
     p_hi: float
     n_partitions: int
-    n_reports: int
     insufficient: bool
-    per_gamma: dict  # gamma -> AggregateReport
+    table: MetricTable  # its replicates are the bin's (partition, replicate) reports
     fusion_advantage_mrr: float | None
 
 
@@ -316,9 +311,6 @@ class TrialsResult:
     bins: dict  # (rho_bin, p_bin) -> BinReport
     partitions: tuple
     gamma_grid: tuple
-    m_prime: int
-    replicates_per_partition: int
-    bin_width: float
 
 
 def bin_index(value: float, width: float) -> int:
@@ -395,16 +387,8 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
     bin_values: dict = {}
     bin_partitions: dict = {}
     for sp, (values, rates) in zip(accepted, raw):
-        means, _ = mean_se(values)
-        partitions.append(PartitionTrial(
-            index=sp.draw_index,
-            delta_rho=sp.delta_rho,
-            delta_p=sp.delta_p,
-            mean_s_at_1={gm: float(mean[0]) for gm, mean in zip(grid, means)},
-            mean_rr={gm: float(mean[1]) for gm, mean in zip(grid, means)},
-            mean_ap={gm: float(mean[2]) for gm, mean in zip(grid, means)},
-            rates=rates,
-        ))
+        partitions.append(PartitionTrial(sp.draw_index, sp.delta_rho, sp.delta_p,
+                                         MetricTable.fold(grid, values), rates))
         key = (bin_index(sp.delta_rho, bin_width), bin_index(sp.delta_p, bin_width))
         bin_values.setdefault(key, []).append(values)
         bin_partitions[key] = bin_partitions.get(key, 0) + 1
@@ -412,21 +396,18 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
     has_triple = all(any(x == want for x in grid) for want in (0.0, 0.5, 1.0))
     bins = {}
     for key in sorted(bin_values):
-        stacked = np.concatenate(bin_values[key], axis=-1)  # (gammas, 3, reports)
-        per_gamma = dict(zip(grid, aggregate_values(stacked)))
+        table = MetricTable.fold(grid, np.concatenate(bin_values[key], axis=-1))
         advantage = None
         if has_triple:
-            advantage = (min(per_gamma[0.0].mrr, per_gamma[1.0].mrr)
-                         - per_gamma[0.5].mrr)
+            advantage = (min(table.value("mrr", 0.0), table.value("mrr", 1.0))
+                         - table.value("mrr", 0.5))
         n_parts = bin_partitions[key]
         bins[key] = BinReport(
             rho_lo=key[0] * bin_width, rho_hi=(key[0] + 1) * bin_width,
             p_lo=key[1] * bin_width, p_hi=(key[1] + 1) * bin_width,
             n_partitions=n_parts,
-            n_reports=stacked.shape[-1],
             insufficient=n_parts < MIN_PARTITIONS,
-            per_gamma=per_gamma,
+            table=table,
             fusion_advantage_mrr=advantage,
         )
-    return TrialsResult(bins, tuple(partitions), grid, m_prime,
-                        replicates_per_partition, bin_width)
+    return TrialsResult(bins, tuple(partitions), grid)

@@ -25,10 +25,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .errors import GraphFormatError, InputError
-from .experiments import SurfaceResult, SweepResult
+from .experiments import SweepResult
 from .graph import AttributedGraph, TopicGraph
 from .importance import ScreeningResult, TrialsResult, bin_index
-from .metrics import CRITERIA
+from .metrics import CRITERIA, MetricTable
 from .seeding import generator
 
 _FORMAT_TAG_TOPIC = "# vnom topic-graph v1"
@@ -302,13 +302,30 @@ def _meta(kind: str, config: dict) -> dict:
             "config": config}
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float (a one-replicate standard error, an
+    infinite threshold) replaced by None, which strict JSON can hold."""
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _strict_json(obj, **options) -> str:
+    """Standard JSON with sorted keys; non-finite floats are written as null."""
+    return json.dumps(_finite(obj), sort_keys=True, allow_nan=False, **options)
+
+
 def _csv(kind: str, config: dict, header: str, rows, notes=()) -> str:
     """A CSV document: the envelope and the writer's notes as '#' lines, then
     the header and one line per row."""
     meta = _meta(kind, config)
     lines = [f"# vnom {meta['kind']}",
              f"# created: {meta['created']}",
-             f"# config: {json.dumps(meta['config'], sort_keys=True, default=str)}",
+             f"# config: {_strict_json(meta['config'], default=str)}",
              *(f"# {note}" for note in notes),
              header, *rows]
     return "\n".join(lines) + "\n"
@@ -316,28 +333,28 @@ def _csv(kind: str, config: dict, header: str, rows, notes=()) -> str:
 
 def _json(kind: str, config: dict, data: dict) -> str:
     """A JSON document: the envelope under 'meta', the results under 'data'."""
-    return json.dumps({"meta": _meta(kind, config), "data": data},
-                      sort_keys=True, indent=2, allow_nan=True)
+    return _strict_json({"meta": _meta(kind, config), "data": data}, indent=2)
 
 
 def _fnum(x) -> str:
     return repr(float(x))
 
 
-def _aggregate_rows(prefix: str, reports: dict, gamma_grid, suffix: str = ""):
-    """CSV rows '<prefix>,gamma,criterion,mean,stderr<suffix>' of per-gamma
-    aggregates (gamma -> AggregateReport), in grid order."""
-    for gamma in gamma_grid:
-        agg = reports[gamma]
+def _aggregate_rows(prefix: str, table: MetricTable, suffix: str = ""):
+    """CSV rows '<prefix>,gamma,criterion,mean,stderr<suffix>' of a table's
+    S@1/MRR/MAP, in grid order."""
+    for gamma in table.gammas:
         for criterion in CRITERIA:
-            yield (f"{prefix},{_fnum(gamma)},{criterion},{_fnum(agg.mean(criterion))},"
-                   f"{_fnum(agg.se(criterion))}{suffix}")
+            yield (f"{prefix},{_fnum(gamma)},{criterion},"
+                   f"{_fnum(table.value(criterion, gamma))},"
+                   f"{_fnum(table.value(criterion, gamma, se=True))}{suffix}")
 
 
-def _aggregate_json(reports: dict) -> dict:
-    """Per-gamma aggregates as {gamma: {criterion: {"mean", "stderr"}}}."""
-    return {_fnum(gamma): {c: {"mean": agg.mean(c), "stderr": agg.se(c)} for c in CRITERIA}
-            for gamma, agg in reports.items()}
+def _aggregate_json(table: MetricTable) -> dict:
+    """A table's S@1/MRR/MAP as {gamma: {criterion: {"mean", "stderr"}}}."""
+    return {_fnum(gamma): {c: {"mean": table.value(c, gamma),
+                               "stderr": table.value(c, gamma, se=True)} for c in CRITERIA}
+            for gamma in table.gammas}
 
 
 def sweep_config(result: SweepResult) -> dict:
@@ -352,7 +369,6 @@ def sweep_config(result: SweepResult) -> dict:
         "gamma_grid": list(spec.gamma_grid),
         "replicates": spec.replicates,
         "master_seed": spec.master_seed,
-        "enforce_s2_eq_p2": spec.enforce_s2_eq_p2,
     }
 
 
@@ -366,8 +382,8 @@ def sweep_to_csv(result: SweepResult) -> str:
                                         spec.s.q0, spec.s.q1, spec.s.q2))
     rows = []
     for cell in result.cells:
-        rows += _aggregate_rows(f"{spec.n},{cell.m},{cell.m_prime},{rates}", cell.reports,
-                                spec.gamma_grid, f",{cell.replicates}")
+        rows += _aggregate_rows(f"{spec.n},{cell.m},{cell.m_prime},{rates}", cell.table,
+                                f",{cell.table.replicates}")
     return _csv("sweep", sweep_config(result),
                 "n,m,m_prime,p0,p1,p2,s0,s1,s2,gamma,criterion,mean,stderr,replicates",
                 rows, notes)
@@ -379,41 +395,36 @@ def sweep_to_json(result: SweepResult) -> str:
         cells.append({
             "m": cell.m,
             "m_prime": cell.m_prime,
-            "replicates": cell.replicates,
+            "replicates": cell.table.replicates,
             "gamma_star": {k: v for k, v in sorted(cell.gamma_star.items())},
-            "reports": _aggregate_json(cell.reports),
+            "reports": _aggregate_json(cell.table),
         })
     data = {"cells": cells,
             "skipped": [{"m": m, "m_prime": mp, "reason": r} for m, mp, r in result.skipped]}
     return _json("sweep", sweep_config(result), data)
 
 
-def surface_to_csv(result: SurfaceResult, config: dict) -> str:
+def surface_to_csv(table: MetricTable, config: dict) -> str:
     rows = []
-    for yi, y in enumerate(result.y_values):
-        for gi, gamma in enumerate(result.gamma_grid):
-            rows.append(f"ap_y,{y},{_fnum(gamma)},{_fnum(result.ap_y_mean[yi, gi])},"
-                        f"{_fnum(result.ap_y_se[yi, gi])},{result.replicates}")
-    for criterion, mean, se in (("mrr", result.mrr_mean, result.mrr_se),
-                                ("map", result.map_mean, result.map_se)):
-        for gi, gamma in enumerate(result.gamma_grid):
-            rows.append(f"{criterion},,{_fnum(gamma)},{_fnum(mean[gi])},"
-                        f"{_fnum(se[gi])},{result.replicates}")
+    for criterion, y in [("ap_y", y) for y in table.y_values] + [("mrr", None), ("map", None)]:
+        means, ses = table.column(criterion, y), table.column(criterion, y, se=True)
+        for gamma, mean, se in zip(table.gammas, means, ses):
+            rows.append(f"{criterion},{'' if y is None else y},{_fnum(gamma)},{_fnum(mean)},"
+                        f"{_fnum(se)},{table.replicates}")
     return _csv("surface", config, "criterion,y,gamma,mean,stderr,replicates", rows)
 
 
-def surface_to_json(result: SurfaceResult, config: dict) -> str:
+def surface_to_json(table: MetricTable, config: dict) -> str:
     data = {
-        "gamma_grid": list(result.gamma_grid),
-        "y_values": list(result.y_values),
-        "ap_y_mean": result.ap_y_mean.tolist(),
-        "ap_y_stderr": result.ap_y_se.tolist(),
-        "mrr_mean": result.mrr_mean.tolist(),
-        "mrr_stderr": result.mrr_se.tolist(),
-        "map_mean": result.map_mean.tolist(),
-        "map_stderr": result.map_se.tolist(),
-        "replicates": result.replicates,
+        "gamma_grid": list(table.gammas),
+        "y_values": list(table.y_values),
+        "ap_y_mean": [table.column("ap_y", y).tolist() for y in table.y_values],
+        "ap_y_stderr": [table.column("ap_y", y, se=True).tolist() for y in table.y_values],
+        "replicates": table.replicates,
     }
+    for criterion in ("mrr", "map"):
+        data[f"{criterion}_mean"] = table.column(criterion).tolist()
+        data[f"{criterion}_stderr"] = table.column(criterion, se=True).tolist()
     return _json("surface", config, data)
 
 
@@ -424,8 +435,8 @@ def trials_to_csv(screening: ScreeningResult, trials: TrialsResult, config: dict
     for key in sorted(trials.bins):
         b = trials.bins[key]
         prefix = (f"{_fnum(b.rho_lo)},{_fnum(b.rho_hi)},{_fnum(b.p_lo)},{_fnum(b.p_hi)},"
-                  f"{b.n_partitions},{b.n_reports},{int(b.insufficient)}")
-        rows += _aggregate_rows(prefix, b.per_gamma, trials.gamma_grid)
+                  f"{b.n_partitions},{b.table.replicates},{int(b.insufficient)}")
+        rows += _aggregate_rows(prefix, b.table)
         if b.fusion_advantage_mrr is not None:
             rows.append(f"{prefix},,fusion_advantage_mrr,{_fnum(b.fusion_advantage_mrr)},")
     return _csv("importance", config,
@@ -440,9 +451,10 @@ def partitions_to_csv(trials: TrialsResult, config: dict) -> str:
         rates = pt.rates
         prefix = (f"{pt.index},{_fnum(pt.delta_rho)},{_fnum(pt.delta_p)},{_fnum(rates.p1)},"
                   f"{_fnum(rates.p2)},{_fnum(rates.s1)},{_fnum(rates.s2)}")
-        for gamma in trials.gamma_grid:
-            for criterion, means in zip(CRITERIA, (pt.mean_s_at_1, pt.mean_rr, pt.mean_ap)):
-                rows.append(f"{prefix},{_fnum(gamma)},{criterion},{_fnum(means[gamma])}")
+        for gamma in pt.table.gammas:
+            for criterion in CRITERIA:
+                rows.append(f"{prefix},{_fnum(gamma)},{criterion},"
+                            f"{_fnum(pt.table.value(criterion, gamma))}")
     return _csv("importance-partitions", config,
                 "partition,delta_rho,delta_p,p1_hat,p2_hat,s1_hat,s2_hat,gamma,criterion,mean",
                 rows)
@@ -463,7 +475,7 @@ def rate_bins_csv(trials: TrialsResult, config: dict) -> str:
     for comp, idx in sorted(groups):
         pts = groups[(comp, idx)]
         for gamma in trials.gamma_grid:
-            mean = sum(pt.mean_rr[gamma] for pt in pts) / len(pts)
+            mean = sum(pt.table.value("mrr", gamma) for pt in pts) / len(pts)
             rows.append(f"{comp},{_fnum(idx * RATE_BIN_WIDTH)},"
                         f"{_fnum((idx + 1) * RATE_BIN_WIDTH)},{len(pts)},{_fnum(gamma)},"
                         f"{_fnum(mean)}")
@@ -479,10 +491,10 @@ def trials_to_json(screening: ScreeningResult, trials: TrialsResult, config: dic
             "rho_lo": b.rho_lo, "rho_hi": b.rho_hi,
             "p_lo": b.p_lo, "p_hi": b.p_hi,
             "n_partitions": b.n_partitions,
-            "n_reports": b.n_reports,
+            "n_reports": b.table.replicates,
             "insufficient": b.insufficient,
             "fusion_advantage_mrr": b.fusion_advantage_mrr,
-            "reports": _aggregate_json(b.per_gamma),
+            "reports": _aggregate_json(b.table),
         })
     partitions = []
     for pt in trials.partitions:
@@ -491,9 +503,8 @@ def trials_to_json(screening: ScreeningResult, trials: TrialsResult, config: dic
             "delta_rho": pt.delta_rho,
             "delta_p": pt.delta_p,
             "rates": {"p1": pt.rates.p1, "p2": pt.rates.p2, "s1": pt.rates.s1, "s2": pt.rates.s2},
-            "mean_s_at_1": {_fnum(g): v for g, v in pt.mean_s_at_1.items()},
-            "mean_rr": {_fnum(g): v for g, v in pt.mean_rr.items()},
-            "mean_ap": {_fnum(g): v for g, v in pt.mean_ap.items()},
+            **{key: {_fnum(g): pt.table.value(criterion, g) for g in pt.table.gammas}
+               for key, criterion in zip(("mean_s_at_1", "mean_rr", "mean_ap"), CRITERIA)},
         })
     data = {
         "screening": {"attempts": screening.attempts,

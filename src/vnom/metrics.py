@@ -5,10 +5,11 @@ Metrics consume rank-ordered red/green masks (or (Ranking, truth) pairs) only
 — they never look at graphs — so they can be tested against brute-force
 oracles on synthetic rankings.  :func:`mask_metrics` scores a stack of
 orderings at once, one row per ordering, with the columns S@1, RR, AP and
-then AP^y for each requested y; :func:`mean_se` folds such arrays over their
-last (replicate) axis.  Chance baselines are exact: under a uniformly random
-ranking the rank of the j-th red candidate is negative-hypergeometric, and
-MAP has Bestgen's (2015) closed form.
+then AP^y for each requested y.  :class:`MetricTable` folds such arrays over
+replicates into means and standard errors per gamma; no other module maps a
+criterion to its column (:func:`column_index`).  Chance baselines are exact:
+under a uniformly random ranking the rank of the j-th red candidate is
+negative-hypergeometric, and MAP has Bestgen's (2015) closed form.
 """
 
 from __future__ import annotations
@@ -42,32 +43,6 @@ class EvalReport:
         return cls(s_at_1=int(row[0]), rr=float(row[1]), ap=float(row[2]),
                    ap_y={int(y): float(v) for y, v in zip(y_values, row[3:])},
                    n_candidates=n_candidates, n_red_candidates=n_red)
-
-
-@dataclass(frozen=True)
-class AggregateReport:
-    """Means and standard errors over replicates.
-
-    Standard errors are sample SD / sqrt(n); with a single replicate they are
-    NaN.  ``mean_ap_y`` is keyed by y and populated only when the underlying
-    reports carried truncated average precisions.
-    """
-
-    mean_s_at_1: float
-    mrr: float
-    map: float
-    se_s_at_1: float
-    se_rr: float
-    se_ap: float
-    n_replicates: int
-    mean_ap_y: dict = field(default_factory=dict)
-    se_ap_y: dict = field(default_factory=dict)
-
-    def mean(self, criterion: str) -> float:
-        return {"s_at_1": self.mean_s_at_1, "mrr": self.mrr, "map": self.map}[criterion]
-
-    def se(self, criterion: str) -> float:
-        return {"s_at_1": self.se_s_at_1, "mrr": self.se_rr, "map": self.se_ap}[criterion]
 
 
 def _truth_mask(r: Ranking, truth) -> np.ndarray:
@@ -159,27 +134,67 @@ def mean_se(values):
     return mean, values.std(axis=-1, ddof=1) / np.sqrt(n)
 
 
-def aggregate_values(values, y_values=()) -> list:
-    """One AggregateReport per row of a (rows x metrics x replicates) array
-    whose metric axis is laid out as the columns of :func:`mask_metrics`."""
-    values = np.asarray(values, dtype=np.float64)
-    means, ses = mean_se(values)
-    return [AggregateReport(float(mean[0]), float(mean[1]), float(mean[2]),
-                            float(se[0]), float(se[1]), float(se[2]), values.shape[-1],
-                            {int(y): float(v) for y, v in zip(y_values, mean[3:])},
-                            {int(y): float(v) for y, v in zip(y_values, se[3:])})
-            for mean, se in zip(means, ses)]
+def column_index(criterion: str, y: int | None = None, y_values=()) -> int:
+    """Column of ``criterion`` (of AP^y for 'ap_y') in a :func:`mask_metrics`
+    array computed for ``y_values``."""
+    if criterion == "ap_y" and y in y_values:
+        return len(CRITERIA) + tuple(y_values).index(y)
+    if criterion in CRITERIA and y is None:
+        return CRITERIA.index(criterion)
+    raise InputError(f"no column for criterion {criterion!r} with y={y} "
+                     f"(y values {tuple(y_values)})")
 
 
-def aggregate_reports(reports) -> AggregateReport:
-    """Fold per-replicate reports into means and standard errors."""
-    reports = list(reports)
-    if not reports:
-        raise InputError("cannot aggregate zero reports")
-    y_values = tuple(reports[0].ap_y)
-    rows = ([[r.s_at_1 for r in reports], [r.rr for r in reports], [r.ap for r in reports]]
-            + [[r.ap_y[y] for r in reports] for y in y_values])
-    return aggregate_values([rows], y_values)[0]
+@dataclass(frozen=True)
+class MetricTable:
+    """Means and standard errors over replicates, one row per gamma.
+
+    ``mean`` and ``se`` are (gammas x columns) arrays with the columns of
+    :func:`mask_metrics` for ``y_values``; standard errors are NaN with a
+    single replicate.  Tables compare equal when their NaNs sit in the same
+    places.
+    """
+
+    gammas: tuple
+    y_values: tuple
+    mean: np.ndarray = field(repr=False)
+    se: np.ndarray = field(repr=False)
+    replicates: int
+
+    @classmethod
+    def fold(cls, gammas, values, y_values=()) -> "MetricTable":
+        """Table of a (gammas x columns x replicates) array."""
+        mean, se = mean_se(values)
+        return cls(tuple(gammas), tuple(int(y) for y in y_values), mean, se,
+                   np.shape(values)[-1])
+
+    def column(self, criterion: str, y: int | None = None, *, se: bool = False) -> np.ndarray:
+        """One criterion's means (or standard errors) over the gammas."""
+        return (self.se if se else self.mean)[:, column_index(criterion, y, self.y_values)]
+
+    def value(self, criterion: str, gamma: float, y: int | None = None, *,
+              se: bool = False) -> float:
+        """One criterion's mean (or standard error) at one gamma."""
+        return float(self.column(criterion, y, se=se)[self.gammas.index(gamma)])
+
+    def __eq__(self, other):
+        if not isinstance(other, MetricTable):
+            return NotImplemented
+        return ((self.gammas, self.y_values, self.replicates)
+                == (other.gammas, other.y_values, other.replicates)
+                and np.array_equal(self.mean, other.mean, equal_nan=True)
+                and np.array_equal(self.se, other.se, equal_nan=True))
+
+
+def aggregate_reports(reports: dict) -> MetricTable:
+    """Fold per-replicate reports, ``{gamma: [EvalReport, ...]}``, into a table."""
+    counts = {len(reps) for reps in reports.values()}
+    if len(counts) != 1 or 0 in counts:
+        raise InputError("need the same, non-zero number of reports at every gamma")
+    y_values = tuple(next(iter(reports.values()))[0].ap_y)
+    values = [[[r.s_at_1, r.rr, r.ap, *(r.ap_y[y] for y in y_values)] for r in reps]
+              for reps in reports.values()]
+    return MetricTable.fold(reports, np.swapaxes(values, 1, 2), y_values)
 
 
 def _expected_hit_precision(n: int, r: int, j: int) -> float:

@@ -79,7 +79,13 @@ def sweep_cell(m, m_prime, gamma_grid, replicates, entropy):
         result = run_replicate(params, gamma_grid, seed)
         for g in gamma_grid:
             per[g].append(result.reports[g])
-    return {g: aggregate_reports(reports) for g, reports in per.items()}
+    return aggregate_reports(per)
+
+
+def by_gamma(table, criterion):
+    """A table's means and standard errors of one criterion, keyed by gamma."""
+    return ({g: table.value(criterion, g) for g in table.gammas},
+            {g: table.value(criterion, g, se=True) for g in table.gammas})
 
 
 # -------------------------------------------------------------------------
@@ -311,15 +317,15 @@ def fig2_m4():
 class TestCriterion3:
     def test_fusion_superiority_at_m40(self, fig2_m40):
         start = time.time()
-        a = fig2_m40
-        margin0 = a[0.5].map - a[0.0].map
-        margin1 = a[0.5].map - a[1.0].map
-        bar0 = 2 * combined_se(a[0.5].se_ap, a[0.0].se_ap)
-        bar1 = 2 * combined_se(a[0.5].se_ap, a[1.0].se_ap)
+        a, se = by_gamma(fig2_m40, "map")
+        margin0 = a[0.5] - a[0.0]
+        margin1 = a[0.5] - a[1.0]
+        bar0 = 2 * combined_se(se[0.5], se[0.0])
+        bar1 = 2 * combined_se(se[0.5], se[1.0])
         ok = margin0 > bar0 and margin1 > bar1
         status("3 (m=40 fusion)", ok,
-               f"MAP(0.5)={a[0.5].map:.4f} vs MAP(0)={a[0.0].map:.4f} "
-               f"(margin {margin0:.4f} > {bar0:.4f}) and MAP(1)={a[1.0].map:.4f} "
+               f"MAP(0.5)={a[0.5]:.4f} vs MAP(0)={a[0.0]:.4f} "
+               f"(margin {margin0:.4f} > {bar0:.4f}) and MAP(1)={a[1.0]:.4f} "
                f"(margin {margin1:.4f} > {bar1:.4f})")
         assert margin0 > bar0
         assert margin1 > bar1
@@ -334,7 +340,7 @@ class TestCriterion3:
     def test_small_m_chance_collapse(self, fig2_m4):
         # m=4, m_prime=1: the reference is the model's expected MAP, exact at
         # gamma=0 and sampled independently at 0.5 and 1 (module docstring)
-        a = fig2_m4
+        a, se = by_gamma(fig2_m4, "map")
         n, m, mp, gammas = 184, 4, 1, (0.0, 0.5, 1.0)
         chance = float(exact_chance_map(n - mp, m - mp))
         exact0 = float(exact_context_map(m - mp, n - m, 1 - S_EXACT[0], 1 - P_EXACT[0]))
@@ -344,15 +350,15 @@ class TestCriterion3:
         refs = {0.0: (exact0, 0.0, "exact")}
         for i, g in enumerate(gammas[1:], start=1):
             refs[g] = (float(sampled[i].mean()), float(sampled_se[i]), "sampled")
-        devs = {g: abs(a[g].map - ref) / combined_se(a[g].se_ap, ref_se)
+        devs = {g: abs(a[g] - ref) / combined_se(se[g], ref_se)
                 for g, (ref, ref_se, _) in refs.items()}
         sampler_dev0 = abs(sampled[0].mean() - exact0) / sampled_se[0]
         ok = all(d < 3 for d in devs.values()) and sampler_dev0 < 3
         status("3 (m=4 model reference)", ok,
-               "; ".join(f"gamma {g}: MAP={a[g].map:.5f} vs {src} "
+               "; ".join(f"gamma {g}: MAP={a[g]:.5f} vs {src} "
                          f"{ref:.5f}{f'±{ref_se:.5f}' if ref_se else ''} "
                          f"({devs[g]:.1f} se, < 3; "
-                         f"|MAP-chance|/se={abs(a[g].map - chance) / a[g].se_ap:.1f})"
+                         f"|MAP-chance|/se={abs(a[g] - chance) / se[g]:.1f})"
                          for g, (ref, ref_se, src) in refs.items())
                + f"; exact chance={chance:.7f}; sampler at gamma 0 is "
                  f"{sampler_dev0:.1f} se from exact (< 3)")
@@ -366,14 +372,15 @@ class TestCriterion3:
 
 class TestCriterion4:
     def test_context_dominates_at_three_quarters_identified(self):
-        a = sweep_cell(40, 30, (0.0, 0.5, 1.0), replicates=1000, entropy=4001)
-        slack05 = 2 * combined_se(a[0.0].se_rr, a[0.5].se_rr)
-        slack1 = 2 * combined_se(a[0.0].se_rr, a[1.0].se_rr)
-        ok = (a[0.0].mrr >= a[0.5].mrr - slack05) and (a[0.0].mrr >= a[1.0].mrr - slack1)
-        status(4, ok, f"MRR(0)={a[0.0].mrr:.4f} >= MRR(0.5)={a[0.5].mrr:.4f}-{slack05:.4f} "
-                      f"and >= MRR(1)={a[1.0].mrr:.4f}-{slack1:.4f}")
-        assert a[0.0].mrr >= a[0.5].mrr - slack05
-        assert a[0.0].mrr >= a[1.0].mrr - slack1
+        a, se = by_gamma(sweep_cell(40, 30, (0.0, 0.5, 1.0), replicates=1000, entropy=4001),
+                         "mrr")
+        slack05 = 2 * combined_se(se[0.0], se[0.5])
+        slack1 = 2 * combined_se(se[0.0], se[1.0])
+        ok = (a[0.0] >= a[0.5] - slack05) and (a[0.0] >= a[1.0] - slack1)
+        status(4, ok, f"MRR(0)={a[0.0]:.4f} >= MRR(0.5)={a[0.5]:.4f}-{slack05:.4f} "
+                      f"and >= MRR(1)={a[1.0]:.4f}-{slack1:.4f}")
+        assert a[0.0] >= a[0.5] - slack05
+        assert a[0.0] >= a[1.0] - slack1
 
 
 # -------------------------------------------------------------------------
@@ -391,7 +398,7 @@ class TestCriterion5:
         # the band is centred on the closed-form Fisher weight of the model
         # (module docstring); the half-width is not fixed by the model
         surf = surface_m40_mp30
-        i_best = int(np.argmax(surf.map_mean))
+        i_best = int(np.argmax(surf.column("map")))
         best = GRID_101[i_best]
         fisher = {k: float(v) for k, v in fisher_gammas(184, 40, 30, P_EXACT, S_EXACT).items()}
         lo, hi = fisher["pooled"] - 0.05, fisher["pooled"] + 0.05
@@ -404,8 +411,8 @@ class TestCriterion5:
             reports = run_replicate(params, (best, 0.25), child_seed(base, rep)).reports
             ap.append((reports[best].ap, reports[0.25].ap))
         ap = np.array(ap)
-        assert ap[:, 0].mean() == surf.map_mean[i_best]
-        assert ap[:, 1].mean() == surf.map_mean[GRID_101.index(0.25)]
+        assert ap[:, 0].mean() == surf.column("map")[i_best]
+        assert ap[:, 1].mean() == surf.column("map")[GRID_101.index(0.25)]
         diff = ap[:, 0] - ap[:, 1]
         diff_se = diff.std(ddof=1) / np.sqrt(diff.size)
         ok = lo <= best <= hi
@@ -420,8 +427,8 @@ class TestCriterion5:
         surf = surface_m40_mp30
         i01 = GRID_101.index(0.1)
         i08 = GRID_101.index(0.8)
-        ap3_01 = surf.ap_y_mean[2, i01]
-        ap3_08 = surf.ap_y_mean[2, i08]
+        ap3_01 = surf.column("ap_y", 3)[i01]
+        ap3_08 = surf.column("ap_y", 3)[i08]
         ok = abs(ap3_01 - 0.9) <= 0.07 and abs(ap3_08 - 0.8) <= 0.07
         status("5 (AP3 values)", ok,
                f"AP3(0.1)={ap3_01:.3f} (0.9±0.07), AP3(0.8)={ap3_08:.3f} (0.8±0.07)")
@@ -487,19 +494,18 @@ class TestCriterion7:
                                        replicates_per_partition=3, seed=7003)
         target = trials.bins[TARGET_BIN]
         assert not target.insufficient
-        maps = {gm: target.per_gamma[gm].map for gm in grid}
+        maps, se = by_gamma(target.table, "map")
         best_gamma = min(g_ for g_ in grid if maps[g_] == max(maps.values()))
-        best = target.per_gamma[best_gamma]
-        floor0 = maps[0.0] - best.se_ap
-        floor1 = maps[1.0] - best.se_ap
-        fusion_ok = best.map >= max(floor0, floor1)
+        floor0 = maps[0.0] - se[best_gamma]
+        floor1 = maps[1.0] - se[best_gamma]
+        fusion_ok = maps[best_gamma] >= max(floor0, floor1)
         surface_ok = all(b.fusion_advantage_mrr is not None
                          for b in trials.bins.values())
         flags_ok = all(b.insufficient == (b.n_partitions < 20)
                        for b in trials.bins.values())
         ok = fusion_ok and surface_ok and flags_ok
         status("7 (trials)", ok,
-               f"bin MAP(gamma*={best_gamma:.1f})={best.map:.3f} >= "
+               f"bin MAP(gamma*={best_gamma:.1f})={maps[best_gamma]:.3f} >= "
                f"max(MAP(0)={maps[0.0]:.3f}, MAP(1)={maps[1.0]:.3f}) - 1se; "
                f"fusion surface emitted for {len(trials.bins)} bins, "
                f"{sum(b.insufficient for b in trials.bins.values())} flagged <20")

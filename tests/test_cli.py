@@ -340,6 +340,47 @@ class TestSurrogateAndImportance:
         assert data["bins"] == [] and data["partitions"] == []
 
 
+def strict_json(text):
+    """Parse ``text`` as standard JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    # non-finite numbers are written as null: one-replicate standard errors
+    # in data, an infinite threshold in meta
+    def test_single_replicate_sweep_and_surface(self, capsys):
+        common = ["--n", "20", "--gammas", "0,1", "--replicates", "1", "--seed", "1",
+                  "--format", "json"]
+        code, out, _ = run_cli(capsys, "sweep", "--m-list", "6", *common)
+        assert code == 0
+        reports = strict_json(out)["data"]["cells"][0]["reports"]
+        assert reports["0.0"]["mrr"]["stderr"] is None
+        assert isinstance(reports["0.0"]["mrr"]["mean"], float)
+        code, out, _ = run_cli(capsys, "surface", "--m", "6", "--m-prime", "2", *common)
+        assert code == 0
+        data = strict_json(out)["data"]
+        assert data["mrr_stderr"] == [None, None] and None not in data["mrr_mean"]
+
+    def test_importance_single_report_bins_and_infinite_threshold(self, capsys, corpus):
+        args = ["importance", "--graph", str(corpus), "--m", "10", "--m-prime", "5",
+                "--attempts", "4096", "--replicates", "1", "--max-partitions", "1",
+                "--seed", "21", "--format", "json"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        (only_bin,) = strict_json(out)["data"]["bins"]
+        assert only_bin["n_reports"] == 1
+        assert only_bin["reports"]["0.5"]["map"]["stderr"] is None
+        code, out, _ = run_cli(capsys, *args, "--tau-rho=-inf")
+        assert code == 0
+        assert strict_json(out)["meta"]["config"]["tau_rho"] is None
+        code, out, _ = run_cli(capsys, *args[:-2], "--tau-rho=-inf")  # the CSV form
+        assert code == 0
+        config_line = next(line for line in out.splitlines() if line.startswith("# config: "))
+        assert strict_json(config_line[len("# config: "):])["tau_rho"] is None
+
+
 class TestEstimate:
     def test_rates_from_file(self, capsys, tmp_path):
         from vnom import KidneyEggParams, sample_kidney_egg, write_attributed_graph

@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,19 @@ def test_one_timestamp_in_sources():
     counts = {path.name: path.read_text().count("datetime.now(")
               for path in sorted((ROOT / "src" / "vnom").glob("*.py"))}
     assert {name: count for name, count in counts.items() if count} == {"io.py": 1}
+
+
+def test_metric_columns_known_only_to_metrics():
+    # one table type carries every metric from the evaluator to the writers
+    sources = {path.name: path.read_text() for path in sorted((ROOT / "src" / "vnom").glob("*.py"))}
+    for gone in ("AggregateReport", "aggregate_values", "SurfaceResult"):
+        assert not [name for name, text in sources.items() if gone in text], gone
+    column = re.compile(r"CRITERIA\.index\(|\[(:|\.\.\.), *-?\d"
+                        r"|\b(mean|means|se|ses|row|values|stacked|totals)\[-?\d")
+    offenders = [f"{name}:{lineno}" for name, text in sources.items() if name != "metrics.py"
+                 for lineno, line in enumerate(text.splitlines(), start=1)
+                 if column.search(line)]
+    assert offenders == []
 
 
 def test_import_loads_no_scipy():

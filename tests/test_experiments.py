@@ -148,12 +148,6 @@ class TestSweepSpec:
                       replicates=1, master_seed=0, m_prime_ratio=0.5,
                       m_prime_values=(2,))
 
-    def test_s2_eq_p2_enforcement(self):
-        with pytest.raises(InputError):
-            SweepSpec(n=20, p=PAPER_P, s=Simplex3(0.5, 0.4, 0.1), m_values=(6,),
-                      gamma_grid=(0.5,), replicates=1, master_seed=0,
-                      m_prime_ratio=0.5, enforce_s2_eq_p2=True)
-
 
 class TestRunSweep:
     def test_single_cell_matches_replicate_aggregation(self):
@@ -163,12 +157,14 @@ class TestRunSweep:
                          m_prime_ratio=0.25)
         result = run_sweep(spec)
         cell = result.cells[0]
-        reports = []
+        reports = {0.0: [], 1.0: []}
         for rep in range(5):
             rep_seed = np.random.SeedSequence(entropy=99, spawn_key=(8, 2, rep))
-            reports.append(run_replicate(KidneyEggParams(20, 8, 2, PAPER_P, PAPER_S),
-                                         (0.0, 1.0), rep_seed).reports[0.0])
-        assert cell.reports[0.0] == aggregate_reports(reports)
+            replicate = run_replicate(KidneyEggParams(20, 8, 2, PAPER_P, PAPER_S),
+                                      (0.0, 1.0), rep_seed)
+            for gamma in reports:
+                reports[gamma].append(replicate.reports[gamma])
+        assert cell.table == aggregate_reports(reports)
 
     def test_deterministic_across_workers(self):
         spec = SweepSpec(n=30, p=PAPER_P, s=PAPER_S, m_values=(6, 10, 14),
@@ -178,13 +174,23 @@ class TestRunSweep:
         parallel = run_sweep(spec, n_workers=3)
         assert serial == parallel
 
+    def test_single_replicate_results_compare_equal(self):
+        # one replicate leaves every standard error NaN; equal runs stay equal
+        spec = SweepSpec(n=20, p=PAPER_P, s=PAPER_S, m_values=(6, 8),
+                         gamma_grid=(0.0, 1.0), replicates=1, master_seed=1,
+                         m_prime_ratio=0.5)
+        serial = run_sweep(spec)
+        assert np.isnan(serial.cells[0].table.se).all()
+        assert serial == run_sweep(spec)
+        assert serial == run_sweep(spec, n_workers=2)
+
     def test_gamma_star_ties_go_to_smallest(self):
         spec = SweepSpec(n=20, p=PAPER_P, s=PAPER_S, m_values=(8,),
                          gamma_grid=(0.25, 0.75), replicates=2, master_seed=5,
                          m_prime_ratio=0.25)
         cell = run_sweep(spec).cells[0]
         for criterion, best in cell.gamma_star.items():
-            means = [cell.reports[g].mean(criterion) for g in spec.gamma_grid]
+            means = list(cell.table.column(criterion))
             top = max(means)
             assert best == min(g for g, v in zip(spec.gamma_grid, means) if v == top)
 
@@ -193,13 +199,13 @@ class TestGammaSurface:
     def test_y1_row_equals_mrr_row_exactly(self):
         surf = gamma_surface(small_params(), (0.0, 0.5, 1.0), y_max=2,
                              replicates=30, seed=8)
-        assert np.array_equal(surf.ap_y_mean[0], surf.mrr_mean)
+        assert np.array_equal(surf.column("ap_y", 1), surf.column("mrr"))
 
     def test_shapes(self):
         surf = gamma_surface(small_params(), (0.0, 0.25, 0.5, 0.75, 1.0), y_max=3,
                              replicates=5, seed=8)
-        assert surf.ap_y_mean.shape == (3, 5)
-        assert surf.map_mean.shape == (5,)
+        assert np.array([surf.column("ap_y", y) for y in surf.y_values]).shape == (3, 5)
+        assert surf.column("map").shape == (5,)
 
     def test_y_max_bounds(self):
         with pytest.raises(InputError):
@@ -217,7 +223,7 @@ class TestGammaStar:
         params = small_params()
         grid = (0.0, 0.25, 0.5, 0.75, 1.0)
         surf = gamma_surface(params, grid, y_max=1, replicates=20, seed=6)
-        best = grid[int(np.argmax(surf.map_mean))]
+        best = grid[int(np.argmax(surf.column("map")))]
         assert gamma_star(params, grid, "map", replicates=20, seed=6) == best
 
 

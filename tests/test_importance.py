@@ -67,6 +67,13 @@ class TestTopicProfile:
         with pytest.raises(EmptyProfileError):
             topic_profile(g, [0, 7])
 
+    @pytest.mark.parametrize("vs", [[0, 1, 8], [-1, 0, 1]])
+    def test_unknown_vertex_named(self, vs):
+        g = two_block_topic_graph()
+        bad = next(v for v in vs if not 0 <= v < g.n)
+        with pytest.raises(InputError, match=f"unknown vertex id {bad}$"):
+            topic_profile(g, vs)
+
 
 class TestDeltaP:
     def test_identical_profiles(self):
@@ -260,9 +267,9 @@ class TestRunImportanceTrials:
         ranking = rank_candidates(ag2, 0.0, tie_seed)
         truth = ag2.red_candidates()
         report = evaluate_ranking(ranking, truth)
-        assert pt.mean_s_at_1[0.0] == report.s_at_1
-        assert pt.mean_rr[0.0] == report.rr
-        assert pt.mean_ap[0.0] == report.ap
+        assert pt.table.value("s_at_1", 0.0) == report.s_at_1
+        assert pt.table.value("mrr", 0.0) == report.rr
+        assert pt.table.value("map", 0.0) == report.ap
 
         est = estimate_rates(ag2, sp.partition)
         assert pt.rates == est
@@ -272,12 +279,13 @@ class TestRunImportanceTrials:
         res = self.trivial_screen(g, 4, attempts=25)
         trials = run_importance_trials(g, res.accepted, 1, [0.0, 0.5, 1.0], 2, 5)
         assert sum(b.n_partitions for b in trials.bins.values()) == 25
-        assert all(b.n_reports == 2 * b.n_partitions for b in trials.bins.values())
+        assert all(b.table.replicates == 2 * b.n_partitions for b in trials.bins.values())
         assert any(b.insufficient for b in trials.bins.values()) or \
             all(b.n_partitions >= 20 for b in trials.bins.values())
         for b in trials.bins.values():
             assert b.fusion_advantage_mrr == pytest.approx(
-                min(b.per_gamma[0.0].mrr, b.per_gamma[1.0].mrr) - b.per_gamma[0.5].mrr)
+                min(b.table.value("mrr", 0.0), b.table.value("mrr", 1.0))
+                - b.table.value("mrr", 0.5))
 
     def test_fusion_advantage_absent_without_triple(self):
         g = two_block_topic_graph()

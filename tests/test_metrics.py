@@ -186,16 +186,39 @@ class TestAggregateReports:
     def test_means_and_standard_errors(self):
         reports = [evaluate_ranking(ranking_of([1, 2, 3]), truth)
                    for truth in ({1}, {2}, {3})]
-        agg = aggregate_reports(reports)
-        assert agg.mean_s_at_1 == pytest.approx(1 / 3)
-        assert agg.mrr == pytest.approx((1 + 1 / 2 + 1 / 3) / 3)
-        assert agg.n_replicates == 3
+        agg = aggregate_reports({0.5: reports})
+        assert agg.value("s_at_1", 0.5) == pytest.approx(1 / 3)
+        assert agg.value("mrr", 0.5) == pytest.approx((1 + 1 / 2 + 1 / 3) / 3)
+        assert agg.replicates == 3
         values = np.array([1, 1 / 2, 1 / 3])
-        assert agg.se_rr == pytest.approx(values.std(ddof=1) / np.sqrt(3))
+        assert agg.value("mrr", 0.5, se=True) == pytest.approx(values.std(ddof=1) / np.sqrt(3))
 
     def test_single_replicate_has_nan_se(self):
-        agg = aggregate_reports([evaluate_ranking(ranking_of([1, 2]), {1})])
-        assert np.isnan(agg.se_ap)
+        agg = aggregate_reports({0.5: [evaluate_ranking(ranking_of([1, 2]), {1})]})
+        assert np.isnan(agg.value("map", 0.5, se=True))
+
+    def test_ap_y_columns_and_nan_equality(self):
+        reports = {g: [evaluate_ranking(ranking_of([1, 2, 3]), {2, 3}, (1, 2))]
+                   for g in (0.0, 1.0)}
+        table = aggregate_reports(reports)
+        assert table.y_values == (1, 2)
+        assert table.value("ap_y", 1.0, 1) == table.value("mrr", 1.0) == 1 / 2
+        assert table.value("ap_y", 0.0, 2) == table.value("map", 0.0) == (1 / 2 + 2 / 3) / 2
+        assert table == aggregate_reports(reports)  # NaN standard errors in both
+
+    @pytest.mark.parametrize("criterion,y", [("ap", None), ("map", 1), ("ap_y", None),
+                                             ("ap_y", 3)])
+    def test_unknown_column_rejected(self, criterion, y):
+        table = aggregate_reports({0.5: [evaluate_ranking(ranking_of([1, 2, 3]), {2, 3},
+                                                          (1, 2))]})
+        with pytest.raises(InputError):
+            table.column(criterion, y)
+
+    @pytest.mark.parametrize("reports", [{}, {0.5: []}, {0.0: [1], 1.0: [1, 1]}])
+    def test_empty_or_ragged_reports_rejected(self, reports):
+        report = evaluate_ranking(ranking_of([1, 2]), {1})
+        with pytest.raises(InputError):
+            aggregate_reports({g: [report] * len(reps) for g, reps in reports.items()})
 
 
 def bestgen_map(n, r):
@@ -310,8 +333,8 @@ class TestMetricCorrelation:
                                     np.random.SeedSequence(entropy=78, spawn_key=(ci, rep)))
                 for g in grid:
                     per[g].append(res.reports[g])
-            aggs = {g: agg(per[g]) for g in grid}
-            by_map = sorted(grid, key=lambda g: aggs[g].map)
-            by_mrr = sorted(grid, key=lambda g: aggs[g].mrr)
+            aggs = agg(per)
+            by_map = sorted(grid, key=lambda g: aggs.value("map", g))
+            by_mrr = sorted(grid, key=lambda g: aggs.value("mrr", g))
             agree += by_map == by_mrr
         assert agree >= 0.9 * len(configs)
