@@ -145,10 +145,16 @@ def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
     ``t0``/``t1`` are the candidates' context and content scores, ``red``
     their truth mask and ``tiebreak`` the keys ordering tied candidates.
     Returns a (gammas x metrics) array with the columns of
-    :func:`vnom.metrics.mask_metrics`.
+    :func:`vnom.metrics.mask_metrics`.  The four arrays may instead be
+    (instances x candidates) stacks with one red count per stack; each row is
+    then ranked on its own, with one sort per gamma for the whole stack, and
+    the result is (instances x gammas x metrics).
     """
-    orders = np.stack([fused_order(t0, t1, gamma, tiebreak) for gamma in gamma_grid])
-    return mask_metrics(red[orders], y_values)
+    orders = np.stack([fused_order(t0, t1, gamma, tiebreak) for gamma in gamma_grid], axis=-2)
+    if np.ndim(red) == 1:
+        return mask_metrics(red[orders], y_values)
+    masks = np.take_along_axis(red[:, None, :], orders, axis=-1)  # row i orders row i of red
+    return mask_metrics(masks.reshape(-1, masks.shape[-1]), y_values).reshape(*masks.shape[:-1], -1)
 
 
 def _sampled_metrics(params: KidneyEggParams, gamma_grid, rep_seed, y_values):

@@ -7,9 +7,12 @@ its profile difference, then repeatedly instantiates edge attributes from the
 per-edge topic distributions and runs nomination.  Results aggregate into
 (delta_rho, delta_p) bins.
 
-Each step (side masks, density gap, topic profiles, topic draw, candidate
-scores, edge rates) has one kernel, shared by the public single-partition
-functions and the batched screening and trial loops.
+Each step (red-internal edge counts, side masks, density gap, topic
+profiles, topic draw, candidate scores, edge rates) has one kernel, shared by
+the public single-partition functions and the batched screening and trial
+loops.  Screening counts edges from neighbour lists and builds edge masks
+only for the draws that pass the density bar; trials run in fixed blocks of
+partitions whose replicates are scored and ranked as one stack.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import numpy as np
 
 from .errors import EmptyProfileError, InputError, UndefinedDensityError
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph,
-                    _subset_array)
+                    _build_adjacency, _subset_array)
 from .experiments import evaluate_grid, parallel_map
 from .metrics import MetricTable
 from .nomination import score_counts, validate_gamma_grid
 from .seeding import child_seed, generator
 
 _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on scheduling
+_TRIAL_BLOCK = 64  # partitions per trial task; fixed for the same reason
 MIN_PARTITIONS = 20  # a trial bin backed by fewer partitions is flagged insufficient
 
 
@@ -57,7 +61,7 @@ class TopicMap:
         labels = np.asarray(self.labels, dtype=np.int8)
         if labels.ndim != 1 or labels.size < 2:
             raise InputError("topic map needs one label per topic (>= 2 topics)")
-        if not np.isin(labels, (RED, GREEN)).all():
+        if not ((labels == RED) | (labels == GREEN)).all():
             raise InputError("topic labels must be RED or GREEN")
         object.__setattr__(self, "labels", labels)
 
@@ -119,13 +123,47 @@ def _side_sizes(g, part: Partition) -> tuple:
 
 
 def _sides(g, red_mask: np.ndarray) -> tuple:
-    """(red_in, green_in) edge masks of one (n,) red mask or a (draws, n) stack."""
+    """(red_in, green_in) edge masks of one (n,) red mask or of a stack of them."""
     ru, rv = red_mask[..., g.edge_u], red_mask[..., g.edge_v]
     return ru & rv, ~ru & ~rv
 
 
-def _density_gap(red_in, green_in, m: int, n_green: int):
-    return red_in.sum(axis=-1) / comb(m, 2) - green_in.sum(axis=-1) / comb(n_green, 2)
+def _neighbour_lists(g) -> tuple:
+    """(offsets, neighbours): the CSR adjacency of g, neighbours of v at
+    neighbours[offsets[v]:offsets[v + 1]]."""
+    offsets, neighbours, _ = _build_adjacency(g.n, g.edge_u, g.edge_v, np.arange(g.num_edges))
+    return offsets, neighbours
+
+
+def _side_edge_counts(g, adjacency: tuple, chosen: np.ndarray, red_mask: np.ndarray) -> tuple:
+    """(red_internal, green_internal) edge counts of each row's red set.
+
+    ``chosen`` holds each row's red ids (rows x m) and ``red_mask`` the same
+    sets as (rows x n) masks.  Each red vertex's neighbour list is looked up
+    in its row's mask, so the work and memory are O(rows x degree sum).
+    """
+    offsets, neighbours = adjacency
+    degree = np.diff(offsets)[chosen]
+    touched = degree.sum(axis=1)  # edges with a red end, red-internal ones twice
+    lengths = degree.ravel()
+    ends = np.cumsum(lengths)
+    # the lookups are most of screening's work: 32-bit indices wherever they fit
+    index = np.int32 if max(red_mask.size, neighbours.size, ends[-1]) < 2**31 else np.int64
+    # CSR position of every looked-up neighbour, one segment per red vertex
+    pos = np.repeat((offsets[chosen.ravel()] - (ends - lengths)).astype(index), lengths)
+    pos += np.arange(ends[-1], dtype=index)
+    # ... and its place in the flattened (rows x n) mask
+    flat = neighbours.astype(index)[pos]
+    flat += np.repeat(np.arange(0, red_mask.size, red_mask.shape[1], dtype=index), touched)
+    hits_before = np.zeros(flat.size + 1, dtype=index)
+    np.cumsum(red_mask.ravel()[flat], out=hits_before[1:])
+    row_end = np.cumsum(touched)
+    red = (hits_before[row_end] - hits_before[row_end - touched]).astype(np.int64) // 2
+    return red, g.num_edges - (touched - red)
+
+
+def _density_gap(red_edges, green_edges, m: int, n_green: int):
+    return red_edges / comb(m, 2) - green_edges / comb(n_green, 2)
 
 
 def _profile(weights: np.ndarray, sel: np.ndarray) -> np.ndarray:
@@ -141,18 +179,26 @@ def _profile_gap(weights: np.ndarray, red_in, green_in) -> tuple:
     return (float(np.abs(pr - pg).sum()) if pr.any() and pg.any() else 0.0), pr, pg
 
 
+def _cumulative_topics(g: TopicGraph) -> np.ndarray:
+    """(topics x edges) cumulative topic probabilities of every edge."""
+    return np.ascontiguousarray(np.cumsum(g.topic_probs, axis=1).T)
+
+
 def _draw_topics(cum_topics: np.ndarray, rng) -> np.ndarray:
-    """One topic per edge, in stored (sorted-pair) order, one uniform each."""
-    u = rng.random(cum_topics.shape[0])
-    return np.minimum((u[:, None] >= cum_topics).sum(axis=1), cum_topics.shape[1] - 1)
+    """One topic per edge, in stored (sorted-pair) order, one uniform each:
+    the number of cumulative probabilities at or below it, at most k - 1.
+    ``cum_topics`` is the (topics x edges) table of :func:`_cumulative_topics`."""
+    u = rng.random(cum_topics.shape[1])
+    return np.minimum((u >= cum_topics).sum(axis=0, dtype=np.int32), cum_topics.shape[0] - 1)
 
 
-def _rates(attr, red_in, green_in, m: int, n_green: int) -> tuple:
-    """(p1, p2, s1, s2): red and green edges per green-side, then red-side, pair."""
+def _rates(attr, red_in, green_in, red_pairs, green_pairs) -> np.ndarray:
+    """(..., 4) rates (p1, p2, s1, s2): red and green edges per green-side,
+    then red-side, pair, for edge attributes and side masks over the last axis."""
     red_edge, green_edge = attr == RED, attr == GREEN
-    return tuple(np.count_nonzero(side & edge) / comb(size, 2)
-                 for side, size in ((green_in, n_green), (red_in, m))
-                 for edge in (red_edge, green_edge))
+    return np.stack([np.count_nonzero(side & edge, axis=-1) / pairs
+                     for side, pairs in ((green_in, green_pairs), (red_in, red_pairs))
+                     for edge in (red_edge, green_edge)], axis=-1)
 
 
 def topic_profile(g: TopicGraph, vs, *, weighted: bool = True) -> np.ndarray:
@@ -174,7 +220,9 @@ def delta_rho(g: TopicGraph, part: Partition) -> float:
     """Relative-density difference between the red-induced and green-induced
     subgraphs."""
     m, n_green = _side_sizes(g, part)
-    return float(_density_gap(*_sides(g, part.red_mask()), m, n_green))
+    counts = _side_edge_counts(g, _neighbour_lists(g), part.red_ids[None, :],
+                               part.red_mask()[None, :])
+    return float(_density_gap(*counts, m, n_green)[0])
 
 
 def delta_p(g: TopicGraph, part: Partition, *, weighted: bool = True) -> float:
@@ -216,28 +264,32 @@ def screen_partitions(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
     if max_attempts < 1:
         raise InputError("max_attempts must be >= 1")
     weights = _edge_weights(g, weighted)
+    adjacency = _neighbour_lists(g)
     base = child_seed(seed)
     accepted = []
     for start in range(0, max_attempts, _SCREEN_BLOCK):
         rng = generator(child_seed(base, start // _SCREEN_BLOCK))
-        accepted += _screen_block(g, m, thresholds, weights, rng, start,
+        accepted += _screen_block(g, m, thresholds, weights, adjacency, rng, start,
                                   min(_SCREEN_BLOCK, max_attempts - start))
     return ScreeningResult(tuple(accepted), max_attempts, thresholds)
 
 
 def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
-                  weights: np.ndarray, rng, start: int, draws: int) -> list:
-    """Accepted draws start..start+draws-1; the block's (draws x edges) masks
-    live only in this call, so screening never holds two blocks' at once."""
+                  weights: np.ndarray, adjacency: tuple, rng, start: int, draws: int) -> list:
+    """Accepted draws start..start+draws-1.  Density gaps come from edge
+    counts; edge masks are built only for the draws passing tau_rho."""
     keys = rng.random((_SCREEN_BLOCK, g.n))[:draws]
-    chosen = np.argpartition(keys, m - 1, axis=1)[:, :m]
+    # copy and drop the (draws x n) keys and indices before counting: 20 -> 13 MB peak
+    chosen = np.argpartition(keys, m - 1, axis=1)[:, :m].copy()
+    del keys
     red_mask = np.zeros((draws, g.n), dtype=bool)
     red_mask[np.arange(draws)[:, None], chosen] = True
-    red_in, green_in = _sides(g, red_mask)
-    d_rho = _density_gap(red_in, green_in, m, g.n - m)
+    d_rho = _density_gap(*_side_edge_counts(g, adjacency, chosen, red_mask), m, g.n - m)
+    rows = np.flatnonzero(d_rho > thresholds.tau_rho)
+    red_in, green_in = _sides(g, red_mask[rows])
     accepted = []
-    for row in np.flatnonzero(d_rho > thresholds.tau_rho):
-        d_p, pr, pg = _profile_gap(weights, red_in[row], green_in[row])
+    for i, row in enumerate(rows):
+        d_p, pr, pg = _profile_gap(weights, red_in[i], green_in[i])
         if d_p > thresholds.tau_p:
             accepted.append(ScreenedPartition(
                 partition=Partition(g.n, np.sort(chosen[row])),
@@ -261,7 +313,7 @@ def instantiate_edges(g: TopicGraph, topic_map: TopicMap, part: Partition,
     if topic_map.k_topics != g.k_topics:
         raise InputError("topic map does not cover the graph's topics")
     _check_partition(g, part)
-    topics = _draw_topics(np.cumsum(g.topic_probs, axis=1), generator(seed))
+    topics = _draw_topics(_cumulative_topics(g), generator(seed))
     attrs = topic_map.labels[topics].astype(np.int64)
     observed = np.full(g.n, OCCLUDED, dtype=np.int8)
     # topic-graph edges are stored canonically already
@@ -278,7 +330,8 @@ def estimate_rates(g: AttributedGraph, part: Partition) -> EstimatedRates:
     """
     m, n_green = _side_sizes(g, part)
     red_in, green_in = _sides(g, part.red_mask())
-    return EstimatedRates(*_rates(g.edge_attr, red_in, green_in, m, n_green))
+    return EstimatedRates(*map(float, _rates(g.edge_attr, red_in, green_in,
+                                             comb(m, 2), comb(n_green, 2))))
 
 
 @dataclass(frozen=True)
@@ -318,29 +371,66 @@ def bin_index(value: float, width: float) -> int:
     return int(floor(round(value / width, 9)))
 
 
-def _trial_partition(g: TopicGraph, sp: ScreenedPartition, ordinal: int, m_prime: int,
-                     gamma_grid, replicates: int, base_seed, cum_topics: np.ndarray):
-    """Raw metric values (gammas x 3 x reps) and mean rates for one partition;
-    each replicate instantiates, identifies, ranks, evaluates and estimates."""
-    part = sp.partition
-    m, n_green = _side_sizes(g, part)
-    red_mask = part.red_mask()
-    red_in, green_in = _sides(g, red_mask)
-    values = []
-    rate_sum = np.zeros(4)
-    for rep in range(replicates):
-        edge_seed, ident_seed, tie_seed = (child_seed(base_seed, ordinal, rep, i)
-                                           for i in range(3))
-        attr = sp.topic_map.labels[_draw_topics(cum_topics, generator(edge_seed))]
-        identified = np.zeros(g.n, dtype=bool)
-        identified[generator(ident_seed).choice(part.red_ids, size=m_prime,
-                                                replace=False)] = True
-        t0, t1 = score_counts(g.n, g.edge_u, g.edge_v, attr == RED, identified)
-        cand = np.flatnonzero(~identified)
-        tiebreak = generator(tie_seed).permutation(cand.size)
-        values.append(evaluate_grid(t0[cand], t1[cand], red_mask[cand], tiebreak, gamma_grid))
-        rate_sum += _rates(attr, red_in, green_in, m, n_green)
-    return np.stack(values, axis=-1), EstimatedRates(*map(float, rate_sum / replicates))
+def _draw_instances(g: TopicGraph, block, first: int, m_prime: int, replicates: int,
+                    base_seed, cum_topics: np.ndarray) -> tuple:
+    """(edge labels, identified masks, tie-break keys), one row per (partition,
+    replicate) of ``block``, whose first partition has ordinal ``first``.
+
+    Replicate r of the partition with ordinal o draws its edge topics, its
+    m_prime identified red vertices and its tie-break permutation from
+    child_seed(base_seed, o, r, 0..2), as if it ran alone.
+    """
+    n_inst, n_cand = len(block) * replicates, g.n - m_prime
+    attr = np.empty((n_inst, g.num_edges), dtype=np.int8)
+    identified = np.zeros((n_inst, g.n), dtype=bool)
+    tiebreak = np.empty((n_inst, n_cand), dtype=np.int64)
+    for j, sp in enumerate(block):
+        for rep in range(replicates):
+            i = j * replicates + rep
+            edge_seed, ident_seed, tie_seed = (child_seed(base_seed, first + j, rep, k)
+                                               for k in range(3))
+            attr[i] = sp.topic_map.labels[_draw_topics(cum_topics, generator(edge_seed))]
+            identified[i, generator(ident_seed).choice(sp.partition.red_ids, size=m_prime,
+                                                       replace=False)] = True
+            tiebreak[i] = generator(tie_seed).permutation(n_cand)
+    return attr, identified, tiebreak
+
+
+def _trial_block(g: TopicGraph, block, first: int, m_prime: int, gamma_grid,
+                 replicates: int, base_seed, cum_topics: np.ndarray) -> list:
+    """(metric values (gammas x metrics x replicates), mean rates) of each
+    partition in ``block``; all (partition, replicate) instances are scored,
+    ranked and evaluated as one stack."""
+    m, n_green = np.array([_side_sizes(g, sp.partition) for sp in block]).T
+    attr, identified, tiebreak = _draw_instances(g, block, first, m_prime, replicates,
+                                                 base_seed, cum_topics)
+    n_inst, n_cand = tiebreak.shape
+    # the instances as one graph of n_inst disjoint copies, vertex v of copy i at i*n + v
+    shift = (np.arange(n_inst) * g.n)[:, None]
+    t0, t1 = score_counts(n_inst * g.n, (g.edge_u + shift).ravel(), (g.edge_v + shift).ravel(),
+                          (attr == RED).ravel(), identified.ravel())
+    cand = ~identified.ravel()
+    red_masks = np.stack([sp.partition.red_mask() for sp in block])
+    red = np.repeat(red_masks, replicates, axis=0).ravel()[cand].reshape(n_inst, n_cand)
+    t0, t1 = t0[cand].reshape(n_inst, n_cand), t1[cand].reshape(n_inst, n_cand)
+    m_inst = np.repeat(m, replicates)
+    values = None
+    for size in np.unique(m_inst):  # a metric stack needs one red count per row
+        rows = m_inst == size
+        got = evaluate_grid(t0[rows], t1[rows], red[rows], tiebreak[rows], gamma_grid)
+        if values is None:
+            values = np.empty((n_inst, *got.shape[1:]))
+        values[rows] = got
+    values = np.moveaxis(values.reshape(len(block), replicates, *values.shape[1:]), 1, -1)
+
+    red_in, green_in = _sides(g, red_masks[:, None, :])
+    rates = _rates(attr.reshape(len(block), replicates, -1), red_in, green_in,
+                   (m * (m - 1) // 2)[:, None], (n_green * (n_green - 1) // 2)[:, None])
+    rate_sum = np.zeros((len(block), rates.shape[-1]))
+    for rep in range(replicates):  # summed in replicate order, as one partition alone would
+        rate_sum += rates[:, rep]
+    return [(v, EstimatedRates(*map(float, r / replicates)))
+            for v, r in zip(values, rate_sum)]
 
 
 def check_trial_arguments(m: int, m_prime: int, gamma_grid, replicates: int,
@@ -377,16 +467,17 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
     grid = check_trial_arguments(min(sp.partition.num_red for sp in accepted), m_prime,
                                  gamma_grid, replicates_per_partition, bin_width)
     base = child_seed(seed)
-    cum_topics = np.cumsum(g.topic_probs, axis=1)
-    raw = parallel_map(_trial_partition,
-                       [(g, sp, ordinal, m_prime, grid, replicates_per_partition, base,
-                         cum_topics) for ordinal, sp in enumerate(accepted)],
-                       n_workers)
+    cum_topics = _cumulative_topics(g)
+    blocks = parallel_map(_trial_block,
+                          [(g, accepted[first:first + _TRIAL_BLOCK], first, m_prime, grid,
+                            replicates_per_partition, base, cum_topics)
+                           for first in range(0, len(accepted), _TRIAL_BLOCK)],
+                          n_workers)
 
     partitions = []
     bin_values: dict = {}
     bin_partitions: dict = {}
-    for sp, (values, rates) in zip(accepted, raw):
+    for sp, (values, rates) in zip(accepted, (trial for block in blocks for trial in block)):
         partitions.append(PartitionTrial(sp.draw_index, sp.delta_rho, sp.delta_p,
                                          MetricTable.fold(grid, values), rates))
         key = (bin_index(sp.delta_rho, bin_width), bin_index(sp.delta_p, bin_width))

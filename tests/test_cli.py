@@ -474,6 +474,58 @@ DOCUMENT_DIGESTS = {
 }
 
 
+# importance edge cases on the same corpus: open density bar, unweighted
+# profiles, the smallest red set, and more trial partitions than one trial
+# block on two workers
+IMPORTANCE_EDGE_CASES = {
+    "tau_rho_inf": ["--tau-rho=-inf", "--attempts", "600", "--replicates", "2",
+                    "--max-partitions", "40", "--seed", "5"],
+    "unweighted": ["--unweighted-profiles", "--attempts", "4096", "--replicates", "2",
+                   "--max-partitions", "30", "--seed", "6"],
+    "m2": ["--m", "2", "--m-prime", "1", "--attempts", "4096", "--replicates", "2",
+           "--max-partitions", "30", "--seed", "8"],
+    "workers2": ["--attempts", "8192", "--replicates", "1", "--max-partitions", "150",
+                 "--workers", "2", "--seed", "7"],
+}
+
+
+def importance_edge_digests(directory, corpus, case) -> dict:
+    """Data-section sha256 of the main, partitions and rates CSVs of one case."""
+    paths = {name: directory / f"{case}.{name}.csv" for name in ("main", "partitions", "rates")}
+    argv = ["importance", "--graph", str(corpus), "--m", "10", "--m-prime", "5",
+            *IMPORTANCE_EDGE_CASES[case], "--out", str(paths["main"]),
+            "--partitions-out", str(paths["partitions"]), "--rates-out", str(paths["rates"])]
+    assert main(argv) == 0
+    return {name: hashlib.sha256(data_section(path.read_text()).encode("utf-8")).hexdigest()
+            for name, path in paths.items()}
+
+
+# data-section sha256 of each edge case, as written before screening counted
+# red-internal edges from neighbour lists and trials ran in stacked blocks
+IMPORTANCE_EDGE_DIGESTS = {
+    "tau_rho_inf": {
+        "main": "f1b617f7fc7a77c01649c794514b4c60e005f194997904100e6ff83730353871",
+        "partitions": "240fd90c53588808ec8c824e73ac2cab729a95c22ad9e8426e297af7ef936dbb",
+        "rates": "d8c439cc1fd3e4fe10943790b93ce0b275d594ad8501170695becef045a5140c",
+    },
+    "unweighted": {
+        "main": "a309631ec67874559d5db9630a2d730f1e9bfe2498d2e99ede5e065adf54cf14",
+        "partitions": "8c787798c4ac02afea45cb24e32bf3876c8ca7c62cf993497c8ce84e1bcbace8",
+        "rates": "c30c9eb8d118f5bb6c59bb11c7b94aa861690d5381c43245726211b5157d5e6b",
+    },
+    "m2": {
+        "main": "f264230ad4355228be9c6f116d4537cea3a1013ffddf5f47e5a141a5bcc77429",
+        "partitions": "5cb6f245d4790fb1f3d5b0e1c20c7fb94eb773052fe0be8020d73fab429ca45f",
+        "rates": "5ea73f55e418bc4e36649db8978f0395312d9ac33be04f500e77012ed8a26b14",
+    },
+    "workers2": {
+        "main": "f07b383c829129da12fd44e296ca8506fe6b518b95ef8a17830d4ef11300a5d6",
+        "partitions": "48a90e434f99c3d73da171ba2c63de27fc1720ad8a644137e39cb9f50e61bf68",
+        "rates": "3b88863a92a7141824d9d286a7326e28b4777e6a4a55f1691baa222a2ee4020c",
+    },
+}
+
+
 class TestResultDocuments:
     def test_data_sections_match_recorded_digests(self, documents):
         from vnom.io import json_data_section
@@ -482,6 +534,10 @@ class TestResultDocuments:
             data = json_data_section(text) if name.endswith(".json") else data_section(text)
             digests[name] = hashlib.sha256(data.encode("utf-8")).hexdigest()
         assert digests == DOCUMENT_DIGESTS
+
+    @pytest.mark.parametrize("case", sorted(IMPORTANCE_EDGE_CASES))
+    def test_importance_edge_cases_match_recorded_digests(self, tmp_path, corpus, case):
+        assert importance_edge_digests(tmp_path, corpus, case) == IMPORTANCE_EDGE_DIGESTS[case]
 
     def test_every_document_carries_the_envelope(self, documents):
         for name, text in documents.items():

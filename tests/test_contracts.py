@@ -9,13 +9,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import vnom
 import vnom.cli
-from vnom import KidneyEggParams, gamma_surface
+from vnom import (KidneyEggParams, ScreeningThresholds, gamma_surface, read_topic_graph,
+                  screen_partitions)
 from vnom.io import data_section
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -180,3 +182,25 @@ def test_importance_side_outputs_match_recorded_digests(monkeypatch, tmp_path):
         argv += [flag, str(path)]
     assert vnom.cli.main(argv) == 0
     assert {flag: data_digest(path) for flag, path in outputs.items()} == IMPORTANCE_SIDE_DIGESTS
+
+
+# tracemalloc peak of one 4096-draw screening call on the importance bench
+# corpus: 29.3-30.5 MB at seeds 1, 3 and 7919 when every draw built its
+# (draws x edges) side masks, 12.6 MB once red-internal edges were counted
+# from neighbour lists and masks built only for draws passing tau_rho
+SCREEN_BLOCK_PEAK_BYTES = 20_000_000
+
+
+def test_one_screening_block_stays_below_recorded_peak(monkeypatch, tmp_path):
+    run = load_bench_run(monkeypatch)
+    run.prepare("importance", 3, tmp_path)
+    g = read_topic_graph(tmp_path / "corpus.topics")
+    tracemalloc.start()
+    try:
+        result = screen_partitions(g, 10, ScreeningThresholds(), 4096, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.attempts == 4096 and result.n_accepted > 0
+    assert peak < SCREEN_BLOCK_PEAK_BYTES
+

@@ -85,6 +85,25 @@ class TestEvaluateGrid:
                 assert list(row[3:]) == [report.ap_y[y] for y in y_values]
 
 
+    def test_stack_rows_equal_single_calls(self):
+        # heavy ties: scores from {0, 1, 2}; 0.3333333217048645 needs object keys
+        grid = (0.0, 1 / 3, 0.1 + 0.2, 0.3333333217048645, 1.0)
+        rng = np.random.default_rng(5)
+        stacks, n_cand = 40, 30
+        t0 = rng.integers(0, 3, size=(stacks, n_cand))
+        t1 = rng.integers(0, 3, size=(stacks, n_cand))
+        red = np.zeros((stacks, n_cand), dtype=bool)
+        for row in red:
+            row[rng.choice(n_cand, size=4, replace=False)] = True
+        tiebreak = np.stack([rng.permutation(n_cand) for _ in range(stacks)])
+        stacked = evaluate_grid(t0, t1, red, tiebreak, grid, (1, 2))
+        single = np.stack([evaluate_grid(*row, grid, (1, 2))
+                           for row in zip(t0, t1, red, tiebreak)])
+        assert stacked.shape == single.shape == (stacks, len(grid), 5)
+        assert stacked.dtype == single.dtype
+        assert stacked.tobytes() == single.tobytes()
+
+
 class TestPoolSize:
     def test_rejects_fewer_than_one_worker(self):
         for n_workers in (0, -1, -100_000):

@@ -7,7 +7,8 @@ from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition,
                   ScreeningThresholds, TopicMap, UndefinedDensityError, delta_p,
                   delta_rho, estimate_rates, instantiate_edges, run_importance_trials,
                   sample_kidney_egg, screen_partitions, topic_profile)
-from vnom.importance import bin_index, check_trial_arguments, topic_map_from_profiles
+from vnom.importance import (_cumulative_topics, _draw_topics, bin_index,
+                             check_trial_arguments, topic_map_from_profiles)
 
 from conftest import build_attributed, build_topic, point_mass
 
@@ -195,6 +196,39 @@ class TestInstantiateEdges:
         assert np.array_equal(a.edge_v, g.edge_v)
 
 
+class PlantedUniforms:
+    """A stand-in generator whose random(size) returns planted values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.values.size
+        return self.values
+
+
+class TestDrawTopics:
+    def test_planted_uniforms_match_bisection(self):
+        from bisect import bisect_right
+        from itertools import accumulate
+        probs = [np.full(4, 0.25), np.array([0.0, 0.5, 0.0, 0.5]),
+                 np.array([0.1, 0.2, 0.3, 0.4 - 1e-12]), point_mass(2, 4)]
+        g = build_topic(5, [(0, v + 1, 1, p) for v, p in enumerate(probs)], 4)
+        cums = [list(accumulate(row)) for row in g.topic_probs.tolist()]
+        assert cums[2][-1] < 1.0  # a row whose probabilities sum to 1 - 1e-12
+        planted = [
+            [0.0] * 4,
+            [cum[1] for cum in cums],  # exactly an interior cumulative value
+            [np.nextafter(cum[1], 0.0) for cum in cums],  # the float just below it
+            [cum[-1] + 5e-13 for cum in cums],  # above the short row's total
+            [0.3, 0.75, 0.999, 0.5],
+        ]
+        for u in planted:
+            expected = [min(bisect_right(cum, x), 3) for cum, x in zip(cums, u)]
+            got = _draw_topics(_cumulative_topics(g), PlantedUniforms(u))
+            assert got.tolist() == expected
+
+
 class TestEstimateRates:
     def test_no_internal_edges(self):
         g = build_attributed(6, [(0, 3, 1), (1, 4, 2), (2, 5, 1)], red={0, 1, 2})
@@ -299,6 +333,26 @@ class TestRunImportanceTrials:
         a = run_importance_trials(g, res.accepted, 2, [0.0, 0.5, 1.0], 3, 9, n_workers=1)
         b = run_importance_trials(g, res.accepted, 2, [0.0, 0.5, 1.0], 3, 9, n_workers=4)
         assert a == b
+
+    def test_several_trial_blocks_are_worker_independent(self):
+        # 150 partitions span three trial blocks, split over two workers
+        g = two_block_topic_graph()
+        res = self.trivial_screen(g, 4, attempts=150)
+        a = run_importance_trials(g, res.accepted, 2, [0.0, 0.5, 1.0], 2, 9, n_workers=1)
+        b = run_importance_trials(g, res.accepted, 2, [0.0, 0.5, 1.0], 2, 9, n_workers=2)
+        assert len(a.partitions) == 150
+        assert a == b
+
+    def test_mixed_red_set_sizes_in_one_block(self):
+        # partitions of 3 and 4 red vertices share a trial block; each keeps the
+        # results it gets among partitions of its own size at the same ordinal
+        g = two_block_topic_graph()
+        fours = self.trivial_screen(g, 4, attempts=3).accepted
+        threes = self.trivial_screen(g, 3, attempts=3, seed=1).accepted
+        for head, tail in ((fours, threes), (threes, fours)):
+            mixed = run_importance_trials(g, head + tail, 2, [0.0, 0.5, 1.0], 2, 9)
+            alone = run_importance_trials(g, head, 2, [0.0, 0.5, 1.0], 2, 9)
+            assert mixed.partitions[:3] == alone.partitions
 
     def test_zero_workers_rejected(self):
         g = two_block_topic_graph()

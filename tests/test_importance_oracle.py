@@ -170,3 +170,34 @@ class TestScreenedGaps:
             assert abs(sp.delta_rho - oracle_delta_rho(g, red)) <= TOL
             assert abs(sp.delta_p - oracle_delta_p(g, red, weighted)) <= TOL
             assert sp.delta_rho > thresholds.tau_rho and sp.delta_p > thresholds.tau_p
+
+
+def edgeless_graph(n=8):
+    return build_topic(n, [], 3)
+
+
+def complete_graph(n=7):
+    return build_topic(n, [(u, v, 1 + (u + v) % 3, point_mass((u * v) % 3, 3))
+                           for u in range(n) for v in range(u + 1, n)], 3)
+
+
+def star_graph(n=9):
+    return build_topic(n, [(0, v, v, point_mass(v % 3, 3)) for v in range(1, n)], 3)
+
+
+class TestExactScreenedDensity:
+    # open bars accept every draw, so every screened delta_rho is checked, with ==
+    @pytest.mark.parametrize("graph", [edgeless_graph, complete_graph, star_graph,
+                                       lambda: small_surrogate(3), lambda: small_surrogate(8)],
+                             ids=["edgeless", "complete", "star", "surrogate3", "surrogate8"])
+    @pytest.mark.parametrize("small", [True, False], ids=["m=2", "m=n-2"])
+    def test_every_draw_equals_per_edge_count(self, graph, small):
+        g = graph()
+        m = 2 if small else g.n - 2
+        res = screen_partitions(g, m, ScreeningThresholds(-np.inf, -np.inf), 300, 17)
+        assert res.n_accepted == 300
+        for sp in res.accepted:
+            red = sp.partition.red_ids.tolist()
+            assert sp.delta_rho == oracle_delta_rho(g, red)
+            assert delta_rho(g, sp.partition) == sp.delta_rho
+
