@@ -27,7 +27,7 @@ from .graph import RED
 from .kidney_egg import KidneyEggParams, Simplex3, sample_kidney_egg
 from .metrics import CRITERIA, EvalReport, MetricTable, column_index, mask_metrics
 from .nomination import (GAMMA_GRID_DEFAULT, candidate_statistics, fused_order,
-                         validate_gamma_grid)
+                         prepare_ranking, validate_gamma_grid)
 from .seeding import child_seed, generator
 
 
@@ -150,9 +150,14 @@ def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
     then ranked on its own, with one sort per gamma for the whole stack, and
     the result is (instances x gammas x metrics).
     """
-    orders = np.stack([fused_order(t0, t1, gamma, tiebreak) for gamma in gamma_grid], axis=-2)
+    t0, t1, tiebreak, _ = prepare_ranking(t0, t1, tiebreak)  # range checks once, not per gamma
+    grid = tuple(gamma_grid)
+    orders = np.empty((len(grid), *tiebreak.shape), dtype=np.intp)
+    for i, gamma in enumerate(grid):
+        orders[i] = fused_order(t0, t1, gamma, tiebreak)
     if np.ndim(red) == 1:
         return mask_metrics(red[orders], y_values)
+    orders = np.moveaxis(orders, 0, -2)  # (instances x gammas x candidates)
     masks = np.take_along_axis(red[:, None, :], orders, axis=-1)  # row i orders row i of red
     return mask_metrics(masks.reshape(-1, masks.shape[-1]), y_values).reshape(*masks.shape[:-1], -1)
 

@@ -90,14 +90,18 @@ def mask_metrics(masks, y_values=()) -> np.ndarray:
     Columns: S@1, RR, AP, then AP^y for each y in ``y_values``.
     """
     masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-    n_red = int(np.count_nonzero(masks[0]))
+    counts = np.count_nonzero(masks, axis=1)
+    n_red = int(counts[0])
     if n_red == 0:
         raise NoRedCandidatesError("truth set is empty")
+    if (counts != n_red).any():
+        raise InputError("every ordering in a stack must hold the same number of red candidates")
     for y in y_values:
         if not 1 <= y <= n_red:
             raise InputError(f"y must lie in 1..{n_red}, got {y}")
-    ranks = np.arange(1, masks.shape[1] + 1)
-    hits = (np.cumsum(masks, axis=1) / ranks)[masks].reshape(len(masks), n_red)
+    # the precision at the j-th red candidate is j / its rank
+    ranks = np.flatnonzero(masks).reshape(len(masks), n_red) % masks.shape[1] + 1
+    hits = np.arange(1, n_red + 1) / ranks
     out = np.empty((len(masks), 3 + len(y_values)))
     out[:, 0] = masks[:, 0]
     out[:, 1] = hits[:, 0]

@@ -6,10 +6,19 @@ combination ``(1-gamma)*context + gamma*content``.  Candidates are ranked by
 fused score descending, with ties broken by a seeded uniform random
 permutation within each tied group.
 
-Ranking compares one exact integer key per candidate, ``(den-num)*context +
-num*content`` with ``gamma = num/den``: the small rational a grid float stands
-for, or else the float's exact binary value.  Equal fused values therefore
-never split and unequal ones never merge through float rounding.
+Ranking compares one exact integer per candidate, the fused key
+``(den-num)*context + num*content`` with ``gamma = num/den``: the small
+rational a grid float stands for, or else the float's exact binary value.
+Equal fused values therefore never split and unequal ones never merge through
+float rounding.  The fused key and the tie-break key become one combined key,
+``-fused*span + tiebreak`` with ``span`` the width of the tie-break range, and
+one stable argsort of it orders the candidates (equal tie-break keys fall back
+on position, as ``np.lexsort`` would).  :func:`prepare_ranking` checks the
+ranges once per candidate set and narrows the arrays (int32 scores, uint8 or
+uint16 tie-break keys); :func:`fused_order` then takes its int64 path from the
+dtypes and ``den*span < 2**31`` alone, with no pass over the data.  Keys int64
+cannot be shown to hold, as for a gamma that is no small rational, are Python
+ints.
 
 :func:`score_counts` counts both scores for every vertex from bare edge arrays;
 it serves attributed graphs, importance trials and sampled score PMFs alike.
@@ -120,39 +129,105 @@ def candidate_statistics(g: AttributedGraph):
     return cand, t0[cand], t1[cand]
 
 
-_INT64_DENOMINATOR = 1_000_000  # largest small-rational denominator; its keys fit int64
+_SMALL_DENOMINATOR = 1_000_000  # largest denominator read as a small rational
+_INT32 = np.dtype(np.int32)
+_TIEBREAK_SPAN = {np.dtype(np.uint8): 1 << 8, np.dtype(np.uint16): 1 << 16}  # narrowest first
+_FAST_LIMIT = 1 << 31  # den * span below this keeps every combined key inside int64
 
 
-@lru_cache(maxsize=256)
-def _gamma_as_fraction(gamma: float) -> Fraction:
-    """The small rational gamma stands for, else its exact binary value."""
-    frac = Fraction(gamma).limit_denominator(_INT64_DENOMINATOR)
-    return frac if float(frac) == gamma else Fraction(gamma)
-
-
-def _fused_keys(t0, t1, gamma):
-    """(keys, den): fused scores times den as exact integers, gamma = num/den.
-
-    Keys are int64 for small-rational gammas; otherwise den is a large power
-    of two and the keys are Python ints in an object array.
-    """
+@lru_cache(maxsize=4096)
+def _gamma_weights(gamma) -> tuple:
+    """(den - num, num, den) with gamma = num/den: the small rational gamma
+    stands for, else its exact binary value.  Cached so that any grid of up
+    to a few thousand points is converted once."""
     _check_gamma(gamma)
-    frac = _gamma_as_fraction(float(gamma))
-    num, den = frac.numerator, frac.denominator
-    dtype = np.int64 if den <= _INT64_DENOMINATOR else object
-    t0 = np.asarray(t0, dtype=np.int64).astype(dtype, copy=False)
-    t1 = np.asarray(t1, dtype=np.int64).astype(dtype, copy=False)
-    return (den - num) * t0 + num * t1, den
+    gamma = float(gamma)
+    frac = Fraction(gamma).limit_denominator(_SMALL_DENOMINATOR)
+    if float(frac) != gamma:
+        frac = Fraction(gamma)
+    return frac.denominator - frac.numerator, frac.numerator, frac.denominator
+
+
+def _or_all(a):
+    """Bitwise OR of every value of a non-empty integer array: for k < 63 it
+    lies in [0, 2**k) exactly when every value does, so one pass checks both
+    bounds."""
+    return np.bitwise_or.reduce(a, axis=None)
+
+
+def prepare_ranking(t0, t1, tiebreak_keys) -> tuple:
+    """(t0, t1, tiebreak, span) in the narrow dtypes of :func:`fused_order`'s
+    fast path, with every tie-break key in [0, span).
+
+    Scores become int32 when all are non-negative and below 2**31.  Tie-break
+    keys that are negative, not integers or not below 2**31 are replaced by
+    their ranks within each row (equal keys ranked by position), which order
+    every tie exactly as the keys do.  Keys below 2**8 or 2**16 become uint8
+    or uint16 and span is that dtype's width; wider keys stay int64 with span
+    the next power of two.  Ranking the returned arrays gives the same
+    permutation as ranking the inputs.
+    """
+    t0 = np.asarray(t0, dtype=np.int64)
+    t1 = np.asarray(t1, dtype=np.int64)
+    if t0.size and 0 <= _or_all(t0 | t1) < 1 << 31:
+        t0, t1 = t0.astype(np.int32), t1.astype(np.int32)
+    tiebreak = np.asarray(tiebreak_keys)
+    bound = _or_all(tiebreak) if tiebreak.dtype.kind in "bui" and tiebreak.size else -1
+    if not 0 <= bound < 1 << 31:
+        first = np.argsort(tiebreak, axis=-1, kind="stable")
+        tiebreak = np.argsort(first, axis=-1, kind="stable")
+        bound = tiebreak.shape[-1] - 1
+    for dtype, span in _TIEBREAK_SPAN.items():
+        if bound < span:
+            return t0, t1, tiebreak.astype(dtype), span
+    return t0, t1, tiebreak.astype(np.int64), 1 << int(bound).bit_length()
+
+
+def _combined_keys(t0, t1, gamma, tiebreak_keys) -> tuple:
+    """(keys, span, den): ``-fused*span + tiebreak`` per candidate, with
+    ``fused = (den-num)*t0 + num*t1`` the exact fused key; one integer whose
+    ascending order is fused score descending, then tie-break key ascending.
+
+    Int32 scores with uint8/uint16 tie-break keys and den*span < 2**31 give
+    int64 keys at once (span is the width of the key dtype).  Any other input
+    goes through :func:`prepare_ranking` first; keys that still cannot be
+    bounded inside int64 are Python ints (:func:`_exact_keys`).
+    """
+    w0, w1, den = _gamma_weights(gamma)
+    t0, t1, tiebreak = np.asarray(t0), np.asarray(t1), np.asarray(tiebreak_keys)
+    span = _TIEBREAK_SPAN.get(tiebreak.dtype)
+    if span is None or t0.dtype != _INT32 or t1.dtype != _INT32:
+        t0, t1, tiebreak, span = prepare_ranking(t0, t1, tiebreak)  # t0, t1 share a dtype
+    if t0.dtype == _INT32 and den * span < _FAST_LIMIT:
+        return _key_formula(t0, t1, w0, w1, tiebreak, span, np.int64), span, den
+    return _exact_keys(t0, t1, w0, w1, tiebreak, span), span, den
+
+
+def _key_formula(t0, t1, w0, w1, tiebreak, span, dtype):
+    # widened before any product, so no numpy version's promotion rules apply
+    keys = t0.astype(dtype)
+    keys *= -w0 * span
+    term = t1.astype(dtype)
+    term *= -w1 * span
+    keys += term
+    keys += tiebreak
+    return keys
+
+
+def _exact_keys(t0, t1, w0, w1, tiebreak, span):
+    """The combined keys as Python ints, for keys int64 cannot hold."""
+    return _key_formula(t0, t1, w0, w1, tiebreak, span, object)
 
 
 def fused_order(t0, t1, gamma, tiebreak_keys) -> np.ndarray:
     """Permutation sorting candidates by fused score descending.
 
     The permutation indexes the input arrays; candidates with exactly equal
-    fused scores are ordered by ascending ``tiebreak_keys``.
+    fused scores are ordered by ascending ``tiebreak_keys``, and equal keys
+    by position.  Stacks of candidate rows are ranked row by row.
     """
-    keys, _ = _fused_keys(t0, t1, gamma)
-    return np.lexsort((tiebreak_keys, -keys))
+    keys, _, _ = _combined_keys(t0, t1, gamma, tiebreak_keys)
+    return keys.argsort(axis=-1, kind="stable")  # the method skips np.argsort's dispatch
 
 
 def rank_candidates(g: AttributedGraph, gamma: float, seed) -> Ranking:
@@ -166,9 +241,9 @@ def rank_candidates(g: AttributedGraph, gamma: float, seed) -> Ranking:
     if cand.size == 0:
         raise InputError("graph has no candidates to rank")
     tiebreak = generator(seed).permutation(cand.size)
-    order = fused_order(t0, t1, gamma, tiebreak)
-    keys, den = _fused_keys(t0, t1, gamma)
-    sorted_keys = keys[order]
-    bounds = [0, *(np.flatnonzero(np.diff(sorted_keys) != 0) + 1).tolist(), cand.size]
+    keys, span, den = _combined_keys(t0, t1, gamma, tiebreak)
+    order = keys.argsort(kind="stable")
+    fused = -(keys[order] // span)  # fused scores times den, descending
+    bounds = [0, *(np.flatnonzero(np.diff(fused) != 0) + 1).tolist(), cand.size]
     tie_groups = tuple((a, b) for a, b in zip(bounds, bounds[1:]) if b - a >= 2)
-    return Ranking(cand[order], sorted_keys / den, tie_groups, gamma=float(gamma))
+    return Ranking(cand[order], fused / den, tie_groups, gamma=float(gamma))

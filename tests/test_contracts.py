@@ -12,12 +12,16 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vnom
 import vnom.cli
-from vnom import (KidneyEggParams, ScreeningThresholds, gamma_surface, read_topic_graph,
-                  screen_partitions)
+import vnom.nomination
+from vnom import (GAMMA_GRID_DEFAULT, KidneyEggParams, ScreeningThresholds, candidate_statistics,
+                  gamma_surface, read_topic_graph, sample_kidney_egg, screen_partitions)
+from vnom.experiments import evaluate_grid
+from vnom.graph import RED
 from vnom.io import data_section
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,6 +130,26 @@ def test_fused_order_runs_once_per_graph_and_gamma(monkeypatch):
     params = KidneyEggParams(30, 10, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
     gamma_surface(params, (0.0, 0.1 + 0.2, 0.5, 1.0), y_max=2, replicates=3, seed=4)
     assert tracer.take()["nomination.fused_order"]["calls"] == 3 * 4
+
+
+def test_small_rational_gammas_never_take_the_object_key_path(monkeypatch):
+    # value tests cannot see a silent fall-back from int64 keys to Python-int
+    # keys, so count the entries: only a gamma that is no small rational may take it
+    entries = []
+    exact_keys = vnom.nomination._exact_keys
+
+    def counted(*args):
+        entries.append(args)
+        return exact_keys(*args)
+
+    monkeypatch.setattr(vnom.nomination, "_exact_keys", counted)
+    g = sample_kidney_egg(KidneyEggParams(184, 40, 30, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2)), 9)
+    cand, t0, t1 = candidate_statistics(g)
+    red, tiebreak = g.truth[cand] == RED, np.random.default_rng(9).permutation(cand.size)
+    evaluate_grid(t0, t1, red, tiebreak, GAMMA_GRID_DEFAULT, (1, 2, 3))
+    assert len(entries) == 0
+    evaluate_grid(t0, t1, red, tiebreak, GAMMA_GRID_DEFAULT + (0.3333333217048645,), (1, 2, 3))
+    assert len(entries) == 1
 
 
 def load_bench_run(monkeypatch):

@@ -1,5 +1,6 @@
 """Evaluation metrics against brute-force oracles."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 from math import comb
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from vnom import (InputError, NoRedCandidatesError, Ranking, aggregate_reports,
                   average_precision, average_precision_at_y, chance_baseline,
                   evaluate_ranking, precision_at, reciprocal_rank, success_at_1)
-from vnom.metrics import report_from_mask
+from vnom.metrics import mask_metrics, report_from_mask
 
 
 def ranking_of(ids):
@@ -40,6 +41,49 @@ def brute_force_ap_y(order, truth, y):
             if hits == y:
                 break
     return total / y
+
+
+def random_mask_stacks(count=300, seed=20261018):
+    """(masks, y_values) stacks: 1-120 orderings of 2-200 candidates with the
+    same red count, and every y <= min(4, reds)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        rows, n = int(rng.integers(1, 121)), int(rng.integers(2, 201))
+        n_red = int(rng.integers(1, n + 1))
+        base = np.arange(n) < n_red
+        yield rng.permuted(np.tile(base, (rows, 1)), axis=1), tuple(range(1, min(4, n_red) + 1))
+
+
+# sha256 of mask_metrics over random_mask_stacks(), recorded from the
+# cumsum-over-every-position kernel before it read precisions off red positions
+MASK_METRICS_DIGEST = "56c7770884033a7490135c288ba74f79db207a1fa527881e22542c748ea937a1"
+
+
+class TestMaskMetrics:
+    def test_random_stacks_match_recorded_digest(self):
+        digest = hashlib.sha256()
+        for masks, y_values in random_mask_stacks():
+            out = mask_metrics(masks, y_values)
+            assert out.dtype == np.float64 and out.shape == (len(masks), 3 + len(y_values))
+            digest.update(out.tobytes())
+        assert digest.hexdigest() == MASK_METRICS_DIGEST
+
+    @pytest.mark.parametrize("masks", [[[1, 0], [1, 1], [0, 0]], [[1, 1, 0], [0, 1, 0]]])
+    def test_rows_with_different_red_counts_rejected(self, masks):
+        # the first holds the right total of reds, so reshaping alone would not notice
+        with pytest.raises(InputError):
+            mask_metrics(np.array(masks, dtype=bool))
+
+    def test_rows_match_brute_force(self):
+        for masks, y_values in random_mask_stacks(count=40):
+            out = mask_metrics(masks, y_values)
+            for mask, row in zip(masks[:10], out):
+                order, truth = range(mask.size), set(np.flatnonzero(mask).tolist())
+                assert row[0] == mask[0]
+                assert row[1] == brute_force_ap_y(order, truth, 1)
+                assert row[2] == pytest.approx(brute_force_ap(order, truth), rel=1e-12)
+                for y, value in zip(y_values, row[3:]):
+                    assert value == pytest.approx(brute_force_ap_y(order, truth, y), rel=1e-12)
 
 
 class TestSuccessAt1:

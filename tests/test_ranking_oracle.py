@@ -1,0 +1,160 @@
+"""fused_order and evaluate_grid against a pure-Python ranking oracle.
+
+The oracle shares no code with vnom.nomination: it reads gamma as the small
+rational the float stands for (denominator at most 10**6) or else as its
+exact binary value, computes every fused score as a Fraction and sorts the
+candidates by (-fused, tie-break key, index).
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from vnom.experiments import evaluate_grid
+from vnom.metrics import mask_metrics
+from vnom.nomination import _gamma_weights, fused_order
+
+GAMMAS = (0.0, 1.0, 1 / 3, 0.1 + 0.2, 0.3333333217048645, 999_983 / 1_000_000,
+          1 / 999_983, 5e-324, 0.5, 0.37)
+BIG = (0, 1, 2 ** 31 - 2, 2 ** 31 - 1, 2 ** 31)  # int32's edge and just past it
+
+
+def exact_weight(gamma):
+    frac = Fraction(gamma).limit_denominator(10 ** 6)
+    return frac if float(frac) == gamma else Fraction(gamma)
+
+
+def exact_fused(t0, t1, gamma):
+    w = exact_weight(gamma)
+    return [(1 - w) * a + w * b for a, b in zip(t0, t1)]
+
+
+def oracle_order(t0, t1, gamma, tiebreak):
+    fused = exact_fused(t0, t1, gamma)
+    return sorted(range(len(fused)), key=lambda i: (-fused[i], tiebreak[i], i))
+
+
+def random_case(rng, rows, n):
+    """(t0, t1, tiebreak) lists of shape (rows, n), drawn from mixed score
+    ranges and tie-break kinds."""
+    shape = (rows, n)
+    scores = rng.integers(4)
+    if scores == 0:
+        t0, t1 = rng.integers(0, 3, shape), rng.integers(0, 3, shape)  # heavy ties
+    elif scores == 1:
+        t0, t1 = rng.integers(0, 200, shape), rng.integers(0, 200, shape)
+    else:
+        t0, t1 = rng.choice(BIG, shape), rng.choice(BIG, shape)
+    kind = rng.integers(6)
+    if kind == 0:
+        tiebreak = np.stack([rng.permutation(n) for _ in range(rows)])
+    elif kind == 1:
+        tiebreak = rng.integers(0, 4, shape)  # duplicates: index order decides
+    elif kind == 5:  # up to the top of the uint8 or uint16 range
+        tiebreak = rng.integers(0, rng.choice([1 << 8, 1 << 16]), shape)
+    elif kind == 2:
+        tiebreak = rng.integers(-50, 50, shape)
+    elif kind == 3:
+        tiebreak = rng.integers(0, 10 ** 6, shape)  # not a permutation, wider than uint16
+    else:
+        tiebreak = rng.random(shape)
+    return t0.tolist(), t1.tolist(), tiebreak.tolist()
+
+
+def as_input(values, kind):
+    if kind == "list":
+        return values
+    array = np.array(values, dtype=np.int64)
+    if kind == "int32" and array.min() >= -2 ** 31 and array.max() < 2 ** 31:
+        return array.astype(np.int32)
+    return array
+
+
+@pytest.mark.parametrize("kind", ["list", "int32", "int64"])
+def test_fused_order_matches_oracle(kind):
+    rng = np.random.default_rng({"list": 1, "int32": 2, "int64": 3}[kind])
+    for case in range(24):
+        rows = 1 if case % 2 else int(rng.integers(2, 5))
+        n = int(rng.choice([1, 2, 7, 60, 300]))
+        t0, t1, tiebreak = random_case(rng, rows, n)
+        for gamma in GAMMAS:
+            if rows == 1:
+                got = fused_order(as_input(t0[0], kind), as_input(t1[0], kind), gamma,
+                                  tiebreak[0]).tolist()
+                assert got == oracle_order(t0[0], t1[0], gamma, tiebreak[0]), (case, gamma)
+            else:
+                got = fused_order(as_input(t0, kind), as_input(t1, kind), gamma,
+                                  np.array(tiebreak)).tolist()
+                want = [oracle_order(a, b, gamma, c) for a, b, c in zip(t0, t1, tiebreak)]
+                assert got == want, (case, gamma)
+
+
+
+@pytest.mark.parametrize("top", [(1 << 8) - 1, (1 << 16) - 1, (1 << 20) - 1, (1 << 31) - 1,
+                                 1 << 40, -1])
+def test_tie_break_keys_at_the_edge_of_their_range(top):
+    # candidate 1 outranks candidate 0 by the smallest fused step, yet holds
+    # the widest tie-break key: the key must never reach into the next step
+    dtype = np.min_scalar_type(top)
+    for gamma in (0.0, 0.5, 1.0, 1 / 3):
+        for t0, t1 in (([0, 1], [0, 1]), ([0, 3], [1, 0]), ([5, 5], [5, 6])):
+            tiebreak = np.array([0, top], dtype=dtype)
+            want = oracle_order(t0, t1, gamma, tiebreak.tolist())
+            assert fused_order(np.array(t0), np.array(t1), gamma, tiebreak).tolist() == want
+            assert fused_order(np.array(t0, np.int32), np.array(t1, np.int32), gamma,
+                               tiebreak).tolist() == want
+
+
+def test_more_candidates_than_uint16_keys():
+    # tie-break keys are ranked into int64 then, and span is the candidate count
+    rng = np.random.default_rng(8)
+    n = (1 << 16) + 5
+    t0, t1 = rng.integers(0, 5, n), rng.integers(0, 5, n)
+    tiebreak = rng.integers(-n, n, n)
+    for gamma, (w0, w1) in ((0.0, (1, 0)), (0.5, (1, 1)), (1 / 3, (2, 1))):
+        want = np.lexsort((tiebreak, -(w0 * t0 + w1 * t1)))
+        assert np.array_equal(fused_order(t0, t1, gamma, tiebreak), want), gamma
+
+def lexsort_metrics(t0, t1, red, tiebreak, gamma, y_values):
+    """Metric rows of one gamma, ranked by np.lexsort on the dense ranks of
+    the exact fused scores."""
+    orders = []
+    for row0, row1, keys in zip(t0, t1, tiebreak):
+        fused = exact_fused(row0, row1, gamma)
+        dense = {value: rank for rank, value in enumerate(sorted(set(fused), reverse=True))}
+        orders.append(np.lexsort((np.array(keys), np.array([dense[f] for f in fused]))))
+    return mask_metrics(np.take_along_axis(np.array(red), np.array(orders), axis=1), y_values)
+
+
+def test_evaluate_grid_rows_match_lexsort_reference():
+    rng = np.random.default_rng(11)
+    for case in range(16):
+        rows, n = (1, int(rng.integers(2, 300))) if case % 2 else (int(rng.integers(2, 6)), 40)
+        t0, t1, tiebreak = random_case(rng, rows, n)
+        n_red = int(rng.integers(1, n + 1))
+        red = [rng.permutation(np.arange(n) < n_red).tolist() for _ in range(rows)]
+        y_values = tuple(range(1, min(3, n_red) + 1))
+        want = np.stack([lexsort_metrics(t0, t1, red, tiebreak, gamma, y_values)
+                         for gamma in GAMMAS], axis=1)
+        if rows == 1:
+            got = evaluate_grid(np.array(t0[0]), np.array(t1[0]), np.array(red[0]),
+                                np.array(tiebreak[0]), GAMMAS, y_values)
+            assert got.tobytes() == want[0].tobytes(), case
+        else:
+            got = evaluate_grid(np.array(t0), np.array(t1), np.array(red), np.array(tiebreak),
+                                GAMMAS, y_values)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), case
+
+
+def test_a_large_grid_converts_each_gamma_once():
+    rng = np.random.default_rng(4)
+    t0, t1 = rng.integers(0, 30, 50), rng.integers(0, 90, 50)
+    red, tiebreak = np.arange(50) < 5, rng.permutation(50)
+    grid = tuple(k / 1000 for k in range(1001))
+    _gamma_weights.cache_clear()
+    first = evaluate_grid(t0, t1, red, tiebreak, grid)
+    assert _gamma_weights.cache_info().misses == len(grid)
+    assert np.array_equal(evaluate_grid(t0, t1, red, tiebreak, grid), first)
+    info = _gamma_weights.cache_info()
+    assert (info.misses, info.hits) == (len(grid), len(grid))
