@@ -32,6 +32,7 @@ from .seeding import child_seed, generator
 
 _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on scheduling
 _TRIAL_BLOCK = 64  # partitions per trial task; fixed for the same reason
+_PARTITION_ROWS = 512  # key rows per np.partition call: bounds its copy of the keys
 MIN_PARTITIONS = 20  # a trial bin backed by fewer partitions is flagged insufficient
 
 
@@ -274,16 +275,32 @@ def screen_partitions(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
     return ScreeningResult(tuple(accepted), max_attempts, thresholds)
 
 
+def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
+    """(rows x n) mask of each row's m smallest keys: the set
+    ``np.argpartition(keys, m - 1, axis=1)[:, :m]`` picks.
+
+    Each row's m-th smallest key comes from ``np.partition`` over chunks of
+    rows, so no (rows x n) copy of the keys is made.  A row whose keys tie
+    at the m-th place marks more than m entries; those rows alone take
+    argpartition's pick.
+    """
+    mask = np.empty(keys.shape, dtype=bool)
+    for lo in range(0, len(keys), _PARTITION_ROWS):
+        chunk = keys[lo:lo + _PARTITION_ROWS]
+        np.less_equal(chunk, np.partition(chunk, m - 1, axis=1)[:, m - 1:m],
+                      out=mask[lo:lo + _PARTITION_ROWS])
+    tied = (np.count_nonzero(mask, axis=1) != m).nonzero()[0]
+    mask[tied] = False
+    mask[tied[:, None], np.argpartition(keys[tied], m - 1, axis=1)[:, :m]] = True
+    return mask
+
+
 def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
                   weights: np.ndarray, adjacency: tuple, rng, start: int, draws: int) -> list:
     """Accepted draws start..start+draws-1.  Density gaps come from edge
     counts; edge masks are built only for the draws passing tau_rho."""
-    keys = rng.random((_SCREEN_BLOCK, g.n))[:draws]
-    # copy and drop the (draws x n) keys and indices before counting: 20 -> 13 MB peak
-    chosen = np.argpartition(keys, m - 1, axis=1)[:, :m].copy()
-    del keys
-    red_mask = np.zeros((draws, g.n), dtype=bool)
-    red_mask[np.arange(draws)[:, None], chosen] = True
+    red_mask = _smallest_keys_mask(rng.random((_SCREEN_BLOCK, g.n))[:draws], m)
+    chosen = red_mask.nonzero()[1].reshape(draws, m)  # each row's red ids, ascending
     d_rho = _density_gap(*_side_edge_counts(g, adjacency, chosen, red_mask), m, g.n - m)
     rows = np.flatnonzero(d_rho > thresholds.tau_rho)
     red_in, green_in = _sides(g, red_mask[rows])
@@ -292,7 +309,7 @@ def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
         d_p, pr, pg = _profile_gap(weights, red_in[i], green_in[i])
         if d_p > thresholds.tau_p:
             accepted.append(ScreenedPartition(
-                partition=Partition(g.n, np.sort(chosen[row])),
+                partition=Partition(g.n, chosen[row]),
                 topic_map=topic_map_from_profiles(pr, pg),
                 delta_rho=float(d_rho[row]),
                 delta_p=d_p,

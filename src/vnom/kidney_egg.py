@@ -203,17 +203,20 @@ def sample_kidney_egg(params: KidneyEggParams, seed) -> AttributedGraph:
     iu, iv = _pairs(n)  # lexicographic pair order
     u = rng.random(iu.size)
     p, s = params.p, params.s
-    attr = (u >= p.q0).astype(np.int64) + (u >= p.q0 + p.q1)
+    present = u >= p.q0
     # red-red pairs use s instead: the pair (a, b), a < b, sits at this offset
     ra, rb = _pairs(m)
     a, b = red[ra], red[rb]
     pos = a * n - a * (a + 1) // 2 + b - a - 1
     ur = u[pos]
-    attr[pos] = (ur >= s.q0).astype(np.int64) + (ur >= s.q0 + s.q1)
-    present = attr > 0  # compress: several times faster than a boolean index here
+    red_present = ur >= s.q0
+    present[pos] = red_present
+    # one pass finds the edges; attributes are computed for them alone
+    idx = present.nonzero()[0]
+    attr = 1 + (u[idx] >= p.q0 + p.q1)
+    attr[idx.searchsorted(pos[red_present])] = 1 + (ur[red_present] >= s.q0 + s.q1)
     # pair order is already canonical (u < v, lexicographic)
-    return AttributedGraph._from_canonical(n, iu.compress(present), iv.compress(present),
-                                           attr.compress(present), truth, observed,
+    return AttributedGraph._from_canonical(n, iu[idx], iv[idx], attr, truth, observed,
                                            k_edge_attrs=2)
 
 

@@ -114,11 +114,16 @@ def validate_gamma_grid(gamma_grid) -> tuple:
 
 def score_counts(n: int, edge_u, edge_v, red_edge, identified):
     """(context, content) of all n vertices: neighbors in the ``identified``
-    vertex mask, and incident edges in the ``red_edge`` edge mask."""
-    context = (np.bincount(edge_u[identified[edge_v]], minlength=n)
-               + np.bincount(edge_v[identified[edge_u]], minlength=n))
-    content = (np.bincount(edge_u[red_edge], minlength=n)
-               + np.bincount(edge_v[red_edge], minlength=n))
+    vertex mask, and incident edges in the ``red_edge`` edge mask (both
+    boolean arrays).  Masks become index arrays once and the endpoints are
+    gathered by them, which is cheaper than boolean indexing."""
+    to_identified = identified[edge_v].nonzero()[0]
+    from_identified = identified[edge_u].nonzero()[0]
+    red = red_edge.nonzero()[0]
+    context = (np.bincount(edge_u[to_identified], minlength=n)
+               + np.bincount(edge_v[from_identified], minlength=n))
+    content = (np.bincount(edge_u[red], minlength=n)
+               + np.bincount(edge_v[red], minlength=n))
     return context, content
 
 

@@ -7,7 +7,8 @@ from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition,
                   ScreeningThresholds, TopicMap, UndefinedDensityError, delta_p,
                   delta_rho, estimate_rates, instantiate_edges, run_importance_trials,
                   sample_kidney_egg, screen_partitions, topic_profile)
-from vnom.importance import (_cumulative_topics, _draw_topics, bin_index,
+from vnom.importance import (_SCREEN_BLOCK, _cumulative_topics, _draw_topics, _edge_weights,
+                             _neighbour_lists, _screen_block, _smallest_keys_mask, bin_index,
                              check_trial_arguments, topic_map_from_profiles)
 
 from conftest import build_attributed, build_topic, point_mass
@@ -154,6 +155,48 @@ class TestScreenPartitions:
             screen_partitions(g, 7, ScreeningThresholds(), 10, 0)
 
 
+def argpartition_red_sets(keys, m):
+    """Screening's red sets as first written: argpartition's m smallest keys."""
+    chosen = np.argpartition(keys, m - 1, axis=1)[:, :m]
+    mask = np.zeros(keys.shape, dtype=bool)
+    mask[np.arange(len(keys))[:, None], chosen] = True
+    return mask
+
+
+class TestScreeningSelection:
+    @pytest.mark.parametrize("rows,n,m", [(1, 5, 2), (511, 179, 10), (513, 40, 38),
+                                          (1100, 12, 2), (4096, 179, 10)])
+    def test_matches_argpartition_on_random_blocks(self, rows, n, m):
+        keys = np.random.default_rng(rows).random((rows, n))
+        mask = _smallest_keys_mask(keys, m)
+        assert np.array_equal(mask, argpartition_red_sets(keys, m))
+        assert (mask.sum(axis=1) == m).all()
+
+    @pytest.mark.parametrize("levels", [2, 3, 8])
+    def test_tied_rows_take_argpartitions_pick(self, levels):
+        # keys on a few levels tie at the m-th place in most rows
+        keys = np.random.default_rng(levels).integers(0, levels, (1500, 20)) / levels
+        mask = _smallest_keys_mask(keys, 6)
+        assert np.array_equal(mask, argpartition_red_sets(keys, 6))
+        assert (mask.sum(axis=1) == 6).all()
+
+    def test_screen_block_with_keys_tied_at_the_mth_place(self):
+        g = two_block_topic_graph()
+        planted = [[0.1, 0.5, 0.5, 0.5, 0.9, 0.5, 0.2, 0.7],  # 2nd smallest tied four ways
+                   [0.3] * 8,  # every key tied
+                   [0.6, 0.4, 0.4, 0.8, 0.1, 0.2, 0.3, 0.0]]  # no tie
+        keys = np.random.default_rng(0).random((_SCREEN_BLOCK, g.n))
+        keys[:len(planted)] = planted
+        accepted = _screen_block(g, 2, ScreeningThresholds(-np.inf, -np.inf),
+                                 _edge_weights(g, True), _neighbour_lists(g),
+                                 PlantedUniforms(keys), 0, len(planted))
+        want = argpartition_red_sets(keys[:len(planted)], 2)
+        assert [sp.draw_index for sp in accepted] == [0, 1, 2]
+        for sp, row in zip(accepted, want):
+            assert sp.partition.red_ids.tolist() == row.nonzero()[0].tolist()
+        assert accepted[2].partition.red_ids.tolist() == [4, 7]
+
+
 class TestInstantiateEdges:
     def test_point_mass_red_topic(self):
         g = build_topic(4, [(0, 1, 1, point_mass(0, 2)), (1, 2, 1, point_mass(0, 2))], 2)
@@ -203,7 +246,7 @@ class PlantedUniforms:
         self.values = np.asarray(values, dtype=np.float64)
 
     def random(self, size):
-        assert size == self.values.size
+        assert self.values.shape == tuple(np.atleast_1d(size))
         return self.values
 
 

@@ -131,12 +131,18 @@ class TestSamplerOracle:
         (30, 8, 3, PAPER_P, (0, 1, 0)),
         (30, 8, 3, (1, 0, 0), PAPER_S),
         (40, 39, 7, (0.3, 0.3, 0.4), (0.2, 0.2, 0.6)),
+        (20, 6, 2, (0, 0.5, 0.5), (0, 0.3, 0.7)),  # every pair present
+        (20, 6, 2, (0, 0.5, 0.5), PAPER_S),  # every pair but red-red ones present
+        (30, 8, 3, PAPER_P, (0, 0, 1)),  # every red-red pair a green edge
+        (30, 8, 3, (0.6, 0, 0.4), PAPER_S),  # p's two thresholds equal
+        (12, 11, 10, (0.5, 0.2, 0.3), (0.1, 0.6, 0.3)),  # m = n - 1
     ])
     def test_matches_reference_sampler(self, n, m, mp, p, s):
         params = KidneyEggParams(n, m, mp, p, s)
         for seed in range(200):
             got, want = sample_kidney_egg(params, seed), reference_sample(params, seed)
             assert got == want and got.edge_attr.dtype == want.edge_attr.dtype
+            assert got.edge_u.dtype == got.edge_v.dtype == got.edge_attr.dtype == np.int64
             assert got.edge_checksum() == want.edge_checksum()
 
 

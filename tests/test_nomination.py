@@ -9,7 +9,7 @@ import pytest
 
 from vnom import (InputError, KidneyEggParams, content_score, context_score,
                   fused_score, gamma_star, rank_candidates, sample_kidney_egg)
-from vnom.nomination import fused_order
+from vnom.nomination import fused_order, score_counts
 
 from conftest import build_attributed
 
@@ -87,6 +87,76 @@ class TestScores:
             for v in np.flatnonzero(g.observed == 0)[:6]:
                 assert context_score(g, int(v)) <= g.num_identified
                 assert content_score(g, int(v)) <= g.degree(int(v)) <= g.n - 1
+
+
+def loop_score_counts(n, edge_u, edge_v, red_edge, identified):
+    """Per-edge oracle: each edge adds context to an end whose other end is
+    identified, and content to both ends if it is red."""
+    context, content = [0] * n, [0] * n
+    for u, v, red in zip(edge_u.tolist(), edge_v.tolist(), red_edge.tolist()):
+        context[u] += bool(identified[v])
+        context[v] += bool(identified[u])
+        content[u] += red
+        content[v] += red
+    return context, content
+
+
+def random_edges(rng, n, size):
+    """``size`` distinct pairs u < v of n vertices, in random order."""
+    iu, iv = np.triu_indices(n, k=1)
+    pick = rng.choice(iu.size, size=size, replace=False)
+    return iu[pick], iv[pick]
+
+
+class TestScoreCountsOracle:
+    def check(self, n, edge_u, edge_v, red_edge, identified):
+        got = score_counts(n, edge_u, edge_v, red_edge, identified)
+        want = loop_score_counts(n, edge_u, edge_v, red_edge, identified)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and g.tolist() == w
+        return got
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            eu, ev = random_edges(rng, n, int(rng.integers(0, n * (n - 1) // 2 + 1)))
+            self.check(n, eu, ev, rng.random(eu.size) < rng.random(),
+                       rng.random(n) < rng.random())
+
+    def test_no_identified_vertex_and_no_red_edge(self):
+        rng = np.random.default_rng(6)
+        eu, ev = random_edges(rng, 15, 40)
+        t0, t1 = self.check(15, eu, ev, np.zeros(40, dtype=bool), np.zeros(15, dtype=bool))
+        assert not t0.any() and not t1.any()
+        t0, t1 = self.check(15, eu, ev, np.ones(40, dtype=bool), np.zeros(15, dtype=bool))
+        assert not t0.any() and t1.sum() == 80
+
+    def test_isolated_vertices_and_no_edges(self):
+        # vertices 6..11 touch no edge; their scores are 0, not missing
+        eu, ev = np.array([0, 1, 2, 0]), np.array([1, 2, 5, 5])
+        t0, t1 = self.check(12, eu, ev, np.array([True, False, True, True]),
+                            np.isin(np.arange(12), [1, 5, 9]))
+        assert len(t0) == len(t1) == 12 and not t0[6:].any() and not t1[6:].any()
+        empty = np.array([], dtype=np.int64)
+        t0, t1 = self.check(4, empty, empty, np.array([], dtype=bool), np.ones(4, dtype=bool))
+        assert t0.tolist() == t1.tolist() == [0] * 4
+
+    def test_stacked_disjoint_copies(self):
+        # the input importance trials build: one graph's edges repeated over
+        # copies, vertex v of copy i at i*n + v, with per-copy masks
+        rng = np.random.default_rng(7)
+        n, copies = 17, 9
+        eu, ev = random_edges(rng, n, 50)
+        red = rng.random((copies, eu.size)) < 0.4
+        identified = rng.random((copies, n)) < 0.3
+        shift = (np.arange(copies) * n)[:, None]
+        t0, t1 = self.check(copies * n, (eu + shift).ravel(), (ev + shift).ravel(),
+                            red.ravel(), identified.ravel())
+        for i in range(copies):
+            one = score_counts(n, eu, ev, red[i], identified[i])
+            assert t0[i * n:(i + 1) * n].tolist() == one[0].tolist()
+            assert t1[i * n:(i + 1) * n].tolist() == one[1].tolist()
 
 
 class TestRankCandidates:
