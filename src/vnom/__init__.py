@@ -19,8 +19,8 @@ from .nomination import (GAMMA_GRID_DEFAULT, Ranking, candidate_statistics,
 from .metrics import (EvalReport, MetricTable, aggregate_reports, average_precision,
                       average_precision_at_y, chance_baseline, evaluate_ranking,
                       precision_at, reciprocal_rank, success_at_1)
-from .experiments import (CellResult, ReplicateResult, SweepResult, SweepSpec, gamma_star,
-                          gamma_surface, run_replicate, run_sweep)
+from .experiments import (CellResult, SweepResult, SweepSpec, gamma_star, gamma_surface,
+                          run_sweep)
 from .importance import (BinReport, EstimatedRates, PartitionTrial, ScreenedPartition,
                          ScreeningResult, ScreeningThresholds, TopicMap, TrialsResult,
                          delta_p, delta_rho, estimate_rates, instantiate_edges,

@@ -459,8 +459,10 @@ def check_trial_arguments(m: int, m_prime: int, gamma_grid, replicates: int,
         raise InputError(f"m_prime={m_prime} must lie in 1..{m - 1} (red set of {m})")
     if replicates < 1:
         raise InputError("replicates_per_partition must be >= 1")
-    if not (isfinite(bin_width) and bin_width > 0):
-        raise InputError(f"bin width must be finite and > 0, got {bin_width}")
+    # gaps lie in [-1, 2]: a smaller width overflows gap / width to infinity
+    if not (isfinite(bin_width) and bin_width > 0 and isfinite(2 / bin_width)):
+        raise InputError(f"bin width must be finite and > 0, with finitely many bins "
+                         f"over the gap range [-1, 2], got {bin_width}")
     return grid
 
 

@@ -123,18 +123,22 @@ def read_topic_graph(path) -> TopicGraph:
         raise GraphFormatError("missing #n= or #k= header")
     vertex_names = None
     if names:
-        missing = set(range(n)) - names.keys()
-        if missing:
-            raise GraphFormatError(f"symbol table misses vertex {min(missing)}")
+        if len(names) < n:  # ids are unique and in range, so some id is missing
+            missing = next(i for i in range(n) if i not in names)
+            raise GraphFormatError(f"symbol table misses vertex {missing}")
         vertex_names = tuple(names[i] for i in range(n))
     return TopicGraph.from_edges(n, edges, k, vertex_names)
 
 
 def _parse_int(text: str, lineno: int, what: str) -> int:
+    """An integer field that fits int64, as every array of a graph holds it."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise GraphFormatError(f"malformed {what} {text!r}", lineno) from None
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise GraphFormatError(f"{what} {text!r} outside the int64 range", lineno)
+    return value
 
 
 def _header_int(current, text: str, lineno: int, what: str, minimum: int) -> int:
@@ -213,9 +217,9 @@ def read_attributed_graph(path) -> AttributedGraph:
                 raise GraphFormatError(f"unrecognized line {line[:40]!r}", lineno)
     if n is None or ke is None:
         raise GraphFormatError("missing #n= or #ke= header")
-    missing = set(range(n)) - truth.keys()
-    if missing:
-        raise GraphFormatError(f"missing vertex line for id {min(missing)}")
+    if len(truth) < n:  # ids are unique and in range, so some id is missing
+        missing = next(i for i in range(n) if i not in truth)
+        raise GraphFormatError(f"missing vertex line for id {missing}")
     try:
         return AttributedGraph.from_edges(
             n, edges,

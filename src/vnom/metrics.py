@@ -37,13 +37,6 @@ class EvalReport:
     n_candidates: int = 0
     n_red_candidates: int = 0
 
-    @classmethod
-    def from_row(cls, row, y_values, n_candidates: int, n_red: int) -> "EvalReport":
-        """Report from one row of :func:`mask_metrics`."""
-        return cls(s_at_1=int(row[0]), rr=float(row[1]), ap=float(row[2]),
-                   ap_y={int(y): float(v) for y, v in zip(y_values, row[3:])},
-                   n_candidates=n_candidates, n_red_candidates=n_red)
-
 
 def _truth_mask(r: Ranking, truth) -> np.ndarray:
     t = np.unique(np.asarray(list(truth), dtype=np.int64))
@@ -114,8 +107,10 @@ def mask_metrics(masks, y_values=()) -> np.ndarray:
 def report_from_mask(mask: np.ndarray, y_values=()) -> EvalReport:
     """All metrics from a rank-ordered red/green membership mask."""
     mask = np.asarray(mask, dtype=bool)
-    return EvalReport.from_row(mask_metrics(mask, y_values)[0], y_values,
-                               int(mask.size), int(np.count_nonzero(mask)))
+    row = mask_metrics(mask, y_values)[0]
+    return EvalReport(s_at_1=int(row[0]), rr=float(row[1]), ap=float(row[2]),
+                      ap_y={int(y): float(v) for y, v in zip(y_values, row[3:])},
+                      n_candidates=int(mask.size), n_red_candidates=int(np.count_nonzero(mask)))
 
 
 def evaluate_ranking(r: Ranking, truth, y_values=()) -> EvalReport:

@@ -46,11 +46,12 @@ from vnom import (KidneyEggParams, Partition, Ranking, ScreeningThresholds, Simp
                   content_pmf_from_conditionals, content_score_pmf, context_score_pmf,
                   empirical_score_pmfs, estimate_rates, gamma_surface,
                   generate_surrogate, precision_at, reciprocal_rank,
-                  run_importance_trials, run_replicate, sample_kidney_egg,
-                  screen_partitions, success_at_1, tv_distance)
+                  run_importance_trials, sample_kidney_egg, screen_partitions,
+                  success_at_1, tv_distance)
+from vnom.experiments import _replicate_values
 from vnom.graph import GREEN, RED
 from vnom.importance import bin_index
-from vnom.metrics import aggregate_reports
+from vnom.metrics import MetricTable, column_index
 from vnom.seeding import child_seed
 
 # the paper's (no edge, red edge, green edge) vectors, exact for the oracles
@@ -71,15 +72,11 @@ def combined_se(a, b):
 
 
 def sweep_cell(m, m_prime, gamma_grid, replicates, entropy):
-    """1000-replicate style aggregation for one (m, m_prime) cell."""
+    """1000-replicate style aggregation for one (m, m_prime) cell, on the seeds
+    run_sweep derives for it."""
     params = KidneyEggParams(184, m, m_prime, PAPER_P, PAPER_S)
-    per = {g: [] for g in gamma_grid}
-    for rep in range(replicates):
-        seed = np.random.SeedSequence(entropy=entropy, spawn_key=(m, m_prime, rep))
-        result = run_replicate(params, gamma_grid, seed)
-        for g in gamma_grid:
-            per[g].append(result.reports[g])
-    return aggregate_reports(per)
+    seeds = (child_seed(entropy, m, m_prime, rep) for rep in range(replicates))
+    return MetricTable.fold(gamma_grid, _replicate_values(params, gamma_grid, seeds))
 
 
 def by_gamma(table, criterion):
@@ -406,14 +403,11 @@ class TestCriterion5:
         # graphs and tie streams of the surface
         params = KidneyEggParams(184, 40, 30, PAPER_P, PAPER_S)
         base = child_seed(5001)
-        ap = []
-        for rep in range(surf.replicates):
-            reports = run_replicate(params, (best, 0.25), child_seed(base, rep)).reports
-            ap.append((reports[best].ap, reports[0.25].ap))
-        ap = np.array(ap)
-        assert ap[:, 0].mean() == surf.column("map")[i_best]
-        assert ap[:, 1].mean() == surf.column("map")[GRID_101.index(0.25)]
-        diff = ap[:, 0] - ap[:, 1]
+        seeds = (child_seed(base, rep) for rep in range(surf.replicates))
+        ap = _replicate_values(params, (best, 0.25), seeds)[:, column_index("map")]
+        assert ap[0].mean() == surf.column("map")[i_best]
+        assert ap[1].mean() == surf.column("map")[GRID_101.index(0.25)]
+        diff = ap[0] - ap[1]
         diff_se = diff.std(ddof=1) / np.sqrt(diff.size)
         ok = lo <= best <= hi
         status(f"5 (gamma* in gamma_F±0.05 = [{lo:.3f}, {hi:.3f}])", ok,

@@ -75,7 +75,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--bins", "0"), ("--bins", "nan"),
-                                            ("--gammas", "1.5"), ("--gammas", "nan"),
+                                            ("--bins", "1e-320"), ("--gammas", "1.5"), ("--gammas", "nan"),
                                             ("--gammas", "0,0.5,0.5"), ("--gammas", ""),
                                             ("--m-prime", "99"), ("--m-prime", "10"),
                                             ("--m-prime", "0"), ("--replicates", "0")])
@@ -118,6 +118,8 @@ class TestExitCodes:
         ("#n=-1\n#k=2\n#vertex 0 a\n", 1),
         ("#n=3\n#k=2\ne 0 1 1 0.5 0.5\n#n=10\n", 4),
         ("#n=3\n#k=2\n#k=3\n", 3),
+        ("#n=3\n#k=2\ne 0 1 100000000000000000000000000000 0.5 0.5\n", 3),  # count > int64
+        ("#n=99999999999999999999\n#k=2\n", 1),
     ])
     def test_malformed_topic_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.topics"
@@ -135,6 +137,9 @@ class TestExitCodes:
         ("#n=-1\n#ke=2\nv 0 1 0\n", 1),
         ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\n#n=10\n", 5),
         ("#n=2\n#ke=2\n#ke=3\n", 3),
+        ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\na 0 1 100000000000000000000000\n", 5),
+        ("#n=2\n#ke=2\nv 0 9223372036854775808 0\nv 1 2 0\n", 3),  # truth label 2**63
+        ("#n=99999999999999999999\n#ke=2\n", 1),
     ])
     def test_malformed_attributed_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.attr"

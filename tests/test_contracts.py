@@ -1,6 +1,7 @@
 """Repository contracts: pure seed derivation, a numpy-only dependency set, the
 benchmark's trace hooks, call counts and recorded output digests."""
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -81,6 +82,27 @@ def test_metric_columns_known_only_to_metrics():
                  for lineno, line in enumerate(text.splitlines(), start=1)
                  if column.search(line)]
     assert offenders == []
+
+
+def test_one_kidney_egg_replicate_driver():
+    # every Monte Carlo caller ranks sampled graphs through
+    # experiments._replicate_values; only simulate and the score PMFs sample alone
+    sources = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "vnom").glob("*.py"))}
+    for gone in ("run_replicate", "ReplicateResult", "from_row"):
+        assert not [name for name, text in sources.items() if gone in text], gone
+    callers = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "sample_kidney_egg":
+                scope = parents[node]
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                callers.append(f"{module}.{getattr(scope, 'name', '<module>')}")
+    assert sorted(callers) == ["cli._cmd_simulate", "experiments._replicate_values",
+                               "kidney_egg.empirical_score_pmfs"]
 
 
 def test_import_loads_no_scipy():

@@ -7,8 +7,8 @@ import pytest
 
 from vnom import (GAMMA_GRID_DEFAULT, InputError, KidneyEggParams, Simplex3, SweepSpec,
                   candidate_statistics, evaluate_ranking, gamma_star, gamma_surface,
-                  rank_candidates, run_replicate, run_sweep, sample_kidney_egg)
-from vnom.experiments import evaluate_grid, parallel_map, pool_size
+                  rank_candidates, run_sweep, sample_kidney_egg)
+from vnom.experiments import _replicate_values, evaluate_grid, parallel_map, pool_size
 from vnom.graph import RED
 from vnom.nomination import validate_gamma_grid
 from vnom.seeding import as_seed_sequence, child_seed
@@ -22,25 +22,26 @@ def small_params(n=30, m=10, mp=4):
 
 
 class TestRunReplicate:
+    """One replicate through the harness's replicate loop."""
+
     def test_single_gamma_matches_direct_pipeline(self):
         # the harness must agree with calling the public ops by hand
         params = small_params()
         seed = 4242
-        result = run_replicate(params, [0.5], seed)
+        row = _replicate_values(params, [0.5], [child_seed(seed)])[0, :, 0]
 
         sample_seed, tie_seed = child_seed(as_seed_sequence(seed)).spawn(2)
         g = sample_kidney_egg(params, sample_seed)
         ranking = rank_candidates(g, 0.5, tie_seed)
         direct = evaluate_ranking(ranking, g.red_candidates())
-        assert result.reports[0.5] == direct
-        assert result.edge_checksum == g.edge_checksum()
+        assert list(row) == [direct.s_at_1, direct.rr, direct.ap]
 
-    def test_same_seed_same_graph_checksum(self):
+    def test_same_seed_same_values(self):
         params = small_params()
-        a = run_replicate(params, [0.0, 1.0], 7)
-        b = run_replicate(params, [0.0, 1.0], 7)
-        assert a.edge_checksum == b.edge_checksum
-        assert a.reports == b.reports
+        a = _replicate_values(params, [0.0, 1.0], [child_seed(7), child_seed(8)])
+        b = _replicate_values(params, [0.0, 1.0], [child_seed(7), child_seed(8)])
+        assert a.shape == (2, 3, 2)
+        assert a.tobytes() == b.tobytes()
 
     def test_no_red_edges_makes_content_a_full_tie(self):
         # p1 = s1 = 0: every content score is zero, so gamma=1 is one big tie
@@ -50,15 +51,15 @@ class TestRunReplicate:
         g = sample_kidney_egg(params, sample_seed)
         ranking = rank_candidates(g, 1.0, tie_seed)
         assert ranking.tie_groups == ((0, len(ranking)),)
-        result = run_replicate(params, [0.0, 1.0], seed)
-        assert result.reports[1.0] == evaluate_ranking(ranking, g.red_candidates())
+        values = _replicate_values(params, [0.0, 1.0], [child_seed(seed)])
+        direct = evaluate_ranking(ranking, g.red_candidates())
+        assert list(values[1, :, 0]) == [direct.s_at_1, direct.rr, direct.ap]
 
     def test_y_values_forwarded(self):
         params = small_params()
-        result = run_replicate(params, [0.5], 3, y_values=(1, 2))
-        rep = result.reports[0.5]
-        assert set(rep.ap_y) == {1, 2}
-        assert rep.ap_y[1] == rep.rr
+        row = _replicate_values(params, [0.5], [child_seed(3)], y_values=(1, 2))[0, :, 0]
+        assert row.shape == (5,)
+        assert row[3] == row[1]  # AP^1 is the reciprocal rank
 
 
 class TestEvaluateGrid:
@@ -176,13 +177,14 @@ class TestRunSweep:
                          m_prime_ratio=0.25)
         result = run_sweep(spec)
         cell = result.cells[0]
+        params = KidneyEggParams(20, 8, 2, PAPER_P, PAPER_S)
         reports = {0.0: [], 1.0: []}
         for rep in range(5):
             rep_seed = np.random.SeedSequence(entropy=99, spawn_key=(8, 2, rep))
-            replicate = run_replicate(KidneyEggParams(20, 8, 2, PAPER_P, PAPER_S),
-                                      (0.0, 1.0), rep_seed)
+            g = sample_kidney_egg(params, child_seed(rep_seed, 0))
             for gamma in reports:
-                reports[gamma].append(replicate.reports[gamma])
+                ranking = rank_candidates(g, gamma, child_seed(rep_seed, 1))
+                reports[gamma].append(evaluate_ranking(ranking, g.red_candidates()))
         assert cell.table == aggregate_reports(reports)
 
     def test_deterministic_across_workers(self):
@@ -232,6 +234,43 @@ class TestGammaSurface:
                           replicates=1, seed=0)
 
 
+# gamma_star(model, grid, criterion, replicates=r, seed=seed), recorded when it
+# summed each criterion over replicates in its own loop: (model, grid points,
+# seed) -> one (s_at_1, mrr, map) triple per replicate count in GAMMA_STAR_REPLICATES.
+# The "tie" model has p1 = s1 = 0, so every gamma below 1 ranks alike.
+GAMMA_STAR_MODELS = {"paper": small_params(),
+                     "tie": KidneyEggParams(20, 6, 2, (0.6, 0.0, 0.4), (0.4, 0.0, 0.6))}
+GAMMA_STAR_GRIDS = {3: (0.0, 0.5, 1.0), 5: (0.0, 0.25, 0.5, 0.75, 1.0),
+                    21: tuple(k / 20 for k in range(21))}
+GAMMA_STAR_REPLICATES = (1, 2, 7, 20)
+GAMMA_STAR_TABLE = {
+    ("paper", 3, 0): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (1.0, 1.0, 0.5)],
+    ("paper", 3, 1): [(0.0, 0.0, 0.5), (0.5, 0.5, 0.5), (0.5, 0.5, 0.5), (1.0, 1.0, 0.5)],
+    ("paper", 3, 17): [(0.0, 0.0, 1.0), (0.0, 0.0, 0.5), (0.5, 0.5, 0.5), (0.5, 0.5, 0.5)],
+    ("paper", 3, 2024): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("paper", 5, 0): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.5, 0.5, 0.5), (0.75, 0.75, 0.5)],
+    ("paper", 5, 1): [(0.0, 0.0, 0.5), (0.25, 0.25, 0.5), (0.25, 0.25, 0.5), (0.75, 0.75, 0.5)],
+    ("paper", 5, 17): [(0.0, 0.0, 1.0), (0.0, 0.0, 0.75), (0.25, 0.25, 0.25), (0.25, 0.25, 0.5)],
+    ("paper", 5, 2024): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.25, 0.0), (0.0, 0.25, 0.25)],
+    ("paper", 21, 0): [(0.0, 0.0, 0.05), (0.0, 0.0, 0.0), (0.35, 0.35, 0.35), (0.55, 0.55, 0.55)],
+    ("paper", 21, 1): [(0.0, 0.0, 0.35), (0.05, 0.05, 0.45), (0.25, 0.25, 0.55), (0.55, 0.55, 0.55)],
+    ("paper", 21, 17): [(0.0, 0.0, 1.0), (0.0, 0.0, 0.45), (0.15, 0.15, 0.2), (0.15, 0.25, 0.35)],
+    ("paper", 21, 2024): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.05, 0.05), (0.0, 0.05, 0.05)],
+    ("tie", 3, 0): [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("tie", 3, 1): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("tie", 3, 17): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("tie", 3, 2024): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("tie", 5, 0): [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("tie", 5, 1): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("tie", 5, 17): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("tie", 5, 2024): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("tie", 21, 0): [(0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("tie", 21, 1): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("tie", 21, 17): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+    ("tie", 21, 2024): [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)],
+}
+
+
 class TestGammaStar:
     def test_lives_beside_the_other_loops(self):
         import vnom.experiments
@@ -244,6 +283,16 @@ class TestGammaStar:
         surf = gamma_surface(params, grid, y_max=1, replicates=20, seed=6)
         best = grid[int(np.argmax(surf.column("map")))]
         assert gamma_star(params, grid, "map", replicates=20, seed=6) == best
+
+    def test_reproduces_recorded_table(self):
+        got = {(model, points, seed): [tuple(gamma_star(params, grid, criterion,
+                                                        replicates=replicates, seed=seed)
+                                             for criterion in ("s_at_1", "mrr", "map"))
+                                       for replicates in GAMMA_STAR_REPLICATES]
+               for model, params in GAMMA_STAR_MODELS.items()
+               for points, grid in GAMMA_STAR_GRIDS.items()
+               for seed in (0, 1, 17, 2024)}
+        assert got == GAMMA_STAR_TABLE
 
 
 BAD_GRIDS = [(), (0.0, 1.5), (-0.1,), (float("nan"),), (float("inf"),), (0.0, 0.5, 0.5),
@@ -261,7 +310,6 @@ class TestGammaGridValidation:
         calls = [
             lambda: validate_gamma_grid(grid),
             lambda: SweepSpec(30, PAPER_P, PAPER_S, (10,), grid, 2, 1, m_prime_ratio=0.25),
-            lambda: run_replicate(params, grid, 1),
             lambda: gamma_surface(params, grid, 1, 2, 1),
             lambda: gamma_star(params, grid, replicates=2, seed=1),
         ]

@@ -403,7 +403,7 @@ class TestRunImportanceTrials:
         with pytest.raises(InputError):
             run_importance_trials(g, res.accepted, 2, [0.5], 1, 0, n_workers=0)
 
-    @pytest.mark.parametrize("width", [np.nan, np.inf, 0.0, -0.1])
+    @pytest.mark.parametrize("width", [np.nan, np.inf, 0.0, -0.1, 1e-320])  # 2/1e-320 is inf
     def test_bad_bin_width_rejected(self, width):
         g = two_block_topic_graph()
         res = self.trivial_screen(g, 4, attempts=3)

@@ -1,5 +1,7 @@
 """File formats, surrogate generation, serialization stability."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,37 @@ class TestTopicGraphFile:
         path = tmp_path / "meta.topics"
         path.write_text("# anything: here\n#n=2\n#k=2\n# more metadata\ne 0 1 1 0.5 0.5\n")
         assert read_topic_graph(path).num_edges == 1
+
+
+class TestReaderLimits:
+    def test_message_count_at_the_int64_limit(self, tmp_path):
+        path = tmp_path / "big.topics"
+        path.write_text(f"#n=2\n#k=2\ne 0 1 {2 ** 63 - 1} 0.5 0.5\n")
+        assert read_topic_graph(path).message_count.tolist() == [2 ** 63 - 1]
+        path.write_text(f"#n=2\n#k=2\ne 0 1 {2 ** 63} 0.5 0.5\n")
+        with pytest.raises(GraphFormatError, match="outside the int64 range") as err:
+            read_topic_graph(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("reader,text,message", [
+        (read_topic_graph, "#n=2000000\n#k=2\n#vertex 0 a\n", "symbol table misses vertex 1"),
+        (read_attributed_graph, "#n=2000000\n#ke=2\nv 0 1 1\n",
+         "missing vertex line for id 1"),
+    ])
+    def test_missing_id_found_without_listing_every_id(self, tmp_path, reader, text, message):
+        # a header's n alone must not cost O(n) memory: the first gap is named
+        # by a scan that stops there
+        path = tmp_path / "sparse.graph"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError) as err:
+                reader(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        assert peak < 5_000_000
 
 
 class TestAttributedGraphFile:

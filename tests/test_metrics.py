@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from vnom import (InputError, NoRedCandidatesError, Ranking, aggregate_reports,
                   average_precision, average_precision_at_y, chance_baseline,
                   evaluate_ranking, precision_at, reciprocal_rank, success_at_1)
-from vnom.metrics import mask_metrics, report_from_mask
+from vnom.metrics import MetricTable, mask_metrics, report_from_mask
 
 
 def ranking_of(ids):
@@ -359,8 +359,8 @@ class TestMetricCorrelation:
         # ordering in at least 90% of configurations; disagreements happen
         # only where two gammas are statistically tied
         from vnom import KidneyEggParams
-        from vnom.experiments import run_replicate
-        from vnom.metrics import aggregate_reports as agg
+        from vnom.experiments import _replicate_values
+        from vnom.seeding import child_seed
 
         grid = (0.0, 0.5, 1.0)
         configs = []
@@ -371,14 +371,9 @@ class TestMetricCorrelation:
                                                (0.6, 0.2, 0.2), (0.4, 0.4, 0.2)))
         agree = 0
         for ci, params in enumerate(configs):
-            per = {g: [] for g in grid}
-            for rep in range(400):
-                res = run_replicate(params, grid,
-                                    np.random.SeedSequence(entropy=78, spawn_key=(ci, rep)))
-                for g in grid:
-                    per[g].append(res.reports[g])
-            aggs = agg(per)
-            by_map = sorted(grid, key=lambda g: aggs.value("map", g))
-            by_mrr = sorted(grid, key=lambda g: aggs.value("mrr", g))
+            seeds = (child_seed(78, ci, rep) for rep in range(400))
+            table = MetricTable.fold(grid, _replicate_values(params, grid, seeds))
+            by_map = sorted(grid, key=lambda g: table.value("map", g))
+            by_mrr = sorted(grid, key=lambda g: table.value("mrr", g))
             agree += by_map == by_mrr
         assert agree >= 0.9 * len(configs)
