@@ -36,6 +36,16 @@ RED = int(VertexLabel.RED)
 GREEN = int(VertexLabel.GREEN)
 OCCLUDED = int(VertexLabel.OCCLUDED)
 
+# Largest vertex count of a graph.  Every graph holds (n + 1)-entry arrays and
+# screening and trials hold (rows x n) ones, so a larger n cannot be worked
+# on; the readers reject such a header before anything is allocated.
+MAX_VERTICES = 2**24
+
+
+def _check_vertex_count(n: int):
+    if not 1 <= n <= MAX_VERTICES:
+        raise InputError(f"graph needs 1..{MAX_VERTICES} vertices, got {n}")
+
 
 def _canonical_edges(n, edge_u, edge_v, *extras):
     """Validate and sort edge arrays into canonical (u < v, lexicographic) order."""
@@ -92,8 +102,7 @@ class AttributedGraph:
         self._init_from_canonical(int(n), eu, ev, ea, truth, observed, int(k_edge_attrs))
 
     def _init_from_canonical(self, n, eu, ev, ea, truth, observed, k):
-        if n < 1:
-            raise InputError("graph needs at least one vertex")
+        _check_vertex_count(n)
         if k < 1:
             raise InputError("k_edge_attrs must be >= 1")
         if ea.size and (ea.min() < 1 or ea.max() > k):
@@ -216,8 +225,7 @@ class TopicGraph:
 
     def __init__(self, n, edge_u, edge_v, topic_probs, message_count, vertex_names=None):
         n = int(n)
-        if n < 1:
-            raise InputError("graph needs at least one vertex")
+        _check_vertex_count(n)
         probs = np.asarray(topic_probs, dtype=np.float64)
         counts = np.asarray(message_count, dtype=np.int64)
         eu, ev, probs, counts = _canonical_edges(n, edge_u, edge_v, probs, counts)

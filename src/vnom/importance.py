@@ -10,9 +10,11 @@ per-edge topic distributions and runs nomination.  Results aggregate into
 Each step (red-internal edge counts, side masks, density gap, topic
 profiles, topic draw, candidate scores, edge rates) has one kernel, shared by
 the public single-partition functions and the batched screening and trial
-loops.  Screening counts edges from neighbour lists and builds edge masks
-only for the draws that pass the density bar; trials run in fixed blocks of
-partitions whose replicates are scored and ranked as one stack.
+loops.  Screening counts edges from neighbour lists, then builds edge masks
+and topic profiles only for the draws that pass the density bar, a chunk of
+rows per kernel call; trials run in fixed blocks of partitions whose
+replicates map their uniforms to topics, and are scored and ranked, as one
+stack.
 """
 
 from __future__ import annotations
@@ -26,13 +28,15 @@ from .errors import EmptyProfileError, InputError, UndefinedDensityError
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph,
                     _build_adjacency, _subset_array)
 from .experiments import evaluate_grid, parallel_map
-from .metrics import MetricTable
+from .metrics import MetricTable, mean_se
 from .nomination import score_counts, validate_gamma_grid
 from .seeding import child_seed, generator
 
 _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on scheduling
 _TRIAL_BLOCK = 64  # partitions per trial task; fixed for the same reason
 _PARTITION_ROWS = 512  # key rows per np.partition call: bounds its copy of the keys
+_PROFILE_CELLS = 2**18  # (rows x edges) cells per profile kernel call: 2 MB of float mask
+_TOPIC_CELLS = 2**20  # (rows x topics x edges) comparisons per topic-mapping pass
 MIN_PARTITIONS = 20  # a trial bin backed by fewer partitions is flagged insufficient
 
 
@@ -167,17 +171,31 @@ def _density_gap(red_edges, green_edges, m: int, n_green: int):
     return red_edges / comb(m, 2) - green_edges / comb(n_green, 2)
 
 
-def _profile(weights: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """Normalized topic weight of the selected edges; zeros if they have none."""
-    total = weights[sel].sum(axis=0)
-    mass = total.sum()
-    return total / mass if mass > 0.0 else np.zeros_like(total)
+def _profile_rows(num_edges: int) -> int:
+    """Side-mask rows per call of :func:`_profile_gap` in screening."""
+    return max(1, _PROFILE_CELLS // max(num_edges, 1))
+
+
+def _profiles(weights: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """(rows x topics) normalized topic weight of each row's selected edges,
+    ``sel`` being (rows x edges); a row without weight is zeros.
+
+    The einsum adds a row's edges one at a time in edge order, as the axis-0
+    sum of ``weights[sel_row]`` does, and x * 1.0 and + 0.0 are exact, so
+    each row matches that sum bit for bit; ``optimize=True`` could hand the
+    product to BLAS, which adds in another order.
+    """
+    total = np.einsum("ek,er->rk", weights, sel.T.astype(np.float64), optimize=False)
+    mass = total.sum(axis=1, keepdims=True)
+    return np.divide(total, mass, out=np.zeros_like(total), where=mass > 0.0)
 
 
 def _profile_gap(weights: np.ndarray, red_in, green_in) -> tuple:
-    """(delta_p, red profile, green profile); delta_p is 0 if a side has no weight."""
-    pr, pg = _profile(weights, red_in), _profile(weights, green_in)
-    return (float(np.abs(pr - pg).sum()) if pr.any() and pg.any() else 0.0), pr, pg
+    """(delta_p, red profiles, green profiles) of each row of the (rows x edges)
+    side masks; delta_p is 0 where a side has no weight."""
+    pr, pg = _profiles(weights, red_in), _profiles(weights, green_in)
+    gap = np.abs(pr - pg).sum(axis=1)
+    return np.where(pr.any(axis=1) & pg.any(axis=1), gap, 0.0), pr, pg
 
 
 def _cumulative_topics(g: TopicGraph) -> np.ndarray:
@@ -185,12 +203,17 @@ def _cumulative_topics(g: TopicGraph) -> np.ndarray:
     return np.ascontiguousarray(np.cumsum(g.topic_probs, axis=1).T)
 
 
-def _draw_topics(cum_topics: np.ndarray, rng) -> np.ndarray:
-    """One topic per edge, in stored (sorted-pair) order, one uniform each:
-    the number of cumulative probabilities at or below it, at most k - 1.
+def _topics(cum_topics: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The topic of each edge under uniforms ``u`` (... x edges): the number
+    of cumulative probabilities at or below its uniform, at most k - 1.
     ``cum_topics`` is the (topics x edges) table of :func:`_cumulative_topics`."""
-    u = rng.random(cum_topics.shape[1])
-    return np.minimum((u >= cum_topics).sum(axis=0, dtype=np.int32), cum_topics.shape[0] - 1)
+    counts = (u[..., None, :] >= cum_topics).sum(axis=-2, dtype=np.int32)
+    return np.minimum(counts, cum_topics.shape[0] - 1)
+
+
+def _draw_topics(cum_topics: np.ndarray, rng) -> np.ndarray:
+    """One topic per edge, in stored (sorted-pair) order, one uniform each."""
+    return _topics(cum_topics, rng.random(cum_topics.shape[1]))
 
 
 def _rates(attr, red_in, green_in, red_pairs, green_pairs) -> np.ndarray:
@@ -214,7 +237,7 @@ def topic_profile(g: TopicGraph, vs, *, weighted: bool = True) -> np.ndarray:
     sel, _ = _sides(g, mask)
     if not sel.any():
         raise EmptyProfileError("induced subgraph has no edges to profile")
-    return _profile(_edge_weights(g, weighted), sel)
+    return _profiles(_edge_weights(g, weighted), sel[None])[0]
 
 
 def delta_rho(g: TopicGraph, part: Partition) -> float:
@@ -229,10 +252,10 @@ def delta_rho(g: TopicGraph, part: Partition) -> float:
 def delta_p(g: TopicGraph, part: Partition, *, weighted: bool = True) -> float:
     """L1 distance between the red-side and green-side topic profiles."""
     _check_partition(g, part)
-    red_in, green_in = _sides(g, part.red_mask())
+    red_in, green_in = _sides(g, part.red_mask()[None])
     if not (red_in.any() and green_in.any()):
         raise EmptyProfileError("induced subgraph has no edges to profile")
-    return _profile_gap(_edge_weights(g, weighted), red_in, green_in)[0]
+    return float(_profile_gap(_edge_weights(g, weighted), red_in, green_in)[0][0])
 
 
 def _check_partition(g, part: Partition):
@@ -298,23 +321,27 @@ def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
 def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
                   weights: np.ndarray, adjacency: tuple, rng, start: int, draws: int) -> list:
     """Accepted draws start..start+draws-1.  Density gaps come from edge
-    counts; edge masks are built only for the draws passing tau_rho."""
+    counts; edge masks and topic profiles are built only for the draws
+    passing tau_rho, a chunk of rows at a time."""
     red_mask = _smallest_keys_mask(rng.random((_SCREEN_BLOCK, g.n))[:draws], m)
-    chosen = red_mask.nonzero()[1].reshape(draws, m)  # each row's red ids, ascending
+    # each row's red ids, ascending
+    chosen = np.flatnonzero(red_mask).reshape(draws, m) - (np.arange(draws) * g.n)[:, None]
     d_rho = _density_gap(*_side_edge_counts(g, adjacency, chosen, red_mask), m, g.n - m)
-    rows = np.flatnonzero(d_rho > thresholds.tau_rho)
-    red_in, green_in = _sides(g, red_mask[rows])
+    passing = np.flatnonzero(d_rho > thresholds.tau_rho)
+    step = _profile_rows(g.num_edges)
     accepted = []
-    for i, row in enumerate(rows):
-        d_p, pr, pg = _profile_gap(weights, red_in[i], green_in[i])
-        if d_p > thresholds.tau_p:
+    for lo in range(0, passing.size, step):
+        rows = passing[lo:lo + step]
+        d_p, pr, pg = _profile_gap(weights, *_sides(g, red_mask[rows]))
+        for i in np.flatnonzero(d_p > thresholds.tau_p):
+            row = rows[i]
             accepted.append(ScreenedPartition(
                 partition=Partition(g.n, chosen[row]),
-                topic_map=topic_map_from_profiles(pr, pg),
+                topic_map=topic_map_from_profiles(pr[i], pg[i]),
                 delta_rho=float(d_rho[row]),
-                delta_p=d_p,
-                profile_red=pr,
-                profile_green=pg,
+                delta_p=float(d_p[i]),
+                profile_red=pr[i].copy(),  # a view would keep the chunk's rows alive
+                profile_green=pg[i].copy(),
                 draw_index=start + int(row),
             ))
     return accepted
@@ -393,12 +420,13 @@ def _draw_instances(g: TopicGraph, block, first: int, m_prime: int, replicates: 
     """(edge labels, identified masks, tie-break keys), one row per (partition,
     replicate) of ``block``, whose first partition has ordinal ``first``.
 
-    Replicate r of the partition with ordinal o draws its edge topics, its
+    Replicate r of the partition with ordinal o draws its edge uniforms, its
     m_prime identified red vertices and its tie-break permutation from
-    child_seed(base_seed, o, r, 0..2), as if it ran alone.
+    child_seed(base_seed, o, r, 0..2), as if it ran alone; the uniforms of
+    all instances then map to topics and labels a chunk of rows at a time.
     """
     n_inst, n_cand = len(block) * replicates, g.n - m_prime
-    attr = np.empty((n_inst, g.num_edges), dtype=np.int8)
+    u = np.empty((n_inst, g.num_edges))
     identified = np.zeros((n_inst, g.n), dtype=bool)
     tiebreak = np.empty((n_inst, n_cand), dtype=np.int64)
     for j, sp in enumerate(block):
@@ -406,18 +434,24 @@ def _draw_instances(g: TopicGraph, block, first: int, m_prime: int, replicates: 
             i = j * replicates + rep
             edge_seed, ident_seed, tie_seed = (child_seed(base_seed, first + j, rep, k)
                                                for k in range(3))
-            attr[i] = sp.topic_map.labels[_draw_topics(cum_topics, generator(edge_seed))]
+            u[i] = generator(edge_seed).random(g.num_edges)
             identified[i, generator(ident_seed).choice(sp.partition.red_ids, size=m_prime,
                                                        replace=False)] = True
             tiebreak[i] = generator(tie_seed).permutation(n_cand)
+    labels = np.repeat(np.stack([sp.topic_map.labels for sp in block]), replicates, axis=0)
+    attr = np.empty((n_inst, g.num_edges), dtype=np.int8)
+    step = max(1, _TOPIC_CELLS // max(cum_topics.size, 1))
+    for lo in range(0, n_inst, step):
+        attr[lo:lo + step] = np.take_along_axis(labels[lo:lo + step],
+                                                _topics(cum_topics, u[lo:lo + step]), axis=1)
     return attr, identified, tiebreak
 
 
 def _trial_block(g: TopicGraph, block, first: int, m_prime: int, gamma_grid,
                  replicates: int, base_seed, cum_topics: np.ndarray) -> list:
-    """(metric values (gammas x metrics x replicates), mean rates) of each
-    partition in ``block``; all (partition, replicate) instances are scored,
-    ranked and evaluated as one stack."""
+    """(metric values (partitions x gammas x metrics x replicates), mean rates
+    (partitions x 4)) of the partitions in ``block``; all (partition,
+    replicate) instances are scored, ranked and evaluated as one stack."""
     m, n_green = np.array([_side_sizes(g, sp.partition) for sp in block]).T
     attr, identified, tiebreak = _draw_instances(g, block, first, m_prime, replicates,
                                                  base_seed, cum_topics)
@@ -446,8 +480,7 @@ def _trial_block(g: TopicGraph, block, first: int, m_prime: int, gamma_grid,
     rate_sum = np.zeros((len(block), rates.shape[-1]))
     for rep in range(replicates):  # summed in replicate order, as one partition alone would
         rate_sum += rates[:, rep]
-    return [(v, EstimatedRates(*map(float, r / replicates)))
-            for v, r in zip(values, rate_sum)]
+    return values, rate_sum / replicates
 
 
 def check_trial_arguments(m: int, m_prime: int, gamma_grid, replicates: int,
@@ -493,25 +526,28 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
                            for first in range(0, len(accepted), _TRIAL_BLOCK)],
                           n_workers)
 
+    values = np.concatenate([block_values for block_values, _ in blocks])
+    rates = np.concatenate([block_rates for _, block_rates in blocks])
+    means, ses = mean_se(values)  # each partition's table, folded in one call
     partitions = []
-    bin_values: dict = {}
-    bin_partitions: dict = {}
-    for sp, (values, rates) in zip(accepted, (trial for block in blocks for trial in block)):
-        partitions.append(PartitionTrial(sp.draw_index, sp.delta_rho, sp.delta_p,
-                                         MetricTable.fold(grid, values), rates))
+    bin_rows: dict = {}
+    for i, sp in enumerate(accepted):
+        table = MetricTable(grid, (), means[i], ses[i], replicates_per_partition)
+        partitions.append(PartitionTrial(sp.draw_index, sp.delta_rho, sp.delta_p, table,
+                                         EstimatedRates(*map(float, rates[i]))))
         key = (bin_index(sp.delta_rho, bin_width), bin_index(sp.delta_p, bin_width))
-        bin_values.setdefault(key, []).append(values)
-        bin_partitions[key] = bin_partitions.get(key, 0) + 1
+        bin_rows.setdefault(key, []).append(i)
 
     has_triple = all(any(x == want for x in grid) for want in (0.0, 0.5, 1.0))
     bins = {}
-    for key in sorted(bin_values):
-        table = MetricTable.fold(grid, np.concatenate(bin_values[key], axis=-1))
+    for key in sorted(bin_rows):
+        # the bin's (partition, replicate) values, partition by partition
+        table = MetricTable.fold(grid, np.concatenate(values[bin_rows[key]], axis=-1))
         advantage = None
         if has_triple:
             advantage = (min(table.value("mrr", 0.0), table.value("mrr", 1.0))
                          - table.value("mrr", 0.5))
-        n_parts = bin_partitions[key]
+        n_parts = len(bin_rows[key])
         bins[key] = BinReport(
             rho_lo=key[0] * bin_width, rho_hi=(key[0] + 1) * bin_width,
             p_lo=key[1] * bin_width, p_hi=(key[1] + 1) * bin_width,

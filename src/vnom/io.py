@@ -1,11 +1,11 @@
 """File formats, synthetic corpus generation, and result serialization.
 
-Topic-graph files are UTF-8 text: header lines ``#n=<int>`` and ``#k=<int>``,
-optional ``#vertex <id> <name>`` symbol-table lines, then one edge per line,
-``e <u> <v> <count> <t1> ... <tK>``.  Any other ``#``-prefixed line is
-metadata and is ignored by the reader.  Serialization is canonical (edges
-sorted by pair, probabilities at 12 significant digits) so equal graphs
-produce byte-equal files.
+Topic-graph files are UTF-8 text: header lines ``#n=<int>`` (at most
+``graph.MAX_VERTICES``) and ``#k=<int>``, optional ``#vertex <id> <name>``
+symbol-table lines, then one edge per line, ``e <u> <v> <count> <t1> ...
+<tK>``.  Any other ``#``-prefixed line is metadata and is ignored by the
+reader.  Serialization is canonical (edges sorted by pair, probabilities at
+12 significant digits) so equal graphs produce byte-equal files.
 
 Attributed-graph files are analogous: ``#n=``/``#ke=`` headers, one
 ``v <id> <truth> <observed>`` line per vertex, and ``a <u> <v> <attr>`` edge
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GraphFormatError, InputError
 from .experiments import SweepResult
-from .graph import AttributedGraph, TopicGraph
+from .graph import MAX_VERTICES, AttributedGraph, TopicGraph
 from .importance import ScreeningResult, TrialsResult, bin_index
 from .metrics import CRITERIA, MetricTable
 from .seeding import generator
@@ -72,7 +72,7 @@ def read_topic_graph(path) -> TopicGraph:
             if not line:
                 continue
             if line.startswith("#n="):
-                n = _header_int(n, line[3:], lineno, "vertex count", 1)
+                n = _header_int(n, line[3:], lineno, "vertex count", 1, MAX_VERTICES)
             elif line.startswith("#k="):
                 k = _header_int(k, line[3:], lineno, "topic count", 2)
             elif line.startswith("#vertex "):
@@ -141,13 +141,17 @@ def _parse_int(text: str, lineno: int, what: str) -> int:
     return value
 
 
-def _header_int(current, text: str, lineno: int, what: str, minimum: int) -> int:
-    """A count header's value: given once, an integer, at least ``minimum``."""
+def _header_int(current, text: str, lineno: int, what: str, minimum: int,
+                maximum: int | None = None) -> int:
+    """A count header's value: given once, an integer, at least ``minimum``
+    and at most ``maximum``."""
     if current is not None:
         raise GraphFormatError(f"repeated {what} header", lineno)
     value = _parse_int(text, lineno, what)
     if value < minimum:
         raise GraphFormatError(f"{what} must be >= {minimum}, got {value}", lineno)
+    if maximum is not None and value > maximum:
+        raise GraphFormatError(f"{what} must be <= {maximum}, got {value}", lineno)
     return value
 
 
@@ -194,7 +198,7 @@ def read_attributed_graph(path) -> AttributedGraph:
             if not line:
                 continue
             if line.startswith("#n="):
-                n = _header_int(n, line[3:], lineno, "vertex count", 1)
+                n = _header_int(n, line[3:], lineno, "vertex count", 1, MAX_VERTICES)
             elif line.startswith("#ke="):
                 ke = _header_int(ke, line[4:], lineno, "attribute count", 1)
             elif line.startswith("#"):

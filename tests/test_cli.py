@@ -120,6 +120,8 @@ class TestExitCodes:
         ("#n=3\n#k=2\n#k=3\n", 3),
         ("#n=3\n#k=2\ne 0 1 100000000000000000000000000000 0.5 0.5\n", 3),  # count > int64
         ("#n=99999999999999999999\n#k=2\n", 1),
+        ("#n=4611686018427387904\n#k=2\n", 1),  # fits int64, far beyond MAX_VERTICES
+        ("#k=2\n#n=16777217\n", 2),  # MAX_VERTICES + 1
     ])
     def test_malformed_topic_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.topics"
@@ -140,6 +142,8 @@ class TestExitCodes:
         ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\na 0 1 100000000000000000000000\n", 5),
         ("#n=2\n#ke=2\nv 0 9223372036854775808 0\nv 1 2 0\n", 3),  # truth label 2**63
         ("#n=99999999999999999999\n#ke=2\n", 1),
+        ("#n=4611686018427387904\n#ke=2\n", 1),
+        ("#ke=2\n#n=16777217\n", 2),
     ])
     def test_malformed_attributed_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.attr"

@@ -18,6 +18,7 @@ import pytest
 
 import vnom
 import vnom.cli
+import vnom.importance
 import vnom.nomination
 from vnom import (GAMMA_GRID_DEFAULT, KidneyEggParams, ScreeningThresholds, candidate_statistics,
                   gamma_surface, read_topic_graph, sample_kidney_egg, screen_partitions)
@@ -249,4 +250,50 @@ def test_one_screening_block_stays_below_recorded_peak(monkeypatch, tmp_path):
         tracemalloc.stop()
     assert result.attempts == 4096 and result.n_accepted > 0
     assert peak < SCREEN_BLOCK_PEAK_BYTES
+
+
+# tracemalloc peak of the same call with every draw accepted, when each draw
+# passing tau_rho had its own profile sums and all side masks of the block
+# were built at once
+ALL_PASS_BLOCK_PEAK_BYTES = 19_333_556
+
+
+def test_all_pass_screening_block_stays_at_or_below_recorded_peak(monkeypatch, tmp_path):
+    # every draw reaches the profile kernel: the chunked rows must not cost
+    # more memory than the per-draw profiles did
+    run = load_bench_run(monkeypatch)
+    run.prepare("importance", 3, tmp_path)
+    g = read_topic_graph(tmp_path / "corpus.topics")
+    tracemalloc.start()
+    try:
+        result = screen_partitions(g, 10, ScreeningThresholds(-np.inf, -np.inf), 4096, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_accepted == result.attempts == 4096
+    assert peak <= ALL_PASS_BLOCK_PEAK_BYTES
+
+
+@pytest.mark.parametrize("thresholds", [ScreeningThresholds(),
+                                        ScreeningThresholds(-np.inf, -np.inf)])
+def test_screening_profiles_a_chunk_of_rows_per_kernel_call(monkeypatch, tmp_path, thresholds):
+    # equal outputs cannot show a slide back to one profile call per draw, so
+    # count the calls against the rows passing tau_rho
+    rows = []
+    profile_gap = vnom.importance._profile_gap
+
+    def counted(weights, red_in, green_in):
+        rows.append(len(red_in))
+        return profile_gap(weights, red_in, green_in)
+
+    monkeypatch.setattr(vnom.importance, "_profile_gap", counted)
+    run = load_bench_run(monkeypatch)
+    run.prepare("importance", 3, tmp_path)
+    g = read_topic_graph(tmp_path / "corpus.topics")
+    result = screen_partitions(g, 10, thresholds, 4096, 1)
+    chunk = vnom.importance._profile_rows(g.num_edges)
+    assert chunk > 1 and result.n_accepted <= sum(rows)
+    assert 0 < len(rows) <= -(-sum(rows) // chunk)
+    if thresholds.tau_rho == -np.inf:
+        assert sum(rows) == 4096
 

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnom import (AttributedGraph, InputError, Partition, UndefinedDensityError,
+from vnom import (AttributedGraph, InputError, Partition, TopicGraph, UndefinedDensityError,
                   candidate_set, induced_subgraph, relative_density)
+from vnom.graph import MAX_VERTICES
 
 from conftest import build_attributed, build_topic, point_mass
 
@@ -40,6 +41,15 @@ class TestAttributedGraph:
         assert list(g.neighbors(0)) == [1, 3, 4]
         assert g.degree(0) == 3
         assert g.degree(2) == 0
+
+
+@pytest.mark.parametrize("n", [MAX_VERTICES + 1, 2**62])
+def test_constructors_reject_more_than_max_vertices(n):
+    # checked before any (n)-sized array is built or compared
+    with pytest.raises(InputError, match="vertices"):
+        AttributedGraph(n, [], [], [], truth=[], observed=[])
+    with pytest.raises(InputError, match="vertices"):
+        TopicGraph(n, [], [], np.zeros((0, 2)), [])
 
 
 class TestTopicGraph:

@@ -7,9 +7,12 @@ from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition,
                   ScreeningThresholds, TopicMap, UndefinedDensityError, delta_p,
                   delta_rho, estimate_rates, instantiate_edges, run_importance_trials,
                   sample_kidney_egg, screen_partitions, topic_profile)
-from vnom.importance import (_SCREEN_BLOCK, _cumulative_topics, _draw_topics, _edge_weights,
-                             _neighbour_lists, _screen_block, _smallest_keys_mask, bin_index,
+from vnom import importance
+from vnom.importance import (_SCREEN_BLOCK, _cumulative_topics, _draw_instances, _draw_topics,
+                             _edge_weights, _neighbour_lists, _profile_gap, _profile_rows,
+                             _screen_block, _sides, _smallest_keys_mask, _topics, bin_index,
                              check_trial_arguments, topic_map_from_profiles)
+from vnom.seeding import child_seed, generator
 
 from conftest import build_attributed, build_topic, point_mass
 
@@ -270,6 +273,162 @@ class TestDrawTopics:
             expected = [min(bisect_right(cum, x), 3) for cum, x in zip(cums, u)]
             got = _draw_topics(_cumulative_topics(g), PlantedUniforms(u))
             assert got.tolist() == expected
+
+
+def per_draw_profile(weights, sel):
+    """A side's topic profile as computed one draw at a time before the
+    profile kernel was stacked."""
+    total = weights[sel].sum(axis=0)
+    mass = total.sum()
+    return total / mass if mass > 0.0 else np.zeros_like(total)
+
+
+def per_draw_profile_gap(weights, red_in, green_in):
+    pr, pg = per_draw_profile(weights, red_in), per_draw_profile(weights, green_in)
+    return (float(np.abs(pr - pg).sum()) if pr.any() and pg.any() else 0.0), pr, pg
+
+
+def per_instance_draw_topics(cum_topics, rng):
+    """One instance's topic draw as written before the trials stacked it."""
+    u = rng.random(cum_topics.shape[1])
+    return np.minimum((u >= cum_topics).sum(axis=0, dtype=np.int32), cum_topics.shape[0] - 1)
+
+
+def assert_gaps_match_per_draw(weights, red_in, green_in):
+    d_p, pr, pg = _profile_gap(weights, red_in, green_in)
+    assert d_p.shape == (len(red_in),) and pr.shape == pg.shape == (len(red_in), weights.shape[1])
+    for i in range(len(red_in)):
+        want_d, want_r, want_g = per_draw_profile_gap(weights, red_in[i], green_in[i])
+        assert d_p[i] == want_d
+        assert pr[i].tobytes() == want_r.tobytes() and pg[i].tobytes() == want_g.tobytes()
+
+
+def spread_weights(rng, edges, k):
+    """(edges x k) weights spread over 16 decades, some exactly zero."""
+    weights = rng.random((edges, k)) * 10.0 ** rng.uniform(-8, 8, (edges, 1))
+    weights[rng.random((edges, k)) < 0.2] = 0.0
+    return weights
+
+
+class TestStackedProfiles:
+    """The stacked profile kernel against the per-draw sums it replaced, to the byte."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 600])
+    @pytest.mark.parametrize("k", [2, 5, 32, 64])
+    def test_random_side_masks(self, rows, k):
+        rng = np.random.default_rng(rows * 100 + k)
+        weights = spread_weights(rng, 500, k)
+        red_in = rng.random((rows, 500)) < rng.uniform(0, 0.2, (rows, 1))
+        green_in = rng.random((rows, 500)) < rng.uniform(0.2, 1, (rows, 1))
+        assert_gaps_match_per_draw(weights, red_in, green_in)
+
+    def test_sides_without_edges_or_weight(self):
+        rng = np.random.default_rng(3)
+        weights = spread_weights(rng, 40, 3)
+        weights[:5] = 0.0
+        red_in = rng.random((6, 40)) < 0.3
+        green_in = rng.random((6, 40)) < 0.6
+        red_in[0] = False  # no red edge
+        green_in[1] = False  # no green edge
+        red_in[2], green_in[2] = False, False  # neither
+        red_in[3] = False
+        red_in[3, :5] = True  # red edges, all of weight zero
+        assert_gaps_match_per_draw(weights, red_in, green_in)
+        d_p, pr, pg = _profile_gap(weights, red_in, green_in)
+        assert d_p[:4].tolist() == [0.0] * 4
+        assert not pr[[0, 2, 3]].any() and not pg[[1, 2]].any()
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_screened_profiles_across_chunk_boundaries(self, monkeypatch, weighted, k):
+        # 7 rows per kernel call: 20 all-pass draws end chunks at 7 and 14
+        rng = np.random.default_rng(k)
+        n = 30
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        probs = rng.dirichlet(np.full(k, 0.3), len(pairs))
+        counts = 10 ** rng.integers(0, 16, len(pairs))  # message counts over 16 decades
+        g = build_topic(n, [(u, v, int(c), p) for (u, v), c, p in zip(pairs, counts, probs)], k)
+        monkeypatch.setattr(importance, "_PROFILE_CELLS", 7 * g.num_edges)
+        assert _profile_rows(g.num_edges) == 7
+        weights = _edge_weights(g, weighted)
+        all_pass = ScreeningThresholds(-np.inf, -np.inf)
+        for draws in (6, 7, 8, 13, 14, 15, 20):
+            accepted = _screen_block(g, 4, all_pass, weights, _neighbour_lists(g),
+                                     generator(draws), 0, draws)
+            assert [sp.draw_index for sp in accepted] == list(range(draws))
+            for sp in accepted:
+                red_in, green_in = _sides(g, sp.partition.red_mask())
+                want_d, want_r, want_g = per_draw_profile_gap(weights, red_in, green_in)
+                assert sp.delta_p == want_d
+                assert sp.profile_red.tobytes() == want_r.tobytes()
+                assert sp.profile_green.tobytes() == want_g.tobytes()
+                assert sp.topic_map.labels.tolist() == \
+                    topic_map_from_profiles(want_r, want_g).labels.tolist()
+
+    def test_public_functions_match_per_draw_sums(self):
+        rng = np.random.default_rng(11)
+        pairs = [(u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.5]
+        probs = rng.dirichlet(np.full(4, 0.5), len(pairs))
+        counts = 10 ** rng.integers(0, 16, len(pairs))
+        g = build_topic(12, [(u, v, int(c), p) for (u, v), c, p in zip(pairs, counts, probs)], 4)
+        part = Partition(12, np.arange(5))
+        red_in, green_in = _sides(g, part.red_mask())
+        for weighted in (True, False):
+            weights = _edge_weights(g, weighted)
+            assert delta_p(g, part, weighted=weighted) == \
+                per_draw_profile_gap(weights, red_in, green_in)[0]
+            assert topic_profile(g, part.red_ids, weighted=weighted).tobytes() == \
+                per_draw_profile(weights, red_in).tobytes()
+
+
+class TestBlockTopicDraws:
+    """Block topic mapping against the per-instance draw it replaced."""
+
+    def graph_with_short_rows(self):
+        probs = [np.full(4, 0.25), np.array([0.0, 0.5, 0.0, 0.5]),
+                 np.array([0.1, 0.2, 0.3, 0.4 - 1e-12]), point_mass(2, 4)]
+        return build_topic(5, [(0, v + 1, 1, p) for v, p in enumerate(probs)], 4)
+
+    def test_planted_uniforms_match_per_instance_draws(self):
+        g = self.graph_with_short_rows()
+        cum = _cumulative_topics(g)
+        assert cum[-1, 2] < 1.0  # an edge whose probabilities sum to 1 - 1e-12
+        planted = np.array([
+            [0.0] * 4,
+            cum[1],  # exactly an interior cumulative value
+            cum[0],  # exactly the first
+            np.nextafter(cum[1], 0.0),  # the float just below it
+            cum[-1] + 5e-13,  # above the short edge's last cumulative value
+            np.nextafter(cum[-1], 2.0),
+            [0.3, 0.75, 0.999, 0.5],
+        ])
+        got = _topics(cum, planted)
+        for row, u in zip(got, planted):
+            assert row.tolist() == per_instance_draw_topics(cum, PlantedUniforms(u)).tolist()
+        assert got[4, 2] == 3  # clamped at k - 1
+
+    def test_block_draws_match_per_instance_draws(self, monkeypatch):
+        # 3 instance rows per topic-mapping pass, over 7 partitions x 2 replicates
+        rng = np.random.default_rng(5)
+        pairs = [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.4]
+        k = 6
+        g = build_topic(20, [(u, v, 1, p) for (u, v), p in
+                             zip(pairs, rng.dirichlet(np.full(k, 0.4), len(pairs)))], k)
+        monkeypatch.setattr(importance, "_TOPIC_CELLS", 3 * k * g.num_edges)
+        block = screen_partitions(g, 5, ScreeningThresholds(-np.inf, -np.inf), 7, 2).accepted
+        cum, base = _cumulative_topics(g), child_seed(8)
+        attr, identified, tiebreak = _draw_instances(g, block, 3, 2, 2, base, cum)
+        for j, sp in enumerate(block):
+            for rep in range(2):
+                i = j * 2 + rep
+                edge_seed, ident_seed, tie_seed = (child_seed(base, 3 + j, rep, k)
+                                                   for k in range(3))
+                topics = per_instance_draw_topics(cum, generator(edge_seed))
+                assert attr[i].tolist() == sp.topic_map.labels[topics].tolist()
+                picked = generator(ident_seed).choice(sp.partition.red_ids, size=2,
+                                                      replace=False)
+                assert identified[i].nonzero()[0].tolist() == sorted(picked.tolist())
+                assert tiebreak[i].tolist() == generator(tie_seed).permutation(18).tolist()
 
 
 class TestEstimateRates:
