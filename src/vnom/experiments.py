@@ -131,27 +131,36 @@ def parallel_map(fn, tasks, n_workers: int) -> list:
         return list(pool.map(fn, *zip(*tasks), chunksize=-(-len(tasks) // workers)))
 
 
+def _take_rows(a, index) -> np.ndarray:
+    """``a[index]`` for one row ``a``; for a stack, row i of ``a`` at the index
+    rows lined up with it, by flat indexing (cheaper than take_along_axis)."""
+    if a.ndim == 1:
+        return a[index]
+    return a.ravel()[index + (np.arange(len(a)) * a.shape[1])[:, None]]
+
+
 def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
     """Rank one candidate set at every gamma and score each ranking.
 
     ``t0``/``t1`` are the candidates' context and content scores, ``red``
-    their truth mask and ``tiebreak`` the keys ordering tied candidates.
-    Returns a (gammas x metrics) array with the columns of
-    :func:`vnom.metrics.mask_metrics`.  The four arrays may instead be
-    (instances x candidates) stacks with one red count per stack; each row is
-    then ranked on its own, with one sort per gamma for the whole stack, and
-    the result is (instances x gammas x metrics).
+    their truth mask and ``tiebreak`` the keys ordering tied candidates
+    (ascending, then by position).  Returns a (gammas x metrics) array with
+    the columns of :func:`vnom.metrics.mask_metrics`.  The four arrays may
+    instead be (instances x candidates) stacks with one red count per stack;
+    each row is then ranked on its own, with one sort per gamma for the whole
+    stack, and the result is (instances x gammas x metrics).
     """
-    t0, t1, tiebreak, _ = prepare_ranking(t0, t1, tiebreak)  # range checks once, not per gamma
+    first = np.asarray(tiebreak).argsort(axis=-1, kind="stable")  # kept by stable fused sorts
+    t0, t1 = prepare_ranking(t0, t1)  # range checks once, not per gamma
+    t0, t1, red = _take_rows(t0, first), _take_rows(t1, first), _take_rows(red, first)
     grid = tuple(gamma_grid)
-    orders = np.empty((len(grid), *tiebreak.shape), dtype=np.intp)
+    orders = np.empty((len(grid), *first.shape), dtype=np.intp)
     for i, gamma in enumerate(grid):
-        orders[i] = fused_order(t0, t1, gamma, tiebreak)
-    if np.ndim(red) == 1:
+        orders[i] = fused_order(t0, t1, gamma)
+    if red.ndim == 1:
         return mask_metrics(red[orders], y_values)
-    orders = np.moveaxis(orders, 0, -2)  # (instances x gammas x candidates)
-    masks = np.take_along_axis(red[:, None, :], orders, axis=-1)  # row i orders row i of red
-    return mask_metrics(masks.reshape(-1, masks.shape[-1]), y_values).reshape(*masks.shape[:-1], -1)
+    values = mask_metrics(_take_rows(red, orders).reshape(-1, red.shape[1]), y_values)
+    return np.moveaxis(values.reshape(len(grid), len(red), -1), 0, 1)  # instances first
 
 
 def _replicate_values(params: KidneyEggParams, gamma_grid, rep_seeds, y_values=()):

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import EmptyProfileError, InputError, UndefinedDensityError
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph,
                     _build_adjacency, _subset_array)
-from .experiments import evaluate_grid, parallel_map
+from .experiments import _take_rows, evaluate_grid, parallel_map
 from .metrics import MetricTable, mean_se
 from .nomination import score_counts, validate_gamma_grid
 from .seeding import child_seed, generator
@@ -263,11 +263,15 @@ def _check_partition(g, part: Partition):
         raise InputError(f"partition is over {part.n} vertices, graph has {g.n}")
 
 
+def _topic_labels(profile_red, profile_green) -> np.ndarray:
+    """Topic labels of :func:`topic_map_from_profiles`, row by row for stacks."""
+    return np.where(np.asarray(profile_red) - np.asarray(profile_green) > 0, RED, GREEN)
+
+
 def topic_map_from_profiles(profile_red, profile_green) -> TopicMap:
     """Topic goes red iff its red-side share strictly exceeds its green-side
     share; ties go green."""
-    diff = np.asarray(profile_red) - np.asarray(profile_green)
-    return TopicMap(np.where(diff > 0, RED, GREEN))
+    return TopicMap(_topic_labels(profile_red, profile_green))
 
 
 def screen_partitions(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
@@ -333,11 +337,12 @@ def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
     for lo in range(0, passing.size, step):
         rows = passing[lo:lo + step]
         d_p, pr, pg = _profile_gap(weights, *_sides(g, red_mask[rows]))
+        labels = _topic_labels(pr, pg)
         for i in np.flatnonzero(d_p > thresholds.tau_p):
             row = rows[i]
             accepted.append(ScreenedPartition(
                 partition=Partition(g.n, chosen[row]),
-                topic_map=topic_map_from_profiles(pr[i], pg[i]),
+                topic_map=TopicMap(labels[i]),
                 delta_rho=float(d_rho[row]),
                 delta_p=float(d_p[i]),
                 profile_red=pr[i].copy(),  # a view would keep the chunk's rows alive
@@ -442,8 +447,7 @@ def _draw_instances(g: TopicGraph, block, first: int, m_prime: int, replicates: 
     attr = np.empty((n_inst, g.num_edges), dtype=np.int8)
     step = max(1, _TOPIC_CELLS // max(cum_topics.size, 1))
     for lo in range(0, n_inst, step):
-        attr[lo:lo + step] = np.take_along_axis(labels[lo:lo + step],
-                                                _topics(cum_topics, u[lo:lo + step]), axis=1)
+        attr[lo:lo + step] = _take_rows(labels[lo:lo + step], _topics(cum_topics, u[lo:lo + step]))
     return attr, identified, tiebreak
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import GraphFormatError, InputError
 from .experiments import SweepResult
-from .graph import MAX_VERTICES, AttributedGraph, TopicGraph
+from .graph import GREEN, MAX_VERTICES, OCCLUDED, RED, AttributedGraph, TopicGraph
 from .importance import ScreeningResult, TrialsResult, bin_index
 from .metrics import CRITERIA, MetricTable
 from .seeding import generator
@@ -66,59 +66,46 @@ def read_topic_graph(path) -> TopicGraph:
     names: dict[int, str] = {}
     edges = []
     seen_pairs = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#n="):
-                n = _header_int(n, line[3:], lineno, "vertex count", 1, MAX_VERTICES)
-            elif line.startswith("#k="):
-                k = _header_int(k, line[3:], lineno, "topic count", 2)
-            elif line.startswith("#vertex "):
-                parts = line.split(maxsplit=2)
-                if len(parts) != 3:
-                    raise GraphFormatError("malformed #vertex line", lineno)
-                names[_vertex_id(parts[1], n, names, lineno)] = parts[2]
-            elif line.startswith("#"):
-                continue  # metadata
-            elif line.startswith("e "):
-                if n is None or k is None:
-                    raise GraphFormatError("edge before #n=/#k= headers", lineno)
-                fields = line.split()
-                if len(fields) != 4 + k:
-                    raise GraphFormatError(
-                        f"expected 'e u v count' plus {k} topic probabilities", lineno)
-                u = _parse_int(fields[1], lineno, "endpoint")
-                v = _parse_int(fields[2], lineno, "endpoint")
-                count = _parse_int(fields[3], lineno, "message count")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise GraphFormatError(f"unknown vertex id in edge ({u}, {v})", lineno)
-                if u == v:
-                    raise GraphFormatError("self-loop", lineno)
-                if count < 1:
-                    raise GraphFormatError("message count must be >= 1", lineno)
-                pair = (min(u, v), max(u, v))
-                if pair in seen_pairs:
-                    raise GraphFormatError(f"duplicate edge ({pair[0]}, {pair[1]})", lineno)
-                seen_pairs.add(pair)
-                try:
-                    probs = np.array([float(x) for x in fields[4:]])
-                except ValueError:
-                    raise GraphFormatError("malformed topic probability", lineno) from None
-                if not np.isfinite(probs).all():
-                    raise GraphFormatError("non-finite topic probability", lineno)
-                if probs.min() < 0:
-                    raise GraphFormatError("negative topic probability", lineno)
-                total = probs.sum()
-                if abs(total - 1.0) > 1e-6:
-                    raise GraphFormatError(
-                        f"topic distribution sums to {total!r}, expected 1", lineno)
-                if abs(total - 1.0) > 1e-12:
-                    probs = probs / total
-                edges.append((u, v, count, probs))
-            else:
-                raise GraphFormatError(f"unrecognized line {line[:40]!r}", lineno)
+    for lineno, line in _lines(path):
+        if line.startswith("#n="):
+            n = _header_int(n, line[3:], lineno, "vertex count", 1, MAX_VERTICES)
+        elif line.startswith("#k="):
+            k = _header_int(k, line[3:], lineno, "topic count", 2)
+        elif line.startswith("#vertex "):
+            parts = line.split(maxsplit=2)
+            if len(parts) != 3:
+                raise GraphFormatError("malformed #vertex line", lineno)
+            names[_vertex_id(parts[1], n, names, lineno)] = parts[2]
+        elif line.startswith("#"):
+            continue  # metadata
+        elif line.startswith("e "):
+            if n is None or k is None:
+                raise GraphFormatError("edge before #n=/#k= headers", lineno)
+            fields = line.split()
+            if len(fields) != 4 + k:
+                raise GraphFormatError(
+                    f"expected 'e u v count' plus {k} topic probabilities", lineno)
+            u, v = _edge_ends(fields, n, seen_pairs, lineno)
+            count = _parse_int(fields[3], lineno, "message count")
+            if count < 1:
+                raise GraphFormatError("message count must be >= 1", lineno)
+            try:
+                probs = np.array([float(x) for x in fields[4:]])
+            except ValueError:
+                raise GraphFormatError("malformed topic probability", lineno) from None
+            if not np.isfinite(probs).all():
+                raise GraphFormatError("non-finite topic probability", lineno)
+            if probs.min() < 0:
+                raise GraphFormatError("negative topic probability", lineno)
+            total = probs.sum()
+            if abs(total - 1.0) > 1e-6:
+                raise GraphFormatError(
+                    f"topic distribution sums to {total!r}, expected 1", lineno)
+            if abs(total - 1.0) > 1e-12:
+                probs = probs / total
+            edges.append((u, v, count, probs))
+        else:
+            raise GraphFormatError(f"unrecognized line {line[:40]!r}", lineno)
     if n is None or k is None:
         raise GraphFormatError("missing #n= or #k= header")
     vertex_names = None
@@ -128,6 +115,37 @@ def read_topic_graph(path) -> TopicGraph:
             raise GraphFormatError(f"symbol table misses vertex {missing}")
         vertex_names = tuple(names[i] for i in range(n))
     return TopicGraph.from_edges(n, edges, k, vertex_names)
+
+
+def _lines(path):
+    """(line number, stripped text) of each non-blank line of a UTF-8 file.
+    Text mode decodes in chunks, so its error names no line; bytes that are not
+    UTF-8 decode instead to lone surrogates, which fail to encode per line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise GraphFormatError("line is not valid UTF-8", lineno) from None
+            line = raw.strip()
+            if line:
+                yield lineno, line
+
+
+def _edge_ends(fields, n: int, seen_pairs: set, lineno: int) -> tuple:
+    """An edge line's endpoints (u, v): vertex ids below n, not a self-loop,
+    and a pair not in ``seen_pairs``, which records it."""
+    u = _parse_int(fields[1], lineno, "endpoint")
+    v = _parse_int(fields[2], lineno, "endpoint")
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphFormatError(f"unknown vertex id in edge ({u}, {v})", lineno)
+    if u == v:
+        raise GraphFormatError("self-loop", lineno)
+    pair = (min(u, v), max(u, v))
+    if pair in seen_pairs:
+        raise GraphFormatError(f"duplicate edge ({pair[0]}, {pair[1]})", lineno)
+    seen_pairs.add(pair)
+    return u, v
 
 
 def _parse_int(text: str, lineno: int, what: str) -> int:
@@ -192,46 +210,47 @@ def read_attributed_graph(path) -> AttributedGraph:
     truth = {}
     observed = {}
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#n="):
-                n = _header_int(n, line[3:], lineno, "vertex count", 1, MAX_VERTICES)
-            elif line.startswith("#ke="):
-                ke = _header_int(ke, line[4:], lineno, "attribute count", 1)
-            elif line.startswith("#"):
-                continue
-            elif line.startswith("v "):
-                fields = line.split()
-                if len(fields) != 4:
-                    raise GraphFormatError("malformed vertex line", lineno)
-                vid = _vertex_id(fields[1], n, truth, lineno)
-                truth[vid] = _parse_int(fields[2], lineno, "truth label")
-                observed[vid] = _parse_int(fields[3], lineno, "observed label")
-            elif line.startswith("a "):
-                fields = line.split()
-                if len(fields) != 4:
-                    raise GraphFormatError("malformed edge line", lineno)
-                edges.append((_parse_int(fields[1], lineno, "endpoint"),
-                              _parse_int(fields[2], lineno, "endpoint"),
-                              _parse_int(fields[3], lineno, "edge attribute")))
-            else:
-                raise GraphFormatError(f"unrecognized line {line[:40]!r}", lineno)
+    seen_pairs = set()
+    for lineno, line in _lines(path):
+        if line.startswith("#n="):
+            n = _header_int(n, line[3:], lineno, "vertex count", 1, MAX_VERTICES)
+        elif line.startswith("#ke="):
+            ke = _header_int(ke, line[4:], lineno, "attribute count", 1)
+        elif line.startswith("#"):
+            continue
+        elif line.startswith("v "):
+            fields = line.split()
+            if len(fields) != 4:
+                raise GraphFormatError("malformed vertex line", lineno)
+            vid = _vertex_id(fields[1], n, truth, lineno)
+            truth[vid] = _parse_int(fields[2], lineno, "truth label")
+            observed[vid] = _parse_int(fields[3], lineno, "observed label")
+            if truth[vid] not in (RED, GREEN):
+                raise GraphFormatError("truth label must be RED or GREEN", lineno)
+            if observed[vid] not in (RED, OCCLUDED):
+                raise GraphFormatError("observed label must be RED or OCCLUDED", lineno)
+            if observed[vid] == RED and truth[vid] != RED:
+                raise GraphFormatError("an identified vertex must be truly red", lineno)
+        elif line.startswith("a "):
+            if n is None or ke is None:
+                raise GraphFormatError("edge before #n=/#ke= headers", lineno)
+            fields = line.split()
+            if len(fields) != 4:
+                raise GraphFormatError("malformed edge line", lineno)
+            u, v = _edge_ends(fields, n, seen_pairs, lineno)
+            attr = _parse_int(fields[3], lineno, "edge attribute")
+            if not 1 <= attr <= ke:
+                raise GraphFormatError(f"edge attribute must lie in 1..{ke}", lineno)
+            edges.append((u, v, attr))
+        else:
+            raise GraphFormatError(f"unrecognized line {line[:40]!r}", lineno)
     if n is None or ke is None:
         raise GraphFormatError("missing #n= or #ke= header")
     if len(truth) < n:  # ids are unique and in range, so some id is missing
         missing = next(i for i in range(n) if i not in truth)
         raise GraphFormatError(f"missing vertex line for id {missing}")
-    try:
-        return AttributedGraph.from_edges(
-            n, edges,
-            [truth[i] for i in range(n)],
-            [observed[i] for i in range(n)],
-            k_edge_attrs=ke)
-    except InputError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return AttributedGraph.from_edges(n, edges, [truth[i] for i in range(n)],
+                                      [observed[i] for i in range(n)], k_edge_attrs=ke)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,14 @@ Ranking compares one exact integer per candidate, the fused key
 ``(den-num)*context + num*content`` with ``gamma = num/den``: the small
 rational a grid float stands for, or else the float's exact binary value.
 Equal fused values therefore never split and unequal ones never merge through
-float rounding.  The fused key and the tie-break key become one combined key,
-``-fused*span + tiebreak`` with ``span`` the width of the tie-break range, and
-one stable argsort of it orders the candidates (equal tie-break keys fall back
-on position, as ``np.lexsort`` would).  :func:`prepare_ranking` checks the
-ranges once per candidate set and narrows the arrays (int32 scores, uint8 or
-uint16 tie-break keys); :func:`fused_order` then takes its int64 path from the
-dtypes and ``den*span < 2**31`` alone, with no pass over the data.  Keys int64
-cannot be shown to hold, as for a gamma that is no small rational, are Python
-ints.
+float rounding.  :func:`fused_order` sorts the keys stably, so tied
+candidates keep their input order; callers put the candidates in tie-break
+order first, once per candidate set, and rank that order at every gamma.
+:func:`prepare_ranking` checks the score range once per candidate set and
+narrows the scores to int32, from which :func:`fused_order` takes its int64
+path by dtype and ``den < 2**32`` alone, with no pass over the data.  Keys
+int64 cannot be shown to hold, as for a gamma that is no small rational, are
+Python ints.
 
 :func:`score_counts` counts both scores for every vertex from bare edge arrays;
 it serves attributed graphs, importance trials and sampled score PMFs alike.
@@ -136,8 +135,7 @@ def candidate_statistics(g: AttributedGraph):
 
 _SMALL_DENOMINATOR = 1_000_000  # largest denominator read as a small rational
 _INT32 = np.dtype(np.int32)
-_TIEBREAK_SPAN = {np.dtype(np.uint8): 1 << 8, np.dtype(np.uint16): 1 << 16}  # narrowest first
-_FAST_LIMIT = 1 << 31  # den * span below this keeps every combined key inside int64
+_FAST_LIMIT = 1 << 32  # den below this keeps every fused key of int32 scores inside int64
 
 
 @lru_cache(maxsize=4096)
@@ -153,85 +151,55 @@ def _gamma_weights(gamma) -> tuple:
     return frac.denominator - frac.numerator, frac.numerator, frac.denominator
 
 
-def _or_all(a):
-    """Bitwise OR of every value of a non-empty integer array: for k < 63 it
-    lies in [0, 2**k) exactly when every value does, so one pass checks both
-    bounds."""
-    return np.bitwise_or.reduce(a, axis=None)
-
-
-def prepare_ranking(t0, t1, tiebreak_keys) -> tuple:
-    """(t0, t1, tiebreak, span) in the narrow dtypes of :func:`fused_order`'s
-    fast path, with every tie-break key in [0, span).
-
-    Scores become int32 when all are non-negative and below 2**31.  Tie-break
-    keys that are negative, not integers or not below 2**31 are replaced by
-    their ranks within each row (equal keys ranked by position), which order
-    every tie exactly as the keys do.  Keys below 2**8 or 2**16 become uint8
-    or uint16 and span is that dtype's width; wider keys stay int64 with span
-    the next power of two.  Ranking the returned arrays gives the same
-    permutation as ranking the inputs.
-    """
+def prepare_ranking(t0, t1) -> tuple:
+    """(t0, t1) as int32, the dtype of :func:`fused_order`'s int64 path, when
+    every score lies in [0, 2**31), which holds exactly when the bitwise OR of
+    all scores does; else as int64 arrays."""
     t0 = np.asarray(t0, dtype=np.int64)
     t1 = np.asarray(t1, dtype=np.int64)
-    if t0.size and 0 <= _or_all(t0 | t1) < 1 << 31:
-        t0, t1 = t0.astype(np.int32), t1.astype(np.int32)
-    tiebreak = np.asarray(tiebreak_keys)
-    bound = _or_all(tiebreak) if tiebreak.dtype.kind in "bui" and tiebreak.size else -1
-    if not 0 <= bound < 1 << 31:
-        first = np.argsort(tiebreak, axis=-1, kind="stable")
-        tiebreak = np.argsort(first, axis=-1, kind="stable")
-        bound = tiebreak.shape[-1] - 1
-    for dtype, span in _TIEBREAK_SPAN.items():
-        if bound < span:
-            return t0, t1, tiebreak.astype(dtype), span
-    return t0, t1, tiebreak.astype(np.int64), 1 << int(bound).bit_length()
+    if t0.size and 0 <= np.bitwise_or.reduce(t0 | t1, axis=None) < 1 << 31:
+        return t0.astype(np.int32), t1.astype(np.int32)
+    return t0, t1
 
 
-def _combined_keys(t0, t1, gamma, tiebreak_keys) -> tuple:
-    """(keys, span, den): ``-fused*span + tiebreak`` per candidate, with
-    ``fused = (den-num)*t0 + num*t1`` the exact fused key; one integer whose
-    ascending order is fused score descending, then tie-break key ascending.
-
-    Int32 scores with uint8/uint16 tie-break keys and den*span < 2**31 give
-    int64 keys at once (span is the width of the key dtype).  Any other input
-    goes through :func:`prepare_ranking` first; keys that still cannot be
-    bounded inside int64 are Python ints (:func:`_exact_keys`).
-    """
+def _fused_keys(t0, t1, gamma) -> tuple:
+    """(keys, den): ``-((den-num)*t0 + num*t1)``, an exact integer per
+    candidate, ascending as the fused score descends.  Int32 scores with
+    den < 2**32 give int64 keys at once; other scores go through
+    :func:`prepare_ranking` first, and keys int64 still cannot be shown to
+    hold are Python ints (:func:`_exact_keys`)."""
     w0, w1, den = _gamma_weights(gamma)
-    t0, t1, tiebreak = np.asarray(t0), np.asarray(t1), np.asarray(tiebreak_keys)
-    span = _TIEBREAK_SPAN.get(tiebreak.dtype)
-    if span is None or t0.dtype != _INT32 or t1.dtype != _INT32:
-        t0, t1, tiebreak, span = prepare_ranking(t0, t1, tiebreak)  # t0, t1 share a dtype
-    if t0.dtype == _INT32 and den * span < _FAST_LIMIT:
-        return _key_formula(t0, t1, w0, w1, tiebreak, span, np.int64), span, den
-    return _exact_keys(t0, t1, w0, w1, tiebreak, span), span, den
+    t0, t1 = np.asarray(t0), np.asarray(t1)
+    if t0.dtype != _INT32 or t1.dtype != _INT32:
+        t0, t1 = prepare_ranking(t0, t1)  # t0, t1 share a dtype
+    if t0.dtype == _INT32 and den < _FAST_LIMIT:
+        return _key_formula(t0, t1, w0, w1, np.int64), den
+    return _exact_keys(t0, t1, w0, w1), den
 
 
-def _key_formula(t0, t1, w0, w1, tiebreak, span, dtype):
+def _key_formula(t0, t1, w0, w1, dtype):
     # widened before any product, so no numpy version's promotion rules apply
     keys = t0.astype(dtype)
-    keys *= -w0 * span
+    keys *= -w0
     term = t1.astype(dtype)
-    term *= -w1 * span
+    term *= -w1
     keys += term
-    keys += tiebreak
     return keys
 
 
-def _exact_keys(t0, t1, w0, w1, tiebreak, span):
-    """The combined keys as Python ints, for keys int64 cannot hold."""
-    return _key_formula(t0, t1, w0, w1, tiebreak, span, object)
+def _exact_keys(t0, t1, w0, w1):
+    """The fused keys as Python ints, for keys int64 cannot hold."""
+    return _key_formula(t0, t1, w0, w1, object)
 
 
-def fused_order(t0, t1, gamma, tiebreak_keys) -> np.ndarray:
-    """Permutation sorting candidates by fused score descending.
+def fused_order(t0, t1, gamma) -> np.ndarray:
+    """Stable permutation sorting candidates by fused score descending.
 
     The permutation indexes the input arrays; candidates with exactly equal
-    fused scores are ordered by ascending ``tiebreak_keys``, and equal keys
-    by position.  Stacks of candidate rows are ranked row by row.
+    fused scores keep their input order, so callers break ties by ordering
+    the candidates first.  Stacks of candidate rows are ranked row by row.
     """
-    keys, _, _ = _combined_keys(t0, t1, gamma, tiebreak_keys)
+    keys, _ = _fused_keys(t0, t1, gamma)
     return keys.argsort(axis=-1, kind="stable")  # the method skips np.argsort's dispatch
 
 
@@ -245,10 +213,10 @@ def rank_candidates(g: AttributedGraph, gamma: float, seed) -> Ranking:
     cand, t0, t1 = candidate_statistics(g)
     if cand.size == 0:
         raise InputError("graph has no candidates to rank")
-    tiebreak = generator(seed).permutation(cand.size)
-    keys, span, den = _combined_keys(t0, t1, gamma, tiebreak)
-    order = keys.argsort(kind="stable")
-    fused = -(keys[order] // span)  # fused scores times den, descending
+    first = generator(seed).permutation(cand.size).argsort(kind="stable")  # tie-break order
+    keys, den = _fused_keys(t0[first], t1[first], gamma)
+    order = keys.argsort(kind="stable")  # ties keep the tie-break order
+    fused = -keys[order]  # fused scores times den, descending
     bounds = [0, *(np.flatnonzero(np.diff(fused) != 0) + 1).tolist(), cand.size]
     tie_groups = tuple((a, b) for a, b in zip(bounds, bounds[1:]) if b - a >= 2)
-    return Ranking(cand[order], fused / den, tie_groups, gamma=float(gamma))
+    return Ranking(cand[first[order]], fused / den, tie_groups, gamma=float(gamma))

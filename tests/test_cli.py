@@ -122,10 +122,11 @@ class TestExitCodes:
         ("#n=99999999999999999999\n#k=2\n", 1),
         ("#n=4611686018427387904\n#k=2\n", 1),  # fits int64, far beyond MAX_VERTICES
         ("#k=2\n#n=16777217\n", 2),  # MAX_VERTICES + 1
+        (b"#n=3\n#k=2\n# \xff\xfe\ne 0 1 1 0.5 0.5\n", 3),  # not UTF-8
     ])
     def test_malformed_topic_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.topics"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err = run_cli(capsys, "importance", "--graph", str(path), "--seed", "1")
         assert code == 1
         assert f"error: line {line}:" in err and "Traceback" not in err and out == ""
@@ -144,10 +145,19 @@ class TestExitCodes:
         ("#n=99999999999999999999\n#ke=2\n", 1),
         ("#n=4611686018427387904\n#ke=2\n", 1),
         ("#ke=2\n#n=16777217\n", 2),
+        (b"#n=2\n#ke=2\nv 0 1 0 \xff\xfe\nv 1 2 0\n", 3),  # not UTF-8
+        ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\na 1 1 1\n", 5),  # self-loop
+        ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\na 0 1 1\na 1 0 2\n", 6),  # duplicate edge
+        ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\na 0 2 1\n", 5),  # endpoint out of range
+        ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\na 0 1 3\n", 5),  # attribute above #ke=
+        ("#n=2\n#ke=2\nv 0 3 0\nv 1 2 0\n", 3),  # truth label neither RED nor GREEN
+        ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 1\n", 4),  # identified but truly green
+        ("#n=2\n#ke=2\nv 0 1 2\nv 1 2 0\n", 3),  # observed label neither RED nor OCCLUDED
+        ("a 0 1 1\n#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\n", 1),  # edge before the headers
     ])
     def test_malformed_attributed_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.attr"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err = run_cli(capsys, "estimate", "--graph", str(path))
         assert code == 1
         assert f"error: line {line}:" in err and "Traceback" not in err and out == ""

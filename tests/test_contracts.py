@@ -18,6 +18,7 @@ import pytest
 
 import vnom
 import vnom.cli
+import vnom.experiments
 import vnom.importance
 import vnom.nomination
 from vnom import (GAMMA_GRID_DEFAULT, KidneyEggParams, ScreeningThresholds, candidate_statistics,
@@ -173,6 +174,26 @@ def test_small_rational_gammas_never_take_the_object_key_path(monkeypatch):
     assert len(entries) == 0
     evaluate_grid(t0, t1, red, tiebreak, GAMMA_GRID_DEFAULT + (0.3333333217048645,), (1, 2, 3))
     assert len(entries) == 1
+
+
+def test_scores_are_checked_once_per_candidate_set(monkeypatch):
+    # more candidates than a uint16 key can number, so a range check that
+    # fell back to running per gamma would show here
+    calls = []
+    prepare_ranking = vnom.nomination.prepare_ranking
+
+    def counted(*args):
+        calls.append(args)
+        return prepare_ranking(*args)
+
+    for module in (vnom.nomination, vnom.experiments):
+        monkeypatch.setattr(module, "prepare_ranking", counted)
+    rng = np.random.default_rng(70)
+    n = 70_000
+    t0, t1 = rng.integers(0, 40, n), rng.integers(0, 40, n)
+    red, tiebreak = rng.permutation(n) < 30, rng.permutation(n)
+    evaluate_grid(t0, t1, red, tiebreak, (0.0, 0.25, 0.5, 0.75, 1.0))
+    assert len(calls) == 1
 
 
 def load_bench_run(monkeypatch):

@@ -11,7 +11,7 @@ from vnom import (InputError, KidneyEggParams, content_score, context_score,
                   fused_score, gamma_star, rank_candidates, sample_kidney_egg)
 from vnom.nomination import fused_order, score_counts
 
-from conftest import build_attributed
+from conftest import build_attributed, order_with_tiebreak
 
 
 def graph_with_statistics(pairs, n_identified, n_vertices):
@@ -215,8 +215,8 @@ class TestRankCandidates:
         t0 = np.array([3, 1, 4, 1, 5])
         t1 = np.array([2, 7, 1, 8, 2])
         tiebreak = np.array([4, 2, 0, 1, 3])
-        assert np.array_equal(fused_order(t0, t1, 0.25, tiebreak),
-                              fused_order(3 * t0, 3 * t1, 0.25, tiebreak))
+        assert np.array_equal(order_with_tiebreak(t0, t1, 0.25, tiebreak),
+                              order_with_tiebreak(3 * t0, 3 * t1, 0.25, tiebreak))
         # the same statistics on graphs: equal orders and tie groups among the
         # five candidates, which outrank every leaf and isolated vertex
         a, b = (rank_candidates(graph_with_statistics(zip(k * t0, k * t1), 15, 80), 0.25, 0)
@@ -230,7 +230,7 @@ class TestRankCandidates:
         # (t0, t1) = (1, 4) and (2, 2) have exactly equal fused scores
         t0 = np.array([1, 2, 2])
         t1 = np.array([4, 2, 2])
-        assert list(fused_order(t0, t1, 1 / 3, np.arange(3))) == [0, 1, 2]
+        assert list(fused_order(t0, t1, 1 / 3)) == [0, 1, 2]
         r = rank_candidates(one_four_two_two_graph(), 1 / 3, 0)
         assert r.tie_groups == ((0, 3),)
         assert r.scores[0] == r.scores[1] == r.scores[2] == pytest.approx(2.0)
@@ -242,7 +242,7 @@ class TestRankCandidates:
         gamma = 0.3333333217048645  # deliberately near but not equal to 1/3
         t0 = np.array([1, 2, 2])
         t1 = np.array([4, 2, 2])
-        assert fused_order(t0, t1, gamma, np.arange(3))[-1] == 0  # 1 + 3*gamma < 2
+        assert fused_order(t0, t1, gamma)[-1] == 0  # 1 + 3*gamma < 2
         r = rank_candidates(one_four_two_two_graph(), gamma, 0)
         assert r.tie_groups == ((0, 2),)
         assert list(r.ordered[2:]) == [0, 3]

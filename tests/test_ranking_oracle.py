@@ -13,7 +13,9 @@ import pytest
 
 from vnom.experiments import evaluate_grid
 from vnom.metrics import mask_metrics
-from vnom.nomination import _gamma_weights, fused_order
+from vnom.nomination import _gamma_weights
+
+from conftest import order_with_tiebreak
 
 GAMMAS = (0.0, 1.0, 1 / 3, 0.1 + 0.2, 0.3333333217048645, 999_983 / 1_000_000,
           1 / 999_983, 5e-324, 0.5, 0.37)
@@ -80,11 +82,11 @@ def test_fused_order_matches_oracle(kind):
         t0, t1, tiebreak = random_case(rng, rows, n)
         for gamma in GAMMAS:
             if rows == 1:
-                got = fused_order(as_input(t0[0], kind), as_input(t1[0], kind), gamma,
+                got = order_with_tiebreak(as_input(t0[0], kind), as_input(t1[0], kind), gamma,
                                   tiebreak[0]).tolist()
                 assert got == oracle_order(t0[0], t1[0], gamma, tiebreak[0]), (case, gamma)
             else:
-                got = fused_order(as_input(t0, kind), as_input(t1, kind), gamma,
+                got = order_with_tiebreak(as_input(t0, kind), as_input(t1, kind), gamma,
                                   np.array(tiebreak)).tolist()
                 want = [oracle_order(a, b, gamma, c) for a, b, c in zip(t0, t1, tiebreak)]
                 assert got == want, (case, gamma)
@@ -101,20 +103,20 @@ def test_tie_break_keys_at_the_edge_of_their_range(top):
         for t0, t1 in (([0, 1], [0, 1]), ([0, 3], [1, 0]), ([5, 5], [5, 6])):
             tiebreak = np.array([0, top], dtype=dtype)
             want = oracle_order(t0, t1, gamma, tiebreak.tolist())
-            assert fused_order(np.array(t0), np.array(t1), gamma, tiebreak).tolist() == want
-            assert fused_order(np.array(t0, np.int32), np.array(t1, np.int32), gamma,
+            assert order_with_tiebreak(np.array(t0), np.array(t1), gamma, tiebreak).tolist() == want
+            assert order_with_tiebreak(np.array(t0, np.int32), np.array(t1, np.int32), gamma,
                                tiebreak).tolist() == want
 
 
 def test_more_candidates_than_uint16_keys():
-    # tie-break keys are ranked into int64 then, and span is the candidate count
+    # repeated and negative tie-break keys, wider than any uint16 key
     rng = np.random.default_rng(8)
     n = (1 << 16) + 5
     t0, t1 = rng.integers(0, 5, n), rng.integers(0, 5, n)
     tiebreak = rng.integers(-n, n, n)
     for gamma, (w0, w1) in ((0.0, (1, 0)), (0.5, (1, 1)), (1 / 3, (2, 1))):
         want = np.lexsort((tiebreak, -(w0 * t0 + w1 * t1)))
-        assert np.array_equal(fused_order(t0, t1, gamma, tiebreak), want), gamma
+        assert np.array_equal(order_with_tiebreak(t0, t1, gamma, tiebreak), want), gamma
 
 def lexsort_metrics(t0, t1, red, tiebreak, gamma, y_values):
     """Metric rows of one gamma, ranked by np.lexsort on the dense ranks of
