@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: simulate, sweep, surface, importance, estimate, analytic,
-surrogate, baseline.  Exit codes: 0 success, 1 validation error, 2 io error.
+surrogate, baseline.  Exit codes: 0 success, 1 validation error or out of
+memory, 2 io error.
 Randomized subcommands take --seed; when omitted a seed is generated and
 printed to stderr so the run can be reproduced.
 """
@@ -389,6 +390,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except VnomError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a requested size too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -1,13 +1,16 @@
 """Attributed-graph data model.
 
-Two graph kinds share the same storage layout (flat edge arrays sorted
-lexicographically, plus a CSR adjacency with neighbors sorted by id):
+Two graph kinds share one edge layout: flat endpoint arrays with ``u < v``,
+sorted lexicographically, which each constructor builds from edge columns
+(endpoints and payload arrays) given in any order.
 
 * :class:`AttributedGraph` — undirected simple graph whose edges carry a
   categorical attribute in ``{1..k_edge_attrs}`` and whose vertices carry a
-  ground-truth color (red/green) plus an observed layer (red/occluded).
+  ground-truth color (red/green) plus an observed layer (red/occluded).  It
+  builds a CSR adjacency, neighbors sorted by id, on first use.
 * :class:`TopicGraph` — undirected simple graph whose edges carry an
-  empirical probability distribution over topics and a message count.
+  empirical probability distribution over topics and a message count.  It
+  holds no adjacency; :mod:`vnom.importance` builds its own neighbour lists.
 
 Vertices are dense integer ids ``0..n-1``; external names map through a
 symbol table handled by :mod:`vnom.io`.
@@ -40,11 +43,20 @@ OCCLUDED = int(VertexLabel.OCCLUDED)
 # screening and trials hold (rows x n) ones, so a larger n cannot be worked
 # on; the readers reject such a header before anything is allocated.
 MAX_VERTICES = 2**24
+# Largest topic count of a topic graph.  Every edge line of a file lists one
+# probability per topic and screening holds (draws x topics) profiles per
+# side; the topic reader rejects a larger #k= header before allocating.
+MAX_TOPICS = 2**16
 
 
 def _check_vertex_count(n: int):
     if not 1 <= n <= MAX_VERTICES:
         raise InputError(f"graph needs 1..{MAX_VERTICES} vertices, got {n}")
+
+
+def _check_topic_count(k: int):
+    if not 2 <= k <= MAX_TOPICS:
+        raise InputError(f"topic graph needs 2..{MAX_TOPICS} topics, got {k}")
 
 
 def _canonical_edges(n, edge_u, edge_v, *extras):
@@ -134,15 +146,6 @@ class AttributedGraph:
         self._init_from_canonical(int(n), eu, ev, ea, truth, observed, int(k_edge_attrs))
         return self
 
-    @classmethod
-    def from_edges(cls, n, edges, truth, observed, k_edge_attrs=2):
-        """Build from an iterable of (u, v, attr) triples."""
-        edges = list(edges)
-        eu = [e[0] for e in edges]
-        ev = [e[1] for e in edges]
-        ea = [e[2] for e in edges]
-        return cls(n, eu, ev, ea, truth, observed, k_edge_attrs)
-
     @property
     def _adjacency(self):
         # built on first use; graphs in hot Monte Carlo loops never need it
@@ -190,13 +193,6 @@ class AttributedGraph:
         offsets, _, attr = self._adjacency
         return attr[offsets[v]:offsets[v + 1]]
 
-    def edge_checksum(self) -> int:
-        """Order-independent fingerprint of the edge set with attributes."""
-        import zlib
-
-        payload = np.vstack([self.edge_u, self.edge_v, self.edge_attr]).tobytes()
-        return zlib.crc32(payload)
-
     def __eq__(self, other):
         if not isinstance(other, AttributedGraph):
             return NotImplemented
@@ -232,8 +228,7 @@ class TopicGraph:
         if probs.ndim != 2:
             raise InputError("topic_probs must be a 2-d array (edges x topics)")
         k = probs.shape[1]
-        if k < 2:
-            raise InputError("at least two topics are required")
+        _check_topic_count(k)
         if probs.size:
             if not np.isfinite(probs).all():
                 raise InputError("topic probabilities must be finite")
@@ -255,18 +250,6 @@ class TopicGraph:
             if len(vertex_names) != n:
                 raise InputError("vertex_names must have one entry per vertex")
         self.vertex_names = vertex_names
-
-    @classmethod
-    def from_edges(cls, n, edges, k_topics, vertex_names=None):
-        """Build from an iterable of (u, v, count, probs) tuples."""
-        edges = list(edges)
-        eu = [e[0] for e in edges]
-        ev = [e[1] for e in edges]
-        counts = [e[2] for e in edges]
-        probs = np.asarray([e[3] for e in edges], dtype=np.float64)
-        if not edges:
-            probs = np.zeros((0, k_topics))
-        return cls(n, eu, ev, probs, counts, vertex_names)
 
     @property
     def num_edges(self) -> int:

@@ -85,14 +85,13 @@ class ScreenedPartition:
     delta_p: float
     profile_red: np.ndarray = field(repr=False)
     profile_green: np.ndarray = field(repr=False)
-    draw_index: int = 0
+    draw_index: int
 
 
 @dataclass(frozen=True)
 class ScreeningResult:
     accepted: tuple
     attempts: int
-    thresholds: ScreeningThresholds
 
     @property
     def n_accepted(self) -> int:
@@ -211,11 +210,6 @@ def _topics(cum_topics: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(counts, cum_topics.shape[0] - 1)
 
 
-def _draw_topics(cum_topics: np.ndarray, rng) -> np.ndarray:
-    """One topic per edge, in stored (sorted-pair) order, one uniform each."""
-    return _topics(cum_topics, rng.random(cum_topics.shape[1]))
-
-
 def _rates(attr, red_in, green_in, red_pairs, green_pairs) -> np.ndarray:
     """(..., 4) rates (p1, p2, s1, s2): red and green edges per green-side,
     then red-side, pair, for edge attributes and side masks over the last axis."""
@@ -299,7 +293,7 @@ def screen_partitions(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
         rng = generator(child_seed(base, start // _SCREEN_BLOCK))
         accepted += _screen_block(g, m, thresholds, weights, adjacency, rng, start,
                                   min(_SCREEN_BLOCK, max_attempts - start))
-    return ScreeningResult(tuple(accepted), max_attempts, thresholds)
+    return ScreeningResult(tuple(accepted), max_attempts)
 
 
 def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
@@ -362,7 +356,8 @@ def instantiate_edges(g: TopicGraph, topic_map: TopicMap, part: Partition,
     if topic_map.k_topics != g.k_topics:
         raise InputError("topic map does not cover the graph's topics")
     _check_partition(g, part)
-    topics = _draw_topics(_cumulative_topics(g), generator(seed))
+    # one uniform per edge, in stored (sorted-pair) order
+    topics = _topics(_cumulative_topics(g), generator(seed).random(g.num_edges))
     attrs = topic_map.labels[topics].astype(np.int64)
     observed = np.full(g.n, OCCLUDED, dtype=np.int8)
     # topic-graph edges are stored canonically already

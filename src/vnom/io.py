@@ -1,11 +1,12 @@
 """File formats, synthetic corpus generation, and result serialization.
 
 Topic-graph files are UTF-8 text: header lines ``#n=<int>`` (at most
-``graph.MAX_VERTICES``) and ``#k=<int>``, optional ``#vertex <id> <name>``
-symbol-table lines, then one edge per line, ``e <u> <v> <count> <t1> ...
-<tK>``.  Any other ``#``-prefixed line is metadata and is ignored by the
-reader.  Serialization is canonical (edges sorted by pair, probabilities at
-12 significant digits) so equal graphs produce byte-equal files.
+``graph.MAX_VERTICES``) and ``#k=<int>`` (2 to ``graph.MAX_TOPICS``),
+optional ``#vertex <id> <name>`` symbol-table lines, then one edge per line,
+``e <u> <v> <count> <t1> ... <tK>``.  Any other ``#``-prefixed line is
+metadata and is ignored by the reader.  Serialization is canonical (edges
+sorted by pair, probabilities at 12 significant digits) so equal graphs
+produce byte-equal files.
 
 Attributed-graph files are analogous: ``#n=``/``#ke=`` headers, one
 ``v <id> <truth> <observed>`` line per vertex, and ``a <u> <v> <attr>`` edge
@@ -26,7 +27,8 @@ import numpy as np
 
 from .errors import GraphFormatError, InputError
 from .experiments import SweepResult
-from .graph import GREEN, MAX_VERTICES, OCCLUDED, RED, AttributedGraph, TopicGraph
+from .graph import (GREEN, MAX_TOPICS, MAX_VERTICES, OCCLUDED, RED, AttributedGraph, TopicGraph,
+                    _check_topic_count)
 from .importance import ScreeningResult, TrialsResult, bin_index
 from .metrics import CRITERIA, MetricTable
 from .seeding import generator
@@ -64,13 +66,13 @@ def read_topic_graph(path) -> TopicGraph:
     n = None
     k = None
     names: dict[int, str] = {}
-    edges = []
+    edges, probs_rows = [], []
     seen_pairs = set()
     for lineno, line in _lines(path):
         if line.startswith("#n="):
             n = _header_int(n, line[3:], lineno, "vertex count", 1, MAX_VERTICES)
         elif line.startswith("#k="):
-            k = _header_int(k, line[3:], lineno, "topic count", 2)
+            k = _header_int(k, line[3:], lineno, "topic count", 2, MAX_TOPICS)
         elif line.startswith("#vertex "):
             parts = line.split(maxsplit=2)
             if len(parts) != 3:
@@ -103,7 +105,8 @@ def read_topic_graph(path) -> TopicGraph:
                     f"topic distribution sums to {total!r}, expected 1", lineno)
             if abs(total - 1.0) > 1e-12:
                 probs = probs / total
-            edges.append((u, v, count, probs))
+            edges.append((u, v, count))
+            probs_rows.append(probs)
         else:
             raise GraphFormatError(f"unrecognized line {line[:40]!r}", lineno)
     if n is None or k is None:
@@ -114,7 +117,9 @@ def read_topic_graph(path) -> TopicGraph:
             missing = next(i for i in range(n) if i not in names)
             raise GraphFormatError(f"symbol table misses vertex {missing}")
         vertex_names = tuple(names[i] for i in range(n))
-    return TopicGraph.from_edges(n, edges, k, vertex_names)
+    eu, ev, counts = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    probs = np.array(probs_rows, dtype=np.float64).reshape(-1, k)
+    return TopicGraph(n, eu, ev, probs, counts, vertex_names)
 
 
 def _lines(path):
@@ -249,8 +254,9 @@ def read_attributed_graph(path) -> AttributedGraph:
     if len(truth) < n:  # ids are unique and in range, so some id is missing
         missing = next(i for i in range(n) if i not in truth)
         raise GraphFormatError(f"missing vertex line for id {missing}")
-    return AttributedGraph.from_edges(n, edges, [truth[i] for i in range(n)],
-                                      [observed[i] for i in range(n)], k_edge_attrs=ke)
+    eu, ev, attrs = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    return AttributedGraph(n, eu, ev, attrs, [truth[i] for i in range(n)],
+                           [observed[i] for i in range(n)], k_edge_attrs=ke)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +280,7 @@ def generate_surrogate(n: int = 184, k_topics: int = 32, density: float = 0.05, 
     """
     if n < 4:
         raise InputError("n must be >= 4")
-    if k_topics < 2:
-        raise InputError("k_topics must be >= 2")
+    _check_topic_count(k_topics)
     if not 0.0 < density < 1.0:
         raise InputError("density must lie in (0, 1)")
     if not 2 <= group_size < n:

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateConditioningError, InputError
-from .graph import GREEN, OCCLUDED, RED, AttributedGraph, VertexLabel
+from .graph import GREEN, OCCLUDED, RED, AttributedGraph
 from .nomination import score_counts
 from .seeding import child_seed, generator
 
@@ -87,10 +87,9 @@ class KidneyEggParams:
 
 @dataclass(frozen=True)
 class PMF:
-    """Probability mass function on consecutive integers starting at ``offset``."""
+    """Probability mass function on the integers 0..len(probs)-1."""
 
     probs: np.ndarray
-    offset: int = 0
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -108,21 +107,17 @@ class PMF:
 
     @property
     def support(self) -> np.ndarray:
-        return np.arange(self.offset, self.offset + len(self.probs))
+        return np.arange(len(self.probs))
 
     def prob(self, k: int) -> float:
-        i = k - self.offset
-        if 0 <= i < len(self.probs):
-            return float(self.probs[i])
+        if 0 <= k < len(self.probs):
+            return float(self.probs[k])
         return 0.0
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.probs))
 
     def convolve(self, other: "PMF") -> "PMF":
         # np.convolve multiplies out the full support product, which is exact
         # up to float rounding; supports here never exceed n.
-        return PMF(np.convolve(self.probs, other.probs), self.offset + other.offset)
+        return PMF(np.convolve(self.probs, other.probs))
 
 
 def binomial_pmf(trials: int, prob: float) -> PMF:
@@ -155,22 +150,20 @@ def binomial_pmf(trials: int, prob: float) -> PMF:
 
 
 def tv_distance(a: PMF, b: PMF) -> float:
-    """Total variation distance between two integer-supported PMFs."""
-    lo = min(a.offset, b.offset)
-    hi = max(a.offset + len(a), b.offset + len(b))
-    pa = np.zeros(hi - lo)
-    pb = np.zeros(hi - lo)
-    pa[a.offset - lo:a.offset - lo + len(a)] = a.probs
-    pb[b.offset - lo:b.offset - lo + len(b)] = b.probs
+    """Total variation distance between two PMFs, the shorter padded with zeros."""
+    pa = np.zeros(max(len(a), len(b)))
+    pb = np.zeros_like(pa)
+    pa[:len(a)] = a.probs
+    pb[:len(b)] = b.probs
     return 0.5 * float(np.abs(pa - pb).sum())
 
 
-def empirical_pmf(values, minlength: int = 0) -> PMF:
+def empirical_pmf(values) -> PMF:
     """Empirical distribution of a sample of non-negative integers."""
     values = np.asarray(values, dtype=np.int64)
     if values.size == 0:
         raise InputError("cannot build an empirical PMF from no samples")
-    counts = np.bincount(values, minlength=minlength)
+    counts = np.bincount(values)
     return PMF(counts / values.size)
 
 
@@ -220,19 +213,18 @@ def sample_kidney_egg(params: KidneyEggParams, seed) -> AttributedGraph:
                                            k_edge_attrs=2)
 
 
-def _class_vectors(params: KidneyEggParams, vertex_class):
-    cls = VertexLabel(vertex_class)
-    if cls == VertexLabel.RED:
-        return params.s, params.p
-    if cls == VertexLabel.GREEN:
-        return params.p, params.p
-    raise InputError("vertex_class must be RED or GREEN")
+def _is_red(vertex_class) -> bool:
+    """Whether a candidate of ``vertex_class`` is red; RED and GREEN are the
+    only classes a candidate can have."""
+    if vertex_class not in (RED, GREEN):
+        raise InputError(f"vertex_class must be RED or GREEN, got {vertex_class!r}")
+    return vertex_class == RED
 
 
 def context_score_pmf(params: KidneyEggParams, vertex_class) -> PMF:
     """Exact distribution of the context score (identified neighbors) for a
     candidate of the given true class: Binomial(m_prime, own-class edge prob)."""
-    own, _ = _class_vectors(params, vertex_class)
+    own = params.s if _is_red(vertex_class) else params.p
     return binomial_pmf(params.m_prime, own.edge_prob)
 
 
@@ -242,13 +234,10 @@ def content_score_pmf(params: KidneyEggParams, vertex_class) -> PMF:
     Green: Binomial(n-1, p1).  Red candidate: the independent sum of
     Binomial(m-1, s1) red-block edges and Binomial(n-m, p1) outside edges.
     """
-    cls = VertexLabel(vertex_class)
     n, m = params.n, params.m
-    if cls == VertexLabel.GREEN:
-        return binomial_pmf(n - 1, params.p.q1)
-    if cls == VertexLabel.RED:
+    if _is_red(vertex_class):
         return binomial_pmf(m - 1, params.s.q1).convolve(binomial_pmf(n - m, params.p.q1))
-    raise InputError("vertex_class must be RED or GREEN")
+    return binomial_pmf(n - 1, params.p.q1)
 
 
 def content_given_context_pmf(params: KidneyEggParams, vertex_class, c: int) -> PMF:
@@ -258,17 +247,17 @@ def content_given_context_pmf(params: KidneyEggParams, vertex_class, c: int) -> 
     Red:   Bin(c, s1/(s1+s2)) + Bin(m-1-m_prime, s1) + Bin(n-m, p1).
     All sums are of independent binomials, convolved exactly.
     """
-    cls = VertexLabel(vertex_class)
+    red = _is_red(vertex_class)
     n, m, mp = params.n, params.m, params.m_prime
     if not 0 <= c <= mp:
         raise InputError(f"context score c must lie in 0..{mp}, got {c}")
-    own, _ = _class_vectors(params, cls)
+    own = params.s if red else params.p
     if c > 0 and own.edge_prob == 0.0:
         raise DegenerateConditioningError(
             "conditioning on a positive context score under zero edge probability")
     ratio = 0.0 if c == 0 else own.q1 / own.edge_prob
     first = binomial_pmf(c, ratio)
-    if cls == VertexLabel.GREEN:
+    if not red:
         return first.convolve(binomial_pmf(n - 1 - mp, params.p.q1))
     rest = binomial_pmf(m - 1 - mp, params.s.q1).convolve(binomial_pmf(n - m, params.p.q1))
     return first.convolve(rest)

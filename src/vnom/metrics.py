@@ -34,8 +34,6 @@ class EvalReport:
     rr: float
     ap: float
     ap_y: dict = field(default_factory=dict)
-    n_candidates: int = 0
-    n_red_candidates: int = 0
 
 
 def _truth_mask(r: Ranking, truth) -> np.ndarray:
@@ -106,11 +104,9 @@ def mask_metrics(masks, y_values=()) -> np.ndarray:
 
 def report_from_mask(mask: np.ndarray, y_values=()) -> EvalReport:
     """All metrics from a rank-ordered red/green membership mask."""
-    mask = np.asarray(mask, dtype=bool)
     row = mask_metrics(mask, y_values)[0]
     return EvalReport(s_at_1=int(row[0]), rr=float(row[1]), ap=float(row[2]),
-                      ap_y={int(y): float(v) for y, v in zip(y_values, row[3:])},
-                      n_candidates=int(mask.size), n_red_candidates=int(np.count_nonzero(mask)))
+                      ap_y={int(y): float(v) for y, v in zip(y_values, row[3:])})
 
 
 def evaluate_ranking(r: Ranking, truth, y_values=()) -> EvalReport:

@@ -50,7 +50,6 @@ class Ranking:
     ordered: np.ndarray = field(repr=False)
     scores: np.ndarray = field(repr=False)
     tie_groups: tuple
-    gamma: float
 
     def __post_init__(self):
         ordered = np.asarray(self.ordered, dtype=np.int64)
@@ -219,4 +218,4 @@ def rank_candidates(g: AttributedGraph, gamma: float, seed) -> Ranking:
     fused = -keys[order]  # fused scores times den, descending
     bounds = [0, *(np.flatnonzero(np.diff(fused) != 0) + 1).tolist(), cand.size]
     tie_groups = tuple((a, b) for a, b in zip(bounds, bounds[1:]) if b - a >= 2)
-    return Ranking(cand[first[order]], fused / den, tie_groups, gamma=float(gamma))
+    return Ranking(cand[first[order]], fused / den, tie_groups)

@@ -9,12 +9,16 @@ def build_attributed(n, edges, red=(), identified=(), k_edge_attrs=2):
     """Attributed graph from (u, v, attr) triples and red/identified id sets."""
     truth = [1 if v in set(red) else 2 for v in range(n)]
     observed = [1 if v in set(identified) else 0 for v in range(n)]
-    return AttributedGraph.from_edges(n, edges, truth, observed, k_edge_attrs)
+    eu, ev, attr = np.asarray(edges, dtype=np.int64).reshape(-1, 3).T
+    return AttributedGraph(n, eu, ev, attr, truth, observed, k_edge_attrs)
 
 
 def build_topic(n, edges, k_topics):
     """Topic graph from (u, v, count, probs) tuples."""
-    return TopicGraph.from_edges(n, edges, k_topics)
+    eu, ev, counts = ([e[i] for e in edges] for i in range(3))
+    probs = (np.asarray([e[3] for e in edges], dtype=np.float64) if edges
+             else np.zeros((0, k_topics)))
+    return TopicGraph(n, eu, ev, probs, counts)
 
 
 def order_with_tiebreak(t0, t1, gamma, tiebreak):

@@ -239,7 +239,7 @@ def ranking_with_red_positions(n, positions):
     ordered = np.arange(n)
     scores = np.arange(n, 0, -1, dtype=float)
     truth = set(int(p) for p in positions)
-    return Ranking(ordered, scores, (), gamma=0.0), truth
+    return Ranking(ordered, scores, ()), truth
 
 
 class TestCriterion2:

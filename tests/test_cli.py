@@ -123,6 +123,8 @@ class TestExitCodes:
         ("#n=4611686018427387904\n#k=2\n", 1),  # fits int64, far beyond MAX_VERTICES
         ("#k=2\n#n=16777217\n", 2),  # MAX_VERTICES + 1
         (b"#n=3\n#k=2\n# \xff\xfe\ne 0 1 1 0.5 0.5\n", 3),  # not UTF-8
+        ("#n=6\n#k=4611686018427387904\n", 2),  # fits int64, far beyond MAX_TOPICS
+        ("#n=6\n#k=65537\n", 2),  # MAX_TOPICS + 1
     ])
     def test_malformed_topic_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.topics"
@@ -170,6 +172,20 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err and "mean_extra_messages" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["simulate", "--seed", "1"],
+                                      ["surrogate", "--seed", "1", "--out"],
+                                      ["analytic", "--m", "8", "--m-prime", "3"]],
+                             ids=["simulate", "surrogate", "analytic"])
+    def test_allocation_beyond_any_address_space_exits_1(self, capsys, tmp_path, argv):
+        # the first array sized by 10^17 vertices needs at least 10^17 bytes,
+        # more than any 64-bit machine maps for a process (2^56 bytes at most),
+        # so it fails on every machine before anything is touched
+        if argv[-1] == "--out":
+            argv = [*argv, str(tmp_path / "corpus.topics")]
+        code, out, err = run_cli(capsys, *argv, "--n", str(10**17))
+        assert code == 1
+        assert "error: out of memory" in err and "Traceback" not in err and out == ""
 
     def test_negative_top_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--n", "20", "--m", "8",

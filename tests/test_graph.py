@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from vnom import (AttributedGraph, InputError, Partition, TopicGraph, UndefinedDensityError,
                   candidate_set, induced_subgraph, relative_density)
-from vnom.graph import MAX_VERTICES
+from vnom.graph import MAX_TOPICS, MAX_VERTICES
 
 from conftest import build_attributed, build_topic, point_mass
 
@@ -25,7 +25,7 @@ class TestAttributedGraph:
 
     def test_rejects_identified_green(self):
         with pytest.raises(InputError):
-            AttributedGraph.from_edges(2, [], truth=[2, 2], observed=[1, 0])
+            AttributedGraph(2, [], [], [], truth=[2, 2], observed=[1, 0])
 
     def test_rejects_attr_out_of_range(self):
         with pytest.raises(InputError):
@@ -50,6 +50,13 @@ def test_constructors_reject_more_than_max_vertices(n):
         AttributedGraph(n, [], [], [], truth=[], observed=[])
     with pytest.raises(InputError, match="vertices"):
         TopicGraph(n, [], [], np.zeros((0, 2)), [])
+
+
+@pytest.mark.parametrize("k", [MAX_TOPICS + 1, 2**40])
+def test_topic_graph_rejects_more_than_max_topics(k):
+    assert TopicGraph(3, [], [], np.zeros((0, MAX_TOPICS)), []).k_topics == MAX_TOPICS
+    with pytest.raises(InputError, match="topics"):
+        TopicGraph(3, [], [], np.zeros((0, k)), [])
 
 
 class TestTopicGraph:

@@ -8,7 +8,7 @@ from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition,
                   delta_rho, estimate_rates, instantiate_edges, run_importance_trials,
                   sample_kidney_egg, screen_partitions, topic_profile)
 from vnom import importance
-from vnom.importance import (_SCREEN_BLOCK, _cumulative_topics, _draw_instances, _draw_topics,
+from vnom.importance import (_SCREEN_BLOCK, _cumulative_topics, _draw_instances,
                              _edge_weights, _neighbour_lists, _profile_gap, _profile_rows,
                              _screen_block, _sides, _smallest_keys_mask, _topics, bin_index,
                              check_trial_arguments, topic_map_from_profiles)
@@ -271,7 +271,7 @@ class TestDrawTopics:
         ]
         for u in planted:
             expected = [min(bisect_right(cum, x), 3) for cum, x in zip(cums, u)]
-            got = _draw_topics(_cumulative_topics(g), PlantedUniforms(u))
+            got = _topics(_cumulative_topics(g), np.array(u))
             assert got.tolist() == expected
 
 

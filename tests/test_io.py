@@ -184,6 +184,11 @@ class TestGenerateSurrogate:
         res = screen_partitions(g, 10, ScreeningThresholds(0.1, 0.2), 20_000, 1)
         assert res.n_accepted >= 1
 
+    def test_topic_count_checked_before_allocating(self):
+        # 2^62 topics fail the bound; one (topics)-sized array would not fit
+        with pytest.raises(InputError, match="topics"):
+            generate_surrogate(k_topics=2**62, seed=1)
+
     def test_inconsistent_knobs_rejected(self):
         from vnom import InputError
         with pytest.raises(InputError):
