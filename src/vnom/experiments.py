@@ -28,7 +28,7 @@ from .kidney_egg import KidneyEggParams, Simplex3, sample_kidney_egg
 from .metrics import CRITERIA, MetricTable, mask_metrics
 from .nomination import (GAMMA_GRID_DEFAULT, candidate_statistics, fused_order,
                          prepare_ranking, validate_gamma_grid)
-from .seeding import child_seed, generator
+from .seeding import child_generators
 
 
 @dataclass(frozen=True)
@@ -163,17 +163,19 @@ def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
     return np.moveaxis(values.reshape(len(grid), len(red), -1), 0, 1)  # instances first
 
 
-def _replicate_values(params: KidneyEggParams, gamma_grid, rep_seeds, y_values=()):
-    """(gammas x metrics x replicates) array, one replicate per seed.
+def _replicate_values(params: KidneyEggParams, gamma_grid, seed, rep_keys, y_values=()):
+    """(gammas x metrics x replicates) array, one replicate per key.
 
-    Each replicate samples one graph and ranks it at every gamma with a shared
-    tie-break stream.
+    The replicate keyed ``key`` samples one graph from the stream of
+    ``child_seed(seed, *key, 0)`` and ranks it at every gamma with the
+    tie-break stream of ``child_seed(seed, *key, 1)``.
     """
+    rngs = child_generators(seed, [(*key, stream) for key in rep_keys for stream in (0, 1)])
     values = []
-    for rep_seed in rep_seeds:
-        g = sample_kidney_egg(params, child_seed(rep_seed, 0))
+    for sample_rng, tie_rng in zip(rngs, rngs):  # consecutive pairs of the one iterator
+        g = sample_kidney_egg(params, sample_rng)
         cand, t0, t1 = candidate_statistics(g)
-        tiebreak = generator(child_seed(rep_seed, 1)).permutation(cand.size)
+        tiebreak = tie_rng.permutation(cand.size)
         # every candidate is occluded, so red <=> red candidate
         values.append(evaluate_grid(t0, t1, g.truth[cand] == RED, tiebreak, gamma_grid,
                                     y_values))
@@ -189,9 +191,9 @@ def _best_gamma(gamma_grid, scores) -> float:
 
 def _run_cell(spec: SweepSpec, m: int, m_prime: int) -> CellResult:
     params = KidneyEggParams(spec.n, m, m_prime, spec.p, spec.s)
-    rep_seeds = (child_seed(spec.master_seed, m, m_prime, rep) for rep in range(spec.replicates))
-    table = MetricTable.fold(spec.gamma_grid,
-                             _replicate_values(params, spec.gamma_grid, rep_seeds))
+    rep_keys = [(m, m_prime, rep) for rep in range(spec.replicates)]
+    values = _replicate_values(params, spec.gamma_grid, spec.master_seed, rep_keys)
+    table = MetricTable.fold(spec.gamma_grid, values)
     best = {criterion: _best_gamma(spec.gamma_grid, table.column(criterion))
             for criterion in CRITERIA}
     return CellResult(m, m_prime, table, best)
@@ -230,8 +232,7 @@ def gamma_surface(params: KidneyEggParams, gamma_grid, y_max: int,
         raise InputError(
             f"y_max must lie in 1..{n_red_candidates} (red candidates), got {y_max}")
     y_values = tuple(range(1, y_max + 1))
-    base = child_seed(seed)
-    values = _replicate_values(params, grid, (child_seed(base, rep) for rep in range(replicates)),
+    values = _replicate_values(params, grid, seed, [(rep,) for rep in range(replicates)],
                                y_values)
     return MetricTable.fold(grid, values, y_values)
 

@@ -30,7 +30,7 @@ from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph
 from .experiments import _take_rows, evaluate_grid, parallel_map
 from .metrics import MetricTable, mean_se
 from .nomination import score_counts, validate_gamma_grid
-from .seeding import child_seed, generator
+from .seeding import child_generators, child_seed, generator
 
 _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on scheduling
 _TRIAL_BLOCK = 64  # partitions per trial task; fixed for the same reason
@@ -421,23 +421,22 @@ def _draw_instances(g: TopicGraph, block, first: int, m_prime: int, replicates: 
     replicate) of ``block``, whose first partition has ordinal ``first``.
 
     Replicate r of the partition with ordinal o draws its edge uniforms, its
-    m_prime identified red vertices and its tie-break permutation from
-    child_seed(base_seed, o, r, 0..2), as if it ran alone; the uniforms of
-    all instances then map to topics and labels a chunk of rows at a time.
+    m_prime identified red vertices and its tie-break permutation from the
+    streams of child_seed(base_seed, o, r, 0..2), as if it ran alone; the
+    block's streams are derived in one batch.  The uniforms of all instances
+    then map to topics and labels a chunk of rows at a time.
     """
     n_inst, n_cand = len(block) * replicates, g.n - m_prime
     u = np.empty((n_inst, g.num_edges))
     identified = np.zeros((n_inst, g.n), dtype=bool)
     tiebreak = np.empty((n_inst, n_cand), dtype=np.int64)
-    for j, sp in enumerate(block):
-        for rep in range(replicates):
-            i = j * replicates + rep
-            edge_seed, ident_seed, tie_seed = (child_seed(base_seed, first + j, rep, k)
-                                               for k in range(3))
-            u[i] = generator(edge_seed).random(g.num_edges)
-            identified[i, generator(ident_seed).choice(sp.partition.red_ids, size=m_prime,
-                                                       replace=False)] = True
-            tiebreak[i] = generator(tie_seed).permutation(n_cand)
+    rngs = child_generators(base_seed, [(first + j, rep, stream) for j in range(len(block))
+                                        for rep in range(replicates) for stream in range(3)])
+    for i, (edge_rng, ident_rng, tie_rng) in enumerate(zip(rngs, rngs, rngs)):
+        u[i] = edge_rng.random(g.num_edges)
+        red_ids = block[i // replicates].partition.red_ids
+        identified[i, ident_rng.choice(red_ids, size=m_prime, replace=False)] = True
+        tiebreak[i] = tie_rng.permutation(n_cand)
     labels = np.repeat(np.stack([sp.topic_map.labels for sp in block]), replicates, axis=0)
     attr = np.empty((n_inst, g.num_edges), dtype=np.int8)
     step = max(1, _TOPIC_CELLS // max(cum_topics.size, 1))

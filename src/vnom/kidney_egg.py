@@ -16,13 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateConditioningError, InputError
-from .graph import GREEN, OCCLUDED, RED, AttributedGraph
+from .graph import GREEN, MAX_VERTICES, OCCLUDED, RED, AttributedGraph
 from .nomination import score_counts
-from .seeding import child_seed, generator
+from .seeding import child_generators, generator
+
+_SAMPLE_CHUNK = 4096  # sample streams derived per batch, bounding the batch's seed states
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,9 @@ class KidneyEggParams:
     def __post_init__(self):
         object.__setattr__(self, "p", Simplex3.of(self.p))
         object.__setattr__(self, "s", Simplex3.of(self.s))
+        if self.n > MAX_VERTICES:  # no graph holds more vertices
+            raise InputError(
+                f"n must be at most {MAX_VERTICES} (graph.MAX_VERTICES), got {self.n}")
         if not (self.n > self.m > self.m_prime >= 1):
             raise InputError(
                 f"need n > m > m_prime >= 1, got n={self.n}, m={self.m}, m_prime={self.m_prime}")
@@ -181,7 +187,8 @@ def sample_kidney_egg(params: KidneyEggParams, seed) -> AttributedGraph:
     The red set is a uniform m-subset of the vertices; the identified set is
     a uniform m_prime-subset of the red set; each pair's edge attribute is
     drawn from its class vector with cumulative thresholds in the order
-    (no edge, red, green).
+    (no edge, red, green).  ``seed`` is an int, a ``SeedSequence`` or a
+    ``Generator``; a Generator is drawn on in place.
     """
     rng = generator(seed)
     n, m, mp = params.n, params.m, params.m_prime
@@ -290,11 +297,12 @@ def empirical_score_pmfs(params: KidneyEggParams, n_samples: int, seed):
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    base = child_seed(seed)
     vals = {("green", "context"): [], ("green", "content"): [],
             ("red", "context"): [], ("red", "content"): []}
-    for i in range(n_samples):
-        g = sample_kidney_egg(params, child_seed(base, i))
+    chunks = (child_generators(seed, [(i,) for i in range(lo, min(lo + _SAMPLE_CHUNK, n_samples))])
+              for lo in range(0, n_samples, _SAMPLE_CHUNK))
+    for rng in chain.from_iterable(chunks):  # sample i draws from child_seed(seed, i)
+        g = sample_kidney_egg(params, rng)
         t0_all, t1_all = score_counts(g.n, g.edge_u, g.edge_v, g.edge_attr == RED,
                                       g.observed == RED)
         green_v = int(np.flatnonzero(g.truth == GREEN)[0])

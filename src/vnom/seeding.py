@@ -1,17 +1,36 @@
 """Seed discipline for all randomized operations.
 
 Every randomized function takes a seed that is either a non-negative int or a
-``numpy.random.SeedSequence``.  Derived streams (per replicate, per sweep
-cell, per screening block) are obtained by extending the seed's spawn key
-with integer coordinates, so results are independent of execution order and
-worker count.
+``numpy.random.SeedSequence``; the samplers also take a
+``numpy.random.Generator``, which they draw on in place.  Derived streams
+(per replicate, per sweep cell, per screening block) are obtained by
+extending the seed's spawn key with integer coordinates, so results are
+independent of execution order and worker count.
+
+Many children of one seed are derived in one batch by
+:func:`child_generators`.  It runs numpy's ``SeedSequence`` hash over all
+their keys at once, so each of its generators draws exactly the stream of
+``generator(child_seed(seed, *key))``.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import cache
+
 import numpy as np
 
 from .errors import InputError
+
+# numpy's SeedSequence hash (bit_generator.pyx, after O'Neill's seed_seq);
+# every default_rng(seed) stream is defined by it, so numpy keeps it fixed
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4  # child_seed keeps numpy's default pool size
+_PCG64_WORDS = 4  # PCG64 seeds from generate_state(4, np.uint64)
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -37,5 +56,120 @@ def child_seed(seed, *key: int) -> np.random.SeedSequence:
 
 
 def generator(seed) -> np.random.Generator:
-    """A fresh PCG64 generator for the given seed."""
+    """A fresh PCG64 generator for the given seed; a Generator is returned
+    as it is, to be drawn on in place."""
+    if isinstance(seed, np.random.Generator):
+        return seed
     return np.random.default_rng(as_seed_sequence(seed))
+
+
+def child_generators(seed, keys):
+    """One generator per key, lazily: the i-th draws exactly the stream of
+    ``generator(child_seed(seed, *keys[i]))``.
+
+    The children's states come from one vectorized pass of the
+    ``SeedSequence`` hash, made when this is called; each generator is built
+    only when the returned iterator reaches it.  The hash has a fixed cost
+    of a few hundred microseconds, so batch a few dozen keys or more.
+    """
+    base = as_seed_sequence(seed)
+    run, prefix = _words(base.entropy), _words(base.spawn_key)
+    states = np.empty((len(keys), _PCG64_WORDS), dtype=np.uint64)
+    for rows, words in _key_words(keys):  # the hash's steps depend on the word count
+        # a non-empty spawn key pads the run entropy with zeros to the pool size
+        pad = [0] * (_POOL_SIZE - len(run)) if prefix or words.shape[1] else []
+        shared = np.array(run + pad + prefix, dtype=np.uint32)
+        entropy = np.concatenate([np.repeat(shared[:, None], len(words), axis=1), words.T])
+        states[rows] = _pcg64_states(entropy)
+    state_class = _state_class()
+    return (np.random.Generator(np.random.PCG64(state_class(words))) for words in states)
+
+
+def _key_words(keys) -> list:
+    """(row indices, (rows x words) uint32 words) of the keys, one pair per
+    word count; keys of ints below 2**32 throughout take one pass."""
+    try:
+        table = np.array(keys)
+    except ValueError:  # keys of different lengths
+        table = None
+    if (table is not None and table.ndim == 2 and table.size and table.dtype.kind in "iu"
+            and table.min() >= 0 and table.max() <= _MASK32):
+        return [(slice(None), table.astype(np.uint32))]
+    words = [_words(key) for key in keys]
+    groups = []
+    for size in sorted({len(w) for w in words}):
+        rows = [i for i, w in enumerate(words) if len(w) == size]
+        groups.append((rows, np.array([words[i] for i in rows], dtype=np.uint32)
+                       .reshape(len(rows), size)))
+    return groups
+
+
+def _words(value) -> list:
+    """The uint32 words numpy makes of a non-negative int (least significant
+    first, one word for 0) or of a sequence of them, concatenated."""
+    if not isinstance(value, (int, np.integer)):
+        return [word for item in value for word in _words(item)]
+    value = operator.index(value)
+    if value < 0:
+        raise InputError(f"seed keys must be non-negative integers, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
+    """(children x 4) uint64 PCG64 seed states of the (words x children)
+    assembled entropy: ``SeedSequence.generate_state(4, np.uint64)`` of each
+    column, row by row of the hash at once."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    zeros = np.zeros(entropy.shape[1], dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):  # mix all bits together so late bits can affect earlier bits
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):  # entropy beyond the pool
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    out = np.empty((2 * _PCG64_WORDS, entropy.shape[1]), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(len(out)):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        out[i] = value ^ (value >> _XSHIFT)
+    # each uint64 is two consecutive uint32 words, low word first
+    return (out[1::2].astype(np.uint64) << np.uint64(32) | out[::2]).T
+
+
+@cache
+def _state_class():
+    """The seed-sequence type handing PCG64 one precomputed state; defined on
+    first use, so that importing vnom does not load ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PrecomputedState(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, np.dtype(dtype)) != (_PCG64_WORDS, np.dtype(np.uint64)):
+                raise ValueError("a precomputed state serves PCG64 seeding alone")
+            return self.words
+
+    return PrecomputedState

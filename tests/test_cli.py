@@ -173,19 +173,31 @@ class TestExitCodes:
         assert "error:" in err and "mean_extra_messages" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["simulate", "--seed", "1"],
-                                      ["surrogate", "--seed", "1", "--out"],
-                                      ["analytic", "--m", "8", "--m-prime", "3"]],
-                             ids=["simulate", "surrogate", "analytic"])
-    def test_allocation_beyond_any_address_space_exits_1(self, capsys, tmp_path, argv):
+    @pytest.mark.parametrize("argv,error", [
+        (["simulate", "--seed", "1"], "error: n must be at most 16777216"),
+        (["surrogate", "--seed", "1", "--out"], "error: out of memory"),
+        (["analytic", "--m", "8", "--m-prime", "3"], "error: n must be at most 16777216")],
+        ids=["simulate", "surrogate", "analytic"])
+    def test_allocation_beyond_any_address_space_exits_1(self, capsys, tmp_path, argv, error):
         # the first array sized by 10^17 vertices needs at least 10^17 bytes,
         # more than any 64-bit machine maps for a process (2^56 bytes at most),
-        # so it fails on every machine before anything is touched
+        # so it fails on every machine before anything is touched; the model
+        # commands name graph.MAX_VERTICES before that
         if argv[-1] == "--out":
             argv = [*argv, str(tmp_path / "corpus.topics")]
         code, out, err = run_cli(capsys, *argv, "--n", str(10**17))
         assert code == 1
-        assert "error: out of memory" in err and "Traceback" not in err and out == ""
+        assert error in err and "Traceback" not in err and out == ""
+
+    @pytest.mark.parametrize("argv", [["simulate", "--m", "4", "--m-prime", "2"], ["sweep"],
+                                      ["surface"], ["analytic", "--m", "8", "--m-prime", "3"]],
+                             ids=["simulate", "sweep", "surface", "analytic"])
+    def test_vertex_count_beyond_graph_bound_exits_1(self, capsys, argv):
+        # MAX_VERTICES + 1: rejected with the bound, before any pair table is made
+        code, out, err = run_cli(capsys, *argv, "--n", "16777217", "--seed", "1")
+        assert code == 1
+        assert "error: n must be at most 16777216" in err and "Traceback" not in err
+        assert out == ""
 
     def test_negative_top_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--n", "20", "--m", "8",

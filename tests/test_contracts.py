@@ -27,6 +27,8 @@ from vnom.experiments import evaluate_grid
 from vnom.graph import RED
 from vnom.io import data_section
 
+from conftest import build_topic
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -107,16 +109,57 @@ def test_one_kidney_egg_replicate_driver():
                                "kidney_egg.empirical_score_pmfs"]
 
 
-def test_import_loads_no_scipy():
-    # a fresh interpreter, so that no other test's imports are counted
+def modules_loaded_by_import(package):
+    """Modules of ``package`` loaded by importing vnom and vnom.cli in a fresh
+    interpreter, so that no other test's imports are counted."""
     src = str(Path(vnom.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, vnom, vnom.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert modules_loaded_by_import("scipy") == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    # numpy loads numpy.random on first use; vnom defers it to its first draw,
+    # out of the import time the benchmark counts as set-up
+    assert modules_loaded_by_import("numpy.random") == "[]"
+
+
+def test_seed_sequences_per_call_do_not_grow_with_instances(monkeypatch):
+    # the replicate and trial loops derive all their streams in one batch
+    built = []
+
+    class CountingSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    def count(call):
+        built.clear()
+        call()
+        return len(built)
+
+    params = KidneyEggParams(30, 10, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
+    rng = np.random.default_rng(5)
+    pairs = [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.4]
+    g = build_topic(20, [(u, v, 1, p) for (u, v), p in
+                         zip(pairs, rng.dirichlet(np.full(4, 0.4), len(pairs)))], 4)
+    block = screen_partitions(g, 5, ScreeningThresholds(-np.inf, -np.inf), 8, 2).accepted
+    cum = vnom.importance._cumulative_topics(g)
+    monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+    replicates = [count(lambda: vnom.experiments._replicate_values(
+        params, [0.5], 3, [(rep,) for rep in range(reps)])) for reps in (1, 9)]
+    instances = [count(lambda: vnom.importance._draw_instances(
+        g, block[:parts], 0, 2, reps, 3, cum)) for parts, reps in ((1, 1), (8, 3))]
+    assert replicates[0] == replicates[1] <= 1
+    assert instances[0] == instances[1] <= 1
 
 
 def test_every_traced_span_resolves():

@@ -28,7 +28,7 @@ class TestRunReplicate:
         # the harness must agree with calling the public ops by hand
         params = small_params()
         seed = 4242
-        row = _replicate_values(params, [0.5], [child_seed(seed)])[0, :, 0]
+        row = _replicate_values(params, [0.5], seed, [()])[0, :, 0]
 
         sample_seed, tie_seed = child_seed(as_seed_sequence(seed)).spawn(2)
         g = sample_kidney_egg(params, sample_seed)
@@ -38,8 +38,8 @@ class TestRunReplicate:
 
     def test_same_seed_same_values(self):
         params = small_params()
-        a = _replicate_values(params, [0.0, 1.0], [child_seed(7), child_seed(8)])
-        b = _replicate_values(params, [0.0, 1.0], [child_seed(7), child_seed(8)])
+        a = _replicate_values(params, [0.0, 1.0], 7, [(0,), (1,)])
+        b = _replicate_values(params, [0.0, 1.0], 7, [(0,), (1,)])
         assert a.shape == (2, 3, 2)
         assert a.tobytes() == b.tobytes()
 
@@ -51,13 +51,13 @@ class TestRunReplicate:
         g = sample_kidney_egg(params, sample_seed)
         ranking = rank_candidates(g, 1.0, tie_seed)
         assert ranking.tie_groups == ((0, len(ranking)),)
-        values = _replicate_values(params, [0.0, 1.0], [child_seed(seed)])
+        values = _replicate_values(params, [0.0, 1.0], seed, [()])
         direct = evaluate_ranking(ranking, g.red_candidates())
         assert list(values[1, :, 0]) == [direct.s_at_1, direct.rr, direct.ap]
 
     def test_y_values_forwarded(self):
         params = small_params()
-        row = _replicate_values(params, [0.5], [child_seed(3)], y_values=(1, 2))[0, :, 0]
+        row = _replicate_values(params, [0.5], 3, [()], y_values=(1, 2))[0, :, 0]
         assert row.shape == (5,)
         assert row[3] == row[1]  # AP^1 is the reciprocal rank
 

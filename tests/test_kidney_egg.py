@@ -12,6 +12,7 @@ from vnom import (GREEN, OCCLUDED, RED, AttributedGraph, DegenerateConditioningE
                   InputError, KidneyEggParams, PMF, Simplex3, binomial_pmf,
                   content_given_context_pmf, content_pmf_from_conditionals, content_score_pmf,
                   context_score_pmf, empirical_score_pmfs, sample_kidney_egg, tv_distance)
+from vnom.graph import MAX_VERTICES
 from vnom.seeding import generator
 
 PAPER_P = Simplex3(0.6, 0.2, 0.2)
@@ -59,6 +60,12 @@ class TestKidneyEggParams:
         params = KidneyEggParams(10, 4, 2, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
         assert params.p.q1 == 0.2
 
+    def test_vertex_count_bounded_by_graph(self):
+        # the parameters alone: nothing of size n is allocated
+        assert KidneyEggParams(MAX_VERTICES, 4, 2, PAPER_P, PAPER_S).n == MAX_VERTICES
+        with pytest.raises(InputError, match=f"at most {MAX_VERTICES}"):
+            KidneyEggParams(MAX_VERTICES + 1, 4, 2, PAPER_P, PAPER_S)
+
 
 class TestSampleKidneyEgg:
     def test_zero_edge_probability_gives_empty_graph(self):
@@ -84,6 +91,12 @@ class TestSampleKidneyEgg:
         a = sample_kidney_egg(params, 99)
         b = sample_kidney_egg(params, 99)
         assert a == b
+
+    def test_generator_is_drawn_in_place(self):
+        params = KidneyEggParams(40, 10, 3, PAPER_P, PAPER_S)
+        rng = generator(99)
+        assert sample_kidney_egg(params, rng) == sample_kidney_egg(params, 99)
+        assert sample_kidney_egg(params, rng) != sample_kidney_egg(params, 99)  # rng moved on
 
     def test_different_seeds_differ(self):
         params = KidneyEggParams(40, 10, 3, PAPER_P, PAPER_S)

@@ -1,0 +1,85 @@
+"""Batch seed derivation against numpy's own SeedSequence.
+
+The oracle is numpy itself: each child generator's seed state and first
+draws must equal those of ``SeedSequence(entropy, spawn_key=prefix + key)``.
+If numpy ever changes its hash, these tests fail.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from vnom import InputError
+from vnom.seeding import child_generators, child_seed, generator
+
+ENTROPIES = [0, 3, 7919, 2**63 - 1, 2**100 + 17, [5, 2**40, 0, 17, 2**32 - 1]]
+PREFIXES = [(), (11, 2**33 + 5)]  # the second takes three words
+
+
+def random_keys(n, seed):
+    """Keys of one to four ints, some of them above 2**32 and 2**64."""
+    rnd = random.Random(seed)
+    pick = (lambda: rnd.randrange(2**32), lambda: rnd.randrange(2**32, 2**64),
+            lambda: rnd.randrange(2**100), lambda: rnd.randrange(40))
+    return [tuple(rnd.choice(pick)() for _ in range(rnd.randrange(1, 5))) for _ in range(n)]
+
+
+def assert_matches_numpy(entropy, prefix, keys):
+    base = np.random.SeedSequence(entropy, spawn_key=prefix)
+    rngs = child_generators(base, keys)
+    for key in keys:
+        rng = next(rngs)
+        want = np.random.SeedSequence(entropy, spawn_key=prefix + key)
+        got_state = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+        assert got_state.tolist() == want.generate_state(4, np.uint64).tolist(), key
+        first = np.random.default_rng(want)
+        assert rng.integers(2**63, size=4).tolist() == first.integers(2**63, size=4).tolist()
+        assert rng.random(3).tolist() == first.random(3).tolist()
+    assert next(rngs, None) is None
+
+
+@pytest.mark.parametrize("entropy", ENTROPIES, ids=["0", "3", "7919", "2^63-1", "2^100+17", "list"])
+@pytest.mark.parametrize("prefix", PREFIXES, ids=["no-prefix", "prefix"])
+def test_child_generators_match_numpy_seed_sequences(entropy, prefix):
+    # mixed word counts in one call; the fixed keys take one, two and three words
+    keys = [(0,), (2**32 - 1,), (2**32,), (2**64 + 3, 1), (1, 2, 3)] + random_keys(200, 7)
+    assert_matches_numpy(entropy, prefix, keys)
+
+
+@pytest.mark.parametrize("prefix", PREFIXES, ids=["no-prefix", "prefix"])
+def test_single_word_keys_match_numpy_seed_sequences(prefix):
+    # keys below 2**32 throughout, as the replicate and trial loops make them
+    keys = [(o, r, k) for o in range(7) for r in (0, 1, 2**32 - 1) for k in range(3)]
+    assert_matches_numpy(3, prefix, keys)
+
+
+def test_empty_keys_give_the_seed_itself():
+    for entropy in (3, 2**100 + 17):
+        assert_matches_numpy(entropy, (), [(), ()])
+        assert_matches_numpy(entropy, (4,), [()])
+
+
+def test_same_streams_as_child_seed():
+    keys = [(m, 2, rep, stream) for m in (4, 40) for rep in range(3) for stream in (0, 1)]
+    for seed in (0, 7919, child_seed(5, 1)):
+        for key, rng in zip(keys, child_generators(seed, keys)):
+            assert rng.permutation(50).tolist() == \
+                generator(child_seed(seed, *key)).permutation(50).tolist()
+
+
+def test_generators_are_built_lazily():
+    # an iterator, not a list: a block holds one generator at a time
+    rngs = child_generators(3, [(i,) for i in range(1000)])
+    assert iter(rngs) is rngs
+    assert isinstance(next(rngs), np.random.Generator)
+
+
+def test_bad_seeds_and_keys_rejected():
+    with pytest.raises(InputError):
+        child_generators(-1, [(0,)])
+    with pytest.raises(InputError):
+        child_generators(3, [(1, -2)])
+    with pytest.raises(InputError):
+        child_generators(3, [(1,), (-2, 5, 7)])
+    assert list(child_generators(3, [])) == []
