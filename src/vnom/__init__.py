@@ -9,7 +9,7 @@ identified set) with content (who talks about the topic of interest).
 from .errors import (DegenerateConditioningError, EmptyProfileError, GraphFormatError,
                      InputError, NoRedCandidatesError, UndefinedDensityError, VnomError)
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph,
-                    VertexLabel, candidate_set, induced_subgraph, relative_density)
+                    VertexLabel, candidate_set)
 from .kidney_egg import (PMF, KidneyEggParams, Simplex3, binomial_pmf,
                          content_given_context_pmf, content_pmf_from_conditionals,
                          content_score_pmf, context_score_pmf, empirical_pmf,

@@ -7,7 +7,7 @@ sorted lexicographically, which each constructor builds from edge columns
 * :class:`AttributedGraph` — undirected simple graph whose edges carry a
   categorical attribute in ``{1..k_edge_attrs}`` and whose vertices carry a
   ground-truth color (red/green) plus an observed layer (red/occluded).  It
-  builds a CSR adjacency, neighbors sorted by id, on first use.
+  reads a vertex's neighbours off the edge arrays.
 * :class:`TopicGraph` — undirected simple graph whose edges carry an
   empirical probability distribution over topics and a message count.  It
   holds no adjacency; :mod:`vnom.importance` builds its own neighbour lists.
@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from math import comb
 
 import numpy as np
 
-from .errors import InputError, UndefinedDensityError
+from .errors import InputError
 
 
 class VertexLabel(IntEnum):
@@ -87,16 +86,6 @@ def _canonical_edges(n, edge_u, edge_v, *extras):
     return (lo, hi, *extras)
 
 
-def _build_adjacency(n, eu, ev, payload):
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    pay = np.concatenate([payload, payload])
-    order = np.lexsort((dst, src))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return offsets, dst[order], pay[order]
-
-
 class AttributedGraph:
     """Undirected simple graph with edge attributes and two vertex layers.
 
@@ -106,7 +95,7 @@ class AttributedGraph:
     """
 
     __slots__ = ("n", "k_edge_attrs", "edge_u", "edge_v", "edge_attr",
-                 "truth", "observed", "_adj")
+                 "truth", "observed")
 
     def __init__(self, n, edge_u, edge_v, edge_attr, truth, observed, k_edge_attrs=2):
         eu, ev, ea = _canonical_edges(int(n), edge_u, edge_v,
@@ -136,7 +125,6 @@ class AttributedGraph:
         self.edge_attr = ea
         self.truth = truth
         self.observed = observed
-        self._adj = None
 
     @classmethod
     def _from_canonical(cls, n, eu, ev, ea, truth, observed, k_edge_attrs=2):
@@ -145,13 +133,6 @@ class AttributedGraph:
         self = cls.__new__(cls)
         self._init_from_canonical(int(n), eu, ev, ea, truth, observed, int(k_edge_attrs))
         return self
-
-    @property
-    def _adjacency(self):
-        # built on first use; graphs in hot Monte Carlo loops never need it
-        if self._adj is None:
-            self._adj = _build_adjacency(self.n, self.edge_u, self.edge_v, self.edge_attr)
-        return self._adj
 
     @property
     def num_edges(self) -> int:
@@ -168,30 +149,27 @@ class AttributedGraph:
     def red_set(self) -> np.ndarray:
         return np.flatnonzero(self.truth == RED)
 
-    def identified_set(self) -> np.ndarray:
-        return np.flatnonzero(self.observed == RED)
-
     def red_candidates(self) -> np.ndarray:
         """Truly red vertices whose attribute is occluded."""
         return np.flatnonzero((self.truth == RED) & (self.observed == OCCLUDED))
 
-    def degree(self, v: int) -> int:
-        offsets, _, _ = self._adjacency
-        return int(offsets[v + 1] - offsets[v])
+    def _incident(self, v: int) -> tuple:
+        """(edges whose larger end is v, edges whose smaller end is v) as masks.
+        Edges sort by (u, v), so the far ends read off the first, then the
+        second, ascend."""
+        if not 0 <= v < self.n:
+            raise InputError(f"unknown vertex id {v}")
+        return self.edge_v == v, self.edge_u == v
 
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbor ids of v, ascending."""
-        if not 0 <= v < self.n:
-            raise InputError(f"unknown vertex id {v}")
-        offsets, dst, _ = self._adjacency
-        return dst[offsets[v]:offsets[v + 1]]
+        below, above = self._incident(v)
+        return np.concatenate([self.edge_u[below], self.edge_v[above]])
 
     def incident_attrs(self, v: int) -> np.ndarray:
         """Attributes of edges incident to v, aligned with neighbors(v)."""
-        if not 0 <= v < self.n:
-            raise InputError(f"unknown vertex id {v}")
-        offsets, _, attr = self._adjacency
-        return attr[offsets[v]:offsets[v + 1]]
+        below, above = self._incident(v)
+        return np.concatenate([self.edge_attr[below], self.edge_attr[above]])
 
     def __eq__(self, other):
         if not isinstance(other, AttributedGraph):
@@ -249,6 +227,13 @@ class TopicGraph:
             vertex_names = tuple(vertex_names)
             if len(vertex_names) != n:
                 raise InputError("vertex_names must have one entry per vertex")
+            for v, name in enumerate(vertex_names):
+                # what a '#vertex <id> <name>' line of the topic format carries
+                # and reads back unchanged
+                if not (isinstance(name, str) and name and name == name.strip()
+                        and "\n" not in name and "\r" not in name):
+                    raise InputError(f"vertex {v} name {name!r} must be a non-empty string "
+                                     f"without surrounding whitespace or line breaks")
         self.vertex_names = vertex_names
 
     @property
@@ -286,11 +271,6 @@ class Partition:
     def num_red(self) -> int:
         return int(self.red_ids.size)
 
-    def green_ids(self) -> np.ndarray:
-        mask = np.ones(self.n, dtype=bool)
-        mask[self.red_ids] = False
-        return np.flatnonzero(mask)
-
     def red_mask(self) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
         mask[self.red_ids] = True
@@ -308,35 +288,6 @@ def _subset_array(n, vs) -> np.ndarray:
         bad = vs[(vs < 0) | (vs >= n)][0]
         raise InputError(f"unknown vertex id {bad}")
     return vs
-
-
-def induced_subgraph(g, vs):
-    """Subgraph on vertex set ``vs``: exactly the edges with both endpoints in
-    ``vs``, attributes preserved, ids relabeled to 0..len(vs)-1 in ascending
-    order of the original ids."""
-    vs = _subset_array(g.n, vs)
-    keep = np.zeros(g.n, dtype=bool)
-    keep[vs] = True
-    relabel = np.full(g.n, -1, dtype=np.int64)
-    relabel[vs] = np.arange(vs.size)
-    emask = keep[g.edge_u] & keep[g.edge_v]
-    eu = relabel[g.edge_u[emask]]
-    ev = relabel[g.edge_v[emask]]
-    if isinstance(g, AttributedGraph):
-        return AttributedGraph(vs.size, eu, ev, g.edge_attr[emask],
-                               g.truth[vs], g.observed[vs], g.k_edge_attrs)
-    if isinstance(g, TopicGraph):
-        names = None if g.vertex_names is None else tuple(g.vertex_names[v] for v in vs)
-        return TopicGraph(vs.size, eu, ev, g.topic_probs[emask],
-                          g.message_count[emask], names)
-    raise InputError(f"unsupported graph type {type(g).__name__}")
-
-
-def relative_density(g) -> float:
-    """Edge count divided by the number of vertex pairs."""
-    if g.n < 2:
-        raise UndefinedDensityError("relative density needs at least two vertices")
-    return g.num_edges / comb(g.n, 2)
 
 
 def candidate_set(g: AttributedGraph) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyProfileError, InputError, UndefinedDensityError
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph,
-                    _build_adjacency, _subset_array)
+                    _subset_array)
 from .experiments import _take_rows, evaluate_grid, parallel_map
 from .metrics import MetricTable, mean_se
 from .nomination import score_counts, validate_gamma_grid
@@ -77,14 +77,12 @@ class TopicMap:
 
 @dataclass(frozen=True)
 class ScreenedPartition:
-    """An accepted partition with its gaps, profiles, and derived topic map."""
+    """An accepted partition with its gaps and derived topic map."""
 
     partition: Partition
     topic_map: TopicMap
     delta_rho: float
     delta_p: float
-    profile_red: np.ndarray = field(repr=False)
-    profile_green: np.ndarray = field(repr=False)
     draw_index: int
 
 
@@ -134,9 +132,12 @@ def _sides(g, red_mask: np.ndarray) -> tuple:
 
 def _neighbour_lists(g) -> tuple:
     """(offsets, neighbours): the CSR adjacency of g, neighbours of v at
-    neighbours[offsets[v]:offsets[v + 1]]."""
-    offsets, neighbours, _ = _build_adjacency(g.n, g.edge_u, g.edge_v, np.arange(g.num_edges))
-    return offsets, neighbours
+    neighbours[offsets[v]:offsets[v + 1]], ascending."""
+    src = np.concatenate([g.edge_u, g.edge_v])
+    dst = np.concatenate([g.edge_v, g.edge_u])
+    offsets = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=g.n), out=offsets[1:])
+    return offsets, dst[np.lexsort((dst, src))]
 
 
 def _side_edge_counts(g, adjacency: tuple, chosen: np.ndarray, red_mask: np.ndarray) -> tuple:
@@ -258,14 +259,9 @@ def _check_partition(g, part: Partition):
 
 
 def _topic_labels(profile_red, profile_green) -> np.ndarray:
-    """Topic labels of :func:`topic_map_from_profiles`, row by row for stacks."""
+    """Topic labels of each row of the side profiles: a topic goes red iff
+    its red-side share strictly exceeds its green-side share; ties go green."""
     return np.where(np.asarray(profile_red) - np.asarray(profile_green) > 0, RED, GREEN)
-
-
-def topic_map_from_profiles(profile_red, profile_green) -> TopicMap:
-    """Topic goes red iff its red-side share strictly exceeds its green-side
-    share; ties go green."""
-    return TopicMap(_topic_labels(profile_red, profile_green))
 
 
 def screen_partitions(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
@@ -339,8 +335,6 @@ def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
                 topic_map=TopicMap(labels[i]),
                 delta_rho=float(d_rho[row]),
                 delta_p=float(d_p[i]),
-                profile_red=pr[i].copy(),  # a view would keep the chunk's rows alive
-                profile_green=pg[i].copy(),
                 draw_index=start + int(row),
             ))
     return accepted

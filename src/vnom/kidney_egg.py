@@ -115,11 +115,6 @@ class PMF:
     def support(self) -> np.ndarray:
         return np.arange(len(self.probs))
 
-    def prob(self, k: int) -> float:
-        if 0 <= k < len(self.probs):
-            return float(self.probs[k])
-        return 0.0
-
     def convolve(self, other: "PMF") -> "PMF":
         # np.convolve multiplies out the full support product, which is exact
         # up to float rounding; supports here never exceed n.

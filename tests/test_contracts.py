@@ -68,6 +68,24 @@ def test_no_scipy_in_sources_or_dependencies():
     assert "scipy" not in (ROOT / "pyproject.toml").read_text()
 
 
+def test_no_unused_imports_in_sources():
+    # no linter is a dependency: a module-level import that its module never
+    # reads is dead, and __init__ imports only to re-export
+    offenders = []
+    for path in sorted((ROOT / "src" / "vnom").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                offenders += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                              for alias in node.names
+                              if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert offenders == []
+
+
 def test_one_timestamp_in_sources():
     # every result document takes its 'created' stamp from io._meta
     counts = {path.name: path.read_text().count("datetime.now(")

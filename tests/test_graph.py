@@ -1,4 +1,4 @@
-"""Graph data model: induced subgraphs, relative density, candidate sets."""
+"""Graph data model: validation, incident-edge accessors, candidate sets."""
 
 import itertools
 
@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnom import (AttributedGraph, InputError, Partition, TopicGraph, UndefinedDensityError,
-                  candidate_set, induced_subgraph, relative_density)
-from vnom.graph import MAX_TOPICS, MAX_VERTICES
+from vnom import AttributedGraph, InputError, Partition, TopicGraph, candidate_set
+from vnom.graph import MAX_TOPICS, MAX_VERTICES, RED
 
 from conftest import build_attributed, build_topic, point_mass
 
@@ -39,8 +38,30 @@ class TestAttributedGraph:
     def test_neighbors_sorted(self):
         g = build_attributed(5, [(3, 0, 1), (1, 0, 2), (0, 4, 1)])
         assert list(g.neighbors(0)) == [1, 3, 4]
-        assert g.degree(0) == 3
-        assert g.degree(2) == 0
+        assert len(g.neighbors(0)) == 3
+        assert len(g.neighbors(2)) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_accessors_match_edge_list_scan(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        pairs = list(itertools.combinations(range(n), 2))
+        # edges in any order, endpoints either way round; isolated vertices stay likely
+        drawn = data.draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans(),
+                                             st.integers(1, 3)),
+                                   unique_by=lambda e: e[0], max_size=len(pairs))
+                          if pairs else st.just([]))
+        edges = [(v, u, a) if flip else (u, v, a) for (u, v), flip, a in drawn]
+        g = build_attributed(n, edges, k_edge_attrs=3)
+        for v in range(n):
+            incident = sorted((u if w == v else w, a) for u, w, a in edges if v in (u, w))
+            assert g.neighbors(v).tolist() == [x for x, _ in incident]
+            assert g.incident_attrs(v).tolist() == [a for _, a in incident]
+        for v in (-1, n, n + 5):
+            with pytest.raises(InputError, match="unknown vertex"):
+                g.neighbors(v)
+            with pytest.raises(InputError, match="unknown vertex"):
+                g.incident_attrs(v)
 
 
 @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 2**62])
@@ -69,76 +90,12 @@ class TestTopicGraph:
         with pytest.raises(InputError, match="finite"):
             build_topic(3, [(0, 1, 1, point_mass(0, k)), (1, 2, 2, probs)], k)
 
-
-class TestInducedSubgraph:
-    def test_full_vertex_set_is_identity(self):
-        g = build_attributed(5, [(0, 1, 1), (1, 2, 2), (3, 4, 1)], red={0}, identified={0})
-        assert induced_subgraph(g, range(5)) == g
-
-    def test_single_vertex_has_no_edges(self):
-        g = build_attributed(5, [(0, 1, 1), (1, 2, 2)])
-        sub = induced_subgraph(g, [1])
-        assert sub.n == 1 and sub.num_edges == 0
-
-    def test_path_graph_prefix(self):
-        # path a-b-c-d-e as 0-1-2-3-4; keeping {0,1,2} leaves edges {01, 12}
-        g = build_attributed(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
-        sub = induced_subgraph(g, [0, 1, 2])
-        assert sub.num_edges == 2
-        assert list(zip(sub.edge_u, sub.edge_v)) == [(0, 1), (1, 2)]
-
-    def test_unknown_vertex_rejected(self):
-        g = build_attributed(3, [(0, 1, 1)])
-        with pytest.raises(InputError):
-            induced_subgraph(g, [0, 7])
-
-    def test_topic_graph_attributes_preserved(self):
-        g = build_topic(4, [(0, 1, 3, point_mass(0, 2)), (1, 2, 1, point_mass(1, 2))], 2)
-        sub = induced_subgraph(g, [1, 2])
-        assert sub.num_edges == 1
-        assert sub.message_count[0] == 1
-        assert np.array_equal(sub.topic_probs[0], point_mass(1, 2))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_edge_count_matches_brute_force(self, data):
-        n = data.draw(st.integers(3, 12))
-        pairs = list(itertools.combinations(range(n), 2))
-        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-        g = build_attributed(n, [(u, v, 1) for u, v in chosen])
-        vs = data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
-        sub = induced_subgraph(g, vs)
-        keep = set(vs)
-        expected = sum(1 for u, v in chosen if u in keep and v in keep)
-        assert sub.num_edges == expected
-
-
-class TestRelativeDensity:
-    def test_complete_graph(self):
-        edges = [(u, v, 1) for u, v in itertools.combinations(range(4), 2)]
-        assert relative_density(build_attributed(4, edges)) == 1.0
-
-    def test_empty_graph(self):
-        assert relative_density(build_attributed(10, [])) == 0.0
-
-    def test_corpus_scale_density(self):
-        # 184 vertices, 841 edges: 841 / C(184,2) = 841/16836
-        edges = [(u, v, 1) for u, v in itertools.islice(
-            itertools.combinations(range(184), 2), 841)]
-        g = build_attributed(184, edges)
-        assert relative_density(g) == pytest.approx(841 / 16836)
-        assert relative_density(g) == pytest.approx(0.04996, abs=5e-5)
-
-    def test_single_vertex_undefined(self):
-        with pytest.raises(UndefinedDensityError):
-            relative_density(build_attributed(1, []))
-
-    def test_invariant_under_relabeling(self):
-        edges = [(0, 1, 1), (1, 2, 1), (0, 3, 1)]
-        g = build_attributed(5, edges)
-        relabel = {0: 4, 1: 2, 2: 0, 3: 1, 4: 3}
-        g2 = build_attributed(5, [(relabel[u], relabel[v], a) for u, v, a in edges])
-        assert relative_density(g) == relative_density(g2)
+    @pytest.mark.parametrize("name", ["", " a", "a ", "\ta", "a\nb", "a\rb", "\n", 7, None])
+    def test_rejects_name_the_file_format_cannot_carry(self, name):
+        # write_topic_graph puts each name on a '#vertex <id> <name>' line,
+        # and read_topic_graph strips the line and splits off the id
+        with pytest.raises(InputError, match="vertex 1 name"):
+            TopicGraph(3, [0], [1], [point_mass(0, 2)], [1], ["a", name, "c d"])
 
 
 class TestCandidateSet:
@@ -153,7 +110,7 @@ class TestCandidateSet:
     def test_disjoint_union_with_identified(self):
         g = build_attributed(8, [], red={0, 1, 2, 3}, identified={1, 3})
         cand = set(candidate_set(g))
-        ident = set(g.identified_set())
+        ident = set(np.flatnonzero(g.observed == RED))
         assert cand | ident == set(range(8))
         assert cand & ident == set()
 
@@ -161,7 +118,7 @@ class TestCandidateSet:
 class TestPartition:
     def test_green_is_complement(self):
         part = Partition(6, np.array([1, 4]))
-        assert list(part.green_ids()) == [0, 2, 3, 5]
+        assert np.flatnonzero(~part.red_mask()).tolist() == [0, 2, 3, 5]
         assert part.num_red == 2
 
     def test_out_of_range_rejected(self):

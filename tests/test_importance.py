@@ -1,5 +1,7 @@
 """Screening, topic profiles, edge instantiation, trials, rate estimation."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,8 @@ from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition,
 from vnom import importance
 from vnom.importance import (_SCREEN_BLOCK, _cumulative_topics, _draw_instances,
                              _edge_weights, _neighbour_lists, _profile_gap, _profile_rows,
-                             _screen_block, _sides, _smallest_keys_mask, _topics, bin_index,
-                             check_trial_arguments, topic_map_from_profiles)
+                             _screen_block, _sides, _smallest_keys_mask, _topic_labels, _topics,
+                             bin_index, check_trial_arguments)
 from vnom.seeding import child_seed, generator
 
 from conftest import build_attributed, build_topic, point_mass
@@ -98,9 +100,8 @@ class TestDeltaP:
 
 class TestTopicMapFromProfiles:
     def test_sign_rule_with_tie_going_green(self):
-        tmap = topic_map_from_profiles(np.array([0.5, 0.3, 0.2]),
-                                       np.array([0.3, 0.3, 0.4]))
-        assert list(tmap.labels) == [1, 2, 2]
+        labels = _topic_labels(np.array([0.5, 0.3, 0.2]), np.array([0.3, 0.3, 0.4]))
+        assert list(labels) == [1, 2, 2]
 
     def test_invalid_labels_rejected(self):
         with pytest.raises(InputError):
@@ -133,9 +134,10 @@ class TestScreenPartitions:
             # stored gaps match the public operations
             assert sp.delta_rho == pytest.approx(delta_rho(g, sp.partition))
             assert sp.delta_p == pytest.approx(delta_p(g, sp.partition))
-            # re-deriving the map from stored profiles reproduces it exactly
-            rederived = topic_map_from_profiles(sp.profile_red, sp.profile_green)
-            assert np.array_equal(rederived.labels, sp.topic_map.labels)
+            # re-deriving the map from the partition's profiles reproduces it exactly
+            sides = _sides(g, sp.partition.red_mask()[None])
+            _, pr, pg = _profile_gap(_edge_weights(g, True), *sides)
+            assert np.array_equal(_topic_labels(pr[0], pg[0]), sp.topic_map.labels)
 
     def test_deterministic(self):
         g = two_block_topic_graph()
@@ -360,10 +362,7 @@ class TestStackedProfiles:
                 red_in, green_in = _sides(g, sp.partition.red_mask())
                 want_d, want_r, want_g = per_draw_profile_gap(weights, red_in, green_in)
                 assert sp.delta_p == want_d
-                assert sp.profile_red.tobytes() == want_r.tobytes()
-                assert sp.profile_green.tobytes() == want_g.tobytes()
-                assert sp.topic_map.labels.tolist() == \
-                    topic_map_from_profiles(want_r, want_g).labels.tolist()
+                assert sp.topic_map.labels.tolist() == _topic_labels(want_r, want_g).tolist()
 
     def test_public_functions_match_per_draw_sums(self):
         rng = np.random.default_rng(11)
@@ -448,16 +447,16 @@ class TestEstimateRates:
         assert est.p2 == 0.0  # the cross edge (0,4) counts toward neither side
 
     def test_bounded_by_side_density(self):
-        from vnom import induced_subgraph, relative_density
         params = KidneyEggParams(40, 12, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
         for seed in range(4):
             g = sample_kidney_egg(params, seed)
             part = Partition(g.n, g.red_set())
             est = estimate_rates(g, part)
-            assert est.p1 + est.p2 <= relative_density(
-                induced_subgraph(g, part.green_ids())) + 1e-12
-            assert est.s1 + est.s2 <= relative_density(
-                induced_subgraph(g, part.red_ids)) + 1e-12
+            for rate_sum, side in ((est.p1 + est.p2, ~part.red_mask()),
+                                   (est.s1 + est.s2, part.red_mask())):
+                # edges of the side-induced subgraph over its vertex pairs
+                num_edges = np.count_nonzero(side[g.edge_u] & side[g.edge_v])
+                assert rate_sum <= num_edges / comb(np.count_nonzero(side), 2) + 1e-12
 
     def test_side_size_validation(self):
         g = build_attributed(4, [], red={0})

@@ -84,7 +84,7 @@ class TestSampleKidneyEgg:
         g = sample_kidney_egg(params, 17)
         assert g.num_red == 10
         assert g.num_identified == 4
-        assert set(g.identified_set()) <= set(g.red_set())
+        assert set(np.flatnonzero(g.observed == RED)) <= set(g.red_set())
 
     def test_equal_seeds_bit_identical(self):
         params = KidneyEggParams(40, 10, 3, PAPER_P, PAPER_S)
@@ -210,19 +210,19 @@ class TestContextScorePMF:
         params = KidneyEggParams(20, 8, 5, PAPER_P, PAPER_S)
         pmf = context_score_pmf(params, GREEN)
         assert len(pmf) == 6
-        assert pmf.prob(0) == pytest.approx(0.6 ** 5, rel=1e-12)
+        assert pmf.probs[0] == pytest.approx(0.6 ** 5, rel=1e-12)
 
     def test_red_binomial(self):
         # Bin(5, s1+s2) = Bin(5, 0.6)
         params = KidneyEggParams(20, 8, 5, PAPER_P, PAPER_S)
         pmf = context_score_pmf(params, RED)
-        assert pmf.prob(5) == pytest.approx(0.6 ** 5, rel=1e-12)
+        assert pmf.probs[5] == pytest.approx(0.6 ** 5, rel=1e-12)
 
     def test_zero_edge_prob_point_mass(self):
         params = KidneyEggParams(20, 8, 5, (1, 0, 0), (1, 0, 0))
         for cls in (RED, GREEN):
             pmf = context_score_pmf(params, cls)
-            assert pmf.prob(0) == 1.0
+            assert pmf.probs[0] == 1.0
 
 
 class TestContentScorePMF:
@@ -234,13 +234,13 @@ class TestContentScorePMF:
     def test_red_zero_rates_point_mass(self):
         params = KidneyEggParams(10, 4, 2, (1, 0, 0), (0.5, 0, 0.5))
         pmf = content_score_pmf(params, RED)
-        assert pmf.prob(0) == 1.0
+        assert pmf.probs[0] == 1.0
 
     def test_red_hand_convolution(self):
         # n=5, m=3: Bin(2, 0.5) * Bin(2, 0.25); P[0] = 0.25 * 0.5625
         params = KidneyEggParams(5, 3, 1, (0.75, 0.25, 0.0), (0.5, 0.5, 0.0))
         pmf = content_score_pmf(params, RED)
-        assert pmf.prob(0) == pytest.approx(0.25 * 0.5625, rel=1e-12)
+        assert pmf.probs[0] == pytest.approx(0.25 * 0.5625, rel=1e-12)
         assert len(pmf) == 5
 
     def test_sums_to_one(self):
@@ -272,8 +272,8 @@ class TestContentGivenContext:
         params = KidneyEggParams(10, 4, 2, (0.8, 0.2, 0.0), (0.6, 0.4, 0.0))
         cond = content_given_context_pmf(params, GREEN, 2)
         shifted = binomial_pmf(7, 0.2)
-        assert cond.prob(0) == 0.0
-        assert cond.prob(1) == 0.0
+        assert cond.probs[0] == 0.0
+        assert cond.probs[1] == 0.0
         assert np.allclose(cond.probs[2:], shifted.probs, atol=1e-12)
 
     def test_green_hand_convolution(self):

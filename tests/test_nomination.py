@@ -86,7 +86,7 @@ class TestScores:
             g = sample_kidney_egg(params, s)
             for v in np.flatnonzero(g.observed == 0)[:6]:
                 assert context_score(g, int(v)) <= g.num_identified
-                assert content_score(g, int(v)) <= g.degree(int(v)) <= g.n - 1
+                assert content_score(g, int(v)) <= len(g.neighbors(int(v))) <= g.n - 1
 
 
 def loop_score_counts(n, edge_u, edge_v, red_edge, identified):
