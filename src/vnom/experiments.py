@@ -27,7 +27,7 @@ from .graph import RED
 from .kidney_egg import KidneyEggParams, Simplex3, sample_kidney_egg
 from .metrics import CRITERIA, MetricTable, mask_metrics
 from .nomination import (GAMMA_GRID_DEFAULT, candidate_statistics, fused_order,
-                         prepare_ranking, validate_gamma_grid)
+                         prepare_ranking, tiebreak_order, validate_gamma_grid)
 from .seeding import child_generators
 
 
@@ -144,13 +144,16 @@ def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
 
     ``t0``/``t1`` are the candidates' context and content scores, ``red``
     their truth mask and ``tiebreak`` the keys ordering tied candidates
-    (ascending, then by position).  Returns a (gammas x metrics) array with
-    the columns of :func:`vnom.metrics.mask_metrics`.  The four arrays may
-    instead be (instances x candidates) stacks with one red count per stack;
+    (ascending, then by position).  Integer keys in [0, 2**16), as any
+    permutation of fewer than 65 536 candidates is, are sorted as uint16
+    keys (:func:`vnom.nomination.tiebreak_order`), by numpy's radix sort.
+    Returns a (gammas x metrics) array with the columns of
+    :func:`vnom.metrics.mask_metrics`.  The four arrays may instead be
+    (instances x candidates) stacks with one red count per stack;
     each row is then ranked on its own, with one sort per gamma for the whole
     stack, and the result is (instances x gammas x metrics).
     """
-    first = np.asarray(tiebreak).argsort(axis=-1, kind="stable")  # kept by stable fused sorts
+    first = tiebreak_order(tiebreak)  # kept by stable fused sorts
     t0, t1 = prepare_ranking(t0, t1)  # range checks once, not per gamma
     t0, t1, red = _take_rows(t0, first), _take_rows(t1, first), _take_rows(red, first)
     grid = tuple(gamma_grid)

@@ -20,6 +20,7 @@ from math import comb, fsum
 import numpy as np
 
 from .errors import InputError, NoRedCandidatesError
+from .graph import MAX_VERTICES
 from .nomination import Ranking
 
 CRITERIA = ("s_at_1", "mrr", "map")  # the first three columns of mask_metrics
@@ -218,10 +219,15 @@ def chance_baseline(n_candidates: int, n_red: int, criterion: str,
     E[S@1] = R/N; MRR is E[1/X_1] and AP^y the mean of E[j/X_j] over j <= y,
     with X_j the negative-hypergeometric rank of the j-th red; MAP is
     Bestgen's O(N) closed form ((R-1)/(N-1) (N - H_N) + H_N) / N, H_N the
-    N-th harmonic number.
+    N-th harmonic number.  The MAP, MRR and AP^y forms take O(N) steps, so
+    N is bounded by ``graph.MAX_VERTICES``, the size of the largest graph
+    whose candidates could be ranked.
     """
     if not 1 <= n_red <= n_candidates:
         raise InputError("need 1 <= n_red <= n_candidates")
+    if n_candidates > MAX_VERTICES:
+        raise InputError(f"n_candidates must be at most {MAX_VERTICES} (graph.MAX_VERTICES), "
+                         f"got {n_candidates}")
     if criterion not in BASELINE_CRITERIA:
         raise InputError(f"criterion must be one of {BASELINE_CRITERIA}, got {criterion!r}")
     if criterion == "ap_y":

@@ -12,12 +12,22 @@ rational a grid float stands for, or else the float's exact binary value.
 Equal fused values therefore never split and unequal ones never merge through
 float rounding.  :func:`fused_order` sorts the keys stably, so tied
 candidates keep their input order; callers put the candidates in tie-break
-order first, once per candidate set, and rank that order at every gamma.
+order first (:func:`tiebreak_order`), once per candidate set, and rank that
+order at every gamma.
+
+Keys come in three tiers, the narrowest exact one first.
 :func:`prepare_ranking` checks the score range once per candidate set and
-narrows the scores to int32, from which :func:`fused_order` takes its int64
-path by dtype and ``den < 2**32`` alone, with no pass over the data.  Keys
-int64 cannot be shown to hold, as for a gamma that is no small rational, are
-Python ints.
+narrows the scores to uint8 (every score below 2**8) or int32 (below 2**31);
+:func:`fused_order` then picks the key type by dtype and ``den`` alone, with
+no pass over the data:
+
+- uint8 scores and ``den <= 128`` give int16 keys (|key| <= 128*255 < 2**15);
+- uint8 or int32 scores and ``den < 2**32`` give int64 keys;
+- any other keys, as for a gamma that is no small rational, are Python ints.
+
+A stable sort orders equal keys by position whatever their dtype, so every
+tier gives the same permutation as the widest; numpy sorts 16-bit keys stably
+by radix sort, which is what the narrow tiers buy.
 
 :func:`score_counts` counts both scores for every vertex from bare edge arrays;
 it serves attributed graphs, importance trials and sampled score PMFs alike.
@@ -133,8 +143,10 @@ def candidate_statistics(g: AttributedGraph):
 
 
 _SMALL_DENOMINATOR = 1_000_000  # largest denominator read as a small rational
-_INT32 = np.dtype(np.int32)
-_FAST_LIMIT = 1 << 32  # den below this keeps every fused key of int32 scores inside int64
+_UINT8, _INT32 = np.dtype(np.uint8), np.dtype(np.int32)
+_NARROW = (_UINT8, _INT32)  # the score dtypes prepare_ranking returns short of int64
+_INT16_DEN = 128  # den up to this keeps every fused key of uint8 scores inside int16
+_INT64_DEN = 1 << 32  # den below this keeps every fused key of int32 scores inside int64
 
 
 @lru_cache(maxsize=4096)
@@ -151,33 +163,44 @@ def _gamma_weights(gamma) -> tuple:
 
 
 def prepare_ranking(t0, t1) -> tuple:
-    """(t0, t1) as int32, the dtype of :func:`fused_order`'s int64 path, when
-    every score lies in [0, 2**31), which holds exactly when the bitwise OR of
-    all scores does; else as int64 arrays."""
+    """(t0, t1) in the narrowest dtype of :func:`fused_order`'s key tiers:
+    uint8 when every score lies in [0, 2**8), int32 when every score lies in
+    [0, 2**31), else int64.  Each range holds exactly when the bitwise OR of
+    all scores lies in it, so one reduction picks the dtype."""
     t0 = np.asarray(t0, dtype=np.int64)
     t1 = np.asarray(t1, dtype=np.int64)
-    if t0.size and 0 <= np.bitwise_or.reduce(t0 | t1, axis=None) < 1 << 31:
-        return t0.astype(np.int32), t1.astype(np.int32)
+    if t0.size:
+        bits = np.bitwise_or.reduce(t0 | t1, axis=None)
+        if 0 <= bits < 1 << 8:
+            return t0.astype(_UINT8), t1.astype(_UINT8)
+        if 0 <= bits < 1 << 31:
+            return t0.astype(_INT32), t1.astype(_INT32)
     return t0, t1
 
 
 def _fused_keys(t0, t1, gamma) -> tuple:
     """(keys, den): ``-((den-num)*t0 + num*t1)``, an exact integer per
-    candidate, ascending as the fused score descends.  Int32 scores with
-    den < 2**32 give int64 keys at once; other scores go through
-    :func:`prepare_ranking` first, and keys int64 still cannot be shown to
-    hold are Python ints (:func:`_exact_keys`)."""
+    candidate, ascending as the fused score descends.  Scores not already
+    uint8 or int32 go through :func:`prepare_ranking` first; then the dtype
+    and ``den`` alone pick the key type: int16 for uint8 scores with
+    ``den <= 128``, since ``|key| <= 128*255 = 32640``; int64 for uint8 or
+    int32 scores with ``den < 2**32``; else Python ints
+    (:func:`_exact_keys`).  The stable sort of any tier gives the same
+    permutation, so the choice never moves an output byte."""
     w0, w1, den = _gamma_weights(gamma)
     t0, t1 = np.asarray(t0), np.asarray(t1)
-    if t0.dtype != _INT32 or t1.dtype != _INT32:
+    if t0.dtype != t1.dtype or t0.dtype not in _NARROW:
         t0, t1 = prepare_ranking(t0, t1)  # t0, t1 share a dtype
-    if t0.dtype == _INT32 and den < _FAST_LIMIT:
+    if t0.dtype == _UINT8 and den <= _INT16_DEN:
+        return _key_formula(t0, t1, w0, w1, np.int16), den
+    if t0.dtype in _NARROW and den < _INT64_DEN:
         return _key_formula(t0, t1, w0, w1, np.int64), den
     return _exact_keys(t0, t1, w0, w1), den
 
 
 def _key_formula(t0, t1, w0, w1, dtype):
-    # widened before any product, so no numpy version's promotion rules apply
+    # widened before any product, and every weight fits the key dtype, so no
+    # numpy version's promotion rules apply
     keys = t0.astype(dtype)
     keys *= -w0
     term = t1.astype(dtype)
@@ -191,6 +214,22 @@ def _exact_keys(t0, t1, w0, w1):
     return _key_formula(t0, t1, w0, w1, object)
 
 
+def _stable_order(keys) -> np.ndarray:
+    """The stable argsort of ``keys`` along the last axis: every ranking sort."""
+    return keys.argsort(axis=-1, kind="stable")  # the method skips np.argsort's dispatch
+
+
+def tiebreak_order(tiebreak) -> np.ndarray:
+    """Stable permutation sorting candidates by ascending ``tiebreak`` keys,
+    row by row for stacks.  Integer keys in [0, 2**16), which cover every
+    permutation of fewer than 65 536 candidates, are sorted as uint16, which
+    numpy sorts by radix sort; the permutation is the same for any dtype."""
+    keys = np.asarray(tiebreak)
+    if keys.dtype.kind in "iu" and 0 <= np.bitwise_or.reduce(keys, axis=None) < 1 << 16:
+        keys = keys.astype(np.uint16)
+    return _stable_order(keys)
+
+
 def fused_order(t0, t1, gamma) -> np.ndarray:
     """Stable permutation sorting candidates by fused score descending.
 
@@ -199,7 +238,7 @@ def fused_order(t0, t1, gamma) -> np.ndarray:
     the candidates first.  Stacks of candidate rows are ranked row by row.
     """
     keys, _ = _fused_keys(t0, t1, gamma)
-    return keys.argsort(axis=-1, kind="stable")  # the method skips np.argsort's dispatch
+    return _stable_order(keys)
 
 
 def rank_candidates(g: AttributedGraph, gamma: float, seed) -> Ranking:
@@ -212,9 +251,9 @@ def rank_candidates(g: AttributedGraph, gamma: float, seed) -> Ranking:
     cand, t0, t1 = candidate_statistics(g)
     if cand.size == 0:
         raise InputError("graph has no candidates to rank")
-    first = generator(seed).permutation(cand.size).argsort(kind="stable")  # tie-break order
+    first = tiebreak_order(generator(seed).permutation(cand.size))
     keys, den = _fused_keys(t0[first], t1[first], gamma)
-    order = keys.argsort(kind="stable")  # ties keep the tie-break order
+    order = _stable_order(keys)  # ties keep the tie-break order
     fused = -keys[order]  # fused scores times den, descending
     bounds = [0, *(np.flatnonzero(np.diff(fused) != 0) + 1).tolist(), cand.size]
     tie_groups = tuple((a, b) for a, b in zip(bounds, bounds[1:]) if b - a >= 2)

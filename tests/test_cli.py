@@ -240,6 +240,17 @@ class TestBaseline:
         assert time.perf_counter() - start < 1.0
         assert 0.5 < json.loads(out)["value"] < 0.51
 
+    def test_more_candidates_than_any_graph_exits_1_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "baseline", "--candidates", "1000000000",
+                                 "--reds", "1", "--criterion", "map")
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "16777216" in err and "1000000000" in err
+        code, out, _ = run_cli(capsys, "baseline", "--candidates", "16777216",
+                               "--reds", "16777216", "--criterion", "s_at_1")
+        assert code == 0 and json.loads(out)["value"] == 1.0
+
 
 class TestAnalytic:
     def test_pmf_columns_sum_to_one(self, capsys):

@@ -237,6 +237,30 @@ def test_small_rational_gammas_never_take_the_object_key_path(monkeypatch):
     assert len(entries) == 1
 
 
+def test_bench_surface_shape_sorts_only_16_bit_keys(monkeypatch):
+    # value tests cannot see which key dtype a sort was given, so record it at
+    # the one function every ranking sort goes through
+    seen = []
+    stable_order = vnom.nomination._stable_order
+
+    def spied(keys):
+        seen.append(keys.dtype)
+        return stable_order(keys)
+
+    monkeypatch.setattr(vnom.nomination, "_stable_order", spied)
+    params = KidneyEggParams(184, 40, 30, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
+    grid = len(GAMMA_GRID_DEFAULT)
+    gamma_surface(params, GAMMA_GRID_DEFAULT, y_max=3, replicates=3, seed=3)
+    assert seen == 3 * ([np.dtype(np.uint16)] + [np.dtype(np.int16)] * grid)
+    g = sample_kidney_egg(params, 9)
+    cand, t0, t1 = candidate_statistics(g)
+    red, tiebreak = g.truth[cand] == RED, np.random.default_rng(9).permutation(cand.size)
+    t1[0] = 256  # one score past uint8 moves every gamma to int64 keys
+    seen.clear()
+    evaluate_grid(t0, t1, red, tiebreak, GAMMA_GRID_DEFAULT, (1, 2, 3))
+    assert seen == [np.dtype(np.uint16)] + [np.dtype(np.int64)] * grid
+
+
 def test_scores_are_checked_once_per_candidate_set(monkeypatch):
     # more candidates than a uint16 key can number, so a range check that
     # fell back to running per gamma would show here

@@ -11,9 +11,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import vnom.nomination
+from vnom import KidneyEggParams, candidate_statistics, rank_candidates, sample_kidney_egg
 from vnom.experiments import evaluate_grid
 from vnom.metrics import mask_metrics
-from vnom.nomination import _gamma_weights
+from vnom.nomination import _fused_keys, _gamma_weights, prepare_ranking, tiebreak_order
 
 from conftest import order_with_tiebreak
 
@@ -117,6 +119,73 @@ def test_more_candidates_than_uint16_keys():
     for gamma, (w0, w1) in ((0.0, (1, 0)), (0.5, (1, 1)), (1 / 3, (2, 1))):
         want = np.lexsort((tiebreak, -(w0 * t0 + w1 * t1)))
         assert np.array_equal(order_with_tiebreak(t0, t1, gamma, tiebreak), want), gamma
+
+
+# den 1, 128, 2, 128, 1 take int16 keys for scores below 2**8; den 129 takes int64
+TIER_GAMMAS = (0.0, 1 / 128, 0.5, 127 / 128, 1.0, 1 / 129, 128 / 129)
+
+
+@pytest.mark.parametrize("top", [(1 << 8) - 1, 1 << 8])
+def test_key_tiers_at_their_edges_match_oracle(top):
+    # row 0 holds the widest int16 key, -(128*255), at den 128; rows 1 and 2
+    # are all tied, row 3 ties in pairs around the top score, and row 4's
+    # scores OR to exactly the top, so alone it sits at the uint8 edge
+    rng = np.random.default_rng(top)
+    n = 50
+    t0, t1 = rng.integers(0, top + 1, (5, n)), rng.integers(0, top + 1, (5, n))
+    t0[0, :2] = t1[0, :2] = top
+    t0[1], t1[1] = top, top
+    t0[2], t1[2] = 7, 0
+    t0[3], t1[3] = rng.integers(top - 1, top + 1, (2, n))
+    t0[4], t1[4] = rng.choice([0, top], (2, n))
+    tiebreak = np.stack([rng.permutation(n) for _ in range(5)])
+    for gamma in TIER_GAMMAS:
+        den = _gamma_weights(gamma)[2]
+        keys, _ = _fused_keys(*prepare_ranking(t0, t1), gamma)
+        assert keys.dtype == (np.int16 if top < 1 << 8 and den <= 128 else np.int64), gamma
+        want = [oracle_order(a, b, gamma, c)
+                for a, b, c in zip(t0.tolist(), t1.tolist(), tiebreak.tolist())]
+        assert order_with_tiebreak(t0, t1, gamma, tiebreak).tolist() == want, gamma
+        for row in range(5):
+            got = order_with_tiebreak(t0[row], t1[row], gamma, tiebreak[row])
+            assert got.tolist() == want[row], (gamma, row)
+
+
+@pytest.mark.parametrize("top, dtype", [((1 << 16) - 1, np.int64), (1 << 16, np.int64),
+                                        ((1 << 16) - 1, np.uint32), (1 << 16, np.uint32),
+                                        (-1, np.int64), (-1, np.int32)])
+def test_tiebreak_order_at_the_uint16_edge(top, dtype):
+    # a key cast to uint16 past its range would wrap (65536 -> 0, -1 -> 65535)
+    # and move ahead of, or behind, the small keys beside it
+    rng = np.random.default_rng(abs(top))
+    n = 40
+    keys = rng.integers(min(top, 0), max(top, 0) + 1, (4, n))
+    keys[0, :4] = (top, 0, 1, top)
+    keys[1] = top  # all tied: position order
+    keys[2] = rng.integers(0, 3, n)
+    keys[3] = rng.choice([0, top], n)  # alone, ORs to exactly the top
+    keys = keys.astype(dtype)
+    want = [sorted(range(n), key=lambda i: (row[i], i)) for row in keys.tolist()]
+    assert tiebreak_order(keys).tolist() == want
+    for row in range(4):
+        assert tiebreak_order(keys[row]).tolist() == want[row]
+
+
+@pytest.mark.parametrize("seed", [9, 10])
+def test_rank_candidates_matches_int64_keys(monkeypatch, seed):
+    # the bench surface shape: scores below 2**8, so den <= 128 takes int16 keys
+    g = sample_kidney_egg(KidneyEggParams(184, 40, 30, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2)), seed)
+    assert prepare_ranking(*candidate_statistics(g)[1:])[0].dtype == np.uint8
+    gammas = (0.0, 1 / 128, 0.37, 127 / 128, 1.0, 1 / 129)
+    narrow = [rank_candidates(g, gamma, seed) for gamma in gammas]
+    monkeypatch.setattr(vnom.nomination, "_INT16_DEN", 0)  # every den takes int64 keys
+    for gamma, got in zip(gammas, narrow):
+        want = rank_candidates(g, gamma, seed)
+        assert got.ordered.tolist() == want.ordered.tolist(), gamma
+        assert got.scores.dtype == want.scores.dtype == np.float64
+        assert got.scores.tobytes() == want.scores.tobytes(), gamma
+        assert got.tie_groups == want.tie_groups and got.tie_groups, gamma
+
 
 def lexsort_metrics(t0, t1, red, tiebreak, gamma, y_values):
     """Metric rows of one gamma, ranked by np.lexsort on the dense ranks of
