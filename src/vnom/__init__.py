@@ -8,14 +8,13 @@ identified set) with content (who talks about the topic of interest).
 
 from .errors import (DegenerateConditioningError, EmptyProfileError, GraphFormatError,
                      InputError, NoRedCandidatesError, UndefinedDensityError, VnomError)
-from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph,
-                    VertexLabel, candidate_set)
+from .graph import GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph, candidate_set
 from .kidney_egg import (PMF, KidneyEggParams, Simplex3, binomial_pmf,
                          content_given_context_pmf, content_pmf_from_conditionals,
                          content_score_pmf, context_score_pmf, empirical_pmf,
                          empirical_score_pmfs, sample_kidney_egg, tv_distance)
 from .nomination import (GAMMA_GRID_DEFAULT, Ranking, candidate_statistics,
-                         content_score, context_score, fused_score, rank_candidates)
+                         content_score, context_score, rank_candidates)
 from .metrics import (EvalReport, MetricTable, aggregate_reports, average_precision,
                       average_precision_at_y, chance_baseline, evaluate_ranking,
                       precision_at, reciprocal_rank, success_at_1)

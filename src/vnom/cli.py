@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, VnomError
 from .experiments import SweepSpec, gamma_surface, run_sweep
-from .graph import Partition
+from .graph import GREEN, RED, Partition
 from .importance import (ScreeningThresholds, TrialsResult, check_trial_arguments,
                          estimate_rates, run_importance_trials, screen_partitions)
 from .kidney_egg import (KidneyEggParams, Simplex3, content_pmf_from_conditionals,
@@ -221,7 +221,7 @@ def _cmd_simulate(args) -> int:
         "params": _model_config(params),
         "gamma": args.gamma,
         "edges": g.num_edges,
-        "top": [{"vertex": int(v), "score": float(s), "truth_red": bool(g.truth[v] == 1)}
+        "top": [{"vertex": int(v), "score": float(s), "truth_red": bool(g.truth[v] == RED)}
                 for v, s in zip(ranking.ordered[:args.top], ranking.scores[:args.top])],
         "report": {"s_at_1": report.s_at_1, "rr": report.rr, "ap": report.ap},
     }
@@ -320,12 +320,12 @@ def _cmd_analytic(args) -> int:
         raise InputError(f"--samples must be >= 0, got {args.samples}")
     params = _params_from(args)
     tables = {
-        ("context", "green"): context_score_pmf(params, 2),
-        ("context", "red"): context_score_pmf(params, 1),
-        ("content", "green"): content_score_pmf(params, 2),
-        ("content", "red"): content_score_pmf(params, 1),
-        ("content_mixture", "green"): content_pmf_from_conditionals(params, 2),
-        ("content_mixture", "red"): content_pmf_from_conditionals(params, 1),
+        ("context", "green"): context_score_pmf(params, GREEN),
+        ("context", "red"): context_score_pmf(params, RED),
+        ("content", "green"): content_score_pmf(params, GREEN),
+        ("content", "red"): content_score_pmf(params, RED),
+        ("content_mixture", "green"): content_pmf_from_conditionals(params, GREEN),
+        ("content_mixture", "red"): content_pmf_from_conditionals(params, RED),
     }
     config = _model_config(params, samples=args.samples)
     tv_rows = []

@@ -19,24 +19,14 @@ symbol table handled by :mod:`vnom.io`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import IntEnum
 
 import numpy as np
 
 from .errors import InputError
 
 
-class VertexLabel(IntEnum):
-    """Vertex color; OCCLUDED is legal only in the observed layer."""
-
-    OCCLUDED = 0
-    RED = 1
-    GREEN = 2
-
-
-RED = int(VertexLabel.RED)
-GREEN = int(VertexLabel.GREEN)
-OCCLUDED = int(VertexLabel.OCCLUDED)
+# Vertex colors; OCCLUDED is legal only in the observed layer.
+OCCLUDED, RED, GREEN = 0, 1, 2
 
 # Largest vertex count of a graph.  Every graph holds (n + 1)-entry arrays and
 # screening and trials hold (rows x n) ones, so a larger n cannot be worked

@@ -52,8 +52,7 @@ def write_topic_graph(g: TopicGraph, path, metadata: dict | None = None) -> None
             lines.append(f"# {key}: {metadata[key]}")
     lines.append(f"#n={g.n}")
     lines.append(f"#k={g.k_topics}")
-    names = g.vertex_names or tuple(f"v{i}" for i in range(g.n))
-    for i, name in enumerate(names):
+    for i, name in enumerate(g.vertex_names or ()):  # an unnamed graph stays unnamed
         lines.append(f"#vertex {i} {name}")
     for e in range(g.num_edges):
         probs = " ".join(_fmt_prob(x) for x in g.topic_probs[e])

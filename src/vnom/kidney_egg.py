@@ -292,22 +292,16 @@ def empirical_score_pmfs(params: KidneyEggParams, n_samples: int, seed):
     """
     if n_samples < 1:
         raise InputError("n_samples must be >= 1")
-    vals = {("green", "context"): [], ("green", "content"): [],
-            ("red", "context"): [], ("red", "content"): []}
+    # (sample, green/red vertex, context/content score)
+    scores = np.empty((n_samples, 2, 2), dtype=np.int64)
     chunks = (child_generators(seed, [(i,) for i in range(lo, min(lo + _SAMPLE_CHUNK, n_samples))])
               for lo in range(0, n_samples, _SAMPLE_CHUNK))
-    for rng in chain.from_iterable(chunks):  # sample i draws from child_seed(seed, i)
+    for i, rng in enumerate(chain.from_iterable(chunks)):  # sample i draws from child_seed(seed, i)
         g = sample_kidney_egg(params, rng)
         t0_all, t1_all = score_counts(g.n, g.edge_u, g.edge_v, g.edge_attr == RED,
                                       g.observed == RED)
-        green_v = int(np.flatnonzero(g.truth == GREEN)[0])
-        red_v = int(g.red_candidates()[0])
-        vals[("green", "context")].append(t0_all[green_v])
-        vals[("green", "content")].append(t1_all[green_v])
-        vals[("red", "context")].append(t0_all[red_v])
-        vals[("red", "content")].append(t1_all[red_v])
-    return {
-        cls: {kind: empirical_pmf(vals[(cls, kind)]) for kind in ("context", "content")}
-        for cls in ("green", "red")
-    }
-
+        vertices = [np.flatnonzero(g.truth == GREEN)[0], g.red_candidates()[0]]
+        scores[i] = np.column_stack((t0_all[vertices], t1_all[vertices]))
+    return {cls: {kind: empirical_pmf(scores[:, c, k])
+                  for k, kind in enumerate(("context", "content"))}
+            for c, cls in enumerate(("green", "red"))}

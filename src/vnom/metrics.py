@@ -34,7 +34,7 @@ class EvalReport:
     s_at_1: int
     rr: float
     ap: float
-    ap_y: dict = field(default_factory=dict)
+    ap_y: dict
 
 
 def _truth_mask(r: Ranking, truth) -> np.ndarray:
@@ -193,14 +193,22 @@ def aggregate_reports(reports: dict) -> MetricTable:
     return MetricTable.fold(reports, np.swapaxes(values, 1, 2), y_values)
 
 
+def _harmonic_span(lo: int, hi: int) -> float:
+    """H_hi - H_(lo-1), the sum of 1/k over k = lo..hi, as one fsum."""
+    return fsum(1.0 / k for k in range(lo, hi + 1))
+
+
 def _expected_hit_precision(n: int, r: int, j: int) -> float:
     """E[j / X_j], X_j the rank of the j-th of r reds among n shuffled candidates.
 
     X_j is negative-hypergeometric: P(X_j = k) = C(k-1, j-1) C(n-k, r-j) /
-    C(n, r) for k in j..n-r+j.  Each term is one correctly rounded ratio of
-    integers, each numerator follows from the previous one, and fsum adds
-    the terms with a single final rounding.
+    C(n, r) for k in j..n-r+j.  For j = 1 the sum has the closed form
+    E[1/X_1] = r (H_n - H_(r-1)) / (n - r + 1).  For j > 1 each term is one
+    correctly rounded ratio of integers, each numerator follows from the
+    previous one, and fsum adds the terms with a single final rounding.
     """
+    if j == 1:
+        return r * _harmonic_span(r, n) / (n - r + 1)
     total = comb(n, r)
     last = n - r + j
     ways = comb(n - j, r - j)  # C(k-1, j-1) C(n-k, r-j) at k = j
@@ -216,12 +224,13 @@ def chance_baseline(n_candidates: int, n_red: int, criterion: str,
                     y: int | None = None) -> float:
     """Expected metric value under a uniformly random ranking, exactly.
 
-    E[S@1] = R/N; MRR is E[1/X_1] and AP^y the mean of E[j/X_j] over j <= y,
-    with X_j the negative-hypergeometric rank of the j-th red; MAP is
-    Bestgen's O(N) closed form ((R-1)/(N-1) (N - H_N) + H_N) / N, H_N the
-    N-th harmonic number.  The MAP, MRR and AP^y forms take O(N) steps, so
-    N is bounded by ``graph.MAX_VERTICES``, the size of the largest graph
-    whose candidates could be ranked.
+    E[S@1] = R/N; MRR is E[1/X_1] = R (H_N - H_(R-1)) / (N - R + 1) and AP^y
+    the mean of E[j/X_j] over j <= y, with X_j the negative-hypergeometric
+    rank of the j-th red; MAP is Bestgen's O(N) closed form
+    ((R-1)/(N-1) (N - H_N) + H_N) / N, H_N the N-th harmonic number.  The
+    MAP, MRR and AP^y forms take O(N) steps (AP^y's terms for j >= 2 are big
+    integers), so N is bounded by ``graph.MAX_VERTICES``, the size of the
+    largest graph whose candidates could be ranked.
     """
     if not 1 <= n_red <= n_candidates:
         raise InputError("need 1 <= n_red <= n_candidates")
@@ -242,7 +251,7 @@ def chance_baseline(n_candidates: int, n_red: int, criterion: str,
     if criterion == "s_at_1":
         return r / n
     if criterion == "map":
-        harmonic = fsum(1.0 / k for k in range(1, n + 1))
+        harmonic = _harmonic_span(1, n)
         slope = (r - 1) / (n - 1) if n > 1 else 0.0
         return (slope * (n - harmonic) + harmonic) / n
     depth = 1 if criterion == "mrr" else y

@@ -96,12 +96,6 @@ def content_score(g: AttributedGraph, v: int) -> int:
     return int(np.count_nonzero(g.incident_attrs(v) == RED))
 
 
-def fused_score(g: AttributedGraph, v: int, gamma: float) -> float:
-    """(1-gamma) * context + gamma * content."""
-    _check_gamma(gamma)
-    return (1.0 - gamma) * context_score(g, v) + gamma * content_score(g, v)
-
-
 def _check_gamma(gamma: float):
     if not 0.0 <= gamma <= 1.0:
         raise InputError(f"gamma must lie in [0, 1], got {gamma}")

@@ -10,7 +10,10 @@ independent of execution order and worker count.
 Many children of one seed are derived in one batch by
 :func:`child_generators`.  It runs numpy's ``SeedSequence`` hash over all
 their keys at once, so each of its generators draws exactly the stream of
-``generator(child_seed(seed, *key))``.
+``generator(child_seed(seed, *key))``.  Its keys are tuples of one length,
+at least 1, of ints below 2**32.  PCG64 seeds from a precomputed state row's
+memory as it lies, so the rows are handed over C-contiguous: a strided row
+with the same values would seed a different stream.
 """
 
 from __future__ import annotations
@@ -67,51 +70,47 @@ def child_generators(seed, keys):
     """One generator per key, lazily: the i-th draws exactly the stream of
     ``generator(child_seed(seed, *keys[i]))``.
 
-    The children's states come from one vectorized pass of the
-    ``SeedSequence`` hash, made when this is called; each generator is built
-    only when the returned iterator reaches it.  The hash has a fixed cost
-    of a few hundred microseconds, so batch a few dozen keys or more.
+    The keys are tuples of one length, at least 1, of ints in 0..2**32-1, as
+    every replicate, trial and sample loop makes them; others raise
+    :class:`InputError`.  The children's states come from one vectorized pass
+    of the ``SeedSequence`` hash, made when this is called, into one
+    C-contiguous (children x 4) table whose rows seed PCG64; each generator is
+    built only when the returned iterator reaches it.  The hash has a fixed
+    cost of a few hundred microseconds, so batch a few dozen keys or more.
     """
     base = as_seed_sequence(seed)
-    run, prefix = _words(base.entropy), _words(base.spawn_key)
-    states = np.empty((len(keys), _PCG64_WORDS), dtype=np.uint64)
-    for rows, words in _key_words(keys):  # the hash's steps depend on the word count
-        # a non-empty spawn key pads the run entropy with zeros to the pool size
-        pad = [0] * (_POOL_SIZE - len(run)) if prefix or words.shape[1] else []
-        shared = np.array(run + pad + prefix, dtype=np.uint32)
-        entropy = np.concatenate([np.repeat(shared[:, None], len(words), axis=1), words.T])
-        states[rows] = _pcg64_states(entropy)
+    words = _key_table(keys)
+    # a child's spawn key is never empty, so its run entropy is zero-padded to the pool size
+    run = _words(base.entropy)
+    shared = np.array(run + [0] * (_POOL_SIZE - len(run)) + _words(base.spawn_key),
+                      dtype=np.uint32)
+    entropy = np.concatenate([np.repeat(shared[:, None], len(words), axis=1), words.T])
+    states = np.ascontiguousarray(_pcg64_states(entropy))  # one copy of a transposed view
     state_class = _state_class()
-    return (np.random.Generator(np.random.PCG64(state_class(words))) for words in states)
+    return (np.random.Generator(np.random.PCG64(state_class(row))) for row in states)
 
 
-def _key_words(keys) -> list:
-    """(row indices, (rows x words) uint32 words) of the keys, one pair per
-    word count; keys of ints below 2**32 throughout take one pass."""
+def _key_table(keys) -> np.ndarray:
+    """(children x words) uint32 table of the keys; see child_generators."""
+    if len(keys) == 0:
+        return np.empty((0, 1), dtype=np.uint32)
     try:
         table = np.array(keys)
     except ValueError:  # keys of different lengths
-        table = None
-    if (table is not None and table.ndim == 2 and table.size and table.dtype.kind in "iu"
+        table = np.array(())
+    if not (table.ndim == 2 and table.size and table.dtype.kind in "iu"
             and table.min() >= 0 and table.max() <= _MASK32):
-        return [(slice(None), table.astype(np.uint32))]
-    words = [_words(key) for key in keys]
-    groups = []
-    for size in sorted({len(w) for w in words}):
-        rows = [i for i, w in enumerate(words) if len(w) == size]
-        groups.append((rows, np.array([words[i] for i in rows], dtype=np.uint32)
-                       .reshape(len(rows), size)))
-    return groups
+        raise InputError("seed keys must be tuples of one length >= 1 of ints in 0..2**32-1")
+    return table.astype(np.uint32)
 
 
 def _words(value) -> list:
     """The uint32 words numpy makes of a non-negative int (least significant
-    first, one word for 0) or of a sequence of them, concatenated."""
+    first, one word for 0) or of a sequence of them, concatenated; the
+    entropy and spawn key of a SeedSequence, which numpy checked already."""
     if not isinstance(value, (int, np.integer)):
         return [word for item in value for word in _words(item)]
     value = operator.index(value)
-    if value < 0:
-        raise InputError(f"seed keys must be non-negative integers, got {value}")
     words = [value & _MASK32]
     while value > _MASK32:
         value >>= 32
@@ -165,7 +164,8 @@ def _state_class():
 
     class PrecomputedState(ISeedSequence):
         def __init__(self, words):
-            self.words = words
+            # PCG64 seeds from the row's memory as it lies, whatever its strides
+            self.words = np.ascontiguousarray(words, dtype=np.uint64)
 
         def generate_state(self, n_words, dtype=np.uint32):
             if (n_words, np.dtype(dtype)) != (_PCG64_WORDS, np.dtype(np.uint64)):

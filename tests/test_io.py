@@ -31,6 +31,16 @@ class TestTopicGraphFile:
         assert g1.num_edges == g.num_edges
         assert np.allclose(g1.topic_probs, g.topic_probs)
 
+    def test_unnamed_graph_round_trips_equal(self, tmp_path):
+        # probabilities exact in 12 significant digits, so the file loses nothing
+        g = build_topic(5, [(0, 1, 3, np.array([0.25, 0.75, 0.0])),
+                            (1, 4, 2, np.array([0.125, 0.5, 0.375])),
+                            (2, 3, 7, np.array([0.1, 0.2, 0.7]))], 3)
+        path = tmp_path / "g.topics"
+        write_topic_graph(g, path)
+        assert g.vertex_names is None and "#vertex" not in path.read_text()
+        assert read_topic_graph(path) == g
+
     def test_byte_stable_canonical_form(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         write_topic_graph(self.graph(), a)

@@ -336,6 +336,14 @@ class TestChanceBaseline:
         assert chance_baseline(183, 3, "map") == pytest.approx(float(bestgen_map(183, 3)),
                                                                abs=1e-15)
 
+    @pytest.mark.parametrize("n,r", [(300, 5), (2000, 3)])
+    def test_large_case_mrr_is_the_rank_sum(self, n, r):
+        # E[1/X_1] summed over the first red's rank k, P(X_1 = k) = C(n-k, r-1) / C(n, r)
+        by_rank = sum(Fraction(comb(n - k, r - 1), k) for k in range(1, n - r + 2)) / comb(n, r)
+        value = chance_baseline(n, r, "mrr")
+        assert value == pytest.approx(float(by_rank), rel=1e-15)
+        assert chance_baseline(n, r, "ap_y", y=1) == value
+
     def test_large_case_s_at_1_is_prevalence(self):
         assert chance_baseline(300, 5, "s_at_1") == 5 / 300
         assert chance_baseline(30, 3, "map") == pytest.approx(float(bestgen_map(30, 3)),

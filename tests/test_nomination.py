@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vnom import (InputError, KidneyEggParams, content_score, context_score,
-                  fused_score, gamma_star, rank_candidates, sample_kidney_egg)
+from vnom import (InputError, KidneyEggParams, content_score, context_score, gamma_star,
+                  rank_candidates, sample_kidney_egg)
 from vnom.nomination import fused_order, score_counts
 
 from conftest import build_attributed, order_with_tiebreak
@@ -67,14 +67,6 @@ class TestScores:
         edges = [(u, v, 1) for u, v in itertools.combinations(range(5), 2)]
         g = build_attributed(5, edges)
         assert content_score(g, 2) == 4
-
-    def test_fused_score_arithmetic(self):
-        g = build_attributed(7, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 2)],
-                             red={1, 2}, identified={1, 2})
-        # t0(0) = 2 identified neighbors; t1(0) = 4 red edges
-        assert fused_score(g, 0, 0.0) == context_score(g, 0)
-        assert fused_score(g, 0, 1.0) == content_score(g, 0)
-        assert fused_score(g, 0, 0.5) == pytest.approx(3.0)
 
     def test_identified_vertex_rejected(self, star_graph):
         with pytest.raises(InputError):

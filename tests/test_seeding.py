@@ -11,18 +11,18 @@ import numpy as np
 import pytest
 
 from vnom import InputError
-from vnom.seeding import child_generators, child_seed, generator
+from vnom.seeding import _state_class, child_generators, child_seed, generator
 
 ENTROPIES = [0, 3, 7919, 2**63 - 1, 2**100 + 17, [5, 2**40, 0, 17, 2**32 - 1]]
 PREFIXES = [(), (11, 2**33 + 5)]  # the second takes three words
 
 
-def random_keys(n, seed):
-    """Keys of one to four ints, some of them above 2**32 and 2**64."""
+def random_keys(n, width, seed):
+    """Keys of ``width`` ints below 2**32, some small and some near the top."""
     rnd = random.Random(seed)
-    pick = (lambda: rnd.randrange(2**32), lambda: rnd.randrange(2**32, 2**64),
-            lambda: rnd.randrange(2**100), lambda: rnd.randrange(40))
-    return [tuple(rnd.choice(pick)() for _ in range(rnd.randrange(1, 5))) for _ in range(n)]
+    pick = (lambda: rnd.randrange(2**32), lambda: rnd.randrange(2**32 - 40, 2**32),
+            lambda: rnd.randrange(40))
+    return [tuple(rnd.choice(pick)() for _ in range(width)) for _ in range(n)]
 
 
 def assert_matches_numpy(entropy, prefix, keys):
@@ -42,9 +42,10 @@ def assert_matches_numpy(entropy, prefix, keys):
 @pytest.mark.parametrize("entropy", ENTROPIES, ids=["0", "3", "7919", "2^63-1", "2^100+17", "list"])
 @pytest.mark.parametrize("prefix", PREFIXES, ids=["no-prefix", "prefix"])
 def test_child_generators_match_numpy_seed_sequences(entropy, prefix):
-    # mixed word counts in one call; the fixed keys take one, two and three words
-    keys = [(0,), (2**32 - 1,), (2**32,), (2**64 + 3, 1), (1, 2, 3)] + random_keys(200, 7)
-    assert_matches_numpy(entropy, prefix, keys)
+    # one call per key width, each with the extreme words 0 and 2**32 - 1
+    for width in range(1, 5):
+        keys = [(0,) * width, (2**32 - 1,) * width] + random_keys(50, width, 7 + width)
+        assert_matches_numpy(entropy, prefix, keys)
 
 
 @pytest.mark.parametrize("prefix", PREFIXES, ids=["no-prefix", "prefix"])
@@ -52,12 +53,6 @@ def test_single_word_keys_match_numpy_seed_sequences(prefix):
     # keys below 2**32 throughout, as the replicate and trial loops make them
     keys = [(o, r, k) for o in range(7) for r in (0, 1, 2**32 - 1) for k in range(3)]
     assert_matches_numpy(3, prefix, keys)
-
-
-def test_empty_keys_give_the_seed_itself():
-    for entropy in (3, 2**100 + 17):
-        assert_matches_numpy(entropy, (), [(), ()])
-        assert_matches_numpy(entropy, (4,), [()])
 
 
 def test_same_streams_as_child_seed():
@@ -82,4 +77,23 @@ def test_bad_seeds_and_keys_rejected():
         child_generators(3, [(1, -2)])
     with pytest.raises(InputError):
         child_generators(3, [(1,), (-2, 5, 7)])
+    bad_keys = [[(1,), (2, 5, 7)],  # ragged
+                [(1, 2), (3,)],
+                [()], [(), ()],  # empty
+                [(0,), (2**32,)], [(2**32 - 1, 2**70)],  # beyond one word
+                [(1.0,)], [("1",)]]
+    for keys in bad_keys:
+        with pytest.raises(InputError, match="seed keys"):
+            child_generators(3, keys)
     assert list(child_generators(3, [])) == []
+
+
+def test_precomputed_state_from_a_strided_row():
+    # PCG64 seeds from a state row's memory as it lies; a strided view with
+    # the right values must still give the seed's own stream
+    state = np.random.SeedSequence(3).generate_state(4, np.uint64)
+    strided = np.repeat(state, 2)[::2]
+    assert not strided.flags.c_contiguous and strided.tolist() == state.tolist()
+    rng = np.random.Generator(np.random.PCG64(_state_class()(strided)))
+    want = np.random.default_rng(np.random.SeedSequence(3))
+    assert rng.integers(2**63, size=8).tolist() == want.integers(2**63, size=8).tolist()
