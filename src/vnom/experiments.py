@@ -147,19 +147,25 @@ def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
     (ascending, then by position).  Integer keys in [0, 2**16), as any
     permutation of fewer than 65 536 candidates is, are sorted as uint16
     keys (:func:`vnom.nomination.tiebreak_order`), by numpy's radix sort.
+    The candidates go into tie-break order once, and their scores into one
+    ``(2 x candidates)`` stack in that order, range-checked and narrowed once
+    (:func:`vnom.nomination.prepare_ranking`); each gamma then stably sorts
+    one product of its weight vector with the stack
+    (:func:`vnom.nomination.fused_order`), so ties keep the tie-break order.
     Returns a (gammas x metrics) array with the columns of
     :func:`vnom.metrics.mask_metrics`.  The four arrays may instead be
-    (instances x candidates) stacks with one red count per stack;
-    each row is then ranked on its own, with one sort per gamma for the whole
-    stack, and the result is (instances x gammas x metrics).
+    (instances x candidates) stacks with one red count per stack; the score
+    stack is then (instances x 2 x candidates), each row is ranked on its
+    own, with one product and one sort per gamma for the whole stack, and the
+    result is (instances x gammas x metrics).
     """
     first = tiebreak_order(tiebreak)  # kept by stable fused sorts
-    t0, t1 = prepare_ranking(t0, t1)  # range checks once, not per gamma
-    t0, t1, red = _take_rows(t0, first), _take_rows(t1, first), _take_rows(red, first)
+    scores = prepare_ranking(_take_rows(t0, first), _take_rows(t1, first))  # once, not per gamma
+    red = _take_rows(red, first)
     grid = tuple(gamma_grid)
     orders = np.empty((len(grid), *first.shape), dtype=np.intp)
     for i, gamma in enumerate(grid):
-        orders[i] = fused_order(t0, t1, gamma)
+        orders[i] = fused_order(scores, gamma)
     if red.ndim == 1:
         return mask_metrics(red[orders], y_values)
     values = mask_metrics(_take_rows(red, orders).reshape(-1, red.shape[1]), y_values)

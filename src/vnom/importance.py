@@ -36,7 +36,6 @@ _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on
 _TRIAL_BLOCK = 64  # partitions per trial task; fixed for the same reason
 _PARTITION_ROWS = 512  # key rows per np.partition call: bounds its copy of the keys
 _PROFILE_CELLS = 2**18  # (rows x edges) cells per profile kernel call: 2 MB of float mask
-_TOPIC_CELLS = 2**20  # (rows x topics x edges) comparisons per topic-mapping pass
 MIN_PARTITIONS = 20  # a trial bin backed by fewer partitions is flagged insufficient
 
 
@@ -205,10 +204,15 @@ def _cumulative_topics(g: TopicGraph) -> np.ndarray:
 
 def _topics(cum_topics: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The topic of each edge under uniforms ``u`` (... x edges): the number
-    of cumulative probabilities at or below its uniform, at most k - 1.
-    ``cum_topics`` is the (topics x edges) table of :func:`_cumulative_topics`."""
-    counts = (u[..., None, :] >= cum_topics).sum(axis=-2, dtype=np.int32)
-    return np.minimum(counts, cum_topics.shape[0] - 1)
+    of its first k - 1 cumulative probabilities at or below its uniform.
+    Cumulative sums of non-negative probabilities never decrease, so that is
+    the count over all k capped at k - 1, which a uint16 holds for any
+    k <= ``graph.MAX_TOPICS``.  ``cum_topics`` is the (topics x edges) table
+    of :func:`_cumulative_topics`."""
+    topics = np.zeros(u.shape, dtype=np.uint16)
+    for threshold in cum_topics[:-1]:
+        topics += u >= threshold
+    return topics
 
 
 def _rates(attr, red_in, green_in, red_pairs, green_pairs) -> np.ndarray:
@@ -418,7 +422,7 @@ def _draw_instances(g: TopicGraph, block, first: int, m_prime: int, replicates: 
     m_prime identified red vertices and its tie-break permutation from the
     streams of child_seed(base_seed, o, r, 0..2), as if it ran alone; the
     block's streams are derived in one batch.  The uniforms of all instances
-    then map to topics and labels a chunk of rows at a time.
+    then map to topics and labels together.
     """
     n_inst, n_cand = len(block) * replicates, g.n - m_prime
     u = np.empty((n_inst, g.num_edges))
@@ -432,11 +436,9 @@ def _draw_instances(g: TopicGraph, block, first: int, m_prime: int, replicates: 
         identified[i, ident_rng.choice(red_ids, size=m_prime, replace=False)] = True
         tiebreak[i] = tie_rng.permutation(n_cand)
     labels = np.repeat(np.stack([sp.topic_map.labels for sp in block]), replicates, axis=0)
-    attr = np.empty((n_inst, g.num_edges), dtype=np.int8)
-    step = max(1, _TOPIC_CELLS // max(cum_topics.size, 1))
-    for lo in range(0, n_inst, step):
-        attr[lo:lo + step] = _take_rows(labels[lo:lo + step], _topics(cum_topics, u[lo:lo + step]))
-    return attr, identified, tiebreak
+    topics = _topics(cum_topics, u)
+    del u  # freed before the label gather builds its index, which is as large
+    return _take_rows(labels, topics), identified, tiebreak
 
 
 def _trial_block(g: TopicGraph, block, first: int, m_prime: int, gamma_grid,

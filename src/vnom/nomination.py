@@ -15,16 +15,21 @@ candidates keep their input order; callers put the candidates in tie-break
 order first (:func:`tiebreak_order`), once per candidate set, and rank that
 order at every gamma.
 
-Keys come in three tiers, the narrowest exact one first.
-:func:`prepare_ranking` checks the score range once per candidate set and
-narrows the scores to uint8 (every score below 2**8) or int32 (below 2**31);
-:func:`fused_order` then picks the key type by dtype and ``den`` alone, with
-no pass over the data:
+:func:`prepare_ranking` stacks both scores into one ``(..., 2, candidates)``
+array, checks their range once per candidate set and narrows the stack to
+uint8 (every score below 2**8) or int32 (below 2**31).  Each gamma's keys are
+then one product, ``w @ scores``, of the negated weight vector
+``w = (-(den-num), -num)`` with the stack; the stack's dtype and ``den``
+alone pick the weights' dtype, and with it the key type, with no pass over
+the data:
 
 - uint8 scores and ``den <= 128`` give int16 keys (|key| <= 128*255 < 2**15);
 - uint8 or int32 scores and ``den < 2**32`` give int64 keys;
 - any other keys, as for a gamma that is no small rational, are Python ints.
 
+Both terms of a key share a sign and its magnitude is at most ``den`` times
+the largest score, so no partial sum of the product leaves the key type, and
+an array-by-array product promotes alike under legacy promotion and NEP 50.
 A stable sort orders equal keys by position whatever their dtype, so every
 tier gives the same permutation as the widest; numpy sorts 16-bit keys stably
 by radix sort, which is what the narrow tiers buy.
@@ -145,67 +150,57 @@ _INT64_DEN = 1 << 32  # den below this keeps every fused key of int32 scores ins
 
 @lru_cache(maxsize=4096)
 def _gamma_weights(gamma) -> tuple:
-    """(den - num, num, den) with gamma = num/den: the small rational gamma
-    stands for, else its exact binary value.  Cached so that any grid of up
-    to a few thousand points is converted once."""
+    """(den, int16 weights, int64 weights, object weights) with gamma =
+    num/den: the small rational gamma stands for, else its exact binary
+    value.  Each weight vector is ``(-(den-num), -num)``, given in int16 only
+    when ``den <= 128`` and in int64 only when ``den < 2**32`` (else None).
+    Cached so that any grid of up to a few thousand points is converted once."""
     _check_gamma(gamma)
     gamma = float(gamma)
     frac = Fraction(gamma).limit_denominator(_SMALL_DENOMINATOR)
     if float(frac) != gamma:
         frac = Fraction(gamma)
-    return frac.denominator - frac.numerator, frac.numerator, frac.denominator
+    num, den = frac.numerator, frac.denominator
+    weights = (num - den, -num)
+    return (den,
+            np.array(weights, dtype=np.int16) if den <= _INT16_DEN else None,
+            np.array(weights, dtype=np.int64) if den < _INT64_DEN else None,
+            np.array(weights, dtype=object))
 
 
-def prepare_ranking(t0, t1) -> tuple:
-    """(t0, t1) in the narrowest dtype of :func:`fused_order`'s key tiers:
-    uint8 when every score lies in [0, 2**8), int32 when every score lies in
-    [0, 2**31), else int64.  Each range holds exactly when the bitwise OR of
-    all scores lies in it, so one reduction picks the dtype."""
-    t0 = np.asarray(t0, dtype=np.int64)
-    t1 = np.asarray(t1, dtype=np.int64)
-    if t0.size:
-        bits = np.bitwise_or.reduce(t0 | t1, axis=None)
-        if 0 <= bits < 1 << 8:
-            return t0.astype(_UINT8), t1.astype(_UINT8)
-        if 0 <= bits < 1 << 31:
-            return t0.astype(_INT32), t1.astype(_INT32)
-    return t0, t1
+def prepare_ranking(t0, t1) -> np.ndarray:
+    """The C-contiguous ``(..., 2, candidates)`` stack of context scores
+    ``t0`` and content scores ``t1``, in the narrowest dtype of
+    :func:`fused_order`'s key tiers: uint8 when every score lies in
+    [0, 2**8), int32 when every score lies in [0, 2**31), else int64.  Each
+    range holds exactly when the bitwise OR of all scores lies in it, so one
+    reduction picks the dtype."""
+    scores = np.stack((np.asarray(t0, dtype=np.int64), np.asarray(t1, dtype=np.int64)), axis=-2)
+    bits = np.bitwise_or.reduce(scores, axis=None)  # 0 for no candidates
+    if 0 <= bits < 1 << 8:
+        return scores.astype(_UINT8)
+    if 0 <= bits < 1 << 31:
+        return scores.astype(_INT32)
+    return scores
 
 
-def _fused_keys(t0, t1, gamma) -> tuple:
-    """(keys, den): ``-((den-num)*t0 + num*t1)``, an exact integer per
-    candidate, ascending as the fused score descends.  Scores not already
-    uint8 or int32 go through :func:`prepare_ranking` first; then the dtype
-    and ``den`` alone pick the key type: int16 for uint8 scores with
-    ``den <= 128``, since ``|key| <= 128*255 = 32640``; int64 for uint8 or
-    int32 scores with ``den < 2**32``; else Python ints
-    (:func:`_exact_keys`).  The stable sort of any tier gives the same
-    permutation, so the choice never moves an output byte."""
-    w0, w1, den = _gamma_weights(gamma)
-    t0, t1 = np.asarray(t0), np.asarray(t1)
-    if t0.dtype != t1.dtype or t0.dtype not in _NARROW:
-        t0, t1 = prepare_ranking(t0, t1)  # t0, t1 share a dtype
-    if t0.dtype == _UINT8 and den <= _INT16_DEN:
-        return _key_formula(t0, t1, w0, w1, np.int16), den
-    if t0.dtype in _NARROW and den < _INT64_DEN:
-        return _key_formula(t0, t1, w0, w1, np.int64), den
-    return _exact_keys(t0, t1, w0, w1), den
+def _fused_keys(scores, gamma) -> tuple:
+    """(keys, den): ``-((den-num)*t0 + num*t1)`` for a score stack of
+    :func:`prepare_ranking`, an exact integer per candidate, ascending as
+    the fused score descends, in the key tier (module docstring) that the
+    stack's dtype and ``den`` pick.  The stable sort of any tier gives the
+    same permutation, so the choice never moves an output byte."""
+    den, int16_weights, int64_weights, exact_weights = _gamma_weights(gamma)
+    if scores.dtype == _UINT8 and den <= _INT16_DEN:
+        return int16_weights @ scores, den
+    if scores.dtype in _NARROW and den < _INT64_DEN:
+        return int64_weights @ scores, den
+    return _exact_keys(scores, exact_weights), den
 
 
-def _key_formula(t0, t1, w0, w1, dtype):
-    # widened before any product, and every weight fits the key dtype, so no
-    # numpy version's promotion rules apply
-    keys = t0.astype(dtype)
-    keys *= -w0
-    term = t1.astype(dtype)
-    term *= -w1
-    keys += term
-    return keys
-
-
-def _exact_keys(t0, t1, w0, w1):
+def _exact_keys(scores, weights):
     """The fused keys as Python ints, for keys int64 cannot hold."""
-    return _key_formula(t0, t1, w0, w1, object)
+    return weights @ scores.astype(object)
 
 
 def _stable_order(keys) -> np.ndarray:
@@ -224,14 +219,15 @@ def tiebreak_order(tiebreak) -> np.ndarray:
     return _stable_order(keys)
 
 
-def fused_order(t0, t1, gamma) -> np.ndarray:
+def fused_order(scores, gamma) -> np.ndarray:
     """Stable permutation sorting candidates by fused score descending.
 
-    The permutation indexes the input arrays; candidates with exactly equal
-    fused scores keep their input order, so callers break ties by ordering
-    the candidates first.  Stacks of candidate rows are ranked row by row.
+    ``scores`` is a stack from :func:`prepare_ranking`; the permutation
+    indexes its last axis.  Candidates with exactly equal fused scores keep
+    their input order, so callers break ties by ordering the candidates
+    first.  Stacks of candidate rows are ranked row by row.
     """
-    keys, _ = _fused_keys(t0, t1, gamma)
+    keys, _ = _fused_keys(scores, gamma)
     return _stable_order(keys)
 
 
@@ -246,7 +242,7 @@ def rank_candidates(g: AttributedGraph, gamma: float, seed) -> Ranking:
     if cand.size == 0:
         raise InputError("graph has no candidates to rank")
     first = tiebreak_order(generator(seed).permutation(cand.size))
-    keys, den = _fused_keys(t0[first], t1[first], gamma)
+    keys, den = _fused_keys(prepare_ranking(t0[first], t1[first]), gamma)
     order = _stable_order(keys)  # ties keep the tie-break order
     fused = -keys[order]  # fused scores times den, descending
     bounds = [0, *(np.flatnonzero(np.diff(fused) != 0) + 1).tolist(), cand.size]

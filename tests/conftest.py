@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vnom import AttributedGraph, TopicGraph
-from vnom.nomination import fused_order, tiebreak_order
+from vnom.nomination import fused_order, prepare_ranking, tiebreak_order
 
 
 def build_attributed(n, edges, red=(), identified=(), k_edge_attrs=2):
@@ -23,11 +23,12 @@ def build_topic(n, edges, k_topics):
 
 def order_with_tiebreak(t0, t1, gamma, tiebreak):
     """fused_order with exact ties broken by ascending ``tiebreak`` keys, then
-    by position: the candidates go into tie-break order first, and the stable
-    fused order is mapped back to input positions (row by row for stacks)."""
+    by position: the candidates go into tie-break order first, their scores
+    into one stack, and the stable fused order is mapped back to input
+    positions (row by row for stacks)."""
     first = tiebreak_order(tiebreak)
     t0, t1 = (np.take_along_axis(np.asarray(t), first, axis=-1) for t in (t0, t1))
-    return np.take_along_axis(first, fused_order(t0, t1, gamma), axis=-1)
+    return np.take_along_axis(first, fused_order(prepare_ranking(t0, t1), gamma), axis=-1)
 
 
 def point_mass(topic, k):

@@ -406,14 +406,13 @@ class TestBlockTopicDraws:
             assert row.tolist() == per_instance_draw_topics(cum, PlantedUniforms(u)).tolist()
         assert got[4, 2] == 3  # clamped at k - 1
 
-    def test_block_draws_match_per_instance_draws(self, monkeypatch):
-        # 3 instance rows per topic-mapping pass, over 7 partitions x 2 replicates
+    def test_block_draws_match_per_instance_draws(self):
+        # 7 partitions x 2 replicates
         rng = np.random.default_rng(5)
         pairs = [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.4]
         k = 6
         g = build_topic(20, [(u, v, 1, p) for (u, v), p in
                              zip(pairs, rng.dirichlet(np.full(k, 0.4), len(pairs)))], k)
-        monkeypatch.setattr(importance, "_TOPIC_CELLS", 3 * k * g.num_edges)
         block = screen_partitions(g, 5, ScreeningThresholds(-np.inf, -np.inf), 7, 2).accepted
         cum, base = _cumulative_topics(g), child_seed(8)
         attr, identified, tiebreak = _draw_instances(g, block, 3, 2, 2, base, cum)

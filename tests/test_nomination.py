@@ -9,7 +9,7 @@ import pytest
 
 from vnom import (InputError, KidneyEggParams, content_score, context_score, gamma_star,
                   rank_candidates, sample_kidney_egg)
-from vnom.nomination import fused_order, score_counts
+from vnom.nomination import fused_order, prepare_ranking, score_counts
 
 from conftest import build_attributed, order_with_tiebreak
 
@@ -222,7 +222,7 @@ class TestRankCandidates:
         # (t0, t1) = (1, 4) and (2, 2) have exactly equal fused scores
         t0 = np.array([1, 2, 2])
         t1 = np.array([4, 2, 2])
-        assert list(fused_order(t0, t1, 1 / 3)) == [0, 1, 2]
+        assert list(fused_order(prepare_ranking(t0, t1), 1 / 3)) == [0, 1, 2]
         r = rank_candidates(one_four_two_two_graph(), 1 / 3, 0)
         assert r.tie_groups == ((0, 3),)
         assert r.scores[0] == r.scores[1] == r.scores[2] == pytest.approx(2.0)
@@ -234,7 +234,7 @@ class TestRankCandidates:
         gamma = 0.3333333217048645  # deliberately near but not equal to 1/3
         t0 = np.array([1, 2, 2])
         t1 = np.array([4, 2, 2])
-        assert fused_order(t0, t1, gamma)[-1] == 0  # 1 + 3*gamma < 2
+        assert fused_order(prepare_ranking(t0, t1), gamma)[-1] == 0  # 1 + 3*gamma < 2
         r = rank_candidates(one_four_two_two_graph(), gamma, 0)
         assert r.tie_groups == ((0, 2),)
         assert list(r.ordered[2:]) == [0, 3]

@@ -121,15 +121,24 @@ def test_more_candidates_than_uint16_keys():
         assert np.array_equal(order_with_tiebreak(t0, t1, gamma, tiebreak), want), gamma
 
 
-# den 1, 128, 2, 128, 1 take int16 keys for scores below 2**8; den 129 takes int64
-TIER_GAMMAS = (0.0, 1 / 128, 0.5, 127 / 128, 1.0, 1 / 129, 128 / 129)
+# den 1, 128, 2, 128, 1 take int16 keys for scores below 2**8; den 129 takes
+# int64; the last gamma is no small rational and takes Python-int keys
+TIER_GAMMAS = (0.0, 1 / 128, 0.5, 127 / 128, 1.0, 1 / 129, 128 / 129, 0.3333333217048645)
 
 
-@pytest.mark.parametrize("top", [(1 << 8) - 1, 1 << 8])
+def tier_dtypes(top, den):
+    """(score stack dtype, key dtype) for scores in [0, top] at denominator den."""
+    scores = np.uint8 if top < 1 << 8 else np.int32 if top < 1 << 31 else np.int64
+    if scores == np.uint8 and den <= 128:
+        return scores, np.int16
+    return scores, (np.int64 if scores != np.int64 and den < 1 << 32 else object)
+
+
+@pytest.mark.parametrize("top", [(1 << 8) - 1, 1 << 8, (1 << 31) - 1, 1 << 31])
 def test_key_tiers_at_their_edges_match_oracle(top):
     # row 0 holds the widest int16 key, -(128*255), at den 128; rows 1 and 2
     # are all tied, row 3 ties in pairs around the top score, and row 4's
-    # scores OR to exactly the top, so alone it sits at the uint8 edge
+    # scores OR to exactly the top, so alone it sits at the edge of its tier
     rng = np.random.default_rng(top)
     n = 50
     t0, t1 = rng.integers(0, top + 1, (5, n)), rng.integers(0, top + 1, (5, n))
@@ -139,16 +148,31 @@ def test_key_tiers_at_their_edges_match_oracle(top):
     t0[3], t1[3] = rng.integers(top - 1, top + 1, (2, n))
     t0[4], t1[4] = rng.choice([0, top], (2, n))
     tiebreak = np.stack([rng.permutation(n) for _ in range(5)])
+    scores = prepare_ranking(t0, t1)
+    assert scores.shape == (5, 2, n) and scores.flags.c_contiguous
+    assert scores.dtype == tier_dtypes(top, 1)[0]
+    assert scores[:, 0].tolist() == t0.tolist() and scores[:, 1].tolist() == t1.tolist()
     for gamma in TIER_GAMMAS:
-        den = _gamma_weights(gamma)[2]
-        keys, _ = _fused_keys(*prepare_ranking(t0, t1), gamma)
-        assert keys.dtype == (np.int16 if top < 1 << 8 and den <= 128 else np.int64), gamma
+        den = _gamma_weights(gamma)[0]
+        keys, _ = _fused_keys(scores, gamma)
+        assert keys.dtype == tier_dtypes(top, den)[1], gamma
+        want_keys = [[-den * f for f in exact_fused(a, b, gamma)]
+                     for a, b in zip(t0.tolist(), t1.tolist())]
+        assert keys.tolist() == want_keys, gamma
         want = [oracle_order(a, b, gamma, c)
                 for a, b, c in zip(t0.tolist(), t1.tolist(), tiebreak.tolist())]
         assert order_with_tiebreak(t0, t1, gamma, tiebreak).tolist() == want, gamma
-        for row in range(5):
+        for row in range(5):  # a row alone: its own stack, the same keys and order
+            alone = prepare_ranking(t0[row], t1[row])
+            assert alone.shape == (2, n) and alone.flags.c_contiguous
+            assert _fused_keys(alone, gamma)[0].tolist() == want_keys[row], (gamma, row)
             got = order_with_tiebreak(t0[row], t1[row], gamma, tiebreak[row])
             assert got.tolist() == want[row], (gamma, row)
+        for shape in ((0,), (5, 0)):  # no candidates: empty keys and orders
+            empty = np.zeros(shape, dtype=np.int64)
+            assert prepare_ranking(empty, empty).shape == (*shape[:-1], 2, 0)
+            got = order_with_tiebreak(empty, empty, gamma, empty)
+            assert got.shape == shape and got.dtype == np.intp, gamma
 
 
 @pytest.mark.parametrize("top, dtype", [((1 << 16) - 1, np.int64), (1 << 16, np.int64),
@@ -175,7 +199,7 @@ def test_tiebreak_order_at_the_uint16_edge(top, dtype):
 def test_rank_candidates_matches_int64_keys(monkeypatch, seed):
     # the bench surface shape: scores below 2**8, so den <= 128 takes int16 keys
     g = sample_kidney_egg(KidneyEggParams(184, 40, 30, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2)), seed)
-    assert prepare_ranking(*candidate_statistics(g)[1:])[0].dtype == np.uint8
+    assert prepare_ranking(*candidate_statistics(g)[1:]).dtype == np.uint8
     gammas = (0.0, 1 / 128, 0.37, 127 / 128, 1.0, 1 / 129)
     narrow = [rank_candidates(g, gamma, seed) for gamma in gammas]
     monkeypatch.setattr(vnom.nomination, "_INT16_DEN", 0)  # every den takes int64 keys
