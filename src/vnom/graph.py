@@ -10,7 +10,7 @@ sorted lexicographically, which each constructor builds from edge columns
   reads a vertex's neighbours off the edge arrays.
 * :class:`TopicGraph` — undirected simple graph whose edges carry an
   empirical probability distribution over topics and a message count.  It
-  holds no adjacency; :mod:`vnom.importance` builds its own neighbour lists.
+  holds no adjacency; :mod:`vnom.importance` builds its own for screening.
 
 Vertices are dense integer ids ``0..n-1``; external names map through a
 symbol table handled by :mod:`vnom.io`.

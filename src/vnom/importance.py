@@ -7,14 +7,15 @@ its profile difference, then repeatedly instantiates edge attributes from the
 per-edge topic distributions and runs nomination.  Results aggregate into
 (delta_rho, delta_p) bins.
 
-Each step (red-internal edge counts, side masks, density gap, topic
-profiles, topic draw, candidate scores, edge rates) has one kernel, shared by
-the public single-partition functions and the batched screening and trial
-loops.  Screening counts edges from neighbour lists, then builds edge masks
-and topic profiles only for the draws that pass the density bar, a chunk of
-rows per kernel call; trials run in fixed blocks of partitions whose
-replicates map their uniforms to topics, and are scored and ranked, as one
-stack.
+Each step (side masks, density gap, topic profiles, topic draw, candidate
+scores, edge rates) has one kernel, shared by the public single-partition
+functions and the batched screening and trial loops.  Screening alone counts
+red-internal edges, by looking up each draw's red vertex pairs in a dense
+adjacency; the public delta_rho counts them from side masks instead, an
+independent check.  Edge masks and topic profiles are built only for the
+draws that pass the density bar, a chunk of rows per kernel call; trials run
+in fixed blocks of partitions whose replicates map their uniforms to topics,
+and are scored and ranked, as one stack.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .seeding import child_generators, child_seed, generator
 _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on scheduling
 _TRIAL_BLOCK = 64  # partitions per trial task; fixed for the same reason
 _PARTITION_ROWS = 512  # key rows per np.partition call: bounds its copy of the keys
-_PROFILE_CELLS = 2**18  # (rows x edges) cells per profile kernel call: 2 MB of float mask
+_ROW_CELLS = 2**18  # (rows x edges) or (rows x red pairs) cells per screening kernel call
 MIN_PARTITIONS = 20  # a trial bin backed by fewer partitions is flagged insufficient
 
 
@@ -129,50 +130,42 @@ def _sides(g, red_mask: np.ndarray) -> tuple:
     return ru & rv, ~ru & ~rv
 
 
-def _neighbour_lists(g) -> tuple:
-    """(offsets, neighbours): the CSR adjacency of g, neighbours of v at
-    neighbours[offsets[v]:offsets[v + 1]], ascending."""
-    src = np.concatenate([g.edge_u, g.edge_v])
-    dst = np.concatenate([g.edge_v, g.edge_u])
-    offsets = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=g.n), out=offsets[1:])
-    return offsets, dst[np.lexsort((dst, src))]
+def _adjacency(g) -> tuple:
+    """(adjacent, degree): the (n x n) bool adjacency of g and its degree vector."""
+    adjacent = np.zeros((g.n, g.n), dtype=bool)
+    adjacent[g.edge_u, g.edge_v] = True
+    adjacent[g.edge_v, g.edge_u] = True
+    return adjacent, np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n)
 
 
-def _side_edge_counts(g, adjacency: tuple, chosen: np.ndarray, red_mask: np.ndarray) -> tuple:
-    """(red_internal, green_internal) edge counts of each row's red set.
-
-    ``chosen`` holds each row's red ids (rows x m) and ``red_mask`` the same
-    sets as (rows x n) masks.  Each red vertex's neighbour list is looked up
-    in its row's mask, so the work and memory are O(rows x degree sum).
-    """
-    offsets, neighbours = adjacency
-    degree = np.diff(offsets)[chosen]
-    touched = degree.sum(axis=1)  # edges with a red end, red-internal ones twice
-    lengths = degree.ravel()
-    ends = np.cumsum(lengths)
-    # the lookups are most of screening's work: 32-bit indices wherever they fit
-    index = np.int32 if max(red_mask.size, neighbours.size, ends[-1]) < 2**31 else np.int64
-    # CSR position of every looked-up neighbour, one segment per red vertex
-    pos = np.repeat((offsets[chosen.ravel()] - (ends - lengths)).astype(index), lengths)
-    pos += np.arange(ends[-1], dtype=index)
-    # ... and its place in the flattened (rows x n) mask
-    flat = neighbours.astype(index)[pos]
-    flat += np.repeat(np.arange(0, red_mask.size, red_mask.shape[1], dtype=index), touched)
-    hits_before = np.zeros(flat.size + 1, dtype=index)
-    np.cumsum(red_mask.ravel()[flat], out=hits_before[1:])
-    row_end = np.cumsum(touched)
-    red = (hits_before[row_end] - hits_before[row_end - touched]).astype(np.int64) // 2
-    return red, g.num_edges - (touched - red)
+def _red_edge_counts(adjacent: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Red-internal edge count of each row of ``chosen``, the rows' red ids
+    (rows x m): the adjacent pairs among each row's m(m-1)/2 red pairs, one
+    lookup per pair in the flattened adjacency, a chunk of rows at a time.
+    The work is O(rows x m**2) whatever the degrees."""
+    n = len(adjacent)
+    first, second = np.triu_indices(chosen.shape[1], 1)
+    # the lookups are most of the work: 32-bit flat indices wherever they fit
+    ids = chosen.astype(np.int32 if adjacent.size <= 2**31 else np.int64)
+    counts = np.empty(len(ids), dtype=np.int64)
+    step = _chunk_rows(first.size)
+    for lo in range(0, len(ids), step):
+        flat = ids[lo:lo + step, first]
+        flat *= n
+        flat += ids[lo:lo + step, second]
+        counts[lo:lo + step] = np.count_nonzero(adjacent.ravel()[flat], axis=1)
+    return counts
 
 
 def _density_gap(red_edges, green_edges, m: int, n_green: int):
     return red_edges / comb(m, 2) - green_edges / comb(n_green, 2)
 
 
-def _profile_rows(num_edges: int) -> int:
-    """Side-mask rows per call of :func:`_profile_gap` in screening."""
-    return max(1, _PROFILE_CELLS // max(num_edges, 1))
+def _chunk_rows(width: int) -> int:
+    """Rows per screening kernel call over ``width`` cells a row: edges for
+    :func:`_profile_gap` (2 MB of float mask), red pairs for
+    :func:`_red_edge_counts`."""
+    return max(1, _ROW_CELLS // max(width, 1))
 
 
 def _profiles(weights: np.ndarray, sel: np.ndarray) -> np.ndarray:
@@ -243,9 +236,9 @@ def delta_rho(g: TopicGraph, part: Partition) -> float:
     """Relative-density difference between the red-induced and green-induced
     subgraphs."""
     m, n_green = _side_sizes(g, part)
-    counts = _side_edge_counts(g, _neighbour_lists(g), part.red_ids[None, :],
-                               part.red_mask()[None, :])
-    return float(_density_gap(*counts, m, n_green)[0])
+    red_in, green_in = _sides(g, part.red_mask())
+    return float(_density_gap(np.count_nonzero(red_in), np.count_nonzero(green_in),
+                              m, n_green))
 
 
 def delta_p(g: TopicGraph, part: Partition, *, weighted: bool = True) -> float:
@@ -286,7 +279,7 @@ def screen_partitions(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
     if max_attempts < 1:
         raise InputError("max_attempts must be >= 1")
     weights = _edge_weights(g, weighted)
-    adjacency = _neighbour_lists(g)
+    adjacency = _adjacency(g)
     base = child_seed(seed)
     accepted = []
     for start in range(0, max_attempts, _SCREEN_BLOCK):
@@ -319,14 +312,19 @@ def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
 def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
                   weights: np.ndarray, adjacency: tuple, rng, start: int, draws: int) -> list:
     """Accepted draws start..start+draws-1.  Density gaps come from edge
-    counts; edge masks and topic profiles are built only for the draws
-    passing tau_rho, a chunk of rows at a time."""
+    counts, red-internal ones looked up pair by pair in ``adjacency`` (of
+    :func:`_adjacency`); edge masks and topic profiles are built only for
+    the draws passing tau_rho.  Both kernels take a chunk of rows a call."""
     red_mask = _smallest_keys_mask(rng.random((_SCREEN_BLOCK, g.n))[:draws], m)
     # each row's red ids, ascending
     chosen = np.flatnonzero(red_mask).reshape(draws, m) - (np.arange(draws) * g.n)[:, None]
-    d_rho = _density_gap(*_side_edge_counts(g, adjacency, chosen, red_mask), m, g.n - m)
+    adjacent, degree = adjacency
+    red = _red_edge_counts(adjacent, chosen)
+    # edges without a red end: the degree sum counts red-internal edges twice
+    green = g.num_edges - (degree[chosen].sum(axis=1) - red)
+    d_rho = _density_gap(red, green, m, g.n - m)
     passing = np.flatnonzero(d_rho > thresholds.tau_rho)
-    step = _profile_rows(g.num_edges)
+    step = _chunk_rows(g.num_edges)
     accepted = []
     for lo in range(0, passing.size, step):
         rows = passing[lo:lo + step]

@@ -18,18 +18,20 @@ order at every gamma.
 :func:`prepare_ranking` stacks both scores into one ``(..., 2, candidates)``
 array, checks their range once per candidate set and narrows the stack to
 uint8 (every score below 2**8) or int32 (below 2**31).  Each gamma's keys are
-then one product, ``w @ scores``, of the negated weight vector
-``w = (-(den-num), -num)`` with the stack; the stack's dtype and ``den``
-alone pick the weights' dtype, and with it the key type, with no pass over
-the data:
+then the product of the negated weight vector ``w = (-(den-num), -num)`` with
+the stack: ``w @ scores`` for a single row, and for a stack of rows two
+multiplies in the weights' dtype and an add, which beat numpy's integer
+matmul there.  The stack's dtype and ``den`` alone pick the weights' dtype,
+and with it the key type, with no pass over the data:
 
 - uint8 scores and ``den <= 128`` give int16 keys (|key| <= 128*255 < 2**15);
 - uint8 or int32 scores and ``den < 2**32`` give int64 keys;
 - any other keys, as for a gamma that is no small rational, are Python ints.
 
 Both terms of a key share a sign and its magnitude is at most ``den`` times
-the largest score, so no partial sum of the product leaves the key type, and
-an array-by-array product promotes alike under legacy promotion and NEP 50.
+the largest score, so no partial sum of the product leaves the key type.  An
+array-by-array matmul promotes alike under legacy promotion and NEP 50, and
+the multiplies name their dtype, so neither rule set can move the key type.
 A stable sort orders equal keys by position whatever their dtype, so every
 tier gives the same permutation as the widest; numpy sorts 16-bit keys stably
 by radix sort, which is what the narrow tiers buy.
@@ -192,10 +194,18 @@ def _fused_keys(scores, gamma) -> tuple:
     same permutation, so the choice never moves an output byte."""
     den, int16_weights, int64_weights, exact_weights = _gamma_weights(gamma)
     if scores.dtype == _UINT8 and den <= _INT16_DEN:
-        return int16_weights @ scores, den
-    if scores.dtype in _NARROW and den < _INT64_DEN:
-        return int64_weights @ scores, den
-    return _exact_keys(scores, exact_weights), den
+        weights = int16_weights
+    elif scores.dtype in _NARROW and den < _INT64_DEN:
+        weights = int64_weights
+    else:
+        return _exact_keys(scores, exact_weights), den
+    if scores.ndim == 2:  # one row: the matmul is the faster
+        return weights @ scores, den
+    # numpy's integer matmul is no BLAS call: two multiplies beat it on stacks
+    context, content = np.moveaxis(scores, -2, 0)
+    keys = np.multiply(context, weights[0], dtype=weights.dtype)
+    keys += np.multiply(content, weights[1], dtype=weights.dtype)
+    return keys, den
 
 
 def _exact_keys(scores, weights):

@@ -340,7 +340,9 @@ def test_importance_side_outputs_match_recorded_digests(monkeypatch, tmp_path):
 # tracemalloc peak of one 4096-draw screening call on the importance bench
 # corpus: 29.3-30.5 MB at seeds 1, 3 and 7919 when every draw built its
 # (draws x edges) side masks, 12.6 MB once red-internal edges were counted
-# from neighbour lists and masks built only for draws passing tau_rho
+# from neighbour lists and masks built only for draws passing tau_rho; at
+# seed 1, 8.9 MB with neighbour lists, 8.6 MB with the red pairs looked up in
+# a dense adjacency
 SCREEN_BLOCK_PEAK_BYTES = 20_000_000
 
 
@@ -360,7 +362,7 @@ def test_one_screening_block_stays_below_recorded_peak(monkeypatch, tmp_path):
 
 # tracemalloc peak of the same call with every draw accepted, when each draw
 # passing tau_rho had its own profile sums and all side masks of the block
-# were built at once
+# were built at once; 8.2 MB with neighbour lists, 7.9 MB with the pair lookups
 ALL_PASS_BLOCK_PEAK_BYTES = 19_333_556
 
 
@@ -397,7 +399,7 @@ def test_screening_profiles_a_chunk_of_rows_per_kernel_call(monkeypatch, tmp_pat
     run.prepare("importance", 3, tmp_path)
     g = read_topic_graph(tmp_path / "corpus.topics")
     result = screen_partitions(g, 10, thresholds, 4096, 1)
-    chunk = vnom.importance._profile_rows(g.num_edges)
+    chunk = vnom.importance._chunk_rows(g.num_edges)
     assert chunk > 1 and result.n_accepted <= sum(rows)
     assert 0 < len(rows) <= -(-sum(rows) // chunk)
     if thresholds.tau_rho == -np.inf:

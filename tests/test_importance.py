@@ -10,10 +10,10 @@ from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition,
                   delta_rho, estimate_rates, instantiate_edges, run_importance_trials,
                   sample_kidney_egg, screen_partitions, topic_profile)
 from vnom import importance
-from vnom.importance import (_SCREEN_BLOCK, _cumulative_topics, _draw_instances,
-                             _edge_weights, _neighbour_lists, _profile_gap, _profile_rows,
-                             _screen_block, _sides, _smallest_keys_mask, _topic_labels, _topics,
-                             bin_index, check_trial_arguments)
+from vnom.importance import (_SCREEN_BLOCK, _adjacency, _chunk_rows, _cumulative_topics,
+                             _draw_instances, _edge_weights, _profile_gap, _screen_block, _sides,
+                             _smallest_keys_mask, _topic_labels, _topics, bin_index,
+                             check_trial_arguments)
 from vnom.seeding import child_seed, generator
 
 from conftest import build_attributed, build_topic, point_mass
@@ -193,7 +193,7 @@ class TestScreeningSelection:
         keys = np.random.default_rng(0).random((_SCREEN_BLOCK, g.n))
         keys[:len(planted)] = planted
         accepted = _screen_block(g, 2, ScreeningThresholds(-np.inf, -np.inf),
-                                 _edge_weights(g, True), _neighbour_lists(g),
+                                 _edge_weights(g, True), _adjacency(g),
                                  PlantedUniforms(keys), 0, len(planted))
         want = argpartition_red_sets(keys[:len(planted)], 2)
         assert [sp.draw_index for sp in accepted] == [0, 1, 2]
@@ -350,12 +350,12 @@ class TestStackedProfiles:
         probs = rng.dirichlet(np.full(k, 0.3), len(pairs))
         counts = 10 ** rng.integers(0, 16, len(pairs))  # message counts over 16 decades
         g = build_topic(n, [(u, v, int(c), p) for (u, v), c, p in zip(pairs, counts, probs)], k)
-        monkeypatch.setattr(importance, "_PROFILE_CELLS", 7 * g.num_edges)
-        assert _profile_rows(g.num_edges) == 7
+        monkeypatch.setattr(importance, "_ROW_CELLS", 7 * g.num_edges)
+        assert _chunk_rows(g.num_edges) == 7
         weights = _edge_weights(g, weighted)
         all_pass = ScreeningThresholds(-np.inf, -np.inf)
         for draws in (6, 7, 8, 13, 14, 15, 20):
-            accepted = _screen_block(g, 4, all_pass, weights, _neighbour_lists(g),
+            accepted = _screen_block(g, 4, all_pass, weights, _adjacency(g),
                                      generator(draws), 0, draws)
             assert [sp.draw_index for sp in accepted] == list(range(draws))
             for sp in accepted:

@@ -5,7 +5,9 @@ batched screening and trial loops, so neither can serve as the other's
 reference.  The oracles here loop over the stored edge arrays one edge at a
 time and use only the definitions: density gap over within-side pairs,
 (message-weighted) mean topic distribution per side, L1 profile gap, and
-attributed edges per within-side pair.  Only public ``vnom`` names are used.
+attributed edges per within-side pair.  Only public ``vnom`` names are used,
+apart from the cell bound of screening's kernel calls (and the rows per call
+it gives), which one test lowers so that a block's rows span several calls.
 """
 
 from math import comb, fsum
@@ -13,6 +15,7 @@ from math import comb, fsum
 import numpy as np
 import pytest
 
+from vnom import importance
 from vnom import (EmptyProfileError, Partition, ScreeningThresholds, TopicMap, delta_p,
                   delta_rho, estimate_rates, generate_surrogate, instantiate_edges,
                   screen_partitions)
@@ -201,3 +204,37 @@ class TestExactScreenedDensity:
             assert sp.delta_rho == oracle_delta_rho(g, red)
             assert delta_rho(g, sp.partition) == sp.delta_rho
 
+def hub_graph():
+    """12 vertices: hub 0 joined to 1..9, a few edges among its leaves, one
+    vertex (10) joined to two leaves only and one (11) isolated."""
+    pairs = ([(0, v) for v in range(1, 10)]
+             + [(1, 2), (2, 3), (3, 4), (1, 5), (5, 6), (8, 9), (4, 10), (9, 10)])
+    return build_topic(12, [(u, v, 1 + (u + v) % 4, point_mass((u + 2 * v) % 3, 3))
+                            for u, v in pairs], 3)
+
+
+def check_screened_density(g, m, draws, seed):
+    res = screen_partitions(g, m, ScreeningThresholds(-np.inf, -np.inf), draws, seed)
+    assert res.n_accepted == draws
+    for sp in res.accepted:
+        red = sp.partition.red_ids.tolist()
+        assert sp.delta_rho == oracle_delta_rho(g, red), (m, red)
+        assert delta_rho(g, sp.partition) == sp.delta_rho, (m, red)
+    return res
+
+
+class TestScreenedDensityOnAnIrregularGraph:
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_every_red_set_size(self, m):
+        g = hub_graph()
+        res = check_screened_density(g, m, 200, m)
+        # the draws reach both extremes: red sets with the hub and with the isolated vertex
+        reds = [set(sp.partition.red_ids.tolist()) for sp in res.accepted]
+        assert any(0 in red for red in reds) and any(11 in red for red in reds)
+
+    @pytest.mark.parametrize("m", [2, 5, 10])
+    def test_rows_spanning_several_kernel_calls(self, monkeypatch, m):
+        # 3 red-pair rows per call: 20 draws end calls at 3, 6, ..., 18
+        monkeypatch.setattr(importance, "_ROW_CELLS", 3 * comb(m, 2))
+        assert importance._chunk_rows(comb(m, 2)) == 3
+        check_screened_density(hub_graph(), m, 20, 100 + m)

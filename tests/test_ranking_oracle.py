@@ -122,8 +122,11 @@ def test_more_candidates_than_uint16_keys():
 
 
 # den 1, 128, 2, 128, 1 take int16 keys for scores below 2**8; den 129 takes
-# int64; the last gamma is no small rational and takes Python-int keys
-TIER_GAMMAS = (0.0, 1 / 128, 0.5, 127 / 128, 1.0, 1 / 129, 128 / 129, 0.3333333217048645)
+# int64; the last three are no small rationals: den 2**31 takes the widest
+# int64 keys (2**31 * (2**31 - 1) for int32 scores), den 2**32 and
+# 0.3333333217048645 Python-int keys
+TIER_GAMMAS = (0.0, 1 / 128, 0.5, 127 / 128, 1.0, 1 / 129, 128 / 129,
+               1 - 2 ** -31, 2 ** -32, 0.3333333217048645)
 
 
 def tier_dtypes(top, den):
@@ -159,6 +162,8 @@ def test_key_tiers_at_their_edges_match_oracle(top):
         want_keys = [[-den * f for f in exact_fused(a, b, gamma)]
                      for a, b in zip(t0.tolist(), t1.tolist())]
         assert keys.tolist() == want_keys, gamma
+        deep, _ = _fused_keys(scores.reshape(5, 1, 2, n), gamma)  # a stack of stacks
+        assert deep.dtype == keys.dtype and deep.tolist() == [[k] for k in want_keys], gamma
         want = [oracle_order(a, b, gamma, c)
                 for a, b, c in zip(t0.tolist(), t1.tolist(), tiebreak.tolist())]
         assert order_with_tiebreak(t0, t1, gamma, tiebreak).tolist() == want, gamma
@@ -166,6 +171,10 @@ def test_key_tiers_at_their_edges_match_oracle(top):
             alone = prepare_ranking(t0[row], t1[row])
             assert alone.shape == (2, n) and alone.flags.c_contiguous
             assert _fused_keys(alone, gamma)[0].tolist() == want_keys[row], (gamma, row)
+            # the row of the stack: one row by matmul, a stack of it by multiplies
+            single, stacked = (_fused_keys(x, gamma)[0] for x in (scores[row], scores[row:row + 1]))
+            assert single.dtype == stacked.dtype == keys.dtype, (gamma, row)
+            assert [single.tolist()] == stacked.tolist() == [want_keys[row]], (gamma, row)
             got = order_with_tiebreak(t0[row], t1[row], gamma, tiebreak[row])
             assert got.tolist() == want[row], (gamma, row)
         for shape in ((0,), (5, 0)):  # no candidates: empty keys and orders
