@@ -1,10 +1,16 @@
 """Monte Carlo harness: replicate evaluation, parameter sweeps, gamma surfaces,
 and the MAP-maximizing gamma.
 
-Every loop ranks each sampled (or instantiated) graph at every gamma through
-one evaluator, :func:`evaluate_grid`, which returns a (gammas x metrics)
-array; replicates stack on a last axis that :class:`vnom.metrics.MetricTable`
-folds into means and standard errors.
+Every loop ranks each sampled (or instantiated) graph at every gamma with one
+ranking routine and scores the rankings with :func:`vnom.metrics.mask_metrics`
+into a (gammas x metrics) array per graph; replicates stack on a last axis that
+:class:`vnom.metrics.MetricTable` folds into means and standard errors.
+:func:`evaluate_grid` serves one candidate set or a stack of them (importance
+trials).  Kidney-egg replicates (:func:`_replicate_values`) narrow their
+scores and compute their metrics once per chunk of graphs, but tie-order and
+rank each graph on its own, one :func:`vnom.nomination.fused_order` call per
+gamma: the benchmark pins that call count, so a whole chunk cannot yet be
+ranked as one stack.
 
 Determinism contract: every replicate's seed is derived from the master seed
 and the replicate's coordinates (cell m, m_prime, replicate index), never from
@@ -139,6 +145,17 @@ def _take_rows(a, index) -> np.ndarray:
     return a.ravel()[index + (np.arange(len(a)) * a.shape[1])[:, None]]
 
 
+def _ranked_masks(scores, red, grid) -> np.ndarray:
+    """``red`` in each gamma's :func:`vnom.nomination.fused_order` of the
+    tie-ordered score stack ``scores``: (gammas x candidates) for one
+    candidate row, (gammas x instances x candidates) for a stack of rows,
+    with one product and one sort per gamma either way."""
+    orders = np.empty((len(grid), *red.shape), dtype=np.intp)
+    for i, gamma in enumerate(grid):
+        orders[i] = fused_order(scores, gamma)
+    return _take_rows(red, orders)
+
+
 def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
     """Rank one candidate set at every gamma and score each ranking.
 
@@ -151,25 +168,31 @@ def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
     ``(2 x candidates)`` stack in that order, range-checked and narrowed once
     (:func:`vnom.nomination.prepare_ranking`); each gamma then stably sorts
     one product of its weight vector with the stack
-    (:func:`vnom.nomination.fused_order`), so ties keep the tie-break order.
+    (:func:`vnom.nomination.fused_order`), so ties keep the tie-break order,
+    and one :func:`vnom.metrics.mask_metrics` call scores every ranking.
     Returns a (gammas x metrics) array with the columns of
     :func:`vnom.metrics.mask_metrics`.  The four arrays may instead be
     (instances x candidates) stacks with one red count per stack; the score
     stack is then (instances x 2 x candidates), each row is ranked on its
     own, with one product and one sort per gamma for the whole stack, and the
-    result is (instances x gammas x metrics).
+    result is (instances x gammas x metrics).  Kidney-egg replicates go
+    through :func:`_replicate_values` instead, which ranks graph by graph
+    with the same step but prepares and scores a chunk of graphs at a time.
     """
     first = tiebreak_order(tiebreak)  # kept by stable fused sorts
     scores = prepare_ranking(_take_rows(t0, first), _take_rows(t1, first))  # once, not per gamma
-    red = _take_rows(red, first)
     grid = tuple(gamma_grid)
-    orders = np.empty((len(grid), *first.shape), dtype=np.intp)
-    for i, gamma in enumerate(grid):
-        orders[i] = fused_order(scores, gamma)
+    masks = _ranked_masks(scores, _take_rows(red, first), grid)
+    values = mask_metrics(masks.reshape(-1, masks.shape[-1]), y_values)
     if red.ndim == 1:
-        return mask_metrics(red[orders], y_values)
-    values = mask_metrics(_take_rows(red, orders).reshape(-1, red.shape[1]), y_values)
+        return values
     return np.moveaxis(values.reshape(len(grid), len(red), -1), 0, 1)  # instances first
+
+
+# Bound on (gammas x candidates x replicates) ranked-mask cells per chunk of
+# _replicate_values: a sweep cell's 40 replicates at 3 gammas fit in one, a
+# 101-gamma surface at n = 184 takes 4 replicates per chunk.
+_CHUNK_CELLS = 1 << 16
 
 
 def _replicate_values(params: KidneyEggParams, gamma_grid, seed, rep_keys, y_values=()):
@@ -178,18 +201,44 @@ def _replicate_values(params: KidneyEggParams, gamma_grid, seed, rep_keys, y_val
     The replicate keyed ``key`` samples one graph from the stream of
     ``child_seed(seed, *key, 0)`` and ranks it at every gamma with the
     tie-break stream of ``child_seed(seed, *key, 1)``.
+
+    Replicates run in chunks of at most ``_CHUNK_CELLS`` ranked cells, so
+    working memory does not grow with the replicate count.  Every graph has the
+    n - m_prime candidates of its cell, so a chunk's scores, red masks and
+    tie-break keys fill (replicates x candidates) arrays, which one
+    :func:`vnom.nomination.prepare_ranking` call narrows and one
+    :func:`vnom.metrics.mask_metrics` call scores after ranking.  Each graph
+    is still tie-ordered and ranked on its own, one
+    :func:`vnom.nomination.fused_order` call per gamma, as the benchmark pins
+    the count of those calls; a chunk's keys may take a wider tier than one
+    graph's would, which gives the same permutations.
     """
+    grid = tuple(gamma_grid)
+    size = params.n - params.m_prime  # candidates: every vertex but the identified ones
+    per_chunk = max(1, _CHUNK_CELLS // (len(grid) * size))
     rngs = child_generators(seed, [(*key, stream) for key in rep_keys for stream in (0, 1)])
-    values = []
-    for sample_rng, tie_rng in zip(rngs, rngs):  # consecutive pairs of the one iterator
-        g = sample_kidney_egg(params, sample_rng)
-        cand, t0, t1 = candidate_statistics(g)
-        tiebreak = tie_rng.permutation(cand.size)
-        # every candidate is occluded, so red <=> red candidate
-        values.append(evaluate_grid(t0, t1, g.truth[cand] == RED, tiebreak, gamma_grid,
-                                    y_values))
-        del g  # freed before the next is sampled; holding it made sweeps ~7% slower
-    return np.stack(values, axis=-1)
+    pairs = zip(rngs, rngs)  # consecutive pairs of the one iterator
+    values = np.empty((len(grid), len(CRITERIA) + len(y_values), len(rep_keys)))
+    for start in range(0, len(rep_keys), per_chunk):
+        reps = min(per_chunk, len(rep_keys) - start)
+        t0 = np.empty((reps, size), dtype=np.int64)
+        t1 = np.empty_like(t0)
+        tiebreak = np.empty_like(t0)
+        red = np.empty((reps, size), dtype=bool)
+        for r, (sample_rng, tie_rng) in zip(range(reps), pairs):  # range first: no pair lost
+            g = sample_kidney_egg(params, sample_rng)
+            cand, t0[r], t1[r] = candidate_statistics(g)
+            tiebreak[r] = tie_rng.permutation(size)
+            red[r] = g.truth[cand] == RED  # every candidate is occluded, so red <=> red candidate
+            del g  # freed before the next is sampled; holding it made sweeps ~7% slower
+        scores = prepare_ranking(t0, t1)  # once per chunk, not per graph
+        masks = np.empty((reps, len(grid), size), dtype=bool)
+        for r in range(reps):
+            first = tiebreak_order(tiebreak[r])  # kept by stable fused sorts
+            masks[r] = _ranked_masks(scores[r][:, first], red[r][first], grid)
+        chunk = mask_metrics(masks.reshape(-1, size), y_values)
+        values[..., start:start + reps] = chunk.reshape(reps, len(grid), -1).transpose(1, 2, 0)
+    return values
 
 
 def _best_gamma(gamma_grid, scores) -> float:

@@ -2,6 +2,7 @@
 benchmark's trace hooks, call counts and recorded output digests."""
 
 import ast
+import collections
 import hashlib
 import importlib
 import importlib.util
@@ -279,6 +280,70 @@ def test_scores_are_checked_once_per_candidate_set(monkeypatch):
     red, tiebreak = rng.permutation(n) < 30, rng.permutation(n)
     evaluate_grid(t0, t1, red, tiebreak, (0.0, 0.25, 0.5, 0.75, 1.0))
     assert len(calls) == 1
+
+
+def count_experiments_calls(monkeypatch, names):
+    """A Counter of the calls experiments makes to each named function."""
+    counts = collections.Counter()
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(vnom.experiments, name), **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(vnom.experiments, name, counted)
+    return counts
+
+
+def test_replicates_prepared_and_scored_once_per_chunk(monkeypatch):
+    # each graph is sampled and ranked on its own, but its scores are narrowed
+    # and its rankings scored with the other graphs of its chunk
+    counts = count_experiments_calls(
+        monkeypatch, ("prepare_ranking", "mask_metrics", "sample_kidney_egg"))
+    bench_sweep = KidneyEggParams(184, 40, 10, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
+    bench_surface = KidneyEggParams(184, 40, 30, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
+    small = KidneyEggParams(30, 10, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
+    sweep_grid = (0.0, 0.5, 1.0)
+    # (params, grid, replicates, chunks): a sweep cell is one chunk, a surface
+    # takes 4 replicates per chunk
+    cases = [(bench_sweep, sweep_grid, 40, 1), (bench_surface, GAMMA_GRID_DEFAULT, 9, 3),
+             (small, sweep_grid, 1, 1)]
+    for params, grid, replicates, chunks in cases:
+        counts.clear()
+        vnom.experiments._replicate_values(params, grid, 2, [(rep,) for rep in range(replicates)])
+        assert counts == {"prepare_ranking": chunks, "mask_metrics": chunks,
+                          "sample_kidney_egg": replicates}
+    monkeypatch.setattr(vnom.experiments, "_CHUNK_CELLS", 3 * len(sweep_grid) * 26)
+    for replicates, chunks in ((3, 1), (7, 3)):
+        counts.clear()
+        vnom.experiments._replicate_values(small, sweep_grid, 2,
+                                           [(rep,) for rep in range(replicates)])
+        assert counts == {"prepare_ranking": chunks, "mask_metrics": chunks,
+                          "sample_kidney_egg": replicates}
+
+
+# per-replicate memory _replicate_values may keep beyond its result: the
+# derived seed table holds a few dozen bytes per replicate (the traced excess
+# over the result grew by ~11 kB from 8 to 64 replicates at the bench surface
+# shape, and by ~2.3 MB with all replicates in one chunk)
+REPLICATE_GROWTH_BYTES = 512
+
+
+def test_replicate_memory_does_not_grow_with_replicates():
+    params = KidneyEggParams(184, 40, 30, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
+
+    def excess(replicates):
+        """Traced peak of one call less the bytes of its result."""
+        tracemalloc.start()
+        try:
+            values = vnom.experiments._replicate_values(
+                params, GAMMA_GRID_DEFAULT, 3, [(rep,) for rep in range(replicates)], (1, 2, 3))
+            return tracemalloc.get_traced_memory()[1] - values.nbytes
+        finally:
+            tracemalloc.stop()
+
+    excess(1)  # warm caches, so neither measured call pays for them
+    few, many = excess(8), excess(64)
+    assert many - few <= (64 - 8) * REPLICATE_GROWTH_BYTES, (few, many)
 
 
 def load_bench_run(monkeypatch):

@@ -5,13 +5,14 @@ import os
 import numpy as np
 import pytest
 
+import vnom.experiments
 from vnom import (GAMMA_GRID_DEFAULT, InputError, KidneyEggParams, Simplex3, SweepSpec,
                   candidate_statistics, evaluate_ranking, gamma_star, gamma_surface,
                   rank_candidates, run_sweep, sample_kidney_egg)
 from vnom.experiments import _replicate_values, evaluate_grid, parallel_map, pool_size
 from vnom.graph import RED
 from vnom.nomination import validate_gamma_grid
-from vnom.seeding import as_seed_sequence, child_seed
+from vnom.seeding import as_seed_sequence, child_generators, child_seed
 
 PAPER_P = Simplex3(0.6, 0.2, 0.2)
 PAPER_S = Simplex3(0.4, 0.4, 0.2)
@@ -103,6 +104,63 @@ class TestEvaluateGrid:
         assert stacked.shape == single.shape == (stacks, len(grid), 5)
         assert stacked.dtype == single.dtype
         assert stacked.tobytes() == single.tobytes()
+
+
+def graph_by_graph_values(params, grid, seed, rep_keys, y_values):
+    """_replicate_values as one evaluate_grid call per sampled graph, over the
+    same generator streams: the replicate loop before chunking."""
+    rngs = child_generators(seed, [(*key, stream) for key in rep_keys for stream in (0, 1)])
+    values = []
+    for sample_rng, tie_rng in zip(rngs, rngs):
+        g = sample_kidney_egg(params, sample_rng)
+        cand, t0, t1 = candidate_statistics(g)
+        values.append(evaluate_grid(t0, t1, g.truth[cand] == RED,
+                                    tie_rng.permutation(cand.size), grid, y_values))
+    return np.stack(values, axis=-1)
+
+
+# content-led graphs at n = 260 whose top scores, at seed 4, are 256, 254 and
+# 257: in chunks of 2 the 254 graph shares a chunk with a score past uint8
+WIDE = KidneyEggParams(260, 10, 4, (0.03, 0.95, 0.02), PAPER_S)
+CHUNK_GRID = (0.0, 0.25, 0.1 + 0.2, 0.5, 1.0)  # 0.1 + 0.2 takes object keys
+
+
+class TestReplicateChunks:
+    @pytest.mark.parametrize("per_chunk", [1, 2])
+    @pytest.mark.parametrize("params,seed,replicates", [(small_params(), 7, 5), (WIDE, 4, 3)],
+                             ids=["n=30", "n=260"])
+    def test_chunks_equal_graph_by_graph_evaluation(self, monkeypatch, per_chunk, params,
+                                                    seed, replicates):
+        # odd replicate counts leave a ragged last chunk of 2
+        keys = [(rep,) for rep in range(replicates)]
+        want = graph_by_graph_values(params, CHUNK_GRID, seed, keys, (1, 2))
+        cells = per_chunk * len(CHUNK_GRID) * (params.n - params.m_prime)
+        monkeypatch.setattr(vnom.experiments, "_CHUNK_CELLS", cells)
+        got = _replicate_values(params, CHUNK_GRID, seed, keys, (1, 2))
+        assert got.shape == want.shape == (len(CHUNK_GRID), 5, replicates)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_a_chunk_ranks_on_its_widest_graph_tier(self, monkeypatch):
+        # the n=260 case above is only worth its cost if the chunk's stack is
+        # wider than one of its graphs' stacks would be alone
+        seen = []
+        prepare_ranking = vnom.experiments.prepare_ranking
+
+        def spied(t0, t1):
+            scores = prepare_ranking(t0, t1)
+            seen.append(scores.dtype)
+            return scores
+
+        monkeypatch.setattr(vnom.experiments, "prepare_ranking", spied)
+        keys = [(rep,) for rep in range(3)]
+        graph_by_graph_values(WIDE, CHUNK_GRID, 4, keys, ())
+        assert seen == [np.dtype(np.int32), np.dtype(np.uint8), np.dtype(np.int32)]
+        seen.clear()
+        monkeypatch.setattr(vnom.experiments, "_CHUNK_CELLS",
+                            2 * len(CHUNK_GRID) * (WIDE.n - WIDE.m_prime))
+        _replicate_values(WIDE, CHUNK_GRID, 4, keys)
+        assert seen == [np.dtype(np.int32), np.dtype(np.int32)]
 
 
 class TestPoolSize:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import pytest
 
-from vnom import KidneyEggParams, SweepSpec, gamma_surface, run_sweep
+from vnom import KidneyEggParams, SweepSpec, gamma_star, gamma_surface, run_sweep
 
 N = 5
 PAIRS = list(itertools.combinations(range(N), 2))  # 10 pairs, 3**10 configurations
@@ -152,3 +152,14 @@ def test_sweep_cell_matches_the_oracle(model):
                      master_seed=21, m_prime_values=(m_prime,))
     (cell,) = run_sweep(spec).cells
     assert_within_3_se(cell.table, exact)
+
+
+def test_gamma_star_picks_a_gamma_within_3_se_of_the_exact_best(model):
+    # gamma_star ranks the surface's graphs and tie-break streams (same seed),
+    # so the surface's se at its pick is the se of the estimate it maximised
+    m, m_prime, p, s, _, exact = model
+    picked = gamma_star(KidneyEggParams(N, m, m_prime, p, s), GAMMAS, "map",
+                        replicates=REPLICATES, seed=20)
+    se = surface(m, m_prime, p, s).value("map", picked, None, se=True)
+    best = max(exact[gamma]["map"] for gamma in GAMMAS)
+    assert best - exact[picked]["map"] <= 3 * se, (picked, best, exact[picked]["map"], se)
