@@ -15,9 +15,8 @@ from .kidney_egg import (PMF, KidneyEggParams, Simplex3, binomial_pmf,
                          empirical_score_pmfs, sample_kidney_egg, tv_distance)
 from .nomination import (GAMMA_GRID_DEFAULT, Ranking, candidate_statistics,
                          content_score, context_score, rank_candidates)
-from .metrics import (EvalReport, MetricTable, aggregate_reports, average_precision,
-                      average_precision_at_y, chance_baseline, evaluate_ranking,
-                      precision_at, reciprocal_rank, success_at_1)
+from .metrics import (EvalReport, MetricTable, aggregate_reports, chance_baseline,
+                      evaluate_ranking, precision_at)
 from .experiments import (CellResult, SweepResult, SweepSpec, gamma_star, gamma_surface,
                           run_sweep)
 from .importance import (BinReport, EstimatedRates, PartitionTrial, ScreenedPartition,

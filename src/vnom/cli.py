@@ -83,13 +83,17 @@ def _write_or_print(text: str, out):
             fh.write(text)
 
 
+def _write_document(args, to_csv, to_json, *data):
+    """Write the ``--format`` form of a result document to ``--out``, or to stdout."""
+    _write_or_print((to_csv if args.format == "csv" else to_json)(*data), args.out)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="vnom", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="one model sample plus a nomination report",
-                         parents=[], add_help=True)
-    _model_flags(sim, with_m=True)
+    sim = sub.add_parser("simulate", help="one model sample plus a nomination report")
+    _model_flags(sim)
     sim.add_argument("--gamma", type=float, default=0.5)
     sim.add_argument("--top", type=int, default=10, help="ranked prefix length to print")
     sim.add_argument("--save-graph", default=None, help="write the sampled graph here")
@@ -114,7 +118,7 @@ def build_parser() -> _Parser:
     _add_seed(sw)
 
     su = sub.add_parser("surface", help="truncated-AP surface over (y, gamma)")
-    _model_flags(su, with_m=True)
+    _model_flags(su)
     su.add_argument("--y-max", type=int, default=3)
     su.add_argument("--gammas", default="grid")
     su.add_argument("--replicates", type=int, default=1000)
@@ -153,7 +157,7 @@ def build_parser() -> _Parser:
                      help="comma-separated red vertex ids (default: the graph's truth)")
 
     an = sub.add_parser("analytic", help="exact score PMFs and MC-vs-analytic distances")
-    _model_flags(an, with_m=True)
+    _model_flags(an)
     an.add_argument("--samples", type=int, default=0,
                     help="empirical samples for TV distances (0 = analytic only)")
     an.add_argument("--out", default=None)
@@ -182,11 +186,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _model_flags(parser, with_m: bool):
+def _model_flags(parser):
     parser.add_argument("--n", type=int, default=184)
-    if with_m:
-        parser.add_argument("--m", type=int, default=40)
-        parser.add_argument("--m-prime", type=int, default=10)
+    parser.add_argument("--m", type=int, default=40)
+    parser.add_argument("--m-prime", type=int, default=10)
     parser.add_argument("--p0", type=float, default=0.6)
     parser.add_argument("--p1", type=float, default=0.2)
     parser.add_argument("--p2", type=float, default=0.2)
@@ -247,9 +250,7 @@ def _cmd_sweep(args) -> int:
         m_prime_values=_parse_int_list(args.m_prime_list) if args.m_prime_list else None,
     )
     result = run_sweep(spec, n_workers=args.workers)
-    text = (vio.sweep_to_csv(result) if args.format == "csv"
-            else vio.sweep_to_json(result))
-    _write_or_print(text, args.out)
+    _write_document(args, vio.sweep_to_csv, vio.sweep_to_json, result)
     return 0
 
 
@@ -259,9 +260,7 @@ def _cmd_surface(args) -> int:
     table = gamma_surface(params, _parse_gammas(args.gammas), args.y_max,
                           args.replicates, seed)
     config = _model_config(params, y_max=args.y_max, replicates=args.replicates, seed=seed)
-    text = (vio.surface_to_csv(table, config) if args.format == "csv"
-            else vio.surface_to_json(table, config))
-    _write_or_print(text, args.out)
+    _write_document(args, vio.surface_to_csv, vio.surface_to_json, table, config)
     return 0
 
 
@@ -291,9 +290,7 @@ def _cmd_importance(args) -> int:
                                        n_workers=args.workers)
     else:  # no partition passed both thresholds: documents without bins or partitions
         trials = TrialsResult({}, (), gammas)
-    text = (vio.trials_to_csv(screening, trials, config) if args.format == "csv"
-            else vio.trials_to_json(screening, trials, config))
-    _write_or_print(text, args.out)
+    _write_document(args, vio.trials_to_csv, vio.trials_to_json, screening, trials, config)
     if args.partitions_out:
         _write_or_print(vio.partitions_to_csv(trials, config), args.partitions_out)
     if args.rates_out:
@@ -337,25 +334,17 @@ def _cmd_analytic(args) -> int:
             for kind in ("context", "content"):
                 tv = tv_distance(empirical[cls][kind], tables[(kind, cls)])
                 tv_rows.append((kind, cls, tv))
-    text = (vio.pmf_table_csv(tables, tv_rows, config) if args.format == "csv"
-            else vio.pmf_table_json(tables, tv_rows, config))
-    _write_or_print(text, args.out)
+    _write_document(args, vio.pmf_table_csv, vio.pmf_table_json, tables, tv_rows, config)
     return 0
 
 
 def _cmd_surrogate(args) -> int:
     seed = _resolve_seed(args)
-    g = vio.generate_surrogate(args.n, args.k, args.density,
-                               group_size=args.group_size,
-                               group_density=args.group_density,
-                               tilt=args.tilt,
-                               concentration=args.concentration,
-                               mean_extra_messages=args.mean_extra_messages,
-                               seed=seed)
-    meta = {"seed": seed, "n": args.n, "k": args.k, "density": args.density,
-            "group_size": args.group_size, "group_density": args.group_density,
-            "tilt": args.tilt, "concentration": args.concentration,
-            "mean_extra_messages": args.mean_extra_messages}
+    knobs = {name: getattr(args, name) for name in (
+        "density", "group_size", "group_density", "tilt", "concentration",
+        "mean_extra_messages")}
+    g = vio.generate_surrogate(args.n, args.k, seed=seed, **knobs)
+    meta = {"seed": seed, "n": args.n, "k": args.k, **knobs}
     vio.write_topic_graph(g, args.out, {"config": json.dumps(meta, sort_keys=True)})
     print(f"wrote {args.out}: n={g.n} edges={g.num_edges} topics={g.k_topics}")
     return 0

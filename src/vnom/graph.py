@@ -76,7 +76,25 @@ def _canonical_edges(n, edge_u, edge_v, *extras):
     return (lo, hi, *extras)
 
 
-class AttributedGraph:
+class _EdgeGraph:
+    """What both graph kinds share: canonical ``edge_u``/``edge_v`` arrays,
+    and equality of every slot of the kind, arrays element by element."""
+
+    __slots__ = ()
+
+    @property
+    def num_edges(self) -> int:
+        return int(self.edge_u.size)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, name), getattr(other, name)) for name in self.__slots__)
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in pairs)
+
+
+class AttributedGraph(_EdgeGraph):
     """Undirected simple graph with edge attributes and two vertex layers.
 
     ``truth[v]`` is RED or GREEN; ``observed[v]`` is RED (identified) or
@@ -125,10 +143,6 @@ class AttributedGraph:
         return self
 
     @property
-    def num_edges(self) -> int:
-        return int(self.edge_u.size)
-
-    @property
     def num_red(self) -> int:
         return int(np.count_nonzero(self.truth == RED))
 
@@ -161,22 +175,12 @@ class AttributedGraph:
         below, above = self._incident(v)
         return np.concatenate([self.edge_attr[below], self.edge_attr[above]])
 
-    def __eq__(self, other):
-        if not isinstance(other, AttributedGraph):
-            return NotImplemented
-        return (self.n == other.n and self.k_edge_attrs == other.k_edge_attrs
-                and np.array_equal(self.edge_u, other.edge_u)
-                and np.array_equal(self.edge_v, other.edge_v)
-                and np.array_equal(self.edge_attr, other.edge_attr)
-                and np.array_equal(self.truth, other.truth)
-                and np.array_equal(self.observed, other.observed))
-
     def __repr__(self):
         return (f"AttributedGraph(n={self.n}, edges={self.num_edges}, "
                 f"red={self.num_red}, identified={self.num_identified})")
 
 
-class TopicGraph:
+class TopicGraph(_EdgeGraph):
     """Undirected simple graph whose edges carry topic distributions.
 
     ``topic_probs[e]`` is the empirical distribution over ``k_topics`` topics
@@ -225,20 +229,6 @@ class TopicGraph:
                     raise InputError(f"vertex {v} name {name!r} must be a non-empty string "
                                      f"without surrounding whitespace or line breaks")
         self.vertex_names = vertex_names
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.edge_u.size)
-
-    def __eq__(self, other):
-        if not isinstance(other, TopicGraph):
-            return NotImplemented
-        return (self.n == other.n and self.k_topics == other.k_topics
-                and np.array_equal(self.edge_u, other.edge_u)
-                and np.array_equal(self.edge_v, other.edge_v)
-                and np.array_equal(self.topic_probs, other.topic_probs)
-                and np.array_equal(self.message_count, other.message_count)
-                and self.vertex_names == other.vertex_names)
 
     def __repr__(self):
         return f"TopicGraph(n={self.n}, edges={self.num_edges}, k_topics={self.k_topics})"

@@ -45,20 +45,21 @@ def _fmt_prob(x: float) -> str:
 # topic-graph files
 # ---------------------------------------------------------------------------
 
-def write_topic_graph(g: TopicGraph, path, metadata: dict | None = None) -> None:
-    lines = [_FORMAT_TAG_TOPIC]
-    if metadata:
-        for key in sorted(metadata):
-            lines.append(f"# {key}: {metadata[key]}")
-    lines.append(f"#n={g.n}")
-    lines.append(f"#k={g.k_topics}")
-    for i, name in enumerate(g.vertex_names or ()):  # an unnamed graph stays unnamed
-        lines.append(f"#vertex {i} {name}")
-    for e in range(g.num_edges):
-        probs = " ".join(_fmt_prob(x) for x in g.topic_probs[e])
-        lines.append(f"e {g.edge_u[e]} {g.edge_v[e]} {g.message_count[e]} {probs}")
+def _write_graph(path, tag: str, metadata: dict | None, lines) -> None:
+    """A graph file: the format tag, the metadata as sorted '# key: value'
+    lines, then the header and record lines."""
+    meta = [f"# {key}: {metadata[key]}" for key in sorted(metadata or ())]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([tag, *meta, *lines]) + "\n")
+
+
+def write_topic_graph(g: TopicGraph, path, metadata: dict | None = None) -> None:
+    lines = [f"#n={g.n}", f"#k={g.k_topics}"]
+    # an unnamed graph stays unnamed
+    lines += [f"#vertex {i} {name}" for i, name in enumerate(g.vertex_names or ())]
+    lines += [f"e {u} {v} {count} {' '.join(_fmt_prob(x) for x in probs)}"
+              for u, v, count, probs in zip(g.edge_u, g.edge_v, g.message_count, g.topic_probs)]
+    _write_graph(path, _FORMAT_TAG_TOPIC, metadata, lines)
 
 
 def read_topic_graph(path) -> TopicGraph:
@@ -194,18 +195,11 @@ def _vertex_id(text: str, n, seen, lineno: int) -> int:
 # ---------------------------------------------------------------------------
 
 def write_attributed_graph(g: AttributedGraph, path, metadata: dict | None = None) -> None:
-    lines = [_FORMAT_TAG_ATTR]
-    if metadata:
-        for key in sorted(metadata):
-            lines.append(f"# {key}: {metadata[key]}")
-    lines.append(f"#n={g.n}")
-    lines.append(f"#ke={g.k_edge_attrs}")
-    for i in range(g.n):
-        lines.append(f"v {i} {int(g.truth[i])} {int(g.observed[i])}")
-    for e in range(g.num_edges):
-        lines.append(f"a {g.edge_u[e]} {g.edge_v[e]} {g.edge_attr[e]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [f"#n={g.n}", f"#ke={g.k_edge_attrs}"]
+    lines += [f"v {i} {truth} {observed}"
+              for i, (truth, observed) in enumerate(zip(g.truth, g.observed))]
+    lines += [f"a {u} {v} {attr}" for u, v, attr in zip(g.edge_u, g.edge_v, g.edge_attr)]
+    _write_graph(path, _FORMAT_TAG_ATTR, metadata, lines)
 
 
 def read_attributed_graph(path) -> AttributedGraph:

@@ -5,7 +5,9 @@ Metrics consume rank-ordered red/green masks (or (Ranking, truth) pairs) only
 — they never look at graphs — so they can be tested against brute-force
 oracles on synthetic rankings.  :func:`mask_metrics` scores a stack of
 orderings at once, one row per ordering, with the columns S@1, RR, AP and
-then AP^y for each requested y.  :class:`MetricTable` folds such arrays over
+then AP^y for each requested y; :func:`evaluate_ranking` reads one ranking's
+row into an :class:`EvalReport`, and :func:`precision_at` gives precision@r,
+which no column holds.  :class:`MetricTable` folds such arrays over
 replicates into means and standard errors per gamma; no other module maps a
 criterion to its column (:func:`column_index`).  Chance baselines are exact:
 under a uniformly random ranking the rank of the j-th red candidate is
@@ -46,33 +48,12 @@ def _truth_mask(r: Ranking, truth) -> np.ndarray:
     return np.isin(r.ordered, t)
 
 
-def success_at_1(r: Ranking, truth) -> int:
-    """1 iff the top-ranked candidate is truly red."""
-    return int(_truth_mask(r, truth)[0])
-
-
-def reciprocal_rank(r: Ranking, truth) -> float:
-    """1 / rank of the first truly red candidate (1-indexed)."""
-    mask = _truth_mask(r, truth)
-    return 1.0 / (int(np.argmax(mask)) + 1)
-
-
 def precision_at(r: Ranking, truth, rank: int) -> float:
     """Fraction of the first ``rank`` positions that are truly red."""
     mask = _truth_mask(r, truth)
     if not 1 <= rank <= mask.size:
         raise InputError(f"rank must lie in 1..{mask.size}, got {rank}")
     return float(np.count_nonzero(mask[:rank])) / rank
-
-
-def average_precision(r: Ranking, truth) -> float:
-    """Mean precision at the rank of every truly red candidate."""
-    return float(mask_metrics(_truth_mask(r, truth))[0, 2])
-
-
-def average_precision_at_y(r: Ranking, truth, y: int) -> float:
-    """Average precision truncated at the y-th red candidate's rank."""
-    return float(mask_metrics(_truth_mask(r, truth), (y,))[0, 3])
 
 
 def mask_metrics(masks, y_values=()) -> np.ndarray:

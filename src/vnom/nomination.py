@@ -176,14 +176,11 @@ def prepare_ranking(t0, t1) -> np.ndarray:
     :func:`fused_order`'s key tiers: uint8 when every score lies in
     [0, 2**8), int32 when every score lies in [0, 2**31), else int64.  Each
     range holds exactly when the bitwise OR of all scores lies in it, so one
-    reduction picks the dtype."""
-    scores = np.stack((np.asarray(t0, dtype=np.int64), np.asarray(t1, dtype=np.int64)), axis=-2)
-    bits = np.bitwise_or.reduce(scores, axis=None)  # 0 for no candidates
-    if 0 <= bits < 1 << 8:
-        return scores.astype(_UINT8)
-    if 0 <= bits < 1 << 31:
-        return scores.astype(_INT32)
-    return scores
+    reduction per input picks the dtype, and the stack is built in it."""
+    t0, t1 = np.asarray(t0, dtype=np.int64), np.asarray(t1, dtype=np.int64)
+    bits = np.bitwise_or.reduce(t0, axis=None) | np.bitwise_or.reduce(t1, axis=None)  # 0 if empty
+    dtype = _UINT8 if 0 <= bits < 1 << 8 else _INT32 if 0 <= bits < 1 << 31 else np.int64
+    return np.stack((t0, t1), axis=-2, dtype=dtype, casting="unsafe")
 
 
 def _fused_keys(scores, gamma) -> tuple:

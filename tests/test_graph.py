@@ -98,6 +98,45 @@ class TestTopicGraph:
             TopicGraph(3, [0], [1], [point_mass(0, 2)], [1], ["a", name, "c d"])
 
 
+ATTRIBUTED = build_attributed(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)], red={0, 1}, identified={0})
+TOPIC = TopicGraph(3, [0, 1], [1, 2], [point_mass(0, 2), [0.5, 0.5]], [1, 2], ["a", "b", "c"])
+
+
+def with_slots(g, **values):
+    """A copy of ``g`` with the given slots replaced, built past validation."""
+    twin = type(g).__new__(type(g))
+    for slot in type(g).__slots__:
+        setattr(twin, slot, values.get(slot, getattr(g, slot)))
+    return twin
+
+
+def changed(value):
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flat[0] += 1
+        return value
+    if isinstance(value, tuple):
+        return ("z", *value[1:])
+    return value + 1
+
+
+SLOT_CASES = [(g, slot) for g in (ATTRIBUTED, TOPIC) for slot in type(g).__slots__]
+
+
+class TestGraphEquality:
+    @pytest.mark.parametrize("g, slot", SLOT_CASES,
+                             ids=[f"{type(g).__name__}.{slot}" for g, slot in SLOT_CASES])
+    def test_a_copy_differing_in_one_slot_is_unequal(self, g, slot):
+        assert with_slots(g) == g
+        other = with_slots(g, **{slot: changed(getattr(g, slot))})
+        assert other != g and g != other
+
+    def test_graph_kinds_never_compare_equal(self):
+        assert (ATTRIBUTED == TOPIC) is False and (TOPIC == ATTRIBUTED) is False
+        assert ATTRIBUTED != TOPIC
+        assert ATTRIBUTED != "graph"
+
+
 class TestCandidateSet:
     def test_counts(self):
         g = build_attributed(5, [], red={0, 1}, identified={0})

@@ -1,5 +1,6 @@
 """File formats, surrogate generation, serialization stability."""
 
+import hashlib
 import tracemalloc
 from math import comb
 
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnom import (GraphFormatError, InputError, ScreeningThresholds, generate_surrogate,
-                  read_attributed_graph, read_topic_graph, screen_partitions,
-                  write_attributed_graph, write_topic_graph)
+from vnom import (GraphFormatError, InputError, KidneyEggParams, ScreeningThresholds, Simplex3,
+                  generate_surrogate, read_attributed_graph, read_topic_graph,
+                  sample_kidney_egg, screen_partitions, write_attributed_graph,
+                  write_topic_graph)
 
 from conftest import build_attributed, build_topic
 
@@ -162,6 +164,30 @@ class TestAttributedGraphFile:
         path.write_text("#n=2\n#ke=2\nv 0 2 1\nv 1 2 0\n")
         with pytest.raises(GraphFormatError):
             read_attributed_graph(path)
+
+
+# sha256 of whole graph files, metadata lines included, as written before both
+# formats shared one writer
+GRAPH_FILE_DIGESTS = {
+    "topic": "246c8fa3fcae44ba0a86729c8441a819cd5f1ace378fceaa846dfca3c88b5df9",
+    "attributed": "8de702794cc44ca10da7ca249666c54ed5bda146b25618e456eaf6c4756ab67c",
+}
+
+
+def write_digest_graph(kind, path):
+    if kind == "topic":  # the importance bench corpus
+        write_topic_graph(generate_surrogate(seed=3), path, {"config": "x", "seed": 3})
+    else:
+        params = KidneyEggParams(40, 8, 3, Simplex3(0.6, 0.2, 0.2), Simplex3(0.4, 0.4, 0.2))
+        write_attributed_graph(sample_kidney_egg(params, 7), path,
+                               {"seed": 7, "model": "kidney-egg n=40"})
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPH_FILE_DIGESTS))
+def test_graph_file_matches_recorded_digest(tmp_path, kind):
+    path = tmp_path / "g.graph"
+    write_digest_graph(kind, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GRAPH_FILE_DIGESTS[kind]
 
 
 class TestGenerateSurrogate:

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnom import (InputError, NoRedCandidatesError, Ranking, aggregate_reports,
-                  average_precision, average_precision_at_y, chance_baseline,
-                  evaluate_ranking, precision_at, reciprocal_rank, success_at_1)
+from vnom import (InputError, NoRedCandidatesError, Ranking, aggregate_reports, chance_baseline,
+                  evaluate_ranking, precision_at)
 from vnom.metrics import MetricTable, mask_metrics, report_from_mask
 
 
@@ -88,37 +87,37 @@ class TestMaskMetrics:
 
 class TestSuccessAt1:
     def test_top_red(self):
-        assert success_at_1(ranking_of([3, 1, 2]), {3}) == 1
+        assert evaluate_ranking(ranking_of([3, 1, 2]), {3}).s_at_1 == 1
 
     def test_top_green(self):
-        assert success_at_1(ranking_of([3, 1, 2]), {1, 2}) == 0
+        assert evaluate_ranking(ranking_of([3, 1, 2]), {1, 2}).s_at_1 == 0
 
     def test_empty_truth_rejected(self):
         with pytest.raises(NoRedCandidatesError):
-            success_at_1(ranking_of([1, 2]), set())
+            evaluate_ranking(ranking_of([1, 2]), set())
 
     def test_truth_outside_candidates_rejected(self):
         with pytest.raises(InputError):
-            success_at_1(ranking_of([1, 2]), {9})
+            evaluate_ranking(ranking_of([1, 2]), {9})
 
     def test_chance_rate_under_random_rankings(self):
         rng = np.random.default_rng(0)
         n, reds, trials = 10, {0, 1, 2}, 4000
-        wins = sum(success_at_1(ranking_of(rng.permutation(n)), reds)
+        wins = sum(evaluate_ranking(ranking_of(rng.permutation(n)), reds).s_at_1
                    for _ in range(trials))
         assert wins / trials == pytest.approx(0.3, abs=0.03)
 
 
 class TestReciprocalRank:
     def test_first_position(self):
-        assert reciprocal_rank(ranking_of([5, 6, 7]), {5}) == 1.0
+        assert evaluate_ranking(ranking_of([5, 6, 7]), {5}).rr == 1.0
 
     def test_fourth_position(self):
-        assert reciprocal_rank(ranking_of([1, 2, 3, 4]), {4}) == 0.25
+        assert evaluate_ranking(ranking_of([1, 2, 3, 4]), {4}).rr == 0.25
 
     def test_enumerated_expectation(self):
         # N=4, one red: E[RR] = (1 + 1/2 + 1/3 + 1/4)/4
-        values = [reciprocal_rank(ranking_of(perm), {0})
+        values = [evaluate_ranking(ranking_of(perm), {0}).rr
                   for perm in itertools.permutations(range(4))]
         assert np.mean(values) == pytest.approx((1 + 1 / 2 + 1 / 3 + 1 / 4) / 4)
 
@@ -143,15 +142,15 @@ class TestPrecisionAt:
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
-        assert average_precision(ranking_of([1, 2, 3, 4]), {1, 2}) == 1.0
+        assert evaluate_ranking(ranking_of([1, 2, 3, 4]), {1, 2}).ap == 1.0
 
     def test_alternating(self):
         # (red, green, red, green): (1 + 2/3)/2
-        assert average_precision(ranking_of([1, 2, 3, 4]), {1, 3}) == pytest.approx(5 / 6)
+        assert evaluate_ranking(ranking_of([1, 2, 3, 4]), {1, 3}).ap == pytest.approx(5 / 6)
 
     def test_single_red_last(self):
         n = 7
-        assert average_precision(ranking_of(range(n)), {n - 1}) == pytest.approx(1 / n)
+        assert evaluate_ranking(ranking_of(range(n)), {n - 1}).ap == pytest.approx(1 / n)
 
     def test_reversed_perfect_closed_form(self):
         # all reds at the very end: AP = (1/R) sum_j j/(N-R+j), checked by
@@ -160,38 +159,38 @@ class TestAveragePrecision:
             for r in range(1, n):
                 truth = set(range(n - r, n))
                 closed = sum(j / (n - r + j) for j in range(1, r + 1)) / r
-                assert average_precision(ranking_of(range(n)), truth) == pytest.approx(closed)
+                assert evaluate_ranking(ranking_of(range(n)), truth).ap == pytest.approx(closed)
                 assert brute_force_ap(list(range(n)), truth) == pytest.approx(closed)
 
     def test_relabeling_invariance(self):
         order = [4, 0, 3, 1, 2]
         truth = {0, 2}
         shift = {v: v + 100 for v in order}
-        a = average_precision(ranking_of(order), truth)
-        b = average_precision(ranking_of([shift[v] for v in order]),
-                              {shift[v] for v in truth})
+        a = evaluate_ranking(ranking_of(order), truth).ap
+        b = evaluate_ranking(ranking_of([shift[v] for v in order]),
+                             {shift[v] for v in truth}).ap
         assert a == b
 
 
 class TestAveragePrecisionAtY:
     def test_full_y_equals_ap(self):
-        r = ranking_of([1, 2, 3, 4, 5])
-        truth = {2, 4}
-        assert average_precision_at_y(r, truth, 2) == average_precision(r, truth)
+        rep = evaluate_ranking(ranking_of([1, 2, 3, 4, 5]), {2, 4}, (2,))
+        assert rep.ap_y[2] == rep.ap
 
     def test_hand_example(self):
         # (red, green, red, green, red), y=2 -> (1 + 2/3)/2
-        r = ranking_of([1, 2, 3, 4, 5])
-        assert average_precision_at_y(r, {1, 3, 5}, 2) == pytest.approx(5 / 6)
+        rep = evaluate_ranking(ranking_of([1, 2, 3, 4, 5]), {1, 3, 5}, (2,))
+        assert rep.ap_y[2] == pytest.approx(5 / 6)
 
     def test_y1_is_reciprocal_rank(self):
         r = ranking_of([9, 8, 7, 6])
         for truth in ({8}, {7, 6}, {9, 6}):
-            assert average_precision_at_y(r, truth, 1) == reciprocal_rank(r, truth)
+            rep = evaluate_ranking(r, truth, (1,))
+            assert rep.ap_y[1] == rep.rr
 
     def test_y_out_of_range(self):
         with pytest.raises(InputError):
-            average_precision_at_y(ranking_of([1, 2]), {1}, 2)
+            evaluate_ranking(ranking_of([1, 2]), {1}, (2,))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -199,21 +198,20 @@ class TestAveragePrecisionAtY:
         n = data.draw(st.integers(2, 12))
         order = data.draw(st.permutations(range(n)))
         n_red = data.draw(st.integers(1, n))
-        truth = set(order[:n_red])
-        r = ranking_of(order)
-        assert average_precision_at_y(r, truth, 1) == reciprocal_rank(r, truth)
+        rep = evaluate_ranking(ranking_of(order), set(order[:n_red]), (1,))
+        assert rep.ap_y[1] == rep.rr
 
 
 class TestEvaluateRanking:
     def test_matches_individual_metrics(self):
         order = [3, 1, 4, 1 + 4, 9, 2, 6]
         truth = {4, 9, 6}
-        r = ranking_of(order)
-        rep = evaluate_ranking(r, truth, y_values=(1, 2, 3))
-        assert rep.s_at_1 == success_at_1(r, truth)
-        assert rep.rr == reciprocal_rank(r, truth)
-        assert rep.ap == average_precision(r, truth)
-        assert rep.ap_y[2] == average_precision_at_y(r, truth, 2)
+        rep = evaluate_ranking(ranking_of(order), truth, y_values=(1, 2, 3))
+        assert rep.s_at_1 == 0
+        assert rep.rr == 1 / 3
+        assert rep.ap == pytest.approx(brute_force_ap(order, truth), rel=1e-12)
+        assert rep.ap_y == pytest.approx({y: brute_force_ap_y(order, truth, y)
+                                          for y in (1, 2, 3)}, rel=1e-12)
 
     def test_report_from_mask_matches(self):
         order = [5, 2, 8, 1]
@@ -304,8 +302,9 @@ class TestChanceBaseline:
         for n, r in ((5, 2), (6, 3), (4, 4)):
             perms = list(itertools.permutations(range(n)))
             truth = set(range(r))
-            for criterion, fn in (("mrr", reciprocal_rank), ("map", average_precision)):
-                brute = np.mean([fn(ranking_of(p), truth) for p in perms])
+            reports = [evaluate_ranking(ranking_of(p), truth) for p in perms]
+            for criterion, field in (("mrr", "rr"), ("map", "ap")):
+                brute = np.mean([getattr(rep, field) for rep in reports])
                 assert chance_baseline(n, r, criterion) == pytest.approx(brute)
 
     def test_matches_fraction_enumeration_up_to_12_candidates(self):

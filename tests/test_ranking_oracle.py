@@ -6,6 +6,7 @@ exact binary value, computes every fused score as a Fraction and sorts the
 candidates by (-fused, tie-break key, index).
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -182,6 +183,21 @@ def test_key_tiers_at_their_edges_match_oracle(top):
             assert prepare_ranking(empty, empty).shape == (*shape[:-1], 2, 0)
             got = order_with_tiebreak(empty, empty, gamma, empty)
             assert got.shape == shape and got.dtype == np.intp, gamma
+
+
+def test_prepare_ranking_builds_no_wide_stack():
+    # a sweep chunk: 40 graphs of 183 candidates, int64 scores below 2**6; an
+    # int64 (40, 2, 183) stack narrowed afterwards would hold 8x the result
+    t0, t1 = np.random.default_rng(4).integers(0, 1 << 6, (2, 40, 183))
+    tracemalloc.start()
+    try:
+        scores = prepare_ranking(t0, t1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.dtype == np.uint8 and scores.shape == (40, 2, 183)
+    assert scores[:, 0].tolist() == t0.tolist() and scores[:, 1].tolist() == t1.tolist()
+    assert peak <= 3 * scores.nbytes
 
 
 @pytest.mark.parametrize("top, dtype", [((1 << 16) - 1, np.int64), (1 << 16, np.int64),
