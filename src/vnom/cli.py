@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import secrets
+import os
 import sys
 
 import numpy as np
@@ -46,7 +46,9 @@ def _add_seed(parser):
 
 def _resolve_seed(args) -> int:
     if args.seed is None:
-        args.seed = secrets.randbits(48)
+        # 48 bits from os.urandom, as secrets.randbits(48) reads them, without
+        # importing secrets (and hmac, hashlib and OpenSSL) into every run
+        args.seed = int.from_bytes(os.urandom(6), "big")
         print(f"seed: {args.seed}", file=sys.stderr)
     return args.seed
 

@@ -21,9 +21,7 @@ across every gamma (paired comparison).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,12 +124,16 @@ def parallel_map(fn, tasks, n_workers: int) -> list:
     Tasks go to the workers in contiguous chunks, one per worker, and results
     come back in task order, so the output never depends on scheduling.
     Workers are spawned, not forked, so no lock held by another thread of
-    this process is copied into them.
+    this process is copied into them.  The pool's modules (``multiprocessing``,
+    ``concurrent.futures`` and what they pull in) are imported only when more
+    than one process is started, so a one-worker run never loads them.
     """
     tasks = list(tasks)
     workers = pool_size(n_workers, len(tasks))
     if workers == 1:
         return [fn(*task) for task in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(fn, *zip(*tasks), chunksize=-(-len(tasks) // workers)))

@@ -19,7 +19,7 @@ order at every gamma.
 array, checks their range once per candidate set and narrows the stack to
 uint8 (every score below 2**8) or int32 (below 2**31).  Each gamma's keys are
 then the product of the negated weight vector ``w = (-(den-num), -num)`` with
-the stack: ``w @ scores`` for a single row, and for a stack of rows two
+the stack: ``np.dot(w, scores)`` for a single row, and for a stack of rows two
 multiplies in the weights' dtype and an add, which beat numpy's integer
 matmul there.  The stack's dtype and ``den`` alone pick the weights' dtype,
 and with it the key type, with no pass over the data:
@@ -30,11 +30,11 @@ and with it the key type, with no pass over the data:
 
 Both terms of a key share a sign and its magnitude is at most ``den`` times
 the largest score, so no partial sum of the product leaves the key type.  An
-array-by-array matmul promotes alike under legacy promotion and NEP 50, and
-the multiplies name their dtype, so neither rule set can move the key type.
-A stable sort orders equal keys by position whatever their dtype, so every
-tier gives the same permutation as the widest; numpy sorts 16-bit keys stably
-by radix sort, which is what the narrow tiers buy.
+array-by-array dot product promotes alike under legacy promotion and NEP 50,
+and the multiplies name their dtype, so neither rule set can move the key
+type.  A stable sort orders equal keys by position whatever their dtype, so
+every tier gives the same permutation as the widest; numpy sorts 16-bit keys
+stably by radix sort, which is what the narrow tiers buy.
 
 :func:`score_counts` counts both scores for every vertex from bare edge arrays;
 it serves attributed graphs, importance trials and sampled score PMFs alike.
@@ -196,8 +196,8 @@ def _fused_keys(scores, gamma) -> tuple:
         weights = int64_weights
     else:
         return _exact_keys(scores, exact_weights), den
-    if scores.ndim == 2:  # one row: the matmul is the faster
-        return weights @ scores, den
+    if scores.ndim == 2:  # one row: np.dot avoids the matmul gufunc's per-call set-up
+        return np.dot(weights, scores), den
     # numpy's integer matmul is no BLAS call: two multiplies beat it on stacks
     context, content = np.moveaxis(scores, -2, 0)
     keys = np.multiply(context, weights[0], dtype=weights.dtype)

@@ -478,6 +478,20 @@ class TestSeedPrinting:
         assert code == 0
         assert json.loads(out)["meta"]["config"]["master_seed"] == int(err.split()[1])
 
+    def test_generated_seed_is_recorded_and_reproduces_the_run(self, capsys, tmp_path):
+        generated, rerun = tmp_path / "generated.csv", tmp_path / "rerun.csv"
+        args = ["sweep", "--n", "20", "--m-list", "4,6", "--gammas", "0,1",
+                "--replicates", "2"]
+        code, _, err = run_cli(capsys, *args, "--out", str(generated))
+        assert code == 0
+        label, seed = err.split()
+        assert label == "seed:" and 0 <= int(seed) < 2 ** 48
+        text = generated.read_text()
+        config = next(line for line in text.splitlines() if line.startswith("# config: "))
+        assert json.loads(config.removeprefix("# config: "))["master_seed"] == int(seed)
+        assert run_cli(capsys, *args, "--seed", seed, "--out", str(rerun)) == (0, "", "")
+        assert data_section(rerun.read_text()) == data_section(text)
+
 
 DOCUMENT_KINDS = {"sweep": "sweep", "surface": "surface", "importance": "importance",
                   "analytic": "analytic", "partitions": "importance-partitions",

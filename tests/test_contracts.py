@@ -151,6 +151,13 @@ def test_import_loads_no_numpy_random():
     assert modules_loaded_by_import("numpy.random") == "[]"
 
 
+@pytest.mark.parametrize("package", ["multiprocessing", "concurrent.futures", "secrets"])
+def test_import_loads_no_pool_or_seed_entropy(package):
+    # the process pool loads only for more than one worker and a generated
+    # seed reads os.urandom, so neither counts in every run's set-up
+    assert modules_loaded_by_import(package) == "[]"
+
+
 def test_seed_sequences_per_call_do_not_grow_with_instances(monkeypatch):
     # the replicate and trial loops derive all their streams in one batch
     built = []
