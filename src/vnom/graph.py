@@ -242,7 +242,7 @@ class Partition:
     red_ids: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        red = np.unique(np.asarray(self.red_ids, dtype=np.int64))
+        red = _sorted_unique(np.asarray(self.red_ids, dtype=np.int64))
         if red.size and (red[0] < 0 or red[-1] >= self.n):
             raise InputError("red_ids out of range")
         object.__setattr__(self, "red_ids", red)
@@ -260,6 +260,14 @@ class Partition:
         labels = np.full(self.n, GREEN, dtype=np.int8)
         labels[self.red_ids] = RED
         return labels
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)``: the sorted distinct values of ``a``, flattened.
+    numpy 2's np.unique loads numpy.ma (~1.2 MB, ~17 ms) on its first call,
+    which screening's partitions and the importance trials need not pay."""
+    a = np.sort(a, axis=None)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
 def _subset_array(n, vs) -> np.ndarray:

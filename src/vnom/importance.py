@@ -9,13 +9,16 @@ per-edge topic distributions and runs nomination.  Results aggregate into
 
 Each step (side masks, density gap, topic profiles, topic draw, candidate
 scores, edge rates) has one kernel, shared by the public single-partition
-functions and the batched screening and trial loops.  Screening alone counts
-red-internal edges, by looking up each draw's red vertex pairs in a dense
-adjacency; the public delta_rho counts them from side masks instead, an
-independent check.  Edge masks and topic profiles are built only for the
-draws that pass the density bar, a chunk of rows per kernel call; trials run
-in fixed blocks of partitions whose replicates map their uniforms to topics,
-and are scored and ranked, as one stack.
+functions and the batched screening and trial loops.  Screening alone works
+from each draw's red vertex pairs: it counts red-internal edges by looking
+the pairs up in a dense adjacency, and totals the red side's topic weights
+by looking them up among the canonical edge keys; the public delta_rho and
+delta_p work from side masks instead, an independent check.  Screening's
+working memory is bounded by a cell budget, not by the block: each block
+draws its keys a chunk of rows at a time, keeps only the ids and gaps of the
+draws passing the density bar, and profiles those a chunk of rows per kernel
+call.  Trials run in blocks of partitions whose replicates map their
+uniforms to topics, and are scored and ranked, as one stack.
 """
 
 from __future__ import annotations
@@ -27,16 +30,18 @@ import numpy as np
 
 from .errors import EmptyProfileError, InputError, UndefinedDensityError
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph,
-                    _subset_array)
-from .experiments import _take_rows, evaluate_grid, parallel_map
+                    _sorted_unique, _subset_array)
+from .experiments import evaluate_grid, parallel_map
 from .metrics import MetricTable, mean_se
 from .nomination import score_counts, validate_gamma_grid
 from .seeding import child_generators, child_seed, generator
 
 _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on scheduling
-_TRIAL_BLOCK = 64  # partitions per trial task; fixed for the same reason
-_PARTITION_ROWS = 512  # key rows per np.partition call: bounds its copy of the keys
-_ROW_CELLS = 2**18  # (rows x edges) or (rows x red pairs) cells per screening kernel call
+# partitions per trial task: bounds a task's size and its working memory
+# (every instance draws from its own streams, so results do not depend on it)
+_TRIAL_BLOCK = 32
+# (rows x vertices), (rows x edges) or (rows x red pairs) cells per screening kernel call
+_ROW_CELLS = 2**18
 MIN_PARTITIONS = 20  # a trial bin backed by fewer partitions is flagged insufficient
 
 
@@ -130,21 +135,31 @@ def _sides(g, red_mask: np.ndarray) -> tuple:
     return ru & rv, ~ru & ~rv
 
 
-def _adjacency(g) -> tuple:
-    """(adjacent, degree): the (n x n) bool adjacency of g and its degree vector."""
+def _screen_tables(g, m: int, weighted: bool) -> tuple:
+    """What every block of one screen reads: (edge weights with a zero row
+    appended, the (n x n) bool adjacency, the degree vector, the canonical
+    edge keys u*n + v with n*n appended, and the red pairs (first, second)
+    of ``np.triu_indices(m, 1)``).  Keys are ascending, as canonical edges
+    are, and no red pair has key n*n: a pair that is no edge finds n*n and
+    the zero weight row after the last edge."""
+    weights = np.zeros((g.num_edges + 1, g.k_topics))
+    weights[:-1] = _edge_weights(g, weighted)
     adjacent = np.zeros((g.n, g.n), dtype=bool)
     adjacent[g.edge_u, g.edge_v] = True
     adjacent[g.edge_v, g.edge_u] = True
-    return adjacent, np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n)
+    degree = np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n)
+    edge_keys = np.append(g.edge_u * g.n + g.edge_v, g.n * g.n)
+    return weights, adjacent, degree, edge_keys, np.triu_indices(m, 1)
 
 
-def _red_edge_counts(adjacent: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+def _red_edge_counts(adjacent: np.ndarray, chosen: np.ndarray, pairs: tuple) -> np.ndarray:
     """Red-internal edge count of each row of ``chosen``, the rows' red ids
-    (rows x m): the adjacent pairs among each row's m(m-1)/2 red pairs, one
-    lookup per pair in the flattened adjacency, a chunk of rows at a time.
-    The work is O(rows x m**2) whatever the degrees."""
+    (rows x m): the adjacent pairs among each row's red ``pairs`` (of
+    :func:`_screen_tables`), one lookup per pair in the flattened adjacency,
+    a chunk of rows at a time.  The work is O(rows x m**2) whatever the
+    degrees."""
     n = len(adjacent)
-    first, second = np.triu_indices(chosen.shape[1], 1)
+    first, second = pairs
     # the lookups are most of the work: 32-bit flat indices wherever they fit
     ids = chosen.astype(np.int32 if adjacent.size <= 2**31 else np.int64)
     counts = np.empty(len(ids), dtype=np.int64)
@@ -157,35 +172,74 @@ def _red_edge_counts(adjacent: np.ndarray, chosen: np.ndarray) -> np.ndarray:
     return counts
 
 
+def _red_totals(weights: np.ndarray, edge_keys: np.ndarray, n: int, chosen: np.ndarray,
+                pairs: tuple) -> np.ndarray:
+    """(rows x topics) topic weight totals of each row's red-internal edges,
+    ``chosen`` being the rows' ascending red ids (rows x m) and ``weights``,
+    ``edge_keys`` and ``pairs`` those of :func:`_screen_tables`.
+
+    Each red pair is looked up among the edge keys, a chunk of rows at a
+    time.  Pairs come in key order, which is edge order; with the misses
+    moved last (to the zero weight row), slot s adds every row's s-th red
+    edge.  A row thus adds its edges one at a time in edge order, as the
+    einsum of :func:`_topic_totals` over its red side mask does, and the
+    misses add +0.0, which is exact: the two are equal bit for bit.
+    """
+    first, second = pairs
+    totals = np.zeros((len(chosen), weights.shape[1]))
+    step = _chunk_rows(first.size)
+    for lo in range(0, len(chosen), step):
+        keys = chosen[lo:lo + step, first] * n + chosen[lo:lo + step, second]
+        at = np.searchsorted(edge_keys, keys)
+        found = edge_keys[at] == keys
+        at[~found] = len(edge_keys) - 1
+        at.sort(axis=1)  # each row's edges first, still in edge order
+        rows = totals[lo:lo + step]
+        for slot in at.T[:found.sum(axis=1).max()]:
+            rows += weights[slot]
+    return totals
+
+
 def _density_gap(red_edges, green_edges, m: int, n_green: int):
     return red_edges / comb(m, 2) - green_edges / comb(n_green, 2)
 
 
 def _chunk_rows(width: int) -> int:
-    """Rows per screening kernel call over ``width`` cells a row: edges for
-    :func:`_profile_gap` (2 MB of float mask), red pairs for
-    :func:`_red_edge_counts`."""
+    """Rows per screening kernel call over ``width`` cells a row: vertices
+    for a block's keys (2 MB of float64), edges for :func:`_profile_gap`
+    (2 MB of float mask), red pairs for :func:`_red_edge_counts` and
+    :func:`_red_totals`."""
     return max(1, _ROW_CELLS // max(width, 1))
 
 
-def _profiles(weights: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """(rows x topics) normalized topic weight of each row's selected edges,
-    ``sel`` being (rows x edges); a row without weight is zeros.
+def _topic_totals(weights: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """(rows x topics) topic weight totals of each row's selected edges,
+    ``sel`` being (rows x edges).
 
     The einsum adds a row's edges one at a time in edge order, as the axis-0
     sum of ``weights[sel_row]`` does, and x * 1.0 and + 0.0 are exact, so
     each row matches that sum bit for bit; ``optimize=True`` could hand the
     product to BLAS, which adds in another order.
     """
-    total = np.einsum("ek,er->rk", weights, sel.T.astype(np.float64), optimize=False)
+    return np.einsum("ek,er->rk", weights, sel.T.astype(np.float64), optimize=False)
+
+
+def _normalized(total: np.ndarray) -> np.ndarray:
+    """Each row of ``total`` over its sum; a row without weight is zeros."""
     mass = total.sum(axis=1, keepdims=True)
     return np.divide(total, mass, out=np.zeros_like(total), where=mass > 0.0)
 
 
-def _profile_gap(weights: np.ndarray, red_in, green_in) -> tuple:
-    """(delta_p, red profiles, green profiles) of each row of the (rows x edges)
-    side masks; delta_p is 0 where a side has no weight."""
-    pr, pg = _profiles(weights, red_in), _profiles(weights, green_in)
+def _profiles(weights: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """(rows x topics) normalized topic weight of each row's selected edges."""
+    return _normalized(_topic_totals(weights, sel))
+
+
+def _profile_gap(weights: np.ndarray, red_total, green_in) -> tuple:
+    """(delta_p, red profiles, green profiles) of each row, from the red
+    side's (rows x topics) topic totals and the green side's (rows x edges)
+    mask; delta_p is 0 where a side has no weight."""
+    pr, pg = _normalized(red_total), _profiles(weights, green_in)
     gap = np.abs(pr - pg).sum(axis=1)
     return np.where(pr.any(axis=1) & pg.any(axis=1), gap, 0.0), pr, pg
 
@@ -199,10 +253,10 @@ def _topics(cum_topics: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The topic of each edge under uniforms ``u`` (... x edges): the number
     of its first k - 1 cumulative probabilities at or below its uniform.
     Cumulative sums of non-negative probabilities never decrease, so that is
-    the count over all k capped at k - 1, which a uint16 holds for any
-    k <= ``graph.MAX_TOPICS``.  ``cum_topics`` is the (topics x edges) table
-    of :func:`_cumulative_topics`."""
-    topics = np.zeros(u.shape, dtype=np.uint16)
+    the count over all k capped at k - 1: a uint8 holds it for k <= 256, a
+    uint16 for any k <= ``graph.MAX_TOPICS``.  ``cum_topics`` is the
+    (topics x edges) table of :func:`_cumulative_topics`."""
+    topics = np.zeros(u.shape, dtype=np.uint8 if len(cum_topics) <= 256 else np.uint16)
     for threshold in cum_topics[:-1]:
         topics += u >= threshold
     return topics
@@ -247,7 +301,8 @@ def delta_p(g: TopicGraph, part: Partition, *, weighted: bool = True) -> float:
     red_in, green_in = _sides(g, part.red_mask()[None])
     if not (red_in.any() and green_in.any()):
         raise EmptyProfileError("induced subgraph has no edges to profile")
-    return float(_profile_gap(_edge_weights(g, weighted), red_in, green_in)[0][0])
+    weights = _edge_weights(g, weighted)
+    return float(_profile_gap(weights, _topic_totals(weights, red_in), green_in)[0][0])
 
 
 def _check_partition(g, part: Partition):
@@ -278,13 +333,12 @@ def screen_partitions(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
         raise InputError(f"m must lie in 2..{g.n - 2}, got {m}")
     if max_attempts < 1:
         raise InputError("max_attempts must be >= 1")
-    weights = _edge_weights(g, weighted)
-    adjacency = _adjacency(g)
+    tables = _screen_tables(g, m, weighted)
     base = child_seed(seed)
     accepted = []
     for start in range(0, max_attempts, _SCREEN_BLOCK):
         rng = generator(child_seed(base, start // _SCREEN_BLOCK))
-        accepted += _screen_block(g, m, thresholds, weights, adjacency, rng, start,
+        accepted += _screen_block(g, m, thresholds, tables, rng, start,
                                   min(_SCREEN_BLOCK, max_attempts - start))
     return ScreeningResult(tuple(accepted), max_attempts)
 
@@ -293,51 +347,69 @@ def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
     """(rows x n) mask of each row's m smallest keys: the set
     ``np.argpartition(keys, m - 1, axis=1)[:, :m]`` picks.
 
-    Each row's m-th smallest key comes from ``np.partition`` over chunks of
-    rows, so no (rows x n) copy of the keys is made.  A row whose keys tie
-    at the m-th place marks more than m entries; those rows alone take
-    argpartition's pick.
+    Each row's m-th smallest key comes from ``np.partition``, which copies
+    what it is given: it takes a quarter of the rows at a time, so the copy
+    stays small beside the keys.  A row whose keys tie at the m-th place
+    marks more than m entries; those rows alone take argpartition's pick.
     """
     mask = np.empty(keys.shape, dtype=bool)
-    for lo in range(0, len(keys), _PARTITION_ROWS):
-        chunk = keys[lo:lo + _PARTITION_ROWS]
+    step = -(-len(keys) // 4)
+    for lo in range(0, len(keys), step):
+        chunk = keys[lo:lo + step]
         np.less_equal(chunk, np.partition(chunk, m - 1, axis=1)[:, m - 1:m],
-                      out=mask[lo:lo + _PARTITION_ROWS])
+                      out=mask[lo:lo + step])
     tied = (np.count_nonzero(mask, axis=1) != m).nonzero()[0]
     mask[tied] = False
     mask[tied[:, None], np.argpartition(keys[tied], m - 1, axis=1)[:, :m]] = True
     return mask
 
 
-def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
-                  weights: np.ndarray, adjacency: tuple, rng, start: int, draws: int) -> list:
-    """Accepted draws start..start+draws-1.  Density gaps come from edge
-    counts, red-internal ones looked up pair by pair in ``adjacency`` (of
-    :func:`_adjacency`); edge masks and topic profiles are built only for
-    the draws passing tau_rho.  Both kernels take a chunk of rows a call."""
-    red_mask = _smallest_keys_mask(rng.random((_SCREEN_BLOCK, g.n))[:draws], m)
-    # each row's red ids, ascending
-    chosen = np.flatnonzero(red_mask).reshape(draws, m) - (np.arange(draws) * g.n)[:, None]
-    adjacent, degree = adjacency
-    red = _red_edge_counts(adjacent, chosen)
-    # edges without a red end: the degree sum counts red-internal edges twice
-    green = g.num_edges - (degree[chosen].sum(axis=1) - red)
-    d_rho = _density_gap(red, green, m, g.n - m)
-    passing = np.flatnonzero(d_rho > thresholds.tau_rho)
+def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds, tables: tuple,
+                  rng, start: int, draws: int) -> list:
+    """Accepted draws start..start+draws-1, with the screen's ``tables`` (of
+    :func:`_screen_tables`).
+
+    The block's keys are drawn a chunk of rows at a time; consecutive
+    ``rng.random((rows, n))`` calls read the stream one (draws x n) call
+    would, so no draw depends on the chunk size.  For each chunk, density
+    gaps come from edge counts, red-internal ones looked up pair by pair in
+    the adjacency, and only the ids, gaps and indices of the draws passing
+    tau_rho are kept.  Those are then profiled a chunk of rows per kernel
+    call: the red side's topic totals from its own edges
+    (:func:`_red_totals`), the green side's from its edge mask.
+    """
+    weights, adjacent, degree, edge_keys, pairs = tables
+    step = _chunk_rows(g.n)
+    passing = []
+    for lo in range(0, draws, step):
+        rows = min(step, draws - lo)
+        # each row's red ids, ascending
+        chosen = (np.flatnonzero(_smallest_keys_mask(rng.random((rows, g.n)), m)).reshape(rows, m)
+                  - (np.arange(rows) * g.n)[:, None])
+        red = _red_edge_counts(adjacent, chosen, pairs)
+        # edges without a red end: the degree sum counts red-internal edges twice
+        green = g.num_edges - (degree[chosen].sum(axis=1) - red)
+        d_rho = _density_gap(red, green, m, g.n - m)
+        keep = np.flatnonzero(d_rho > thresholds.tau_rho)
+        passing.append((chosen[keep], d_rho[keep], lo + keep))
+    chosen, d_rho, rows = (np.concatenate(part) for part in zip(*passing))
     step = _chunk_rows(g.num_edges)
     accepted = []
-    for lo in range(0, passing.size, step):
-        rows = passing[lo:lo + step]
-        d_p, pr, pg = _profile_gap(weights, *_sides(g, red_mask[rows]))
+    for lo in range(0, len(rows), step):
+        ids = chosen[lo:lo + step]
+        red_mask = np.zeros((len(ids), g.n), dtype=bool)
+        np.put_along_axis(red_mask, ids, True, axis=1)
+        green_in = ~(red_mask[:, g.edge_u] | red_mask[:, g.edge_v])
+        d_p, pr, pg = _profile_gap(weights[:-1],
+                                   _red_totals(weights, edge_keys, g.n, ids, pairs), green_in)
         labels = _topic_labels(pr, pg)
         for i in np.flatnonzero(d_p > thresholds.tau_p):
-            row = rows[i]
             accepted.append(ScreenedPartition(
-                partition=Partition(g.n, chosen[row]),
+                partition=Partition(g.n, ids[i]),
                 topic_map=TopicMap(labels[i]),
-                delta_rho=float(d_rho[row]),
+                delta_rho=float(d_rho[lo + i]),
                 delta_p=float(d_p[i]),
-                draw_index=start + int(row),
+                draw_index=start + int(rows[lo + i]),
             ))
     return accepted
 
@@ -420,7 +492,7 @@ def _draw_instances(g: TopicGraph, block, first: int, m_prime: int, replicates: 
     m_prime identified red vertices and its tie-break permutation from the
     streams of child_seed(base_seed, o, r, 0..2), as if it ran alone; the
     block's streams are derived in one batch.  The uniforms of all instances
-    then map to topics and labels together.
+    then map to topics together, and each partition's topics to its labels.
     """
     n_inst, n_cand = len(block) * replicates, g.n - m_prime
     u = np.empty((n_inst, g.num_edges))
@@ -433,10 +505,13 @@ def _draw_instances(g: TopicGraph, block, first: int, m_prime: int, replicates: 
         red_ids = block[i // replicates].partition.red_ids
         identified[i, ident_rng.choice(red_ids, size=m_prime, replace=False)] = True
         tiebreak[i] = tie_rng.permutation(n_cand)
-    labels = np.repeat(np.stack([sp.topic_map.labels for sp in block]), replicates, axis=0)
     topics = _topics(cum_topics, u)
-    del u  # freed before the label gather builds its index, which is as large
-    return _take_rows(labels, topics), identified, tiebreak
+    del u
+    attr = np.empty(topics.shape, dtype=np.int8)
+    for j, sp in enumerate(block):
+        rows = slice(j * replicates, (j + 1) * replicates)
+        attr[rows] = sp.topic_map.labels[topics[rows]]
+    return attr, identified, tiebreak
 
 
 def _trial_block(g: TopicGraph, block, first: int, m_prime: int, gamma_grid,
@@ -448,9 +523,12 @@ def _trial_block(g: TopicGraph, block, first: int, m_prime: int, gamma_grid,
     attr, identified, tiebreak = _draw_instances(g, block, first, m_prime, replicates,
                                                  base_seed, cum_topics)
     n_inst, n_cand = tiebreak.shape
-    # the instances as one graph of n_inst disjoint copies, vertex v of copy i at i*n + v
-    shift = (np.arange(n_inst) * g.n)[:, None]
-    t0, t1 = score_counts(n_inst * g.n, (g.edge_u + shift).ravel(), (g.edge_v + shift).ravel(),
+    # the instances as one graph of n_inst disjoint copies, vertex v of copy i
+    # at i*n + v; 32-bit vertex ids wherever they fit
+    ids = np.int32 if n_inst * g.n < 2**31 else np.int64
+    shift = (np.arange(n_inst, dtype=ids) * g.n)[:, None]
+    t0, t1 = score_counts(n_inst * g.n, (g.edge_u.astype(ids) + shift).ravel(),
+                          (g.edge_v.astype(ids) + shift).ravel(),
                           (attr == RED).ravel(), identified.ravel())
     cand = ~identified.ravel()
     red_masks = np.stack([sp.partition.red_mask() for sp in block])
@@ -458,7 +536,7 @@ def _trial_block(g: TopicGraph, block, first: int, m_prime: int, gamma_grid,
     t0, t1 = t0[cand].reshape(n_inst, n_cand), t1[cand].reshape(n_inst, n_cand)
     m_inst = np.repeat(m, replicates)
     values = None
-    for size in np.unique(m_inst):  # a metric stack needs one red count per row
+    for size in _sorted_unique(m_inst):  # a metric stack needs one red count per row
         rows = m_inst == size
         got = evaluate_grid(t0[rows], t1[rows], red[rows], tiebreak[rows], gamma_grid)
         if values is None:

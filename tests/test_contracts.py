@@ -8,6 +8,7 @@ import importlib
 import importlib.util
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -23,7 +24,8 @@ import vnom.experiments
 import vnom.importance
 import vnom.nomination
 from vnom import (GAMMA_GRID_DEFAULT, KidneyEggParams, ScreeningThresholds, candidate_statistics,
-                  gamma_surface, read_topic_graph, sample_kidney_egg, screen_partitions)
+                  gamma_surface, generate_surrogate, read_topic_graph, sample_kidney_egg,
+                  screen_partitions)
 from vnom.experiments import evaluate_grid
 from vnom.graph import RED
 from vnom.io import data_section
@@ -128,13 +130,14 @@ def test_one_kidney_egg_replicate_driver():
                                "kidney_egg.empirical_score_pmfs"]
 
 
-def modules_loaded_by_import(package):
+def modules_loaded_by_import(package, then=""):
     """Modules of ``package`` loaded by importing vnom and vnom.cli in a fresh
-    interpreter, so that no other test's imports are counted."""
+    interpreter, so that no other test's imports are counted, and then
+    running the statements ``then``."""
     src = str(Path(vnom.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, vnom, vnom.cli; "
+    code = (f"import sys, vnom, vnom.cli\n{then}\n"
             f"print(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
@@ -156,6 +159,15 @@ def test_import_loads_no_pool_or_seed_entropy(package):
     # the process pool loads only for more than one worker and a generated
     # seed reads os.urandom, so neither counts in every run's set-up
     assert modules_loaded_by_import(package) == "[]"
+
+
+def test_screening_and_trials_load_no_masked_arrays():
+    # numpy 2 loads numpy.ma (~1.2 MB) on the first np.unique call; numpy 1
+    # loads it with numpy itself, and then this test has nothing to check
+    run = ("from vnom import *; g = generate_surrogate(40, 4, 0.2, group_size=10, seed=1); "
+           "s = screen_partitions(g, 5, ScreeningThresholds(-1, -1), 20, 1); "
+           "run_importance_trials(g, s.accepted, 2, (0.0, 0.5, 1.0), 2, 1)")
+    assert modules_loaded_by_import("numpy.ma", run) == modules_loaded_by_import("numpy.ma")
 
 
 def test_seed_sequences_per_call_do_not_grow_with_instances(monkeypatch):
@@ -410,12 +422,13 @@ def test_importance_side_outputs_match_recorded_digests(monkeypatch, tmp_path):
 
 
 # tracemalloc peak of one 4096-draw screening call on the importance bench
-# corpus: 29.3-30.5 MB at seeds 1, 3 and 7919 when every draw built its
-# (draws x edges) side masks, 12.6 MB once red-internal edges were counted
-# from neighbour lists and masks built only for draws passing tau_rho; at
-# seed 1, 8.9 MB with neighbour lists, 8.6 MB with the red pairs looked up in
-# a dense adjacency
-SCREEN_BLOCK_PEAK_BYTES = 20_000_000
+# corpus (seed 3): 29.3-30.5 MB at seeds 1, 3 and 7919 when every draw built
+# its (draws x edges) side masks, 12.6 MB once red-internal edges were counted
+# from neighbour lists and masks built only for draws passing tau_rho, 8.6 MB
+# with the red pairs looked up in a dense adjacency and the block's keys drawn
+# at once; 4.10 MB in a fresh interpreter (3.36 MB on a second call) with the
+# keys drawn a chunk of rows at a time.  The bound is that plus 12%.
+SCREEN_BLOCK_PEAK_BYTES = 4_600_000
 
 
 def test_one_screening_block_stays_below_recorded_peak(monkeypatch, tmp_path):
@@ -432,9 +445,62 @@ def test_one_screening_block_stays_below_recorded_peak(monkeypatch, tmp_path):
     assert peak < SCREEN_BLOCK_PEAK_BYTES
 
 
+# tracemalloc peak of one 4096-draw screening call on a surrogate corpus of
+# 1000 vertices (25 080 edges, 8 topics), 298 draws passing tau_rho: 43.6 MB
+# with the block's (4096 x 1000) keys drawn at once, 5.8 MB with a chunk of
+# rows at a time.  The bound is the latter plus ~30%; the full block's keys
+# alone are 32.8 MB.
+LARGE_GRAPH_SCREEN_PEAK_BYTES = 7_500_000
+
+
+def test_screening_memory_does_not_grow_with_the_block_at_a_thousand_vertices():
+    g = generate_surrogate(1000, 8, seed=1)
+    thresholds = ScreeningThresholds(0.05, -np.inf)
+    screen_partitions(g, 10, thresholds, 1, 1)  # warm numpy's lazy imports, not counted
+    tracemalloc.start()
+    try:
+        result = screen_partitions(g, 10, thresholds, 4096, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.attempts == 4096 and result.n_accepted == 298
+    assert peak < LARGE_GRAPH_SCREEN_PEAK_BYTES
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc's heap trimming")
+def test_repeated_importance_runs_keep_their_heap():
+    # glibc returns the top of its heap to the system once the free space
+    # there passes twice the largest block it has unmapped; a kernel whose
+    # working set passes that then faults its pages back on every call.  At
+    # the bench shape, a screen holding a whole copy of each chunk of keys
+    # beside them faulted ~10k pages a call, and 64-partition trial blocks
+    # ~3k, and importance wall_rel read ~10% above the parent's.
+    src = str(Path(vnom.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = """if True:
+        import resource
+        from vnom import *
+        from vnom.seeding import child_seed
+        g = generate_surrogate(184, 32, seed=3)
+        def run():
+            s = screen_partitions(g, 10, ScreeningThresholds(), 20480, child_seed(3, 1))
+            run_importance_trials(g, s.accepted[:250], 5, (0.0, 0.5, 1.0), 3, child_seed(3, 2))
+        run(); run()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run(); run()
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert int(result.stdout) < 400
+
+
 # tracemalloc peak of the same call with every draw accepted, when each draw
 # passing tau_rho had its own profile sums and all side masks of the block
-# were built at once; 8.2 MB with neighbour lists, 7.9 MB with the pair lookups
+# were built at once; 8.2 MB with neighbour lists, 7.9 MB with the pair lookups,
+# 6.4 MB with the keys drawn a chunk of rows at a time (most of it the 4096
+# accepted partitions)
 ALL_PASS_BLOCK_PEAK_BYTES = 19_333_556
 
 

@@ -7,13 +7,14 @@ import pytest
 
 from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition,
                   ScreeningThresholds, TopicMap, UndefinedDensityError, delta_p,
-                  delta_rho, estimate_rates, instantiate_edges, run_importance_trials,
-                  sample_kidney_egg, screen_partitions, topic_profile)
+                  delta_rho, estimate_rates, generate_surrogate, instantiate_edges,
+                  run_importance_trials, sample_kidney_egg, screen_partitions, topic_profile)
 from vnom import importance
-from vnom.importance import (_SCREEN_BLOCK, _adjacency, _chunk_rows, _cumulative_topics,
-                             _draw_instances, _edge_weights, _profile_gap, _screen_block, _sides,
-                             _smallest_keys_mask, _topic_labels, _topics, bin_index,
-                             check_trial_arguments)
+from vnom.importance import (_SCREEN_BLOCK, _chunk_rows, _cumulative_topics, _draw_instances,
+                             _edge_weights, _normalized, _profile_gap, _profiles,
+                             _red_totals, _screen_block, _screen_tables, _sides,
+                             _smallest_keys_mask, _topic_labels, _topic_totals, _topics,
+                             bin_index, check_trial_arguments)
 from vnom.seeding import child_seed, generator
 
 from conftest import build_attributed, build_topic, point_mass
@@ -135,8 +136,9 @@ class TestScreenPartitions:
             assert sp.delta_rho == pytest.approx(delta_rho(g, sp.partition))
             assert sp.delta_p == pytest.approx(delta_p(g, sp.partition))
             # re-deriving the map from the partition's profiles reproduces it exactly
-            sides = _sides(g, sp.partition.red_mask()[None])
-            _, pr, pg = _profile_gap(_edge_weights(g, True), *sides)
+            red_in, green_in = _sides(g, sp.partition.red_mask()[None])
+            weights = _edge_weights(g, True)
+            _, pr, pg = _profile_gap(weights, _topic_totals(weights, red_in), green_in)
             assert np.array_equal(_topic_labels(pr[0], pg[0]), sp.topic_map.labels)
 
     def test_deterministic(self):
@@ -190,16 +192,57 @@ class TestScreeningSelection:
         planted = [[0.1, 0.5, 0.5, 0.5, 0.9, 0.5, 0.2, 0.7],  # 2nd smallest tied four ways
                    [0.3] * 8,  # every key tied
                    [0.6, 0.4, 0.4, 0.8, 0.1, 0.2, 0.3, 0.0]]  # no tie
-        keys = np.random.default_rng(0).random((_SCREEN_BLOCK, g.n))
-        keys[:len(planted)] = planted
         accepted = _screen_block(g, 2, ScreeningThresholds(-np.inf, -np.inf),
-                                 _edge_weights(g, True), _adjacency(g),
-                                 PlantedUniforms(keys), 0, len(planted))
-        want = argpartition_red_sets(keys[:len(planted)], 2)
+                                 _screen_tables(g, 2, True), PlantedUniforms(planted), 0,
+                                 len(planted))
+        want = argpartition_red_sets(np.array(planted), 2)
         assert [sp.draw_index for sp in accepted] == [0, 1, 2]
         for sp, row in zip(accepted, want):
             assert sp.partition.red_ids.tolist() == row.nonzero()[0].tolist()
         assert accepted[2].partition.red_ids.tolist() == [4, 7]
+
+
+def screened(accepted):
+    """Every field of each accepted draw, its gaps by their bits."""
+    return [(sp.draw_index, sp.partition.red_ids.tolist(), sp.topic_map.labels.tolist(),
+             sp.delta_rho.hex(), sp.delta_p.hex()) for sp in accepted]
+
+
+class TestScreenChunks:
+    """A block's accepted list does not depend on the rows each kernel call
+    takes, and a short block reads the first rows of the full block's draw."""
+
+    thresholds = ScreeningThresholds(0.0, 0.3)  # 67 of the first 157 draws pass tau_rho, 35 both
+
+    @pytest.mark.parametrize("draws", [1, 157, _SCREEN_BLOCK])
+    @pytest.mark.parametrize("chunk", ["default", "3 rows", "whole block"])
+    def test_a_block_reads_the_prefix_of_the_full_block_draw(self, monkeypatch, draws, chunk):
+        # the reference: one (block x n) draw, argpartition's red sets and
+        # per-draw gaps, as screening was first written
+        g = importance_surrogate()
+        if chunk == "3 rows":
+            # 157 draws end with a ragged chunk of 1; the red-pair and profile
+            # kernels take one row a call
+            monkeypatch.setattr(importance, "_ROW_CELLS", 3 * g.n)
+            assert _chunk_rows(g.n) == 3 and _chunk_rows(g.num_edges) == 1
+        elif chunk == "whole block":
+            monkeypatch.setattr(importance, "_ROW_CELLS", draws * g.num_edges)
+            assert _chunk_rows(g.n) >= draws and _chunk_rows(g.num_edges) == draws
+        keys = generator(5).random((_SCREEN_BLOCK, g.n))[:draws]
+        weights = _edge_weights(g, True)
+        want = []
+        for row, red_mask in enumerate(argpartition_red_sets(keys, 6)):
+            part = Partition(g.n, red_mask.nonzero()[0])
+            d_rho = delta_rho(g, part)
+            d_p, pr, pg = per_draw_profile_gap(weights, *_sides(g, red_mask))
+            if d_rho > self.thresholds.tau_rho and d_p > self.thresholds.tau_p:
+                want.append((row, part.red_ids.tolist(), _topic_labels(pr, pg).tolist(),
+                             d_rho.hex(), d_p.hex()))
+        got = _screen_block(g, 6, self.thresholds, _screen_tables(g, 6, True), generator(5),
+                            0, draws)
+        assert screened(got) == want
+        if draws == 157:
+            assert len(want) == 35
 
 
 class TestInstantiateEdges:
@@ -245,14 +288,21 @@ class TestInstantiateEdges:
 
 
 class PlantedUniforms:
-    """A stand-in generator whose random(size) returns planted values."""
+    """A stand-in generator whose stream is the planted values, row by row:
+    random(size) hands out the next prod(size) of them, as a generator's
+    stream does, and never more than were planted."""
 
     def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
+        self.values = np.asarray(values, dtype=np.float64).ravel()
+        self.used = 0
 
     def random(self, size):
-        assert self.values.shape == tuple(np.atleast_1d(size))
-        return self.values
+        shape = tuple(np.atleast_1d(size))
+        end = self.used + int(np.prod(shape))
+        assert end <= self.values.size
+        out = self.values[self.used:end].reshape(shape)
+        self.used = end
+        return out
 
 
 class TestDrawTopics:
@@ -276,6 +326,25 @@ class TestDrawTopics:
             got = _topics(_cumulative_topics(g), np.array(u))
             assert got.tolist() == expected
 
+    @pytest.mark.parametrize("k,dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_counts_narrow_to_the_topic_count(self, k, dtype):
+        # k - 1 = 255 is the largest count a uint8 holds; 256 needs a uint16
+        from bisect import bisect_right
+        from itertools import accumulate
+        rng = np.random.default_rng(k)
+        probs = [point_mass(k - 1, k), point_mass(0, k), rng.dirichlet(np.full(k, 0.5)),
+                 np.full(k, 1.0 / k), point_mass(k // 2, k)]
+        g = build_topic(6, [(0, v + 1, 1, p) for v, p in enumerate(probs)], k)
+        cum = _cumulative_topics(g)
+        cums = [list(accumulate(row)) for row in g.topic_probs.tolist()]
+        planted = np.array([[0.0] * 5, [0.999999] * 5, rng.random(5), rng.random(5),
+                            [cum[k // 2, e] for e in range(5)]])
+        got = _topics(cum, planted)
+        assert got.dtype == dtype
+        for row, u in zip(got, planted):
+            assert row.tolist() == [min(bisect_right(c, x), k - 1) for c, x in zip(cums, u)]
+        assert got[:, 0].tolist() == [k - 1] * 5  # every uniform at or above the zeros before
+
 
 def per_draw_profile(weights, sel):
     """A side's topic profile as computed one draw at a time before the
@@ -297,7 +366,7 @@ def per_instance_draw_topics(cum_topics, rng):
 
 
 def assert_gaps_match_per_draw(weights, red_in, green_in):
-    d_p, pr, pg = _profile_gap(weights, red_in, green_in)
+    d_p, pr, pg = _profile_gap(weights, _topic_totals(weights, red_in), green_in)
     assert d_p.shape == (len(red_in),) and pr.shape == pg.shape == (len(red_in), weights.shape[1])
     for i in range(len(red_in)):
         want_d, want_r, want_g = per_draw_profile_gap(weights, red_in[i], green_in[i])
@@ -336,7 +405,7 @@ class TestStackedProfiles:
         red_in[3] = False
         red_in[3, :5] = True  # red edges, all of weight zero
         assert_gaps_match_per_draw(weights, red_in, green_in)
-        d_p, pr, pg = _profile_gap(weights, red_in, green_in)
+        d_p, pr, pg = _profile_gap(weights, _topic_totals(weights, red_in), green_in)
         assert d_p[:4].tolist() == [0.0] * 4
         assert not pr[[0, 2, 3]].any() and not pg[[1, 2]].any()
 
@@ -353,10 +422,10 @@ class TestStackedProfiles:
         monkeypatch.setattr(importance, "_ROW_CELLS", 7 * g.num_edges)
         assert _chunk_rows(g.num_edges) == 7
         weights = _edge_weights(g, weighted)
+        tables = _screen_tables(g, 4, weighted)
         all_pass = ScreeningThresholds(-np.inf, -np.inf)
         for draws in (6, 7, 8, 13, 14, 15, 20):
-            accepted = _screen_block(g, 4, all_pass, weights, _adjacency(g),
-                                     generator(draws), 0, draws)
+            accepted = _screen_block(g, 4, all_pass, tables, generator(draws), 0, draws)
             assert [sp.draw_index for sp in accepted] == list(range(draws))
             for sp in accepted:
                 red_in, green_in = _sides(g, sp.partition.red_mask())
@@ -378,6 +447,73 @@ class TestStackedProfiles:
                 per_draw_profile_gap(weights, red_in, green_in)[0]
             assert topic_profile(g, part.red_ids, weighted=weighted).tobytes() == \
                 per_draw_profile(weights, red_in).tobytes()
+
+
+def importance_surrogate():
+    """60 vertices, 146 edges, 8 topics, a dense topically skewed group of 15."""
+    return generate_surrogate(60, 8, 0.08, group_size=15, seed=4)
+
+
+def red_ids_mask(n, chosen):
+    mask = np.zeros((len(chosen), n), dtype=bool)
+    mask[np.arange(len(chosen))[:, None], chosen] = True
+    return mask
+
+
+class TestRedTotals:
+    """Screening's red-side topic totals, from each draw's own edges, against
+    the einsum over its red side mask, to the bit."""
+
+    def check(self, g, chosen, weighted=True):
+        chosen = np.sort(np.asarray(chosen, dtype=np.int64), axis=1)
+        weights, _, _, edge_keys, pairs = _screen_tables(g, chosen.shape[1], weighted)
+        got = _red_totals(weights, edge_keys, g.n, chosen, pairs)
+        red_in, _ = _sides(g, red_ids_mask(g.n, chosen))
+        want = _topic_totals(weights[:-1], red_in)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert _normalized(got).tobytes() == _profiles(weights[:-1], red_in).tobytes()
+        return got
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("m", [2, 6, 30])
+    def test_random_draws(self, weighted, m):
+        g = importance_surrogate()
+        rng = np.random.default_rng(m)
+        chosen = np.argsort(rng.random((300, g.n)), axis=1)[:, :m]
+        self.check(g, chosen, weighted)
+
+    def test_weights_over_sixteen_decades(self, monkeypatch):
+        # message counts 1..1e15 make every addition round: only the order
+        # of the additions keeps the bits; 4 rows per lookup call
+        rng = np.random.default_rng(2)
+        pairs = [(u, v) for u in range(25) for v in range(u + 1, 25) if rng.random() < 0.6]
+        probs = rng.dirichlet(np.full(5, 0.3), len(pairs))
+        counts = 10 ** rng.integers(0, 16, len(pairs))
+        g = build_topic(25, [(u, v, int(c), p) for (u, v), c, p in zip(pairs, counts, probs)], 5)
+        monkeypatch.setattr(importance, "_ROW_CELLS", 4 * comb(8, 2))
+        self.check(g, np.argsort(rng.random((50, 25)), axis=1)[:, :8])
+
+    def test_a_row_without_red_edges(self):
+        g = two_block_topic_graph()  # red edges only among 0..3 and 4..7
+        got = self.check(g, [[0, 4], [0, 1], [2, 5], [1, 6]])
+        assert not got[[0, 2, 3]].any() and got[1].any()
+
+    def test_a_complete_red_block(self):
+        n = 8
+        g = build_topic(n, [(u, v, 1 + u, np.array([0.25, 0.5, 0.25])) for u in range(n)
+                            for v in range(u + 1, n) if u < 5 or v == u + 1], 3)
+        got = self.check(g, [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7], [0, 2, 4, 6, 7]])
+        inside = g.edge_v < 5  # the edges among 0..4, every pair of them
+        assert np.count_nonzero(inside) == comb(5, 2)
+        assert got[0].tobytes() == _edge_weights(g, True)[inside].sum(axis=0).tobytes()
+
+    def test_edgeless_graph(self):
+        g = build_topic(6, [], 4)
+        got = self.check(g, [[0, 1], [2, 5], [3, 4]])
+        assert got.shape == (3, 4) and not got.any()
+        got = self.check(g, [[0, 1, 2, 3]])
+        assert not got.any()
 
 
 class TestBlockTopicDraws:
@@ -535,7 +671,7 @@ class TestRunImportanceTrials:
         assert a == b
 
     def test_several_trial_blocks_are_worker_independent(self):
-        # 150 partitions span three trial blocks, split over two workers
+        # 150 partitions span five trial blocks, split over two workers
         g = two_block_topic_graph()
         res = self.trivial_screen(g, 4, attempts=150)
         a = run_importance_trials(g, res.accepted, 2, [0.0, 0.5, 1.0], 2, 9, n_workers=1)
