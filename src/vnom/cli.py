@@ -24,7 +24,7 @@ from .importance import (ScreeningThresholds, TrialsResult, check_trial_argument
 from .kidney_egg import (KidneyEggParams, Simplex3, content_pmf_from_conditionals,
                          content_score_pmf, context_score_pmf, empirical_score_pmfs,
                          sample_kidney_egg, tv_distance)
-from .metrics import chance_baseline, evaluate_ranking
+from .metrics import BASELINE_CRITERIA, chance_baseline, evaluate_ranking
 from .nomination import GAMMA_GRID_DEFAULT, rank_candidates
 from .seeding import child_seed
 from . import io as vio
@@ -181,8 +181,7 @@ def build_parser() -> _Parser:
     base = sub.add_parser("baseline", help="chance value of a metric")
     base.add_argument("--candidates", type=int, required=True)
     base.add_argument("--reds", type=int, required=True)
-    base.add_argument("--criterion", choices=("s_at_1", "mrr", "map", "ap_y"),
-                      required=True)
+    base.add_argument("--criterion", choices=BASELINE_CRITERIA, required=True)
     base.add_argument("--y", type=int, default=None)
 
     return parser

@@ -10,7 +10,8 @@ sorted lexicographically, which each constructor builds from edge columns
   reads a vertex's neighbours off the edge arrays.
 * :class:`TopicGraph` — undirected simple graph whose edges carry an
   empirical probability distribution over topics and a message count.  It
-  holds no adjacency; :mod:`vnom.importance` builds its own for screening.
+  holds no adjacency; :mod:`vnom.importance` screens from a table of every
+  vertex pair's edge slot.
 
 Vertices are dense integer ids ``0..n-1``; external names map through a
 symbol table handled by :mod:`vnom.io`.
@@ -263,15 +264,15 @@ class Partition:
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """``np.unique(a)``: the sorted distinct values of ``a``, flattened.
-    numpy 2's np.unique loads numpy.ma (~1.2 MB, ~17 ms) on its first call,
-    which screening's partitions and the importance trials need not pay."""
+    """The sorted distinct values of ``a``, flattened, as numpy's unique gives
+    them; numpy 2's unique loads numpy.ma (~1.2 MB, ~17 ms) on its first call,
+    which no vnom run need pay."""
     a = np.sort(a, axis=None)
     return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
 
 
 def _subset_array(n, vs) -> np.ndarray:
-    vs = np.unique(np.asarray(list(vs) if not isinstance(vs, np.ndarray) else vs, dtype=np.int64))
+    vs = _sorted_unique(np.asarray(vs if isinstance(vs, np.ndarray) else list(vs), np.int64))
     if vs.size and (vs[0] < 0 or vs[-1] >= n):
         bad = vs[(vs < 0) | (vs >= n)][0]
         raise InputError(f"unknown vertex id {bad}")

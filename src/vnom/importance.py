@@ -10,15 +10,15 @@ per-edge topic distributions and runs nomination.  Results aggregate into
 Each step (side masks, density gap, topic profiles, topic draw, candidate
 scores, edge rates) has one kernel, shared by the public single-partition
 functions and the batched screening and trial loops.  Screening alone works
-from each draw's red vertex pairs: it counts red-internal edges by looking
-the pairs up in a dense adjacency, and totals the red side's topic weights
-by looking them up among the canonical edge keys; the public delta_rho and
-delta_p work from side masks instead, an independent check.  Screening's
-working memory is bounded by a cell budget, not by the block: each block
-draws its keys a chunk of rows at a time, keeps only the ids and gaps of the
-draws passing the density bar, and profiles those a chunk of rows per kernel
-call.  Trials run in blocks of partitions whose replicates map their
-uniforms to topics, and are scored and ranked, as one stack.
+from each draw's red vertex pairs, looked up in one table of every vertex
+pair's edge slot: it counts red-internal edges as the pairs that are edges,
+and totals the red side's topic weights over those edges; the public
+delta_rho and delta_p work from side masks instead, an independent check.
+Screening's working memory is bounded by a cell budget, not by the block:
+each block draws its keys a chunk of rows at a time, keeps only the ids and
+gaps of the draws passing the density bar, and profiles those a chunk of
+rows per kernel call.  Trials run in blocks of partitions whose replicates
+map their uniforms to topics, and are scored and ranked, as one stack.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import EmptyProfileError, InputError, UndefinedDensityError
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph,
                     _sorted_unique, _subset_array)
 from .experiments import evaluate_grid, parallel_map
+from .kidney_egg import _pair_offsets, _pairs
 from .metrics import MetricTable, mean_se
 from .nomination import score_counts, validate_gamma_grid
 from .seeding import child_generators, child_seed, generator
@@ -136,67 +137,47 @@ def _sides(g, red_mask: np.ndarray) -> tuple:
 
 
 def _screen_tables(g, m: int, weighted: bool) -> tuple:
-    """What every block of one screen reads: (edge weights with a zero row
-    appended, the (n x n) bool adjacency, the degree vector, the canonical
-    edge keys u*n + v with n*n appended, and the red pairs (first, second)
-    of ``np.triu_indices(m, 1)``).  Keys are ascending, as canonical edges
-    are, and no red pair has key n*n: a pair that is no edge finds n*n and
-    the zero weight row after the last edge."""
-    weights = np.zeros((g.num_edges + 1, g.k_topics))
-    weights[:-1] = _edge_weights(g, weighted)
-    adjacent = np.zeros((g.n, g.n), dtype=bool)
-    adjacent[g.edge_u, g.edge_v] = True
-    adjacent[g.edge_v, g.edge_u] = True
+    """What every block of one screen reads: (edge weights after a zero row,
+    the pair-slot table, its offsets, the degree vector, and the red pairs
+    (first, second) of :func:`kidney_egg._pairs` (m)).  The table holds the
+    slot of every vertex pair u < v at ``offsets[u] + v``, in lexicographic
+    pair order: e + 1 for edge e, 0 (the zero weight row) for no edge, in the
+    narrowest unsigned type that holds the edge count."""
+    weights = np.concatenate([np.zeros((1, g.k_topics)), _edge_weights(g, weighted)])
+    # the lookups are most of the work: 32-bit positions wherever they fit
+    offsets = _pair_offsets(g.n).astype(np.int32 if comb(g.n, 2) <= 2**31 else np.int64)
+    table = np.zeros(comb(g.n, 2), dtype=np.min_scalar_type(g.num_edges))
+    table[offsets[g.edge_u] + g.edge_v] = np.arange(1, g.num_edges + 1)
     degree = np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n)
-    edge_keys = np.append(g.edge_u * g.n + g.edge_v, g.n * g.n)
-    return weights, adjacent, degree, edge_keys, np.triu_indices(m, 1)
+    return weights, table, offsets, degree, _pairs(m)
 
 
-def _red_edge_counts(adjacent: np.ndarray, chosen: np.ndarray, pairs: tuple) -> np.ndarray:
-    """Red-internal edge count of each row of ``chosen``, the rows' red ids
-    (rows x m): the adjacent pairs among each row's red ``pairs`` (of
-    :func:`_screen_tables`), one lookup per pair in the flattened adjacency,
-    a chunk of rows at a time.  The work is O(rows x m**2) whatever the
-    degrees."""
-    n = len(adjacent)
+def _red_slots(table: np.ndarray, offsets: np.ndarray, chosen: np.ndarray,
+               pairs: tuple) -> np.ndarray:
+    """(rows x red pairs) slots of each row's red pairs, in pair order, which
+    is edge order; ``chosen`` holds the rows' ascending red ids (rows x m),
+    at most ``_chunk_rows(red pairs)`` rows, and the rest is of
+    :func:`_screen_tables`.  The work is O(rows x m**2) whatever the degrees."""
     first, second = pairs
-    # the lookups are most of the work: 32-bit flat indices wherever they fit
-    ids = chosen.astype(np.int32 if adjacent.size <= 2**31 else np.int64)
-    counts = np.empty(len(ids), dtype=np.int64)
-    step = _chunk_rows(first.size)
-    for lo in range(0, len(ids), step):
-        flat = ids[lo:lo + step, first]
-        flat *= n
-        flat += ids[lo:lo + step, second]
-        counts[lo:lo + step] = np.count_nonzero(adjacent.ravel()[flat], axis=1)
-    return counts
+    ids = chosen.astype(offsets.dtype)
+    at = offsets[ids][:, first]
+    at += ids[:, second]
+    return table[at]
 
 
-def _red_totals(weights: np.ndarray, edge_keys: np.ndarray, n: int, chosen: np.ndarray,
-                pairs: tuple) -> np.ndarray:
+def _red_totals(weights: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """(rows x topics) topic weight totals of each row's red-internal edges,
-    ``chosen`` being the rows' ascending red ids (rows x m) and ``weights``,
-    ``edge_keys`` and ``pairs`` those of :func:`_screen_tables`.
+    from its red pairs' ``slots`` (of :func:`_red_slots`; sorted in place).
 
-    Each red pair is looked up among the edge keys, a chunk of rows at a
-    time.  Pairs come in key order, which is edge order; with the misses
-    moved last (to the zero weight row), slot s adds every row's s-th red
-    edge.  A row thus adds its edges one at a time in edge order, as the
-    einsum of :func:`_topic_totals` over its red side mask does, and the
-    misses add +0.0, which is exact: the two are equal bit for bit.
-    """
-    first, second = pairs
-    totals = np.zeros((len(chosen), weights.shape[1]))
-    step = _chunk_rows(first.size)
-    for lo in range(0, len(chosen), step):
-        keys = chosen[lo:lo + step, first] * n + chosen[lo:lo + step, second]
-        at = np.searchsorted(edge_keys, keys)
-        found = edge_keys[at] == keys
-        at[~found] = len(edge_keys) - 1
-        at.sort(axis=1)  # each row's edges first, still in edge order
-        rows = totals[lo:lo + step]
-        for slot in at.T[:found.sum(axis=1).max()]:
-            rows += weights[slot]
+    Sorted, a row's misses (slot 0, the zero weight row) come first and its
+    edges follow in edge order, and column s adds every row's s-th slot: a
+    row adds +0.0 until its first edge, then its edges one at a time in edge
+    order, as the einsum of :func:`_topic_totals` over its red side mask
+    does.  The two are equal bit for bit."""
+    slots.sort(axis=1)
+    totals = np.zeros((len(slots), weights.shape[1]))
+    for slot in slots.T[slots.any(axis=0)]:  # the columns of misses alone add nothing
+        totals += weights[slot]
     return totals
 
 
@@ -206,9 +187,9 @@ def _density_gap(red_edges, green_edges, m: int, n_green: int):
 
 def _chunk_rows(width: int) -> int:
     """Rows per screening kernel call over ``width`` cells a row: vertices
-    for a block's keys (2 MB of float64), edges for :func:`_profile_gap`
-    (2 MB of float mask), red pairs for :func:`_red_edge_counts` and
-    :func:`_red_totals`."""
+    for a block's keys (2 MB of float64), red pairs for :func:`_red_slots`
+    (1 MB of int32 positions), and the larger of edges and red pairs for
+    :func:`_profile_gap` (2 MB of float mask) and its lookups."""
     return max(1, _ROW_CELLS // max(width, 1))
 
 
@@ -372,36 +353,39 @@ def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds, tables
     The block's keys are drawn a chunk of rows at a time; consecutive
     ``rng.random((rows, n))`` calls read the stream one (draws x n) call
     would, so no draw depends on the chunk size.  For each chunk, density
-    gaps come from edge counts, red-internal ones looked up pair by pair in
-    the adjacency, and only the ids, gaps and indices of the draws passing
-    tau_rho are kept.  Those are then profiled a chunk of rows per kernel
-    call: the red side's topic totals from its own edges
-    (:func:`_red_totals`), the green side's from its edge mask.
+    gaps come from edge counts, red-internal ones the red pairs' non-zero
+    slots (:func:`_red_slots`), and only the ids, gaps and indices of the
+    draws passing tau_rho are kept.  Those are then profiled a chunk of rows
+    per kernel call: the red side's topic totals from its own edges, looked
+    up again (:func:`_red_totals`), the green side's from its edge mask.
     """
-    weights, adjacent, degree, edge_keys, pairs = tables
-    step = _chunk_rows(g.n)
+    weights, table, offsets, degree, pairs = tables
+    step, lookup = _chunk_rows(g.n), _chunk_rows(len(pairs[0]))
     passing = []
     for lo in range(0, draws, step):
         rows = min(step, draws - lo)
         # each row's red ids, ascending
         chosen = (np.flatnonzero(_smallest_keys_mask(rng.random((rows, g.n)), m)).reshape(rows, m)
                   - (np.arange(rows) * g.n)[:, None])
-        red = _red_edge_counts(adjacent, chosen, pairs)
+        red = np.concatenate([
+            np.count_nonzero(_red_slots(table, offsets, chosen[i:i + lookup], pairs), axis=1)
+            for i in range(0, rows, lookup)])
         # edges without a red end: the degree sum counts red-internal edges twice
         green = g.num_edges - (degree[chosen].sum(axis=1) - red)
         d_rho = _density_gap(red, green, m, g.n - m)
         keep = np.flatnonzero(d_rho > thresholds.tau_rho)
         passing.append((chosen[keep], d_rho[keep], lo + keep))
     chosen, d_rho, rows = (np.concatenate(part) for part in zip(*passing))
-    step = _chunk_rows(g.num_edges)
+    step = _chunk_rows(max(g.num_edges, len(pairs[0])))
     accepted = []
     for lo in range(0, len(rows), step):
         ids = chosen[lo:lo + step]
         red_mask = np.zeros((len(ids), g.n), dtype=bool)
         np.put_along_axis(red_mask, ids, True, axis=1)
         green_in = ~(red_mask[:, g.edge_u] | red_mask[:, g.edge_v])
-        d_p, pr, pg = _profile_gap(weights[:-1],
-                                   _red_totals(weights, edge_keys, g.n, ids, pairs), green_in)
+        d_p, pr, pg = _profile_gap(weights[1:],
+                                   _red_totals(weights, _red_slots(table, offsets, ids, pairs)),
+                                   green_in)
         labels = _topic_labels(pr, pg)
         for i in np.flatnonzero(d_p > thresholds.tau_p):
             accepted.append(ScreenedPartition(

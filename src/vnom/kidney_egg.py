@@ -176,6 +176,15 @@ def _pairs(n: int):
     return iu, iv
 
 
+@lru_cache(maxsize=16)
+def _pair_offsets(n: int) -> np.ndarray:
+    """Read-only (n,) offsets: pair (a, b) of :func:`_pairs` (n) is at ``offsets[a] + b``."""
+    a = np.arange(n, dtype=np.int64)
+    offsets = a * n - a * (a + 1) // 2 - a - 1
+    offsets.flags.writeable = False
+    return offsets
+
+
 def sample_kidney_egg(params: KidneyEggParams, seed) -> AttributedGraph:
     """Draw one attributed graph from the model.
 
@@ -199,10 +208,9 @@ def sample_kidney_egg(params: KidneyEggParams, seed) -> AttributedGraph:
     u = rng.random(iu.size)
     p, s = params.p, params.s
     present = u >= p.q0
-    # red-red pairs use s instead: the pair (a, b), a < b, sits at this offset
+    # red-red pairs use s instead
     ra, rb = _pairs(m)
-    a, b = red[ra], red[rb]
-    pos = a * n - a * (a + 1) // 2 + b - a - 1
+    pos = _pair_offsets(n)[red[ra]] + red[rb]
     ur = u[pos]
     red_present = ur >= s.q0
     present[pos] = red_present

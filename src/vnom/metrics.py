@@ -22,7 +22,7 @@ from math import comb, fsum
 import numpy as np
 
 from .errors import InputError, NoRedCandidatesError
-from .graph import MAX_VERTICES
+from .graph import MAX_VERTICES, _sorted_unique
 from .nomination import Ranking
 
 CRITERIA = ("s_at_1", "mrr", "map")  # the first three columns of mask_metrics
@@ -40,7 +40,7 @@ class EvalReport:
 
 
 def _truth_mask(r: Ranking, truth) -> np.ndarray:
-    t = np.unique(np.asarray(list(truth), dtype=np.int64))
+    t = _sorted_unique(np.asarray(list(truth), dtype=np.int64))
     if t.size == 0:
         raise NoRedCandidatesError("truth set is empty")
     if not np.isin(t, r.ordered).all():

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .graph import OCCLUDED, RED, AttributedGraph, candidate_set
+from .graph import OCCLUDED, RED, AttributedGraph, _sorted_unique, candidate_set
 from .seeding import generator
 
 GAMMA_GRID_DEFAULT = tuple(k / 100 for k in range(101))
@@ -73,7 +73,7 @@ class Ranking:
         scores = np.asarray(self.scores, dtype=np.float64)
         if ordered.size == 0 or ordered.shape != scores.shape:
             raise InputError("ranking needs aligned, non-empty ordered ids and scores")
-        if np.unique(ordered).size != ordered.size:
+        if _sorted_unique(ordered).size != ordered.size:
             raise InputError("ranking contains a duplicate candidate")
         if np.any(np.diff(scores) > 0):
             raise InputError("ranking scores must be non-increasing")

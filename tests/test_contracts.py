@@ -71,6 +71,16 @@ def test_no_scipy_in_sources_or_dependencies():
     assert "scipy" not in (ROOT / "pyproject.toml").read_text()
 
 
+def test_no_numpy_unique_in_sources():
+    # numpy 2's np.unique loads numpy.ma (~1.2 MB) on its first call;
+    # graph._sorted_unique gives the same values without it
+    offenders = [f"{path.name}:{lineno}"
+                 for path in sorted((ROOT / "src" / "vnom").glob("*.py"))
+                 for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+                 if "np.unique(" in line]
+    assert offenders == []
+
+
 def test_no_unused_imports_in_sources():
     # no linter is a dependency: a module-level import that its module never
     # reads is dead, and __init__ imports only to re-export
@@ -163,10 +173,19 @@ def test_import_loads_no_pool_or_seed_entropy(package):
 
 def test_screening_and_trials_load_no_masked_arrays():
     # numpy 2 loads numpy.ma (~1.2 MB) on the first np.unique call; numpy 1
-    # loads it with numpy itself, and then this test has nothing to check
-    run = ("from vnom import *; g = generate_surrogate(40, 4, 0.2, group_size=10, seed=1); "
-           "s = screen_partitions(g, 5, ScreeningThresholds(-1, -1), 20, 1); "
-           "run_importance_trials(g, s.accepted, 2, (0.0, 0.5, 1.0), 2, 1)")
+    # loads it with numpy itself, and then this test has nothing to check.
+    # The public profile, gap, ranking and evaluation calls and `vnom
+    # simulate` run too.
+    run = ("from vnom import *; import contextlib, io\n"
+           "g = generate_surrogate(40, 4, 0.2, group_size=10, seed=1)\n"
+           "s = screen_partitions(g, 5, ScreeningThresholds(-1, -1), 20, 1)\n"
+           "run_importance_trials(g, s.accepted, 2, (0.0, 0.5, 1.0), 2, 1)\n"
+           "topic_profile(g, [0, 1, 2, 3]); delta_p(g, s.accepted[0].partition)\n"
+           "a = sample_kidney_egg(KidneyEggParams(30, 8, 3, (0.8, 0.1, 0.1), (0.4, 0.3, 0.3)), 1)\n"
+           "evaluate_ranking(rank_candidates(a, 0.5, 1), a.red_candidates(), (2,))\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    vnom.cli.main(['simulate', '--n', '30', '--m', '8', '--m-prime', '3', "
+           "'--seed', '7'])")
     assert modules_loaded_by_import("numpy.ma", run) == modules_loaded_by_import("numpy.ma")
 
 
@@ -443,6 +462,32 @@ def test_one_screening_block_stays_below_recorded_peak(monkeypatch, tmp_path):
         tracemalloc.stop()
     assert result.attempts == 4096 and result.n_accepted > 0
     assert peak < SCREEN_BLOCK_PEAK_BYTES
+
+
+# tracemalloc peak of one 4096-draw screening call at m = 60 (1770 red pairs a
+# draw, more than the corpus's 824 edges) on the importance bench corpus, every
+# draw passing tau_rho: 14.3 MB with a dense adjacency for the edge counts and
+# a sorted edge-key array for the red totals; with one pair-slot table, 39.5 MB
+# when a whole key chunk's slots were kept for its passing rows, 22.2 MB when
+# a whole key chunk was looked up at once, and 7.1 MB with each lookup within
+# the cell budget and the passing rows looked up again.  The bound is the last
+# plus ~12%.
+LARGE_RED_SET_SCREEN_PEAK_BYTES = 8_000_000
+
+
+def test_screening_memory_at_a_large_red_set(monkeypatch, tmp_path):
+    run = load_bench_run(monkeypatch)
+    run.prepare("importance", 3, tmp_path)
+    g = read_topic_graph(tmp_path / "corpus.topics")
+    thresholds = ScreeningThresholds(-np.inf, 0.2)
+    tracemalloc.start()
+    try:
+        result = screen_partitions(g, 60, thresholds, 4096, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.attempts == 4096 and result.n_accepted == 297
+    assert peak < LARGE_RED_SET_SCREEN_PEAK_BYTES
 
 
 # tracemalloc peak of one 4096-draw screening call on a surrogate corpus of

@@ -8,11 +8,12 @@ import pytest
 from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition,
                   ScreeningThresholds, TopicMap, UndefinedDensityError, delta_p,
                   delta_rho, estimate_rates, generate_surrogate, instantiate_edges,
-                  run_importance_trials, sample_kidney_egg, screen_partitions, topic_profile)
+                  TopicGraph, run_importance_trials, sample_kidney_egg, screen_partitions,
+                  topic_profile)
 from vnom import importance
 from vnom.importance import (_SCREEN_BLOCK, _chunk_rows, _cumulative_topics, _draw_instances,
                              _edge_weights, _normalized, _profile_gap, _profiles,
-                             _red_totals, _screen_block, _screen_tables, _sides,
+                             _red_slots, _red_totals, _screen_block, _screen_tables, _sides,
                              _smallest_keys_mask, _topic_labels, _topic_totals, _topics,
                              bin_index, check_trial_arguments)
 from vnom.seeding import child_seed, generator
@@ -216,13 +217,15 @@ class TestScreenChunks:
 
     @pytest.mark.parametrize("draws", [1, 157, _SCREEN_BLOCK])
     @pytest.mark.parametrize("chunk", ["default", "3 rows", "whole block"])
-    def test_a_block_reads_the_prefix_of_the_full_block_draw(self, monkeypatch, draws, chunk):
+    @pytest.mark.parametrize("m", [6, 30])  # 15 or 435 red pairs, against 60 vertices
+    def test_a_block_reads_the_prefix_of_the_full_block_draw(self, monkeypatch, draws, chunk, m):
         # the reference: one (block x n) draw, argpartition's red sets and
         # per-draw gaps, as screening was first written
         g = importance_surrogate()
         if chunk == "3 rows":
-            # 157 draws end with a ragged chunk of 1; the red-pair and profile
-            # kernels take one row a call
+            # 157 draws end with a ragged chunk of 1; the density pass looks up
+            # 3 rows' red pairs a call (one row's at m = 30), the profile pass
+            # one row's
             monkeypatch.setattr(importance, "_ROW_CELLS", 3 * g.n)
             assert _chunk_rows(g.n) == 3 and _chunk_rows(g.num_edges) == 1
         elif chunk == "whole block":
@@ -231,18 +234,18 @@ class TestScreenChunks:
         keys = generator(5).random((_SCREEN_BLOCK, g.n))[:draws]
         weights = _edge_weights(g, True)
         want = []
-        for row, red_mask in enumerate(argpartition_red_sets(keys, 6)):
+        for row, red_mask in enumerate(argpartition_red_sets(keys, m)):
             part = Partition(g.n, red_mask.nonzero()[0])
             d_rho = delta_rho(g, part)
             d_p, pr, pg = per_draw_profile_gap(weights, *_sides(g, red_mask))
             if d_rho > self.thresholds.tau_rho and d_p > self.thresholds.tau_p:
                 want.append((row, part.red_ids.tolist(), _topic_labels(pr, pg).tolist(),
                              d_rho.hex(), d_p.hex()))
-        got = _screen_block(g, 6, self.thresholds, _screen_tables(g, 6, True), generator(5),
+        got = _screen_block(g, m, self.thresholds, _screen_tables(g, m, True), generator(5),
                             0, draws)
         assert screened(got) == want
         if draws == 157:
-            assert len(want) == 35
+            assert len(want) == (35 if m == 6 else 10)
 
 
 class TestInstantiateEdges:
@@ -460,20 +463,30 @@ def red_ids_mask(n, chosen):
     return mask
 
 
-class TestRedTotals:
-    """Screening's red-side topic totals, from each draw's own edges, against
-    the einsum over its red side mask, to the bit."""
+def check_red_totals(g, chosen, weighted=True):
+    """Screening's red-side edge counts and topic totals of the rows of red
+    ids ``chosen``, from their red-pair slots, against the count and the
+    einsum over each row's red side mask, to the bit; returns the totals."""
+    chosen = np.sort(np.asarray(chosen, dtype=np.int64), axis=1)
+    weights, table, offsets, _, pairs = _screen_tables(g, chosen.shape[1], weighted)
+    step = _chunk_rows(len(pairs[0]))  # rows per lookup, as screening takes them
+    slots = [_red_slots(table, offsets, chosen[lo:lo + step], pairs)
+             for lo in range(0, len(chosen), step)]
+    counts = np.concatenate([np.count_nonzero(rows, axis=1) for rows in slots])
+    got = np.concatenate([_red_totals(weights, rows) for rows in slots])
+    red_in, _ = _sides(g, red_ids_mask(g.n, chosen))
+    assert counts.tolist() == np.count_nonzero(red_in, axis=1).tolist()
+    want = _topic_totals(weights[1:], red_in)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert _normalized(got).tobytes() == _profiles(weights[1:], red_in).tobytes()
+    return got
 
-    def check(self, g, chosen, weighted=True):
-        chosen = np.sort(np.asarray(chosen, dtype=np.int64), axis=1)
-        weights, _, _, edge_keys, pairs = _screen_tables(g, chosen.shape[1], weighted)
-        got = _red_totals(weights, edge_keys, g.n, chosen, pairs)
-        red_in, _ = _sides(g, red_ids_mask(g.n, chosen))
-        want = _topic_totals(weights[:-1], red_in)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-        assert _normalized(got).tobytes() == _profiles(weights[:-1], red_in).tobytes()
-        return got
+
+class TestRedTotals:
+    """Screening's red-side edge counts and topic totals, from each draw's
+    red-pair slots, against the count and the einsum over its red side mask,
+    to the bit."""
 
     @pytest.mark.parametrize("weighted", [True, False])
     @pytest.mark.parametrize("m", [2, 6, 30])
@@ -481,7 +494,7 @@ class TestRedTotals:
         g = importance_surrogate()
         rng = np.random.default_rng(m)
         chosen = np.argsort(rng.random((300, g.n)), axis=1)[:, :m]
-        self.check(g, chosen, weighted)
+        check_red_totals(g, chosen, weighted)
 
     def test_weights_over_sixteen_decades(self, monkeypatch):
         # message counts 1..1e15 make every addition round: only the order
@@ -492,28 +505,71 @@ class TestRedTotals:
         counts = 10 ** rng.integers(0, 16, len(pairs))
         g = build_topic(25, [(u, v, int(c), p) for (u, v), c, p in zip(pairs, counts, probs)], 5)
         monkeypatch.setattr(importance, "_ROW_CELLS", 4 * comb(8, 2))
-        self.check(g, np.argsort(rng.random((50, 25)), axis=1)[:, :8])
+        check_red_totals(g, np.argsort(rng.random((50, 25)), axis=1)[:, :8])
 
     def test_a_row_without_red_edges(self):
         g = two_block_topic_graph()  # red edges only among 0..3 and 4..7
-        got = self.check(g, [[0, 4], [0, 1], [2, 5], [1, 6]])
+        got = check_red_totals(g, [[0, 4], [0, 1], [2, 5], [1, 6]])
         assert not got[[0, 2, 3]].any() and got[1].any()
 
     def test_a_complete_red_block(self):
         n = 8
         g = build_topic(n, [(u, v, 1 + u, np.array([0.25, 0.5, 0.25])) for u in range(n)
                             for v in range(u + 1, n) if u < 5 or v == u + 1], 3)
-        got = self.check(g, [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7], [0, 2, 4, 6, 7]])
+        got = check_red_totals(g, [[0, 1, 2, 3, 4], [3, 4, 5, 6, 7], [0, 2, 4, 6, 7]])
         inside = g.edge_v < 5  # the edges among 0..4, every pair of them
         assert np.count_nonzero(inside) == comb(5, 2)
         assert got[0].tobytes() == _edge_weights(g, True)[inside].sum(axis=0).tobytes()
 
     def test_edgeless_graph(self):
         g = build_topic(6, [], 4)
-        got = self.check(g, [[0, 1], [2, 5], [3, 4]])
+        got = check_red_totals(g, [[0, 1], [2, 5], [3, 4]])
         assert got.shape == (3, 4) and not got.any()
-        got = self.check(g, [[0, 1, 2, 3]])
+        got = check_red_totals(g, [[0, 1, 2, 3]])
         assert not got.any()
+
+
+def random_topic_graph(n, edges, k, seed):
+    """n vertices joined by ``edges`` uniformly drawn distinct pairs, each
+    with a random topic distribution and message count."""
+    rng = np.random.default_rng(seed)
+    u, v = np.triu_indices(n, 1)
+    pick = rng.choice(u.size, edges, replace=False)
+    return TopicGraph(n, u[pick], v[pick], rng.dirichlet(np.full(k, 0.5), edges),
+                      1 + rng.poisson(1.0, edges))
+
+
+class TestSlotTiers:
+    """Screening with slots of each width: uint8 up to 255 edges, uint16 up to
+    65 535 and uint32 beyond, the edgeless graph included."""
+
+    tiers = pytest.mark.parametrize("n,edges,m,dtype", [
+        (30, 0, 8, np.uint8), (30, 255, 8, np.uint8), (30, 256, 8, np.uint16),
+        (400, 65535, 60, np.uint16), (400, 65536, 60, np.uint32)])
+
+    @tiers
+    def test_every_draw_has_the_public_gaps(self, n, edges, m, dtype):
+        g = random_topic_graph(n, edges, 3, edges)
+        assert _screen_tables(g, m, True)[1].dtype == dtype
+        res = screen_partitions(g, m, ScreeningThresholds(-np.inf, -np.inf), 12, edges)
+        assert res.n_accepted == 12
+        for sp in res.accepted:
+            assert sp.delta_rho == delta_rho(g, sp.partition)
+            try:
+                want = delta_p(g, sp.partition)
+            except EmptyProfileError:  # a side without edges: screening's gap is 0
+                want = 0.0
+            assert sp.delta_p == want
+
+    @tiers
+    def test_red_totals_reach_the_last_slot(self, n, edges, m, dtype):
+        g = random_topic_graph(n, edges, 3, edges)
+        chosen = np.argsort(np.random.default_rng(edges).random((20, n)), axis=1)[:, :m]
+        if edges:  # one row holds the last edge, whose slot is the largest
+            ends = [g.edge_u[-1], g.edge_v[-1]]
+            chosen[0] = np.concatenate([ends, np.setdiff1d(np.arange(n), ends)[:m - 2]])
+        got = check_red_totals(g, chosen)
+        assert got[0].any() == bool(edges)
 
 
 class TestBlockTopicDraws:
