@@ -74,6 +74,10 @@ class SweepSpec:
             raise InputError("m_prime_ratio must lie in (0, 1)")
         if has_list and len(self.m_prime_values) != len(self.m_values):
             raise InputError("m_prime_values must align with m_values")
+        cells = [(m, mp) for m, mp, _ in self.cells()]
+        for i, cell in enumerate(cells):  # a repeat would run, and write, a cell twice
+            if cell in cells[:i]:
+                raise InputError(f"sweep repeats the cell (m, m_prime) = {cell}")
 
     def cells(self):
         """(m, m_prime, skip_reason) for every requested cell."""

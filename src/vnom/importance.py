@@ -119,7 +119,7 @@ class EstimatedRates:
 def _edge_weights(g: TopicGraph, weighted: bool) -> np.ndarray:
     if weighted:
         return g.topic_probs * g.message_count[:, None].astype(np.float64)
-    return g.topic_probs.copy()
+    return g.topic_probs
 
 
 def _side_sizes(g, part: Partition) -> tuple:

@@ -8,9 +8,10 @@ extending the seed's spawn key with integer coordinates, so results are
 independent of execution order and worker count.
 
 Many children of one seed are derived in one batch by
-:func:`child_generators`.  It runs numpy's ``SeedSequence`` hash over all
-their keys at once, so each of its generators draws exactly the stream of
-``generator(child_seed(seed, *key))``.  Its keys are tuples of one length,
+:func:`child_generators`.  It carries numpy's ``SeedSequence`` hash on from
+the seed's ``pool``, where numpy hashed the seed's own words, over all the
+children's keys at once, so each of its generators draws exactly the stream
+of ``generator(child_seed(seed, *key))``.  Its keys are tuples of one length,
 at least 1, of ints below 2**32.  PCG64 seeds from a precomputed state row's
 memory as it lies, so the rows are handed over C-contiguous: a strided row
 with the same values would seed a different stream.
@@ -73,19 +74,20 @@ def child_generators(seed, keys):
     The keys are tuples of one length, at least 1, of ints in 0..2**32-1, as
     every replicate, trial and sample loop makes them; others raise
     :class:`InputError`.  The children's states come from one vectorized pass
-    of the ``SeedSequence`` hash, made when this is called, into one
-    C-contiguous (children x 4) table whose rows seed PCG64; each generator is
-    built only when the returned iterator reaches it.  The hash has a fixed
-    cost of a few hundred microseconds, so batch a few dozen keys or more.
+    of the tail of the ``SeedSequence`` hash, made when this is called, into
+    one C-contiguous (children x 4) table whose rows seed PCG64; each
+    generator is built only when the returned iterator reaches it.  The pass
+    has a fixed cost of over a hundred microseconds, so batch a few dozen keys
+    or more.
     """
     base = as_seed_sequence(seed)
     words = _key_table(keys)
-    # a child's spawn key is never empty, so its run entropy is zero-padded to the pool size
-    run = _words(base.entropy)
-    shared = np.array(run + [0] * (_POOL_SIZE - len(run)) + _words(base.spawn_key),
-                      dtype=np.uint32)
-    entropy = np.concatenate([np.repeat(shared[:, None], len(words), axis=1), words.T])
-    states = np.ascontiguousarray(_pcg64_states(entropy))  # one copy of a transposed view
+    if base.pool_size != _POOL_SIZE:  # child_seed's children hash with numpy's default pool
+        base = child_seed(base)
+    # the words in the pool; a child pads its run entropy to the pool size with
+    # zeros, as numpy's pool set-up does for a short entropy
+    n_words = max(_POOL_SIZE, _n_words(base.entropy)) + _n_words(base.spawn_key)
+    states = np.ascontiguousarray(_pcg64_states(base.pool, n_words, words.T))
     state_class = _state_class()
     return (np.random.Generator(np.random.PCG64(state_class(row))) for row in states)
 
@@ -104,25 +106,22 @@ def _key_table(keys) -> np.ndarray:
     return table.astype(np.uint32)
 
 
-def _words(value) -> list:
-    """The uint32 words numpy makes of a non-negative int (least significant
-    first, one word for 0) or of a sequence of them, concatenated; the
-    entropy and spawn key of a SeedSequence, which numpy checked already."""
-    if not isinstance(value, (int, np.integer)):
-        return [word for item in value for word in _words(item)]
-    value = operator.index(value)
-    words = [value & _MASK32]
-    while value > _MASK32:
-        value >>= 32
-        words.append(value & _MASK32)
-    return words
+def _n_words(value) -> int:
+    """How many uint32 words numpy makes of a non-negative int (one for 0) or
+    of a sequence of them: the entropy and spawn key of a SeedSequence."""
+    if isinstance(value, (int, np.integer)):
+        return max(1, -(-operator.index(value).bit_length() // 32))
+    return sum(map(_n_words, value))
 
 
-def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
-    """(children x 4) uint64 PCG64 seed states of the (words x children)
-    assembled entropy: ``SeedSequence.generate_state(4, np.uint64)`` of each
-    column, row by row of the hash at once."""
-    const = _INIT_A
+def _pcg64_states(pool: np.ndarray, n_words: int, keys: np.ndarray) -> np.ndarray:
+    """(children x 4) uint64 PCG64 seed states, ``generate_state(4, np.uint64)``
+    of each child, row by row of numpy's hash at once: ``pool`` holds the
+    ``n_words`` words hashed before a child's key, a column of the (words x
+    children) ``keys``.  numpy steps its hash constant once per hashmix, 4
+    times a word: 4 for the pool set-up, 12 for the all-pairs mix and 4 a
+    word beyond the pool, which is all a key mixes in here."""
+    const = _INIT_A * pow(_MULT_A, 4 * n_words, _MASK32 + 1) & _MASK32
 
     def hashmix(value):
         nonlocal const
@@ -135,17 +134,12 @@ def _pcg64_states(entropy: np.ndarray) -> np.ndarray:
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> _XSHIFT)
 
-    zeros = np.zeros(entropy.shape[1], dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):  # mix all bits together so late bits can affect earlier bits
+    pool = list(pool[:, None])  # one-element rows, broadcast against the children
+    for word in keys:  # entropy beyond the pool
         for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, len(entropy)):  # entropy beyond the pool
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+            pool[dst] = mix(pool[dst], hashmix(word))
 
-    out = np.empty((2 * _PCG64_WORDS, entropy.shape[1]), dtype=np.uint32)
+    out = np.empty((2 * _PCG64_WORDS, keys.shape[1]), dtype=np.uint32)
     const = _INIT_B
     for i in range(len(out)):
         value = pool[i % _POOL_SIZE] ^ np.uint32(const)

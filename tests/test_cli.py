@@ -51,6 +51,12 @@ class TestExitCodes:
         assert code == 1
         assert "finite" in err and out == ""
 
+    def test_repeated_sweep_cell_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--m-list", "8,8", "--replicates", "2",
+                                 "--gammas", "0,1", "--seed", "1")
+        assert code == 1
+        assert err.startswith("error:") and "(8, 2)" in err and out == ""
+
     @pytest.mark.parametrize("command", ["sweep", "importance"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_exits_1(self, capsys, tmp_path, command, workers):

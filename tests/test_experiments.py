@@ -217,6 +217,15 @@ class TestSweepSpec:
                          m_prime_values=(2, 5))
         assert [(m, mp) for m, mp, _ in spec.cells()] == [(6, 2), (8, 5)]
 
+    def test_repeated_cell_rejected(self):
+        # a repeated cell would run twice from the same replicate keys
+        with pytest.raises(InputError, match=r"\(8, 2\)"):
+            SweepSpec(n=20, p=PAPER_P, s=PAPER_S, m_values=(8, 8), gamma_grid=(0.5,),
+                      replicates=1, master_seed=0, m_prime_ratio=0.25)
+        spec = SweepSpec(n=20, p=PAPER_P, s=PAPER_S, m_values=(8, 8), gamma_grid=(0.5,),
+                         replicates=1, master_seed=0, m_prime_values=(2, 3))
+        assert [(m, mp) for m, mp, _ in spec.cells()] == [(8, 2), (8, 3)]
+
     def test_rule_exclusivity(self):
         with pytest.raises(InputError):
             SweepSpec(n=20, p=PAPER_P, s=PAPER_S, m_values=(6,), gamma_grid=(0.5,),
