@@ -22,12 +22,11 @@ across every gamma (paired comparison).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .graph import RED
+from .graph import RED, _Record
 from .kidney_egg import KidneyEggParams, Simplex3, sample_kidney_egg
 from .metrics import CRITERIA, MetricTable, mask_metrics
 from .nomination import (GAMMA_GRID_DEFAULT, candidate_statistics, fused_order,
@@ -35,8 +34,7 @@ from .nomination import (GAMMA_GRID_DEFAULT, candidate_statistics, fused_order,
 from .seeding import child_generators
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """A sweep over m (and derived m_prime) for fixed n, p, s.
 
     ``m_prime_ratio`` applies round-half-up to ratio*m and clamps into
@@ -97,8 +95,7 @@ class SweepSpec:
         return out
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(_Record):
     """Aggregated metrics of one (m, m_prime) cell."""
 
     m: int
@@ -107,8 +104,7 @@ class CellResult:
     gamma_star: dict  # criterion -> gamma
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
     spec: SweepSpec
     cells: tuple
     skipped: tuple  # (m, m_prime, reason)

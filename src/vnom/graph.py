@@ -19,8 +19,6 @@ symbol table handled by :mod:`vnom.io`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InputError
@@ -77,22 +75,89 @@ def _canonical_edges(n, edge_u, edge_v, *extras):
     return (lo, hi, *extras)
 
 
-class _EdgeGraph:
-    """What both graph kinds share: canonical ``edge_u``/``edge_v`` arrays,
-    and equality of every slot of the kind, arrays element by element."""
+class _Record:
+    """Frozen record: each subclass's annotated names are its fields, in order,
+    and a class-level value is a field's default.
 
-    __slots__ = ()
+    One ``__init__`` binds the arguments and runs the subclass's
+    ``__post_init__``, which may replace a field with ``object.__setattr__``;
+    after it no field can be assigned or deleted.  Records compare field by
+    field, arrays element by element with NaNs equal where both sit; array
+    fields stay out of the repr and make the record unhashable.
+    """
 
-    @property
-    def num_edges(self) -> int:
-        return int(self.edge_u.size)
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls):
+        own = tuple(cls.__annotations__)
+        cls._fields = cls._fields + own
+        cls._defaults = {**cls._defaults, **{f: vars(cls)[f] for f in own if f in vars(cls)}}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # stored as assignment stores them: going through self.__dict__ would
+        # build a dict per record, which slows field reads and the collector
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> list:
+        name = cls.__qualname__
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}() takes at most {len(cls._fields)} arguments, "
+                            f"got {len(args)}")
+        values = dict(zip(cls._fields, args))
+        for key, value in kwargs.items():
+            if key not in cls._fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        values = {**cls._defaults, **values}
+        missing = [f for f in cls._fields if f not in values]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        return [values[f] for f in cls._fields]
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        pairs = ((getattr(self, name), getattr(other, name)) for name in self.__slots__)
-        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+        pairs = ((getattr(self, f), getattr(other, f)) for f in self._fields)
+        return all(np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
                    for a, b in pairs)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self):
+        shown = (f"{f}={getattr(self, f)!r}" for f in self._fields
+                 if not isinstance(getattr(self, f), np.ndarray))
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+
+class _EdgeGraph:
+    """What both graph kinds share: canonical ``edge_u``/``edge_v`` arrays,
+    and record equality over every slot of the kind."""
+
+    __slots__ = ()
+    __eq__ = _Record.__eq__
+
+    @property
+    def num_edges(self) -> int:
+        return int(self.edge_u.size)
 
 
 class AttributedGraph(_EdgeGraph):
@@ -103,8 +168,8 @@ class AttributedGraph(_EdgeGraph):
     occludes, it never errs.  Instances are immutable after construction.
     """
 
-    __slots__ = ("n", "k_edge_attrs", "edge_u", "edge_v", "edge_attr",
-                 "truth", "observed")
+    __slots__ = _fields = ("n", "k_edge_attrs", "edge_u", "edge_v", "edge_attr",
+                           "truth", "observed")
 
     def __init__(self, n, edge_u, edge_v, edge_attr, truth, observed, k_edge_attrs=2):
         eu, ev, ea = _canonical_edges(int(n), edge_u, edge_v,
@@ -189,8 +254,8 @@ class TopicGraph(_EdgeGraph):
     number of messages the edge aggregates.
     """
 
-    __slots__ = ("n", "k_topics", "edge_u", "edge_v", "topic_probs",
-                 "message_count", "vertex_names")
+    __slots__ = _fields = ("n", "k_topics", "edge_u", "edge_v", "topic_probs",
+                           "message_count", "vertex_names")
 
     def __init__(self, n, edge_u, edge_v, topic_probs, message_count, vertex_names=None):
         n = int(n)
@@ -235,12 +300,11 @@ class TopicGraph(_EdgeGraph):
         return f"TopicGraph(n={self.n}, edges={self.num_edges}, k_topics={self.k_topics})"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """A two-way vertex partition: a red set and its green complement."""
 
     n: int
-    red_ids: np.ndarray = field(repr=False)
+    red_ids: np.ndarray
 
     def __post_init__(self):
         red = _sorted_unique(np.asarray(self.red_ids, dtype=np.int64))

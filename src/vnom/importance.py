@@ -23,13 +23,12 @@ map their uniforms to topics, and are scored and ranked, as one stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, floor, isfinite, isnan
 
 import numpy as np
 
 from .errors import EmptyProfileError, InputError, UndefinedDensityError
-from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph,
+from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph, _Record,
                     _sorted_unique, _subset_array)
 from .experiments import evaluate_grid, parallel_map
 from .kidney_egg import _pair_offsets, _pairs
@@ -46,8 +45,7 @@ _ROW_CELLS = 2**18
 MIN_PARTITIONS = 20  # a trial bin backed by fewer partitions is flagged insufficient
 
 
-@dataclass(frozen=True)
-class ScreeningThresholds:
+class ScreeningThresholds(_Record):
     """Acceptance bars for the density gap and the topic-profile gap.
 
     Either bar may be infinite; NaN is rejected, since no gap passes it.
@@ -62,11 +60,10 @@ class ScreeningThresholds:
                              f"tau_rho={self.tau_rho}, tau_p={self.tau_p}")
 
 
-@dataclass(frozen=True)
-class TopicMap:
+class TopicMap(_Record):
     """Total map from topic index (0-based) to RED or GREEN."""
 
-    labels: np.ndarray = field(repr=False)
+    labels: np.ndarray
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int8)
@@ -81,8 +78,7 @@ class TopicMap:
         return int(self.labels.size)
 
 
-@dataclass(frozen=True)
-class ScreenedPartition:
+class ScreenedPartition(_Record):
     """An accepted partition with its gaps and derived topic map."""
 
     partition: Partition
@@ -92,8 +88,7 @@ class ScreenedPartition:
     draw_index: int
 
 
-@dataclass(frozen=True)
-class ScreeningResult:
+class ScreeningResult(_Record):
     accepted: tuple
     attempts: int
 
@@ -106,8 +101,7 @@ class ScreeningResult:
         return self.n_accepted / self.attempts if self.attempts else 0.0
 
 
-@dataclass(frozen=True)
-class EstimatedRates:
+class EstimatedRates(_Record):
     """Edge-rate estimates from one attributed graph and partition."""
 
     p1: float
@@ -388,13 +382,9 @@ def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds, tables
                                    green_in)
         labels = _topic_labels(pr, pg)
         for i in np.flatnonzero(d_p > thresholds.tau_p):
-            accepted.append(ScreenedPartition(
-                partition=Partition(g.n, ids[i]),
-                topic_map=TopicMap(labels[i]),
-                delta_rho=float(d_rho[lo + i]),
-                delta_p=float(d_p[i]),
-                draw_index=start + int(rows[lo + i]),
-            ))
+            accepted.append(ScreenedPartition(Partition(g.n, ids[i]), TopicMap(labels[i]),
+                                              float(d_rho[lo + i]), float(d_p[i]),
+                                              start + int(rows[lo + i])))
     return accepted
 
 
@@ -430,8 +420,7 @@ def estimate_rates(g: AttributedGraph, part: Partition) -> EstimatedRates:
                                              comb(m, 2), comb(n_green, 2))))
 
 
-@dataclass(frozen=True)
-class PartitionTrial:
+class PartitionTrial(_Record):
     """Per-partition trial summary: metrics over its replicates."""
 
     index: int
@@ -441,8 +430,7 @@ class PartitionTrial:
     rates: EstimatedRates
 
 
-@dataclass(frozen=True)
-class BinReport:
+class BinReport(_Record):
     """Aggregate over every (partition, replicate) report falling in one bin."""
 
     rho_lo: float
@@ -455,8 +443,7 @@ class BinReport:
     fusion_advantage_mrr: float | None
 
 
-@dataclass(frozen=True)
-class TrialsResult:
+class TrialsResult(_Record):
     bins: dict  # (rho_bin, p_bin) -> BinReport
     partitions: tuple
     gamma_grid: tuple

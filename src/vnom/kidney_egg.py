@@ -14,22 +14,20 @@ therefore bit-identical across serial and parallel execution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateConditioningError, InputError
-from .graph import GREEN, MAX_VERTICES, OCCLUDED, RED, AttributedGraph
+from .graph import GREEN, MAX_VERTICES, OCCLUDED, RED, AttributedGraph, _Record
 from .nomination import score_counts
 from .seeding import child_generators, generator
 
 _SAMPLE_CHUNK = 4096  # sample streams derived per batch, bounding the batch's seed states
 
 
-@dataclass(frozen=True)
-class Simplex3:
+class Simplex3(_Record):
     """A point of the 2-simplex: (no-edge, red-edge, green-edge) probabilities.
 
     Inputs whose coordinates sum to more than 1e-6 away from 1 are rejected as
@@ -70,8 +68,7 @@ class Simplex3:
         return self.q1 + self.q2
 
 
-@dataclass(frozen=True)
-class KidneyEggParams:
+class KidneyEggParams(_Record):
     """Full generative specification (n, p, m, s; m_prime)."""
 
     n: int
@@ -91,8 +88,7 @@ class KidneyEggParams:
                 f"need n > m > m_prime >= 1, got n={self.n}, m={self.m}, m_prime={self.m_prime}")
 
 
-@dataclass(frozen=True)
-class PMF:
+class PMF(_Record):
     """Probability mass function on the integers 0..len(probs)-1."""
 
     probs: np.ndarray

@@ -16,21 +16,19 @@ negative-hypergeometric, and MAP has Bestgen's (2015) closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, fsum
 
 import numpy as np
 
 from .errors import InputError, NoRedCandidatesError
-from .graph import MAX_VERTICES, _sorted_unique
+from .graph import MAX_VERTICES, _Record, _sorted_unique
 from .nomination import Ranking
 
 CRITERIA = ("s_at_1", "mrr", "map")  # the first three columns of mask_metrics
 BASELINE_CRITERIA = CRITERIA + ("ap_y",)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(_Record):
     """Metrics of one ranking against one truth set."""
 
     s_at_1: int
@@ -87,8 +85,8 @@ def mask_metrics(masks, y_values=()) -> np.ndarray:
 def report_from_mask(mask: np.ndarray, y_values=()) -> EvalReport:
     """All metrics from a rank-ordered red/green membership mask."""
     row = mask_metrics(mask, y_values)[0]
-    return EvalReport(s_at_1=int(row[0]), rr=float(row[1]), ap=float(row[2]),
-                      ap_y={int(y): float(v) for y, v in zip(y_values, row[3:])})
+    return EvalReport(int(row[0]), float(row[1]), float(row[2]),
+                      {int(y): float(v) for y, v in zip(y_values, row[3:])})
 
 
 def evaluate_ranking(r: Ranking, truth, y_values=()) -> EvalReport:
@@ -122,8 +120,7 @@ def column_index(criterion: str, y: int | None = None, y_values=()) -> int:
                      f"(y values {tuple(y_values)})")
 
 
-@dataclass(frozen=True)
-class MetricTable:
+class MetricTable(_Record):
     """Means and standard errors over replicates, one row per gamma.
 
     ``mean`` and ``se`` are (gammas x columns) arrays with the columns of
@@ -134,8 +131,8 @@ class MetricTable:
 
     gammas: tuple
     y_values: tuple
-    mean: np.ndarray = field(repr=False)
-    se: np.ndarray = field(repr=False)
+    mean: np.ndarray
+    se: np.ndarray
     replicates: int
 
     @classmethod
@@ -153,14 +150,6 @@ class MetricTable:
               se: bool = False) -> float:
         """One criterion's mean (or standard error) at one gamma."""
         return float(self.column(criterion, y, se=se)[self.gammas.index(gamma)])
-
-    def __eq__(self, other):
-        if not isinstance(other, MetricTable):
-            return NotImplemented
-        return ((self.gammas, self.y_values, self.replicates)
-                == (other.gammas, other.y_values, other.replicates)
-                and np.array_equal(self.mean, other.mean, equal_nan=True)
-                and np.array_equal(self.se, other.se, equal_nan=True))
 
 
 def aggregate_reports(reports: dict) -> MetricTable:

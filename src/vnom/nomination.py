@@ -42,21 +42,19 @@ it serves attributed graphs, importance trials and sampled score PMFs alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InputError
-from .graph import OCCLUDED, RED, AttributedGraph, _sorted_unique, candidate_set
+from .graph import OCCLUDED, RED, AttributedGraph, _Record, _sorted_unique, candidate_set
 from .seeding import generator
 
 GAMMA_GRID_DEFAULT = tuple(k / 100 for k in range(101))
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(_Record):
     """Ordered candidate list with scores and the tie-break record.
 
     ``tie_groups`` holds half-open index ranges ``(start, stop)`` of positions
@@ -64,8 +62,8 @@ class Ranking:
     within each range is a seeded uniform random permutation.
     """
 
-    ordered: np.ndarray = field(repr=False)
-    scores: np.ndarray = field(repr=False)
+    ordered: np.ndarray
+    scores: np.ndarray
     tie_groups: tuple
 
     def __post_init__(self):

@@ -3,11 +3,13 @@ benchmark's trace hooks, call counts and recorded output digests."""
 
 import ast
 import collections
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import platform
 import re
 import subprocess
@@ -140,14 +142,14 @@ def test_one_kidney_egg_replicate_driver():
                                "kidney_egg.empirical_score_pmfs"]
 
 
-def modules_loaded_by_import(package, then=""):
-    """Modules of ``package`` loaded by importing vnom and vnom.cli in a fresh
-    interpreter, so that no other test's imports are counted, and then
-    running the statements ``then``."""
+def modules_loaded_by_import(package, then="", imports="vnom, vnom.cli"):
+    """Modules of ``package`` loaded by importing ``imports`` (vnom and
+    vnom.cli) in a fresh interpreter, so that no other test's imports are
+    counted, and then running the statements ``then``."""
     src = str(Path(vnom.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (f"import sys, vnom, vnom.cli\n{then}\n"
+    code = (f"import sys, {imports}\n{then}\n"
             f"print(sorted(m for m in sys.modules if (m + '.').startswith({package!r} + '.')))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True)
@@ -169,6 +171,19 @@ def test_import_loads_no_pool_or_seed_entropy(package):
     # the process pool loads only for more than one worker and a generated
     # seed reads os.urandom, so neither counts in every run's set-up
     assert modules_loaded_by_import(package) == "[]"
+
+
+def test_no_dataclasses_in_vnom():
+    # every record subclasses graph._Record, which generates no code at import
+    # (each dataclass execs its generated methods, ~1 ms a class); numpy 1.24
+    # may load dataclasses itself, so the import is compared with numpy's own
+    records = [f"{name}.{cls.__name__}"
+               for name in sorted(m.name for m in pkgutil.iter_modules(vnom.__path__))
+               for cls in vars(importlib.import_module(f"vnom.{name}")).values()
+               if dataclasses.is_dataclass(cls)]
+    assert records == []
+    assert (modules_loaded_by_import("dataclasses")
+            == modules_loaded_by_import("dataclasses", imports="numpy"))
 
 
 def test_screening_and_trials_load_no_masked_arrays():
