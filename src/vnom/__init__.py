@@ -7,7 +7,8 @@ identified set) with content (who talks about the topic of interest).
 """
 
 from .errors import (DegenerateConditioningError, EmptyProfileError, GraphFormatError,
-                     InputError, NoRedCandidatesError, UndefinedDensityError, VnomError)
+                     InputError, NoRedCandidatesError, RecordError, UndefinedDensityError,
+                     VnomError)
 from .graph import GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph, candidate_set
 from .kidney_egg import (PMF, KidneyEggParams, Simplex3, binomial_pmf,
                          content_given_context_pmf, content_pmf_from_conditionals,

@@ -25,6 +25,15 @@ class EmptyProfileError(InputError):
     """Topic profile requested for a vertex set that induces no edges."""
 
 
+class RecordError(InputError):
+    """A graph record breaks a validity rule: ``kind`` is "edge", named by its
+    input position, or "vertex", named by its id; ``reason`` is the rule."""
+
+    def __init__(self, kind: str, index: int, reason: str):
+        self.kind, self.index, self.reason = kind, index, reason
+        super().__init__(f"{kind} {index}: {reason}")
+
+
 class GraphFormatError(InputError):
     """Malformed or invalid graph file; carries the offending line number."""
 

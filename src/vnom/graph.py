@@ -2,7 +2,9 @@
 
 Two graph kinds share one edge layout: flat endpoint arrays with ``u < v``,
 sorted lexicographically, which each constructor builds from edge columns
-(endpoints and payload arrays) given in any order.
+(endpoints and payload arrays) given in any order.  The constructors alone
+know what a valid graph is; each names the first record breaking a rule in a
+:class:`~vnom.errors.RecordError`: an edge by input position, a vertex by id.
 
 * :class:`AttributedGraph` — undirected simple graph whose edges carry a
   categorical attribute in ``{1..k_edge_attrs}`` and whose vertices carry a
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, RecordError
 
 
 # Vertex colors; OCCLUDED is legal only in the observed layer.
@@ -47,8 +49,16 @@ def _check_topic_count(k: int):
         raise InputError(f"topic graph needs 2..{MAX_TOPICS} topics, got {k}")
 
 
+def _first(bad, order=None) -> int:
+    """Input position of the first record ``bad`` flags, via ``order`` if canonical."""
+    return int(np.flatnonzero(bad)[0] if order is None else order[bad].min())
+
+
 def _canonical_edges(n, edge_u, edge_v, *extras):
-    """Validate and sort edge arrays into canonical (u < v, lexicographic) order."""
+    """Check edge arrays given in any order and sort them into canonical order
+    (u < v, by pair).  Returns the sorted arrays and then ``order``, the input
+    position of each sorted edge."""
+    _check_vertex_count(n)
     eu = np.asarray(edge_u, dtype=np.int64).ravel()
     ev = np.asarray(edge_v, dtype=np.int64).ravel()
     if eu.shape != ev.shape:
@@ -57,22 +67,23 @@ def _canonical_edges(n, edge_u, edge_v, *extras):
     for x in extras:
         if x.shape[0] != eu.shape[0]:
             raise InputError("edge payload arrays must match edge count")
-    if eu.size:
-        if min(eu.min(), ev.min()) < 0 or max(eu.max(), ev.max()) >= n:
-            raise InputError("edge endpoint out of range")
-        if np.any(eu == ev):
-            raise InputError("self-loops are not allowed")
+    if eu.size and (min(eu.min(), ev.min()) < 0 or max(eu.max(), ev.max()) >= n):
+        i = _first((eu < 0) | (eu >= n) | (ev < 0) | (ev >= n))
+        raise RecordError("edge", i, f"unknown vertex id in edge ({eu[i]}, {ev[i]})")
+    loop = eu == ev
+    if loop.any():
+        raise RecordError("edge", _first(loop), "self-loop")
     lo = np.minimum(eu, ev)
     hi = np.maximum(eu, ev)
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    extras = [x[order] for x in extras]
-    if lo.size > 1:
-        dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-        if dup.any():
-            i = int(np.flatnonzero(dup)[0])
-            raise InputError(f"duplicate edge ({lo[i]}, {hi[i]})")
-    return (lo, hi, *extras)
+    # one key per pair, below n**2 <= 2**48; a stable sort leaves a repeated
+    # pair's occurrences in input order, so each after the first is a repeat
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeat = np.diff(key[order]) == 0
+    if repeat.any():
+        i = _first(repeat, order[1:])
+        raise RecordError("edge", i, f"duplicate edge ({lo[i]}, {hi[i]})")
+    return (lo[order], hi[order], *(x[order] for x in extras), order)
 
 
 class _Record:
@@ -150,10 +161,20 @@ class _Record:
 
 class _EdgeGraph:
     """What both graph kinds share: canonical ``edge_u``/``edge_v`` arrays,
-    and record equality over every slot of the kind."""
+    and the record contract over every slot of the kind: slot-wise equality,
+    no assignment or deletion after construction."""
 
     __slots__ = ()
     __eq__ = _Record.__eq__
+    __setattr__ = _Record.__setattr__
+    __delattr__ = _Record.__delattr__
+
+    def _store(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):  # pickle's (None, {slot: value}) of a slotted object
+        self._store(*map(state[1].get, self._fields))
 
     @property
     def num_edges(self) -> int:
@@ -172,33 +193,32 @@ class AttributedGraph(_EdgeGraph):
                            "truth", "observed")
 
     def __init__(self, n, edge_u, edge_v, edge_attr, truth, observed, k_edge_attrs=2):
-        eu, ev, ea = _canonical_edges(int(n), edge_u, edge_v,
-                                      np.asarray(edge_attr, dtype=np.int64))
-        self._init_from_canonical(int(n), eu, ev, ea, truth, observed, int(k_edge_attrs))
+        *edges, order = _canonical_edges(int(n), edge_u, edge_v,
+                                         np.asarray(edge_attr, dtype=np.int64))
+        self._init_from_canonical(int(n), *edges, truth, observed, int(k_edge_attrs), order)
 
-    def _init_from_canonical(self, n, eu, ev, ea, truth, observed, k):
+    def _init_from_canonical(self, n, eu, ev, ea, truth, observed, k, order=None):
         _check_vertex_count(n)
         if k < 1:
             raise InputError("k_edge_attrs must be >= 1")
         if ea.size and (ea.min() < 1 or ea.max() > k):
-            raise InputError(f"edge attributes must lie in 1..{k}")
-        truth = np.asarray(truth, dtype=np.int8)
-        observed = np.asarray(observed, dtype=np.int8)
+            raise RecordError("edge", _first((ea < 1) | (ea > k), order),
+                              f"edge attribute must lie in 1..{k}")
+        # labels are checked as they arrive and only then narrowed, so no
+        # label can wrap into a valid one
+        truth = np.asarray(truth)
+        observed = np.asarray(observed)
         if truth.shape != (n,) or observed.shape != (n,):
             raise InputError("truth and observed must have one entry per vertex")
-        if not ((truth == RED) | (truth == GREEN)).all():
-            raise InputError("truth labels must be RED or GREEN")
-        if not ((observed == RED) | (observed == OCCLUDED)).all():
-            raise InputError("observed labels must be RED or OCCLUDED")
-        if np.any((observed == RED) & (truth != RED)):
-            raise InputError("an identified vertex must be truly red")
-        self.n = n
-        self.k_edge_attrs = k
-        self.edge_u = eu
-        self.edge_v = ev
-        self.edge_attr = ea
-        self.truth = truth
-        self.observed = observed
+        red, identified = truth == RED, observed == RED
+        for ok, rule in ((red | (truth == GREEN), "truth label must be RED or GREEN"),
+                         (identified | (observed == OCCLUDED),
+                          "observed label must be RED or OCCLUDED"),
+                         (red | ~identified, "an identified vertex must be truly red")):
+            if not ok.all():
+                raise RecordError("vertex", _first(~ok), rule)
+        self._store(n, k, eu, ev, ea, truth.astype(np.int8, copy=False),
+                    observed.astype(np.int8, copy=False))
 
     @classmethod
     def _from_canonical(cls, n, eu, ev, ea, truth, observed, k_edge_attrs=2):
@@ -259,30 +279,27 @@ class TopicGraph(_EdgeGraph):
 
     def __init__(self, n, edge_u, edge_v, topic_probs, message_count, vertex_names=None):
         n = int(n)
-        _check_vertex_count(n)
         probs = np.asarray(topic_probs, dtype=np.float64)
-        counts = np.asarray(message_count, dtype=np.int64)
-        eu, ev, probs, counts = _canonical_edges(n, edge_u, edge_v, probs, counts)
         if probs.ndim != 2:
             raise InputError("topic_probs must be a 2-d array (edges x topics)")
-        k = probs.shape[1]
-        _check_topic_count(k)
-        if probs.size:
-            if not np.isfinite(probs).all():
-                raise InputError("topic probabilities must be finite")
-            if probs.min() < 0:
-                raise InputError("topic probabilities must be non-negative")
-            dev = np.abs(probs.sum(axis=1) - 1.0)
-            if dev.max() > 1e-9:
-                raise InputError("every edge topic distribution must sum to 1 within 1e-9")
+        _check_topic_count(probs.shape[1])
+        eu, ev, probs, counts, order = _canonical_edges(
+            n, edge_u, edge_v, probs, np.asarray(message_count, dtype=np.int64))
+        if counts.size:
             if counts.min() < 1:
-                raise InputError("message counts must be >= 1")
-        self.n = n
-        self.k_topics = int(k)
-        self.edge_u = eu
-        self.edge_v = ev
-        self.topic_probs = probs
-        self.message_count = counts
+                raise RecordError("edge", _first(counts < 1, order), "message count must be >= 1")
+            if not np.isfinite(probs).all():
+                raise RecordError("edge", _first(~np.isfinite(probs).all(axis=1), order),
+                                  "non-finite topic probability")
+            if probs.min() < 0:
+                raise RecordError("edge", _first((probs < 0).any(axis=1), order),
+                                  "negative topic probability")
+            total = probs.sum(axis=1)
+            dev = np.abs(total - 1.0)
+            if dev.max() > 1e-9:
+                i = _first(dev > 1e-9, order)
+                raise RecordError("edge", i, f"topic distribution sums to "
+                                             f"{total[order == i].item()!r}, expected 1")
         if vertex_names is not None:
             vertex_names = tuple(vertex_names)
             if len(vertex_names) != n:
@@ -294,7 +311,7 @@ class TopicGraph(_EdgeGraph):
                         and "\n" not in name and "\r" not in name):
                     raise InputError(f"vertex {v} name {name!r} must be a non-empty string "
                                      f"without surrounding whitespace or line breaks")
-        self.vertex_names = vertex_names
+        self._store(n, probs.shape[1], eu, ev, probs, counts, vertex_names)
 
     def __repr__(self):
         return f"TopicGraph(n={self.n}, edges={self.num_edges}, k_topics={self.k_topics})"

@@ -66,12 +66,12 @@ class TopicMap(_Record):
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int8)
+        labels = np.asarray(self.labels)  # checked before narrowing, so none wraps
         if labels.ndim != 1 or labels.size < 2:
             raise InputError("topic map needs one label per topic (>= 2 topics)")
         if not ((labels == RED) | (labels == GREEN)).all():
             raise InputError("topic labels must be RED or GREEN")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels.astype(np.int8, copy=False))
 
     @property
     def k_topics(self) -> int:

@@ -10,7 +10,9 @@ produce byte-equal files.
 
 Attributed-graph files are analogous: ``#n=``/``#ke=`` headers, one
 ``v <id> <truth> <observed>`` line per vertex, and ``a <u> <v> <attr>`` edge
-lines.
+lines.  Both readers share one scanner, which checks the syntax in file order
+and keeps only numbers; the graph constructors check the records, and the
+reader names the line of the first one they reject.
 
 Every result file embeds the resolved configuration and seed as metadata
 (comment lines in CSV, a ``meta`` object in JSON); timestamps live only
@@ -25,20 +27,15 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import GraphFormatError, InputError
+from .errors import GraphFormatError, InputError, RecordError
 from .experiments import SweepResult
-from .graph import (GREEN, MAX_TOPICS, MAX_VERTICES, OCCLUDED, RED, AttributedGraph, TopicGraph,
-                    _check_topic_count)
+from .graph import MAX_TOPICS, MAX_VERTICES, AttributedGraph, TopicGraph, _check_topic_count
 from .importance import ScreeningResult, TrialsResult, bin_index
 from .metrics import CRITERIA, MetricTable
 from .seeding import generator
 
 _FORMAT_TAG_TOPIC = "# vnom topic-graph v1"
 _FORMAT_TAG_ATTR = "# vnom attributed-graph v1"
-
-
-def _fmt_prob(x: float) -> str:
-    return f"{x:.12g}"
 
 
 # ---------------------------------------------------------------------------
@@ -57,69 +54,86 @@ def write_topic_graph(g: TopicGraph, path, metadata: dict | None = None) -> None
     lines = [f"#n={g.n}", f"#k={g.k_topics}"]
     # an unnamed graph stays unnamed
     lines += [f"#vertex {i} {name}" for i, name in enumerate(g.vertex_names or ())]
-    lines += [f"e {u} {v} {count} {' '.join(_fmt_prob(x) for x in probs)}"
+    lines += [f"e {u} {v} {count} {' '.join(f'{x:.12g}' for x in probs)}"
               for u, v, count, probs in zip(g.edge_u, g.edge_v, g.message_count, g.topic_probs)]
     _write_graph(path, _FORMAT_TAG_TOPIC, metadata, lines)
 
 
 def read_topic_graph(path) -> TopicGraph:
-    n = None
-    k = None
-    names: dict[int, str] = {}
-    edges, probs_rows = [], []
-    seen_pairs = set()
+    n, k, names, (eu, ev, counts), probs, lines = _scan(path, topic=True)
+    probs = probs.reshape(-1, k)
+    # a row may drift from summing to 1 by up to 1e-6, divided out past 1e-12;
+    # the constructor rejects any other row (both infinities make a NaN sum)
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = probs.sum(axis=1, keepdims=True)
+    drift = np.abs(total - 1.0)
+    np.divide(probs, total, out=probs, where=(drift > 1e-12) & (drift <= 1e-6))
+    return _construct(TopicGraph, lines, n, eu, ev, probs, counts,
+                      tuple(names[i] for i in range(n)) if names else None)
+
+
+def _scan(path, topic: bool):
+    """Read a topic-graph or attributed-graph file's grammar line by line,
+    turning each record into numbers as it goes, so no line's tokens are kept.
+    Returns n, the #k=/#ke= count, {id: name or (truth, observed)}, the int64
+    columns u, v and count/attribute, the flat topic probabilities, and each
+    record's line as {"vertex": {id: line}, "edge": [line of each edge]}."""
+    from array import array  # here: a run that reads no file maps no array library
+    count_tag, count_header, vertex_tag, edge_tag, third = (
+        ("#k=", ("topic count", 2, MAX_TOPICS), "#vertex ", "e ", "message count") if topic
+        else ("#ke=", ("attribute count", 1), "v ", "a ", "edge attribute"))
+    n = count = None
+    vertices, vertex_lines = {}, {}
+    numbers, probs, edge_lines = array("q"), array("d"), array("q")
     for lineno, line in _lines(path):
         if line.startswith("#n="):
             n = _header_int(n, line[3:], lineno, "vertex count", 1, MAX_VERTICES)
-        elif line.startswith("#k="):
-            k = _header_int(k, line[3:], lineno, "topic count", 2, MAX_TOPICS)
-        elif line.startswith("#vertex "):
-            parts = line.split(maxsplit=2)
-            if len(parts) != 3:
-                raise GraphFormatError("malformed #vertex line", lineno)
-            names[_vertex_id(parts[1], n, names, lineno)] = parts[2]
+        elif line.startswith(count_tag):
+            count = _header_int(count, line[len(count_tag):], lineno, *count_header)
+        elif line.startswith(vertex_tag):
+            fields = line.split(maxsplit=2) if topic else line.split()
+            if len(fields) != (3 if topic else 4):
+                raise GraphFormatError("malformed #vertex line" if topic
+                                       else "malformed vertex line", lineno)
+            if n is None:
+                raise GraphFormatError("vertex line before the #n= header", lineno)
+            vid = _parse_int(fields[1], lineno, "vertex id")
+            if not 0 <= vid < n:
+                raise GraphFormatError(f"vertex id {vid} outside 0..{n - 1}", lineno)
+            if vid in vertices:
+                raise GraphFormatError(f"repeated vertex id {vid}", lineno)
+            vertices[vid] = fields[2] if topic else (
+                _parse_int(fields[2], lineno, "truth label"),
+                _parse_int(fields[3], lineno, "observed label"))
+            vertex_lines[vid] = lineno
         elif line.startswith("#"):
             continue  # metadata
-        elif line.startswith("e "):
-            if n is None or k is None:
-                raise GraphFormatError("edge before #n=/#k= headers", lineno)
+        elif line.startswith(edge_tag):
+            if n is None or count is None:
+                raise GraphFormatError(f"edge before #n=/{count_tag} headers", lineno)
             fields = line.split()
-            if len(fields) != 4 + k:
-                raise GraphFormatError(
-                    f"expected 'e u v count' plus {k} topic probabilities", lineno)
-            u, v = _edge_ends(fields, n, seen_pairs, lineno)
-            count = _parse_int(fields[3], lineno, "message count")
-            if count < 1:
-                raise GraphFormatError("message count must be >= 1", lineno)
+            if len(fields) != (4 + count if topic else 4):
+                raise GraphFormatError(f"expected 'e u v count' plus {count} topic probabilities"
+                                       if topic else "malformed edge line", lineno)
+            for text, what in zip(fields[1:4], ("endpoint", "endpoint", third)):
+                numbers.append(_parse_int(text, lineno, what))
             try:
-                probs = np.array([float(x) for x in fields[4:]])
+                probs.extend(map(float, fields[4:]))
             except ValueError:
                 raise GraphFormatError("malformed topic probability", lineno) from None
-            if not np.isfinite(probs).all():
-                raise GraphFormatError("non-finite topic probability", lineno)
-            if probs.min() < 0:
-                raise GraphFormatError("negative topic probability", lineno)
-            total = probs.sum()
-            if abs(total - 1.0) > 1e-6:
-                raise GraphFormatError(
-                    f"topic distribution sums to {total!r}, expected 1", lineno)
-            if abs(total - 1.0) > 1e-12:
-                probs = probs / total
-            edges.append((u, v, count))
-            probs_rows.append(probs)
+            edge_lines.append(lineno)
         else:
             raise GraphFormatError(f"unrecognized line {line[:40]!r}", lineno)
-    if n is None or k is None:
-        raise GraphFormatError("missing #n= or #k= header")
-    vertex_names = None
-    if names:
-        if len(names) < n:  # ids are unique and in range, so some id is missing
-            missing = next(i for i in range(n) if i not in names)
-            raise GraphFormatError(f"symbol table misses vertex {missing}")
-        vertex_names = tuple(names[i] for i in range(n))
-    eu, ev, counts = np.array(edges, dtype=np.int64).reshape(-1, 3).T
-    probs = np.array(probs_rows, dtype=np.float64).reshape(-1, k)
-    return TopicGraph(n, eu, ev, probs, counts, vertex_names)
+    if n is None or count is None:
+        raise GraphFormatError(f"missing #n= or {count_tag} header")
+    # every vertex has labels, and names come for all or none; ids are unique
+    # and in range, so if there are fewer than n some id is missing
+    if len(vertices) < n and (vertices or not topic):
+        missing = next(i for i in range(n) if i not in vertices)
+        raise GraphFormatError(f"symbol table misses vertex {missing}" if topic
+                               else f"missing vertex line for id {missing}")
+    return (n, count, vertices, np.frombuffer(numbers, np.int64).reshape(-1, 3).T,
+            np.frombuffer(probs), {"vertex": vertex_lines, "edge": edge_lines})
 
 
 def _lines(path):
@@ -135,22 +149,6 @@ def _lines(path):
             line = raw.strip()
             if line:
                 yield lineno, line
-
-
-def _edge_ends(fields, n: int, seen_pairs: set, lineno: int) -> tuple:
-    """An edge line's endpoints (u, v): vertex ids below n, not a self-loop,
-    and a pair not in ``seen_pairs``, which records it."""
-    u = _parse_int(fields[1], lineno, "endpoint")
-    v = _parse_int(fields[2], lineno, "endpoint")
-    if not (0 <= u < n and 0 <= v < n):
-        raise GraphFormatError(f"unknown vertex id in edge ({u}, {v})", lineno)
-    if u == v:
-        raise GraphFormatError("self-loop", lineno)
-    pair = (min(u, v), max(u, v))
-    if pair in seen_pairs:
-        raise GraphFormatError(f"duplicate edge ({pair[0]}, {pair[1]})", lineno)
-    seen_pairs.add(pair)
-    return u, v
 
 
 def _parse_int(text: str, lineno: int, what: str) -> int:
@@ -178,18 +176,6 @@ def _header_int(current, text: str, lineno: int, what: str, minimum: int,
     return value
 
 
-def _vertex_id(text: str, n, seen, lineno: int) -> int:
-    """A vertex line's id: after the #n= header, in range, not seen before."""
-    if n is None:
-        raise GraphFormatError("vertex line before the #n= header", lineno)
-    vid = _parse_int(text, lineno, "vertex id")
-    if not 0 <= vid < n:
-        raise GraphFormatError(f"vertex id {vid} outside 0..{n - 1}", lineno)
-    if vid in seen:
-        raise GraphFormatError(f"repeated vertex id {vid}", lineno)
-    return vid
-
-
 # ---------------------------------------------------------------------------
 # attributed-graph files
 # ---------------------------------------------------------------------------
@@ -203,53 +189,17 @@ def write_attributed_graph(g: AttributedGraph, path, metadata: dict | None = Non
 
 
 def read_attributed_graph(path) -> AttributedGraph:
-    n = None
-    ke = None
-    truth = {}
-    observed = {}
-    edges = []
-    seen_pairs = set()
-    for lineno, line in _lines(path):
-        if line.startswith("#n="):
-            n = _header_int(n, line[3:], lineno, "vertex count", 1, MAX_VERTICES)
-        elif line.startswith("#ke="):
-            ke = _header_int(ke, line[4:], lineno, "attribute count", 1)
-        elif line.startswith("#"):
-            continue
-        elif line.startswith("v "):
-            fields = line.split()
-            if len(fields) != 4:
-                raise GraphFormatError("malformed vertex line", lineno)
-            vid = _vertex_id(fields[1], n, truth, lineno)
-            truth[vid] = _parse_int(fields[2], lineno, "truth label")
-            observed[vid] = _parse_int(fields[3], lineno, "observed label")
-            if truth[vid] not in (RED, GREEN):
-                raise GraphFormatError("truth label must be RED or GREEN", lineno)
-            if observed[vid] not in (RED, OCCLUDED):
-                raise GraphFormatError("observed label must be RED or OCCLUDED", lineno)
-            if observed[vid] == RED and truth[vid] != RED:
-                raise GraphFormatError("an identified vertex must be truly red", lineno)
-        elif line.startswith("a "):
-            if n is None or ke is None:
-                raise GraphFormatError("edge before #n=/#ke= headers", lineno)
-            fields = line.split()
-            if len(fields) != 4:
-                raise GraphFormatError("malformed edge line", lineno)
-            u, v = _edge_ends(fields, n, seen_pairs, lineno)
-            attr = _parse_int(fields[3], lineno, "edge attribute")
-            if not 1 <= attr <= ke:
-                raise GraphFormatError(f"edge attribute must lie in 1..{ke}", lineno)
-            edges.append((u, v, attr))
-        else:
-            raise GraphFormatError(f"unrecognized line {line[:40]!r}", lineno)
-    if n is None or ke is None:
-        raise GraphFormatError("missing #n= or #ke= header")
-    if len(truth) < n:  # ids are unique and in range, so some id is missing
-        missing = next(i for i in range(n) if i not in truth)
-        raise GraphFormatError(f"missing vertex line for id {missing}")
-    eu, ev, attrs = np.array(edges, dtype=np.int64).reshape(-1, 3).T
-    return AttributedGraph(n, eu, ev, attrs, [truth[i] for i in range(n)],
-                           [observed[i] for i in range(n)], k_edge_attrs=ke)
+    n, ke, labels, edges, _, lines = _scan(path, topic=False)
+    truth, observed = np.array([labels[i] for i in range(n)], dtype=np.int64).T
+    return _construct(AttributedGraph, lines, n, *edges, truth, observed, ke)
+
+
+def _construct(kind, lines, *args):
+    """``kind(*args)``, naming a rejected record by its line: lines[kind][index]."""
+    try:
+        return kind(*args)
+    except RecordError as err:
+        raise GraphFormatError(err.reason, int(lines[err.kind][err.index])) from None
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,11 @@ class TestExitCodes:
         (b"#n=3\n#k=2\n# \xff\xfe\ne 0 1 1 0.5 0.5\n", 3),  # not UTF-8
         ("#n=6\n#k=4611686018427387904\n", 2),  # fits int64, far beyond MAX_TOPICS
         ("#n=6\n#k=65537\n", 2),  # MAX_TOPICS + 1
+        ("#n=3\n#k=2\ne 0 1 1 0.5 0.5\ne 2 2 1 0.5 0.5\n", 4),  # self-loop
+        ("#n=3\n#k=2\ne 0 1 1 0.5 0.5\ne 1 2 1 0.5 0.5\ne 1 0 1 0.5 0.5\n", 5),  # reversed repeat
+        ("#n=3\n#k=2\ne 0 1 1 0.5 0.5\ne 0 3 1 0.5 0.5\n", 4),  # endpoint >= n
+        ("#n=3\n#k=2\ne 0 1 1 0.5 0.5\ne 1 2 1 -0.5 1.5\n", 4),  # negative probability
+        ("#n=3\n#k=2\ne 0 1 1 0.5 0.5\ne 1 2 0 0.5 0.5\n", 4),  # message count 0
     ])
     def test_malformed_topic_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.topics"
@@ -162,6 +167,7 @@ class TestExitCodes:
         ("#n=2\n#ke=2\nv 0 1 0\nv 1 2 1\n", 4),  # identified but truly green
         ("#n=2\n#ke=2\nv 0 1 2\nv 1 2 0\n", 3),  # observed label neither RED nor OCCLUDED
         ("a 0 1 1\n#n=2\n#ke=2\nv 0 1 0\nv 1 2 0\n", 1),  # edge before the headers
+        ("#n=2\n#ke=2\nv 0 257 0\nv 1 2 0\n", 3),  # truth label that int8 would wrap to RED
     ])
     def test_malformed_attributed_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.attr"

@@ -173,6 +173,13 @@ def test_import_loads_no_pool_or_seed_entropy(package):
     assert modules_loaded_by_import(package) == "[]"
 
 
+def test_import_loads_no_array_module():
+    # only reading a graph file needs array; mapping its shared library at
+    # import raised the peak RSS of runs that read no file by ~0.15 MB
+    assert (modules_loaded_by_import("array")
+            == modules_loaded_by_import("array", imports="numpy"))
+
+
 def test_no_dataclasses_in_vnom():
     # every record subclasses graph._Record, which generates no code at import
     # (each dataclass execs its generated methods, ~1 ms a class); numpy 1.24

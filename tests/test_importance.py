@@ -108,6 +108,11 @@ class TestTopicMapFromProfiles:
     def test_invalid_labels_rejected(self):
         with pytest.raises(InputError):
             TopicMap(np.array([1, 3]))
+        # checked as given, before narrowing to int8: 257 and 258 would wrap
+        # to RED and GREEN, and as a list they would overflow int8
+        for labels in (np.array([257, 258]), [257, 258], np.array([1, 2**63 - 1])):
+            with pytest.raises(InputError, match="RED or GREEN"):
+                TopicMap(labels)
 
 
 class TestScreenPartitions:

@@ -145,6 +145,80 @@ class TestReaderLimits:
         assert peak < 5_000_000
 
 
+TOPIC_HEAD = "#n=3\n#k=2\ne 0 1 1 0.5 0.5\n"
+ATTRIBUTED_HEAD = "#n=3\n#ke=2\nv 0 1 0\nv 1 2 0\nv 2 1 1\na 0 1 1\n"
+
+
+class TestRecordErrors:
+    """The graph constructors judge every record; the reader names its line
+    with the message each rule has always had."""
+
+    @pytest.mark.parametrize("reader,text,message", [
+        (read_topic_graph, TOPIC_HEAD + "e 2 2 1 0.5 0.5\n", "line 4: self-loop"),
+        (read_topic_graph, TOPIC_HEAD + "e 1 2 1 0.5 0.5\ne 1 0 1 0.5 0.5\n",
+         "line 5: duplicate edge (0, 1)"),
+        (read_topic_graph, TOPIC_HEAD + "e 0 3 1 0.5 0.5\n",
+         "line 4: unknown vertex id in edge (0, 3)"),
+        (read_topic_graph, TOPIC_HEAD + "e 1 2 0 0.5 0.5\n", "line 4: message count must be >= 1"),
+        (read_topic_graph, TOPIC_HEAD + "e 1 2 1 nan 0.5\n", "line 4: non-finite topic probability"),
+        (read_topic_graph, TOPIC_HEAD + "e 1 2 1 inf -inf\n",
+         "line 4: non-finite topic probability"),
+        (read_topic_graph, TOPIC_HEAD + "e 1 2 1 -0.5 1.5\n", "line 4: negative topic probability"),
+        (read_topic_graph, TOPIC_HEAD + "e 1 2 1 0.5 0.25\n",
+         "line 4: topic distribution sums to 0.75, expected 1"),
+        (read_attributed_graph, ATTRIBUTED_HEAD + "a 2 2 1\n", "line 7: self-loop"),
+        (read_attributed_graph, ATTRIBUTED_HEAD + "a 1 0 2\n", "line 7: duplicate edge (0, 1)"),
+        (read_attributed_graph, ATTRIBUTED_HEAD + "a -1 2 1\n",
+         "line 7: unknown vertex id in edge (-1, 2)"),
+        (read_attributed_graph, ATTRIBUTED_HEAD + "a 1 2 3\n",
+         "line 7: edge attribute must lie in 1..2"),
+        (read_attributed_graph, "#n=2\n#ke=2\nv 0 1 0\nv 1 3 0\n",
+         "line 4: truth label must be RED or GREEN"),
+        (read_attributed_graph, "#n=2\n#ke=2\nv 0 1 0\nv 1 1 2\n",
+         "line 4: observed label must be RED or OCCLUDED"),
+        (read_attributed_graph, "#n=2\n#ke=2\nv 1 2 1\nv 0 1 1\n",
+         "line 3: an identified vertex must be truly red"),
+    ])
+    def test_rejected_record_names_its_line(self, tmp_path, reader, text, message):
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        with pytest.raises(GraphFormatError) as err:
+            reader(path)
+        assert str(err.value) == message
+
+    def test_first_failing_check_decides_between_bad_records(self, tmp_path):
+        # syntax is checked in file order, records after the whole file is
+        # read, rule by rule: a self-loop on line 4 is named before a message
+        # count of 0 on line 3, and a malformed line 5 before both
+        path = tmp_path / "bad.topics"
+        path.write_text("#n=3\n#k=2\ne 0 1 0 0.5 0.5\ne 2 2 1 0.5 0.5\n")
+        with pytest.raises(GraphFormatError, match="^line 4: self-loop$"):
+            read_topic_graph(path)
+        path.write_text("#n=3\n#k=2\ne 0 1 0 0.5 0.5\ne 2 2 1 0.5 0.5\ne 0 2 x 0.5 0.5\n")
+        with pytest.raises(GraphFormatError, match="^line 5: malformed message count 'x'$"):
+            read_topic_graph(path)
+
+
+# traced peak of read_topic_graph on the bench corpus before the reader kept
+# only numbers (a list of parsed rows and a set of seen pairs), measured by
+# test_reading_the_bench_corpus_keeps_only_numbers itself
+READ_PEAK_BEFORE = 864_539
+
+
+def test_reading_the_bench_corpus_keeps_only_numbers(tmp_path):
+    path = tmp_path / "corpus.topics"
+    write_topic_graph(generate_surrogate(184, 32, seed=3), path)
+    read_topic_graph(path)  # imports and caches warm
+    tracemalloc.start()
+    try:
+        g = read_topic_graph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.num_edges == 824
+    assert peak <= READ_PEAK_BEFORE, peak
+
+
 class TestAttributedGraphFile:
     def test_round_trip(self, tmp_path):
         g = build_attributed(5, [(0, 1, 1), (1, 2, 2), (3, 4, 1)],

@@ -6,8 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
-from vnom import (PMF, EstimatedRates, InputError, MetricTable, Partition, Ranking,
-                  ScreenedPartition, ScreeningThresholds, Simplex3, SweepSpec, TopicMap)
+from vnom import (PMF, EstimatedRates, InputError, KidneyEggParams, MetricTable, Partition,
+                  Ranking, ScreenedPartition, ScreeningThresholds, Simplex3, SweepSpec, TopicMap,
+                  generate_surrogate, sample_kidney_egg)
 from vnom.experiments import CellResult
 from vnom.graph import GREEN, RED
 
@@ -119,3 +120,29 @@ class TestPresentation:
         assert copy == record and type(copy) is type(record)
         with pytest.raises(AttributeError):
             copy.extra = 1
+
+
+GRAPHS = [sample_kidney_egg(KidneyEggParams(12, 4, 2, Simplex3(0.5, 0.3, 0.2),
+                                            Simplex3(0.2, 0.4, 0.4)), 3),
+          generate_surrogate(12, 4, 0.3, group_size=4, group_density=0.5, seed=3)]
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=["AttributedGraph", "TopicGraph"])
+class TestGraphsKeepTheRecordContract:
+    def test_fields_cannot_be_assigned_or_deleted(self, g):
+        shown = repr(g)
+        for name in ("n", "k_topics", "k_edge_attrs", "edge_u"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, 99)
+        with pytest.raises(AttributeError):
+            del g.edge_v
+        with pytest.raises(AttributeError):
+            g.extra = 1
+        assert repr(g) == shown and g.n == 12
+
+    def test_pickle_round_trip(self, g):
+        # the spawned worker pool pickles the topic graph of importance trials
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and type(copy) is type(g)
+        with pytest.raises(AttributeError):
+            copy.n = 3
