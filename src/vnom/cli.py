@@ -5,6 +5,11 @@ surrogate, baseline.  Exit codes: 0 success, 1 validation error or out of
 memory, 2 io error.
 Randomized subcommands take --seed; when omitted a seed is generated and
 printed to stderr so the run can be reproduced.
+
+A run builds only the parser of the command its first argument names.  With
+no such command (no arguments, ``--help``, an option first, an unknown name)
+it builds all of them, so every help, usage and error text is the one the
+full parser gives.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from .metrics import BASELINE_CRITERIA, chance_baseline, evaluate_ranking
 from .nomination import GAMMA_GRID_DEFAULT, rank_candidates
 from .seeding import child_seed
 from . import io as vio
+
+# ``vnom --help`` prints the docstring up to its last paragraph, which is about parsing
+_DESCRIPTION = (__doc__ or "").rsplit("\n\n", 1)[0]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,100 +98,20 @@ def _write_document(args, to_csv, to_json, *data):
     _write_or_print((to_csv if args.format == "csv" else to_json)(*data), args.out)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="vnom", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="one model sample plus a nomination report")
-    _model_flags(sim)
-    sim.add_argument("--gamma", type=float, default=0.5)
-    sim.add_argument("--top", type=int, default=10, help="ranked prefix length to print")
-    sim.add_argument("--save-graph", default=None, help="write the sampled graph here")
-    _add_seed(sim)
-
-    sw = sub.add_parser("sweep", help="Monte Carlo sweep over m with derived m'")
-    sw.add_argument("--n", type=int, default=184)
-    sw.add_argument("--p0", type=float, default=0.6)
-    sw.add_argument("--p1", type=float, default=0.2)
-    sw.add_argument("--p2", type=float, default=0.2)
-    sw.add_argument("--s1", type=float, default=0.4,
-                    help="red-edge rate inside the block; s2 is pinned to p2")
-    sw.add_argument("--m-list", default="4,8,12,16,20,24,28,32,36,40")
-    sw.add_argument("--m-prime-ratio", type=float, default=0.25)
-    sw.add_argument("--m-prime-list", default=None,
-                    help="explicit m' per m, overrides --m-prime-ratio")
-    sw.add_argument("--gammas", default="0,0.5,1")
-    sw.add_argument("--replicates", type=int, default=1000)
-    sw.add_argument("--workers", type=_workers, default=1)
-    sw.add_argument("--out", default=None)
-    sw.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_seed(sw)
-
-    su = sub.add_parser("surface", help="truncated-AP surface over (y, gamma)")
-    _model_flags(su)
-    su.add_argument("--y-max", type=int, default=3)
-    su.add_argument("--gammas", default="grid")
-    su.add_argument("--replicates", type=int, default=1000)
-    su.add_argument("--out", default=None)
-    su.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_seed(su)
-
-    imp = sub.add_parser("importance",
-                         help="screen partitions of a topic graph and run trials")
-    imp.add_argument("--graph", required=True, help="topic-graph file")
-    imp.add_argument("--m", type=int, default=10)
-    imp.add_argument("--m-prime", type=int, default=5)
-    imp.add_argument("--tau-rho", type=float, default=0.1)
-    imp.add_argument("--tau-p", type=float, default=0.2)
-    imp.add_argument("--attempts", type=int, default=100_000)
-    imp.add_argument("--bins", type=float, default=0.1, help="bin width on both axes")
-    imp.add_argument("--gammas", default="0,0.5,1")
-    imp.add_argument("--replicates", type=int, default=10,
-                     help="instantiations per accepted partition")
-    imp.add_argument("--max-partitions", type=int, default=None,
-                     help="run trials on at most this many accepted partitions")
-    imp.add_argument("--unweighted-profiles", action="store_true",
-                     help="weight every edge equally in topic profiles")
-    imp.add_argument("--workers", type=_workers, default=1)
-    imp.add_argument("--out", default=None)
-    imp.add_argument("--partitions-out", default=None,
-                     help="also write the raw per-partition table here (csv)")
-    imp.add_argument("--rates-out", default=None,
-                     help="also write MRR binned by estimated edge rates (csv)")
-    imp.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_seed(imp)
-
-    est = sub.add_parser("estimate", help="edge-rate estimates from a graph + partition")
-    est.add_argument("--graph", required=True, help="attributed-graph file")
-    est.add_argument("--red", default=None,
-                     help="comma-separated red vertex ids (default: the graph's truth)")
-
-    an = sub.add_parser("analytic", help="exact score PMFs and MC-vs-analytic distances")
-    _model_flags(an)
-    an.add_argument("--samples", type=int, default=0,
-                    help="empirical samples for TV distances (0 = analytic only)")
-    an.add_argument("--out", default=None)
-    an.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_seed(an)
-
-    sur = sub.add_parser("surrogate", help="generate a synthetic topic-graph corpus")
-    sur.add_argument("--n", type=int, default=184)
-    sur.add_argument("--k", type=int, default=32)
-    sur.add_argument("--density", type=float, default=0.05)
-    sur.add_argument("--group-size", type=int, default=44)
-    sur.add_argument("--group-density", type=float, default=0.62)
-    sur.add_argument("--tilt", type=float, default=0.5)
-    sur.add_argument("--concentration", type=float, default=150.0)
-    sur.add_argument("--mean-extra-messages", type=float, default=1.0)
-    sur.add_argument("--out", required=True)
-    _add_seed(sur)
-
-    base = sub.add_parser("baseline", help="chance value of a metric")
-    base.add_argument("--candidates", type=int, required=True)
-    base.add_argument("--reds", type=int, required=True)
-    base.add_argument("--criterion", choices=BASELINE_CRITERIA, required=True)
-    base.add_argument("--y", type=int, default=None)
-
+def build_parser(command=None) -> _Parser:
+    """The ``vnom`` parser, with only ``command``'s subparser when that names
+    a command and with all of them otherwise."""
+    parser = _Parser(prog="vnom", description=_DESCRIPTION)
+    if command in _COMMANDS:
+        # the usage line still lists every command, as the full parser's does;
+        # that one sets no metavar, so its missing-command error names "command"
+        names, metavar = [command], "{%s}" % ",".join(_COMMANDS)
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_flags, _ = _COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -211,6 +139,14 @@ def _model_config(params: KidneyEggParams, **extra) -> dict:
             "p": list(params.p.as_array()), "s": list(params.s.as_array()), **extra}
 
 
+def _simulate_flags(sim):
+    _model_flags(sim)
+    sim.add_argument("--gamma", type=float, default=0.5)
+    sim.add_argument("--top", type=int, default=10, help="ranked prefix length to print")
+    sim.add_argument("--save-graph", default=None, help="write the sampled graph here")
+    _add_seed(sim)
+
+
 def _cmd_simulate(args) -> int:
     if args.top < 0:
         raise InputError(f"--top must be >= 0, got {args.top}")
@@ -236,6 +172,25 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _sweep_flags(sw):
+    sw.add_argument("--n", type=int, default=184)
+    sw.add_argument("--p0", type=float, default=0.6)
+    sw.add_argument("--p1", type=float, default=0.2)
+    sw.add_argument("--p2", type=float, default=0.2)
+    sw.add_argument("--s1", type=float, default=0.4,
+                    help="red-edge rate inside the block; s2 is pinned to p2")
+    sw.add_argument("--m-list", default="4,8,12,16,20,24,28,32,36,40")
+    sw.add_argument("--m-prime-ratio", type=float, default=0.25)
+    sw.add_argument("--m-prime-list", default=None,
+                    help="explicit m' per m, overrides --m-prime-ratio")
+    sw.add_argument("--gammas", default="0,0.5,1")
+    sw.add_argument("--replicates", type=int, default=1000)
+    sw.add_argument("--workers", type=_workers, default=1)
+    sw.add_argument("--out", default=None)
+    sw.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_seed(sw)
+
+
 def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     p = Simplex3(args.p0, args.p1, args.p2)
@@ -255,6 +210,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _surface_flags(su):
+    _model_flags(su)
+    su.add_argument("--y-max", type=int, default=3)
+    su.add_argument("--gammas", default="grid")
+    su.add_argument("--replicates", type=int, default=1000)
+    su.add_argument("--out", default=None)
+    su.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_seed(su)
+
+
 def _cmd_surface(args) -> int:
     seed = _resolve_seed(args)
     params = _params_from(args)
@@ -263,6 +228,31 @@ def _cmd_surface(args) -> int:
     config = _model_config(params, y_max=args.y_max, replicates=args.replicates, seed=seed)
     _write_document(args, vio.surface_to_csv, vio.surface_to_json, table, config)
     return 0
+
+
+def _importance_flags(imp):
+    imp.add_argument("--graph", required=True, help="topic-graph file")
+    imp.add_argument("--m", type=int, default=10)
+    imp.add_argument("--m-prime", type=int, default=5)
+    imp.add_argument("--tau-rho", type=float, default=0.1)
+    imp.add_argument("--tau-p", type=float, default=0.2)
+    imp.add_argument("--attempts", type=int, default=100_000)
+    imp.add_argument("--bins", type=float, default=0.1, help="bin width on both axes")
+    imp.add_argument("--gammas", default="0,0.5,1")
+    imp.add_argument("--replicates", type=int, default=10,
+                     help="instantiations per accepted partition")
+    imp.add_argument("--max-partitions", type=int, default=None,
+                     help="run trials on at most this many accepted partitions")
+    imp.add_argument("--unweighted-profiles", action="store_true",
+                     help="weight every edge equally in topic profiles")
+    imp.add_argument("--workers", type=_workers, default=1)
+    imp.add_argument("--out", default=None)
+    imp.add_argument("--partitions-out", default=None,
+                     help="also write the raw per-partition table here (csv)")
+    imp.add_argument("--rates-out", default=None,
+                     help="also write MRR binned by estimated edge rates (csv)")
+    imp.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_seed(imp)
 
 
 def _cmd_importance(args) -> int:
@@ -299,6 +289,12 @@ def _cmd_importance(args) -> int:
     return 0
 
 
+def _estimate_flags(est):
+    est.add_argument("--graph", required=True, help="attributed-graph file")
+    est.add_argument("--red", default=None,
+                     help="comma-separated red vertex ids (default: the graph's truth)")
+
+
 def _cmd_estimate(args) -> int:
     g = vio.read_attributed_graph(args.graph)
     if args.red is not None:
@@ -311,6 +307,15 @@ def _cmd_estimate(args) -> int:
                       "s1_hat": est.s1, "s2_hat": est.s2,
                       "m": part.num_red, "n": g.n}, indent=2, sort_keys=True))
     return 0
+
+
+def _analytic_flags(an):
+    _model_flags(an)
+    an.add_argument("--samples", type=int, default=0,
+                    help="empirical samples for TV distances (0 = analytic only)")
+    an.add_argument("--out", default=None)
+    an.add_argument("--format", choices=("csv", "json"), default="csv")
+    _add_seed(an)
 
 
 def _cmd_analytic(args) -> int:
@@ -339,6 +344,19 @@ def _cmd_analytic(args) -> int:
     return 0
 
 
+def _surrogate_flags(sur):
+    sur.add_argument("--n", type=int, default=184)
+    sur.add_argument("--k", type=int, default=32)
+    sur.add_argument("--density", type=float, default=0.05)
+    sur.add_argument("--group-size", type=int, default=44)
+    sur.add_argument("--group-density", type=float, default=0.62)
+    sur.add_argument("--tilt", type=float, default=0.5)
+    sur.add_argument("--concentration", type=float, default=150.0)
+    sur.add_argument("--mean-extra-messages", type=float, default=1.0)
+    sur.add_argument("--out", required=True)
+    _add_seed(sur)
+
+
 def _cmd_surrogate(args) -> int:
     seed = _resolve_seed(args)
     knobs = {name: getattr(args, name) for name in (
@@ -351,6 +369,13 @@ def _cmd_surrogate(args) -> int:
     return 0
 
 
+def _baseline_flags(base):
+    base.add_argument("--candidates", type=int, required=True)
+    base.add_argument("--reds", type=int, required=True)
+    base.add_argument("--criterion", choices=BASELINE_CRITERIA, required=True)
+    base.add_argument("--y", type=int, default=None)
+
+
 def _cmd_baseline(args) -> int:
     value = chance_baseline(args.candidates, args.reds, args.criterion, args.y)
     print(json.dumps({"criterion": args.criterion, "candidates": args.candidates,
@@ -359,23 +384,28 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
+# name: (help line, flag-adding function, handler), in the order help lists them
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "surface": _cmd_surface,
-    "importance": _cmd_importance,
-    "estimate": _cmd_estimate,
-    "analytic": _cmd_analytic,
-    "surrogate": _cmd_surrogate,
-    "baseline": _cmd_baseline,
+    "simulate": ("one model sample plus a nomination report", _simulate_flags, _cmd_simulate),
+    "sweep": ("Monte Carlo sweep over m with derived m'", _sweep_flags, _cmd_sweep),
+    "surface": ("truncated-AP surface over (y, gamma)", _surface_flags, _cmd_surface),
+    "importance": ("screen partitions of a topic graph and run trials",
+                   _importance_flags, _cmd_importance),
+    "estimate": ("edge-rate estimates from a graph + partition",
+                 _estimate_flags, _cmd_estimate),
+    "analytic": ("exact score PMFs and MC-vs-analytic distances",
+                 _analytic_flags, _cmd_analytic),
+    "surrogate": ("generate a synthetic topic-graph corpus", _surrogate_flags, _cmd_surrogate),
+    "baseline": ("chance value of a metric", _baseline_flags, _cmd_baseline),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except VnomError as exc:

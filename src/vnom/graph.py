@@ -294,7 +294,8 @@ class TopicGraph(_EdgeGraph):
             if probs.min() < 0:
                 raise RecordError("edge", _first((probs < 0).any(axis=1), order),
                                   "negative topic probability")
-            total = probs.sum(axis=1)
+            with np.errstate(over="ignore"):  # a row past the float range sums to inf
+                total = probs.sum(axis=1)
             dev = np.abs(total - 1.0)
             if dev.max() > 1e-9:
                 i = _first(dev > 1e-9, order)

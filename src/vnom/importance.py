@@ -326,6 +326,8 @@ def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
     what it is given: it takes a quarter of the rows at a time, so the copy
     stays small beside the keys.  A row whose keys tie at the m-th place
     marks more than m entries; those rows alone take argpartition's pick.
+    Every row marks at least m, so one total over the mask finds whether any
+    row ties before a count per row looks for which.
     """
     mask = np.empty(keys.shape, dtype=bool)
     step = -(-len(keys) // 4)
@@ -333,6 +335,8 @@ def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
         chunk = keys[lo:lo + step]
         np.less_equal(chunk, np.partition(chunk, m - 1, axis=1)[:, m - 1:m],
                       out=mask[lo:lo + step])
+    if np.count_nonzero(mask) == len(keys) * m:
+        return mask
     tied = (np.count_nonzero(mask, axis=1) != m).nonzero()[0]
     mask[tied] = False
     mask[tied[:, None], np.argpartition(keys[tied], m - 1, axis=1)[:, :m]] = True

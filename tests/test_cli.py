@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, output schemas."""
 
+import argparse
 import hashlib
 import json
 import time
@@ -8,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from vnom.cli import main
+from vnom.cli import _COMMANDS, build_parser, main
 from vnom.io import data_section, generate_surrogate, write_topic_graph
 
 
@@ -136,6 +137,7 @@ class TestExitCodes:
         ("#n=3\n#k=2\ne 0 1 1 0.5 0.5\ne 0 3 1 0.5 0.5\n", 4),  # endpoint >= n
         ("#n=3\n#k=2\ne 0 1 1 0.5 0.5\ne 1 2 1 -0.5 1.5\n", 4),  # negative probability
         ("#n=3\n#k=2\ne 0 1 1 0.5 0.5\ne 1 2 0 0.5 0.5\n", 4),  # message count 0
+        ("#n=2\n#k=2\ne 0 1 1 1e308 1e308\n", 3),  # a row summing past the float range
     ])
     def test_malformed_topic_file_exits_1(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.topics"
@@ -221,6 +223,65 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "importance", "--graph",
                                str(tmp_path / "nope.topics"), "--seed", "1")
         assert code == 2
+
+
+def run_full_parser(capsys, *argv):
+    """``run_cli`` with every command's subparser built, as ``main`` handles its exit."""
+    try:
+        build_parser().parse_args(list(argv))
+        code = None
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestOneCommandParser:
+    @pytest.mark.parametrize("flag", ["--help", "--no-such-flag"])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_texts_match_the_full_parser(self, capsys, command, flag):
+        code, out, err = run_cli(capsys, command, flag)
+        assert (code, out, err) == run_full_parser(capsys, command, flag)
+        assert code == (0 if flag == "--help" else 1)
+        if flag == "--help":
+            assert out.startswith(f"usage: vnom {command} [-h]")
+
+    @pytest.mark.parametrize("argv,code,text", [
+        ([], 1, "error: the following arguments are required: command"),
+        (["--help"], 0, "Command-line surface. Subcommands: simulate, sweep, surface, "
+                        "importance, estimate, analytic, surrogate, baseline. Exit codes: 0 "
+                        "success, 1 validation error or out of memory, 2 io error. "
+                        "Randomized subcommands take --seed; when omitted a seed is generated "
+                        "and printed to stderr so the run can be reproduced. "
+                        "positional arguments:"),
+        (["bogus"], 1, "error: argument command: invalid choice: 'bogus'"),
+    ], ids=["none", "help", "unknown"])
+    def test_without_a_command_every_command_is_listed(self, capsys, argv, code, text):
+        result = run_cli(capsys, *argv)
+        assert result == run_full_parser(capsys, *argv)
+        assert result[0] == code
+        shown = " ".join((result[1] + result[2]).split())
+        assert text in shown
+        assert "{simulate,sweep,surface,importance,estimate,analytic,surrogate,baseline}" in shown
+        if argv == ["--help"]:
+            assert all(help_text in shown for help_text, _, _ in _COMMANDS.values())
+
+    @pytest.mark.parametrize("argv,built", [
+        (["baseline", "--candidates", "4", "--reds", "1", "--criterion", "mrr"], ["baseline"]),
+        (["--help"], list(_COMMANDS)),
+        (["--seed", "1", "surface"], list(_COMMANDS)),
+    ], ids=["command", "help", "option-first"])
+    def test_only_the_named_command_is_built(self, capsys, monkeypatch, argv, built):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def recording(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+        run_cli(capsys, *argv)
+        assert names == built
 
 
 class TestBaseline:

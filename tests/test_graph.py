@@ -147,6 +147,10 @@ RULES = {
                      "negative topic probability"),
     "sums-to-one": (lambda: topic(probs=((0.5, 0.5), (1, 0), (0.5, 0.25), (0.5, 0.75))),
                     "edge", 2, "topic distribution sums to 0.75, expected 1"),
+    # summed without numpy's overflow warning, which tier-1 makes an error
+    "sums-past-float-range": (lambda: topic(probs=((0.5, 0.5), (1, 0), (1e308, 1e308),
+                                                   (0.5, 0.75))),
+                              "edge", 2, "topic distribution sums to inf, expected 1"),
     "attribute": (lambda: attributed(attrs=(1, 2, 3, 0)), "edge", 2,
                   "edge attribute must lie in 1..2"),
     "truth-label": (lambda: attributed(truth=(RED, GREEN, 0, RED, 3)), "vertex", 2,
