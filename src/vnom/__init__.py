@@ -14,8 +14,7 @@ from .kidney_egg import (PMF, KidneyEggParams, Simplex3, binomial_pmf,
                          content_given_context_pmf, content_pmf_from_conditionals,
                          content_score_pmf, context_score_pmf, empirical_pmf,
                          empirical_score_pmfs, sample_kidney_egg, tv_distance)
-from .nomination import (GAMMA_GRID_DEFAULT, Ranking, candidate_statistics,
-                         content_score, context_score, rank_candidates)
+from .nomination import GAMMA_GRID_DEFAULT, Ranking, candidate_statistics, rank_candidates
 from .metrics import (EvalReport, MetricTable, aggregate_reports, chance_baseline,
                       evaluate_ranking, precision_at)
 from .experiments import (CellResult, SweepResult, SweepSpec, gamma_star, gamma_surface,

@@ -299,6 +299,8 @@ def _cmd_estimate(args) -> int:
     g = vio.read_attributed_graph(args.graph)
     if args.red is not None:
         red_ids = _parse_int_list(args.red)
+        if len(set(red_ids)) != len(red_ids):  # Partition would drop the repeat
+            raise InputError(f"--red repeats a vertex id: {args.red!r}")
     else:
         red_ids = g.red_set()
     part = Partition(g.n, np.asarray(red_ids))

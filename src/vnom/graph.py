@@ -8,8 +8,7 @@ know what a valid graph is; each names the first record breaking a rule in a
 
 * :class:`AttributedGraph` — undirected simple graph whose edges carry a
   categorical attribute in ``{1..k_edge_attrs}`` and whose vertices carry a
-  ground-truth color (red/green) plus an observed layer (red/occluded).  It
-  reads a vertex's neighbours off the edge arrays.
+  ground-truth color (red/green) plus an observed layer (red/occluded).
 * :class:`TopicGraph` — undirected simple graph whose edges carry an
   empirical probability distribution over topics and a message count.  It
   holds no adjacency; :mod:`vnom.importance` screens from a table of every
@@ -242,24 +241,6 @@ class AttributedGraph(_EdgeGraph):
     def red_candidates(self) -> np.ndarray:
         """Truly red vertices whose attribute is occluded."""
         return np.flatnonzero((self.truth == RED) & (self.observed == OCCLUDED))
-
-    def _incident(self, v: int) -> tuple:
-        """(edges whose larger end is v, edges whose smaller end is v) as masks.
-        Edges sort by (u, v), so the far ends read off the first, then the
-        second, ascend."""
-        if not 0 <= v < self.n:
-            raise InputError(f"unknown vertex id {v}")
-        return self.edge_v == v, self.edge_u == v
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Neighbor ids of v, ascending."""
-        below, above = self._incident(v)
-        return np.concatenate([self.edge_u[below], self.edge_v[above]])
-
-    def incident_attrs(self, v: int) -> np.ndarray:
-        """Attributes of edges incident to v, aligned with neighbors(v)."""
-        below, above = self._incident(v)
-        return np.concatenate([self.edge_attr[below], self.edge_attr[above]])
 
     def __repr__(self):
         return (f"AttributedGraph(n={self.n}, edges={self.num_edges}, "

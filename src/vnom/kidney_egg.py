@@ -117,32 +117,40 @@ class PMF(_Record):
         return PMF(np.convolve(self.probs, other.probs))
 
 
+def _mode_masses(ratio: np.ndarray, mode: int) -> np.ndarray:
+    """Unnormalized masses p[0..len(ratio)] of a log-concave distribution
+    with p[k+1]/p[k] = ratio[k], anchored at p[mode] = 1: the cumulative
+    product of the ratios upward from the mode and of their inverses downward.
+    At the mode every factor is at most 1, so nothing overflows; far tails
+    underflow to 0."""
+    masses = np.empty(ratio.size + 1)
+    masses[mode] = 1.0
+    masses[mode + 1:] = np.cumprod(ratio[mode:])
+    masses[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    return masses
+
+
 def binomial_pmf(trials: int, prob: float) -> PMF:
     """Binomial(trials, prob) mass vector on 0..trials, in O(trials) floats.
 
-    A ratio recurrence from the mode: pmf[mode] = 1, upward by the cumulative
-    product of pmf[k+1]/pmf[k] = (n-k)/(k+1) * p/(1-p) and downward by that of
-    its inverse, then normalized by an fsum.  Every factor is at most 1, so
-    nothing overflows; far tails underflow to 0.  Against exact rational
-    arithmetic (n <= 300, eleven probabilities from 1e-6 to 0.999) the largest
-    absolute error is 1.6e-16 and the relative error on masses above 1e-3 is
-    3.4e-15.
+    The ratio recurrence of :func:`_mode_masses` with pmf[k+1]/pmf[k] =
+    (n-k)/(k+1) * p/(1-p) from the mode floor((n+1)p), normalized by an fsum.
+    Against exact rational arithmetic (n <= 300, eleven probabilities from
+    1e-6 to 0.999) the largest absolute error is 1.6e-16 and the relative
+    error on masses above 1e-3 is 3.4e-15.
     """
     if trials < 0:
         raise InputError("trials must be >= 0")
     if not 0.0 <= prob <= 1.0:
         raise InputError("prob must lie in [0, 1]")
     n = trials
-    probs = np.zeros(n + 1)
     if prob in (0.0, 1.0):
+        probs = np.zeros(n + 1)
         probs[0 if prob == 0.0 else n] = 1.0
         return PMF(probs)
     mode = min(n, int((n + 1) * prob))
     k = np.arange(n, dtype=np.float64)
-    ratio = (n - k) / (k + 1) * (prob / (1.0 - prob))  # pmf[k+1] / pmf[k]
-    probs[mode] = 1.0
-    probs[mode + 1:] = np.cumprod(ratio[mode:])
-    probs[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    probs = _mode_masses((n - k) / (k + 1) * (prob / (1.0 - prob)), mode)
     return PMF(probs / math.fsum(probs))
 
 

@@ -9,19 +9,20 @@ then AP^y for each requested y; :func:`evaluate_ranking` reads one ranking's
 row into an :class:`EvalReport`, and :func:`precision_at` gives precision@r,
 which no column holds.  :class:`MetricTable` folds such arrays over
 replicates into means and standard errors per gamma; no other module maps a
-criterion to its column (:func:`column_index`).  Chance baselines are exact:
-under a uniformly random ranking the rank of the j-th red candidate is
-negative-hypergeometric, and MAP has Bestgen's (2015) closed form.
+criterion to its column (:func:`column_index`).  Chance baselines come from
+exact distributions: under a uniformly random ranking the rank of the j-th red
+candidate is negative-hypergeometric, and MAP has Bestgen's (2015) closed form.
 """
 
 from __future__ import annotations
 
-from math import comb, fsum
+from math import fsum
 
 import numpy as np
 
 from .errors import InputError, NoRedCandidatesError
 from .graph import MAX_VERTICES, _Record, _sorted_unique
+from .kidney_egg import _mode_masses
 from .nomination import Ranking
 
 CRITERIA = ("s_at_1", "mrr", "map")  # the first three columns of mask_metrics
@@ -173,34 +174,35 @@ def _expected_hit_precision(n: int, r: int, j: int) -> float:
 
     X_j is negative-hypergeometric: P(X_j = k) = C(k-1, j-1) C(n-k, r-j) /
     C(n, r) for k in j..n-r+j.  For j = 1 the sum has the closed form
-    E[1/X_1] = r (H_n - H_(r-1)) / (n - r + 1).  For j > 1 each term is one
-    correctly rounded ratio of integers, each numerator follows from the
-    previous one, and fsum adds the terms with a single final rounding.
+    E[1/X_1] = r (H_n - H_(r-1)) / (n - r + 1).  For j > 1 the masses come
+    from the ratio recurrence of :func:`~vnom.kidney_egg._mode_masses`,
+    P(X_j = k+1) / P(X_j = k) = k (n-k-r+j) / ((k-j+1) (n-k)), anchored at the
+    mode, which for this log-concave distribution is the number of ratios
+    >= 1.  The result is fsum(p j/k) / fsum(p): O(n) floats, each sum
+    correctly rounded and free of BLAS.
     """
     if j == 1:
         return r * _harmonic_span(r, n) / (n - r + 1)
-    total = comb(n, r)
-    last = n - r + j
-    ways = comb(n - j, r - j)  # C(k-1, j-1) C(n-k, r-j) at k = j
-    terms = []
-    for k in range(j, last + 1):
-        terms.append(j * ways / (k * total))
-        if k < last:
-            ways = ways * k * (n - k - r + j) // ((k - j + 1) * (n - k))
-    return fsum(terms)
+    k = np.arange(j, n - r + j + 1, dtype=np.float64)  # the support of X_j
+    head = k[:-1]
+    ratio = head * (n - head - r + j) / ((head - j + 1) * (n - head))
+    masses = _mode_masses(ratio, int(np.count_nonzero(ratio >= 1.0)))
+    return fsum(masses * j / k) / fsum(masses)
 
 
 def chance_baseline(n_candidates: int, n_red: int, criterion: str,
                     y: int | None = None) -> float:
-    """Expected metric value under a uniformly random ranking, exactly.
+    """Expected metric value under a uniformly random ranking.
 
     E[S@1] = R/N; MRR is E[1/X_1] = R (H_N - H_(R-1)) / (N - R + 1) and AP^y
     the mean of E[j/X_j] over j <= y, with X_j the negative-hypergeometric
     rank of the j-th red; MAP is Bestgen's O(N) closed form
     ((R-1)/(N-1) (N - H_N) + H_N) / N, H_N the N-th harmonic number.  The
-    MAP, MRR and AP^y forms take O(N) steps (AP^y's terms for j >= 2 are big
-    integers), so N is bounded by ``graph.MAX_VERTICES``, the size of the
-    largest graph whose candidates could be ranked.
+    MAP, MRR and AP^y forms take O(N) float steps, so N is bounded by
+    ``graph.MAX_VERTICES``, the size of the largest graph whose candidates
+    could be ranked.  E[j/X_j] for j >= 2 multiplies up to N rounded ratios,
+    so AP^y's relative error grows with N: at most 2.8e-16 for N < 60, and
+    7.4e-14 for AP^2 at N = 2**24, R = 3.
     """
     if not 1 <= n_red <= n_candidates:
         raise InputError("need 1 <= n_red <= n_candidates")

@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .graph import OCCLUDED, RED, AttributedGraph, _Record, _sorted_unique, candidate_set
+from .graph import RED, AttributedGraph, _Record, _sorted_unique, candidate_set
 from .seeding import generator
 
 GAMMA_GRID_DEFAULT = tuple(k / 100 for k in range(101))
@@ -80,25 +80,6 @@ class Ranking(_Record):
 
     def __len__(self) -> int:
         return int(self.ordered.size)
-
-
-def _require_candidate(g: AttributedGraph, v: int):
-    if not 0 <= v < g.n:
-        raise InputError(f"unknown vertex id {v}")
-    if g.observed[v] != OCCLUDED:
-        raise InputError(f"vertex {v} is identified, not a candidate")
-
-
-def context_score(g: AttributedGraph, v: int) -> int:
-    """Number of identified (observed red) neighbors of candidate v."""
-    _require_candidate(g, v)
-    return int(np.count_nonzero(g.observed[g.neighbors(v)] == RED))
-
-
-def content_score(g: AttributedGraph, v: int) -> int:
-    """Number of red-topic edges incident to candidate v."""
-    _require_candidate(g, v)
-    return int(np.count_nonzero(g.incident_attrs(v) == RED))
 
 
 def _check_gamma(gamma: float):

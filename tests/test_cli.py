@@ -536,6 +536,16 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out)["m"] == 3
 
+    def test_repeated_red_id_exits_1(self, capsys, tmp_path):
+        from conftest import build_attributed
+        from vnom import write_attributed_graph
+        g = build_attributed(6, [(0, 1, 1), (2, 3, 2)], red={0, 1}, identified=set())
+        path = tmp_path / "g.attr"
+        write_attributed_graph(g, path)
+        code, out, err = run_cli(capsys, "estimate", "--graph", str(path), "--red", "1,1,2")
+        assert (code, out) == (1, "")
+        assert err == "error: --red repeats a vertex id: '1,1,2'\n"
+
 
 class TestSeedPrinting:
     def test_generated_seed_is_printed(self, capsys):

@@ -142,6 +142,15 @@ def test_one_kidney_egg_replicate_driver():
                                "kidney_egg.empirical_score_pmfs"]
 
 
+def test_one_score_counter():
+    # nomination.score_counts counts every vertex's scores at once; no
+    # per-vertex scorer or neighbour accessor sits beside it
+    sources = {path.name: path.read_text() for path in sorted((ROOT / "src" / "vnom").glob("*.py"))}
+    for gone in ("context_score(", "content_score(", ".neighbors(", ".incident_attrs(",
+                 "_incident(", "_require_candidate"):
+        assert not [name for name, text in sources.items() if gone in text], gone
+
+
 def modules_loaded_by_import(package, then="", imports="vnom, vnom.cli"):
     """Modules of ``package`` loaded by importing ``imports`` (vnom and
     vnom.cli) in a fresh interpreter, so that no other test's imports are

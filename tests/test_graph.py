@@ -1,4 +1,4 @@
-"""Graph data model: validation, incident-edge accessors, candidate sets."""
+"""Graph data model: validation, edge canonicalization, candidate sets."""
 
 import itertools
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from vnom import (AttributedGraph, InputError, Partition, RecordError, TopicGraph,
                   candidate_set)
 from vnom.graph import GREEN, MAX_TOPICS, MAX_VERTICES, OCCLUDED, RED
+from vnom.nomination import score_counts
 
 from conftest import build_attributed, build_topic, point_mass
 
@@ -46,15 +47,18 @@ class TestAttributedGraph:
         assert list(g.edge_u) == [0, 1]
         assert list(g.edge_v) == [3, 2]
 
-    def test_neighbors_sorted(self):
+    def test_neighbors_counted_by_score_counts(self):
+        # with v alone identified, the vertices whose context counts v are its neighbours
         g = build_attributed(5, [(3, 0, 1), (1, 0, 2), (0, 4, 1)])
-        assert list(g.neighbors(0)) == [1, 3, 4]
-        assert len(g.neighbors(0)) == 3
-        assert len(g.neighbors(2)) == 0
+        for v, neighbors in ((0, [1, 3, 4]), (2, [])):
+            context, _ = score_counts(g.n, g.edge_u, g.edge_v, g.edge_attr == RED,
+                                      np.arange(g.n) == v)
+            assert np.flatnonzero(context).tolist() == neighbors
+            assert context.sum() == len(neighbors)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
-    def test_accessors_match_edge_list_scan(self, data):
+    def test_score_counts_match_edge_list_scan(self, data):
         n = data.draw(st.integers(1, 12), label="n")
         pairs = list(itertools.combinations(range(n), 2))
         # edges in any order, endpoints either way round; isolated vertices stay likely
@@ -62,17 +66,15 @@ class TestAttributedGraph:
                                              st.integers(1, 3)),
                                    unique_by=lambda e: e[0], max_size=len(pairs))
                           if pairs else st.just([]))
+        identified = data.draw(st.sets(st.integers(0, n - 1)), label="identified")
         edges = [(v, u, a) if flip else (u, v, a) for (u, v), flip, a in drawn]
-        g = build_attributed(n, edges, k_edge_attrs=3)
+        g = build_attributed(n, edges, red=identified, identified=identified, k_edge_attrs=3)
+        context, content = score_counts(g.n, g.edge_u, g.edge_v, g.edge_attr == RED,
+                                        g.observed == RED)
         for v in range(n):
-            incident = sorted((u if w == v else w, a) for u, w, a in edges if v in (u, w))
-            assert g.neighbors(v).tolist() == [x for x, _ in incident]
-            assert g.incident_attrs(v).tolist() == [a for _, a in incident]
-        for v in (-1, n, n + 5):
-            with pytest.raises(InputError, match="unknown vertex"):
-                g.neighbors(v)
-            with pytest.raises(InputError, match="unknown vertex"):
-                g.incident_attrs(v)
+            incident = [(u if w == v else w, a) for u, w, a in edges if v in (u, w)]
+            assert context[v] == sum(x in identified for x, _ in incident)
+            assert content[v] == sum(a == RED for _, a in incident)
 
 
 @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 2**62])

@@ -13,6 +13,7 @@ from vnom import (GREEN, OCCLUDED, RED, AttributedGraph, DegenerateConditioningE
                   content_given_context_pmf, content_pmf_from_conditionals, content_score_pmf,
                   context_score_pmf, empirical_score_pmfs, sample_kidney_egg, tv_distance)
 from vnom.graph import MAX_VERTICES
+from vnom.nomination import score_counts
 from vnom.seeding import generator
 
 PAPER_P = Simplex3(0.6, 0.2, 0.2)
@@ -301,11 +302,10 @@ class TestContentGivenContext:
         for i in range(30_000):
             emp = sample_kidney_egg(params, np.random.SeedSequence(entropy=8, spawn_key=(i,)))
             green_v = int(np.flatnonzero(emp.truth == GREEN)[0])
-            nbrs = emp.neighbors(green_v)
-            t0 = int(np.count_nonzero(emp.observed[nbrs] == RED))
-            if t0 == 1:
-                t1 = int(np.count_nonzero(emp.incident_attrs(green_v) == RED))
-                hits.append(t1)
+            t0, t1 = score_counts(emp.n, emp.edge_u, emp.edge_v, emp.edge_attr == RED,
+                                  emp.observed == RED)
+            if t0[green_v] == 1:
+                hits.append(int(t1[green_v]))
         emp_pmf = PMF(np.bincount(hits, minlength=len(cond)) / len(hits))
         assert tv_distance(emp_pmf, cond) < 0.03
 

@@ -314,7 +314,8 @@ class TestChanceBaseline:
                 for criterion, value in exact.items():
                     assert abs(chance_baseline(n, r, criterion) - float(value)) <= 1e-12
                 for y, value in ap_y.items():
-                    assert abs(chance_baseline(n, r, "ap_y", y=y) - float(value)) <= 1e-12
+                    assert chance_baseline(n, r, "ap_y", y=y) == pytest.approx(
+                        float(value), rel=1e-15, abs=0)
 
     def test_ap_y_requires_y(self):
         with pytest.raises(InputError):
@@ -340,8 +341,18 @@ class TestChanceBaseline:
         # E[1/X_1] summed over the first red's rank k, P(X_1 = k) = C(n-k, r-1) / C(n, r)
         by_rank = sum(Fraction(comb(n - k, r - 1), k) for k in range(1, n - r + 2)) / comb(n, r)
         value = chance_baseline(n, r, "mrr")
-        assert value == pytest.approx(float(by_rank), rel=1e-15)
+        assert value == pytest.approx(float(by_rank), rel=1e-15, abs=0)
         assert chance_baseline(n, r, "ap_y", y=1) == value
+
+    @pytest.mark.parametrize("n,r", [(300, 5), (2000, 3)])
+    @pytest.mark.parametrize("y", [2, 3])
+    def test_large_case_ap_y_is_the_rank_sum(self, n, r, y):
+        # the mean over j <= y of E[j / X_j], summed over the j-th red's rank k,
+        # P(X_j = k) = C(k-1, j-1) C(n-k, r-j) / C(n, r)
+        by_rank = sum(Fraction(j * comb(k - 1, j - 1) * comb(n - k, r - j), k)
+                      for j in range(1, y + 1) for k in range(j, n - r + j + 1))
+        exact = by_rank / (y * comb(n, r))
+        assert chance_baseline(n, r, "ap_y", y=y) == pytest.approx(float(exact), rel=1e-15, abs=0)
 
     def test_large_case_s_at_1_is_prevalence(self):
         assert chance_baseline(300, 5, "s_at_1") == 5 / 300

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vnom import (InputError, KidneyEggParams, content_score, context_score, gamma_star,
+from vnom import (InputError, KidneyEggParams, candidate_statistics, gamma_star,
                   rank_candidates, sample_kidney_egg)
+from vnom.graph import RED
 from vnom.nomination import fused_order, prepare_ranking, score_counts
 
 from conftest import build_attributed, order_with_tiebreak
@@ -41,44 +42,59 @@ def one_four_two_two_graph():
     return build_attributed(6, edges, red={4, 5}, identified={4, 5})
 
 
+def statistics_of(g):
+    """{candidate: (context, content)} as :func:`candidate_statistics` gives them."""
+    cand, t0, t1 = candidate_statistics(g)
+    return dict(zip(cand.tolist(), zip(t0.tolist(), t1.tolist())))
+
+
+def graph_score_counts(g):
+    """(context, content) of every vertex of ``g`` by the per-edge oracle."""
+    return loop_score_counts(g.n, g.edge_u, g.edge_v, g.edge_attr == RED, g.observed == RED)
+
+
 class TestScores:
     def test_isolated_vertex_scores_zero(self):
         g = build_attributed(4, [], red={0}, identified={0})
-        assert context_score(g, 1) == 0
-        assert content_score(g, 1) == 0
+        assert statistics_of(g)[1] == (0, 0)
 
     def test_star_center_counts_identified(self, star_graph):
         # center 0 is adjacent to identified 1,2,3 and occluded 4,5
-        assert context_score(star_graph, 0) == 3
+        assert statistics_of(star_graph)[0][0] == 3
 
     def test_context_upper_bound_attained(self):
         g = build_attributed(5, [(4, 0, 1), (4, 1, 2), (4, 2, 1)],
                              red={0, 1, 2, 4}, identified={0, 1, 2})
-        assert context_score(g, 4) == 3 == g.num_identified
+        assert statistics_of(g)[4][0] == 3 == g.num_identified
 
     def test_content_counts_red_edges_only(self):
         g = build_attributed(6, [(0, 1, 2), (0, 2, 2)], red={0}, identified=set())
-        assert content_score(g, 0) == 0
+        assert statistics_of(g)[0][1] == 0
         g2 = build_attributed(6, [(0, 1, 1), (0, 2, 1), (0, 3, 2), (0, 4, 1)])
-        assert content_score(g2, 0) == 3
+        assert statistics_of(g2)[0][1] == 3
 
     def test_content_upper_bound_complete_red(self):
         import itertools
         edges = [(u, v, 1) for u, v in itertools.combinations(range(5), 2)]
         g = build_attributed(5, edges)
-        assert content_score(g, 2) == 4
+        assert statistics_of(g)[2][1] == 4
 
-    def test_identified_vertex_rejected(self, star_graph):
-        with pytest.raises(InputError):
-            context_score(star_graph, 1)
+    def test_identified_vertex_is_no_candidate(self, star_graph):
+        assert sorted(statistics_of(star_graph)) == [0, 4, 5]
 
     def test_score_bounds_on_samples(self):
         params = KidneyEggParams(30, 10, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
         for s in range(5):
             g = sample_kidney_egg(params, s)
-            for v in np.flatnonzero(g.observed == 0)[:6]:
-                assert context_score(g, int(v)) <= g.num_identified
-                assert content_score(g, int(v)) <= len(g.neighbors(int(v))) <= g.n - 1
+            cand, t0, t1 = candidate_statistics(g)
+            context, content = graph_score_counts(g)
+            # every edge counted as red: content is then the degree
+            _, degree = loop_score_counts(g.n, g.edge_u, g.edge_v,
+                                          np.ones(g.num_edges, dtype=bool), g.observed == RED)
+            assert t0.tolist() == [context[v] for v in cand]
+            assert t1.tolist() == [content[v] for v in cand]
+            assert (t0 <= g.num_identified).all()
+            assert (t1 <= np.array(degree)[cand]).all() and max(degree) <= g.n - 1
 
 
 def loop_score_counts(n, edge_u, edge_v, red_edge, identified):
@@ -195,9 +211,9 @@ class TestRankCandidates:
     def test_endpoint_identity_with_pure_statistics(self):
         params = KidneyEggParams(30, 10, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
         g = sample_kidney_egg(params, 5)
-        for gamma, stat in ((0.0, context_score), (1.0, content_score)):
+        for gamma, stat in zip((0.0, 1.0), graph_score_counts(g)):
             r = rank_candidates(g, gamma, 123)
-            stats = [stat(g, int(v)) for v in r.ordered]
+            stats = [stat[v] for v in r.ordered]
             assert stats == sorted(stats, reverse=True)
             assert np.allclose(r.scores, stats)
 
