@@ -274,8 +274,8 @@ def _cmd_importance(args) -> int:
               "gammas": args.gammas, "replicates": args.replicates,
               "weighted_profiles": weighted, "seed": seed,
               "max_partitions": args.max_partitions}
-    accepted = screening.accepted[:args.max_partitions]
-    if accepted:
+    accepted = screening.take(slice(args.max_partitions))
+    if accepted.n_accepted:
         trials = run_importance_trials(g, accepted, args.m_prime, gammas, args.replicates,
                                        trial_seed, bin_width=args.bins,
                                        n_workers=args.workers)

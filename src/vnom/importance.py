@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyProfileError, InputError, UndefinedDensityError
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph, _Record,
-                    _sorted_unique, _subset_array)
+                    _subset_array)
 from .experiments import evaluate_grid, parallel_map
 from .kidney_egg import _pair_offsets, _pairs
 from .metrics import MetricTable, mean_se
@@ -78,23 +78,24 @@ class TopicMap(_Record):
         return int(self.labels.size)
 
 
-class ScreenedPartition(_Record):
-    """An accepted partition with its gaps and derived topic map."""
-
-    partition: Partition
-    topic_map: TopicMap
-    delta_rho: float
-    delta_p: float
-    draw_index: int
-
-
 class ScreeningResult(_Record):
-    accepted: tuple
+    """A screen's accepted draws as columns, one row a draw in draw order:
+    ascending red ids (rows x m), int8 RED/GREEN topic labels, gaps, draw index."""
+
+    red_ids: np.ndarray
+    topic_labels: np.ndarray
+    delta_rho: np.ndarray
+    delta_p: np.ndarray
+    draw_index: np.ndarray
     attempts: int
+
+    def take(self, rows) -> ScreeningResult:
+        """The accepted rows picked by a slice, a boolean mask or an index array."""
+        return ScreeningResult(*(getattr(self, f)[rows] for f in self._fields[:-1]), self.attempts)
 
     @property
     def n_accepted(self) -> int:
-        return len(self.accepted)
+        return len(self.draw_index)
 
     @property
     def acceptance_rate(self) -> float:
@@ -310,12 +311,11 @@ def screen_partitions(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
         raise InputError("max_attempts must be >= 1")
     tables = _screen_tables(g, m, weighted)
     base = child_seed(seed)
-    accepted = []
-    for start in range(0, max_attempts, _SCREEN_BLOCK):
-        rng = generator(child_seed(base, start // _SCREEN_BLOCK))
-        accepted += _screen_block(g, m, thresholds, tables, rng, start,
-                                  min(_SCREEN_BLOCK, max_attempts - start))
-    return ScreeningResult(tuple(accepted), max_attempts)
+    blocks = [_screen_block(g, m, thresholds, tables,
+                            generator(child_seed(base, start // _SCREEN_BLOCK)), start,
+                            min(_SCREEN_BLOCK, max_attempts - start))
+              for start in range(0, max_attempts, _SCREEN_BLOCK)]
+    return ScreeningResult(*map(np.concatenate, zip(*blocks)), max_attempts)
 
 
 def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
@@ -344,9 +344,9 @@ def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
 
 
 def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds, tables: tuple,
-                  rng, start: int, draws: int) -> list:
-    """Accepted draws start..start+draws-1, with the screen's ``tables`` (of
-    :func:`_screen_tables`).
+                  rng, start: int, draws: int) -> tuple:
+    """The :class:`ScreeningResult` columns of the accepted draws
+    start..start+draws-1, with the screen's ``tables`` (of :func:`_screen_tables`).
 
     The block's keys are drawn a chunk of rows at a time; consecutive
     ``rng.random((rows, n))`` calls read the stream one (draws x n) call
@@ -375,21 +375,17 @@ def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds, tables
         passing.append((chosen[keep], d_rho[keep], lo + keep))
     chosen, d_rho, rows = (np.concatenate(part) for part in zip(*passing))
     step = _chunk_rows(max(g.num_edges, len(pairs[0])))
-    accepted = []
+    d_p, labels = np.empty(len(rows)), np.empty((len(rows), g.k_topics), dtype=np.int8)
     for lo in range(0, len(rows), step):
         ids = chosen[lo:lo + step]
         red_mask = np.zeros((len(ids), g.n), dtype=bool)
         np.put_along_axis(red_mask, ids, True, axis=1)
         green_in = ~(red_mask[:, g.edge_u] | red_mask[:, g.edge_v])
-        d_p, pr, pg = _profile_gap(weights[1:],
-                                   _red_totals(weights, _red_slots(table, offsets, ids, pairs)),
-                                   green_in)
-        labels = _topic_labels(pr, pg)
-        for i in np.flatnonzero(d_p > thresholds.tau_p):
-            accepted.append(ScreenedPartition(Partition(g.n, ids[i]), TopicMap(labels[i]),
-                                              float(d_rho[lo + i]), float(d_p[i]),
-                                              start + int(rows[lo + i])))
-    return accepted
+        d_p[lo:lo + step], pr, pg = _profile_gap(
+            weights[1:], _red_totals(weights, _red_slots(table, offsets, ids, pairs)), green_in)
+        labels[lo:lo + step] = _topic_labels(pr, pg)
+    keep = d_p > thresholds.tau_p
+    return chosen[keep], labels[keep], d_rho[keep], d_p[keep], start + rows[keep]
 
 
 def instantiate_edges(g: TopicGraph, topic_map: TopicMap, part: Partition,
@@ -458,10 +454,10 @@ def bin_index(value: float, width: float) -> int:
     return int(floor(round(value / width, 9)))
 
 
-def _draw_instances(g: TopicGraph, block, first: int, m_prime: int, replicates: int,
-                    base_seed, cum_topics: np.ndarray) -> tuple:
+def _draw_instances(g: TopicGraph, block: ScreeningResult, first: int, m_prime: int,
+                    replicates: int, base_seed, cum_topics: np.ndarray) -> tuple:
     """(edge labels, identified masks, tie-break keys), one row per (partition,
-    replicate) of ``block``, whose first partition has ordinal ``first``.
+    replicate) of the screened rows ``block``, whose first has ordinal ``first``.
 
     Replicate r of the partition with ordinal o draws its edge uniforms, its
     m_prime identified red vertices and its tie-break permutation from the
@@ -469,32 +465,28 @@ def _draw_instances(g: TopicGraph, block, first: int, m_prime: int, replicates: 
     block's streams are derived in one batch.  The uniforms of all instances
     then map to topics together, and each partition's topics to its labels.
     """
-    n_inst, n_cand = len(block) * replicates, g.n - m_prime
+    n_inst, n_cand = block.n_accepted * replicates, g.n - m_prime
     u = np.empty((n_inst, g.num_edges))
     identified = np.zeros((n_inst, g.n), dtype=bool)
     tiebreak = np.empty((n_inst, n_cand), dtype=np.int64)
-    rngs = child_generators(base_seed, [(first + j, rep, stream) for j in range(len(block))
+    rngs = child_generators(base_seed, [(first + j, rep, stream) for j in range(block.n_accepted)
                                         for rep in range(replicates) for stream in range(3)])
     for i, (edge_rng, ident_rng, tie_rng) in enumerate(zip(rngs, rngs, rngs)):
         u[i] = edge_rng.random(g.num_edges)
-        red_ids = block[i // replicates].partition.red_ids
+        red_ids = block.red_ids[i // replicates]
         identified[i, ident_rng.choice(red_ids, size=m_prime, replace=False)] = True
         tiebreak[i] = tie_rng.permutation(n_cand)
     topics = _topics(cum_topics, u)
     del u
-    attr = np.empty(topics.shape, dtype=np.int8)
-    for j, sp in enumerate(block):
-        rows = slice(j * replicates, (j + 1) * replicates)
-        attr[rows] = sp.topic_map.labels[topics[rows]]
+    attr = block.topic_labels[np.arange(n_inst)[:, None] // replicates, topics]
     return attr, identified, tiebreak
 
 
-def _trial_block(g: TopicGraph, block, first: int, m_prime: int, gamma_grid,
-                 replicates: int, base_seed, cum_topics: np.ndarray) -> list:
+def _trial_block(g: TopicGraph, block: ScreeningResult, first: int, m_prime: int,
+                 gamma_grid, replicates: int, base_seed, cum_topics: np.ndarray) -> tuple:
     """(metric values (partitions x gammas x metrics x replicates), mean rates
-    (partitions x 4)) of the partitions in ``block``; all (partition,
+    (partitions x 4)) of the screened rows ``block``; all (partition,
     replicate) instances are scored, ranked and evaluated as one stack."""
-    m, n_green = np.array([_side_sizes(g, sp.partition) for sp in block]).T
     attr, identified, tiebreak = _draw_instances(g, block, first, m_prime, replicates,
                                                  base_seed, cum_topics)
     n_inst, n_cand = tiebreak.shape
@@ -506,23 +498,18 @@ def _trial_block(g: TopicGraph, block, first: int, m_prime: int, gamma_grid,
                           (g.edge_v.astype(ids) + shift).ravel(),
                           (attr == RED).ravel(), identified.ravel())
     cand = ~identified.ravel()
-    red_masks = np.stack([sp.partition.red_mask() for sp in block])
+    red_masks = np.zeros((block.n_accepted, g.n), dtype=bool)
+    np.put_along_axis(red_masks, block.red_ids, True, axis=1)
     red = np.repeat(red_masks, replicates, axis=0).ravel()[cand].reshape(n_inst, n_cand)
     t0, t1 = t0[cand].reshape(n_inst, n_cand), t1[cand].reshape(n_inst, n_cand)
-    m_inst = np.repeat(m, replicates)
-    values = None
-    for size in _sorted_unique(m_inst):  # a metric stack needs one red count per row
-        rows = m_inst == size
-        got = evaluate_grid(t0[rows], t1[rows], red[rows], tiebreak[rows], gamma_grid)
-        if values is None:
-            values = np.empty((n_inst, *got.shape[1:]))
-        values[rows] = got
-    values = np.moveaxis(values.reshape(len(block), replicates, *values.shape[1:]), 1, -1)
+    values = evaluate_grid(t0, t1, red, tiebreak, gamma_grid)
+    values = np.moveaxis(values.reshape(block.n_accepted, replicates, *values.shape[1:]), 1, -1)
 
+    m = block.red_ids.shape[1]
     red_in, green_in = _sides(g, red_masks[:, None, :])
-    rates = _rates(attr.reshape(len(block), replicates, -1), red_in, green_in,
-                   (m * (m - 1) // 2)[:, None], (n_green * (n_green - 1) // 2)[:, None])
-    rate_sum = np.zeros((len(block), rates.shape[-1]))
+    rates = _rates(attr.reshape(block.n_accepted, replicates, -1), red_in, green_in,
+                   comb(m, 2), comb(g.n - m, 2))
+    rate_sum = np.zeros((block.n_accepted, rates.shape[-1]))
     for rep in range(replicates):  # summed in replicate order, as one partition alone would
         rate_sum += rates[:, rep]
     return values, rate_sum / replicates
@@ -532,6 +519,8 @@ def check_trial_arguments(m: int, m_prime: int, gamma_grid, replicates: int,
                           bin_width: float) -> tuple:
     """The validated gamma grid, after checking the other trial arguments for
     red sets of size m; cheap enough to run before screening."""
+    if m < 2:
+        raise InputError(f"m={m} must be >= 2: a density needs two red vertices")
     grid = validate_gamma_grid(gamma_grid)
     if not 1 <= m_prime < m:
         raise InputError(f"m_prime={m_prime} must lie in 1..{m - 1} (red set of {m})")
@@ -544,11 +533,11 @@ def check_trial_arguments(m: int, m_prime: int, gamma_grid, replicates: int,
     return grid
 
 
-def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
+def run_importance_trials(g: TopicGraph, screening: ScreeningResult, m_prime: int, gamma_grid,
                           replicates_per_partition: int, seed, *,
                           bin_width: float = 0.1,
                           n_workers: int = 1) -> TrialsResult:
-    """Nomination trials over accepted partitions, aggregated into gap bins.
+    """Nomination trials over a screening's accepted partitions, in gap bins.
 
     For every accepted partition and replicate: instantiate edge attributes,
     identify a uniform m_prime-subset of the red set, occlude the rest, rank
@@ -558,17 +547,20 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
     contains {0, 0.5, 1}, each bin also carries the fusion-advantage surface
     value min(MRR(0), MRR(1)) - MRR(0.5).
     """
-    accepted = list(accepted)
-    if not accepted:
+    red, m = screening.red_ids, screening.red_ids.shape[1]
+    if not screening.n_accepted:
         raise InputError("no accepted partitions to run trials on")
-    grid = check_trial_arguments(min(sp.partition.num_red for sp in accepted), m_prime,
-                                 gamma_grid, replicates_per_partition, bin_width)
+    if not 2 <= m <= g.n - 2 or ((red < 0) | (red >= g.n)).any() or (np.diff(red) <= 0).any():
+        raise InputError(f"screened red sets must be 2..{g.n - 2} ascending ids below {g.n}")
+    if screening.topic_labels.shape[1] != g.k_topics:
+        raise InputError("screened topic labels do not cover the graph's topics")
+    grid = check_trial_arguments(m, m_prime, gamma_grid, replicates_per_partition, bin_width)
     base = child_seed(seed)
     cum_topics = _cumulative_topics(g)
     blocks = parallel_map(_trial_block,
-                          [(g, accepted[first:first + _TRIAL_BLOCK], first, m_prime, grid,
-                            replicates_per_partition, base, cum_topics)
-                           for first in range(0, len(accepted), _TRIAL_BLOCK)],
+                          [(g, screening.take(slice(first, first + _TRIAL_BLOCK)), first,
+                            m_prime, grid, replicates_per_partition, base, cum_topics)
+                           for first in range(0, screening.n_accepted, _TRIAL_BLOCK)],
                           n_workers)
 
     values = np.concatenate([block_values for block_values, _ in blocks])
@@ -576,11 +568,12 @@ def run_importance_trials(g: TopicGraph, accepted, m_prime: int, gamma_grid,
     means, ses = mean_se(values)  # each partition's table, folded in one call
     partitions = []
     bin_rows: dict = {}
-    for i, sp in enumerate(accepted):
+    rhos, ps = screening.delta_rho.tolist(), screening.delta_p.tolist()
+    for i, index in enumerate(screening.draw_index.tolist()):
         table = MetricTable(grid, (), means[i], ses[i], replicates_per_partition)
-        partitions.append(PartitionTrial(sp.draw_index, sp.delta_rho, sp.delta_p, table,
+        partitions.append(PartitionTrial(index, rhos[i], ps[i], table,
                                          EstimatedRates(*map(float, rates[i]))))
-        key = (bin_index(sp.delta_rho, bin_width), bin_index(sp.delta_p, bin_width))
+        key = (bin_index(rhos[i], bin_width), bin_index(ps[i], bin_width))
         bin_rows.setdefault(key, []).append(i)
 
     has_triple = all(any(x == want for x in grid) for want in (0.0, 0.5, 1.0))

@@ -232,8 +232,12 @@ def generate_surrogate(n: int = 184, k_topics: int = 32, density: float = 0.05, 
         raise InputError("tilt must lie in [0, 1)")
     if not 0.0 < concentration < math.inf:
         raise InputError("concentration must be positive and finite")
-    if not 0.0 <= mean_extra_messages < math.inf:
-        raise InputError("mean_extra_messages must be finite and >= 0")
+    rng = generator(seed)
+    try:  # numpy refuses a NaN, negative or too large (past ~2**63) Poisson mean;
+        rng.poisson(mean_extra_messages, size=0)  # an empty draw reads no stream
+    except ValueError:
+        raise InputError(f"mean_extra_messages must be >= 0 and within numpy's Poisson "
+                         f"bound, got {mean_extra_messages}") from None
     total_pairs = math.comb(n, 2)
     block_pairs = math.comb(group_size, 2)
     background = (density * total_pairs - group_density * block_pairs) / (total_pairs - block_pairs)
@@ -242,7 +246,6 @@ def generate_surrogate(n: int = 184, k_topics: int = 32, density: float = 0.05, 
             "density/group_size/group_density are inconsistent "
             f"(implied background rate {background:.4f})")
 
-    rng = generator(seed)
     iu, iv = np.triu_indices(n, k=1)
     in_block = (iu < group_size) & (iv < group_size)
     p_edge = np.where(in_block, group_density, background)
@@ -256,7 +259,10 @@ def generate_surrogate(n: int = 184, k_topics: int = 32, density: float = 0.05, 
     tilted = (1.0 - tilt) * uniform + tilt * hot
     alphas = np.where(edge_in_block[:, None], tilted, uniform) * concentration
     raw = rng.standard_gamma(alphas)
-    probs = raw / raw.sum(axis=1, keepdims=True)
+    mass = raw.sum(axis=1, keepdims=True)
+    if not mass.all():
+        raise InputError(f"concentration={concentration} underflows an edge's gamma draws to 0")
+    probs = raw / mass
     counts = 1 + rng.poisson(mean_extra_messages, size=eu.size)
     names = tuple(f"actor{i:03d}" for i in range(n))
     return TopicGraph(n, eu, ev, probs, counts, names)

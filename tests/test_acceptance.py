@@ -470,20 +470,22 @@ def screened_surrogate():
 class TestCriterion7:
     def test_screening_populates_target_bin(self, screened_surrogate):
         _, screening = screened_surrogate
-        in_bin = [sp for sp in screening.accepted
-                  if (bin_index(sp.delta_rho, 0.1), bin_index(sp.delta_p, 0.1)) == TARGET_BIN]
-        ok = len(in_bin) >= 20 and screening.attempts <= 10 ** 6
+        in_bin = screening.take(np.array([
+            (bin_index(d_rho, 0.1), bin_index(d_p, 0.1)) == TARGET_BIN
+            for d_rho, d_p in zip(screening.delta_rho.tolist(), screening.delta_p.tolist())],
+            dtype=bool))
+        ok = in_bin.n_accepted >= 20 and screening.attempts <= 10 ** 6
         status("7 (screening)", ok,
-               f"{len(in_bin)} partitions in the delta_rho [0.3,0.4) x delta_p "
+               f"{in_bin.n_accepted} partitions in the delta_rho [0.3,0.4) x delta_p "
                f"[0.2,0.3) bin from {screening.attempts} attempts (need >= 20 "
                f"within 1e6)")
         assert screening.attempts <= 10 ** 6
-        assert len(in_bin) >= 20
+        assert in_bin.n_accepted >= 20
 
     def test_trials_fusion_and_surface(self, screened_surrogate):
         g, screening = screened_surrogate
         grid = tuple(k / 10 for k in range(11))
-        trials = run_importance_trials(g, screening.accepted, 5, grid,
+        trials = run_importance_trials(g, screening, 5, grid,
                                        replicates_per_partition=3, seed=7003)
         target = trials.bins[TARGET_BIN]
         assert not target.insufficient

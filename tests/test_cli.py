@@ -99,6 +99,14 @@ class TestExitCodes:
         assert code == 1
         assert "error:" in err and "Traceback" not in err and out == ""
 
+    def test_red_set_below_two_blames_m(self, capsys, corpus):
+        # m' = 0 is out of range too, but only because m = 1 leaves it no room
+        code, out, err = run_cli(capsys, "importance", "--graph", str(corpus), "--m", "1",
+                                 "--m-prime", "0", "--seed", "1")
+        assert code == 1 and out == ""
+        assert "error: m=1 must be >= 2" in err
+        assert "m_prime" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["sweep", "importance", "surface"])
     def test_negative_seed_exits_1(self, capsys, corpus, command):
         extra = {"sweep": ["--m-list", "8", "--replicates", "2"],

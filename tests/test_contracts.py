@@ -31,6 +31,7 @@ from vnom import (GAMMA_GRID_DEFAULT, KidneyEggParams, ScreeningThresholds, cand
 from vnom.experiments import evaluate_grid
 from vnom.graph import RED
 from vnom.io import data_section
+from vnom.seeding import child_seed
 
 from conftest import build_topic
 
@@ -210,8 +211,8 @@ def test_screening_and_trials_load_no_masked_arrays():
     run = ("from vnom import *; import contextlib, io\n"
            "g = generate_surrogate(40, 4, 0.2, group_size=10, seed=1)\n"
            "s = screen_partitions(g, 5, ScreeningThresholds(-1, -1), 20, 1)\n"
-           "run_importance_trials(g, s.accepted, 2, (0.0, 0.5, 1.0), 2, 1)\n"
-           "topic_profile(g, [0, 1, 2, 3]); delta_p(g, s.accepted[0].partition)\n"
+           "run_importance_trials(g, s, 2, (0.0, 0.5, 1.0), 2, 1)\n"
+           "topic_profile(g, [0, 1, 2, 3]); delta_p(g, Partition(g.n, s.red_ids[0]))\n"
            "a = sample_kidney_egg(KidneyEggParams(30, 8, 3, (0.8, 0.1, 0.1), (0.4, 0.3, 0.3)), 1)\n"
            "evaluate_ranking(rank_candidates(a, 0.5, 1), a.red_candidates(), (2,))\n"
            "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -239,13 +240,13 @@ def test_seed_sequences_per_call_do_not_grow_with_instances(monkeypatch):
     pairs = [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.4]
     g = build_topic(20, [(u, v, 1, p) for (u, v), p in
                          zip(pairs, rng.dirichlet(np.full(4, 0.4), len(pairs)))], 4)
-    block = screen_partitions(g, 5, ScreeningThresholds(-np.inf, -np.inf), 8, 2).accepted
+    block = screen_partitions(g, 5, ScreeningThresholds(-np.inf, -np.inf), 8, 2)
     cum = vnom.importance._cumulative_topics(g)
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
     replicates = [count(lambda: vnom.experiments._replicate_values(
         params, [0.5], 3, [(rep,) for rep in range(reps)])) for reps in (1, 9)]
     instances = [count(lambda: vnom.importance._draw_instances(
-        g, block[:parts], 0, 2, reps, 3, cum)) for parts, reps in ((1, 1), (8, 3))]
+        g, block.take(slice(parts)), 0, 2, reps, 3, cum)) for parts, reps in ((1, 1), (8, 3))]
     assert replicates[0] == replicates[1] <= 1
     assert instances[0] == instances[1] <= 1
 
@@ -471,6 +472,27 @@ def test_importance_side_outputs_match_recorded_digests(monkeypatch, tmp_path):
     assert {flag: data_digest(path) for flag, path in outputs.items()} == IMPORTANCE_SIDE_DIGESTS
 
 
+def test_screening_builds_one_record(monkeypatch, tmp_path):
+    # the accepted draws travel as the columns of one ScreeningResult: no
+    # record per draw (a partition, a topic map and a row record, as once)
+    run = load_bench_run(monkeypatch)
+    run.prepare("importance", 1, tmp_path)
+    g = read_topic_graph(tmp_path / "corpus.topics")
+    thresholds = ScreeningThresholds()  # the default bars, as the workload's
+    built = []
+    init = vnom.graph._Record.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(vnom.graph._Record, "__init__", counted)
+    # the importance workload's screen at seed 1
+    result = screen_partitions(g, 10, thresholds, run.IMPORTANCE_ATTEMPTS, child_seed(1, 1))
+    assert result.n_accepted > 0
+    assert built == ["ScreeningResult"]
+
+
 # tracemalloc peak of one 4096-draw screening call on the importance bench
 # corpus (seed 3): 29.3-30.5 MB at seeds 1, 3 and 7919 when every draw built
 # its (draws x edges) side masks, 12.6 MB once red-internal edges were counted
@@ -561,7 +583,7 @@ def test_repeated_importance_runs_keep_their_heap():
         g = generate_surrogate(184, 32, seed=3)
         def run():
             s = screen_partitions(g, 10, ScreeningThresholds(), 20480, child_seed(3, 1))
-            run_importance_trials(g, s.accepted[:250], 5, (0.0, 0.5, 1.0), 3, child_seed(3, 2))
+            run_importance_trials(g, s.take(slice(250)), 5, (0.0, 0.5, 1.0), 3, child_seed(3, 2))
         run(); run()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         run(); run()

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition,
+from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition, ScreeningResult,
                   ScreeningThresholds, TopicMap, UndefinedDensityError, delta_p,
                   delta_rho, estimate_rates, generate_surrogate, instantiate_edges,
                   TopicGraph, run_importance_trials, sample_kidney_egg, screen_partitions,
@@ -121,7 +121,7 @@ class TestScreenPartitions:
         res = screen_partitions(g, 4, ScreeningThresholds(-np.inf, -np.inf), 40, 0)
         assert res.attempts == 40
         assert res.n_accepted == 40
-        assert [sp.draw_index for sp in res.accepted] == list(range(40))
+        assert res.draw_index.tolist() == list(range(40))
 
     def test_impossible_topic_bar_rejects_everything(self):
         # delta_p never exceeds 2
@@ -135,25 +135,36 @@ class TestScreenPartitions:
         thresholds = ScreeningThresholds(0.1, 0.5)
         res = screen_partitions(g, 4, thresholds, 400, 3)
         assert res.n_accepted > 0
-        for sp in res.accepted:
-            assert sp.delta_rho > thresholds.tau_rho
-            assert sp.delta_p > thresholds.tau_p
+        for i in range(res.n_accepted):
+            part = Partition(g.n, res.red_ids[i])
+            assert res.delta_rho[i] > thresholds.tau_rho
+            assert res.delta_p[i] > thresholds.tau_p
             # stored gaps match the public operations
-            assert sp.delta_rho == pytest.approx(delta_rho(g, sp.partition))
-            assert sp.delta_p == pytest.approx(delta_p(g, sp.partition))
+            assert res.delta_rho[i] == pytest.approx(delta_rho(g, part))
+            assert res.delta_p[i] == pytest.approx(delta_p(g, part))
             # re-deriving the map from the partition's profiles reproduces it exactly
-            red_in, green_in = _sides(g, sp.partition.red_mask()[None])
+            red_in, green_in = _sides(g, part.red_mask()[None])
             weights = _edge_weights(g, True)
             _, pr, pg = _profile_gap(weights, _topic_totals(weights, red_in), green_in)
-            assert np.array_equal(_topic_labels(pr[0], pg[0]), sp.topic_map.labels)
+            assert np.array_equal(_topic_labels(pr[0], pg[0]), res.topic_labels[i])
 
     def test_deterministic(self):
         g = two_block_topic_graph()
         a = screen_partitions(g, 4, ScreeningThresholds(0.1, 0.5), 300, 12)
         b = screen_partitions(g, 4, ScreeningThresholds(0.1, 0.5), 300, 12)
-        assert [sp.draw_index for sp in a.accepted] == [sp.draw_index for sp in b.accepted]
-        assert all(np.array_equal(x.partition.red_ids, y.partition.red_ids)
-                   for x, y in zip(a.accepted, b.accepted))
+        assert a.draw_index.tolist() == b.draw_index.tolist()
+        assert np.array_equal(a.red_ids, b.red_ids)
+
+    def test_take_picks_the_same_rows_of_every_column(self):
+        g = two_block_topic_graph()
+        res = screen_partitions(g, 4, ScreeningThresholds(-np.inf, -np.inf), 10, 0)
+        for rows in (slice(2, 5), res.draw_index % 3 == 0, np.array([7, 1])):
+            picked = res.take(rows)
+            assert picked.attempts == 10
+            for column in ("red_ids", "topic_labels", "delta_rho", "delta_p", "draw_index"):
+                assert np.array_equal(getattr(picked, column), getattr(res, column)[rows])
+        assert res.take(slice(None)) == res
+        assert res.take(slice(0)).n_accepted == 0 and res.take(slice(0)).red_ids.shape == (0, 4)
 
     @pytest.mark.parametrize("tau_rho,tau_p", [(np.nan, 0.2), (0.1, np.nan)])
     def test_nan_threshold_rejected(self, tau_rho, tau_p):
@@ -198,20 +209,21 @@ class TestScreeningSelection:
         planted = [[0.1, 0.5, 0.5, 0.5, 0.9, 0.5, 0.2, 0.7],  # 2nd smallest tied four ways
                    [0.3] * 8,  # every key tied
                    [0.6, 0.4, 0.4, 0.8, 0.1, 0.2, 0.3, 0.0]]  # no tie
-        accepted = _screen_block(g, 2, ScreeningThresholds(-np.inf, -np.inf),
-                                 _screen_tables(g, 2, True), PlantedUniforms(planted), 0,
-                                 len(planted))
+        red_ids, *_, draw_index = _screen_block(g, 2, ScreeningThresholds(-np.inf, -np.inf),
+                                                _screen_tables(g, 2, True),
+                                                PlantedUniforms(planted), 0, len(planted))
         want = argpartition_red_sets(np.array(planted), 2)
-        assert [sp.draw_index for sp in accepted] == [0, 1, 2]
-        for sp, row in zip(accepted, want):
-            assert sp.partition.red_ids.tolist() == row.nonzero()[0].tolist()
-        assert accepted[2].partition.red_ids.tolist() == [4, 7]
+        assert draw_index.tolist() == [0, 1, 2]
+        for ids, row in zip(red_ids, want):
+            assert ids.tolist() == row.nonzero()[0].tolist()
+        assert red_ids[2].tolist() == [4, 7]
 
 
-def screened(accepted):
-    """Every field of each accepted draw, its gaps by their bits."""
-    return [(sp.draw_index, sp.partition.red_ids.tolist(), sp.topic_map.labels.tolist(),
-             sp.delta_rho.hex(), sp.delta_p.hex()) for sp in accepted]
+def screened(columns):
+    """Every field of each accepted draw of a block's columns, its gaps by their bits."""
+    red_ids, labels, d_rho, d_p, draw_index = columns
+    return [(index, ids.tolist(), row.tolist(), a.hex(), b.hex()) for ids, row, a, b, index
+            in zip(red_ids, labels, d_rho.tolist(), d_p.tolist(), draw_index.tolist())]
 
 
 class TestScreenChunks:
@@ -433,13 +445,14 @@ class TestStackedProfiles:
         tables = _screen_tables(g, 4, weighted)
         all_pass = ScreeningThresholds(-np.inf, -np.inf)
         for draws in (6, 7, 8, 13, 14, 15, 20):
-            accepted = _screen_block(g, 4, all_pass, tables, generator(draws), 0, draws)
-            assert [sp.draw_index for sp in accepted] == list(range(draws))
-            for sp in accepted:
-                red_in, green_in = _sides(g, sp.partition.red_mask())
+            red_ids, labels, _, d_p, draw_index = _screen_block(g, 4, all_pass, tables,
+                                                                generator(draws), 0, draws)
+            assert draw_index.tolist() == list(range(draws))
+            for ids, row, got in zip(red_ids, labels, d_p.tolist()):
+                red_in, green_in = _sides(g, Partition(g.n, ids).red_mask())
                 want_d, want_r, want_g = per_draw_profile_gap(weights, red_in, green_in)
-                assert sp.delta_p == want_d
-                assert sp.topic_map.labels.tolist() == _topic_labels(want_r, want_g).tolist()
+                assert got == want_d
+                assert row.tolist() == _topic_labels(want_r, want_g).tolist()
 
     def test_public_functions_match_per_draw_sums(self):
         rng = np.random.default_rng(11)
@@ -558,13 +571,14 @@ class TestSlotTiers:
         assert _screen_tables(g, m, True)[1].dtype == dtype
         res = screen_partitions(g, m, ScreeningThresholds(-np.inf, -np.inf), 12, edges)
         assert res.n_accepted == 12
-        for sp in res.accepted:
-            assert sp.delta_rho == delta_rho(g, sp.partition)
+        for ids, got_rho, got_p in zip(res.red_ids, res.delta_rho, res.delta_p):
+            part = Partition(g.n, ids)
+            assert got_rho == delta_rho(g, part)
             try:
-                want = delta_p(g, sp.partition)
+                want = delta_p(g, part)
             except EmptyProfileError:  # a side without edges: screening's gap is 0
                 want = 0.0
-            assert sp.delta_p == want
+            assert got_p == want
 
     @tiers
     def test_red_totals_reach_the_last_slot(self, n, edges, m, dtype):
@@ -610,18 +624,17 @@ class TestBlockTopicDraws:
         k = 6
         g = build_topic(20, [(u, v, 1, p) for (u, v), p in
                              zip(pairs, rng.dirichlet(np.full(k, 0.4), len(pairs)))], k)
-        block = screen_partitions(g, 5, ScreeningThresholds(-np.inf, -np.inf), 7, 2).accepted
+        block = screen_partitions(g, 5, ScreeningThresholds(-np.inf, -np.inf), 7, 2)
         cum, base = _cumulative_topics(g), child_seed(8)
         attr, identified, tiebreak = _draw_instances(g, block, 3, 2, 2, base, cum)
-        for j, sp in enumerate(block):
+        for j, (red_ids, labels) in enumerate(zip(block.red_ids, block.topic_labels)):
             for rep in range(2):
                 i = j * 2 + rep
                 edge_seed, ident_seed, tie_seed = (child_seed(base, 3 + j, rep, k)
                                                    for k in range(3))
                 topics = per_instance_draw_topics(cum, generator(edge_seed))
-                assert attr[i].tolist() == sp.topic_map.labels[topics].tolist()
-                picked = generator(ident_seed).choice(sp.partition.red_ids, size=2,
-                                                      replace=False)
+                assert attr[i].tolist() == labels[topics].tolist()
+                picked = generator(ident_seed).choice(red_ids, size=2, replace=False)
                 assert identified[i].nonzero()[0].tolist() == sorted(picked.tolist())
                 assert tiebreak[i].tolist() == generator(tie_seed).permutation(18).tolist()
 
@@ -679,17 +692,18 @@ class TestRunImportanceTrials:
         from vnom.seeding import child_seed
 
         g = two_block_topic_graph()
-        sp = self.trivial_screen(g, 4, attempts=1).accepted[0]
-        trials = run_importance_trials(g, [sp], 2, [0.0], 1, 123)
+        screening = self.trivial_screen(g, 4, attempts=1)
+        trials = run_importance_trials(g, screening, 2, [0.0], 1, 123)
+        part = Partition(g.n, screening.red_ids[0])
         assert len(trials.partitions) == 1
         pt = trials.partitions[0]
 
         # replay by hand with the same derived seeds and public operations
         edge_seed, ident_seed, tie_seed = child_seed(
             child_seed(123), 0, 0).spawn(3)
-        ag = instantiate_edges(g, sp.topic_map, sp.partition, edge_seed)
+        ag = instantiate_edges(g, TopicMap(screening.topic_labels[0]), part, edge_seed)
         rng = np.random.default_rng(ident_seed)
-        identified = np.sort(rng.choice(sp.partition.red_ids, size=2, replace=False))
+        identified = np.sort(rng.choice(part.red_ids, size=2, replace=False))
         observed = np.zeros(g.n, dtype=np.int8)
         observed[identified] = 1
         from vnom import AttributedGraph
@@ -702,13 +716,13 @@ class TestRunImportanceTrials:
         assert pt.table.value("mrr", 0.0) == report.rr
         assert pt.table.value("map", 0.0) == report.ap
 
-        est = estimate_rates(ag2, sp.partition)
+        est = estimate_rates(ag2, part)
         assert pt.rates == est
 
     def test_bins_and_insufficient_flag(self):
         g = two_block_topic_graph()
         res = self.trivial_screen(g, 4, attempts=25)
-        trials = run_importance_trials(g, res.accepted, 1, [0.0, 0.5, 1.0], 2, 5)
+        trials = run_importance_trials(g, res, 1, [0.0, 0.5, 1.0], 2, 5)
         assert sum(b.n_partitions for b in trials.bins.values()) == 25
         assert all(b.table.replicates == 2 * b.n_partitions for b in trials.bins.values())
         assert any(b.insufficient for b in trials.bins.values()) or \
@@ -721,56 +735,57 @@ class TestRunImportanceTrials:
     def test_fusion_advantage_absent_without_triple(self):
         g = two_block_topic_graph()
         res = self.trivial_screen(g, 4, attempts=5)
-        trials = run_importance_trials(g, res.accepted, 1, [0.0, 1.0], 1, 5)
+        trials = run_importance_trials(g, res, 1, [0.0, 1.0], 1, 5)
         assert all(b.fusion_advantage_mrr is None for b in trials.bins.values())
 
     def test_worker_determinism(self):
         g = two_block_topic_graph()
         res = self.trivial_screen(g, 4, attempts=40)
-        a = run_importance_trials(g, res.accepted, 2, [0.0, 0.5, 1.0], 3, 9, n_workers=1)
-        b = run_importance_trials(g, res.accepted, 2, [0.0, 0.5, 1.0], 3, 9, n_workers=4)
+        a = run_importance_trials(g, res, 2, [0.0, 0.5, 1.0], 3, 9, n_workers=1)
+        b = run_importance_trials(g, res, 2, [0.0, 0.5, 1.0], 3, 9, n_workers=4)
         assert a == b
 
     def test_several_trial_blocks_are_worker_independent(self):
         # 150 partitions span five trial blocks, split over two workers
         g = two_block_topic_graph()
         res = self.trivial_screen(g, 4, attempts=150)
-        a = run_importance_trials(g, res.accepted, 2, [0.0, 0.5, 1.0], 2, 9, n_workers=1)
-        b = run_importance_trials(g, res.accepted, 2, [0.0, 0.5, 1.0], 2, 9, n_workers=2)
+        a = run_importance_trials(g, res, 2, [0.0, 0.5, 1.0], 2, 9, n_workers=1)
+        b = run_importance_trials(g, res, 2, [0.0, 0.5, 1.0], 2, 9, n_workers=2)
         assert len(a.partitions) == 150
         assert a == b
 
-    def test_mixed_red_set_sizes_in_one_block(self):
-        # partitions of 3 and 4 red vertices share a trial block; each keeps the
-        # results it gets among partitions of its own size at the same ordinal
-        g = two_block_topic_graph()
-        fours = self.trivial_screen(g, 4, attempts=3).accepted
-        threes = self.trivial_screen(g, 3, attempts=3, seed=1).accepted
-        for head, tail in ((fours, threes), (threes, fours)):
-            mixed = run_importance_trials(g, head + tail, 2, [0.0, 0.5, 1.0], 2, 9)
-            alone = run_importance_trials(g, head, 2, [0.0, 0.5, 1.0], 2, 9)
-            assert mixed.partitions[:3] == alone.partitions
+    @pytest.mark.parametrize("red_ids,labels", [
+        ([[0, 8]], 2), ([[-1, 3]], 2), ([[3, 1]], 2), ([[2, 2]], 2),  # ids
+        ([[0]], 2), ([[0, 1, 2, 3, 4, 5, 6]], 2),  # red-set sizes outside 2..n-2 = 2..6
+        ([[0, 1]], 3)], ids=["id-n", "id-negative", "descending", "repeated", "m-1",
+                             "m-n-1", "topics"])
+    def test_screening_that_does_not_fit_the_graph_rejected(self, red_ids, labels):
+        g = two_block_topic_graph()  # 8 vertices, 2 topics
+        screening = ScreeningResult(np.array(red_ids), np.full((1, labels), 1, dtype=np.int8),
+                                    np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64), 1)
+        with pytest.raises(InputError, match="screened"):
+            run_importance_trials(g, screening, 1, [0.5], 1, 0)
 
     def test_zero_workers_rejected(self):
         g = two_block_topic_graph()
         res = self.trivial_screen(g, 4, attempts=3)
         with pytest.raises(InputError):
-            run_importance_trials(g, res.accepted, 2, [0.5], 1, 0, n_workers=0)
+            run_importance_trials(g, res, 2, [0.5], 1, 0, n_workers=0)
 
     @pytest.mark.parametrize("width", [np.nan, np.inf, 0.0, -0.1, 1e-320])  # 2/1e-320 is inf
     def test_bad_bin_width_rejected(self, width):
         g = two_block_topic_graph()
         res = self.trivial_screen(g, 4, attempts=3)
         with pytest.raises(InputError):
-            run_importance_trials(g, res.accepted, 2, [0.5], 1, 0, bin_width=width)
+            run_importance_trials(g, res, 2, [0.5], 1, 0, bin_width=width)
 
     def test_m_prime_validation(self):
         g = two_block_topic_graph()
         res = self.trivial_screen(g, 4, attempts=3)
         with pytest.raises(InputError):
-            run_importance_trials(g, res.accepted, 4, [0.5], 1, 0)
+            run_importance_trials(g, res, 4, [0.5], 1, 0)
         with pytest.raises(InputError):
-            run_importance_trials(g, [], 2, [0.5], 1, 0)
+            run_importance_trials(g, res.take(slice(0)), 2, [0.5], 1, 0)
 
 
 class TestCheckTrialArguments:
@@ -790,7 +805,7 @@ class TestCheckTrialArguments:
         g = two_block_topic_graph()
         res = screen_partitions(g, 4, ScreeningThresholds(-np.inf, -np.inf), 3, 0)
         with pytest.raises(InputError):
-            run_importance_trials(g, res.accepted, 2, grid, 1, 0)
+            run_importance_trials(g, res, 2, grid, 1, 0)
 
 
 class TestKappaConsistency:

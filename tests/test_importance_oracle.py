@@ -155,11 +155,11 @@ class TestScreenedGaps:
         res = screen_partitions(g, 3, ScreeningThresholds(-np.inf, -np.inf), 200, 5,
                                 weighted=weighted)
         assert res.n_accepted == 200
-        assert any(sp.delta_p == 0.0 for sp in res.accepted)
-        for sp in res.accepted:
-            red = sp.partition.red_ids.tolist()
-            assert abs(sp.delta_rho - oracle_delta_rho(g, red)) <= TOL
-            assert abs(sp.delta_p - oracle_delta_p(g, red, weighted)) <= TOL
+        assert (res.delta_p == 0.0).any()
+        for ids, d_rho, d_p in zip(res.red_ids, res.delta_rho, res.delta_p):
+            red = ids.tolist()
+            assert abs(d_rho - oracle_delta_rho(g, red)) <= TOL
+            assert abs(d_p - oracle_delta_p(g, red, weighted)) <= TOL
 
     @pytest.mark.parametrize("seed", [3, 8])
     @pytest.mark.parametrize("weighted", [True, False])
@@ -168,11 +168,11 @@ class TestScreenedGaps:
         thresholds = ScreeningThresholds(0.02, 0.3)
         res = screen_partitions(g, 12, thresholds, 5000, seed, weighted=weighted)
         assert res.n_accepted > 0
-        for sp in res.accepted:
-            red = sp.partition.red_ids.tolist()
-            assert abs(sp.delta_rho - oracle_delta_rho(g, red)) <= TOL
-            assert abs(sp.delta_p - oracle_delta_p(g, red, weighted)) <= TOL
-            assert sp.delta_rho > thresholds.tau_rho and sp.delta_p > thresholds.tau_p
+        for ids, d_rho, d_p in zip(res.red_ids, res.delta_rho, res.delta_p):
+            red = ids.tolist()
+            assert abs(d_rho - oracle_delta_rho(g, red)) <= TOL
+            assert abs(d_p - oracle_delta_p(g, red, weighted)) <= TOL
+            assert d_rho > thresholds.tau_rho and d_p > thresholds.tau_p
 
 
 def edgeless_graph(n=8):
@@ -199,10 +199,10 @@ class TestExactScreenedDensity:
         m = 2 if small else g.n - 2
         res = screen_partitions(g, m, ScreeningThresholds(-np.inf, -np.inf), 300, 17)
         assert res.n_accepted == 300
-        for sp in res.accepted:
-            red = sp.partition.red_ids.tolist()
-            assert sp.delta_rho == oracle_delta_rho(g, red)
-            assert delta_rho(g, sp.partition) == sp.delta_rho
+        for ids, d_rho in zip(res.red_ids, res.delta_rho):
+            red = ids.tolist()
+            assert d_rho == oracle_delta_rho(g, red)
+            assert delta_rho(g, Partition(g.n, ids)) == d_rho
 
 def hub_graph():
     """12 vertices: hub 0 joined to 1..9, a few edges among its leaves, one
@@ -216,10 +216,10 @@ def hub_graph():
 def check_screened_density(g, m, draws, seed):
     res = screen_partitions(g, m, ScreeningThresholds(-np.inf, -np.inf), draws, seed)
     assert res.n_accepted == draws
-    for sp in res.accepted:
-        red = sp.partition.red_ids.tolist()
-        assert sp.delta_rho == oracle_delta_rho(g, red), (m, red)
-        assert delta_rho(g, sp.partition) == sp.delta_rho, (m, red)
+    for ids, d_rho in zip(res.red_ids, res.delta_rho):
+        red = ids.tolist()
+        assert d_rho == oracle_delta_rho(g, red), (m, red)
+        assert delta_rho(g, Partition(g.n, ids)) == d_rho, (m, red)
     return res
 
 
@@ -229,7 +229,7 @@ class TestScreenedDensityOnAnIrregularGraph:
         g = hub_graph()
         res = check_screened_density(g, m, 200, m)
         # the draws reach both extremes: red sets with the hub and with the isolated vertex
-        reds = [set(sp.partition.red_ids.tolist()) for sp in res.accepted]
+        reds = [set(ids.tolist()) for ids in res.red_ids]
         assert any(0 in red for red in reds) and any(11 in red for red in reds)
 
     @pytest.mark.parametrize("m", [2, 5, 10])

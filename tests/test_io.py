@@ -284,10 +284,15 @@ class TestGenerateSurrogate:
     def test_deterministic(self):
         assert generate_surrogate(seed=9) == generate_surrogate(seed=9)
 
-    @pytest.mark.parametrize("knob", ["mean_extra_messages", "concentration"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    # 1e19 messages lie past numpy's Poisson bound; at concentration 1e-3 some
+    # edge's 32 gamma draws all underflow to 0, which no topic map can hold
+    @pytest.mark.parametrize("knob,value", [
+        pytest.param(knob, value, id=f"{value}-{knob}")
+        for value in (np.nan, np.inf, -1.0) for knob in ("mean_extra_messages", "concentration")
+    ] + [pytest.param("mean_extra_messages", 1e19, id="1e19-mean_extra_messages"),
+         pytest.param("concentration", 1e-3, id="1e-3-concentration")])
     def test_non_finite_or_negative_rate_rejected(self, knob, value):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=knob):
             generate_surrogate(seed=9, **{knob: value})
 
     def test_screening_finds_acceptable_partitions(self):
@@ -352,7 +357,7 @@ class TestResultSerialization:
 
         g = generate_surrogate(seed=42)
         res = screen_partitions(g, 10, ScreeningThresholds(0.1, 0.2), 20_000, 1)
-        trials = run_importance_trials(g, res.accepted[:25], 5, (0.0, 1.0), 2, 3)
+        trials = run_importance_trials(g, res.take(slice(25)), 5, (0.0, 1.0), 2, 3)
         text = rate_bins_csv(trials, {"seed": 1})
         rows = data_section(text).splitlines()
         assert rows[0] == "component,bin_lo,bin_hi,n_partitions,gamma,mean_mrr"
@@ -369,7 +374,7 @@ class TestResultSerialization:
 
         g = generate_surrogate(seed=42)
         res = screen_partitions(g, 10, ScreeningThresholds(0.1, 0.2), 20_000, 1)
-        trials = run_importance_trials(g, res.accepted[:30], 5, (0.0, 0.5, 1.0), 2, 3)
+        trials = run_importance_trials(g, res.take(slice(30)), 5, (0.0, 0.5, 1.0), 2, 3)
         text = trials_to_csv(res, trials, {"seed": 1})
         data = data_section(text)
         assert "fusion_advantage_mrr" in data

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vnom import (PMF, EstimatedRates, InputError, KidneyEggParams, MetricTable, Partition,
-                  Ranking, ScreenedPartition, ScreeningThresholds, Simplex3, SweepSpec, TopicMap,
+                  Ranking, ScreeningResult, ScreeningThresholds, Simplex3, SweepSpec, TopicMap,
                   generate_surrogate, sample_kidney_egg)
 from vnom.experiments import CellResult
 from vnom.graph import GREEN, RED
@@ -15,7 +15,8 @@ from vnom.graph import GREEN, RED
 SPEC = SweepSpec(40, (0.8, 0.1, 0.1), (0.4, 0.3, 0.3), (6, 12), (0.0, 0.5, 1.0), 3, 7, 0.5)
 TABLE = MetricTable((0.0, 1.0), (), np.array([[1.0, 0.5, 0.5], [0.0, 0.25, 0.3]]),
                     np.full((2, 3), np.nan), 1)
-SCREENED = ScreenedPartition(Partition(6, [4, 1]), TopicMap([RED, GREEN, GREEN]), 0.25, 0.5, 9)
+SCREENED = ScreeningResult(np.array([[1, 4]]), np.array([[RED, GREEN, GREEN]], dtype=np.int8),
+                           np.array([0.25]), np.array([0.5]), np.array([9]), 12)
 
 
 class TestEquality:
@@ -72,8 +73,9 @@ class TestConstruction:
                              gamma_grid=(0.0, 0.5, 1.0), replicates=3, master_seed=7,
                              m_prime_ratio=0.5)
         assert keywords == SPEC
-        assert ScreenedPartition(partition=SCREENED.partition, topic_map=SCREENED.topic_map,
-                                 delta_rho=0.25, delta_p=0.5, draw_index=9) == SCREENED
+        assert ScreeningResult(red_ids=SCREENED.red_ids, topic_labels=SCREENED.topic_labels,
+                               delta_rho=np.array([0.25]), delta_p=np.array([0.5]),
+                               draw_index=np.array([9]), attempts=12) == SCREENED
         assert EstimatedRates(0.1, 0.2, s1=0.3, s2=0.4) == EstimatedRates(0.1, 0.2, 0.3, 0.4)
 
     @pytest.mark.parametrize("args, kwargs, message", [
@@ -98,15 +100,13 @@ class TestPresentation:
     def test_repr_leaves_out_array_fields(self):
         assert repr(Partition(5, [1, 2])) == "Partition(n=5)"
         assert repr(TABLE) == "MetricTable(gammas=(0.0, 1.0), y_values=(), replicates=1)"
-        assert repr(SCREENED) == ("ScreenedPartition(partition=Partition(n=6), "
-                                  "topic_map=TopicMap(), delta_rho=0.25, delta_p=0.5, "
-                                  "draw_index=9)")
+        assert repr(SCREENED) == "ScreeningResult(attempts=12)"
 
     @pytest.mark.parametrize("cls, first_line", [
         (Partition, "A two-way vertex partition: a red set and its green complement."),
         (MetricTable, "Means and standard errors over replicates, one row per gamma."),
         (SweepSpec, "A sweep over m (and derived m_prime) for fixed n, p, s."),
-        (ScreenedPartition, "An accepted partition with its gaps and derived topic map."),
+        (ScreeningResult, "A screen's accepted draws as columns, one row a draw in draw order:"),
     ])
     def test_class_docstrings_survive(self, cls, first_line):
         assert cls.__doc__.splitlines()[0] == first_line
@@ -115,7 +115,7 @@ class TestPresentation:
         SPEC, CellResult(6, 3, TABLE, {"mrr": 0.5}), SCREENED, TABLE, Simplex3(0.5, 0.25, 0.25),
         ScreeningThresholds(), PMF([0.5, 0.5])])
     def test_pickle_round_trip(self, record):
-        # the spawned worker pool pickles sweep specs, cell results and screened partitions
+        # the spawned worker pool pickles sweep specs, cell results and screened rows
         copy = pickle.loads(pickle.dumps(record))
         assert copy == record and type(copy) is type(record)
         with pytest.raises(AttributeError):
