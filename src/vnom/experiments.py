@@ -31,7 +31,7 @@ from .kidney_egg import KidneyEggParams, Simplex3, sample_kidney_egg
 from .metrics import CRITERIA, MetricTable, mask_metrics
 from .nomination import (GAMMA_GRID_DEFAULT, candidate_statistics, fused_order,
                          prepare_ranking, tiebreak_order, validate_gamma_grid)
-from .seeding import child_generators
+from .seeding import KEY_VALUES, child_generators
 
 
 class SweepSpec(_Record):
@@ -62,8 +62,7 @@ class SweepSpec(_Record):
                                tuple(int(v) for v in self.m_prime_values))
         if not self.m_values:
             raise InputError("m_values must be non-empty")
-        if self.replicates < 1:
-            raise InputError("replicates must be >= 1")
+        _check_replicates(self.replicates)
         has_ratio = self.m_prime_ratio is not None
         has_list = self.m_prime_values is not None
         if has_ratio == has_list:
@@ -93,6 +92,14 @@ class SweepSpec(_Record):
                 reason = f"need m > m_prime >= 1, got m={m}, m_prime={mp}"
             out.append((m, mp, reason))
         return out
+
+
+def _check_replicates(replicates: int, name: str = "replicates"):
+    """Replicate r is seeded by a key word r, so a count lies in 1..2**32;
+    checked before any key is made."""
+    if not 1 <= replicates <= KEY_VALUES:
+        raise InputError(f"{name} must lie in 1..2**32 (replicate keys stop at "
+                         f"2**32 - 1), got {replicates}")
 
 
 class CellResult(_Record):
@@ -202,7 +209,9 @@ def _replicate_values(params: KidneyEggParams, gamma_grid, seed, rep_keys, y_val
 
     The replicate keyed ``key`` samples one graph from the stream of
     ``child_seed(seed, *key, 0)`` and ranks it at every gamma with the
-    tie-break stream of ``child_seed(seed, *key, 1)``.
+    tie-break keys that the stream of ``child_seed(seed, *key, 1)`` draws:
+    a range 0..candidates-1 shuffled in place, which is numpy's
+    ``Generator.permutation(candidates)``, draw for draw.
 
     Replicates run in chunks of at most ``_CHUNK_CELLS`` ranked cells, so
     working memory does not grow with the replicate count.  Every graph has the
@@ -226,11 +235,12 @@ def _replicate_values(params: KidneyEggParams, gamma_grid, seed, rep_keys, y_val
         t0 = np.empty((reps, size), dtype=np.int64)
         t1 = np.empty_like(t0)
         tiebreak = np.empty_like(t0)
+        tiebreak[:] = np.arange(size)  # each row shuffled in place: permutation(size)'s draws
         red = np.empty((reps, size), dtype=bool)
         for r, (sample_rng, tie_rng) in zip(range(reps), pairs):  # range first: no pair lost
             g = sample_kidney_egg(params, sample_rng)
             cand, t0[r], t1[r] = candidate_statistics(g)
-            tiebreak[r] = tie_rng.permutation(size)
+            tie_rng.shuffle(tiebreak[r])
             red[r] = g.truth[cand] == RED  # every candidate is occluded, so red <=> red candidate
             del g  # freed before the next is sampled; holding it made sweeps ~7% slower
         scores = prepare_ranking(t0, t1)  # once per chunk, not per graph
@@ -285,8 +295,7 @@ def gamma_surface(params: KidneyEggParams, gamma_grid, y_max: int,
     first red candidate's rank is its reciprocal rank.
     """
     grid = validate_gamma_grid(gamma_grid)
-    if replicates < 1:
-        raise InputError("replicates must be >= 1")
+    _check_replicates(replicates)
     n_red_candidates = params.m - params.m_prime
     if not 1 <= y_max <= n_red_candidates:
         raise InputError(

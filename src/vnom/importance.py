@@ -30,7 +30,7 @@ import numpy as np
 from .errors import EmptyProfileError, InputError, UndefinedDensityError
 from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph, _Record,
                     _subset_array)
-from .experiments import evaluate_grid, parallel_map
+from .experiments import _check_replicates, evaluate_grid, parallel_map
 from .kidney_egg import _pair_offsets, _pairs
 from .metrics import MetricTable, mean_se
 from .nomination import score_counts, validate_gamma_grid
@@ -233,8 +233,9 @@ def _topics(cum_topics: np.ndarray, u: np.ndarray) -> np.ndarray:
     uint16 for any k <= ``graph.MAX_TOPICS``.  ``cum_topics`` is the
     (topics x edges) table of :func:`_cumulative_topics`."""
     topics = np.zeros(u.shape, dtype=np.uint8 if len(cum_topics) <= 256 else np.uint16)
+    above = np.empty(u.shape, dtype=bool)
     for threshold in cum_topics[:-1]:
-        topics += u >= threshold
+        topics += np.greater_equal(u, threshold, out=above)
     return topics
 
 
@@ -462,23 +463,28 @@ def _draw_instances(g: TopicGraph, block: ScreeningResult, first: int, m_prime: 
     Replicate r of the partition with ordinal o draws its edge uniforms, its
     m_prime identified red vertices and its tie-break permutation from the
     streams of child_seed(base_seed, o, r, 0..2), as if it ran alone; the
-    block's streams are derived in one batch.  The uniforms of all instances
-    then map to topics together, and each partition's topics to its labels.
+    block's streams are derived in one batch.  Uniforms are drawn straight
+    into their row, and a permutation is a range shuffled in place, which is
+    numpy's ``Generator.permutation``, draw for draw.  The uniforms of all
+    instances then map to topics together, and each partition's topics to its
+    labels, read from the block's flat label table.
     """
     n_inst, n_cand = block.n_accepted * replicates, g.n - m_prime
     u = np.empty((n_inst, g.num_edges))
     identified = np.zeros((n_inst, g.n), dtype=bool)
     tiebreak = np.empty((n_inst, n_cand), dtype=np.int64)
+    tiebreak[:] = np.arange(n_cand)
     rngs = child_generators(base_seed, [(first + j, rep, stream) for j in range(block.n_accepted)
                                         for rep in range(replicates) for stream in range(3)])
     for i, (edge_rng, ident_rng, tie_rng) in enumerate(zip(rngs, rngs, rngs)):
-        u[i] = edge_rng.random(g.num_edges)
+        edge_rng.random(out=u[i])
         red_ids = block.red_ids[i // replicates]
         identified[i, ident_rng.choice(red_ids, size=m_prime, replace=False)] = True
-        tiebreak[i] = tie_rng.permutation(n_cand)
+        tie_rng.shuffle(tiebreak[i])
     topics = _topics(cum_topics, u)
     del u
-    attr = block.topic_labels[np.arange(n_inst)[:, None] // replicates, topics]
+    row_starts = np.arange(n_inst) // replicates * g.k_topics
+    attr = block.topic_labels.ravel()[topics + row_starts[:, None]]
     return attr, identified, tiebreak
 
 
@@ -524,8 +530,7 @@ def check_trial_arguments(m: int, m_prime: int, gamma_grid, replicates: int,
     grid = validate_gamma_grid(gamma_grid)
     if not 1 <= m_prime < m:
         raise InputError(f"m_prime={m_prime} must lie in 1..{m - 1} (red set of {m})")
-    if replicates < 1:
-        raise InputError("replicates_per_partition must be >= 1")
+    _check_replicates(replicates, "replicates_per_partition")
     # gaps lie in [-1, 2]: a smaller width overflows gap / width to infinity
     if not (isfinite(bin_width) and bin_width > 0 and isfinite(2 / bin_width)):
         raise InputError(f"bin width must be finite and > 0, with finitely many bins "

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateConditioningError, InputError
 from .graph import GREEN, MAX_VERTICES, OCCLUDED, RED, AttributedGraph, _Record
 from .nomination import score_counts
-from .seeding import child_generators, generator
+from .seeding import KEY_VALUES, child_generators, generator
 
 _SAMPLE_CHUNK = 4096  # sample streams derived per batch, bounding the batch's seed states
 
@@ -211,19 +211,21 @@ def sample_kidney_egg(params: KidneyEggParams, seed) -> AttributedGraph:
     iu, iv = _pairs(n)  # lexicographic pair order
     u = rng.random(iu.size)
     p, s = params.p, params.s
-    present = u >= p.q0
+    # pair masks: an edge is present, and it is green (read where present alone)
+    present, green = u >= p.q0, u >= p.q0 + p.q1
     # red-red pairs use s instead
     ra, rb = _pairs(m)
     pos = _pair_offsets(n)[red[ra]] + red[rb]
     ur = u[pos]
-    red_present = ur >= s.q0
-    present[pos] = red_present
-    # one pass finds the edges; attributes are computed for them alone
+    present[pos] = ur >= s.q0
+    green[pos] = ur >= s.q0 + s.q1
+    # one pass finds the edges; attributes are read for them alone
     idx = present.nonzero()[0]
-    attr = 1 + (u[idx] >= p.q0 + p.q1)
-    attr[idx.searchsorted(pos[red_present])] = 1 + (ur[red_present] >= s.q0 + s.q1)
-    # pair order is already canonical (u < v, lexicographic)
-    return AttributedGraph._from_canonical(n, iu[idx], iv[idx], attr, truth, observed,
+    attr = green[idx].astype(np.int64)
+    attr += 1
+    # pair order is already canonical (u < v, lexicographic); take gathers
+    # faster than indexing
+    return AttributedGraph._from_canonical(n, iu.take(idx), iv.take(idx), attr, truth, observed,
                                            k_edge_attrs=2)
 
 
@@ -302,8 +304,9 @@ def empirical_score_pmfs(params: KidneyEggParams, n_samples: int, seed):
     both exist because n > m > m_prime).  Returns a nested dict
     ``{"green"|"red": {"context": PMF, "content": PMF}}``.
     """
-    if n_samples < 1:
-        raise InputError("n_samples must be >= 1")
+    if not 1 <= n_samples <= KEY_VALUES:  # sample i is seeded by the key word i
+        raise InputError(f"n_samples must lie in 1..2**32 (sample keys stop at 2**32 - 1), "
+                         f"got {n_samples}")
     # (sample, green/red vertex, context/content score)
     scores = np.empty((n_samples, 2, 2), dtype=np.int64)
     chunks = (child_generators(seed, [(i,) for i in range(lo, min(lo + _SAMPLE_CHUNK, n_samples))])

@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .graph import RED, AttributedGraph, _Record, _sorted_unique, candidate_set
+from .graph import RED, AttributedGraph, _Record, _sorted_unique
 from .seeding import generator
 
 GAMMA_GRID_DEFAULT = tuple(k / 100 for k in range(101))
@@ -108,17 +108,20 @@ def score_counts(n: int, edge_u, edge_v, red_edge, identified):
     to_identified = identified[edge_v].nonzero()[0]
     from_identified = identified[edge_u].nonzero()[0]
     red = red_edge.nonzero()[0]
-    context = (np.bincount(edge_u[to_identified], minlength=n)
-               + np.bincount(edge_v[from_identified], minlength=n))
-    content = (np.bincount(edge_u[red], minlength=n)
-               + np.bincount(edge_v[red], minlength=n))
+    context = np.bincount(edge_u[to_identified], minlength=n)
+    context += np.bincount(edge_v[from_identified], minlength=n)
+    content = np.bincount(edge_u[red], minlength=n)
+    content += np.bincount(edge_v[red], minlength=n)
     return context, content
 
 
 def candidate_statistics(g: AttributedGraph):
-    """(candidate ids, context scores, content scores) as aligned arrays."""
-    cand = candidate_set(g)
-    t0, t1 = score_counts(g.n, g.edge_u, g.edge_v, g.edge_attr == RED, g.observed == RED)
+    """(candidate ids, context scores, content scores) as aligned arrays.
+    A vertex is observed RED or OCCLUDED, so the candidates (occluded, as
+    :func:`vnom.graph.candidate_set` finds them) are the unidentified ones."""
+    identified = g.observed == RED
+    cand = (~identified).nonzero()[0]
+    t0, t1 = score_counts(g.n, g.edge_u, g.edge_v, g.edge_attr == RED, identified)
     return cand, t0[cand], t1[cand]
 
 

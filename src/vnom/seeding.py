@@ -35,6 +35,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _POOL_SIZE = 4  # child_seed keeps numpy's default pool size
 _PCG64_WORDS = 4  # PCG64 seeds from generate_state(4, np.uint64)
+KEY_VALUES = _MASK32 + 1  # a key word of child_generators lies in 0..KEY_VALUES-1
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:

@@ -221,6 +221,33 @@ class TestExitCodes:
         assert "error: n must be at most 16777216" in err and "Traceback" not in err
         assert out == ""
 
+    def test_samples_beyond_the_key_range_exit_1(self, capsys):
+        # sample i is seeded by the key (i,), whose word stops at 2**32 - 1:
+        # rejected before the (samples x 2 x 2) score array is made
+        code, out, err = run_cli(capsys, "analytic", "--n", "184", "--m", "40", "--m-prime", "10",
+                                 "--samples", str(2**32 + 1), "--seed", "1")
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert f"error: n_samples must lie in 1..2**32 (sample keys stop at 2**32 - 1), " \
+               f"got {2**32 + 1}" in err
+
+    @pytest.mark.parametrize("argv", [["sweep", "--m-list", "4"], ["surface"]],
+                             ids=["sweep", "surface"])
+    def test_replicates_beyond_the_key_range_exit_1(self, capsys, argv):
+        # rejected before one key tuple per replicate is built
+        code, out, err = run_cli(capsys, *argv, "--replicates", str(2**32 + 1), "--seed", "1")
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert f"error: replicates must lie in 1..2**32 (replicate keys stop at 2**32 - 1), " \
+               f"got {2**32 + 1}" in err
+
+    def test_memory_error_without_text_names_only_the_cause(self, capsys, monkeypatch):
+        def allocate(args):
+            raise MemoryError()
+        help_text, flags, _ = _COMMANDS["baseline"]
+        monkeypatch.setitem(_COMMANDS, "baseline", (help_text, flags, allocate))
+        code, out, err = run_cli(capsys, "baseline", "--candidates", "4", "--reds", "1",
+                                 "--criterion", "mrr")
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
     def test_negative_top_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--n", "20", "--m", "8",
                                  "--m-prime", "2", "--top", "-3", "--seed", "1")

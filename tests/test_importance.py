@@ -795,7 +795,7 @@ class TestCheckTrialArguments:
     @pytest.mark.parametrize("m,m_prime,grid,replicates,width", [
         (10, 10, (0.5,), 1, 0.1), (10, 0, (0.5,), 1, 0.1), (10, 5, (0.5,), 0, 0.1),
         (10, 5, (0.5,), 1, 0.0), (10, 5, (0.5,), 1, np.nan), (10, 5, (1.5,), 1, 0.1),
-        (10, 5, (0.5, 0.5), 1, 0.1), (10, 5, (), 1, 0.1)])
+        (10, 5, (0.5, 0.5), 1, 0.1), (10, 5, (), 1, 0.1), (10, 5, (0.5,), 2**32 + 1, 0.1)])
     def test_rejects(self, m, m_prime, grid, replicates, width):
         with pytest.raises(InputError):
             check_trial_arguments(m, m_prime, grid, replicates, width)

@@ -2,7 +2,8 @@
 
 The oracle is numpy itself: each child generator's seed state and first
 draws must equal those of ``SeedSequence(entropy, spawn_key=prefix + key)``.
-If numpy ever changes its hash, these tests fail.
+If numpy ever changes its hash, these tests fail.  The last tests pin two
+draw identities of numpy's Generator that the engine's streams rely on.
 """
 
 import random
@@ -98,3 +99,28 @@ def test_precomputed_state_from_a_strided_row():
     rng = np.random.Generator(np.random.PCG64(_state_class()(strided)))
     want = np.random.default_rng(np.random.SeedSequence(3))
     assert rng.integers(2**63, size=8).tolist() == want.integers(2**63, size=8).tolist()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 179, 70_000])
+def test_permutation_is_a_range_shuffled_in_place(k):
+    # the tie-break rows of experiments._replicate_values and
+    # importance._draw_instances are ranges shuffled in place as row views of
+    # a 2-D array, in place of Generator.permutation: same values, same draws
+    rows = np.empty((3, k), dtype=np.int64)
+    rows[:] = np.arange(k)
+    rng, want = np.random.default_rng(k), np.random.default_rng(k)
+    rng.shuffle(rows[1])
+    assert np.array_equal(rows[1], want.permutation(k))
+    assert np.array_equal(rows[[0, 2]], np.broadcast_to(np.arange(k), (2, k)))
+    assert rng.random() == want.random()  # the streams stay in step
+
+
+@pytest.mark.parametrize("size", [0, 1, 179, 16_836])
+def test_random_into_a_row_draws_as_random_of_its_size(size):
+    # importance._draw_instances draws each instance's edge uniforms into its row
+    rows = np.zeros((3, size))
+    rng, want = np.random.default_rng(size), np.random.default_rng(size)
+    rng.random(out=rows[1])
+    assert np.array_equal(rows[1], want.random(size))
+    assert not rows[[0, 2]].any()
+    assert rng.random() == want.random()
