@@ -213,8 +213,12 @@ def _replicate_values(params: KidneyEggParams, gamma_grid, seed, rep_keys, y_val
     a range 0..candidates-1 shuffled in place, which is numpy's
     ``Generator.permutation(candidates)``, draw for draw.
 
-    Replicates run in chunks of at most ``_CHUNK_CELLS`` ranked cells, so
-    working memory does not grow with the replicate count.  Every graph has the
+    Replicates are sampled and ranked in chunks of at most ``_CHUNK_CELLS``
+    ranked cells, so the graphs, scores and masks in flight do not grow with
+    the replicate count.  What does grow with it: the key list, the table of
+    every replicate's two seed states (:func:`vnom.seeding.child_generators`
+    hashes them all before the first graph is sampled) and the (gammas x
+    metrics x replicates) values returned.  Every graph has the
     n - m_prime candidates of its cell, so a chunk's scores, red masks and
     tie-break keys fill (replicates x candidates) arrays, which one
     :func:`vnom.nomination.prepare_ranking` call narrows and one

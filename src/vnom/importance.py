@@ -231,11 +231,16 @@ def _topics(cum_topics: np.ndarray, u: np.ndarray) -> np.ndarray:
     Cumulative sums of non-negative probabilities never decrease, so that is
     the count over all k capped at k - 1: a uint8 holds it for k <= 256, a
     uint16 for any k <= ``graph.MAX_TOPICS``.  ``cum_topics`` is the
-    (topics x edges) table of :func:`_cumulative_topics`."""
+    (topics x edges) table of :func:`_cumulative_topics`.  Each threshold's
+    compare fills one reused bool buffer, which is added through its uint8
+    view (a bool is one byte of 0 or 1), so a uint8 count adds it with no
+    cast."""
     topics = np.zeros(u.shape, dtype=np.uint8 if len(cum_topics) <= 256 else np.uint16)
     above = np.empty(u.shape, dtype=bool)
+    ones = above.view(np.uint8)
     for threshold in cum_topics[:-1]:
-        topics += np.greater_equal(u, threshold, out=above)
+        np.greater_equal(u, threshold, out=above)
+        topics += ones
     return topics
 
 
@@ -323,17 +328,22 @@ def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
     """(rows x n) mask of each row's m smallest keys: the set
     ``np.argpartition(keys, m - 1, axis=1)[:, :m]`` picks.
 
-    Each row's m-th smallest key comes from ``np.partition``, which copies
-    what it is given: it takes a quarter of the rows at a time, so the copy
-    stays small beside the keys.  A row whose keys tie at the m-th place
-    marks more than m entries; those rows alone take argpartition's pick.
-    Every row marks at least m, so one total over the mask finds whether any
-    row ties before a count per row looks for which.
+    The keys must be non-negative floats, never NaN and never -0.0, as
+    ``Generator.random`` draws them: such doubles order exactly as their
+    int64 bit patterns, so the keys are partitioned and compared as bits,
+    which numpy does faster than as floats.  Each row's m-th smallest key
+    comes from ``np.partition``, which copies what it is given: it takes a
+    quarter of the rows at a time, so the copy stays small beside the keys.
+    A row whose keys tie at the m-th place marks more than m entries; those
+    rows alone take argpartition's pick of the float keys.  Every row marks
+    at least m, so one total over the mask finds whether any row ties before
+    a count per row looks for which.
     """
+    bits = keys.view(np.int64)
     mask = np.empty(keys.shape, dtype=bool)
     step = -(-len(keys) // 4)
     for lo in range(0, len(keys), step):
-        chunk = keys[lo:lo + step]
+        chunk = bits[lo:lo + step]
         np.less_equal(chunk, np.partition(chunk, m - 1, axis=1)[:, m - 1:m],
                       out=mask[lo:lo + step])
     if np.count_nonzero(mask) == len(keys) * m:

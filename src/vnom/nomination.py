@@ -17,15 +17,17 @@ order at every gamma.
 
 :func:`prepare_ranking` stacks both scores into one ``(..., 2, candidates)``
 array, checks their range once per candidate set and narrows the stack to
-uint8 (every score below 2**8) or int32 (below 2**31).  Each gamma's keys are
+int16 (every score below 2**8) or int32 (below 2**31).  Each gamma's keys are
 then the product of the negated weight vector ``w = (-(den-num), -num)`` with
 the stack: ``np.dot(w, scores)`` for a single row, and for a stack of rows two
 multiplies in the weights' dtype and an add, which beat numpy's integer
 matmul there.  The stack's dtype and ``den`` alone pick the weights' dtype,
 and with it the key type, with no pass over the data:
 
-- uint8 scores and ``den <= 128`` give int16 keys (|key| <= 128*255 < 2**15);
-- uint8 or int32 scores and ``den < 2**32`` give int64 keys;
+- int16 scores below 2**8 and ``den <= 128`` give int16 keys
+  (|key| <= 128*255 < 2**15): int16 weights times an int16 stack, so no
+  gamma's product casts the stack;
+- int16 or int32 scores and ``den < 2**32`` give int64 keys;
 - any other keys, as for a gamma that is no small rational, are Python ints.
 
 Both terms of a key share a sign and its magnitude is at most ``den`` times
@@ -103,15 +105,15 @@ def validate_gamma_grid(gamma_grid) -> tuple:
 def score_counts(n: int, edge_u, edge_v, red_edge, identified):
     """(context, content) of all n vertices: neighbors in the ``identified``
     vertex mask, and incident edges in the ``red_edge`` edge mask (both
-    boolean arrays).  Masks become index arrays once and the endpoints are
-    gathered by them, which is cheaper than boolean indexing."""
+    boolean arrays).  Masks become index arrays once; each score's endpoints,
+    gathered from both ends with ``take``, are joined into one array and
+    counted by one ``bincount``."""
     to_identified = identified[edge_v].nonzero()[0]
     from_identified = identified[edge_u].nonzero()[0]
     red = red_edge.nonzero()[0]
-    context = np.bincount(edge_u[to_identified], minlength=n)
-    context += np.bincount(edge_v[from_identified], minlength=n)
-    content = np.bincount(edge_u[red], minlength=n)
-    content += np.bincount(edge_v[red], minlength=n)
+    context = np.bincount(np.concatenate((edge_u.take(to_identified),
+                                          edge_v.take(from_identified))), minlength=n)
+    content = np.bincount(np.concatenate((edge_u.take(red), edge_v.take(red))), minlength=n)
     return context, content
 
 
@@ -126,9 +128,9 @@ def candidate_statistics(g: AttributedGraph):
 
 
 _SMALL_DENOMINATOR = 1_000_000  # largest denominator read as a small rational
-_UINT8, _INT32 = np.dtype(np.uint8), np.dtype(np.int32)
-_NARROW = (_UINT8, _INT32)  # the score dtypes prepare_ranking returns short of int64
-_INT16_DEN = 128  # den up to this keeps every fused key of uint8 scores inside int16
+_INT16, _INT32 = np.dtype(np.int16), np.dtype(np.int32)
+_NARROW = (_INT16, _INT32)  # the score dtypes prepare_ranking returns short of int64
+_INT16_DEN = 128  # den up to this keeps every fused key of scores below 2**8 inside int16
 _INT64_DEN = 1 << 32  # den below this keeps every fused key of int32 scores inside int64
 
 
@@ -155,13 +157,15 @@ def _gamma_weights(gamma) -> tuple:
 def prepare_ranking(t0, t1) -> np.ndarray:
     """The C-contiguous ``(..., 2, candidates)`` stack of context scores
     ``t0`` and content scores ``t1``, in the narrowest dtype of
-    :func:`fused_order`'s key tiers: uint8 when every score lies in
+    :func:`fused_order`'s key tiers: int16 when every score lies in
     [0, 2**8), int32 when every score lies in [0, 2**31), else int64.  Each
     range holds exactly when the bitwise OR of all scores lies in it, so one
-    reduction per input picks the dtype, and the stack is built in it."""
+    reduction per input picks the dtype, and the stack is built in it.  The
+    narrow tier is int16, the dtype of its keys, so its product with int16
+    weights casts nothing at any gamma."""
     t0, t1 = np.asarray(t0, dtype=np.int64), np.asarray(t1, dtype=np.int64)
     bits = np.bitwise_or.reduce(t0, axis=None) | np.bitwise_or.reduce(t1, axis=None)  # 0 if empty
-    dtype = _UINT8 if 0 <= bits < 1 << 8 else _INT32 if 0 <= bits < 1 << 31 else np.int64
+    dtype = _INT16 if 0 <= bits < 1 << 8 else _INT32 if 0 <= bits < 1 << 31 else np.int64
     return np.stack((t0, t1), axis=-2, dtype=dtype, casting="unsafe")
 
 
@@ -170,9 +174,12 @@ def _fused_keys(scores, gamma) -> tuple:
     :func:`prepare_ranking`, an exact integer per candidate, ascending as
     the fused score descends, in the key tier (module docstring) that the
     stack's dtype and ``den`` pick.  The stable sort of any tier gives the
-    same permutation, so the choice never moves an output byte."""
+    same permutation, so the choice never moves an output byte.  In the
+    narrow tier the weights have the stack's own dtype (int16 with int16), so
+    the product reads the stack as it is; int64 keys widen the stack inside
+    the product, at larger denominators or wider scores."""
     den, int16_weights, int64_weights, exact_weights = _gamma_weights(gamma)
-    if scores.dtype == _UINT8 and den <= _INT16_DEN:
+    if scores.dtype == _INT16 and den <= _INT16_DEN:
         weights = int16_weights
     elif scores.dtype in _NARROW and den < _INT64_DEN:
         weights = int64_weights

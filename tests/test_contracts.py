@@ -26,8 +26,8 @@ import vnom.experiments
 import vnom.importance
 import vnom.nomination
 from vnom import (GAMMA_GRID_DEFAULT, KidneyEggParams, ScreeningThresholds, candidate_statistics,
-                  gamma_surface, generate_surrogate, read_topic_graph, sample_kidney_egg,
-                  screen_partitions)
+                  gamma_surface, generate_surrogate, read_topic_graph, run_importance_trials,
+                  sample_kidney_egg, screen_partitions)
 from vnom.experiments import evaluate_grid
 from vnom.graph import RED
 from vnom.io import data_section
@@ -330,6 +330,34 @@ def test_bench_surface_shape_sorts_only_16_bit_keys(monkeypatch):
     seen.clear()
     evaluate_grid(t0, t1, red, tiebreak, GAMMA_GRID_DEFAULT, (1, 2, 3))
     assert seen == [np.dtype(np.uint16)] + [np.dtype(np.int64)] * grid
+
+
+def test_bench_shape_products_cast_no_stack(monkeypatch):
+    # a product whose stack is not in the weights' dtype casts the stack at
+    # every gamma, which value tests cannot see: at the bench surface and
+    # importance shapes every stack must reach _fused_keys as int16 and give
+    # int16 keys, so the weights it picked were int16 too
+    seen = []
+    fused_keys = vnom.nomination._fused_keys
+
+    def spied(scores, gamma):
+        keys, den = fused_keys(scores, gamma)
+        seen.append((scores.shape, scores.dtype, keys.dtype))
+        return keys, den
+
+    monkeypatch.setattr(vnom.nomination, "_fused_keys", spied)
+    params = KidneyEggParams(184, 40, 30, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
+    gamma_surface(params, GAMMA_GRID_DEFAULT, y_max=3, replicates=3, seed=3)
+    int16 = np.dtype(np.int16)
+    assert seen == [((2, 154), int16, int16)] * (3 * len(GAMMA_GRID_DEFAULT))
+    # one trial block of the importance workload: 32 partitions x 3 replicates
+    g = generate_surrogate(184, 32, seed=3)
+    screening = screen_partitions(g, 10, ScreeningThresholds(), 4096, child_seed(3, 1))
+    assert screening.n_accepted >= vnom.importance._TRIAL_BLOCK
+    seen.clear()
+    run_importance_trials(g, screening.take(slice(vnom.importance._TRIAL_BLOCK)), 5,
+                          (0.0, 0.5, 1.0), 3, child_seed(3, 2))
+    assert seen == [((32 * 3, 2, 184 - 5), int16, int16)] * 3
 
 
 def test_scores_are_checked_once_per_candidate_set(monkeypatch):

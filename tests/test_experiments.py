@@ -120,7 +120,7 @@ def graph_by_graph_values(params, grid, seed, rep_keys, y_values):
 
 
 # content-led graphs at n = 260 whose top scores, at seed 4, are 256, 254 and
-# 257: in chunks of 2 the 254 graph shares a chunk with a score past uint8
+# 257: in chunks of 2 the 254 graph shares a chunk with a score of 2**8 or more
 WIDE = KidneyEggParams(260, 10, 4, (0.03, 0.95, 0.02), PAPER_S)
 CHUNK_GRID = (0.0, 0.25, 0.1 + 0.2, 0.5, 1.0)  # 0.1 + 0.2 takes object keys
 
@@ -155,7 +155,7 @@ class TestReplicateChunks:
         monkeypatch.setattr(vnom.experiments, "prepare_ranking", spied)
         keys = [(rep,) for rep in range(3)]
         graph_by_graph_values(WIDE, CHUNK_GRID, 4, keys, ())
-        assert seen == [np.dtype(np.int32), np.dtype(np.uint8), np.dtype(np.int32)]
+        assert seen == [np.dtype(np.int32), np.dtype(np.int16), np.dtype(np.int32)]
         seen.clear()
         monkeypatch.setattr(vnom.experiments, "_CHUNK_CELLS",
                             2 * len(CHUNK_GRID) * (WIDE.n - WIDE.m_prime))

@@ -196,6 +196,21 @@ class TestScreeningSelection:
         assert np.array_equal(mask, argpartition_red_sets(keys, m))
         assert (mask.sum(axis=1) == m).all()
 
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_bit_order_edges_match_argpartition(self, m):
+        # keys are compared as int64 bits: zero, two subnormals, the smallest
+        # normal, one half and the largest double below 1 must order as floats.
+        # Rows of six distinct edge keys and six more never tie; rows of each
+        # edge key twice tie at the m-th place for odd m; constant rows always
+        rng = np.random.default_rng(m)
+        edges = [0.0, 5e-324, 1e-310, 2.0 ** -1022, 0.5, 1 - 2.0 ** -53]
+        more = [1e-323, 1e-300, 2.0 ** -1022 * (1 + 2.0 ** -52), 0.25, 0.5 - 2.0 ** -54, 0.75]
+        kinds = [edges + more, edges * 2] + [[x] * 12 for x in edges]
+        keys = np.array([rng.permutation(kind) for kind in kinds for _ in range(40)])
+        mask = _smallest_keys_mask(keys, m)
+        assert np.array_equal(mask, argpartition_red_sets(keys, m))
+        assert (mask.sum(axis=1) == m).all()
+
     @pytest.mark.parametrize("levels", [2, 3, 8])
     def test_tied_rows_take_argpartitions_pick(self, levels):
         # keys on a few levels tie at the m-th place in most rows

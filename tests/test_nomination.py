@@ -166,6 +166,24 @@ class TestScoreCountsOracle:
             assert t0[i * n:(i + 1) * n].tolist() == one[0].tolist()
             assert t1[i * n:(i + 1) * n].tolist() == one[1].tolist()
 
+    @pytest.mark.parametrize("copies", [1, 6])
+    def test_stacked_copies_with_int32_ids(self, copies):
+        # as importance trials build them: int32 vertex ids, copy i shifted by
+        # i*n; copy 0 has no red edge and no identified vertex, so a stack of
+        # it alone gathers and joins only empty int32 arrays
+        rng = np.random.default_rng(12 + copies)
+        n = 23
+        eu, ev = random_edges(rng, n, 60)
+        red = rng.random((copies, eu.size)) < 0.3
+        identified = rng.random((copies, n)) < 0.25
+        red[0], identified[0] = False, False
+        shift = (np.arange(copies, dtype=np.int32) * n)[:, None]
+        edge_u = (eu.astype(np.int32) + shift).ravel()
+        edge_v = (ev.astype(np.int32) + shift).ravel()
+        assert edge_u.dtype == edge_v.dtype == np.int32
+        t0, t1 = self.check(copies * n, edge_u, edge_v, red.ravel(), identified.ravel())
+        assert not t0[:n].any() and not t1[:n].any()
+
 
 class TestRankCandidates:
     def test_distinct_scores_are_seed_independent(self):

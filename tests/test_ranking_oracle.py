@@ -132,8 +132,8 @@ TIER_GAMMAS = (0.0, 1 / 128, 0.5, 127 / 128, 1.0, 1 / 129, 128 / 129,
 
 def tier_dtypes(top, den):
     """(score stack dtype, key dtype) for scores in [0, top] at denominator den."""
-    scores = np.uint8 if top < 1 << 8 else np.int32 if top < 1 << 31 else np.int64
-    if scores == np.uint8 and den <= 128:
+    scores = np.int16 if top < 1 << 8 else np.int32 if top < 1 << 31 else np.int64
+    if scores == np.int16 and den <= 128:
         return scores, np.int16
     return scores, (np.int64 if scores != np.int64 and den < 1 << 32 else object)
 
@@ -187,7 +187,7 @@ def test_key_tiers_at_their_edges_match_oracle(top):
 
 def test_prepare_ranking_builds_no_wide_stack():
     # a sweep chunk: 40 graphs of 183 candidates, int64 scores below 2**6; an
-    # int64 (40, 2, 183) stack narrowed afterwards would hold 8x the result
+    # int64 (40, 2, 183) stack narrowed afterwards would hold 4x the result
     t0, t1 = np.random.default_rng(4).integers(0, 1 << 6, (2, 40, 183))
     tracemalloc.start()
     try:
@@ -195,7 +195,7 @@ def test_prepare_ranking_builds_no_wide_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert scores.dtype == np.uint8 and scores.shape == (40, 2, 183)
+    assert scores.dtype == np.int16 and scores.shape == (40, 2, 183)
     assert scores[:, 0].tolist() == t0.tolist() and scores[:, 1].tolist() == t1.tolist()
     assert peak <= 3 * scores.nbytes
 
@@ -224,7 +224,7 @@ def test_tiebreak_order_at_the_uint16_edge(top, dtype):
 def test_rank_candidates_matches_int64_keys(monkeypatch, seed):
     # the bench surface shape: scores below 2**8, so den <= 128 takes int16 keys
     g = sample_kidney_egg(KidneyEggParams(184, 40, 30, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2)), seed)
-    assert prepare_ranking(*candidate_statistics(g)[1:]).dtype == np.uint8
+    assert prepare_ranking(*candidate_statistics(g)[1:]).dtype == np.int16
     gammas = (0.0, 1 / 128, 0.37, 127 / 128, 1.0, 1 / 129)
     narrow = [rank_candidates(g, gamma, seed) for gamma in gammas]
     monkeypatch.setattr(vnom.nomination, "_INT16_DEN", 0)  # every den takes int64 keys
