@@ -19,10 +19,10 @@ from .metrics import (EvalReport, MetricTable, aggregate_reports, chance_baselin
                       evaluate_ranking, precision_at)
 from .experiments import (CellResult, SweepResult, SweepSpec, gamma_star, gamma_surface,
                           run_sweep)
-from .importance import (BinReport, EstimatedRates, PartitionTrial, ScreeningResult,
-                         ScreeningThresholds, TopicMap, TrialsResult, delta_p, delta_rho,
-                         estimate_rates, instantiate_edges, run_importance_trials,
-                         screen_partitions, topic_profile)
+from .importance import (BinReport, EstimatedRates, ScreeningResult, ScreeningThresholds,
+                         TopicMap, TrialsResult, delta_p, delta_rho, estimate_rates,
+                         instantiate_edges, run_importance_trials, screen_partitions,
+                         topic_profile)
 from .io import (generate_surrogate, read_attributed_graph, read_topic_graph,
                  write_attributed_graph, write_topic_graph)
 

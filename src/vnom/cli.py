@@ -24,8 +24,8 @@ import numpy as np
 from .errors import InputError, VnomError
 from .experiments import SweepSpec, gamma_surface, run_sweep
 from .graph import GREEN, RED, Partition
-from .importance import (ScreeningThresholds, TrialsResult, check_trial_arguments,
-                         estimate_rates, run_importance_trials, screen_partitions)
+from .importance import (ScreeningThresholds, check_trial_arguments, estimate_rates,
+                         run_importance_trials, screen_partitions)
 from .kidney_egg import (KidneyEggParams, Simplex3, content_pmf_from_conditionals,
                          content_score_pmf, context_score_pmf, empirical_score_pmfs,
                          sample_kidney_egg, tv_distance)
@@ -274,13 +274,9 @@ def _cmd_importance(args) -> int:
               "gammas": args.gammas, "replicates": args.replicates,
               "weighted_profiles": weighted, "seed": seed,
               "max_partitions": args.max_partitions}
-    accepted = screening.take(slice(args.max_partitions))
-    if accepted.n_accepted:
-        trials = run_importance_trials(g, accepted, args.m_prime, gammas, args.replicates,
-                                       trial_seed, bin_width=args.bins,
-                                       n_workers=args.workers)
-    else:  # no partition passed both thresholds: documents without bins or partitions
-        trials = TrialsResult({}, (), gammas)
+    trials = run_importance_trials(g, screening.take(slice(args.max_partitions)), args.m_prime,
+                                   gammas, args.replicates, trial_seed, bin_width=args.bins,
+                                   n_workers=args.workers)
     _write_document(args, vio.trials_to_csv, vio.trials_to_json, screening, trials, config)
     if args.partitions_out:
         _write_or_print(vio.partitions_to_csv(trials, config), args.partitions_out)

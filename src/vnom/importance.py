@@ -18,7 +18,8 @@ Screening's working memory is bounded by a cell budget, not by the block:
 each block draws its keys a chunk of rows at a time, keeps only the ids and
 gaps of the draws passing the density bar, and profiles those a chunk of
 rows per kernel call.  Trials run in blocks of partitions whose replicates
-map their uniforms to topics, and are scored and ranked, as one stack.
+map their uniforms to topics, and are scored and ranked, as one stack; they
+return columns too, one metric table stacked over partitions and their rates.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .graph import (GREEN, OCCLUDED, RED, AttributedGraph, Partition, TopicGraph
                     _subset_array)
 from .experiments import _check_replicates, evaluate_grid, parallel_map
 from .kidney_egg import _pair_offsets, _pairs
-from .metrics import MetricTable, mean_se
+from .metrics import CRITERIA, MetricTable
 from .nomination import score_counts, validate_gamma_grid
 from .seeding import child_generators, child_seed, generator
 
@@ -88,6 +89,13 @@ class ScreeningResult(_Record):
     delta_p: np.ndarray
     draw_index: np.ndarray
     attempts: int
+
+    def __post_init__(self):
+        shapes = [np.shape(getattr(self, f)) for f in self._fields[:-1]]
+        if [len(s) for s in shapes] != [2, 2, 1, 1, 1] or len({s[0] for s in shapes}) != 1:
+            raise InputError(f"screened columns need one row per red set, got shapes {shapes}")
+        if not (np.isfinite(self.delta_rho).all() and np.isfinite(self.delta_p).all()):
+            raise InputError("screened gaps must be finite")
 
     def take(self, rows) -> ScreeningResult:
         """The accepted rows picked by a slice, a boolean mask or an index array."""
@@ -431,16 +439,6 @@ def estimate_rates(g: AttributedGraph, part: Partition) -> EstimatedRates:
                                              comb(m, 2), comb(n_green, 2))))
 
 
-class PartitionTrial(_Record):
-    """Per-partition trial summary: metrics over its replicates."""
-
-    index: int
-    delta_rho: float
-    delta_p: float
-    table: MetricTable
-    rates: EstimatedRates
-
-
 class BinReport(_Record):
     """Aggregate over every (partition, replicate) report falling in one bin."""
 
@@ -455,9 +453,14 @@ class BinReport(_Record):
 
 
 class TrialsResult(_Record):
+    """Gap bins, and per-partition columns beside the screened rows the trials
+    ran on: ``table`` (partitions x gammas x columns, over each partition's
+    replicates) and ``rates`` (partitions x 4, mean p1, p2, s1, s2 estimates)."""
+
     bins: dict  # (rho_bin, p_bin) -> BinReport
-    partitions: tuple
-    gamma_grid: tuple
+    partitions: ScreeningResult
+    table: MetricTable
+    rates: np.ndarray
 
 
 def bin_index(value: float, width: float) -> int:
@@ -560,11 +563,10 @@ def run_importance_trials(g: TopicGraph, screening: ScreeningResult, m_prime: in
     (delta_rho, delta_p) bins of the given width; bins backed by fewer than
     MIN_PARTITIONS partitions are flagged insufficient.  When the grid
     contains {0, 0.5, 1}, each bin also carries the fusion-advantage surface
-    value min(MRR(0), MRR(1)) - MRR(0.5).
+    value min(MRR(0), MRR(1)) - MRR(0.5).  No accepted rows give no bins and
+    zero-row columns.
     """
     red, m = screening.red_ids, screening.red_ids.shape[1]
-    if not screening.n_accepted:
-        raise InputError("no accepted partitions to run trials on")
     if not 2 <= m <= g.n - 2 or ((red < 0) | (red >= g.n)).any() or (np.diff(red) <= 0).any():
         raise InputError(f"screened red sets must be 2..{g.n - 2} ascending ids below {g.n}")
     if screening.topic_labels.shape[1] != g.k_topics:
@@ -578,18 +580,13 @@ def run_importance_trials(g: TopicGraph, screening: ScreeningResult, m_prime: in
                            for first in range(0, screening.n_accepted, _TRIAL_BLOCK)],
                           n_workers)
 
-    values = np.concatenate([block_values for block_values, _ in blocks])
-    rates = np.concatenate([block_rates for _, block_rates in blocks])
-    means, ses = mean_se(values)  # each partition's table, folded in one call
-    partitions = []
+    # an empty screening runs no block: each column starts from zero rows
+    values = np.concatenate([np.empty((0, len(grid), len(CRITERIA), replicates_per_partition)),
+                             *(block_values for block_values, _ in blocks)])
+    rates = np.concatenate([np.empty((0, 4)), *(block_rates for _, block_rates in blocks)])
     bin_rows: dict = {}
-    rhos, ps = screening.delta_rho.tolist(), screening.delta_p.tolist()
-    for i, index in enumerate(screening.draw_index.tolist()):
-        table = MetricTable(grid, (), means[i], ses[i], replicates_per_partition)
-        partitions.append(PartitionTrial(index, rhos[i], ps[i], table,
-                                         EstimatedRates(*map(float, rates[i]))))
-        key = (bin_index(rhos[i], bin_width), bin_index(ps[i], bin_width))
-        bin_rows.setdefault(key, []).append(i)
+    for i, (rho, p) in enumerate(zip(screening.delta_rho.tolist(), screening.delta_p.tolist())):
+        bin_rows.setdefault((bin_index(rho, bin_width), bin_index(p, bin_width)), []).append(i)
 
     has_triple = all(any(x == want for x in grid) for want in (0.0, 0.5, 1.0))
     bins = {}
@@ -609,4 +606,4 @@ def run_importance_trials(g: TopicGraph, screening: ScreeningResult, m_prime: in
             table=table,
             fusion_advantage_mrr=advantage,
         )
-    return TrialsResult(bins, tuple(partitions), grid)
+    return TrialsResult(bins, screening, MetricTable.fold(grid, values), rates)

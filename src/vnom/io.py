@@ -425,17 +425,23 @@ def trials_to_csv(screening: ScreeningResult, trials: TrialsResult, config: dict
                 "insufficient,gamma,criterion,mean,stderr", rows, [note])
 
 
+def _partition_rows(trials: TrialsResult):
+    """Per partition, as Python numbers: draw index, delta_rho, delta_p,
+    rates [p1, p2, s1, s2], and its S@1, MRR and MAP means over the gammas."""
+    parts = trials.partitions
+    means = zip(*(trials.table.column(criterion).tolist() for criterion in CRITERIA))
+    return zip(parts.draw_index.tolist(), parts.delta_rho.tolist(), parts.delta_p.tolist(),
+               trials.rates.tolist(), means)
+
+
 def partitions_to_csv(trials: TrialsResult, config: dict) -> str:
     """Raw per-partition table (gap coordinates, rate estimates, metric means)."""
     rows = []
-    for pt in trials.partitions:
-        rates = pt.rates
-        prefix = (f"{pt.index},{_fnum(pt.delta_rho)},{_fnum(pt.delta_p)},{_fnum(rates.p1)},"
-                  f"{_fnum(rates.p2)},{_fnum(rates.s1)},{_fnum(rates.s2)}")
-        for gamma in pt.table.gammas:
-            for criterion in CRITERIA:
-                rows.append(f"{prefix},{_fnum(gamma)},{criterion},"
-                            f"{_fnum(pt.table.value(criterion, gamma))}")
+    for index, rho, p, rates, means in _partition_rows(trials):
+        prefix = f"{index},{_fnum(rho)},{_fnum(p)},{','.join(map(_fnum, rates))}"
+        for j, gamma in enumerate(trials.table.gammas):
+            for criterion, column in zip(CRITERIA, means):
+                rows.append(f"{prefix},{_fnum(gamma)},{criterion},{_fnum(column[j])}")
     return _csv("importance-partitions", config,
                 "partition,delta_rho,delta_p,p1_hat,p2_hat,s1_hat,s2_hat,gamma,criterion,mean",
                 rows)
@@ -446,19 +452,20 @@ def rate_bins_csv(trials: TrialsResult, config: dict) -> str:
 
     Partitions pool into half-open bins of width RATE_BIN_WIDTH on each of
     their mean p1/p2/s1/s2 estimates; one row per (component, bin, gamma).
+    A bin's mean adds its partitions' MRR left to right in screening order.
     """
     groups: dict = {}
-    for pt in trials.partitions:
-        for comp in ("p1", "p2", "s1", "s2"):
-            key = (comp, bin_index(getattr(pt.rates, comp), RATE_BIN_WIDTH))
-            groups.setdefault(key, []).append(pt)
+    for i, rates in enumerate(trials.rates.tolist()):
+        for comp, rate in zip(("p1", "p2", "s1", "s2"), rates):
+            groups.setdefault((comp, bin_index(rate, RATE_BIN_WIDTH)), []).append(i)
+    mrr = trials.table.column("mrr").tolist()
     rows = []
     for comp, idx in sorted(groups):
-        pts = groups[(comp, idx)]
-        for gamma in trials.gamma_grid:
-            mean = sum(pt.table.value("mrr", gamma) for pt in pts) / len(pts)
+        members = groups[(comp, idx)]
+        for j, gamma in enumerate(trials.table.gammas):
+            mean = sum(mrr[i][j] for i in members) / len(members)
             rows.append(f"{comp},{_fnum(idx * RATE_BIN_WIDTH)},"
-                        f"{_fnum((idx + 1) * RATE_BIN_WIDTH)},{len(pts)},{_fnum(gamma)},"
+                        f"{_fnum((idx + 1) * RATE_BIN_WIDTH)},{len(members)},{_fnum(gamma)},"
                         f"{_fnum(mean)}")
     return _csv("importance-rate-bins", {**config, "rate_bin_width": RATE_BIN_WIDTH},
                 "component,bin_lo,bin_hi,n_partitions,gamma,mean_mrr", rows)
@@ -477,16 +484,12 @@ def trials_to_json(screening: ScreeningResult, trials: TrialsResult, config: dic
             "fusion_advantage_mrr": b.fusion_advantage_mrr,
             "reports": _aggregate_json(b.table),
         })
-    partitions = []
-    for pt in trials.partitions:
-        partitions.append({
-            "partition": pt.index,
-            "delta_rho": pt.delta_rho,
-            "delta_p": pt.delta_p,
-            "rates": {"p1": pt.rates.p1, "p2": pt.rates.p2, "s1": pt.rates.s1, "s2": pt.rates.s2},
-            **{key: {_fnum(g): pt.table.value(criterion, g) for g in pt.table.gammas}
-               for key, criterion in zip(("mean_s_at_1", "mean_rr", "mean_ap"), CRITERIA)},
-        })
+    gammas = [_fnum(gamma) for gamma in trials.table.gammas]
+    partitions = [{"partition": index, "delta_rho": rho, "delta_p": p,
+                   "rates": dict(zip(("p1", "p2", "s1", "s2"), rates)),
+                   **{key: dict(zip(gammas, column))
+                      for key, column in zip(("mean_s_at_1", "mean_rr", "mean_ap"), means)}}
+                  for index, rho, p, rates, means in _partition_rows(trials)]
     data = {
         "screening": {"attempts": screening.attempts,
                       "accepted": screening.n_accepted,

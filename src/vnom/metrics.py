@@ -124,10 +124,10 @@ def column_index(criterion: str, y: int | None = None, y_values=()) -> int:
 class MetricTable(_Record):
     """Means and standard errors over replicates, one row per gamma.
 
-    ``mean`` and ``se`` are (gammas x columns) arrays with the columns of
-    :func:`mask_metrics` for ``y_values``; standard errors are NaN with a
-    single replicate.  Tables compare equal when their NaNs sit in the same
-    places.
+    ``mean`` and ``se`` are (gammas x columns) arrays, or stacks of them, with
+    the columns of :func:`mask_metrics` for ``y_values``; standard errors are
+    NaN with a single replicate.  Tables compare equal when their NaNs sit in
+    the same places.
     """
 
     gammas: tuple
@@ -138,19 +138,19 @@ class MetricTable(_Record):
 
     @classmethod
     def fold(cls, gammas, values, y_values=()) -> "MetricTable":
-        """Table of a (gammas x columns x replicates) array."""
+        """Table of a (gammas x columns x replicates) array, or of a stack of them."""
         mean, se = mean_se(values)
         return cls(tuple(gammas), tuple(int(y) for y in y_values), mean, se,
                    np.shape(values)[-1])
 
     def column(self, criterion: str, y: int | None = None, *, se: bool = False) -> np.ndarray:
-        """One criterion's means (or standard errors) over the gammas."""
-        return (self.se if se else self.mean)[:, column_index(criterion, y, self.y_values)]
+        """One criterion's means (or standard errors) over the gammas, per stacked row."""
+        return (self.se if se else self.mean)[..., column_index(criterion, y, self.y_values)]
 
     def value(self, criterion: str, gamma: float, y: int | None = None, *,
               se: bool = False) -> float:
-        """One criterion's mean (or standard error) at one gamma."""
-        return float(self.column(criterion, y, se=se)[self.gammas.index(gamma)])
+        """One criterion's mean (or standard error) at one gamma of an unstacked table."""
+        return float(self.column(criterion, y, se=se)[..., self.gammas.index(gamma)])
 
 
 def aggregate_reports(reports: dict) -> MetricTable:

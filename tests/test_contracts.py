@@ -521,6 +521,36 @@ def test_screening_builds_one_record(monkeypatch, tmp_path):
     assert built == ["ScreeningResult"]
 
 
+def test_trials_build_records_per_bin_and_block_only(monkeypatch, tmp_path):
+    # per-partition results travel as the columns of one stacked table and one
+    # rates array: no record per partition (a trial, a table and a rates
+    # record, as once), only one screening slice per trial block
+    run = load_bench_run(monkeypatch)
+    run.prepare("importance", 3, tmp_path)
+    g = read_topic_graph(tmp_path / "corpus.topics")
+    screening = screen_partitions(g, 10, ScreeningThresholds(), run.IMPORTANCE_ATTEMPTS,
+                                  child_seed(3, 1))
+    assert screening.n_accepted >= run.IMPORTANCE_PARTITIONS
+    built = collections.Counter()
+    init = vnom.graph._Record.__init__
+
+    def counted(self, *args, **kwargs):
+        built[type(self).__name__] += 1
+        init(self, *args, **kwargs)
+
+    sizes = (1, 33, run.IMPORTANCE_PARTITIONS)
+    slices = [screening.take(slice(size)) for size in sizes]
+    monkeypatch.setattr(vnom.graph._Record, "__init__", counted)
+    for size, accepted in zip(sizes, slices):
+        built.clear()
+        # the importance workload's trials at seed 3
+        trials = run_importance_trials(g, accepted, 5, (0.0, 0.5, 1.0),
+                                       run.IMPORTANCE_REPLICATES, child_seed(3, 2))
+        blocks = -(-size // vnom.importance._TRIAL_BLOCK)
+        assert built == {"ScreeningResult": blocks, "BinReport": len(trials.bins),
+                         "MetricTable": len(trials.bins) + 1, "TrialsResult": 1}
+
+
 # tracemalloc peak of one 4096-draw screening call on the importance bench
 # corpus (seed 3): 29.3-30.5 MB at seeds 1, 3 and 7919 when every draw built
 # its (draws x edges) side masks, 12.6 MB once red-internal edges were counted

@@ -710,8 +710,8 @@ class TestRunImportanceTrials:
         screening = self.trivial_screen(g, 4, attempts=1)
         trials = run_importance_trials(g, screening, 2, [0.0], 1, 123)
         part = Partition(g.n, screening.red_ids[0])
-        assert len(trials.partitions) == 1
-        pt = trials.partitions[0]
+        assert trials.partitions == screening
+        assert trials.table.mean.shape == (1, 1, 3) and trials.rates.shape == (1, 4)
 
         # replay by hand with the same derived seeds and public operations
         edge_seed, ident_seed, tie_seed = child_seed(
@@ -727,12 +727,10 @@ class TestRunImportanceTrials:
         ranking = rank_candidates(ag2, 0.0, tie_seed)
         truth = ag2.red_candidates()
         report = evaluate_ranking(ranking, truth)
-        assert pt.table.value("s_at_1", 0.0) == report.s_at_1
-        assert pt.table.value("mrr", 0.0) == report.rr
-        assert pt.table.value("map", 0.0) == report.ap
+        assert trials.table.mean[0, 0, :3].tolist() == [report.s_at_1, report.rr, report.ap]
 
         est = estimate_rates(ag2, part)
-        assert pt.rates == est
+        assert trials.rates[0].tolist() == [est.p1, est.p2, est.s1, est.s2]
 
     def test_bins_and_insufficient_flag(self):
         g = two_block_topic_graph()
@@ -766,19 +764,29 @@ class TestRunImportanceTrials:
         res = self.trivial_screen(g, 4, attempts=150)
         a = run_importance_trials(g, res, 2, [0.0, 0.5, 1.0], 2, 9, n_workers=1)
         b = run_importance_trials(g, res, 2, [0.0, 0.5, 1.0], 2, 9, n_workers=2)
-        assert len(a.partitions) == 150
+        assert a.partitions.n_accepted == 150
         assert a == b
 
-    @pytest.mark.parametrize("red_ids,labels", [
-        ([[0, 8]], 2), ([[-1, 3]], 2), ([[3, 1]], 2), ([[2, 2]], 2),  # ids
-        ([[0]], 2), ([[0, 1, 2, 3, 4, 5, 6]], 2),  # red-set sizes outside 2..n-2 = 2..6
-        ([[0, 1]], 3)], ids=["id-n", "id-negative", "descending", "repeated", "m-1",
-                             "m-n-1", "topics"])
-    def test_screening_that_does_not_fit_the_graph_rejected(self, red_ids, labels):
+    @pytest.mark.parametrize("red_ids,labels,gaps,draws", [
+        ([[0, 8]], 2, [0.0, 0.0], [0]), ([[-1, 3]], 2, [0.0, 0.0], [0]),  # ids
+        ([[3, 1]], 2, [0.0, 0.0], [0]), ([[2, 2]], 2, [0.0, 0.0], [0]),
+        # red-set sizes outside 2..n-2 = 2..6
+        ([[0]], 2, [0.0, 0.0], [0]), ([[0, 1, 2, 3, 4, 5, 6]], 2, [0.0, 0.0], [0]),
+        ([[0, 1]], 3, [0.0, 0.0], [0]),
+        # columns the screened rows do not line up with, and gaps no bin holds
+        ([[0, 1]], 2, [np.nan, 0.0], [0]), ([[0, 1]], 2, [np.inf, 0.0], [0]),
+        ([[0, 1]], 2, [0.0, -np.inf], [0]), ([[0, 1]], 2, [0.0, 0.0], [0, 1, 2]),
+        ([0, 1], 2, [0.0, 0.0], [0])],
+        ids=["id-n", "id-negative", "descending", "repeated", "m-1", "m-n-1", "topics",
+             "rho-nan", "rho-inf", "p-inf", "three-draws", "flat-ids"])
+    def test_screening_that_does_not_fit_the_graph_rejected(self, red_ids, labels, gaps,
+                                                             draws):
         g = two_block_topic_graph()  # 8 vertices, 2 topics
-        screening = ScreeningResult(np.array(red_ids), np.full((1, labels), 1, dtype=np.int8),
-                                    np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64), 1)
         with pytest.raises(InputError, match="screened"):
+            screening = ScreeningResult(np.array(red_ids),
+                                        np.full((1, labels), 1, dtype=np.int8),
+                                        np.array(gaps[:1]), np.array(gaps[1:]),
+                                        np.array(draws, dtype=np.int64), 1)
             run_importance_trials(g, screening, 1, [0.5], 1, 0)
 
     def test_zero_workers_rejected(self):
@@ -799,8 +807,13 @@ class TestRunImportanceTrials:
         res = self.trivial_screen(g, 4, attempts=3)
         with pytest.raises(InputError):
             run_importance_trials(g, res, 4, [0.5], 1, 0)
-        with pytest.raises(InputError):
-            run_importance_trials(g, res.take(slice(0)), 2, [0.5], 1, 0)
+        empty = run_importance_trials(g, res.take(slice(0)), 2, [0.5, 1.0], 3, 0)
+        assert empty.bins == {} and empty.partitions == res.take(slice(0))
+        assert empty.table.gammas == (0.5, 1.0) and empty.table.replicates == 3
+        assert empty.table.mean.shape == empty.table.se.shape == (0, 2, 3)
+        assert empty.rates.shape == (0, 4)
+        with pytest.raises(InputError):  # the trial arguments are checked all the same
+            run_importance_trials(g, res.take(slice(0)), 4, [0.5], 1, 0)
 
 
 class TestCheckTrialArguments:

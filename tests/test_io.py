@@ -368,6 +368,29 @@ class TestResultSerialization:
             count = sum(int(p[3]) for p in parts if p[0] == comp and p[4] == "0.0")
             assert count == 25
 
+    def test_rate_bin_mean_adds_left_to_right(self):
+        from math import fsum
+
+        from vnom import MetricTable, ScreeningResult, TrialsResult
+        from vnom.io import data_section, rate_bins_csv
+        from vnom.metrics import column_index
+
+        # sixteen partitions in one bin of every component: 1.0, then fifteen
+        # halves of an ulp, each lost against 1.0 left to right, while numpy's
+        # running sums and fsum keep some
+        mrr = [1.0] + [2.0**-53] * 15
+        values = np.zeros((16, 1, 3, 1))
+        values[:, 0, column_index("mrr"), 0] = mrr
+        partitions = ScreeningResult(np.tile([0, 1], (16, 1)), np.ones((16, 2), dtype=np.int8),
+                                     np.zeros(16), np.zeros(16), np.arange(16), 16)
+        trials = TrialsResult({}, partitions, MetricTable.fold((0.5,), values),
+                              np.full((16, 4), 0.1))
+        left_to_right = sum(mrr) / 16
+        assert len({left_to_right, float(np.sum(mrr)) / 16, fsum(mrr) / 16}) == 3
+        rows = data_section(rate_bins_csv(trials, {"seed": 1})).splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["p1", "p2", "s1", "s2"]
+        assert {row.split(",", 3)[3] for row in rows} == {f"16,0.5,{left_to_right!r}"}
+
     def test_trials_csv_has_fusion_rows(self):
         from vnom.io import data_section, trials_to_csv
         from vnom import run_importance_trials

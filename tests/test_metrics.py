@@ -254,6 +254,24 @@ class TestAggregateReports:
         with pytest.raises(InputError):
             table.column(criterion, y)
 
+    @pytest.mark.parametrize("replicates", [1, 4])
+    def test_stacked_table_rows_are_their_own_tables(self, replicates):
+        # (3 partitions x 3 gammas x columns x replicates), as importance
+        # trials stack them: as many partitions as gammas, so a gamma index
+        # landing on the partition axis would read another partition's row
+        grid, y_values = (0.0, 0.5, 1.0), (1, 2)
+        values = np.random.default_rng(3).random((3, len(grid), 5, replicates))
+        stacked = MetricTable.fold(grid, values, y_values)
+        assert stacked.replicates == replicates
+        for i in range(len(values)):
+            alone = MetricTable.fold(grid, values[i], y_values)
+            for criterion, y in [("s_at_1", None), ("mrr", None), ("map", None),
+                                 ("ap_y", 1), ("ap_y", 2)]:
+                for se in (False, True):
+                    column = stacked.column(criterion, y, se=se)
+                    assert column.shape == (len(values), len(grid))
+                    np.testing.assert_array_equal(column[i], alone.column(criterion, y, se=se))
+
     @pytest.mark.parametrize("reports", [{}, {0.5: []}, {0.0: [1], 1.0: [1, 1]}])
     def test_empty_or_ragged_reports_rejected(self, reports):
         report = evaluate_ranking(ranking_of([1, 2]), {1})
