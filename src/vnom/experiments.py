@@ -22,12 +22,13 @@ across every gamma (paired comparison).
 from __future__ import annotations
 
 import os
+from itertools import chain
 
 import numpy as np
 
 from .errors import InputError
 from .graph import RED, _Record
-from .kidney_egg import KidneyEggParams, Simplex3, sample_kidney_egg
+from .kidney_egg import _SAMPLE_CHUNK, KidneyEggParams, Simplex3, sample_kidney_egg
 from .metrics import CRITERIA, MetricTable, mask_metrics
 from .nomination import (GAMMA_GRID_DEFAULT, candidate_statistics, fused_order,
                          prepare_ranking, tiebreak_order, validate_gamma_grid)
@@ -214,11 +215,11 @@ def _replicate_values(params: KidneyEggParams, gamma_grid, seed, rep_keys, y_val
     ``Generator.permutation(candidates)``, draw for draw.
 
     Replicates are sampled and ranked in chunks of at most ``_CHUNK_CELLS``
-    ranked cells, so the graphs, scores and masks in flight do not grow with
-    the replicate count.  What does grow with it: the key list, the table of
-    every replicate's two seed states (:func:`vnom.seeding.child_generators`
-    hashes them all before the first graph is sampled) and the (gammas x
-    metrics x replicates) values returned.  Every graph has the
+    ranked cells, and their seed states derived
+    (:func:`vnom.seeding.child_generators`) ``kidney_egg._SAMPLE_CHUNK`` keys
+    at a time, so the graphs, scores, masks and seed states in flight do not
+    grow with the replicate count.  What does grow with it: the key list and
+    the (gammas x metrics x replicates) values returned.  Every graph has the
     n - m_prime candidates of its cell, so a chunk's scores, red masks and
     tie-break keys fill (replicates x candidates) arrays, which one
     :func:`vnom.nomination.prepare_ranking` call narrows and one
@@ -231,7 +232,11 @@ def _replicate_values(params: KidneyEggParams, gamma_grid, seed, rep_keys, y_val
     grid = tuple(gamma_grid)
     size = params.n - params.m_prime  # candidates: every vertex but the identified ones
     per_chunk = max(1, _CHUNK_CELLS // (len(grid) * size))
-    rngs = child_generators(seed, [(*key, stream) for key in rep_keys for stream in (0, 1)])
+    # each chunk of keys derives its streams when the first of them is needed
+    rngs = chain.from_iterable(
+        child_generators(seed, [(*key, stream) for key in rep_keys[lo:lo + _SAMPLE_CHUNK]
+                                for stream in (0, 1)])
+        for lo in range(0, len(rep_keys), _SAMPLE_CHUNK))
     pairs = zip(rngs, rngs)  # consecutive pairs of the one iterator
     values = np.empty((len(grid), len(CRITERIA) + len(y_values), len(rep_keys)))
     for start in range(0, len(rep_keys), per_chunk):

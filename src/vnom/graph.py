@@ -2,9 +2,13 @@
 
 Two graph kinds share one edge layout: flat endpoint arrays with ``u < v``,
 sorted lexicographically, which each constructor builds from edge columns
-(endpoints and payload arrays) given in any order.  The constructors alone
-know what a valid graph is; each names the first record breaking a rule in a
-:class:`~vnom.errors.RecordError`: an edge by input position, a vertex by id.
+(endpoints and payload arrays) given in any order.  The public constructors
+alone know what a valid graph is; each names the first record breaking a
+rule in a :class:`~vnom.errors.RecordError`: an edge by input position, a
+vertex by id.  Every graph read from outside goes through them.  Graphs the
+program builds itself, valid by construction (a sampled kidney-egg graph, an
+instantiated topic graph), are stored unchecked by
+``AttributedGraph._from_canonical``.
 
 * :class:`AttributedGraph` — undirected simple graph whose edges carry a
   categorical attribute in ``{1..k_edge_attrs}`` and whose vertices carry a
@@ -192,12 +196,9 @@ class AttributedGraph(_EdgeGraph):
                            "truth", "observed")
 
     def __init__(self, n, edge_u, edge_v, edge_attr, truth, observed, k_edge_attrs=2):
-        *edges, order = _canonical_edges(int(n), edge_u, edge_v,
-                                         np.asarray(edge_attr, dtype=np.int64))
-        self._init_from_canonical(int(n), *edges, truth, observed, int(k_edge_attrs), order)
-
-    def _init_from_canonical(self, n, eu, ev, ea, truth, observed, k, order=None):
-        _check_vertex_count(n)
+        n, k = int(n), int(k_edge_attrs)
+        eu, ev, ea, order = _canonical_edges(n, edge_u, edge_v,
+                                             np.asarray(edge_attr, dtype=np.int64))
         if k < 1:
             raise InputError("k_edge_attrs must be >= 1")
         if ea.size and (ea.min() < 1 or ea.max() > k):
@@ -221,10 +222,17 @@ class AttributedGraph(_EdgeGraph):
 
     @classmethod
     def _from_canonical(cls, n, eu, ev, ea, truth, observed, k_edge_attrs=2):
-        """Trusted constructor for edge arrays already in canonical order
-        (u < v, lexicographically sorted, duplicate-free); skips re-sorting."""
+        """Store arrays the program built itself as a graph, checking nothing.
+
+        The caller guarantees all the public constructor would check and
+        make: int64 ``eu``/``ev`` in canonical order (u < v, lexicographically
+        sorted, no pair twice, every id in 0..n-1), int64 ``ea`` in
+        1..k_edge_attrs, and int8 ``truth`` (RED or GREEN) and ``observed``
+        (RED or OCCLUDED, RED only where ``truth`` is) of n entries each.
+        The arrays are stored as given, not copied.
+        """
         self = cls.__new__(cls)
-        self._init_from_canonical(int(n), eu, ev, ea, truth, observed, int(k_edge_attrs))
+        self._store(int(n), k_edge_attrs, eu, ev, ea, truth, observed)
         return self
 
     @property

@@ -412,7 +412,11 @@ def instantiate_edges(g: TopicGraph, topic_map: TopicMap, part: Partition,
     """Attribute every edge by drawing its topic and mapping it to red/green.
 
     Topology is unchanged; vertex truth comes from the partition; the
-    observed layer is fully occluded (identify vertices downstream).
+    observed layer is fully occluded (identify vertices downstream).  The
+    graph is valid by construction, so it is stored unchecked
+    (``AttributedGraph._from_canonical``): the topic graph's edges are
+    canonical, the labels come from a checked topic map and partition, and
+    no vertex is identified.
     """
     if topic_map.k_topics != g.k_topics:
         raise InputError("topic map does not cover the graph's topics")

@@ -197,6 +197,11 @@ def sample_kidney_egg(params: KidneyEggParams, seed) -> AttributedGraph:
     drawn from its class vector with cumulative thresholds in the order
     (no edge, red, green).  ``seed`` is an int, a ``SeedSequence`` or a
     ``Generator``; a Generator is drawn on in place.
+
+    The graph is valid by construction, so it is stored unchecked
+    (``AttributedGraph._from_canonical``): its edges come in pair order,
+    every attribute is 1 + green, and the int8 labels are filled from the red
+    and identified sets alone.
     """
     rng = generator(seed)
     n, m, mp = params.n, params.m, params.m_prime

@@ -23,7 +23,9 @@ import pytest
 import vnom
 import vnom.cli
 import vnom.experiments
+import vnom.graph
 import vnom.importance
+import vnom.io
 import vnom.nomination
 from vnom import (GAMMA_GRID_DEFAULT, KidneyEggParams, ScreeningThresholds, candidate_statistics,
                   gamma_surface, generate_surrogate, read_topic_graph, run_importance_trials,
@@ -442,6 +444,55 @@ def test_replicate_memory_does_not_grow_with_replicates():
     excess(1)  # warm caches, so neither measured call pays for them
     few, many = excess(8), excess(64)
     assert many - few <= (64 - 8) * REPLICATE_GROWTH_BYTES, (few, many)
+
+
+# traced bytes the set-up of a 10**5-replicate surface may hold beyond its
+# values array before the first graph: the key list (~10.4 MB) and one
+# _SAMPLE_CHUNK of derived seed states; 10.6 MB measured, 30.4 MB when every
+# replicate's seed states were derived up front
+SETUP_EXCESS_BYTES = 14_000_000
+
+
+def test_replicate_set_up_derives_one_chunk_of_streams(monkeypatch):
+    class FirstGraph(Exception):
+        pass
+
+    def stop(*args):
+        raise FirstGraph
+
+    monkeypatch.setattr(vnom.experiments, "sample_kidney_egg", stop)
+    params = KidneyEggParams(184, 40, 10, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
+    grid, replicates = (0.0, 0.5, 1.0), 10**5
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstGraph):
+            gamma_surface(params, grid, 1, replicates, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    values_bytes = len(grid) * 4 * replicates * 8  # (gammas x S@1, RR, AP, AP^1 x replicates)
+    assert peak - values_bytes <= SETUP_EXCESS_BYTES, peak
+
+
+def test_graphs_are_validated_when_read_and_never_when_sampled(monkeypatch, tmp_path):
+    # the validating constructor serves outside data alone: sampled graphs
+    # are stored as built, and a graph read from a file is checked once
+    checked = []
+    init = vnom.graph.AttributedGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        checked.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(vnom.graph.AttributedGraph, "__init__", counted)
+    params = KidneyEggParams(184, 40, 30, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
+    gamma_surface(params, GAMMA_GRID_DEFAULT, 3, 5, 1)
+    assert checked == []
+    sampled = sample_kidney_egg(params, 1)
+    vnom.io.write_attributed_graph(sampled, tmp_path / "sampled.graph")
+    assert checked == []
+    assert vnom.io.read_attributed_graph(tmp_path / "sampled.graph") == sampled
+    assert checked == ["AttributedGraph"]
 
 
 def load_bench_run(monkeypatch):

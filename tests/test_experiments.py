@@ -131,11 +131,13 @@ class TestReplicateChunks:
                              ids=["n=30", "n=260"])
     def test_chunks_equal_graph_by_graph_evaluation(self, monkeypatch, per_chunk, params,
                                                     seed, replicates):
-        # odd replicate counts leave a ragged last chunk of 2
+        # odd replicate counts leave a ragged last chunk of 2; streams are
+        # derived 3 keys at a time, across the ranked chunks' bounds
         keys = [(rep,) for rep in range(replicates)]
         want = graph_by_graph_values(params, CHUNK_GRID, seed, keys, (1, 2))
         cells = per_chunk * len(CHUNK_GRID) * (params.n - params.m_prime)
         monkeypatch.setattr(vnom.experiments, "_CHUNK_CELLS", cells)
+        monkeypatch.setattr(vnom.experiments, "_SAMPLE_CHUNK", 3)
         got = _replicate_values(params, CHUNK_GRID, seed, keys, (1, 2))
         assert got.shape == want.shape == (len(CHUNK_GRID), 5, replicates)
         assert got.dtype == want.dtype

@@ -5,8 +5,8 @@ from math import comb
 import numpy as np
 import pytest
 
-from vnom import (EmptyProfileError, InputError, KidneyEggParams, Partition, ScreeningResult,
-                  ScreeningThresholds, TopicMap, UndefinedDensityError, delta_p,
+from vnom import (AttributedGraph, EmptyProfileError, InputError, KidneyEggParams, Partition,
+                  ScreeningResult, ScreeningThresholds, TopicMap, UndefinedDensityError, delta_p,
                   delta_rho, estimate_rates, generate_surrogate, instantiate_edges,
                   TopicGraph, run_importance_trials, sample_kidney_egg, screen_partitions,
                   topic_profile)
@@ -320,6 +320,35 @@ class TestInstantiateEdges:
         assert a == b
         assert np.array_equal(a.edge_u, g.edge_u)
         assert np.array_equal(a.edge_v, g.edge_v)
+
+    @pytest.mark.parametrize("labels", [[1, 2, 2, 1], [1, 1, 1, 1], [2, 2, 2, 2]],
+                             ids=["mixed", "all-red", "all-green"])
+    @pytest.mark.parametrize("m", [2, 23], ids=["m=2", "m=n-2"])
+    def test_stored_graph_equals_the_validated_one(self, labels, m):
+        # the unchecked store gives what the validating constructor makes of
+        # the same edges, handed over shuffled and flipped, and of labels
+        # built from the partition's ids alone
+        n, rng = 25, np.random.default_rng(m)
+        pairs = np.array([(u, v) for u in range(n) for v in range(u + 1, n)])
+        pairs = pairs[rng.random(len(pairs)) < 0.4]
+        g = TopicGraph(n, pairs[:, 0], pairs[:, 1], rng.dirichlet(np.ones(4), len(pairs)),
+                       np.ones(len(pairs)))
+        tmap = TopicMap(np.array(labels))
+        for seed in range(5):
+            part = Partition(n, rng.choice(n, size=m, replace=False))
+            ag = instantiate_edges(g, tmap, part, seed)
+            shuffle, flip = rng.permutation(g.num_edges), rng.random(g.num_edges) < 0.5
+            eu, ev = g.edge_u[shuffle], g.edge_v[shuffle]
+            red = set(part.red_ids.tolist())
+            truth = [1 if v in red else 2 for v in range(n)]
+            want = AttributedGraph(n, np.where(flip, ev, eu), np.where(flip, eu, ev),
+                                   ag.edge_attr[shuffle], truth, [0] * n)
+            assert ag == want
+            arrays = ("edge_u", "edge_v", "edge_attr", "truth", "observed")
+            assert [getattr(ag, f).dtype for f in arrays] == [getattr(want, f).dtype
+                                                              for f in arrays]
+            if len(set(labels)) == 1:
+                assert (ag.edge_attr == labels[0]).all()
 
 
 class PlantedUniforms:

@@ -157,6 +157,7 @@ class TestSamplerOracle:
             got, want = sample_kidney_egg(params, seed), reference_sample(params, seed)
             assert got == want and got.edge_attr.dtype == want.edge_attr.dtype
             assert got.edge_u.dtype == got.edge_v.dtype == got.edge_attr.dtype == np.int64
+            assert got.truth.dtype == got.observed.dtype == np.int8
 
 
 def exact_binomial(n, p):

@@ -3,7 +3,7 @@
 import hashlib
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from vnom import (InputError, NoRedCandidatesError, Ranking, aggregate_reports, chance_baseline,
                   evaluate_ranking, precision_at)
-from vnom.metrics import MetricTable, mask_metrics, report_from_mask
+from vnom.metrics import MetricTable, _harmonic_span, mask_metrics, report_from_mask
 
 
 def ranking_of(ids):
@@ -371,6 +371,25 @@ class TestChanceBaseline:
                       for j in range(1, y + 1) for k in range(j, n - r + j + 1))
         exact = by_rank / (y * comb(n, r))
         assert chance_baseline(n, r, "ap_y", y=y) == pytest.approx(float(exact), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("n", [1000, 1024, 1025, 1026, 2049, 10**4, 123_457, 10**6])
+    def test_harmonic_sums_are_the_fsum_on_both_sides_of_the_cutoff(self, n):
+        # past _HARMONIC_TERMS terms a harmonic span takes H_n's asymptotic series
+        def fsum_span(lo):
+            return fsum(1.0 / k for k in range(lo, n + 1))
+
+        for lo in sorted({1, 2, 3, 1023, 1024, 1025, 1026, n // 2, n - 1025, n - 1024, n}):
+            if 1 <= lo <= n:
+                want = fsum_span(lo)
+                assert abs(_harmonic_span(lo, n) - want) <= 2 * np.spacing(want), lo
+        harmonic = fsum_span(1)
+        for r in (1, 3, n // 2):
+            slope = (r - 1) / (n - 1)
+            by_fsum = {"map": (slope * (n - harmonic) + harmonic) / n,
+                       "mrr": r * fsum_span(r) / (n - r + 1)}
+            for criterion, want in by_fsum.items():
+                got = chance_baseline(n, r, criterion)
+                assert abs(got - want) <= 2 * np.spacing(want), (r, criterion)
 
     def test_large_case_s_at_1_is_prevalence(self):
         assert chance_baseline(300, 5, "s_at_1") == 5 / 300
