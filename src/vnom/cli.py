@@ -258,6 +258,8 @@ def _importance_flags(imp):
 def _cmd_importance(args) -> int:
     if args.max_partitions is not None and args.max_partitions < 1:
         raise InputError(f"--max-partitions must be >= 1, got {args.max_partitions}")
+    if args.attempts < 1:
+        raise InputError(f"--attempts must be >= 1, got {args.attempts}")
     thresholds = ScreeningThresholds(args.tau_rho, args.tau_p)
     # screened red sets have args.m vertices: check trial arguments before screening
     gammas = check_trial_arguments(args.m, args.m_prime, _parse_gammas(args.gammas),

@@ -205,8 +205,10 @@ def evaluate_grid(t0, t1, red, tiebreak, gamma_grid, y_values=()) -> np.ndarray:
 _CHUNK_CELLS = 1 << 16
 
 
-def _replicate_values(params: KidneyEggParams, gamma_grid, seed, rep_keys, y_values=()):
-    """(gammas x metrics x replicates) array, one replicate per key.
+def _replicate_values(params: KidneyEggParams, gamma_grid, seed, prefix: tuple,
+                      replicates: int, y_values=()):
+    """(gammas x metrics x replicates) array, one replicate per key
+    ``(*prefix, rep)``, rep in 0..replicates-1.
 
     The replicate keyed ``key`` samples one graph from the stream of
     ``child_seed(seed, *key, 0)`` and ranks it at every gamma with the
@@ -215,11 +217,11 @@ def _replicate_values(params: KidneyEggParams, gamma_grid, seed, rep_keys, y_val
     ``Generator.permutation(candidates)``, draw for draw.
 
     Replicates are sampled and ranked in chunks of at most ``_CHUNK_CELLS``
-    ranked cells, and their seed states derived
+    ranked cells, and their keys built and seed states derived
     (:func:`vnom.seeding.child_generators`) ``kidney_egg._SAMPLE_CHUNK`` keys
-    at a time, so the graphs, scores, masks and seed states in flight do not
-    grow with the replicate count.  What does grow with it: the key list and
-    the (gammas x metrics x replicates) values returned.  Every graph has the
+    at a time, so the keys, graphs, scores, masks and seed states in flight
+    do not grow with the replicate count.  What does grow with it: the
+    (gammas x metrics x replicates) values returned.  Every graph has the
     n - m_prime candidates of its cell, so a chunk's scores, red masks and
     tie-break keys fill (replicates x candidates) arrays, which one
     :func:`vnom.nomination.prepare_ranking` call narrows and one
@@ -234,13 +236,14 @@ def _replicate_values(params: KidneyEggParams, gamma_grid, seed, rep_keys, y_val
     per_chunk = max(1, _CHUNK_CELLS // (len(grid) * size))
     # each chunk of keys derives its streams when the first of them is needed
     rngs = chain.from_iterable(
-        child_generators(seed, [(*key, stream) for key in rep_keys[lo:lo + _SAMPLE_CHUNK]
+        child_generators(seed, [(*prefix, rep, stream)
+                                for rep in range(lo, min(lo + _SAMPLE_CHUNK, replicates))
                                 for stream in (0, 1)])
-        for lo in range(0, len(rep_keys), _SAMPLE_CHUNK))
+        for lo in range(0, replicates, _SAMPLE_CHUNK))
     pairs = zip(rngs, rngs)  # consecutive pairs of the one iterator
-    values = np.empty((len(grid), len(CRITERIA) + len(y_values), len(rep_keys)))
-    for start in range(0, len(rep_keys), per_chunk):
-        reps = min(per_chunk, len(rep_keys) - start)
+    values = np.empty((len(grid), len(CRITERIA) + len(y_values), replicates))
+    for start in range(0, replicates, per_chunk):
+        reps = min(per_chunk, replicates - start)
         t0 = np.empty((reps, size), dtype=np.int64)
         t1 = np.empty_like(t0)
         tiebreak = np.empty_like(t0)
@@ -270,8 +273,8 @@ def _best_gamma(gamma_grid, scores) -> float:
 
 def _run_cell(spec: SweepSpec, m: int, m_prime: int) -> CellResult:
     params = KidneyEggParams(spec.n, m, m_prime, spec.p, spec.s)
-    rep_keys = [(m, m_prime, rep) for rep in range(spec.replicates)]
-    values = _replicate_values(params, spec.gamma_grid, spec.master_seed, rep_keys)
+    values = _replicate_values(params, spec.gamma_grid, spec.master_seed, (m, m_prime),
+                               spec.replicates)
     table = MetricTable.fold(spec.gamma_grid, values)
     best = {criterion: _best_gamma(spec.gamma_grid, table.column(criterion))
             for criterion in CRITERIA}
@@ -310,8 +313,7 @@ def gamma_surface(params: KidneyEggParams, gamma_grid, y_max: int,
         raise InputError(
             f"y_max must lie in 1..{n_red_candidates} (red candidates), got {y_max}")
     y_values = tuple(range(1, y_max + 1))
-    values = _replicate_values(params, grid, seed, [(rep,) for rep in range(replicates)],
-                               y_values)
+    values = _replicate_values(params, grid, seed, (), replicates, y_values)
     return MetricTable.fold(grid, values, y_values)
 
 

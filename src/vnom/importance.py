@@ -336,24 +336,34 @@ def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
     """(rows x n) mask of each row's m smallest keys: the set
     ``np.argpartition(keys, m - 1, axis=1)[:, :m]`` picks.
 
-    The keys must be non-negative floats, never NaN and never -0.0, as
-    ``Generator.random`` draws them: such doubles order exactly as their
-    int64 bit patterns, so the keys are partitioned and compared as bits,
-    which numpy does faster than as floats.  Each row's m-th smallest key
-    comes from ``np.partition``, which copies what it is given: it takes a
-    quarter of the rows at a time, so the copy stays small beside the keys.
-    A row whose keys tie at the m-th place marks more than m entries; those
-    rows alone take argpartition's pick of the float keys.  Every row marks
-    at least m, so one total over the mask finds whether any row ties before
-    a count per row looks for which.
+    The keys must be non-negative floats, never NaN and never -0.0, in
+    contiguous rows, as ``Generator.random`` draws them: such doubles order
+    as their int64 bit patterns, so their 32-bit high words (sign, exponent
+    and the top 20 mantissa bits) never order two keys the wrong way round;
+    they only tie keys that differ in the low word.  Each row's m-th
+    smallest high word comes from ``np.partition`` over the int32 high
+    words, which numpy partitions faster than int64 bits or floats, and the
+    row marks every entry whose high word is at or below it: the entries
+    whose bits are at or below that high word over an all-ones low word, a
+    compare of contiguous int64s, which numpy does faster than one of the
+    strided high words.  If exactly m entries are marked, every other
+    entry's high word, and so its key, is larger: they are the m smallest
+    keys.  ``np.partition`` copies what it is given: it takes a quarter of
+    the rows at a time, so the copy stays small beside the keys.  A row
+    whose high words tie at the m-th place, keys equal or not, marks more
+    than m entries; those rows alone take argpartition's pick of the float
+    keys.  Every row marks at least m, so one total over the mask finds
+    whether any row ties before a count per row looks for which.
     """
     bits = keys.view(np.int64)
+    high = keys.view(np.int32)[..., int(np.little_endian)::2]
     mask = np.empty(keys.shape, dtype=bool)
     step = -(-len(keys) // 4)
     for lo in range(0, len(keys), step):
-        chunk = bits[lo:lo + step]
-        np.less_equal(chunk, np.partition(chunk, m - 1, axis=1)[:, m - 1:m],
-                      out=mask[lo:lo + step])
+        top = np.partition(high[lo:lo + step], m - 1, axis=1)[:, m - 1:m].astype(np.int64)
+        top <<= 32
+        top |= 0xFFFFFFFF
+        np.less_equal(bits[lo:lo + step], top, out=mask[lo:lo + step])
     if np.count_nonzero(mask) == len(keys) * m:
         return mask
     tied = (np.count_nonzero(mask, axis=1) != m).nonzero()[0]

@@ -73,8 +73,8 @@ def sweep_cell(m, m_prime, gamma_grid, replicates, entropy):
     """1000-replicate style aggregation for one (m, m_prime) cell, on the seeds
     run_sweep derives for it."""
     params = KidneyEggParams(184, m, m_prime, PAPER_P, PAPER_S)
-    seeds = [(m, m_prime, rep) for rep in range(replicates)]
-    return MetricTable.fold(gamma_grid, _replicate_values(params, gamma_grid, entropy, seeds))
+    return MetricTable.fold(gamma_grid, _replicate_values(params, gamma_grid, entropy,
+                                                          (m, m_prime), replicates))
 
 
 def by_gamma(table, criterion):
@@ -402,8 +402,8 @@ class TestCriterion5:
         # graphs and tie streams of the surface
         params = KidneyEggParams(184, 40, 30, PAPER_P, PAPER_S)
         base = child_seed(5001)
-        seeds = [(rep,) for rep in range(surf.replicates)]
-        ap = _replicate_values(params, (best, 0.25), base, seeds)[:, column_index("map")]
+        ap = _replicate_values(params, (best, 0.25), base, (), surf.replicates)[
+            :, column_index("map")]
         assert ap[0].mean() == surf.column("map")[i_best]
         assert ap[1].mean() == surf.column("map")[GRID_101.index(0.25)]
         diff = ap[0] - ap[1]

@@ -66,6 +66,14 @@ class TestExitCodes:
         assert code == 1
         assert "--workers" in err
 
+    @pytest.mark.parametrize("attempts", ["0", "-3"])
+    def test_attempts_below_one_exits_1_before_reading(self, capsys, tmp_path, attempts):
+        # refused by its flag's name before the graph is read: no such file exists
+        code, out, err = run_cli(capsys, "importance", "--graph", str(tmp_path / "unread.topics"),
+                                 "--attempts", attempts, "--seed", "1")
+        assert code == 1
+        assert err == f"error: --attempts must be >= 1, got {attempts}\n" and out == ""
+
     @pytest.mark.parametrize("flag,value", [("--bins", "nan"), ("--bins", "0"),
                                             ("--bins", "-0.1"), ("--bins", "inf"),
                                             ("--max-partitions", "-1"),

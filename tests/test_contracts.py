@@ -246,7 +246,7 @@ def test_seed_sequences_per_call_do_not_grow_with_instances(monkeypatch):
     cum = vnom.importance._cumulative_topics(g)
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
     replicates = [count(lambda: vnom.experiments._replicate_values(
-        params, [0.5], 3, [(rep,) for rep in range(reps)])) for reps in (1, 9)]
+        params, [0.5], 3, (), reps)) for reps in (1, 9)]
     instances = [count(lambda: vnom.importance._draw_instances(
         g, block.take(slice(parts)), 0, 2, reps, 3, cum)) for parts, reps in ((1, 1), (8, 3))]
     assert replicates[0] == replicates[1] <= 1
@@ -409,14 +409,13 @@ def test_replicates_prepared_and_scored_once_per_chunk(monkeypatch):
              (small, sweep_grid, 1, 1)]
     for params, grid, replicates, chunks in cases:
         counts.clear()
-        vnom.experiments._replicate_values(params, grid, 2, [(rep,) for rep in range(replicates)])
+        vnom.experiments._replicate_values(params, grid, 2, (), replicates)
         assert counts == {"prepare_ranking": chunks, "mask_metrics": chunks,
                           "sample_kidney_egg": replicates}
     monkeypatch.setattr(vnom.experiments, "_CHUNK_CELLS", 3 * len(sweep_grid) * 26)
     for replicates, chunks in ((3, 1), (7, 3)):
         counts.clear()
-        vnom.experiments._replicate_values(small, sweep_grid, 2,
-                                           [(rep,) for rep in range(replicates)])
+        vnom.experiments._replicate_values(small, sweep_grid, 2, (), replicates)
         assert counts == {"prepare_ranking": chunks, "mask_metrics": chunks,
                           "sample_kidney_egg": replicates}
 
@@ -436,7 +435,7 @@ def test_replicate_memory_does_not_grow_with_replicates():
         tracemalloc.start()
         try:
             values = vnom.experiments._replicate_values(
-                params, GAMMA_GRID_DEFAULT, 3, [(rep,) for rep in range(replicates)], (1, 2, 3))
+                params, GAMMA_GRID_DEFAULT, 3, (), replicates, (1, 2, 3))
             return tracemalloc.get_traced_memory()[1] - values.nbytes
         finally:
             tracemalloc.stop()
@@ -447,10 +446,11 @@ def test_replicate_memory_does_not_grow_with_replicates():
 
 
 # traced bytes the set-up of a 10**5-replicate surface may hold beyond its
-# values array before the first graph: the key list (~10.4 MB) and one
-# _SAMPLE_CHUNK of derived seed states; 10.6 MB measured, 30.4 MB when every
-# replicate's seed states were derived up front
-SETUP_EXCESS_BYTES = 14_000_000
+# values array before the first graph: one _SAMPLE_CHUNK of keys and their
+# derived seed states; 2.75 MB measured in a fresh interpreter (1.9 MB once
+# numpy.random is loaded), 10.6 MB when every replicate's key was built up
+# front and 30.4 MB when every replicate's seed states were derived up front
+SETUP_EXCESS_BYTES = 3_600_000
 
 
 def test_replicate_set_up_derives_one_chunk_of_streams(monkeypatch):

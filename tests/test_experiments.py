@@ -12,7 +12,7 @@ from vnom import (GAMMA_GRID_DEFAULT, InputError, KidneyEggParams, Simplex3, Swe
 from vnom.experiments import _replicate_values, evaluate_grid, parallel_map, pool_size
 from vnom.graph import RED
 from vnom.nomination import validate_gamma_grid
-from vnom.seeding import as_seed_sequence, child_generators, child_seed
+from vnom.seeding import child_generators, child_seed
 
 PAPER_P = Simplex3(0.6, 0.2, 0.2)
 PAPER_S = Simplex3(0.4, 0.4, 0.2)
@@ -29,9 +29,9 @@ class TestRunReplicate:
         # the harness must agree with calling the public ops by hand
         params = small_params()
         seed = 4242
-        row = _replicate_values(params, [0.5], seed, [()])[0, :, 0]
+        row = _replicate_values(params, [0.5], seed, (), 1)[0, :, 0]
 
-        sample_seed, tie_seed = child_seed(as_seed_sequence(seed)).spawn(2)
+        sample_seed, tie_seed = child_seed(seed, 0).spawn(2)
         g = sample_kidney_egg(params, sample_seed)
         ranking = rank_candidates(g, 0.5, tie_seed)
         direct = evaluate_ranking(ranking, g.red_candidates())
@@ -39,8 +39,8 @@ class TestRunReplicate:
 
     def test_same_seed_same_values(self):
         params = small_params()
-        a = _replicate_values(params, [0.0, 1.0], 7, [(0,), (1,)])
-        b = _replicate_values(params, [0.0, 1.0], 7, [(0,), (1,)])
+        a = _replicate_values(params, [0.0, 1.0], 7, (), 2)
+        b = _replicate_values(params, [0.0, 1.0], 7, (), 2)
         assert a.shape == (2, 3, 2)
         assert a.tobytes() == b.tobytes()
 
@@ -48,17 +48,17 @@ class TestRunReplicate:
         # p1 = s1 = 0: every content score is zero, so gamma=1 is one big tie
         params = KidneyEggParams(20, 6, 2, (0.6, 0.0, 0.4), (0.4, 0.0, 0.6))
         seed = 11
-        sample_seed, tie_seed = child_seed(as_seed_sequence(seed)).spawn(2)
+        sample_seed, tie_seed = child_seed(seed, 0).spawn(2)
         g = sample_kidney_egg(params, sample_seed)
         ranking = rank_candidates(g, 1.0, tie_seed)
         assert ranking.tie_groups == ((0, len(ranking)),)
-        values = _replicate_values(params, [0.0, 1.0], seed, [()])
+        values = _replicate_values(params, [0.0, 1.0], seed, (), 1)
         direct = evaluate_ranking(ranking, g.red_candidates())
         assert list(values[1, :, 0]) == [direct.s_at_1, direct.rr, direct.ap]
 
     def test_y_values_forwarded(self):
         params = small_params()
-        row = _replicate_values(params, [0.5], 3, [()], y_values=(1, 2))[0, :, 0]
+        row = _replicate_values(params, [0.5], 3, (), 1, y_values=(1, 2))[0, :, 0]
         assert row.shape == (5,)
         assert row[3] == row[1]  # AP^1 is the reciprocal rank
 
@@ -138,7 +138,7 @@ class TestReplicateChunks:
         cells = per_chunk * len(CHUNK_GRID) * (params.n - params.m_prime)
         monkeypatch.setattr(vnom.experiments, "_CHUNK_CELLS", cells)
         monkeypatch.setattr(vnom.experiments, "_SAMPLE_CHUNK", 3)
-        got = _replicate_values(params, CHUNK_GRID, seed, keys, (1, 2))
+        got = _replicate_values(params, CHUNK_GRID, seed, (), replicates, (1, 2))
         assert got.shape == want.shape == (len(CHUNK_GRID), 5, replicates)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -161,7 +161,7 @@ class TestReplicateChunks:
         seen.clear()
         monkeypatch.setattr(vnom.experiments, "_CHUNK_CELLS",
                             2 * len(CHUNK_GRID) * (WIDE.n - WIDE.m_prime))
-        _replicate_values(WIDE, CHUNK_GRID, 4, keys)
+        _replicate_values(WIDE, CHUNK_GRID, 4, (), 3)
         assert seen == [np.dtype(np.int32), np.dtype(np.int32)]
 
 

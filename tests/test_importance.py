@@ -189,7 +189,8 @@ def argpartition_red_sets(keys, m):
 
 class TestScreeningSelection:
     @pytest.mark.parametrize("rows,n,m", [(1, 5, 2), (511, 179, 10), (513, 40, 38),
-                                          (1100, 12, 2), (4096, 179, 10)])
+                                          (1100, 12, 2), (4096, 179, 10), (1424, 184, 2),
+                                          (1424, 184, 10), (1424, 184, 40), (1424, 184, 92)])
     def test_matches_argpartition_on_random_blocks(self, rows, n, m):
         keys = np.random.default_rng(rows).random((rows, n))
         mask = _smallest_keys_mask(keys, m)
@@ -198,8 +199,9 @@ class TestScreeningSelection:
 
     @pytest.mark.parametrize("m", range(1, 12))
     def test_bit_order_edges_match_argpartition(self, m):
-        # keys are compared as int64 bits: zero, two subnormals, the smallest
-        # normal, one half and the largest double below 1 must order as floats.
+        # keys are compared by their high words, ties by argpartition on the
+        # floats: zero, two subnormals, the smallest normal, one half and the
+        # largest double below 1 must order as floats.
         # Rows of six distinct edge keys and six more never tie; rows of each
         # edge key twice tie at the m-th place for odd m; constant rows always
         rng = np.random.default_rng(m)
@@ -207,6 +209,45 @@ class TestScreeningSelection:
         more = [1e-323, 1e-300, 2.0 ** -1022 * (1 + 2.0 ** -52), 0.25, 0.5 - 2.0 ** -54, 0.75]
         kinds = [edges + more, edges * 2] + [[x] * 12 for x in edges]
         keys = np.array([rng.permutation(kind) for kind in kinds for _ in range(40)])
+        mask = _smallest_keys_mask(keys, m)
+        assert np.array_equal(mask, argpartition_red_sets(keys, m))
+        assert (mask.sum(axis=1) == m).all()
+
+    @pytest.mark.parametrize("m", [2, 10, 40, 92])
+    def test_keys_tied_in_their_high_words_match_argpartition(self, m):
+        # each row holds two distinct keys, k and the next double above it,
+        # whose high 32 bits are equal, at ranks r and r + 1: at r = m the row
+        # marks m + 1 entries by high words and takes argpartition's pick; at
+        # r = m - 1 or m + 1 its high words alone decide it
+        rng = np.random.default_rng(m)
+        n, rows = 184, 200
+        keys = []
+        for r in (m - 1, m, m + 1):
+            for _ in range(rows):
+                k = np.float64(rng.uniform(0.3, 0.4))
+                k = (k.view(np.int64) & ~np.int64(0xFFFFFFFF) | 1).view(np.float64)
+                pair = np.array([k, np.nextafter(k, 1)])
+                high = pair.view(np.int64) >> 32
+                assert pair[0] < pair[1] and high[0] == high[1]
+                row = np.concatenate([rng.uniform(0.0, 0.25, r - 1), pair,
+                                      rng.uniform(0.5, 1.0, n - r - 1)])
+                keys.append(rng.permutation(row))
+        keys = np.array(keys)
+        mask = _smallest_keys_mask(keys, m)
+        assert np.array_equal(mask, argpartition_red_sets(keys, m))
+        assert (mask.sum(axis=1) == m).all()
+
+    @pytest.mark.parametrize("m", [2, 10, 40, 92])
+    def test_subnormal_keys_match_argpartition(self, m):
+        # subnormals below 2**-1042 have a zero high word, so each such row
+        # ties at the m-th place and takes argpartition's pick; rows of wider
+        # subnormals, high words in 0..4095, are decided or not
+        rng = np.random.default_rng(m)
+        zero_high = rng.integers(1, 2**32, (300, 184)).view(np.float64)
+        some_high = rng.integers(1, 2**44, (300, 184)).view(np.float64)
+        assert (zero_high.view(np.int64) >> 32 == 0).all()
+        assert (some_high < np.finfo(np.float64).tiny).all()
+        keys = np.concatenate([zero_high, some_high])
         mask = _smallest_keys_mask(keys, m)
         assert np.array_equal(mask, argpartition_red_sets(keys, m))
         assert (mask.sum(axis=1) == m).all()
