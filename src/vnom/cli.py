@@ -234,8 +234,12 @@ def _importance_flags(imp):
     imp.add_argument("--graph", required=True, help="topic-graph file")
     imp.add_argument("--m", type=int, default=10)
     imp.add_argument("--m-prime", type=int, default=5)
-    imp.add_argument("--tau-rho", type=float, default=0.1)
-    imp.add_argument("--tau-p", type=float, default=0.2)
+    imp.add_argument("--tau-rho", type=float, default=0.1,
+                     help="density-gap bar (default 0.1); write a negative infinity "
+                          "as --tau-rho=-inf")
+    imp.add_argument("--tau-p", type=float, default=0.2,
+                     help="topic-gap bar (default 0.2); write a negative infinity "
+                          "as --tau-p=-inf")
     imp.add_argument("--attempts", type=int, default=100_000)
     imp.add_argument("--bins", type=float, default=0.1, help="bin width on both axes")
     imp.add_argument("--gammas", default="0,0.5,1")
@@ -269,16 +273,15 @@ def _cmd_importance(args) -> int:
     g = vio.read_topic_graph(args.graph)
     weighted = not args.unweighted_profiles
     screening = screen_partitions(g, args.m, thresholds, args.attempts, screen_seed,
-                                  weighted=weighted)
+                                  weighted=weighted, keep=args.max_partitions)
     config = {"graph": args.graph, "m": args.m, "m_prime": args.m_prime,
               "tau_rho": args.tau_rho, "tau_p": args.tau_p,
               "attempts": args.attempts, "bin_width": args.bins,
               "gammas": args.gammas, "replicates": args.replicates,
               "weighted_profiles": weighted, "seed": seed,
               "max_partitions": args.max_partitions}
-    trials = run_importance_trials(g, screening.take(slice(args.max_partitions)), args.m_prime,
-                                   gammas, args.replicates, trial_seed, bin_width=args.bins,
-                                   n_workers=args.workers)
+    trials = run_importance_trials(g, screening, args.m_prime, gammas, args.replicates,
+                                   trial_seed, bin_width=args.bins, n_workers=args.workers)
     _write_document(args, vio.trials_to_csv, vio.trials_to_json, screening, trials, config)
     if args.partitions_out:
         _write_or_print(vio.partitions_to_csv(trials, config), args.partitions_out)

@@ -17,9 +17,13 @@ delta_rho and delta_p work from side masks instead, an independent check.
 Screening's working memory is bounded by a cell budget, not by the block:
 each block draws its keys a chunk of rows at a time, keeps only the ids and
 gaps of the draws passing the density bar, and profiles those a chunk of
-rows per kernel call.  Trials run in blocks of partitions whose replicates
-map their uniforms to topics, and are scored and ranked, as one stack; they
-return columns too, one metric table stacked over partitions and their rates.
+rows per kernel call.  Their topic gaps are first estimated from all-edge
+and per-vertex totals, with a bound on the distance to the exact gap: only
+the rows the bound leaves undecided, and the accepted rows a screen keeps,
+take the exact profile pass over their green edges.  Trials run in blocks
+of partitions whose replicates map their uniforms to topics, and are scored
+and ranked, as one stack; they return columns too, one metric table stacked
+over partitions and their rates.
 """
 
 from __future__ import annotations
@@ -81,7 +85,12 @@ class TopicMap(_Record):
 
 class ScreeningResult(_Record):
     """A screen's accepted draws as columns, one row a draw in draw order:
-    ascending red ids (rows x m), int8 RED/GREEN topic labels, gaps, draw index."""
+    ascending red ids (rows x m), int8 RED/GREEN topic labels, gaps, draw index.
+
+    ``accepted`` counts every accepted draw of the screen, which holds rows
+    for the first ones alone when it kept fewer (``screen_partitions(keep=)``);
+    it defaults to the row count.
+    """
 
     red_ids: np.ndarray
     topic_labels: np.ndarray
@@ -89,21 +98,31 @@ class ScreeningResult(_Record):
     delta_p: np.ndarray
     draw_index: np.ndarray
     attempts: int
+    accepted: int | None = None
 
     def __post_init__(self):
-        shapes = [np.shape(getattr(self, f)) for f in self._fields[:-1]]
+        shapes = [np.shape(getattr(self, f)) for f in self._fields[:-2]]
         if [len(s) for s in shapes] != [2, 2, 1, 1, 1] or len({s[0] for s in shapes}) != 1:
             raise InputError(f"screened columns need one row per red set, got shapes {shapes}")
         if not (np.isfinite(self.delta_rho).all() and np.isfinite(self.delta_p).all()):
             raise InputError("screened gaps must be finite")
+        if self.accepted is None:
+            object.__setattr__(self, "accepted", self.n_rows)
+        elif self.accepted < self.n_rows:
+            raise InputError(f"{self.accepted} accepted draws cannot hold {self.n_rows} rows")
 
     def take(self, rows) -> ScreeningResult:
-        """The accepted rows picked by a slice, a boolean mask or an index array."""
-        return ScreeningResult(*(getattr(self, f)[rows] for f in self._fields[:-1]), self.attempts)
+        """The accepted rows picked by a slice, a boolean mask or an index
+        array, as a screen that accepted those alone."""
+        return ScreeningResult(*(getattr(self, f)[rows] for f in self._fields[:-2]), self.attempts)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.draw_index)
 
     @property
     def n_accepted(self) -> int:
-        return len(self.draw_index)
+        return self.accepted
 
     @property
     def acceptance_rate(self) -> float:
@@ -141,18 +160,24 @@ def _sides(g, red_mask: np.ndarray) -> tuple:
 
 def _screen_tables(g, m: int, weighted: bool) -> tuple:
     """What every block of one screen reads: (edge weights after a zero row,
-    the pair-slot table, its offsets, the degree vector, and the red pairs
-    (first, second) of :func:`kidney_egg._pairs` (m)).  The table holds the
-    slot of every vertex pair u < v at ``offsets[u] + v``, in lexicographic
-    pair order: e + 1 for edge e, 0 (the zero weight row) for no edge, in the
-    narrowest unsigned type that holds the edge count."""
-    weights = np.concatenate([np.zeros((1, g.k_topics)), _edge_weights(g, weighted)])
+    the pair-slot table, its offsets, the degree vector, the red pairs
+    (first, second) of :func:`kidney_egg._pairs` (m), each vertex's
+    (vertices x topics) incident-edge topic totals and the all-edge ones).
+    The table holds the slot of every vertex pair u < v at ``offsets[u] + v``,
+    in lexicographic pair order: e + 1 for edge e, 0 (the zero weight row)
+    for no edge, in the narrowest unsigned type that holds the edge count."""
+    edge_weights = _edge_weights(g, weighted)
+    weights = np.concatenate([np.zeros((1, g.k_topics)), edge_weights])
     # the lookups are most of the work: 32-bit positions wherever they fit
     offsets = _pair_offsets(g.n).astype(np.int32 if comb(g.n, 2) <= 2**31 else np.int64)
     table = np.zeros(comb(g.n, 2), dtype=np.min_scalar_type(g.num_edges))
     table[offsets[g.edge_u] + g.edge_v] = np.arange(1, g.num_edges + 1)
-    degree = np.bincount(np.concatenate([g.edge_u, g.edge_v]), minlength=g.n)
-    return weights, table, offsets, degree, _pairs(m)
+    ends = np.concatenate([g.edge_u, g.edge_v])
+    degree = np.bincount(ends, minlength=g.n)
+    incident = np.stack([np.bincount(ends, np.concatenate([column, column]), g.n)
+                         for column in edge_weights.T], axis=1)
+    return (weights, table, offsets, degree, _pairs(m), incident,
+            edge_weights.sum(axis=0))
 
 
 def _red_slots(table: np.ndarray, offsets: np.ndarray, chosen: np.ndarray,
@@ -191,8 +216,11 @@ def _density_gap(red_edges, green_edges, m: int, n_green: int):
 def _chunk_rows(width: int) -> int:
     """Rows per screening kernel call over ``width`` cells a row: vertices
     for a block's keys (2 MB of float64), red pairs for :func:`_red_slots`
-    (1 MB of int32 positions), and the larger of edges and red pairs for
-    :func:`_profile_gap` (2 MB of float mask) and its lookups."""
+    (1 MB of int32 positions), the largest of vertices, red pairs and
+    topics for :func:`_gap_estimate` and its lookups (a few float64
+    (rows x topics) arrays, no more rows than a key chunk), and the larger
+    of edges and red pairs for :func:`_profile_gap` (2 MB of float mask)
+    and its lookups."""
     return max(1, _ROW_CELLS // max(width, 1))
 
 
@@ -228,6 +256,48 @@ def _profile_gap(weights: np.ndarray, red_total, green_in) -> tuple:
     return np.where(pr.any(axis=1) & pg.any(axis=1), gap, 0.0), pr, pg
 
 
+def _gap_estimate(incident: np.ndarray, total: np.ndarray, chosen: np.ndarray,
+                  red_total: np.ndarray, terms: int) -> tuple:
+    """(estimate, bound) of delta_p for each row of red ids ``chosen``, from
+    its red-internal topic totals ``red_total`` and the screen's incident and
+    all-edge totals (of :func:`_screen_tables`), with no green edge mask: the
+    exact pass's delta_p (:func:`_profile_gap`) lies within ``bound`` of the
+    estimate.  ``terms`` is at least the edge count plus m plus the topic count.
+
+    The green totals are every edge's, less the red vertices' incident ones,
+    plus the red-internal ones, which those subtract twice.  With u the unit
+    roundoff and g = terms u / (1 - terms u), every sum of at most ``terms``
+    non-negative weights is within g of its own value (Higham 2002, ch. 4),
+    so each topic's estimate lies within 8 g times its all-edge total of the
+    real green total, and the exact pass's within g of it: the two differ by
+    at most D = 10 g T + 2 g G in all, T and G the all-edge and estimated
+    green masses.  Clipped at zero, the estimate's profile then lies within
+    2 D / G of the exact one in L1, and each side's rounding of the
+    normalization and the gap adds at most 4 g.  The bound is that, plus 4u,
+    so its own rounding and the compare's cannot cross the bar.  A row gets
+    a finite bound only when G - D > 0 certifies a green mass, so that the
+    exact pass's green profile is not the zero vector; a row whose red
+    profile is zero has delta_p 0 exactly and a zero bound."""
+    red_profile = _normalized(red_total)
+    first, *rest = chosen.T
+    green = total - incident[first]
+    for column in rest:
+        green -= incident[column]
+    green += red_total
+    np.maximum(green, 0.0, out=green)
+    mass = green.sum(axis=1)
+    u = np.finfo(np.float64).eps / 2
+    g = terms * u / (1 - terms * u)
+    slack = 10 * g * total.sum() + 2 * g * mass
+    sure = mass - slack > 0
+    estimate = np.abs(red_profile - _normalized(green)).sum(axis=1)
+    bound = np.full(len(chosen), np.inf)
+    bound[sure] = 2 * slack[sure] / mass[sure] + 8 * g + 4 * u
+    empty = ~red_profile.any(axis=1)
+    estimate[empty], bound[empty] = 0.0, 0.0
+    return estimate, bound
+
+
 def _cumulative_topics(g: TopicGraph) -> np.ndarray:
     """(topics x edges) cumulative topic probabilities of every edge."""
     return np.ascontiguousarray(np.cumsum(g.topic_probs, axis=1).T)
@@ -254,11 +324,15 @@ def _topics(cum_topics: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _rates(attr, red_in, green_in, red_pairs, green_pairs) -> np.ndarray:
     """(..., 4) rates (p1, p2, s1, s2): red and green edges per green-side,
-    then red-side, pair, for edge attributes and side masks over the last axis."""
-    red_edge, green_edge = attr == RED, attr == GREEN
-    return np.stack([np.count_nonzero(side & edge, axis=-1) / pairs
-                     for side, pairs in ((green_in, green_pairs), (red_in, red_pairs))
-                     for edge in (red_edge, green_edge)], axis=-1)
+    then red-side, pair, for edge attributes and side masks over the last
+    axis.  Every edge of the side masks must be RED or GREEN: a side's green
+    edges are its edges less its red ones."""
+    red_edge = attr == RED
+    rates = []
+    for side, pairs in ((green_in, green_pairs), (red_in, red_pairs)):
+        red = np.count_nonzero(side & red_edge, axis=-1)
+        rates += [red / pairs, (np.count_nonzero(side, axis=-1) - red) / pairs]
+    return np.stack(rates, axis=-1)
 
 
 def topic_profile(g: TopicGraph, vs, *, weighted: bool = True) -> np.ndarray:
@@ -307,7 +381,8 @@ def _topic_labels(profile_red, profile_green) -> np.ndarray:
 
 
 def screen_partitions(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
-                      max_attempts: int, seed, *, weighted: bool = True) -> ScreeningResult:
+                      max_attempts: int, seed, *, weighted: bool = True,
+                      keep: int | None = None) -> ScreeningResult:
     """Draw uniform m-subsets as red sets; keep those passing both gaps.
 
     A draw is accepted iff delta_rho > tau_rho AND delta_p > tau_p (strict).
@@ -317,19 +392,27 @@ def screen_partitions(g: TopicGraph, m: int, thresholds: ScreeningThresholds,
     (seed, i): draws are generated in fixed-size blocks with one derived seed
     per block, so the accepted list (ordered by draw index) is reproducible
     under any parallel schedule.  Zero acceptances is a valid outcome, not an
-    error.
+    error.  With ``keep``, the result holds rows for the first ``keep``
+    accepted draws alone, the same rows as the uncapped screen's first, and
+    still counts every accepted draw.
     """
     if not 2 <= m <= g.n - 2:
         raise InputError(f"m must lie in 2..{g.n - 2}, got {m}")
     if max_attempts < 1:
         raise InputError("max_attempts must be >= 1")
+    if keep is not None and keep < 0:
+        raise InputError(f"keep must be >= 0, got {keep}")
     tables = _screen_tables(g, m, weighted)
     base = child_seed(seed)
-    blocks = [_screen_block(g, m, thresholds, tables,
-                            generator(child_seed(base, start // _SCREEN_BLOCK)), start,
-                            min(_SCREEN_BLOCK, max_attempts - start))
-              for start in range(0, max_attempts, _SCREEN_BLOCK)]
-    return ScreeningResult(*map(np.concatenate, zip(*blocks)), max_attempts)
+    blocks, accepted = [], 0
+    for start in range(0, max_attempts, _SCREEN_BLOCK):
+        columns, count = _screen_block(
+            g, m, thresholds, tables, generator(child_seed(base, start // _SCREEN_BLOCK)),
+            start, min(_SCREEN_BLOCK, max_attempts - start),
+            None if keep is None else max(keep - accepted, 0))
+        blocks.append(columns)
+        accepted += count
+    return ScreeningResult(*map(np.concatenate, zip(*blocks)), max_attempts, accepted)
 
 
 def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
@@ -373,20 +456,28 @@ def _smallest_keys_mask(keys: np.ndarray, m: int) -> np.ndarray:
 
 
 def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds, tables: tuple,
-                  rng, start: int, draws: int) -> tuple:
-    """The :class:`ScreeningResult` columns of the accepted draws
-    start..start+draws-1, with the screen's ``tables`` (of :func:`_screen_tables`).
+                  rng, start: int, draws: int, keep: int | None = None) -> tuple:
+    """(The :class:`ScreeningResult` columns of the first ``keep`` (or all)
+    accepted draws of start..start+draws-1, the count of every accepted
+    draw), with the screen's ``tables`` (of :func:`_screen_tables`).
 
     The block's keys are drawn a chunk of rows at a time; consecutive
     ``rng.random((rows, n))`` calls read the stream one (draws x n) call
     would, so no draw depends on the chunk size.  For each chunk, density
     gaps come from edge counts, red-internal ones the red pairs' non-zero
     slots (:func:`_red_slots`), and only the ids, gaps and indices of the
-    draws passing tau_rho are kept.  Those are then profiled a chunk of rows
-    per kernel call: the red side's topic totals from its own edges, looked
-    up again (:func:`_red_totals`), the green side's from its edge mask.
+    draws passing tau_rho are kept.  Those get their red side's topic totals
+    from their own edges, looked up again (:func:`_red_totals`), and a
+    delta_p estimate with a bound (:func:`_gap_estimate`), a chunk of rows
+    at a time.  A row the bound puts at or below tau_p is rejected, and one
+    it puts above is accepted; the exact pass (the red totals looked up once
+    more, the green side's from its edge mask, :func:`_profile_gap`) then
+    runs for the rows left undecided and for the accepted ones that can be
+    among the first ``keep``, a chunk of rows per kernel call.  Each row's
+    exact values do not depend on which rows share its call, so the
+    estimate only chooses which rows take the pass.
     """
-    weights, table, offsets, degree, pairs = tables
+    weights, table, offsets, degree, pairs, incident, total = tables
     step, lookup = _chunk_rows(g.n), _chunk_rows(len(pairs[0]))
     passing = []
     for lo in range(0, draws, step):
@@ -400,21 +491,39 @@ def _screen_block(g: TopicGraph, m: int, thresholds: ScreeningThresholds, tables
         # edges without a red end: the degree sum counts red-internal edges twice
         green = g.num_edges - (degree[chosen].sum(axis=1) - red)
         d_rho = _density_gap(red, green, m, g.n - m)
-        keep = np.flatnonzero(d_rho > thresholds.tau_rho)
-        passing.append((chosen[keep], d_rho[keep], lo + keep))
+        passed = np.flatnonzero(d_rho > thresholds.tau_rho)
+        passing.append((chosen[passed], d_rho[passed], lo + passed))
     chosen, d_rho, rows = (np.concatenate(part) for part in zip(*passing))
-    step = _chunk_rows(max(g.num_edges, len(pairs[0])))
-    d_p, labels = np.empty(len(rows)), np.empty((len(rows), g.k_topics), dtype=np.int8)
+    del passing
+    # d_p holds each row's estimate until the exact pass overwrites it
+    d_p, bound = np.empty(len(rows)), np.empty(len(rows))
+    step = _chunk_rows(max(g.n, len(pairs[0]), g.k_topics))
+    terms = g.num_edges + m + g.k_topics
     for lo in range(0, len(rows), step):
         ids = chosen[lo:lo + step]
+        d_p[lo:lo + step], bound[lo:lo + step] = _gap_estimate(
+            incident, total, ids, _red_totals(weights, _red_slots(table, offsets, ids, pairs)),
+            terms)
+    sure = np.isfinite(bound)
+    accept = sure & (d_p - bound > thresholds.tau_p)
+    undecided = ~accept & ~(sure & (d_p + bound <= thresholds.tau_p))
+    # the certain accepts among the first keep ones hold every kept one
+    exact = np.flatnonzero(undecided | (accept if keep is None else
+                                        accept & (np.cumsum(accept) <= keep)))
+    labels = np.empty((len(exact), g.k_topics), dtype=np.int8)
+    step = _chunk_rows(max(g.num_edges, len(pairs[0])))
+    for lo in range(0, len(exact), step):
+        ids = chosen[exact[lo:lo + step]]
         red_mask = np.zeros((len(ids), g.n), dtype=bool)
         np.put_along_axis(red_mask, ids, True, axis=1)
         green_in = ~(red_mask[:, g.edge_u] | red_mask[:, g.edge_v])
-        d_p[lo:lo + step], pr, pg = _profile_gap(
+        d_p[exact[lo:lo + step]], pr, pg = _profile_gap(
             weights[1:], _red_totals(weights, _red_slots(table, offsets, ids, pairs)), green_in)
         labels[lo:lo + step] = _topic_labels(pr, pg)
-    keep = d_p > thresholds.tau_p
-    return chosen[keep], labels[keep], d_rho[keep], d_p[keep], start + rows[keep]
+    accepted = np.flatnonzero(accept | (undecided & (d_p > thresholds.tau_p)))
+    kept = accepted[:keep]
+    return ((chosen[kept], labels[np.searchsorted(exact, kept)], d_rho[kept], d_p[kept],
+             start + rows[kept]), len(accepted))
 
 
 def instantiate_edges(g: TopicGraph, topic_map: TopicMap, part: Partition,
@@ -449,7 +558,9 @@ def estimate_rates(g: AttributedGraph, part: Partition) -> EstimatedRates:
     """
     m, n_green = _side_sizes(g, part)
     red_in, green_in = _sides(g, part.red_mask())
-    return EstimatedRates(*map(float, _rates(g.edge_attr, red_in, green_in,
+    # an attribute past GREEN (k_edge_attrs > 2) counts toward neither rate
+    coloured = (g.edge_attr == RED) | (g.edge_attr == GREEN)
+    return EstimatedRates(*map(float, _rates(g.edge_attr, red_in & coloured, green_in & coloured,
                                              comb(m, 2), comb(n_green, 2))))
 
 
@@ -496,12 +607,12 @@ def _draw_instances(g: TopicGraph, block: ScreeningResult, first: int, m_prime: 
     instances then map to topics together, and each partition's topics to its
     labels, read from the block's flat label table.
     """
-    n_inst, n_cand = block.n_accepted * replicates, g.n - m_prime
+    n_inst, n_cand = block.n_rows * replicates, g.n - m_prime
     u = np.empty((n_inst, g.num_edges))
     identified = np.zeros((n_inst, g.n), dtype=bool)
     tiebreak = np.empty((n_inst, n_cand), dtype=np.int64)
     tiebreak[:] = np.arange(n_cand)
-    rngs = child_generators(base_seed, [(first + j, rep, stream) for j in range(block.n_accepted)
+    rngs = child_generators(base_seed, [(first + j, rep, stream) for j in range(block.n_rows)
                                         for rep in range(replicates) for stream in range(3)])
     for i, (edge_rng, ident_rng, tie_rng) in enumerate(zip(rngs, rngs, rngs)):
         edge_rng.random(out=u[i])
@@ -531,18 +642,18 @@ def _trial_block(g: TopicGraph, block: ScreeningResult, first: int, m_prime: int
                           (g.edge_v.astype(ids) + shift).ravel(),
                           (attr == RED).ravel(), identified.ravel())
     cand = ~identified.ravel()
-    red_masks = np.zeros((block.n_accepted, g.n), dtype=bool)
+    red_masks = np.zeros((block.n_rows, g.n), dtype=bool)
     np.put_along_axis(red_masks, block.red_ids, True, axis=1)
     red = np.repeat(red_masks, replicates, axis=0).ravel()[cand].reshape(n_inst, n_cand)
     t0, t1 = t0[cand].reshape(n_inst, n_cand), t1[cand].reshape(n_inst, n_cand)
     values = evaluate_grid(t0, t1, red, tiebreak, gamma_grid)
-    values = np.moveaxis(values.reshape(block.n_accepted, replicates, *values.shape[1:]), 1, -1)
+    values = np.moveaxis(values.reshape(block.n_rows, replicates, *values.shape[1:]), 1, -1)
 
     m = block.red_ids.shape[1]
     red_in, green_in = _sides(g, red_masks[:, None, :])
-    rates = _rates(attr.reshape(block.n_accepted, replicates, -1), red_in, green_in,
+    rates = _rates(attr.reshape(block.n_rows, replicates, -1), red_in, green_in,
                    comb(m, 2), comb(g.n - m, 2))
-    rate_sum = np.zeros((block.n_accepted, rates.shape[-1]))
+    rate_sum = np.zeros((block.n_rows, rates.shape[-1]))
     for rep in range(replicates):  # summed in replicate order, as one partition alone would
         rate_sum += rates[:, rep]
     return values, rate_sum / replicates
@@ -591,7 +702,7 @@ def run_importance_trials(g: TopicGraph, screening: ScreeningResult, m_prime: in
     blocks = parallel_map(_trial_block,
                           [(g, screening.take(slice(first, first + _TRIAL_BLOCK)), first,
                             m_prime, grid, replicates_per_partition, base, cum_topics)
-                           for first in range(0, screening.n_accepted, _TRIAL_BLOCK)],
+                           for first in range(0, screening.n_rows, _TRIAL_BLOCK)],
                           n_workers)
 
     # an empty screening runs no block: each column starts from zero rows

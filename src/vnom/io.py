@@ -277,21 +277,23 @@ RATE_BIN_WIDTH = 0.02  # estimated-rate bin width of rate_bins_csv
 
 
 def _meta(kind: str, config: dict) -> dict:
-    """The metadata envelope of every result document, with its only timestamp."""
+    """The metadata envelope of every result document, with its only
+    timestamp; a non-finite config value (an infinite threshold) is written
+    as its name, "inf", "-inf" or "nan", which ``float`` reads back."""
     return {"kind": kind,
             "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "config": config}
+            "config": _finite(config, named=True)}
 
 
-def _finite(obj):
-    """``obj`` with every non-finite float (a one-replicate standard error, an
-    infinite threshold) replaced by None, which strict JSON can hold."""
+def _finite(obj, named: bool = False):
+    """``obj`` with every non-finite float (a one-replicate standard error)
+    replaced by None, which strict JSON can hold, or by its name."""
     if isinstance(obj, dict):
-        return {key: _finite(value) for key, value in obj.items()}
+        return {key: _finite(value, named) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite(value) for value in obj]
+        return [_finite(value, named) for value in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
-        return None
+        return str(obj) if named else None
     return obj
 
 

@@ -522,8 +522,8 @@ def strict_json(text):
 
 
 class TestStrictJson:
-    # non-finite numbers are written as null: one-replicate standard errors
-    # in data, an infinite threshold in meta
+    # non-finite numbers in data (one-replicate standard errors) are written
+    # as null; in meta, an infinite threshold is written as its name
     def test_single_replicate_sweep_and_surface(self, capsys):
         common = ["--n", "20", "--gammas", "0,1", "--replicates", "1", "--seed", "1",
                   "--format", "json"]
@@ -548,11 +548,43 @@ class TestStrictJson:
         assert only_bin["reports"]["0.5"]["map"]["stderr"] is None
         code, out, _ = run_cli(capsys, *args, "--tau-rho=-inf")
         assert code == 0
-        assert strict_json(out)["meta"]["config"]["tau_rho"] is None
+        assert strict_json(out)["meta"]["config"]["tau_rho"] == "-inf"
         code, out, _ = run_cli(capsys, *args[:-2], "--tau-rho=-inf")  # the CSV form
         assert code == 0
         config_line = next(line for line in out.splitlines() if line.startswith("# config: "))
-        assert strict_json(config_line[len("# config: "):])["tau_rho"] is None
+        assert strict_json(config_line[len("# config: "):])["tau_rho"] == "-inf"
+
+    @pytest.mark.parametrize("form", ["csv", "json"])
+    def test_infinite_bars_of_either_sign_are_told_apart(self, capsys, corpus, form):
+        configs = {}
+        for bar in ("inf", "-inf"):
+            code, out, _ = run_cli(capsys, "importance", "--graph", str(corpus), "--m", "10",
+                                   "--m-prime", "5", "--attempts", "50", "--replicates", "1",
+                                   "--max-partitions", "1", f"--tau-p={bar}", "--seed", "2",
+                                   "--format", form)
+            assert code == 0
+            if form == "json":
+                config = strict_json(out)["meta"]["config"]
+            else:
+                line = next(line for line in out.splitlines() if line.startswith("# config: "))
+                config = strict_json(line[len("# config: "):])
+            assert float(config["tau_p"]) == float(bar)
+            assert config["max_partitions"] == 1 and config["tau_rho"] == 0.1
+            configs[bar] = config
+        assert configs["inf"] != configs["-inf"]
+
+    def test_data_sections_still_write_non_finite_numbers_as_null(self):
+        from vnom.io import _json
+
+        text = _json("check", {"tau_p": float("-inf")}, {"stderr": [float("nan"), float("inf")]})
+        doc = strict_json(text)
+        assert doc["data"] == {"stderr": [None, None]}
+        assert doc["meta"]["config"] == {"tau_p": "-inf"}
+
+    @pytest.mark.parametrize("flag", ["--tau-rho", "--tau-p"])
+    def test_help_names_the_attached_form_of_a_negative_infinity(self, capsys, flag):
+        code, out, _ = run_cli(capsys, "importance", "--help")
+        assert code == 0 and f"{flag}=-inf" in " ".join(out.split())
 
 
 class TestEstimate:

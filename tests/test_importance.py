@@ -12,10 +12,11 @@ from vnom import (AttributedGraph, EmptyProfileError, InputError, KidneyEggParam
                   topic_profile)
 from vnom import importance
 from vnom.importance import (_SCREEN_BLOCK, _chunk_rows, _cumulative_topics, _draw_instances,
-                             _edge_weights, _normalized, _profile_gap, _profiles,
-                             _red_slots, _red_totals, _screen_block, _screen_tables, _sides,
-                             _smallest_keys_mask, _topic_labels, _topic_totals, _topics,
-                             bin_index, check_trial_arguments)
+                             _edge_weights, _gap_estimate, _normalized, _profile_gap,
+                             _profiles, _rates, _red_slots, _red_totals, _screen_block,
+                             _screen_tables, _sides, _smallest_keys_mask, _topic_labels,
+                             _topic_totals, _topics, bin_index, check_trial_arguments)
+from vnom.graph import GREEN, RED
 from vnom.seeding import child_seed, generator
 
 from conftest import build_attributed, build_topic, point_mass
@@ -265,9 +266,9 @@ class TestScreeningSelection:
         planted = [[0.1, 0.5, 0.5, 0.5, 0.9, 0.5, 0.2, 0.7],  # 2nd smallest tied four ways
                    [0.3] * 8,  # every key tied
                    [0.6, 0.4, 0.4, 0.8, 0.1, 0.2, 0.3, 0.0]]  # no tie
-        red_ids, *_, draw_index = _screen_block(g, 2, ScreeningThresholds(-np.inf, -np.inf),
-                                                _screen_tables(g, 2, True),
-                                                PlantedUniforms(planted), 0, len(planted))
+        (red_ids, *_, draw_index), _ = _screen_block(
+            g, 2, ScreeningThresholds(-np.inf, -np.inf), _screen_tables(g, 2, True),
+            PlantedUniforms(planted), 0, len(planted))
         want = argpartition_red_sets(np.array(planted), 2)
         assert draw_index.tolist() == [0, 1, 2]
         for ids, row in zip(red_ids, want):
@@ -314,8 +315,8 @@ class TestScreenChunks:
             if d_rho > self.thresholds.tau_rho and d_p > self.thresholds.tau_p:
                 want.append((row, part.red_ids.tolist(), _topic_labels(pr, pg).tolist(),
                              d_rho.hex(), d_p.hex()))
-        got = _screen_block(g, m, self.thresholds, _screen_tables(g, m, True), generator(5),
-                            0, draws)
+        got, _ = _screen_block(g, m, self.thresholds, _screen_tables(g, m, True),
+                               generator(5), 0, draws)
         assert screened(got) == want
         if draws == 157:
             assert len(want) == (35 if m == 6 else 10)
@@ -530,8 +531,8 @@ class TestStackedProfiles:
         tables = _screen_tables(g, 4, weighted)
         all_pass = ScreeningThresholds(-np.inf, -np.inf)
         for draws in (6, 7, 8, 13, 14, 15, 20):
-            red_ids, labels, _, d_p, draw_index = _screen_block(g, 4, all_pass, tables,
-                                                                generator(draws), 0, draws)
+            (red_ids, labels, _, d_p, draw_index), _ = _screen_block(
+                g, 4, all_pass, tables, generator(draws), 0, draws)
             assert draw_index.tolist() == list(range(draws))
             for ids, row, got in zip(red_ids, labels, d_p.tolist()):
                 red_in, green_in = _sides(g, Partition(g.n, ids).red_mask())
@@ -571,7 +572,7 @@ def check_red_totals(g, chosen, weighted=True):
     ids ``chosen``, from their red-pair slots, against the count and the
     einsum over each row's red side mask, to the bit; returns the totals."""
     chosen = np.sort(np.asarray(chosen, dtype=np.int64), axis=1)
-    weights, table, offsets, _, pairs = _screen_tables(g, chosen.shape[1], weighted)
+    weights, table, offsets, _, pairs, *_ = _screen_tables(g, chosen.shape[1], weighted)
     step = _chunk_rows(len(pairs[0]))  # rows per lookup, as screening takes them
     slots = [_red_slots(table, offsets, chosen[lo:lo + step], pairs)
              for lo in range(0, len(chosen), step)]
@@ -676,6 +677,109 @@ class TestSlotTiers:
         assert got[0].any() == bool(edges)
 
 
+def gap_estimates_and_exact(g, chosen, weighted=True):
+    """(estimate, bound, exact delta_p, exact green profiles) of each row of
+    red ids ``chosen``: the certificate's inputs from the screen's tables, the
+    exact pass's values from each row's green edge mask."""
+    chosen = np.sort(np.asarray(chosen), axis=1)
+    weights, table, offsets, _, pairs, incident, total = _screen_tables(g, chosen.shape[1],
+                                                                        weighted)
+    red_total = _red_totals(weights, _red_slots(table, offsets, chosen, pairs))
+    estimate, bound = _gap_estimate(incident, total, chosen, red_total,
+                                    g.num_edges + chosen.shape[1] + g.k_topics)
+    _, green_in = _sides(g, red_ids_mask(g.n, chosen))
+    exact, _, pg = _profile_gap(weights[1:], red_total, green_in)
+    return estimate, bound, exact, pg
+
+
+class TestGapCertificate:
+    """The delta_p estimate from complement totals, and its bound on the
+    distance to the exact pass's value."""
+
+    @pytest.mark.parametrize("m", [2, 8, 20])
+    def test_bound_holds_with_weights_over_sixteen_decades(self, m):
+        # message counts 1..1e15: the complement's subtraction cancels most
+        # of the all-edge totals whenever a red vertex carries a heavy edge
+        rng = np.random.default_rng(m)
+        pairs = [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.3]
+        probs = rng.dirichlet(np.full(5, 0.3), len(pairs))
+        counts = 10 ** rng.integers(0, 16, len(pairs))
+        g = build_topic(40, [(u, v, int(c), p) for (u, v), c, p in zip(pairs, counts, probs)], 5)
+        chosen = np.argsort(rng.random((3000, g.n)), axis=1)[:, :m]
+        estimate, bound, exact, pg = gap_estimates_and_exact(g, chosen)
+        sure = np.isfinite(bound)
+        assert (estimate != exact).any() and sure.all() and (bound < 1e-9).all()
+        assert (np.abs(estimate - exact) <= bound).all()
+        assert pg[sure & (bound > 0)].any(axis=1).all()  # a certified green mass
+        assert (exact[bound == 0] == 0).all()
+
+    def test_bound_holds_where_the_complement_cancels_heavy_edges(self):
+        # red set {0, 1, 2} carries cross edges of 1e15 messages, so its
+        # green totals (at most 1e3) are what is left of a 1e15-scale
+        # subtraction: the estimate moves, and the bound must cover it
+        heavy = [(0, 5), (1, 6), (2, 7), (0, 8)]
+        green = [(3, 4), (5, 6), (7, 8), (8, 9), (4, 9), (3, 9)]
+        edges = ([(u, v, 10**15 - 7 * u, np.array([0.3, 0.7])) for u, v in heavy]
+                 + [(0, 1, 10**14, np.array([0.5, 0.5]))]
+                 + [(u, v, 1 + 97 * i, np.array([1.0, 0.0]) if i % 2 else np.array([0.2, 0.8]))
+                    for i, (u, v) in enumerate(green)])
+        g = build_topic(10, edges, 2)
+        rng = np.random.default_rng(5)
+        chosen = [[0, 1, 2]] + [rng.choice(10, 3, replace=False) for _ in range(200)]
+        estimate, bound, exact, _ = gap_estimates_and_exact(g, chosen)
+        assert np.isfinite(bound[0]) and abs(estimate[0] - exact[0]) > 1e-9
+        sure = np.isfinite(bound)
+        assert (np.abs(estimate - exact)[sure] <= bound[sure]).all()
+
+    def test_no_green_mass_is_certified_from_a_cancelled_complement(self):
+        # every edge has an end in {0, 1, 2, 3}: the green side of that red
+        # set has no edge, and its complement totals are rounding residue
+        rng = np.random.default_rng(8)
+        edges = [(u, v, int(10 ** rng.integers(0, 16)), rng.dirichlet([0.5, 0.5, 0.5]))
+                 for u in range(4) for v in range(u + 1, 9) if rng.random() < 0.8]
+        g = build_topic(9, edges, 3)
+        _, bound, exact, pg = gap_estimates_and_exact(g, [[0, 1, 2, 3]])
+        assert not pg.any() and exact[0] == 0.0 and np.isinf(bound[0])
+
+    def test_bound_is_tight_on_the_bench_corpus(self):
+        g = generate_surrogate(184, 32, seed=3)
+        chosen = np.argsort(np.random.default_rng(1).random((500, g.n)), axis=1)[:, :10]
+        estimate, bound, exact, _ = gap_estimates_and_exact(g, chosen)
+        assert (np.abs(estimate - exact) <= bound).all() and (bound < 1e-11).all()
+
+    def test_sides_without_edges(self):
+        g = build_topic(8, [(0, 1, 1, point_mass(0, 2)), (0, 2, 1, point_mass(0, 2)),
+                            (4, 5, 1, point_mass(1, 2)), (6, 7, 1, np.array([0.5, 0.5]))], 2)
+        # rows 0 and 4 have no green edge, row 1 no red edge
+        chosen = [[0, 4, 6, 7], [0, 3, 5, 7], [4, 5, 6, 7], [0, 1, 2, 3], [0, 5, 6, 7]]
+        estimate, bound, exact, pg = gap_estimates_and_exact(g, chosen, weighted=False)
+        assert estimate[1] == exact[1] == 0.0 and bound[1] == 0.0
+        assert not pg[[0, 4]].any() and np.isinf(bound[[0, 4]]).all()
+        assert np.isfinite(bound[[2, 3]]).all()
+        assert (np.abs(estimate - exact)[[2, 3]] <= bound[[2, 3]]).all()
+
+    @pytest.mark.parametrize("keep", [0, 1, 7, 40])
+    def test_the_exact_pass_takes_only_the_kept_rows(self, monkeypatch, keep):
+        g = importance_surrogate()
+        thresholds = ScreeningThresholds(0.0, 0.3)
+        full = screen_partitions(g, 6, thresholds, 3000, 5)
+        profiled = []
+
+        def counted(weights, red_total, green_in):
+            profiled.append(len(green_in))
+            return _profile_gap(weights, red_total, green_in)
+
+        monkeypatch.setattr(importance, "_profile_gap", counted)
+        capped = screen_partitions(g, 6, thresholds, 3000, 5, keep=keep)
+        assert full.n_accepted > 40 and capped.n_accepted == full.n_accepted
+        assert capped.take(slice(None)) == full.take(slice(keep))
+        assert sum(profiled) == keep  # the bound decides every other row
+
+    def test_keep_below_zero_rejected(self):
+        with pytest.raises(InputError, match="keep must be >= 0"):
+            screen_partitions(two_block_topic_graph(), 4, ScreeningThresholds(), 10, 0, keep=-1)
+
+
 class TestBlockTopicDraws:
     """Block topic mapping against the per-instance draw it replaced."""
 
@@ -739,6 +843,25 @@ class TestEstimateRates:
         assert est.s2 == pytest.approx(1 / 6)
         assert est.p1 == pytest.approx(1 / 6)  # green side {4..7}: (4,5) red edge
         assert est.p2 == 0.0  # the cross edge (0,4) counts toward neither side
+
+    def test_a_third_attribute_counts_toward_neither_rate(self):
+        # red side {0,1,2}: (0,1):1, (0,2):3, (1,2):2; green side {3,4,5}: (3,4):3, (4,5):2
+        g = build_attributed(6, [(0, 1, 1), (0, 2, 3), (1, 2, 2), (3, 4, 3), (4, 5, 2)],
+                             red={0, 1, 2}, k_edge_attrs=3)
+        est = estimate_rates(g, Partition(6, np.arange(3)))
+        assert (est.p1, est.p2, est.s1, est.s2) == (0.0, 1 / 3, 1 / 3, 1 / 3)
+
+    @pytest.mark.parametrize("shape", [(5,), (4, 3), (2, 4, 3)])
+    def test_rate_kernel_counts_as_four_masks_do(self, shape):
+        # every edge RED or GREEN: a side's green edges are its edges less its red ones
+        rng = np.random.default_rng(len(shape))
+        attr = np.where(rng.random((*shape, 200)) < 0.3, RED, GREEN)
+        red_in = rng.random((*shape[:-1], 1, 200)) < 0.2
+        green_in = ~red_in & (rng.random((*shape[:-1], 1, 200)) < 0.5)
+        want = np.stack([np.count_nonzero(side & (attr == colour), axis=-1) / pairs
+                         for side, pairs in ((green_in, 15), (red_in, 10))
+                         for colour in (RED, GREEN)], axis=-1)
+        assert np.array_equal(_rates(attr, red_in, green_in, 10, 15), want)
 
     def test_bounded_by_side_density(self):
         params = KidneyEggParams(40, 12, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))

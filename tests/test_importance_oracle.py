@@ -10,6 +10,7 @@ apart from the cell bound of screening's kernel calls (and the rows per call
 it gives), which one test lowers so that a block's rows span several calls.
 """
 
+from itertools import combinations
 from math import comb, fsum
 
 import numpy as np
@@ -19,6 +20,8 @@ from vnom import importance
 from vnom import (EmptyProfileError, Partition, ScreeningThresholds, TopicMap, delta_p,
                   delta_rho, estimate_rates, generate_surrogate, instantiate_edges,
                   screen_partitions)
+
+from vnom.graph import GREEN, RED
 
 from conftest import build_topic, point_mass
 
@@ -238,3 +241,100 @@ class TestScreenedDensityOnAnIrregularGraph:
         monkeypatch.setattr(importance, "_ROW_CELLS", 3 * comb(m, 2))
         assert importance._chunk_rows(comb(m, 2)) == 3
         check_screened_density(hub_graph(), m, 20, 100 + m)
+
+
+def six_vertex_graph():
+    """6 vertices, 9 edges, 2 topics: a triangle {0, 1, 2}, a path 3-4-5 and
+    three spokes; {1, 3, 5} spans no edge, so some red sets of three have an
+    edgeless side of either colour."""
+    pairs = [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5), (0, 4)]
+    first = [0.9, 0.7, 0.35, 0.2, 0.05, 0.6, 0.45, 0.15, 1.0]
+    counts = [1, 4, 2, 7, 3, 1, 5, 2, 6]
+    return build_topic(6, [(u, v, c, np.array([p, 1 - p]))
+                           for (u, v), p, c in zip(pairs, first, counts)], 2)
+
+
+def enumerated_screen(g, m, weighted):
+    """Every red set of size m -> (delta_rho, delta_p, topic labels), from
+    side masks over the edge list and fsum totals; a side without weight
+    gives delta_p 0 and the zero profile."""
+    u, v = g.edge_u, g.edge_v
+    weights = g.topic_probs * (g.message_count[:, None] if weighted else 1)
+    exact = {}
+    for red in combinations(range(g.n), m):
+        is_red = np.isin(np.arange(g.n), red)
+        red_in, green_in = is_red[u] & is_red[v], ~is_red[u] & ~is_red[v]
+        d_rho = (np.count_nonzero(red_in) / comb(m, 2)
+                 - np.count_nonzero(green_in) / comb(g.n - m, 2))
+        profiles = []
+        for side in (red_in, green_in):
+            totals = [fsum(weights[side, t].tolist()) for t in range(g.k_topics)]
+            mass = fsum(totals)
+            profiles.append([t / mass if mass > 0 else 0.0 for t in totals])
+        pr, pg = profiles
+        d_p = fsum(abs(a - b) for a, b in zip(pr, pg)) if any(pr) and any(pg) else 0.0
+        exact[red] = (d_rho, d_p, [a - b for a, b in zip(pr, pg)])
+    return exact
+
+
+def public_gap(g, red, weighted):
+    """The public delta_p, the screen's own bits; 0 for an edgeless side."""
+    try:
+        return delta_p(g, Partition(g.n, list(red)), weighted=weighted)
+    except EmptyProfileError:
+        return 0.0
+
+
+class TestScreeningAgainstEnumeration:
+    """Screening on a 6-vertex corpus against every red set, enumerated."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("tau_rho,tau_p", [(0.0, 0.1), (-np.inf, 0.3), (-0.2, -np.inf)])
+    def test_acceptance_gaps_and_labels(self, m, weighted, tau_rho, tau_p):
+        g = six_vertex_graph()
+        exact = enumerated_screen(g, m, weighted)
+        passes = {red for red, (d_rho, d_p, _) in exact.items() if d_rho > tau_rho and d_p > tau_p}
+        draws = 4000
+        res = screen_partitions(g, m, ScreeningThresholds(tau_rho, tau_p), draws, m,
+                                weighted=weighted)
+        share = len(passes) / len(exact)
+        assert abs(res.acceptance_rate - share) <= 3 * (share * (1 - share) / draws) ** 0.5
+        assert 0 < share < 1
+        for ids, labels, d_rho, d_p in zip(res.red_ids.tolist(), res.topic_labels,
+                                            res.delta_rho, res.delta_p):
+            red = tuple(ids)
+            assert red in passes
+            want_rho, want_p, differences = exact[red]
+            assert abs(d_rho - want_rho) <= 1e-12 and abs(d_p - want_p) <= 1e-12
+            for label, difference in zip(labels.tolist(), differences):
+                if abs(difference) > 1e-12:
+                    assert label == (RED if difference > 0 else GREEN)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_topic_bars_on_the_gaps_and_one_ulp_either_side(self, m, weighted):
+        # the decisions the bound leaves to the exact pass: a bar equal to a
+        # row's gap rejects it, one ulp below accepts it
+        g = six_vertex_graph()
+        gaps = {red: public_gap(g, red, weighted) for red in combinations(range(g.n), m)}
+        assert 0.0 in gaps.values() and len(set(gaps.values())) > 5
+        bars = {-np.inf, -1.0, 0.0, np.inf}
+        for gap in gaps.values():
+            bars |= {gap, np.nextafter(gap, -np.inf), np.nextafter(gap, np.inf)}
+        draws = 300
+        every = screen_partitions(g, m, ScreeningThresholds(-np.inf, -np.inf), draws, 7,
+                                  weighted=weighted)
+        assert every.n_accepted == draws
+        for tau_p in sorted(bars):
+            thresholds = ScreeningThresholds(-np.inf, tau_p)
+            want = [i for i, ids in enumerate(every.red_ids.tolist()) if gaps[tuple(ids)] > tau_p]
+            full = screen_partitions(g, m, thresholds, draws, 7, weighted=weighted)
+            assert full.draw_index.tolist() == want
+            assert full.delta_p.tolist() == every.delta_p[want].tolist()
+            assert np.array_equal(full.topic_labels, every.topic_labels[want])
+            for keep in (0, 1, len(want)):
+                capped = screen_partitions(g, m, thresholds, draws, 7, weighted=weighted,
+                                           keep=keep)
+                assert capped.attempts == draws and capped.n_accepted == len(want)
+                assert capped.take(slice(None)) == full.take(slice(keep))

@@ -100,7 +100,7 @@ class TestPresentation:
     def test_repr_leaves_out_array_fields(self):
         assert repr(Partition(5, [1, 2])) == "Partition(n=5)"
         assert repr(TABLE) == "MetricTable(gammas=(0.0, 1.0), y_values=(), replicates=1)"
-        assert repr(SCREENED) == "ScreeningResult(attempts=12)"
+        assert repr(SCREENED) == "ScreeningResult(attempts=12, accepted=1)"
 
     @pytest.mark.parametrize("cls, first_line", [
         (Partition, "A two-way vertex partition: a red set and its green complement."),
