@@ -14,11 +14,10 @@ from .kidney_egg import (PMF, KidneyEggParams, Simplex3, binomial_pmf,
                          content_given_context_pmf, content_pmf_from_conditionals,
                          content_score_pmf, context_score_pmf, empirical_pmf,
                          empirical_score_pmfs, sample_kidney_egg, tv_distance)
-from .nomination import GAMMA_GRID_DEFAULT, Ranking, candidate_statistics, rank_candidates
-from .metrics import (EvalReport, MetricTable, aggregate_reports, chance_baseline,
-                      evaluate_ranking, precision_at)
-from .experiments import (CellResult, SweepResult, SweepSpec, gamma_star, gamma_surface,
-                          run_sweep)
+from .nomination import GAMMA_GRID_DEFAULT, candidate_statistics, rank_candidates
+from .metrics import (EvalReport, MetricTable, aggregate_reports, chance_baseline, mask_metrics,
+                      precision_at)
+from .experiments import CellResult, SweepResult, SweepSpec, gamma_surface, run_sweep
 from .importance import (BinReport, EstimatedRates, ScreeningResult, ScreeningThresholds,
                          TopicMap, TrialsResult, delta_p, delta_rho, estimate_rates,
                          instantiate_edges, run_importance_trials, screen_partitions,

@@ -29,8 +29,8 @@ from .importance import (ScreeningThresholds, check_trial_arguments, estimate_ra
 from .kidney_egg import (KidneyEggParams, Simplex3, content_pmf_from_conditionals,
                          content_score_pmf, context_score_pmf, empirical_score_pmfs,
                          sample_kidney_egg, tv_distance)
-from .metrics import BASELINE_CRITERIA, chance_baseline, evaluate_ranking
-from .nomination import GAMMA_GRID_DEFAULT, rank_candidates
+from .metrics import BASELINE_CRITERIA, chance_baseline, report_from_mask
+from .nomination import GAMMA_GRID_DEFAULT, rank_candidates, validate_gamma_grid
 from .seeding import child_seed
 from . import io as vio
 
@@ -150,19 +150,21 @@ def _simulate_flags(sim):
 def _cmd_simulate(args) -> int:
     if args.top < 0:
         raise InputError(f"--top must be >= 0, got {args.top}")
+    (gamma,) = validate_gamma_grid((args.gamma,))
     seed = _resolve_seed(args)
     params = _params_from(args)
     sample_seed, tie_seed = child_seed(seed, 0), child_seed(seed, 1)
     g = sample_kidney_egg(params, sample_seed)
-    ranking = rank_candidates(g, args.gamma, tie_seed)
-    report = evaluate_ranking(ranking, g.red_candidates())
+    ordered, scores = rank_candidates(g, gamma, tie_seed)
+    red = g.truth[ordered] == RED
+    report = report_from_mask(red)
     doc = {
         "seed": seed,
         "params": _model_config(params),
-        "gamma": args.gamma,
+        "gamma": gamma,
         "edges": g.num_edges,
-        "top": [{"vertex": int(v), "score": float(s), "truth_red": bool(g.truth[v] == RED)}
-                for v, s in zip(ranking.ordered[:args.top], ranking.scores[:args.top])],
+        "top": [{"vertex": int(v), "score": float(s), "truth_red": bool(r)}
+                for v, s, r in zip(ordered[:args.top], scores[:args.top], red[:args.top])],
         "report": {"s_at_1": report.s_at_1, "rr": report.rr, "ap": report.ap},
     }
     if args.save_graph:

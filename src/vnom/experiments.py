@@ -1,5 +1,5 @@
-"""Monte Carlo harness: replicate evaluation, parameter sweeps, gamma surfaces,
-and the MAP-maximizing gamma.
+"""Monte Carlo harness: replicate evaluation, parameter sweeps and gamma
+surfaces; each sweep cell records its best grid gamma per criterion.
 
 Every loop ranks each sampled (or instantiated) graph at every gamma with one
 ranking routine and scores the rankings with :func:`vnom.metrics.mask_metrics`
@@ -30,8 +30,8 @@ from .errors import InputError
 from .graph import RED, _Record
 from .kidney_egg import _SAMPLE_CHUNK, KidneyEggParams, Simplex3, sample_kidney_egg
 from .metrics import CRITERIA, MetricTable, mask_metrics
-from .nomination import (GAMMA_GRID_DEFAULT, candidate_statistics, fused_order,
-                         prepare_ranking, tiebreak_order, validate_gamma_grid)
+from .nomination import (candidate_statistics, fused_order, prepare_ranking, tiebreak_order,
+                         validate_gamma_grid)
 from .seeding import KEY_VALUES, child_generators
 
 
@@ -316,16 +316,3 @@ def gamma_surface(params: KidneyEggParams, gamma_grid, y_max: int,
     values = _replicate_values(params, grid, seed, (), replicates, y_values)
     return MetricTable.fold(grid, values, y_values)
 
-
-def gamma_star(params: KidneyEggParams, gamma_grid=GAMMA_GRID_DEFAULT,
-               criterion: str = "map", *, replicates: int, seed) -> float:
-    """Grid point maximizing the Monte Carlo mean of the criterion.
-
-    The means are those of :func:`gamma_surface` on the same seed, so every
-    grid point is compared on the same graphs and tie-break streams.  Ties in
-    the estimate go to the smallest gamma.
-    """
-    if criterion not in CRITERIA:
-        raise InputError(f"criterion must be one of {CRITERIA}, got {criterion!r}")
-    table = gamma_surface(params, gamma_grid, 1, replicates, seed)
-    return _best_gamma(table.gammas, table.column(criterion))

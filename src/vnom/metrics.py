@@ -1,13 +1,13 @@
 """Ranking evaluation: S@1, reciprocal rank, precision, average precision,
 truncated average precision, aggregation over replicates, and chance baselines.
 
-Metrics consume rank-ordered red/green masks (or (Ranking, truth) pairs) only
-— they never look at graphs — so they can be tested against brute-force
-oracles on synthetic rankings.  :func:`mask_metrics` scores a stack of
-orderings at once, one row per ordering, with the columns S@1, RR, AP and
-then AP^y for each requested y; :func:`evaluate_ranking` reads one ranking's
-row into an :class:`EvalReport`, and :func:`precision_at` gives precision@r,
-which no column holds.  :class:`MetricTable` folds such arrays over
+Metrics consume rank-ordered red/green masks only — they never look at
+graphs — so they can be tested against brute-force oracles on synthetic
+rankings: a ranking's mask is ``truth[ordered] == RED``.  :func:`mask_metrics`
+scores a stack of orderings at once, one row per ordering, with the columns
+S@1, RR, AP and then AP^y for each requested y; :func:`report_from_mask` reads
+one mask's row into an :class:`EvalReport`, and :func:`precision_at` gives
+precision@r, which no column holds.  :class:`MetricTable` folds such arrays over
 replicates into means and standard errors per gamma; no other module maps a
 criterion to its column (:func:`column_index`).  Chance baselines come from
 exact distributions: under a uniformly random ranking the rank of the j-th red
@@ -21,9 +21,8 @@ from math import fsum, log1p
 import numpy as np
 
 from .errors import InputError, NoRedCandidatesError
-from .graph import MAX_VERTICES, _Record, _sorted_unique
+from .graph import MAX_VERTICES, _Record
 from .kidney_egg import _mode_masses
-from .nomination import Ranking
 
 CRITERIA = ("s_at_1", "mrr", "map")  # the first three columns of mask_metrics
 BASELINE_CRITERIA = CRITERIA + ("ap_y",)
@@ -38,18 +37,12 @@ class EvalReport(_Record):
     ap_y: dict
 
 
-def _truth_mask(r: Ranking, truth) -> np.ndarray:
-    t = _sorted_unique(np.asarray(list(truth), dtype=np.int64))
-    if t.size == 0:
-        raise NoRedCandidatesError("truth set is empty")
-    if not np.isin(t, r.ordered).all():
-        raise InputError("truth contains ids outside the ranked candidates")
-    return np.isin(r.ordered, t)
-
-
-def precision_at(r: Ranking, truth, rank: int) -> float:
-    """Fraction of the first ``rank`` positions that are truly red."""
-    mask = _truth_mask(r, truth)
+def precision_at(mask, rank: int) -> float:
+    """Fraction of the first ``rank`` positions of a rank-ordered red/green
+    mask that are red."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 1:
+        raise InputError("precision_at reads one rank-ordered mask")
     if not 1 <= rank <= mask.size:
         raise InputError(f"rank must lie in 1..{mask.size}, got {rank}")
     return float(np.count_nonzero(mask[:rank])) / rank
@@ -88,11 +81,6 @@ def report_from_mask(mask: np.ndarray, y_values=()) -> EvalReport:
     row = mask_metrics(mask, y_values)[0]
     return EvalReport(int(row[0]), float(row[1]), float(row[2]),
                       {int(y): float(v) for y, v in zip(y_values, row[3:])})
-
-
-def evaluate_ranking(r: Ranking, truth, y_values=()) -> EvalReport:
-    """All metrics of one ranking in a single pass."""
-    return report_from_mask(_truth_mask(r, truth), y_values)
 
 
 def mean_se(values):

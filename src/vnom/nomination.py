@@ -40,6 +40,8 @@ stably by radix sort, which is what the narrow tiers buy.
 
 :func:`score_counts` counts both scores for every vertex from bare edge arrays;
 it serves attributed graphs, importance trials and sampled score PMFs alike.
+:func:`rank_candidates` ranks one graph: its candidate ids in rank order, with
+their fused scores (the keys over ``den``) as floats.
 """
 
 from __future__ import annotations
@@ -50,38 +52,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .graph import RED, AttributedGraph, _Record, _sorted_unique
+from .graph import RED, AttributedGraph
 from .seeding import generator
 
 GAMMA_GRID_DEFAULT = tuple(k / 100 for k in range(101))
-
-
-class Ranking(_Record):
-    """Ordered candidate list with scores and the tie-break record.
-
-    ``tie_groups`` holds half-open index ranges ``(start, stop)`` of positions
-    whose scores were exactly equal (groups of size >= 2 only); the order
-    within each range is a seeded uniform random permutation.
-    """
-
-    ordered: np.ndarray
-    scores: np.ndarray
-    tie_groups: tuple
-
-    def __post_init__(self):
-        ordered = np.asarray(self.ordered, dtype=np.int64)
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if ordered.size == 0 or ordered.shape != scores.shape:
-            raise InputError("ranking needs aligned, non-empty ordered ids and scores")
-        if _sorted_unique(ordered).size != ordered.size:
-            raise InputError("ranking contains a duplicate candidate")
-        if np.any(np.diff(scores) > 0):
-            raise InputError("ranking scores must be non-increasing")
-        object.__setattr__(self, "ordered", ordered)
-        object.__setattr__(self, "scores", scores)
-
-    def __len__(self) -> int:
-        return int(self.ordered.size)
 
 
 def _check_gamma(gamma: float):
@@ -91,8 +65,10 @@ def _check_gamma(gamma: float):
 
 def validate_gamma_grid(gamma_grid) -> tuple:
     """The grid as a tuple of floats: non-empty, each in [0, 1], no repeats
-    (results are keyed by gamma, so a repeat would merge in some outputs)."""
-    grid = tuple(float(x) for x in gamma_grid)
+    (results are keyed by gamma, so a repeat would merge in some outputs).
+    Adding 0.0 turns -0.0 into 0.0, the gamma it equals, so no output writes
+    ``-0.0``."""
+    grid = tuple(float(x) + 0.0 for x in gamma_grid)
     if not grid:
         raise InputError("gamma grid must be non-empty")
     for gamma in grid:
@@ -227,20 +203,14 @@ def fused_order(scores, gamma) -> np.ndarray:
     return _stable_order(keys)
 
 
-def rank_candidates(g: AttributedGraph, gamma: float, seed) -> Ranking:
-    """Rank every occluded vertex by fused score, descending.
-
-    The seed drives only tie-breaking; rankings with all-distinct scores are
-    seed-independent.  Scores are the exact fused scores correctly rounded to
-    float; tie groups are the runs of exactly equal scores.
-    """
+def rank_candidates(g: AttributedGraph, gamma: float, seed) -> tuple:
+    """(ordered ids, scores) of every occluded vertex by fused score,
+    descending.  The seed drives only tie-breaking; scores are the exact
+    fused scores correctly rounded to float."""
     cand, t0, t1 = candidate_statistics(g)
     if cand.size == 0:
         raise InputError("graph has no candidates to rank")
     first = tiebreak_order(generator(seed).permutation(cand.size))
     keys, den = _fused_keys(prepare_ranking(t0[first], t1[first]), gamma)
     order = _stable_order(keys)  # ties keep the tie-break order
-    fused = -keys[order]  # fused scores times den, descending
-    bounds = [0, *(np.flatnonzero(np.diff(fused) != 0) + 1).tolist(), cand.size]
-    tie_groups = tuple((a, b) for a, b in zip(bounds, bounds[1:]) if b - a >= 2)
-    return Ranking(cand[first[order]], fused / den, tie_groups)
+    return cand[first[order]], np.asarray(-keys[order] / den, dtype=np.float64)

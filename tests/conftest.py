@@ -1,8 +1,14 @@
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from vnom import AttributedGraph, TopicGraph
+from vnom import AttributedGraph, TopicGraph, gamma_surface
+from vnom.experiments import _best_gamma
+from vnom.graph import RED
 from vnom.nomination import fused_order, prepare_ranking, tiebreak_order
+from vnom.seeding import generator
 
 
 def build_attributed(n, edges, red=(), identified=(), k_edge_attrs=2):
@@ -29,6 +35,61 @@ def order_with_tiebreak(t0, t1, gamma, tiebreak):
     first = tiebreak_order(tiebreak)
     t0, t1 = (np.take_along_axis(np.asarray(t), first, axis=-1) for t in (t0, t1))
     return np.take_along_axis(first, fused_order(prepare_ranking(t0, t1), gamma), axis=-1)
+
+
+def exact_weight(gamma):
+    """gamma as the small rational the float stands for (denominator at most
+    10**6), or else as its exact binary value."""
+    frac = Fraction(gamma).limit_denominator(10 ** 6)
+    return frac if float(frac) == gamma else Fraction(gamma)
+
+
+def exact_fused(t0, t1, gamma):
+    w = exact_weight(gamma)
+    return [(1 - w) * a + w * b for a, b in zip(t0, t1)]
+
+
+def oracle_order(t0, t1, gamma, tiebreak):
+    """Candidate positions by (-exact fused score, tie-break key, position)."""
+    fused = exact_fused(t0, t1, gamma)
+    return sorted(range(len(fused)), key=lambda i: (-fused[i], tiebreak[i], i))
+
+
+def graph_statistics(g):
+    """(candidate ids, context scores, content scores) as lists, counted from
+    the edge list alone: candidates are the vertices not observed red."""
+    identified = {v for v in range(g.n) if g.observed[v] == RED}
+    context, content = Counter(), Counter()
+    for u, v, attr in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_attr.tolist()):
+        for a, b in ((u, v), (v, u)):
+            context[a] += b in identified
+            content[a] += attr == RED
+    cand = [v for v in range(g.n) if v not in identified]
+    return cand, [context[v] for v in cand], [content[v] for v in cand]
+
+
+def oracle_ranking(g, gamma, tie_seed):
+    """(candidate ids, exact fused scores), ranked by :func:`oracle_order` with
+    the tie-break keys ``generator(tie_seed).permutation(candidates)``, the
+    draw every ranking loop makes."""
+    cand, t0, t1 = graph_statistics(g)
+    tiebreak = generator(tie_seed).permutation(len(cand)).tolist()
+    fused = exact_fused(t0, t1, gamma)
+    order = oracle_order(t0, t1, gamma, tiebreak)
+    return [cand[i] for i in order], [fused[i] for i in order]
+
+
+def oracle_red_mask(g, gamma, tie_seed):
+    """The rank-ordered red mask of :func:`oracle_ranking`."""
+    ordered, _ = oracle_ranking(g, gamma, tie_seed)
+    return g.truth[ordered] == RED
+
+
+def best_grid_gamma(params, grid, criterion="map", *, replicates, seed):
+    """The grid point of largest :func:`vnom.gamma_surface` mean of
+    ``criterion``, ties toward the smallest gamma, as sweep cells pick it."""
+    table = gamma_surface(params, grid, 1, replicates, seed)
+    return _best_gamma(table.gammas, table.column(criterion))
 
 
 def point_mass(topic, k):

@@ -393,7 +393,73 @@ class TestAnalytic:
         assert all(float(r.rsplit(",", 1)[1]) < 0.5 for r in tv_rows)
 
 
+# stdout sha256 of `vnom simulate <size flags> --gamma G --seed S`, recorded
+# before simulate ranked through rank_candidates' (ids, scores) pair:
+# (size, seed, gamma) -> digest.  "n30" prints every candidate, so every
+# score's bytes are pinned; the last two gammas are no small rationals.
+SIMULATE_SIZES = {"n184": [], "n30": ["--n", "30", "--m", "8", "--m-prime", "3", "--top", "30"]}
+SIMULATE_DIGESTS = {
+    ("n184", 1, "0"): "2e2a51bd05c42aee4d74753fe2a7355ee2dd74a210a5870d6f51c53c8b33d795",
+    ("n184", 1, "0.5"): "2d565a68988ebb1a5e93b0532774563a423798112672c2e7733270bd63576451",
+    ("n184", 1, "1"): "61388e16284e8f346cf059d3f5e3b2a97f9109488c6f2b15e0b60ec66c655de6",
+    ("n184", 1, "0.37"): "934e1caf83deee387884a317c7714cbd379294f0d4e97c5ee169f05ef8a0f26d",
+    ("n184", 1, "0.30000000000000004"): "8cf24721b407e3ee76ea4262533e33db204f315f07f45cb5487f849f9b3bef98",
+    ("n184", 1, "0.3333333217048645"): "183c2d8b3e7c3a9b916b4401dda6c6331d30a41cb31e31617377e4185e806ba0",
+    ("n184", 7, "0"): "8c9bd6a6edb9ab86d4259a0796e96945c3c2adbcf1855a3d1fd02b045a359737",
+    ("n184", 7, "0.5"): "712fce42f969928018b598e84559d2932d96b9904d1ec7abbef95c86c03fa3f3",
+    ("n184", 7, "1"): "e9d58864392031d2ce3147e601e210ec660f602fae2dceabcd59d73ef4109ac3",
+    ("n184", 7, "0.37"): "a632137d80f4ae6042771ead682a015b31053cbf6894631209ab772725182bfa",
+    ("n184", 7, "0.30000000000000004"): "2fa11486b9a462658e8ecb1e10771001528a9db4f7dd89eaa2a16426370ba1ac",
+    ("n184", 7, "0.3333333217048645"): "b160fd1cce8f93de00efbd0628c45b8572f564a558ea5e1b6729a734d5f474b8",
+    ("n184", 42, "0"): "a5d8879f39186502369daea4d8cffdf0a9403b2260cbdc0b18f03fc1a7ecd523",
+    ("n184", 42, "0.5"): "05e6f6ad691f6482c6f5e2e8021b6613f872afeeb11132b21c2995d068d61cdd",
+    ("n184", 42, "1"): "5b94c86688ae04400830379044d9bbe43e5c66f5776c52911a1e96b54234448a",
+    ("n184", 42, "0.37"): "6c6a592607ff973d604f770931e996235599fda6274d4f68067adf276a8b7830",
+    ("n184", 42, "0.30000000000000004"): "67f87280e374c5f9cb7b54fef6b735a2fc61bcc96eb17e702435122c5f6667bd",
+    ("n184", 42, "0.3333333217048645"): "6a1c76993d35eccfce490942d681a96213a3d2499cbd587fb5874d0fab90e876",
+    ("n30", 1, "0"): "b2b6d196f11d4cff1ac69c87bab1f0547f4dd76a45991fb5e75a4787cc746eec",
+    ("n30", 1, "0.5"): "552148e128acb161a4a6d0a12c2d0dd4875339b01ad82092c6071cee95862d18",
+    ("n30", 1, "1"): "d72194ee329a81fd4c66112d983ae8ab5686122f7b9d885878aea62821039875",
+    ("n30", 1, "0.37"): "e73eae9795884ee3f001ca97b2e0fb328f260c1238ea4657ab9ae7d7d8314154",
+    ("n30", 1, "0.30000000000000004"): "11b052bd7eefbc08698db9bcb1a206062b673ac51c67ce69e9bb2bbb09246fb7",
+    ("n30", 1, "0.3333333217048645"): "f18d0d795b5a6748715bbcd16d05ac33a60d7aae5ce9b73e1a62a07a8419078f",
+    ("n30", 7, "0"): "3d85e737f0184b1c5fe1869efc41872766d30f3267df4f5531be7c45ef459438",
+    ("n30", 7, "0.5"): "0f6ba4f6a6abfba2b678b9dadfb9f0b51e641139818647e9717ae9458c8cc903",
+    ("n30", 7, "1"): "cfc97c6b68597884baaf93fcb4753ce83dbea852652af8496c37bfc94bb2fbe7",
+    ("n30", 7, "0.37"): "9f63c1fce6671a14d9112744e92041e620fa13f8514e02791b8cb54859430559",
+    ("n30", 7, "0.30000000000000004"): "4a1c67dc9fc77e07c7109bca73d9a6d59f7ddfe6cdb0130788866a43cb36ab36",
+    ("n30", 7, "0.3333333217048645"): "a80fcf0d33f18b610e38d0cbe73a93516030a47b4dfa37d64f6109e122e09bc3",
+    ("n30", 42, "0"): "cc4475a3b32096b70f0df78e1050cf73d7767135fc8a352d13aeec3396d2ccf2",
+    ("n30", 42, "0.5"): "8f66b0753951abba3d060bf551fc58fbe5f643f63dbc0bfc84448f3a7d691947",
+    ("n30", 42, "1"): "70e29683647cc4097b178926435db81c04059c7002e63de051fb34718eb0cde2",
+    ("n30", 42, "0.37"): "9604245e8f6a3949625d58bca9b84c17710a8d6524a1f28e5cf3ed7ef7e8d683",
+    ("n30", 42, "0.30000000000000004"): "e3543fe37c4c4b7285f412a9c3ce5ac12168b492449d9416f8768280a488077d",
+    ("n30", 42, "0.3333333217048645"): "231fade51d4e6fe843848eb10b3115ef5dc0f42b4b8eb26e8be31b24e7ba1d62",
+}
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("size,seed,gamma", sorted(SIMULATE_DIGESTS))
+    def test_stdout_matches_recorded_digest(self, capsys, size, seed, gamma):
+        code, out, _ = run_cli(capsys, "simulate", *SIMULATE_SIZES[size], "--gamma", gamma,
+                               "--seed", str(seed))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+            SIMULATE_DIGESTS[size, seed, gamma]
+
+    def test_negative_zero_gamma_is_written_as_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--n", "30", "--m", "8", "--m-prime", "3",
+                               "--gamma=-0", "--seed", "1")
+        assert code == 0
+        assert '"gamma": 0.0,' in out and "-0.0" not in out
+
+    @pytest.mark.parametrize("gamma", ["nan", "1.5", "-inf"])
+    def test_bad_gamma_is_refused_before_sampling(self, capsys, gamma):
+        # no --seed: the refusal comes before a seed is drawn and printed
+        code, out, err = run_cli(capsys, "simulate", f"--gamma={gamma}")
+        assert (code, out) == (1, "")
+        assert err == f"error: gamma must lie in [0, 1], got {float(gamma)}\n"
+
     def test_report_and_graph_file(self, capsys, tmp_path):
         out_path = tmp_path / "sample.attr"
         code, out, _ = run_cli(capsys, "simulate", "--n", "30", "--m", "8",
@@ -463,6 +529,21 @@ class TestSurface:
         rows = data_section(path.read_text()).splitlines()
         assert rows[0] == "criterion,y,gamma,mean,stderr,replicates"
         assert len(rows) == 1 + 2 * 3 + 3 + 3  # ap_y rows + mrr + map
+
+
+    @pytest.mark.parametrize("argv", [
+        ["surface", "--n", "20", "--m", "8", "--m-prime", "2", "--y-max", "1"],
+        ["sweep", "--n", "20", "--m-list", "8"],
+    ], ids=["surface", "sweep"])
+    def test_negative_zero_gamma_is_written_as_zero(self, capsys, argv):
+        # -0.0 is the gamma 0.0, in rows, in the config and in gamma_star notes
+        code, out, _ = run_cli(capsys, *argv, "--gammas=-0,1", "--replicates", "2",
+                               "--seed", "1")
+        assert code == 0
+        assert "-0.0" not in out
+        header, *rows = data_section(out).splitlines()
+        column = header.split(",").index("gamma")
+        assert sorted({row.split(",")[column] for row in rows}) == ["0.0", "1.0"]
 
 
 class TestSurrogateAndImportance:

@@ -216,7 +216,8 @@ def test_screening_and_trials_load_no_masked_arrays():
            "run_importance_trials(g, s, 2, (0.0, 0.5, 1.0), 2, 1)\n"
            "topic_profile(g, [0, 1, 2, 3]); delta_p(g, Partition(g.n, s.red_ids[0]))\n"
            "a = sample_kidney_egg(KidneyEggParams(30, 8, 3, (0.8, 0.1, 0.1), (0.4, 0.3, 0.3)), 1)\n"
-           "evaluate_ranking(rank_candidates(a, 0.5, 1), a.red_candidates(), (2,))\n"
+           "ordered, scores = rank_candidates(a, 0.5, 1)\n"
+           "mask_metrics(a.truth[ordered] == RED, (2,))\n"
            "with contextlib.redirect_stdout(io.StringIO()):\n"
            "    vnom.cli.main(['simulate', '--n', '30', '--m', '8', '--m-prime', '3', "
            "'--seed', '7'])")

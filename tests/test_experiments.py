@@ -1,18 +1,21 @@
 """Monte Carlo harness: replicates, sweeps, surfaces, determinism."""
 
+import math
 import os
 
 import numpy as np
 import pytest
 
 import vnom.experiments
-from vnom import (GAMMA_GRID_DEFAULT, InputError, KidneyEggParams, Simplex3, SweepSpec,
-                  candidate_statistics, evaluate_ranking, gamma_star, gamma_surface,
-                  rank_candidates, run_sweep, sample_kidney_egg)
+from vnom import (GAMMA_GRID_DEFAULT, InputError, KidneyEggParams, MetricTable, Simplex3,
+                  SweepSpec, candidate_statistics, gamma_surface, mask_metrics, run_sweep,
+                  sample_kidney_egg)
 from vnom.experiments import _replicate_values, evaluate_grid, parallel_map, pool_size
 from vnom.graph import RED
 from vnom.nomination import validate_gamma_grid
 from vnom.seeding import child_generators, child_seed
+
+from conftest import best_grid_gamma, graph_statistics, oracle_red_mask
 
 PAPER_P = Simplex3(0.6, 0.2, 0.2)
 PAPER_S = Simplex3(0.4, 0.4, 0.2)
@@ -26,16 +29,14 @@ class TestRunReplicate:
     """One replicate through the harness's replicate loop."""
 
     def test_single_gamma_matches_direct_pipeline(self):
-        # the harness must agree with calling the public ops by hand
+        # the harness must agree with the oracle ranking of the same graph and stream
         params = small_params()
         seed = 4242
         row = _replicate_values(params, [0.5], seed, (), 1)[0, :, 0]
 
         sample_seed, tie_seed = child_seed(seed, 0).spawn(2)
         g = sample_kidney_egg(params, sample_seed)
-        ranking = rank_candidates(g, 0.5, tie_seed)
-        direct = evaluate_ranking(ranking, g.red_candidates())
-        assert list(row) == [direct.s_at_1, direct.rr, direct.ap]
+        assert row.tolist() == mask_metrics(oracle_red_mask(g, 0.5, tie_seed))[0].tolist()
 
     def test_same_seed_same_values(self):
         params = small_params()
@@ -50,11 +51,10 @@ class TestRunReplicate:
         seed = 11
         sample_seed, tie_seed = child_seed(seed, 0).spawn(2)
         g = sample_kidney_egg(params, sample_seed)
-        ranking = rank_candidates(g, 1.0, tie_seed)
-        assert ranking.tie_groups == ((0, len(ranking)),)
+        assert not any(graph_statistics(g)[2])
         values = _replicate_values(params, [0.0, 1.0], seed, (), 1)
-        direct = evaluate_ranking(ranking, g.red_candidates())
-        assert list(values[1, :, 0]) == [direct.s_at_1, direct.rr, direct.ap]
+        direct = mask_metrics(oracle_red_mask(g, 1.0, tie_seed))[0]
+        assert values[1, :, 0].tolist() == direct.tolist()
 
     def test_y_values_forwarded(self):
         params = small_params()
@@ -81,10 +81,8 @@ class TestEvaluateGrid:
             values = evaluate_grid(t0, t1, g.truth[cand] == RED, tiebreak, grid, y_values)
             assert values.shape == (len(grid), 3 + len(y_values))
             for gamma, row in zip(grid, values):
-                report = evaluate_ranking(rank_candidates(g, gamma, tie_seed),
-                                          g.red_candidates(), y_values)
-                assert (row[0], row[1], row[2]) == (report.s_at_1, report.rr, report.ap)
-                assert list(row[3:]) == [report.ap_y[y] for y in y_values]
+                direct = mask_metrics(oracle_red_mask(g, gamma, tie_seed), y_values)[0]
+                assert row.tolist() == direct.tolist(), gamma
 
 
     def test_stack_rows_equal_single_calls(self):
@@ -240,21 +238,20 @@ class TestSweepSpec:
 
 class TestRunSweep:
     def test_single_cell_matches_replicate_aggregation(self):
-        from vnom.metrics import aggregate_reports
         spec = SweepSpec(n=20, p=PAPER_P, s=PAPER_S, m_values=(8,),
                          gamma_grid=(0.0, 1.0), replicates=5, master_seed=99,
                          m_prime_ratio=0.25)
         result = run_sweep(spec)
         cell = result.cells[0]
         params = KidneyEggParams(20, 8, 2, PAPER_P, PAPER_S)
-        reports = {0.0: [], 1.0: []}
+        values = np.empty((2, 3, 5))  # gammas x columns x replicates
         for rep in range(5):
             rep_seed = np.random.SeedSequence(entropy=99, spawn_key=(8, 2, rep))
             g = sample_kidney_egg(params, child_seed(rep_seed, 0))
-            for gamma in reports:
-                ranking = rank_candidates(g, gamma, child_seed(rep_seed, 1))
-                reports[gamma].append(evaluate_ranking(ranking, g.red_candidates()))
-        assert cell.table == aggregate_reports(reports)
+            masks = [oracle_red_mask(g, gamma, child_seed(rep_seed, 1))
+                     for gamma in spec.gamma_grid]
+            values[..., rep] = mask_metrics(masks)
+        assert cell.table == MetricTable.fold(spec.gamma_grid, values)
 
     def test_deterministic_across_workers(self):
         spec = SweepSpec(n=30, p=PAPER_P, s=PAPER_S, m_values=(6, 10, 14),
@@ -303,9 +300,10 @@ class TestGammaSurface:
                           replicates=1, seed=0)
 
 
-# gamma_star(model, grid, criterion, replicates=r, seed=seed), recorded when it
-# summed each criterion over replicates in its own loop: (model, grid points,
-# seed) -> one (s_at_1, mrr, map) triple per replicate count in GAMMA_STAR_REPLICATES.
+# best_grid_gamma(model, grid, criterion, replicates=r, seed=seed), recorded
+# when gamma* summed each criterion over replicates in its own loop: (model,
+# grid points, seed) -> one (s_at_1, mrr, map) triple per replicate count in
+# GAMMA_STAR_REPLICATES.
 # The "tie" model has p1 = s1 = 0, so every gamma below 1 ranks alike.
 GAMMA_STAR_MODELS = {"paper": small_params(),
                      "tie": KidneyEggParams(20, 6, 2, (0.6, 0.0, 0.4), (0.4, 0.0, 0.6))}
@@ -341,21 +339,9 @@ GAMMA_STAR_TABLE = {
 
 
 class TestGammaStar:
-    def test_lives_beside_the_other_loops(self):
-        import vnom.experiments
-        assert gamma_star is vnom.experiments.gamma_star
-
-    def test_matches_surface_argmax(self):
-        # gamma_star and gamma_surface draw the same graphs and tie streams
-        params = small_params()
-        grid = (0.0, 0.25, 0.5, 0.75, 1.0)
-        surf = gamma_surface(params, grid, y_max=1, replicates=20, seed=6)
-        best = grid[int(np.argmax(surf.column("map")))]
-        assert gamma_star(params, grid, "map", replicates=20, seed=6) == best
-
     def test_reproduces_recorded_table(self):
-        got = {(model, points, seed): [tuple(gamma_star(params, grid, criterion,
-                                                        replicates=replicates, seed=seed)
+        got = {(model, points, seed): [tuple(best_grid_gamma(params, grid, criterion,
+                                                             replicates=replicates, seed=seed)
                                              for criterion in ("s_at_1", "mrr", "map"))
                                        for replicates in GAMMA_STAR_REPLICATES]
                for model, params in GAMMA_STAR_MODELS.items()
@@ -373,6 +359,10 @@ class TestGammaGridValidation:
         assert validate_gamma_grid([0, 0.5, 1]) == (0.0, 0.5, 1.0)
         assert validate_gamma_grid(GAMMA_GRID_DEFAULT) == GAMMA_GRID_DEFAULT
 
+    def test_negative_zero_becomes_zero(self):
+        # -0.0 == 0.0, so it is the same gamma, and no output may write "-0.0"
+        assert [math.copysign(1.0, g) for g in validate_gamma_grid([-0.0, 1])] == [1.0, 1.0]
+
     @pytest.mark.parametrize("grid", BAD_GRIDS)
     def test_every_entry_point_rejects(self, grid):
         params = small_params()
@@ -380,7 +370,6 @@ class TestGammaGridValidation:
             lambda: validate_gamma_grid(grid),
             lambda: SweepSpec(30, PAPER_P, PAPER_S, (10,), grid, 2, 1, m_prime_ratio=0.25),
             lambda: gamma_surface(params, grid, 1, 2, 1),
-            lambda: gamma_star(params, grid, replicates=2, seed=1),
         ]
         for call in calls:
             with pytest.raises(InputError):

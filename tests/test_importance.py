@@ -8,7 +8,7 @@ import pytest
 from vnom import (AttributedGraph, EmptyProfileError, InputError, KidneyEggParams, Partition,
                   ScreeningResult, ScreeningThresholds, TopicMap, UndefinedDensityError, delta_p,
                   delta_rho, estimate_rates, generate_surrogate, instantiate_edges,
-                  TopicGraph, run_importance_trials, sample_kidney_egg, screen_partitions,
+                  mask_metrics, TopicGraph, run_importance_trials, sample_kidney_egg, screen_partitions,
                   topic_profile)
 from vnom import importance
 from vnom.importance import (_SCREEN_BLOCK, _chunk_rows, _cumulative_topics, _draw_instances,
@@ -19,7 +19,7 @@ from vnom.importance import (_SCREEN_BLOCK, _chunk_rows, _cumulative_topics, _dr
 from vnom.graph import GREEN, RED
 from vnom.seeding import child_seed, generator
 
-from conftest import build_attributed, build_topic, point_mass
+from conftest import build_attributed, build_topic, oracle_red_mask, point_mass
 
 
 def two_block_topic_graph():
@@ -896,9 +896,6 @@ class TestRunImportanceTrials:
                                  attempts, seed)
 
     def test_single_partition_single_replicate_is_pipeline_identity(self):
-        from vnom import evaluate_ranking, rank_candidates
-        from vnom.seeding import child_seed
-
         g = two_block_topic_graph()
         screening = self.trivial_screen(g, 4, attempts=1)
         trials = run_importance_trials(g, screening, 2, [0.0], 1, 123)
@@ -906,7 +903,7 @@ class TestRunImportanceTrials:
         assert trials.partitions == screening
         assert trials.table.mean.shape == (1, 1, 3) and trials.rates.shape == (1, 4)
 
-        # replay by hand with the same derived seeds and public operations
+        # replay by hand with the same derived seeds and the oracle ranking
         edge_seed, ident_seed, tie_seed = child_seed(
             child_seed(123), 0, 0).spawn(3)
         ag = instantiate_edges(g, TopicMap(screening.topic_labels[0]), part, edge_seed)
@@ -914,13 +911,10 @@ class TestRunImportanceTrials:
         identified = np.sort(rng.choice(part.red_ids, size=2, replace=False))
         observed = np.zeros(g.n, dtype=np.int8)
         observed[identified] = 1
-        from vnom import AttributedGraph
         ag2 = AttributedGraph(g.n, ag.edge_u, ag.edge_v, ag.edge_attr,
                               ag.truth, observed)
-        ranking = rank_candidates(ag2, 0.0, tie_seed)
-        truth = ag2.red_candidates()
-        report = evaluate_ranking(ranking, truth)
-        assert trials.table.mean[0, 0, :3].tolist() == [report.s_at_1, report.rr, report.ap]
+        direct = mask_metrics(oracle_red_mask(ag2, 0.0, tie_seed))[0]
+        assert trials.table.mean[0, 0].tolist() == direct.tolist()
 
         est = estimate_rates(ag2, part)
         assert trials.rates[0].tolist() == [est.p1, est.p2, est.s1, est.s2]

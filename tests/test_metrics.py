@@ -10,16 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vnom import (InputError, NoRedCandidatesError, Ranking, aggregate_reports, chance_baseline,
-                  evaluate_ranking, precision_at)
-from vnom.metrics import MetricTable, _harmonic_span, mask_metrics, report_from_mask
+from vnom import (InputError, NoRedCandidatesError, aggregate_reports, chance_baseline,
+                  mask_metrics, precision_at)
+from vnom.metrics import MetricTable, _harmonic_span, report_from_mask
 
 
-def ranking_of(ids):
-    """A ranking whose order is exactly ``ids`` (descending synthetic scores)."""
-    ids = list(ids)
-    scores = np.arange(len(ids), 0, -1, dtype=float)
-    return Ranking(np.array(ids), scores, ())
+def mask_of(order, truth):
+    """The rank-ordered red/green mask of the ids ``order`` for the red ids ``truth``."""
+    return np.array([v in truth for v in order], dtype=bool)
+
+
+def report_of(order, truth, y_values=()):
+    """The report of the ranking ``order`` against the red ids ``truth``."""
+    return report_from_mask(mask_of(order, truth), y_values)
 
 
 def brute_force_ap(order, truth):
@@ -87,70 +90,68 @@ class TestMaskMetrics:
 
 class TestSuccessAt1:
     def test_top_red(self):
-        assert evaluate_ranking(ranking_of([3, 1, 2]), {3}).s_at_1 == 1
+        assert report_of([3, 1, 2], {3}).s_at_1 == 1
 
     def test_top_green(self):
-        assert evaluate_ranking(ranking_of([3, 1, 2]), {1, 2}).s_at_1 == 0
+        assert report_of([3, 1, 2], {1, 2}).s_at_1 == 0
 
     def test_empty_truth_rejected(self):
         with pytest.raises(NoRedCandidatesError):
-            evaluate_ranking(ranking_of([1, 2]), set())
-
-    def test_truth_outside_candidates_rejected(self):
-        with pytest.raises(InputError):
-            evaluate_ranking(ranking_of([1, 2]), {9})
+            report_of([1, 2], set())
 
     def test_chance_rate_under_random_rankings(self):
         rng = np.random.default_rng(0)
         n, reds, trials = 10, {0, 1, 2}, 4000
-        wins = sum(evaluate_ranking(ranking_of(rng.permutation(n)), reds).s_at_1
-                   for _ in range(trials))
+        wins = sum(report_of(rng.permutation(n), reds).s_at_1 for _ in range(trials))
         assert wins / trials == pytest.approx(0.3, abs=0.03)
 
 
 class TestReciprocalRank:
     def test_first_position(self):
-        assert evaluate_ranking(ranking_of([5, 6, 7]), {5}).rr == 1.0
+        assert report_of([5, 6, 7], {5}).rr == 1.0
 
     def test_fourth_position(self):
-        assert evaluate_ranking(ranking_of([1, 2, 3, 4]), {4}).rr == 0.25
+        assert report_of([1, 2, 3, 4], {4}).rr == 0.25
 
     def test_enumerated_expectation(self):
         # N=4, one red: E[RR] = (1 + 1/2 + 1/3 + 1/4)/4
-        values = [evaluate_ranking(ranking_of(perm), {0}).rr
+        values = [report_of(perm, {0}).rr
                   for perm in itertools.permutations(range(4))]
         assert np.mean(values) == pytest.approx((1 + 1 / 2 + 1 / 3 + 1 / 4) / 4)
 
 
 class TestPrecisionAt:
     def test_rank_one(self):
-        assert precision_at(ranking_of([1, 2]), {1}, 1) == 1.0
+        assert precision_at(mask_of([1, 2], {1}), 1) == 1.0
 
     def test_two_of_four(self):
-        assert precision_at(ranking_of([1, 2, 3, 4]), {1, 3}, 4) == 0.5
+        assert precision_at(mask_of([1, 2, 3, 4], {1, 3}), 4) == 0.5
 
     def test_full_depth_equals_prevalence(self):
-        r = ranking_of(range(8))
-        assert precision_at(r, {0, 5, 6}, 8) == pytest.approx(3 / 8)
+        assert precision_at(mask_of(range(8), {0, 5, 6}), 8) == pytest.approx(3 / 8)
 
     def test_rank_bounds(self):
         with pytest.raises(InputError):
-            precision_at(ranking_of([1, 2]), {1}, 0)
+            precision_at(mask_of([1, 2], {1}), 0)
         with pytest.raises(InputError):
-            precision_at(ranking_of([1, 2]), {1}, 3)
+            precision_at(mask_of([1, 2], {1}), 3)
+
+    def test_stack_rejected(self):
+        with pytest.raises(InputError):
+            precision_at([[True, False], [False, True]], 1)
 
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
-        assert evaluate_ranking(ranking_of([1, 2, 3, 4]), {1, 2}).ap == 1.0
+        assert report_of([1, 2, 3, 4], {1, 2}).ap == 1.0
 
     def test_alternating(self):
         # (red, green, red, green): (1 + 2/3)/2
-        assert evaluate_ranking(ranking_of([1, 2, 3, 4]), {1, 3}).ap == pytest.approx(5 / 6)
+        assert report_of([1, 2, 3, 4], {1, 3}).ap == pytest.approx(5 / 6)
 
     def test_single_red_last(self):
         n = 7
-        assert evaluate_ranking(ranking_of(range(n)), {n - 1}).ap == pytest.approx(1 / n)
+        assert report_of(range(n), {n - 1}).ap == pytest.approx(1 / n)
 
     def test_reversed_perfect_closed_form(self):
         # all reds at the very end: AP = (1/R) sum_j j/(N-R+j), checked by
@@ -159,38 +160,36 @@ class TestAveragePrecision:
             for r in range(1, n):
                 truth = set(range(n - r, n))
                 closed = sum(j / (n - r + j) for j in range(1, r + 1)) / r
-                assert evaluate_ranking(ranking_of(range(n)), truth).ap == pytest.approx(closed)
+                assert report_of(range(n), truth).ap == pytest.approx(closed)
                 assert brute_force_ap(list(range(n)), truth) == pytest.approx(closed)
 
     def test_relabeling_invariance(self):
         order = [4, 0, 3, 1, 2]
         truth = {0, 2}
         shift = {v: v + 100 for v in order}
-        a = evaluate_ranking(ranking_of(order), truth).ap
-        b = evaluate_ranking(ranking_of([shift[v] for v in order]),
-                             {shift[v] for v in truth}).ap
+        a = report_of(order, truth).ap
+        b = report_of([shift[v] for v in order], {shift[v] for v in truth}).ap
         assert a == b
 
 
 class TestAveragePrecisionAtY:
     def test_full_y_equals_ap(self):
-        rep = evaluate_ranking(ranking_of([1, 2, 3, 4, 5]), {2, 4}, (2,))
+        rep = report_of([1, 2, 3, 4, 5], {2, 4}, (2,))
         assert rep.ap_y[2] == rep.ap
 
     def test_hand_example(self):
         # (red, green, red, green, red), y=2 -> (1 + 2/3)/2
-        rep = evaluate_ranking(ranking_of([1, 2, 3, 4, 5]), {1, 3, 5}, (2,))
+        rep = report_of([1, 2, 3, 4, 5], {1, 3, 5}, (2,))
         assert rep.ap_y[2] == pytest.approx(5 / 6)
 
     def test_y1_is_reciprocal_rank(self):
-        r = ranking_of([9, 8, 7, 6])
         for truth in ({8}, {7, 6}, {9, 6}):
-            rep = evaluate_ranking(r, truth, (1,))
+            rep = report_of([9, 8, 7, 6], truth, (1,))
             assert rep.ap_y[1] == rep.rr
 
     def test_y_out_of_range(self):
         with pytest.raises(InputError):
-            evaluate_ranking(ranking_of([1, 2]), {1}, (2,))
+            report_of([1, 2], {1}, (2,))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -198,34 +197,31 @@ class TestAveragePrecisionAtY:
         n = data.draw(st.integers(2, 12))
         order = data.draw(st.permutations(range(n)))
         n_red = data.draw(st.integers(1, n))
-        rep = evaluate_ranking(ranking_of(order), set(order[:n_red]), (1,))
+        rep = report_of(order, set(order[:n_red]), (1,))
         assert rep.ap_y[1] == rep.rr
 
 
-class TestEvaluateRanking:
+class TestReportFromMask:
     def test_matches_individual_metrics(self):
         order = [3, 1, 4, 1 + 4, 9, 2, 6]
         truth = {4, 9, 6}
-        rep = evaluate_ranking(ranking_of(order), truth, y_values=(1, 2, 3))
+        rep = report_of(order, truth, y_values=(1, 2, 3))
         assert rep.s_at_1 == 0
         assert rep.rr == 1 / 3
         assert rep.ap == pytest.approx(brute_force_ap(order, truth), rel=1e-12)
         assert rep.ap_y == pytest.approx({y: brute_force_ap_y(order, truth, y)
                                           for y in (1, 2, 3)}, rel=1e-12)
 
-    def test_report_from_mask_matches(self):
-        order = [5, 2, 8, 1]
-        truth = {2, 1}
-        mask = np.array([v in truth for v in order])
-        a = report_from_mask(mask, (1, 2))
-        b = evaluate_ranking(ranking_of(order), truth, (1, 2))
-        assert a == b
+    def test_reads_the_mask_metrics_row(self):
+        mask = mask_of([5, 2, 8, 1], {2, 1})
+        rep = report_from_mask(mask, (1, 2))
+        assert [rep.s_at_1, rep.rr, rep.ap, rep.ap_y[1], rep.ap_y[2]] == \
+            mask_metrics(mask, (1, 2))[0].tolist()
 
 
 class TestAggregateReports:
     def test_means_and_standard_errors(self):
-        reports = [evaluate_ranking(ranking_of([1, 2, 3]), truth)
-                   for truth in ({1}, {2}, {3})]
+        reports = [report_of([1, 2, 3], truth) for truth in ({1}, {2}, {3})]
         agg = aggregate_reports({0.5: reports})
         assert agg.value("s_at_1", 0.5) == pytest.approx(1 / 3)
         assert agg.value("mrr", 0.5) == pytest.approx((1 + 1 / 2 + 1 / 3) / 3)
@@ -234,12 +230,11 @@ class TestAggregateReports:
         assert agg.value("mrr", 0.5, se=True) == pytest.approx(values.std(ddof=1) / np.sqrt(3))
 
     def test_single_replicate_has_nan_se(self):
-        agg = aggregate_reports({0.5: [evaluate_ranking(ranking_of([1, 2]), {1})]})
+        agg = aggregate_reports({0.5: [report_of([1, 2], {1})]})
         assert np.isnan(agg.value("map", 0.5, se=True))
 
     def test_ap_y_columns_and_nan_equality(self):
-        reports = {g: [evaluate_ranking(ranking_of([1, 2, 3]), {2, 3}, (1, 2))]
-                   for g in (0.0, 1.0)}
+        reports = {g: [report_of([1, 2, 3], {2, 3}, (1, 2))] for g in (0.0, 1.0)}
         table = aggregate_reports(reports)
         assert table.y_values == (1, 2)
         assert table.value("ap_y", 1.0, 1) == table.value("mrr", 1.0) == 1 / 2
@@ -249,8 +244,7 @@ class TestAggregateReports:
     @pytest.mark.parametrize("criterion,y", [("ap", None), ("map", 1), ("ap_y", None),
                                              ("ap_y", 3)])
     def test_unknown_column_rejected(self, criterion, y):
-        table = aggregate_reports({0.5: [evaluate_ranking(ranking_of([1, 2, 3]), {2, 3},
-                                                          (1, 2))]})
+        table = aggregate_reports({0.5: [report_of([1, 2, 3], {2, 3}, (1, 2))]})
         with pytest.raises(InputError):
             table.column(criterion, y)
 
@@ -274,7 +268,7 @@ class TestAggregateReports:
 
     @pytest.mark.parametrize("reports", [{}, {0.5: []}, {0.0: [1], 1.0: [1, 1]}])
     def test_empty_or_ragged_reports_rejected(self, reports):
-        report = evaluate_ranking(ranking_of([1, 2]), {1})
+        report = report_of([1, 2], {1})
         with pytest.raises(InputError):
             aggregate_reports({g: [report] * len(reps) for g, reps in reports.items()})
 
@@ -320,7 +314,7 @@ class TestChanceBaseline:
         for n, r in ((5, 2), (6, 3), (4, 4)):
             perms = list(itertools.permutations(range(n)))
             truth = set(range(r))
-            reports = [evaluate_ranking(ranking_of(p), truth) for p in perms]
+            reports = [report_of(p, truth) for p in perms]
             for criterion, field in (("mrr", "rr"), ("map", "ap")):
                 brute = np.mean([getattr(rep, field) for rep in reports])
                 assert chance_baseline(n, r, criterion) == pytest.approx(brute)

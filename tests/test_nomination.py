@@ -1,18 +1,14 @@
 """Fusion scores, ranking, tie-breaking, and the gamma search."""
 
-import random
-from collections import Counter
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from vnom import (InputError, KidneyEggParams, candidate_statistics, gamma_star,
-                  rank_candidates, sample_kidney_egg)
+from vnom import (InputError, KidneyEggParams, candidate_statistics, rank_candidates,
+                  sample_kidney_egg)
 from vnom.graph import RED
 from vnom.nomination import fused_order, prepare_ranking, score_counts
 
-from conftest import build_attributed, order_with_tiebreak
+from conftest import best_grid_gamma, build_attributed, order_with_tiebreak
 
 
 def graph_with_statistics(pairs, n_identified, n_vertices):
@@ -192,19 +188,19 @@ class TestRankCandidates:
                                  (0, 3, 2), (3, 4, 2)],
                              red={0}, identified={0})
         rankings = [rank_candidates(g, 1.0, seed) for seed in (1, 2, 3)]
-        orders = [list(r.ordered) for r in rankings]
+        orders = [ordered.tolist() for ordered, _ in rankings]
         assert orders[0] == orders[1] == orders[2] == [1, 2, 3, 4]
-        assert rankings[0].tie_groups == ()
+        assert rankings[0][1].tolist() == [3.0, 2.0, 1.0, 0.0]
 
     def test_hand_scores_order(self):
         # candidate 0: (t0, t1) = (3, 5); candidate 6: (2, 2); gamma 0.5 -> 4.0 > 2.0
         edges = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1),
                  (6, 1, 1), (6, 2, 1), (6, 7, 2)]
         g = build_attributed(8, edges, red={1, 2, 3}, identified={1, 2, 3})
-        r = rank_candidates(g, 0.5, 0)
-        assert list(r.ordered[:2]) == [0, 6]
-        assert r.scores[0] == pytest.approx(4.0)
-        assert r.scores[1] == pytest.approx(2.0)
+        ordered, scores = rank_candidates(g, 0.5, 0)
+        assert list(ordered[:2]) == [0, 6]
+        assert scores[0] == pytest.approx(4.0)
+        assert scores[1] == pytest.approx(2.0)
 
     def test_empty_candidate_set_rejected(self):
         g = build_attributed(3, [], red={0, 1, 2}, identified={0, 1, 2})
@@ -219,9 +215,9 @@ class TestRankCandidates:
         trials = 10_000
         counts = np.zeros(6)
         for seed in range(trials):
-            r = rank_candidates(g, 0.5, seed)
-            assert r.tie_groups == ((0, n_cand),)
-            counts[r.ordered[0]] += 1
+            ordered, scores = rank_candidates(g, 0.5, seed)
+            assert scores.tolist() == [0.0] * n_cand
+            counts[ordered[0]] += 1
         expected = trials / n_cand
         sigma = np.sqrt(trials * (1 / n_cand) * (1 - 1 / n_cand))
         assert np.all(np.abs(counts[1:] - expected) < 4 * sigma)
@@ -230,10 +226,10 @@ class TestRankCandidates:
         params = KidneyEggParams(30, 10, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
         g = sample_kidney_egg(params, 5)
         for gamma, stat in zip((0.0, 1.0), graph_score_counts(g)):
-            r = rank_candidates(g, gamma, 123)
-            stats = [stat[v] for v in r.ordered]
+            ordered, scores = rank_candidates(g, gamma, 123)
+            stats = [stat[v] for v in ordered]
             assert stats == sorted(stats, reverse=True)
-            assert np.allclose(r.scores, stats)
+            assert np.allclose(scores, stats)
 
     def test_scale_invariance_of_order(self):
         # ranking depends on score order only: scaling both statistics by a
@@ -243,13 +239,13 @@ class TestRankCandidates:
         tiebreak = np.array([4, 2, 0, 1, 3])
         assert np.array_equal(order_with_tiebreak(t0, t1, 0.25, tiebreak),
                               order_with_tiebreak(3 * t0, 3 * t1, 0.25, tiebreak))
-        # the same statistics on graphs: equal orders and tie groups among the
-        # five candidates, which outrank every leaf and isolated vertex
+        # the same statistics on graphs: equal orders and ties among the five
+        # candidates, which outrank every leaf and isolated vertex
         a, b = (rank_candidates(graph_with_statistics(zip(k * t0, k * t1), 15, 80), 0.25, 0)
                 for k in (1, 3))
-        assert np.array_equal(a.ordered[:5], b.ordered[:5])
-        head = [[grp for grp in r.tie_groups if grp[1] <= 5] for r in (a, b)]
-        assert head[0] == head[1] == [(2, 4)]
+        assert np.array_equal(a[0][:5], b[0][:5])
+        ties = [np.flatnonzero(np.diff(scores[:5]) == 0).tolist() for _, scores in (a, b)]
+        assert ties[0] == ties[1] == [2]  # positions 2 and 3 tie
 
     def test_rational_gamma_ties_exactly(self):
         # the float 1/3 stands for the rational 1/3, under which
@@ -257,10 +253,9 @@ class TestRankCandidates:
         t0 = np.array([1, 2, 2])
         t1 = np.array([4, 2, 2])
         assert list(fused_order(prepare_ranking(t0, t1), 1 / 3)) == [0, 1, 2]
-        r = rank_candidates(one_four_two_two_graph(), 1 / 3, 0)
-        assert r.tie_groups == ((0, 3),)
-        assert r.scores[0] == r.scores[1] == r.scores[2] == pytest.approx(2.0)
-        assert r.ordered[3] == 3  # (0, 1) scores 1/3
+        ordered, scores = rank_candidates(one_four_two_two_graph(), 1 / 3, 0)
+        assert scores.tolist() == [2.0, 2.0, 2.0, 1 / 3]
+        assert ordered[3] == 3  # (0, 1) scores 1/3
 
     def test_non_grid_gamma_falls_back_to_exact_binary(self):
         # an arbitrary float is taken at its exact binary value: (1, 4) and
@@ -269,56 +264,13 @@ class TestRankCandidates:
         t0 = np.array([1, 2, 2])
         t1 = np.array([4, 2, 2])
         assert fused_order(prepare_ranking(t0, t1), gamma)[-1] == 0  # 1 + 3*gamma < 2
-        r = rank_candidates(one_four_two_two_graph(), gamma, 0)
-        assert r.tie_groups == ((0, 2),)
-        assert list(r.ordered[2:]) == [0, 3]
+        ordered, scores = rank_candidates(one_four_two_two_graph(), gamma, 0)
+        assert scores[0] == scores[1] > scores[2] > scores[3]
+        assert list(ordered[2:]) == [0, 3]
 
     def test_gamma_bounds(self, star_graph):
         with pytest.raises(InputError):
             rank_candidates(star_graph, 1.5, 0)
-
-
-def exact_fused_scores(g, gamma):
-    """Candidate -> exact fused score, from the edge list and Fractions only.
-
-    gamma stands for the smallest-denominator rational (denominator at most
-    10**6) that rounds to it, or else for its exact binary value.
-    """
-    frac = Fraction(gamma).limit_denominator(10 ** 6)
-    weight = frac if float(frac) == gamma else Fraction(gamma)
-    identified = {v for v in range(g.n) if g.observed[v] == 1}
-    context, content = Counter(), Counter()
-    for u, v, attr in zip(g.edge_u.tolist(), g.edge_v.tolist(), g.edge_attr.tolist()):
-        for a, b in ((u, v), (v, u)):
-            context[a] += b in identified
-            content[a] += attr == 1
-    return {v: (1 - weight) * context[v] + weight * content[v]
-            for v in range(g.n) if v not in identified}
-
-
-class TestExactOracle:
-    GAMMAS = (tuple(k / 100 for k in range(101))
-              + (1 / 3, 0.1 + 0.2, 0.3333333217048645, 5e-324, 1 - 2 ** -53)
-              + tuple(random.Random(17).random() for _ in range(40)))
-
-    @pytest.mark.parametrize("n,m,m_prime,seed", [(30, 10, 4, 3), (60, 16, 5, 8)])
-    def test_scores_and_tie_groups_are_exact(self, n, m, m_prime, seed):
-        g = sample_kidney_egg(KidneyEggParams(n, m, m_prime, (0.6, 0.2, 0.2),
-                                              (0.4, 0.4, 0.2)), seed)
-        for gamma in self.GAMMAS:
-            exact = exact_fused_scores(g, gamma)
-            r = rank_candidates(g, gamma, seed)
-            assert sorted(r.ordered.tolist()) == sorted(exact)
-            ranked = [exact[v] for v in r.ordered.tolist()]
-            assert all(x >= y for x, y in zip(ranked, ranked[1:])), gamma
-            assert r.scores.tolist() == [float(x) for x in ranked], gamma
-            runs, start = [], 0
-            for i in range(1, len(ranked) + 1):
-                if i == len(ranked) or ranked[i] != ranked[start]:
-                    if i - start >= 2:
-                        runs.append((start, i))
-                    start = i
-            assert r.tie_groups == tuple(runs), gamma
 
 
 class TestMonotoneSignal:
@@ -340,19 +292,9 @@ class TestMonotoneSignal:
         assert red_total / n_red > green_total / n_green + 1.0
 
 
-class TestGammaStar:
-    def test_singleton_grid(self):
-        params = KidneyEggParams(20, 6, 2, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
-        assert gamma_star(params, [0.5], "map", replicates=3, seed=0) == 0.5
-
+class TestBestGamma:
     def test_context_only_signal_selects_zero(self):
         # content carries no signal (s1 = p1) while the block is denser via
         # green edges (s2 > p2), so context alone should win
         params = KidneyEggParams(40, 12, 6, (0.7, 0.2, 0.1), (0.4, 0.2, 0.4))
-        best = gamma_star(params, [0.0, 0.5, 1.0], "map", replicates=250, seed=2)
-        assert best == 0.0
-
-    def test_invalid_criterion(self):
-        params = KidneyEggParams(20, 6, 2, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2))
-        with pytest.raises(InputError):
-            gamma_star(params, [0.5], "ndcg", replicates=1, seed=0)
+        assert best_grid_gamma(params, [0.0, 0.5, 1.0], "map", replicates=250, seed=2) == 0.0

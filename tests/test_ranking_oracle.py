@@ -1,13 +1,14 @@
-"""fused_order and evaluate_grid against a pure-Python ranking oracle.
+"""fused_order, rank_candidates and evaluate_grid against a pure-Python
+ranking oracle.
 
-The oracle shares no code with vnom.nomination: it reads gamma as the small
-rational the float stands for (denominator at most 10**6) or else as its
-exact binary value, computes every fused score as a Fraction and sorts the
-candidates by (-fused, tie-break key, index).
+The oracle (conftest's ``oracle_order``) shares no code with vnom.nomination:
+it reads gamma as the small rational the float stands for (denominator at
+most 10**6) or else as its exact binary value, computes every fused score as
+a Fraction and sorts the candidates by (-fused, tie-break key, index).
 """
 
+import random
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,26 +19,11 @@ from vnom.experiments import evaluate_grid
 from vnom.metrics import mask_metrics
 from vnom.nomination import _fused_keys, _gamma_weights, prepare_ranking, tiebreak_order
 
-from conftest import order_with_tiebreak
+from conftest import exact_fused, oracle_order, oracle_ranking, order_with_tiebreak
 
 GAMMAS = (0.0, 1.0, 1 / 3, 0.1 + 0.2, 0.3333333217048645, 999_983 / 1_000_000,
           1 / 999_983, 5e-324, 0.5, 0.37)
 BIG = (0, 1, 2 ** 31 - 2, 2 ** 31 - 1, 2 ** 31)  # int32's edge and just past it
-
-
-def exact_weight(gamma):
-    frac = Fraction(gamma).limit_denominator(10 ** 6)
-    return frac if float(frac) == gamma else Fraction(gamma)
-
-
-def exact_fused(t0, t1, gamma):
-    w = exact_weight(gamma)
-    return [(1 - w) * a + w * b for a, b in zip(t0, t1)]
-
-
-def oracle_order(t0, t1, gamma, tiebreak):
-    fused = exact_fused(t0, t1, gamma)
-    return sorted(range(len(fused)), key=lambda i: (-fused[i], tiebreak[i], i))
 
 
 def random_case(rng, rows, n):
@@ -220,6 +206,26 @@ def test_tiebreak_order_at_the_uint16_edge(top, dtype):
         assert tiebreak_order(keys[row]).tolist() == want[row]
 
 
+# the grid, gammas next to 0 and 1, and random floats (mostly Python-int keys)
+MORE_GAMMAS = (tuple(k / 100 for k in range(101)) + (1 - 2 ** -53,)
+               + tuple(random.Random(17).random() for _ in range(40)))
+
+
+@pytest.mark.parametrize("params,seed", [
+    (KidneyEggParams(30, 10, 4, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2)), 3),
+    (KidneyEggParams(60, 16, 5, (0.6, 0.2, 0.2), (0.4, 0.4, 0.2)), 8),
+    (KidneyEggParams(20, 6, 2, (0.6, 0.0, 0.4), (0.4, 0.0, 0.6)), 5),  # content all tied
+])
+def test_rank_candidates_matches_oracle(params, seed):
+    g = sample_kidney_egg(params, seed)
+    for gamma in GAMMAS + MORE_GAMMAS:
+        ordered, scores = rank_candidates(g, gamma, seed)
+        want_ids, want_fused = oracle_ranking(g, gamma, seed)
+        assert ordered.tolist() == want_ids, gamma
+        assert scores.dtype == np.float64
+        assert scores.tolist() == [float(f) for f in want_fused], gamma
+
+
 @pytest.mark.parametrize("seed", [9, 10])
 def test_rank_candidates_matches_int64_keys(monkeypatch, seed):
     # the bench surface shape: scores below 2**8, so den <= 128 takes int16 keys
@@ -228,12 +234,12 @@ def test_rank_candidates_matches_int64_keys(monkeypatch, seed):
     gammas = (0.0, 1 / 128, 0.37, 127 / 128, 1.0, 1 / 129)
     narrow = [rank_candidates(g, gamma, seed) for gamma in gammas]
     monkeypatch.setattr(vnom.nomination, "_INT16_DEN", 0)  # every den takes int64 keys
-    for gamma, got in zip(gammas, narrow):
-        want = rank_candidates(g, gamma, seed)
-        assert got.ordered.tolist() == want.ordered.tolist(), gamma
-        assert got.scores.dtype == want.scores.dtype == np.float64
-        assert got.scores.tobytes() == want.scores.tobytes(), gamma
-        assert got.tie_groups == want.tie_groups and got.tie_groups, gamma
+    for gamma, (ordered, scores) in zip(gammas, narrow):
+        want_ordered, want_scores = rank_candidates(g, gamma, seed)
+        assert ordered.tolist() == want_ordered.tolist(), gamma
+        assert scores.dtype == want_scores.dtype == np.float64
+        assert scores.tobytes() == want_scores.tobytes(), gamma
+        assert (np.diff(scores) == 0).any(), gamma  # ties, kept in tie-break order
 
 
 def lexsort_metrics(t0, t1, red, tiebreak, gamma, y_values):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from vnom import (PMF, EstimatedRates, InputError, KidneyEggParams, MetricTable, Partition,
-                  Ranking, ScreeningResult, ScreeningThresholds, Simplex3, SweepSpec, TopicMap,
+                  ScreeningResult, ScreeningThresholds, Simplex3, SweepSpec, TopicMap,
                   generate_surrogate, sample_kidney_egg)
 from vnom.experiments import CellResult
 from vnom.graph import GREEN, RED
@@ -25,9 +25,7 @@ class TestEquality:
         (Partition, (5, [2, 1, 2]), (6, [1, 2])),
         (PMF, ([0.25, 0.75],), ([0.75, 0.25],)),
         (TopicMap, ([RED, GREEN],), ([GREEN, RED],)),
-        (Ranking, ([3, 1], [2.0, 1.0], ()), ([1, 3], [2.0, 1.0], ())),
-        (Ranking, ([3, 1], [2.0, 1.0], ()), ([3, 1], [2.0, 1.0], ((0, 2),))),
-    ], ids=["Partition-ids", "Partition-n", "PMF", "TopicMap", "Ranking-order", "Ranking-ties"])
+    ], ids=["Partition-ids", "Partition-n", "PMF", "TopicMap"])
     def test_records_holding_arrays_compare_by_value(self, make, same, other):
         assert make(*same) == make(*same)
         assert make(*same) != make(*other) and make(*other) != make(*same)
