@@ -23,7 +23,11 @@ the rows the bound leaves undecided, and the accepted rows a screen keeps,
 take the exact profile pass over their green edges.  Trials run in blocks
 of partitions whose replicates map their uniforms to topics, and are scored
 and ranked, as one stack; they return columns too, one metric table stacked
-over partitions and their rates.
+over partitions and their rates.  Each instance's identified set is
+``Generator.choice``'s from its own stream, made from the stream's raw words
+by one :func:`vnom.seeding.choice_masks` call per block, and a block's
+scores are counted over the graph's one edge list by one
+:func:`vnom.nomination.score_counts` call on its stacked masks.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .experiments import _check_replicates, evaluate_grid, parallel_map
 from .kidney_egg import _pair_offsets, _pairs
 from .metrics import CRITERIA, MetricTable
 from .nomination import score_counts, validate_gamma_grid
-from .seeding import child_generators, child_seed, generator
+from .seeding import child_generators, child_seed, choice_masks, choice_words, generator
 
 _SCREEN_BLOCK = 4096  # draws per derived seed; fixed so results never depend on scheduling
 # partitions per trial task: bounds a task's size and its working memory
@@ -606,23 +610,32 @@ def _draw_instances(g: TopicGraph, block: ScreeningResult, first: int, m_prime: 
     numpy's ``Generator.permutation``, draw for draw.  The uniforms of all
     instances then map to topics together, and each partition's topics to its
     labels, read from the block's flat label table.
+
+    The identified set is ``choice(red_ids, m_prime, replace=False)``'s: each
+    instance reads its identification stream's first raw words, and one
+    :func:`vnom.seeding.choice_masks` call turns the block's words into the
+    masks of choice's picks.  choice then shuffles its picks, which permutes
+    them and leaves the mask as it is; nothing else reads that stream.
     """
     n_inst, n_cand = block.n_rows * replicates, g.n - m_prime
     u = np.empty((n_inst, g.num_edges))
-    identified = np.zeros((n_inst, g.n), dtype=bool)
+    words = np.empty((n_inst, choice_words(m_prime)), dtype=np.uint64)
     tiebreak = np.empty((n_inst, n_cand), dtype=np.int64)
     tiebreak[:] = np.arange(n_cand)
-    rngs = child_generators(base_seed, [(first + j, rep, stream) for j in range(block.n_rows)
-                                        for rep in range(replicates) for stream in range(3)])
+    keys = [(first + j, rep) for j in range(block.n_rows) for rep in range(replicates)]
+    rngs = child_generators(base_seed, [key + (stream,) for key in keys for stream in range(3)])
     for i, (edge_rng, ident_rng, tie_rng) in enumerate(zip(rngs, rngs, rngs)):
         edge_rng.random(out=u[i])
-        red_ids = block.red_ids[i // replicates]
-        identified[i, ident_rng.choice(red_ids, size=m_prime, replace=False)] = True
+        words[i] = ident_rng.bit_generator.random_raw(words.shape[1])
         tie_rng.shuffle(tiebreak[i])
     topics = _topics(cum_topics, u)
     del u
     row_starts = np.arange(n_inst) // replicates * g.k_topics
     attr = block.topic_labels.ravel()[topics + row_starts[:, None]]
+    picks = choice_masks(words, block.red_ids.shape[1], m_prime,
+                         lambda i: generator(child_seed(base_seed, *keys[i], 1)))
+    identified = np.zeros((n_inst, g.n), dtype=bool)
+    np.put_along_axis(identified, np.repeat(block.red_ids, replicates, axis=0), picks, axis=1)
     return attr, identified, tiebreak
 
 
@@ -634,17 +647,11 @@ def _trial_block(g: TopicGraph, block: ScreeningResult, first: int, m_prime: int
     attr, identified, tiebreak = _draw_instances(g, block, first, m_prime, replicates,
                                                  base_seed, cum_topics)
     n_inst, n_cand = tiebreak.shape
-    # the instances as one graph of n_inst disjoint copies, vertex v of copy i
-    # at i*n + v; 32-bit vertex ids wherever they fit
-    ids = np.int32 if n_inst * g.n < 2**31 else np.int64
-    shift = (np.arange(n_inst, dtype=ids) * g.n)[:, None]
-    t0, t1 = score_counts(n_inst * g.n, (g.edge_u.astype(ids) + shift).ravel(),
-                          (g.edge_v.astype(ids) + shift).ravel(),
-                          (attr == RED).ravel(), identified.ravel())
-    cand = ~identified.ravel()
+    t0, t1 = score_counts(g.n, g.edge_u, g.edge_v, attr == RED, identified)
+    cand = ~identified
     red_masks = np.zeros((block.n_rows, g.n), dtype=bool)
     np.put_along_axis(red_masks, block.red_ids, True, axis=1)
-    red = np.repeat(red_masks, replicates, axis=0).ravel()[cand].reshape(n_inst, n_cand)
+    red = np.repeat(red_masks, replicates, axis=0)[cand].reshape(n_inst, n_cand)
     t0, t1 = t0[cand].reshape(n_inst, n_cand), t1[cand].reshape(n_inst, n_cand)
     values = evaluate_grid(t0, t1, red, tiebreak, gamma_grid)
     values = np.moveaxis(values.reshape(block.n_rows, replicates, *values.shape[1:]), 1, -1)

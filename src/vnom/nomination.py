@@ -40,6 +40,8 @@ stably by radix sort, which is what the narrow tiers buy.
 
 :func:`score_counts` counts both scores for every vertex from bare edge arrays;
 it serves attributed graphs, importance trials and sampled score PMFs alike.
+Importance trials hand it a block's instances as stacked masks over their
+graph's one edge list, and it counts every row as a graph alone.
 :func:`rank_candidates` ranks one graph: its candidate ids in rank order, with
 their fused scores (the keys over ``den``) as floats.
 """
@@ -83,14 +85,44 @@ def score_counts(n: int, edge_u, edge_v, red_edge, identified):
     vertex mask, and incident edges in the ``red_edge`` edge mask (both
     boolean arrays).  Masks become index arrays once; each score's endpoints,
     gathered from both ends with ``take``, are joined into one array and
-    counted by one ``bincount``."""
-    to_identified = identified[edge_v].nonzero()[0]
-    from_identified = identified[edge_u].nonzero()[0]
-    red = red_edge.nonzero()[0]
-    context = np.bincount(np.concatenate((edge_u.take(to_identified),
-                                          edge_v.take(from_identified))), minlength=n)
-    content = np.bincount(np.concatenate((edge_u.take(red), edge_v.take(red))), minlength=n)
-    return context, content
+    counted by one ``bincount``.
+
+    The masks may instead be stacks over one shared edge list, (rows x n)
+    identified and (rows x edges) red masks; the scores are then (rows x n),
+    row i counted as the graph with row i's masks alone.  The masks are
+    gathered through the shared edge ends (``identified[:, edge_v]``), and
+    only the endpoints counted are moved to row i's bins, at i*n, as int32
+    ids wherever rows*n < 2**31."""
+    if identified.ndim == 1:
+        to_identified = identified[edge_v].nonzero()[0]
+        from_identified = identified[edge_u].nonzero()[0]
+        red = red_edge.nonzero()[0]
+        context = np.bincount(np.concatenate((edge_u.take(to_identified),
+                                              edge_v.take(from_identified))), minlength=n)
+        content = np.bincount(np.concatenate((edge_u.take(red), edge_v.take(red))),
+                              minlength=n)
+        return context, content
+    rows = len(identified)
+    ids = np.int32 if rows * n < 2**31 else np.int64
+    edge_u, edge_v = np.asarray(edge_u, dtype=ids), np.asarray(edge_v, dtype=ids)
+    context = np.bincount(np.concatenate((*_row_ends(identified[:, edge_v], n, edge_u),
+                                          *_row_ends(identified[:, edge_u], n, edge_v))),
+                          minlength=rows * n)
+    content = np.bincount(np.concatenate(_row_ends(red_edge, n, edge_u, edge_v)),
+                          minlength=rows * n)
+    return context.reshape(rows, n), content.reshape(rows, n)
+
+
+def _row_ends(mask, n: int, *ends) -> list:
+    """The ``ends`` (edge arrays of one dtype) of each true entry of the
+    (rows x edges) ``mask``, each moved to its row's bins: row i's by i*n."""
+    width = mask.shape[1]
+    edge = np.flatnonzero(mask)  # a 2-D mask's nonzero() is many times slower
+    row = edge // width  # numpy divides by one integer without a division per entry
+    edge -= row * width
+    row *= n
+    shift = row.astype(ends[0].dtype)
+    return [end.take(edge) + shift for end in ends]
 
 
 def candidate_statistics(g: AttributedGraph):

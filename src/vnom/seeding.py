@@ -15,6 +15,14 @@ of ``generator(child_seed(seed, *key))``.  Its keys are tuples of one length,
 at least 1, of ints below 2**32.  PCG64 seeds from a precomputed state row's
 memory as it lies, so the rows are handed over C-contiguous: a strided row
 with the same values would seed a different stream.
+
+:func:`choice_masks` mirrors a second numpy algorithm, the one behind
+``Generator.choice(m, m_prime, replace=False)``: Floyd's sampling (Bentley &
+Floyd 1987) over Lemire's bounded 32-bit integers (Lemire 2019).  It turns
+the raw 64-bit words of many streams, one stream a row, into the masks of
+their picks at once, so each stream costs one ``random_raw`` call in place of
+one ``choice`` call; the rare rows and shapes it does not mirror it hands to
+``choice`` itself.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ _XSHIFT = 16
 _POOL_SIZE = 4  # child_seed keeps numpy's default pool size
 _PCG64_WORDS = 4  # PCG64 seeds from generate_state(4, np.uint64)
 KEY_VALUES = _MASK32 + 1  # a key word of child_generators lies in 0..KEY_VALUES-1
+# Generator.choice without replacement shuffles a whole range's tail in place
+# of Floyd's sampling beyond these (_generator.pyx)
+_TAIL_SHUFFLE_POP, _TAIL_SHUFFLE_SHARE = 10_000, 50
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -149,6 +160,48 @@ def _pcg64_states(pool: np.ndarray, n_words: int, keys: np.ndarray) -> np.ndarra
         out[i] = value ^ (value >> _XSHIFT)
     # each uint64 is two consecutive uint32 words, low word first
     return (out[1::2].astype(np.uint64) << np.uint64(32) | out[::2]).T
+
+
+def choice_words(m_prime: int) -> int:
+    """Raw 64-bit words holding the m_prime 32-bit draws of one choice."""
+    return (m_prime + 1) // 2
+
+
+def choice_masks(words: np.ndarray, m: int, m_prime: int, stream) -> np.ndarray:
+    """The (rows x m) masks of the positions that ``choice(m, m_prime,
+    replace=False)`` picks from the streams whose first :func:`choice_words`
+    raw words are the rows of the uint64 ``words``; 1 <= m_prime < m < 2**32.
+
+    numpy draws each pick k = 0..m_prime-1 as a bounded integer in 0..j,
+    j = m - m_prime + k, from the next 32-bit half of the stream, low half
+    first, and takes j when the value is already picked (Floyd).  The value
+    is ``(x * (j + 1)) >> 32`` for the half x (Lemire), unless the product's
+    low half, the leftover, falls below ``2**32 % (j + 1)``: numpy then
+    rejects x and draws again.  The picks are then shuffled, which moves no
+    mask bit.  A row with a rejection (probability below m_prime * m / 2**32)
+    and every row of a shape numpy samples by shuffling a range's tail
+    (m > 10 000 and m_prime > m // 50) are drawn by ``choice`` itself, on
+    ``stream(row)``: a fresh generator of that row's stream."""
+    # each word's low half, then its high half, by mask and shift: any byte order
+    halves = np.stack((words & np.uint64(_MASK32), words >> np.uint64(32)), axis=-1)
+    halves = halves.reshape(len(words), 2 * words.shape[1])
+    bounds = np.arange(m - m_prime + 1, m + 1, dtype=np.uint64)  # j + 1 per pick
+    products = halves[:, :m_prime] * bounds
+    thresholds = np.uint64(KEY_VALUES) % bounds
+    redrawn = ((products & np.uint64(_MASK32)) < thresholds).any(axis=1)
+    if m > _TAIL_SHUFFLE_POP and m_prime > m // _TAIL_SHUFFLE_SHARE:
+        redrawn[:] = True
+    values = (products >> np.uint64(32)).astype(np.intp)
+    picks = np.zeros((len(words), m), dtype=bool)
+    rows = np.arange(len(words))
+    for k, j in enumerate(range(m - m_prime, m)):
+        value = values[:, k]
+        value[picks[rows, value]] = j
+        picks[rows, value] = True
+    for row in redrawn.nonzero()[0]:
+        picks[row] = False
+        picks[row, stream(row).choice(m, size=m_prime, replace=False)] = True
+    return picks
 
 
 @cache

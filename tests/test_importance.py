@@ -828,6 +828,103 @@ class TestBlockTopicDraws:
                 assert tiebreak[i].tolist() == generator(tie_seed).permutation(18).tolist()
 
 
+class ChoiceSpy:
+    """A generator counting its ``choice`` calls into ``calls``."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def choice(self, *args, **kwargs):
+        self.calls.append(args)
+        return self.rng.choice(*args, **kwargs)
+
+
+def spy_on_choice(monkeypatch):
+    """Make every generator of the trial draws a ChoiceSpy; returns the call list."""
+    calls = []
+    streams, fresh = importance.child_generators, importance.generator
+    monkeypatch.setattr(importance, "child_generators",
+                        lambda seed, keys: (ChoiceSpy(rng, calls) for rng in streams(seed, keys)))
+    monkeypatch.setattr(importance, "generator", lambda seed: ChoiceSpy(fresh(seed), calls))
+    return calls
+
+
+def hand_screen(red_sets, k_topics):
+    """A screen accepting the given red sets, topic t labelled RED when t is even."""
+    red_ids = np.array(red_sets)
+    rows = len(red_ids)
+    labels = np.where(np.arange(k_topics) % 2 == 0, RED, GREEN).astype(np.int8)
+    return ScreeningResult(red_ids, np.tile(labels, (rows, 1)), np.zeros(rows), np.zeros(rows),
+                           np.arange(rows), rows)
+
+
+def assert_identified_as_choice(identified, block, first, m_prime, replicates, base):
+    """Each instance's identified mask is choice's, from its own identification stream."""
+    for i, row in enumerate(identified):
+        j, rep = divmod(i, replicates)
+        want = generator(child_seed(base, first + j, rep, 1)).choice(
+            block.red_ids[j], size=m_prime, replace=False)
+        assert row.nonzero()[0].tolist() == sorted(want.tolist()), i
+
+
+class TestIdentifiedDraws:
+    """_draw_instances' identified sets: choice's picks, from raw words."""
+
+    def test_no_choice_call_in_a_bench_shape_block(self, monkeypatch):
+        # 32 partitions x 3 replicates at m = 10, m' = 5 on the bench's corpus shape
+        g = generate_surrogate(184, 32, seed=3)
+        block = screen_partitions(g, 10, ScreeningThresholds(-np.inf, -np.inf), 32, 4)
+        base, cum = child_seed(6), _cumulative_topics(g)
+        calls = spy_on_choice(monkeypatch)
+        _, identified, _ = _draw_instances(g, block, 64, 5, 3, base, cum)
+        assert calls == []
+        assert_identified_as_choice(identified, block, 64, 5, 3, base)
+
+    @pytest.mark.parametrize("m_prime", [1, 9])
+    def test_extreme_identified_counts(self, m_prime):
+        g = generate_surrogate(60, 8, 0.08, group_size=15, seed=4)
+        block = screen_partitions(g, 10, ScreeningThresholds(-np.inf, -np.inf), 9, 5)
+        base = child_seed(2)
+        _, identified, _ = _draw_instances(g, block, 0, m_prime, 4, base, _cumulative_topics(g))
+        assert (identified.sum(axis=1) == m_prime).all()
+        assert_identified_as_choice(identified, block, 0, m_prime, 4, base)
+
+    def test_rejected_rows_are_drawn_by_choice(self, monkeypatch):
+        # at m = 6, m' = 1 the bound is 6: a zero word is rejected (leftover 0
+        # below 2**32 % 6 = 4), so the rows given one fall back to choice
+        g = build_topic(9, [(u, v, 1, point_mass((u + v) % 2, 2))
+                            for u in range(9) for v in range(u + 1, 9) if (u * v) % 3 != 1], 2)
+        block = hand_screen([[0, 2, 3, 5, 7, 8], [1, 2, 3, 4, 5, 6], [0, 1, 2, 6, 7, 8]], 2)
+        kernel = importance.choice_masks
+
+        def zero_even_rows(words, m, m_prime, stream):
+            words = words.copy()
+            words[::2] = 0
+            return kernel(words, m, m_prime, stream)
+
+        monkeypatch.setattr(importance, "choice_masks", zero_even_rows)
+        calls = spy_on_choice(monkeypatch)
+        base = child_seed(11)
+        _, identified, _ = _draw_instances(g, block, 5, 1, 4, base, _cumulative_topics(g))
+        assert len(calls) == 6
+        assert_identified_as_choice(identified, block, 5, 1, 4, base)
+
+    def test_tail_shuffle_shape_is_drawn_by_choice(self, monkeypatch):
+        # numpy shuffles a range's tail at m = 10 001, m' = 201 (> m // 50)
+        n = 10_003
+        g = build_topic(n, [(0, 1, 1, point_mass(0, 2)), (2, n - 1, 1, point_mass(1, 2))], 2)
+        rng = np.random.default_rng(4)
+        block = hand_screen([np.sort(rng.choice(n, 10_001, replace=False)) for _ in range(2)], 2)
+        calls = spy_on_choice(monkeypatch)
+        base = child_seed(13)
+        _, identified, _ = _draw_instances(g, block, 0, 201, 2, base, _cumulative_topics(g))
+        assert len(calls) == 4
+        assert_identified_as_choice(identified, block, 0, 201, 2, base)
+
+
 class TestEstimateRates:
     def test_no_internal_edges(self):
         g = build_attributed(6, [(0, 3, 1), (1, 4, 2), (2, 5, 1)], red={0, 1, 2})

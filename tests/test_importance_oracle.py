@@ -8,10 +8,14 @@ time and use only the definitions: density gap over within-side pairs,
 attributed edges per within-side pair.  Only public ``vnom`` names are used,
 apart from the cell bound of screening's kernel calls (and the rows per call
 it gives), which one test lowers so that a block's rows span several calls.
+On a 6-vertex corpus, screening and trials are checked against enumeration:
+every red set for the screen, and for each screened partition every topic
+outcome of the edges, identified subset and tie order for the trials.
 """
 
-from itertools import combinations
-from math import comb, fsum
+from functools import cache
+from itertools import combinations, permutations, product
+from math import comb, fsum, prod
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ import pytest
 from vnom import importance
 from vnom import (EmptyProfileError, Partition, ScreeningThresholds, TopicMap, delta_p,
                   delta_rho, estimate_rates, generate_surrogate, instantiate_edges,
-                  screen_partitions)
+                  run_importance_trials, screen_partitions)
 
 from vnom.graph import GREEN, RED
 
@@ -338,3 +342,77 @@ class TestScreeningAgainstEnumeration:
                                            keep=keep)
                 assert capped.attempts == draws and capped.n_accepted == len(want)
                 assert capped.take(slice(None)) == full.take(slice(keep))
+
+
+# twice the fused score, (1 - gamma) * context + gamma * content, as integer weights
+DOUBLED_WEIGHTS = {0.0: (2, 0), 0.5: (1, 1), 1.0: (0, 2)}
+
+
+@cache
+def tie_order_means(keyed):
+    """(S@1, RR, AP) of a ranking by descending key with ties in uniform
+    random order: the means over every order of the candidates, each sorted
+    stably by key.  ``keyed`` is a sorted tuple of (key, is red) pairs, which
+    is all the tie order's law depends on."""
+    totals, orders = [0.0, 0.0, 0.0], 0
+    for order in permutations(keyed):
+        ranked = sorted(order, key=lambda pair: -pair[0])
+        ranks = [rank for rank, (_, red) in enumerate(ranked, start=1) if red]
+        hits = [j / rank for j, rank in enumerate(ranks, start=1)]
+        for col, value in enumerate((float(ranked[0][1]), hits[0], fsum(hits) / len(hits))):
+            totals[col] += value
+        orders += 1
+    return [total / orders for total in totals]
+
+
+def enumerated_trial_means(g, red, labels, m_prime):
+    """{gamma: [S@1, MRR, MAP]}: the exact expectations of one partition's
+    trial, over every topic outcome of the edges (each edge's topic drawn
+    from its distribution, red when its label is), every identified
+    m_prime-subset of the red set and every tie order of the candidates."""
+    edges, red = edges_of(g), set(red)
+    means = {gamma: [0.0, 0.0, 0.0] for gamma in DOUBLED_WEIGHTS}
+    subsets = list(combinations(sorted(red), m_prime))
+    for topics in product(range(g.k_topics), repeat=len(edges)):
+        weight = prod(float(g.topic_probs[e, t]) for e, t in enumerate(topics))
+        if weight == 0.0:
+            continue
+        content = [0] * g.n
+        for (u, v), t in zip(edges, topics):
+            if labels[t] == RED:
+                content[u] += 1
+                content[v] += 1
+        for identified in subsets:
+            context = [0] * g.n
+            for u, v in edges:
+                context[u] += v in identified
+                context[v] += u in identified
+            candidates = [v for v in range(g.n) if v not in identified]
+            for gamma, (a, b) in DOUBLED_WEIGHTS.items():
+                keyed = tuple(sorted((a * context[v] + b * content[v], v in red)
+                                     for v in candidates))
+                for col, value in enumerate(tie_order_means(keyed)):
+                    means[gamma][col] += weight / len(subsets) * value
+    return means
+
+
+class TestTrialsAgainstEnumeration:
+    """Trials on screened partitions of the 6-vertex corpus, every
+    partition's metrics against its enumerated expectations."""
+
+    @pytest.mark.parametrize("m_prime", [1, 2])
+    def test_per_partition_metrics_within_3_se(self, m_prime):
+        g = six_vertex_graph()
+        gammas = tuple(DOUBLED_WEIGHTS)
+        screen = screen_partitions(g, 3, ScreeningThresholds(-np.inf, -np.inf), 4, 20 + m_prime)
+        trials = run_importance_trials(g, screen, m_prime, gammas, 400, 30 + m_prime)
+        for row, (red, labels) in enumerate(zip(screen.red_ids.tolist(),
+                                                screen.topic_labels.tolist())):
+            exact = enumerated_trial_means(g, red, labels, m_prime)
+            for col, criterion in enumerate(("s_at_1", "mrr", "map")):
+                mean = trials.table.column(criterion)[row]
+                se = trials.table.column(criterion, se=True)[row]
+                for i, gamma in enumerate(gammas):
+                    want = exact[gamma][col]
+                    assert abs(mean[i] - want) <= 3 * se[i] + 1e-12, \
+                        (red, criterion, gamma, mean[i], want, se[i])

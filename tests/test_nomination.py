@@ -1,5 +1,7 @@
 """Fusion scores, ranking, tie-breaking, and the gamma search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,8 +149,8 @@ class TestScoreCountsOracle:
         assert t0.tolist() == t1.tolist() == [0] * 4
 
     def test_stacked_disjoint_copies(self):
-        # the input importance trials build: one graph's edges repeated over
-        # copies, vertex v of copy i at i*n + v, with per-copy masks
+        # one graph's edges repeated over copies, vertex v of copy i at
+        # i*n + v, with per-copy masks: each copy counts as the graph alone
         rng = np.random.default_rng(7)
         n, copies = 17, 9
         eu, ev = random_edges(rng, n, 50)
@@ -164,9 +166,9 @@ class TestScoreCountsOracle:
 
     @pytest.mark.parametrize("copies", [1, 6])
     def test_stacked_copies_with_int32_ids(self, copies):
-        # as importance trials build them: int32 vertex ids, copy i shifted by
-        # i*n; copy 0 has no red edge and no identified vertex, so a stack of
-        # it alone gathers and joins only empty int32 arrays
+        # int32 vertex ids, copy i shifted by i*n; copy 0 has no red edge and
+        # no identified vertex, so a stack of it alone gathers and joins only
+        # empty int32 arrays
         rng = np.random.default_rng(12 + copies)
         n = 23
         eu, ev = random_edges(rng, n, 60)
@@ -179,6 +181,86 @@ class TestScoreCountsOracle:
         assert edge_u.dtype == edge_v.dtype == np.int32
         t0, t1 = self.check(copies * n, edge_u, edge_v, red.ravel(), identified.ravel())
         assert not t0[:n].any() and not t1[:n].any()
+
+
+class TestStackedScoreCounts:
+    """(rows x n) identified and (rows x edges) red masks over one edge list,
+    as importance trials count a block of instances: row i as a graph alone."""
+
+    def check(self, n, edge_u, edge_v, red, identified):
+        t0, t1 = score_counts(n, edge_u, edge_v, red, identified)
+        assert t0.shape == t1.shape == identified.shape
+        assert t0.dtype == t1.dtype == np.int64
+        for i in range(len(identified)):
+            want = loop_score_counts(n, edge_u, edge_v, red[i], identified[i])
+            assert [t0[i].tolist(), t1[i].tolist()] == [list(w) for w in want], i
+            one = score_counts(n, edge_u, edge_v, red[i], identified[i])
+            assert t0[i].tolist() == one[0].tolist() and t1[i].tolist() == one[1].tolist()
+        return t0, t1
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(40)
+        for _ in range(60):
+            n, rows = int(rng.integers(2, 30)), int(rng.integers(1, 9))
+            eu, ev = random_edges(rng, n, int(rng.integers(0, n * (n - 1) // 2 + 1)))
+            self.check(n, eu, ev, rng.random((rows, eu.size)) < rng.random(),
+                       rng.random((rows, n)) < rng.random())
+
+    def test_rows_without_identified_vertices_or_red_edges(self):
+        rng = np.random.default_rng(41)
+        n, rows = 19, 7
+        eu, ev = random_edges(rng, n, 70)
+        red = rng.random((rows, eu.size)) < 0.4
+        identified = rng.random((rows, n)) < 0.3
+        red[[0, 3]], identified[[0, 5]] = False, False
+        identified[6] = True
+        t0, t1 = self.check(n, eu, ev, red, identified)
+        assert not t0[[0, 5]].any() and not t1[[0, 3]].any()
+        assert t0[6].sum() == 2 * eu.size
+
+    def test_empty_edge_list(self):
+        empty = np.array([], dtype=np.int64)
+        t0, t1 = self.check(5, empty, empty, np.zeros((3, 0), dtype=bool), np.ones((3, 5), bool))
+        assert not t0.any() and not t1.any()
+
+    def test_single_row(self):
+        rng = np.random.default_rng(42)
+        eu, ev = random_edges(rng, 12, 30)
+        self.check(12, eu, ev, rng.random((1, 30)) < 0.5, rng.random((1, 12)) < 0.4)
+
+    def test_memory_at_the_bench_trial_block(self):
+        # 96 instances of a 184-vertex, 824-edge graph, 5 identified each: the
+        # stack counts through int32 ids in ~1.09 MB of traced memory; int64
+        # ids took ~1.55 MB, and the flat gather through offset ids of every
+        # edge end (the one-graph call on n_rows disjoint copies) ~1.89 MB
+        rng = np.random.default_rng(96)
+        n, rows = 184, 96
+        eu, ev = random_edges(rng, n, 824)
+        red = rng.random((rows, eu.size)) < 0.37
+        identified = np.zeros((rows, n), dtype=bool)
+        for row in identified:
+            row[rng.choice(n, size=5, replace=False)] = True
+        shift = (np.arange(rows, dtype=np.int32) * n)[:, None]
+
+        def flat():
+            return score_counts(rows * n, (eu.astype(np.int32) + shift).ravel(),
+                                (ev.astype(np.int32) + shift).ravel(), red.ravel(),
+                                identified.ravel())
+
+        def peak(count):
+            count()  # any first-call allocation stays out of the measurement
+            tracemalloc.start()
+            try:
+                got = count()
+                return tracemalloc.get_traced_memory()[1], got
+            finally:
+                tracemalloc.stop()
+
+        flat_peak, (flat_t0, flat_t1) = peak(flat)
+        stacked_peak, (t0, t1) = peak(lambda: score_counts(n, eu, ev, red, identified))
+        assert t0.ravel().tolist() == flat_t0.tolist() and t1.ravel().tolist() == flat_t1.tolist()
+        assert stacked_peak <= flat_peak
+        assert stacked_peak <= 1_300_000, stacked_peak
 
 
 class TestRankCandidates:

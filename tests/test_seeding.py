@@ -2,8 +2,10 @@
 
 The oracle is numpy itself: each child generator's seed state and first
 draws must equal those of ``SeedSequence(entropy, spawn_key=prefix + key)``.
-If numpy ever changes its hash, these tests fail.  The last tests pin two
-draw identities of numpy's Generator that the engine's streams rely on.
+If numpy ever changes its hash, these tests fail.  The next tests pin two
+draw identities of numpy's Generator that the engine's streams rely on, and
+the last ones its draws without replacement: ``choice_masks`` must give
+``Generator.choice``'s picks from the same streams' raw words.
 """
 
 import random
@@ -12,7 +14,8 @@ import numpy as np
 import pytest
 
 from vnom import InputError
-from vnom.seeding import _state_class, child_generators, child_seed, generator
+from vnom.seeding import (_state_class, child_generators, child_seed, choice_masks, choice_words,
+                          generator)
 
 ENTROPIES = [0, 3, 7919, 2**63 - 1, 2**100 + 17, [5, 2**40, 0, 17, 2**32 - 1]]
 PREFIXES = [(), (11, 2**33 + 5)]  # the second takes three words
@@ -124,3 +127,91 @@ def test_random_into_a_row_draws_as_random_of_its_size(size):
     assert np.array_equal(rows[1], want.random(size))
     assert not rows[[0, 2]].any()
     assert rng.random() == want.random()
+
+
+def choice_picks(seeds, m, m_prime):
+    """(raw words, masks of choice's picks), one row per seed of a fresh stream."""
+    words = np.empty((len(seeds), choice_words(m_prime)), dtype=np.uint64)
+    want = np.zeros((len(seeds), m), dtype=bool)
+    for row, seed in enumerate(seeds):
+        words[row] = generator(seed).bit_generator.random_raw(words.shape[1])
+        want[row, generator(seed).choice(m, size=m_prime, replace=False)] = True
+    return words, want
+
+
+def redrawn_rows(words, m, m_prime):
+    """The rows choice_masks hands to choice, and its masks with a stream
+    whose every draw picks the top m_prime positions."""
+    rows = []
+
+    def stream(row):
+        rows.append(int(row))
+        return StubChoice(np.arange(m - m_prime, m))
+
+    return rows, choice_masks(words, m, m_prime, stream)
+
+
+class StubChoice:
+    def __init__(self, picks):
+        self.picks = picks
+
+    def choice(self, m, size, replace):
+        return self.picks
+
+
+@pytest.mark.parametrize("m,m_prime,redrawn", [
+    (2, 1, []), (10, 1, []), (10, 5, []), (10, 9, []), (40, 30, []), (184, 92, []),
+    (10_000, 250, []), (10_001, 200, [1852]), (10_001, 201, range(2000))])
+def test_choice_masks_match_choice_draw_for_draw(m, m_prime, redrawn):
+    # 2000 streams a shape.  A row is redrawn by choice after a rejected
+    # bounded draw, with probability below m_prime * m / 2**32 (0.47 rows in
+    # 2000 at m = 10 001), or at every row of a tail-shuffle shape
+    # (m > 10 000 and m_prime > m // 50)
+    seeds = [child_seed(m, m_prime, key) for key in range(2000)]
+    words, want = choice_picks(seeds, m, m_prime)
+    assert redrawn_rows(words, m, m_prime)[0] == list(redrawn)
+    assert np.array_equal(choice_masks(words, m, m_prime, lambda row: generator(seeds[row])), want)
+    # choice over an array of ids picks the same positions
+    ids = np.arange(m) * 7 + 3
+    assert sorted(generator(seeds[0]).choice(ids, m_prime, replace=False)) == ids[want[0]].tolist()
+
+
+def test_rejected_words_are_redrawn():
+    # a zero half at bound j + 1 = 6 leaves 0, below 2**32 % 6 = 4: numpy
+    # draws again, so the row is redrawn; at bound 8 (a power of two) nothing is rejected
+    assert 2**32 % 6 == 4
+    for m, m_prime, rows in [(6, 1, [0]), (8, 1, []), (7, 2, [0]), (16, 1, [])]:
+        words = np.zeros((1, choice_words(m_prime)), dtype=np.uint64)
+        redrawn, picks = redrawn_rows(words, m, m_prime)
+        assert redrawn == rows, (m, m_prime)
+        assert picks[0].nonzero()[0].tolist() == (list(range(m - m_prime, m)) if rows else
+                                                  list(range(m_prime)))
+    # at bound 6 a leftover of exactly the threshold 4 is kept, and 2 is not;
+    # bound 5 keeps the low half 1 (leftover 5), whose pick is 0
+    kept, rejected = (4 + 2 * 2**32) // 6, (2 + 2**32) // 6
+    assert (kept * 6 % 2**32, rejected * 6 % 2**32) == (4, 2)
+    words = np.array([[1 | kept << 32], [1 | rejected << 32]], dtype=np.uint64)
+    redrawn, picks = redrawn_rows(words, 6, 2)
+    assert redrawn == [1]
+    assert picks[0].nonzero()[0].tolist() == [0, kept * 6 >> 32]
+    redrawn, picks = redrawn_rows(np.empty((0, 1), dtype=np.uint64), 6, 2)
+    assert redrawn == [] and picks.shape == (0, 6)
+
+
+def test_rejection_redraws_from_the_next_half():
+    # at bound 2**23 + 1 numpy rejects a half with probability near 1/512;
+    # a rejected stream's pick comes from its next half, as Lemire's loop draws it
+    bound = 2**23 + 1
+    threshold = 2**32 % bound
+    found = 0
+    for key in range(4000):
+        word = int(generator(child_seed(9, key)).bit_generator.random_raw())
+        low, high = word & 0xFFFFFFFF, word >> 32
+        if low * bound % 2**32 >= threshold:
+            continue
+        found += 1
+        assert redrawn_rows(np.array([[word]], dtype=np.uint64), bound, 1)[0] == [0]
+        assert high * bound % 2**32 >= threshold  # a second rejection would need a third half
+        pick = generator(child_seed(9, key)).choice(bound, size=1, replace=False)
+        assert pick.tolist() == [high * bound >> 32]
+    assert found >= 2
